@@ -79,21 +79,46 @@ def _det_correct(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chamber_data(vals: np.ndarray, vecs: np.ndarray, margin: float) -> ChamberData:
+    """Chamber data from a decreasing spectrum and its eigenvector columns.
+
+    Rejects gaps below the margin and fixes the frame convention: each
+    eigenvector's largest entry positive real, then unit determinant.
+    """
+    gaps = vals[:-1] - vals[1:]
+    if gaps.size and gaps.min() < margin:
+        raise RegularityViolation(f"eigenvalue gap {gaps.min():.3e} below margin {margin:.1e}")
+    vecs = _det_correct(_fix_phases(vecs))
+    return ChamberData(spectrum=vals.astype(float), frame=vecs.conj().T)
+
+
 def chamber_diagonalize(j: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
     """Chamber normal form of an anti-Hermitian traceless matrix.
 
     Returns (xi, Q) with Q j Q^-1 = i diag(xi) and xi strictly decreasing.
     Raises RegularityViolation when eigenvalue gaps fall below the margin.
     """
-    h = -1j * j
-    vals, vecs = np.linalg.eigh(h)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    gaps = vals[:-1] - vals[1:]
-    if gaps.size and gaps.min() < margin:
-        raise RegularityViolation(f"eigenvalue gap {gaps.min():.3e} below margin {margin:.1e}")
-    vecs = _det_correct(_fix_phases(vecs))
-    frame = vecs.conj().T
-    return ChamberData(spectrum=vals.astype(float), frame=frame)
+    vals, vecs = np.linalg.eigh(-1j * j)
+    return _chamber_data(vals[::-1], vecs[:, ::-1], margin)
+
+
+def borel_chamber_diagonalize(b: np.ndarray,
+                              margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
+    """Chamber normal form of i log(b b^H) from one eigensolve of b b^H.
+
+    b b^H is Hermitian positive definite, so its matrix log has the same
+    eigenvectors and the log of its eigenvalues as spectrum: the result is
+    the chamber form of i log(b b^H) without forming the log.  Raises
+    NotPositiveDefinite when b b^H has a non-finite entry or an eigenvalue
+    that is not positive, and RegularityViolation as chamber_diagonalize.
+    """
+    p = posdef_of_borel(b)
+    if not np.all(np.isfinite(p)):
+        raise NotPositiveDefinite("b b^H has non-finite entries")
+    vals, vecs = np.linalg.eigh(p)
+    if not vals[0] > 0:
+        raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.3e} of b b^H is not positive")
+    return _chamber_data(np.log(vals[::-1]), vecs[:, ::-1], margin)
 
 
 def alcove_phases(thetas: np.ndarray) -> np.ndarray:
@@ -193,6 +218,8 @@ def grad_chamber_coroot(j_alg: np.ndarray, j: int, datum: RootDatum,
 def _positive_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR with positive real diagonal on the triangular factor."""
     q, r = np.linalg.qr(x)
+    if not np.all(np.isfinite(r)):
+        raise SingularMatrix("matrix has non-finite entries")
     d = np.diag(r)
     if np.min(np.abs(d)) < 1e-14:
         raise SingularMatrix("matrix is numerically singular")
@@ -208,18 +235,9 @@ def iwasawa_decompose(x: np.ndarray) -> IwasawaFactors:
     from det X = 1.
     """
     q1, r1 = _positive_qr(x)
-    b_right = scipy.linalg.solve_triangular(r1, np.eye(x.shape[0]))
     q2, r2 = _positive_qr(np.linalg.inv(x))
-    b_left = scipy.linalg.solve_triangular(r2, np.eye(x.shape[0]))
-    return IwasawaFactors(u_left=q1, u_right=q2, b_left=b_left, b_right=b_right)
-
-
-def unitary_right(x: np.ndarray) -> np.ndarray:
-    return iwasawa_decompose(x).u_right
-
-
-def borel_right(x: np.ndarray) -> np.ndarray:
-    return iwasawa_decompose(x).b_right
+    return IwasawaFactors(u_left=q1, u_right=q2,
+                          b_left=np.linalg.inv(r2), b_right=np.linalg.inv(r1))
 
 
 def borel_left(x: np.ndarray) -> np.ndarray:
@@ -248,9 +266,4 @@ def borel_of_posdef(p: np.ndarray) -> np.ndarray:
         low = np.linalg.cholesky(np.linalg.inv(p))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("argument is not positive definite") from exc
-    return scipy.linalg.solve_triangular(low.conj().T, np.eye(p.shape[0]))
-
-
-def heisenberg_from_right_pair(u_right: np.ndarray, b_left: np.ndarray) -> np.ndarray:
-    """Point of the complex group with prescribed b_left and u_right factors."""
-    return b_left @ u_right.conj().T
+    return np.linalg.inv(low.conj().T)

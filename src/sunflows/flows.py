@@ -137,8 +137,7 @@ def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,
     noncompact action through the positive factorization at u_right."""
     f = x.factors()
     if family == "dress":
-        logp = 1j * scipy.linalg.logm(decomp.posdef_of_borel(f.b_right))
-        frame = decomp.chamber_diagonalize(logp).frame
+        frame = decomp.borel_chamber_diagonalize(f.b_right).frame
         t = frame.conj().T @ coroot_torus_element(tau, datum) @ frame
         return HeisenbergPoint(x.x @ t)
     if family == "translate":

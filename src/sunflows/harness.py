@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import decomp, flows, moduli, probes
-from .errors import InvalidShape
+from .errors import InvalidShape, SunflowsError
 from .liecore import RootDatum
 from .observables import (
     AlcoveCoroot,
@@ -121,7 +120,7 @@ class CotangentHarness(Harness):
                 decomp.alcove_diagonalize(x.g, SAMPLING_MARGIN)
                 decomp.chamber_diagonalize(x.j, SAMPLING_MARGIN)
                 return x
-            except Exception:
+            except SunflowsError:
                 continue
         raise InvalidShape("could not sample a regular cotangent point")
 
@@ -208,10 +207,9 @@ class HeisenbergHarness(Harness):
             f = x.factors()
             try:
                 decomp.alcove_diagonalize(f.u_right, SAMPLING_MARGIN)
-                logp = 1j * scipy.linalg.logm(decomp.posdef_of_borel(f.b_right))
-                decomp.chamber_diagonalize(logp, SAMPLING_MARGIN)
+                decomp.borel_chamber_diagonalize(f.b_right, SAMPLING_MARGIN)
                 return x
-            except Exception:
+            except SunflowsError:
                 continue
         raise InvalidShape("could not sample a regular Heisenberg point")
 
@@ -334,7 +332,7 @@ class FusionHarness(Harness):
                 for h in self.hams:
                     decomp.alcove_diagonalize(h.block_value(x), SAMPLING_MARGIN)
                 return x
-            except Exception:
+            except SunflowsError:
                 continue
         raise InvalidShape("could not sample a regular fusion point")
 
@@ -484,7 +482,7 @@ class DoubleHarness(FusionHarness):
                 decomp.alcove_diagonalize(b, SAMPLING_MARGIN)
                 decomp.alcove_diagonalize(x.momentum(), SAMPLING_MARGIN)
                 return x
-            except Exception:
+            except SunflowsError:
                 continue
         raise InvalidShape("could not sample a regular double point")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import decomp
 from .errors import NotClassFunction
@@ -195,16 +194,12 @@ class BorelChamberCoroot(BorelFunction):
     def name(self):
         return f"borelchamber{self.j}"
 
-    def _log_point(self, b):
-        p = decomp.posdef_of_borel(b)
-        return 1j * scipy.linalg.logm(p)
-
     def value(self, b):
-        xi = decomp.chamber_diagonalize(self._log_point(b), self.margin).spectrum
+        xi = decomp.borel_chamber_diagonalize(b, self.margin).spectrum
         return 0.5 * float(xi[self.j] - xi[self.j + 1])
 
     def grad(self, b):
-        frame = decomp.chamber_diagonalize(self._log_point(b), self.margin).frame
+        frame = decomp.borel_chamber_diagonalize(b, self.margin).frame
         return frame.conj().T @ (1j * self.datum.coroots[self.j]) @ frame
 
 

@@ -314,7 +314,7 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         pos_target = conj_by_f(np.diag(np.exp(d - d.mean())))
         gram = g_right.conj().T @ np.linalg.inv(pos_target) @ g_right
         low = np.linalg.cholesky(gram)
-        b_left = scipy.linalg.solve_triangular(low.conj().T, np.eye(n))
+        b_left = np.linalg.inv(low.conj().T)
         x = HeisenbergPoint(b_left @ g_right.conj().T)
         torus = _torus_curves_heisenberg(
             datum, "dress" if key == "heisenberg-compact-torus" else "translate")

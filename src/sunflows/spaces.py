@@ -99,7 +99,7 @@ def heisenberg_momentum(x: HeisenbergPoint) -> np.ndarray:
 def quasi_adjoint(eta: np.ndarray, x: HeisenbergPoint) -> HeisenbergPoint:
     """Quasi-adjoint action: eta X u_right(eta b_left(X))."""
     f = x.factors()
-    twist = decomp.unitary_right(eta @ f.b_left)
+    twist = decomp.iwasawa_decompose(eta @ f.b_left).u_right
     return HeisenbergPoint(eta @ x.x @ twist)
 
 

@@ -3,7 +3,12 @@ import pytest
 import scipy.linalg
 
 from sunflows import decomp, liecore
-from sunflows.errors import NotPositiveDefinite, RegularityViolation, SingularMatrix
+from sunflows.errors import (
+    NotPositiveDefinite,
+    RegularityViolation,
+    SingularMatrix,
+    SunflowsError,
+)
 
 
 def test_chamber_of_diagonal_input():
@@ -35,6 +40,39 @@ def test_chamber_reconstruction_su4(seed):
 def test_chamber_rejects_degenerate_spectrum():
     with pytest.raises(RegularityViolation):
         decomp.chamber_diagonalize(1j * np.diag([1.0, 1.0, -2.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_borel_chamber_matches_logm_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    datum = liecore.build_root_datum(n)
+    done = 0
+    while done < 40:
+        b = decomp.iwasawa_decompose(liecore.random_sl_element(n, rng)).b_right
+        try:
+            ref = decomp.chamber_diagonalize(
+                1j * scipy.linalg.logm(decomp.posdef_of_borel(b)), 0.05)
+        except RegularityViolation:
+            continue
+        done += 1
+        cd = decomp.borel_chamber_diagonalize(b, 0.05)
+        assert np.max(np.abs(cd.spectrum - ref.spectrum)) <= 1e-12
+        # coroot gradients -Q^-1 i h_j Q do not depend on the frame phases
+        for h in datum.coroots:
+            g_new = -cd.frame.conj().T @ (1j * h) @ cd.frame
+            g_ref = -ref.frame.conj().T @ (1j * h) @ ref.frame
+            assert np.linalg.norm(g_new - g_ref) <= 1e-10
+
+
+def test_borel_chamber_rejects_walls_and_non_positive_input():
+    with pytest.raises(RegularityViolation):
+        decomp.borel_chamber_diagonalize(np.eye(3, dtype=complex))
+    with pytest.raises(NotPositiveDefinite):
+        decomp.borel_chamber_diagonalize(np.diag([1.0, 0.0]).astype(complex))
+    b = np.eye(2, dtype=complex)
+    b[0, 1] = np.nan
+    with pytest.raises(NotPositiveDefinite):
+        decomp.borel_chamber_diagonalize(b)
 
 
 def test_alcove_of_alcove_form_input():
@@ -143,6 +181,30 @@ def test_iwasawa_roundtrip_and_uniqueness(seed):
     f2 = decomp.iwasawa_decompose(f.u_left @ np.linalg.inv(f.b_right))
     assert np.linalg.norm(f2.u_left - f.u_left) <= 1e-11
     assert np.linalg.norm(f2.b_right - f.b_right) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_iwasawa_factors_exact_structure(n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(50):
+        x = liecore.random_sl_element(n, rng)
+        f = decomp.iwasawa_decompose(x)
+        for b in (f.b_left, f.b_right):
+            assert np.all(np.tril(b, -1) == 0)
+            assert np.min(np.real(np.diag(b))) > 0
+            assert np.max(np.abs(np.imag(np.diag(b)))) <= 1e-12
+            assert abs(np.linalg.det(b) - 1) <= 1e-10
+        assert np.linalg.norm(x - f.u_left @ np.linalg.inv(f.b_right)) <= 1e-10
+        assert np.linalg.norm(x - f.b_left @ np.linalg.inv(f.u_right)) <= 1e-10
+
+
+@pytest.mark.parametrize("where", [(2, 2), (0, 2)])
+def test_iwasawa_rejects_non_finite_input(where):
+    # a NaN off the diagonal can leave the QR diagonal finite
+    x = np.eye(3, dtype=complex)
+    x[where] = np.nan
+    with pytest.raises(SunflowsError):
+        decomp.iwasawa_decompose(x)
 
 
 def test_iwasawa_rejects_singular():
