@@ -40,7 +40,7 @@ probe = word_observable(("g", "j", "g", "j"))
 for ham, obs in ((quadratic, lambda p: quadratic.value(p.j)),
                  (base_class, lambda p: base_class.value(p.g))):
     d_flow = brackets.directional_derivative(probe, lambda t: sf.cotangent_flow(x, ham, t))
-    bk = brackets.cotangent_bracket(probe, obs, x)
+    bk = brackets.poisson_bracket(probe, obs, x)
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")
 
 print("\n=== the compact torus action on the fiber-regular set ===")

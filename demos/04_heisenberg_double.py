@@ -50,7 +50,7 @@ probe = word_observable(("x", "x", "xh"))
 for ham, obs in ((BorelPower(1), lambda p: BorelPower(1).value(p.factors().b_right)),
                  (PowerTrace(2), lambda p: PowerTrace(2).value(p.factors().u_right))):
     d_flow = brackets.directional_derivative(probe, lambda t: sf.heisenberg_flow(x, ham, t))
-    bk = brackets.heisenberg_bracket(probe, obs, x)
+    bk = brackets.poisson_bracket(probe, obs, x)
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")
 
 print("\n=== the two torus directions ===")

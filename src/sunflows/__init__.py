@@ -2,10 +2,8 @@
 
 from .brackets import (
     DiffConfig,
-    cotangent_bracket,
+    bracket_matrix,
     fusion_bracket,
-    heisenberg_bracket,
-    heisenberg_derivatives,
     momentum_condition_residual,
     poisson_bracket,
 )

@@ -3,10 +3,14 @@
 Observables are plain callables on phase-space points.  Directional
 derivatives are seeded fourth-order central differences; gradients are
 assembled against cached dual bases, so no linear solve happens per call.
-The three bracket engines cover the canonical cotangent bracket, the
-Heisenberg-double bracket built from the two isotropic projections, and the
-quasi-Poisson bracket of fusion spaces, where every bivector term reduces to
-trace-form pairings of per-letter left/right gradients.
+Every bracket goes through ``bracket_matrix``: the point's geometry supplies
+per-observable gradients (group and fiber gradients on the cotangent bundle,
+left and right complexified derivatives on the Heisenberg double, per-letter
+left/right gradient tables on fusion spaces), and one contraction per
+geometry pairs them against its bivector: the canonical cotangent bracket,
+the Heisenberg-double bracket built from the two isotropic projections, and
+the quasi-Poisson bracket of fusion spaces, where every bivector term reduces
+to trace-form pairings of per-letter left/right gradients.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ class DiffConfig:
     """Finite-difference step control for all derivative engines."""
 
     h: float = 1e-3
-    scheme: str = "central-4"
     richardson: bool = False
 
     def __post_init__(self):
@@ -47,26 +50,26 @@ class DiffConfig:
 
 DEFAULT_DIFF = DiffConfig()
 
+# stencil offsets, in units of the step h
+_STEPS = (-2, -1, 1, 2)
 
-def _central(values: list[float], h: float, scheme: str) -> float:
-    if scheme == "central-2":
-        fm, fp = values
-        return (fp - fm) / (2 * h)
+
+def _central(values, h: float):
+    """Fourth-order central difference from the values at the offsets _STEPS * h.
+
+    The values may be scalars or arrays; arrays give one derivative per entry.
+    """
     fm2, fm1, fp1, fp2 = values
     return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
 
 
-def _steps(scheme: str) -> list[int]:
-    return [-1, 1] if scheme == "central-2" else [-2, -1, 1, 2]
-
-
-def directional_derivative(f, curve, cfg: DiffConfig = DEFAULT_DIFF) -> float:
-    """d/dt f(curve(t)) at t = 0 by central differences."""
-    base = _central([f(curve(k * cfg.h)) for k in _steps(cfg.scheme)], cfg.h, cfg.scheme)
-    if not cfg.richardson or cfg.scheme != "central-4":
+def directional_derivative(f, curve, cfg: DiffConfig = DEFAULT_DIFF):
+    """d/dt f(curve(t)) at t = 0 by central differences; f may be array-valued."""
+    base = _central([f(curve(k * cfg.h)) for k in _STEPS], cfg.h)
+    if not cfg.richardson:
         return base
-    half = DiffConfig(h=cfg.h / 2, scheme=cfg.scheme)
-    fine = _central([f(curve(k * half.h)) for k in _steps(half.scheme)], half.h, half.scheme)
+    half = cfg.h / 2
+    fine = _central([f(curve(k * half)) for k in _STEPS], half)
     return (16 * fine - base) / 15
 
 
@@ -92,41 +95,47 @@ def _borel_to_su_inverse(n: int):
     return np.linalg.inv(m)
 
 @lru_cache(maxsize=None)
-def _group_steps(n: int, h: float, scheme: str):
+def _group_steps(n: int, h: float):
     """exp(k h Z) for each su-basis direction Z and each stencil offset k."""
     basis, dual = _su_pair(n)
     table = []
     for z in basis:
         e = scipy.linalg.expm(h * z)
-        powers = {1: e, -1: e.conj().T}
-        powers[2] = e @ e
-        powers[-2] = powers[-1] @ powers[-1]
-        table.append([powers[k] for k in _steps(scheme)])
+        ei = e.conj().T
+        powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
+        table.append([powers[k] for k in _STEPS])
     return basis, dual, table
 
 @lru_cache(maxsize=None)
-def _sl_steps(n: int, h: float, scheme: str):
+def _sl_steps(n: int, h: float):
     basis, dual = _sl_pair(n)
     table = []
     for z in basis:
         e = scipy.linalg.expm(h * z)
         em = np.linalg.inv(e)
         powers = {1: e, -1: em, 2: e @ e, -2: em @ em}
-        table.append([powers[k] for k in _steps(scheme)])
+        table.append([powers[k] for k in _STEPS])
     return basis, dual, table
 
 
-def assemble_su_gradient(derivs: np.ndarray, n: int) -> np.ndarray:
-    """Algebra element with trace-pairing derivs against the su basis."""
-    _, dual = _su_pair(n)
-    out = np.zeros((n, n), dtype=complex)
-    for d, e in zip(derivs, dual):
-        out += d * e
-    return out
+def _stencil_gradients(obs_list, stencils, dual, h: float) -> list[np.ndarray]:
+    """Gradient of each observable from its values on per-direction stencils.
+
+    ``stencils`` yields, for each basis direction in order, the points at the
+    offsets _STEPS * h along it.  Every point is evaluated once for all
+    observables.  The central differences are summed against the dual basis
+    one direction at a time, in basis order: a BLAS contraction would reorder
+    the sum and change the last bits of every bracket.
+    """
+    derivs = np.array([
+        _central(np.array([[obs(p) for obs in obs_list] for p in points]), h)
+        for points in stencils
+    ])
+    return [sum(d * e for d, e in zip(column, dual)) for column in derivs.T]
 
 
 # ---------------------------------------------------------------------------
-# gradient tables on fusion spaces
+# gradients per geometry
 # ---------------------------------------------------------------------------
 
 def _fusion_letters(point: FusionPoint):
@@ -151,28 +160,52 @@ def fusion_gradient_tables(obs_list, point: FusionPoint, cfg: DiffConfig = DEFAU
     Returns one dict per observable keyed by (factor, component, side) where
     side 'lmul' is the left-multiplication derivative (the right-invariant
     frame) and 'rmul' the right-multiplication derivative (the left-invariant
-    frame).  Every perturbed point is evaluated once for all observables.
+    frame).
     """
-    n = point.n
-    basis, dual, table = _group_steps(n, cfg.h, cfg.scheme)
+    _, dual, table = _group_steps(point.n, cfg.h)
     tables = [dict() for _ in obs_list]
     for f, comps in _fusion_letters(point):
         for comp in comps:
             for side in ("lmul", "rmul"):
-                derivs = np.zeros((len(obs_list), len(basis)))
-                for a in range(len(basis)):
-                    vals = np.array([
-                        [obs(_perturb_fusion(point, f, comp, side, u)) for obs in obs_list]
-                        for u in table[a]
-                    ])
-                    for i in range(len(obs_list)):
-                        derivs[i, a] = _central(list(vals[:, i]), cfg.h, cfg.scheme)
-                for i in range(len(obs_list)):
-                    tables[i][(f, comp, side)] = sum(
-                        derivs[i, a] * dual[a] for a in range(len(basis))
-                    )
+                stencils = ([_perturb_fusion(point, f, comp, side, u) for u in us]
+                            for us in table)
+                grads = _stencil_gradients(obs_list, stencils, dual, cfg.h)
+                for tab, grad in zip(tables, grads):
+                    tab[(f, comp, side)] = grad
     return tables
 
+
+def cotangent_gradients(obs_list, point: CotangentPoint, cfg: DiffConfig = DEFAULT_DIFF):
+    """(group gradient, fiber gradient) of each observable at (g, J)."""
+    basis, dual, table = _group_steps(point.n, cfg.h)
+    group = _stencil_gradients(
+        obs_list, ([CotangentPoint(u @ point.g, point.j) for u in us] for us in table),
+        dual, cfg.h)
+    fiber = _stencil_gradients(
+        obs_list, ([CotangentPoint(point.g, point.j + k * cfg.h * z) for k in _STEPS]
+                   for z in basis),
+        dual, cfg.h)
+    return list(zip(group, fiber))
+
+
+def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint,
+                                 cfg: DiffConfig = DEFAULT_DIFF):
+    """Left and right complexified derivatives (DF, D'F) of each observable.
+
+    Both are elements of the realified complex algebra, characterized by
+    im-pair(Z, DF) = d/dt F(exp(tZ) X) and the right-sided analogue.
+    """
+    _, dual, table = _sl_steps(point.n, cfg.h)
+    left = _stencil_gradients(
+        obs_list, ([HeisenbergPoint(u @ point.x) for u in us] for us in table), dual, cfg.h)
+    right = _stencil_gradients(
+        obs_list, ([HeisenbergPoint(point.x @ u) for u in us] for us in table), dual, cfg.h)
+    return list(zip(left, right))
+
+
+# ---------------------------------------------------------------------------
+# contractions per geometry
+# ---------------------------------------------------------------------------
 
 def conjugation_gradient(table: dict, point: FusionPoint, f: int) -> np.ndarray:
     """Generating-field gradient of the diagonal conjugation on factor f."""
@@ -225,87 +258,11 @@ def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> float:
     return total
 
 
-def fusion_bracket(f_obs, h_obs, point: FusionPoint, cfg: DiffConfig = DEFAULT_DIFF) -> float:
-    tf, th = fusion_gradient_tables([f_obs, h_obs], point, cfg)
-    return fusion_bracket_from_tables(tf, th, point)
-
-
-# ---------------------------------------------------------------------------
-# cotangent bracket
-# ---------------------------------------------------------------------------
-
-def cotangent_gradients(obs_list, point: CotangentPoint, cfg: DiffConfig = DEFAULT_DIFF):
-    """(group gradient, fiber gradient) of each observable at (g, J)."""
-    n = point.n
-    basis, dual, table = _group_steps(n, cfg.h, cfg.scheme)
-    out = []
-    for obs in obs_list:
-        dg = np.zeros(len(basis))
-        dj = np.zeros(len(basis))
-        for a, z in enumerate(basis):
-            vals_g = [obs(CotangentPoint(u @ point.g, point.j)) for u in table[a]]
-            vals_j = [obs(CotangentPoint(point.g, point.j + k * cfg.h * z))
-                      for k in _steps(cfg.scheme)]
-            dg[a] = _central(vals_g, cfg.h, cfg.scheme)
-            dj[a] = _central(vals_j, cfg.h, cfg.scheme)
-        out.append((assemble_su_gradient(dg, n), assemble_su_gradient(dj, n)))
-    return out
-
-
-def cotangent_bracket(f_obs, h_obs, point: CotangentPoint, cfg: DiffConfig = DEFAULT_DIFF) -> float:
+def _cotangent_contraction(grad_f, grad_h, point: CotangentPoint) -> float:
     """Canonical cotangent bracket in right-translation coordinates."""
-    (gf, jf), (gh, jh) = cotangent_gradients([f_obs, h_obs], point, cfg)
+    (gf, jf), (gh, jh) = grad_f, grad_h
     lie = jf @ jh - jh @ jf
     return pair(gf, jh) - pair(gh, jf) + pair(point.j, lie)
-
-
-def cotangent_brackets_against(obs_list, h_obs, point: CotangentPoint,
-                               cfg: DiffConfig = DEFAULT_DIFF) -> list[float]:
-    """Brackets of several observables with one Hamiltonian, sharing gradients."""
-    grads = cotangent_gradients(list(obs_list) + [h_obs], point, cfg)
-    gh, jh = grads[-1]
-    out = []
-    for gf, jf in grads[:-1]:
-        lie = jf @ jh - jh @ jf
-        out.append(pair(gf, jh) - pair(gh, jf) + pair(point.j, lie))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Heisenberg bracket
-# ---------------------------------------------------------------------------
-
-def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint,
-                                 cfg: DiffConfig = DEFAULT_DIFF):
-    """Left/right complexified derivatives of several observables at once."""
-    n = point.n
-    basis, dual, table = _sl_steps(n, cfg.h, cfg.scheme)
-    k = len(obs_list)
-    dl = np.zeros((k, len(basis)))
-    dr = np.zeros((k, len(basis)))
-    for a in range(len(basis)):
-        vals_l = np.array([[obs(HeisenbergPoint(u @ point.x)) for obs in obs_list]
-                           for u in table[a]])
-        vals_r = np.array([[obs(HeisenbergPoint(point.x @ u)) for obs in obs_list]
-                           for u in table[a]])
-        for i in range(k):
-            dl[i, a] = _central(list(vals_l[:, i]), cfg.h, cfg.scheme)
-            dr[i, a] = _central(list(vals_r[:, i]), cfg.h, cfg.scheme)
-    out = []
-    for i in range(k):
-        left = sum(dl[i, a] * dual[a] for a in range(len(basis)))
-        right = sum(dr[i, a] * dual[a] for a in range(len(basis)))
-        out.append((left, right))
-    return out
-
-
-def heisenberg_derivatives(obs, point: HeisenbergPoint, cfg: DiffConfig = DEFAULT_DIFF):
-    """Left and right complexified derivatives (DF, D'F) of an observable.
-
-    Both are elements of the realified complex algebra, characterized by
-    im-pair(Z, DF) = d/dt F(exp(tZ) X) and the right-sided analogue.
-    """
-    return heisenberg_derivatives_multi([obs], point, cfg)[0]
 
 
 def _half_difference(z: np.ndarray) -> np.ndarray:
@@ -313,47 +270,54 @@ def _half_difference(z: np.ndarray) -> np.ndarray:
     return 0.5 * (project_compact(z) - project_borel(z))
 
 
-def heisenberg_bracket(f_obs, h_obs, point: HeisenbergPoint,
-                       cfg: DiffConfig = DEFAULT_DIFF) -> float:
-    df, dpf = heisenberg_derivatives(f_obs, point, cfg)
-    dh, dph = heisenberg_derivatives(h_obs, point, cfg)
+def _heisenberg_contraction(deriv_f, deriv_h, point: HeisenbergPoint) -> float:
+    """Heisenberg-double bracket from the (DF, D'F) derivative pairs."""
+    (df, dpf), (dh, dph) = deriv_f, deriv_h
     return pair(df, _half_difference(dh), IM_FORM) + pair(dpf, _half_difference(dph), IM_FORM)
 
 
-def heisenberg_brackets_against(obs_list, h_obs, point: HeisenbergPoint,
-                                cfg: DiffConfig = DEFAULT_DIFF) -> list[float]:
-    """Brackets of several observables with one Hamiltonian, sharing derivatives."""
-    derivs = heisenberg_derivatives_multi(list(obs_list) + [h_obs], point, cfg)
-    rho_h = tuple(_half_difference(z) for z in derivs[-1])
-    return [pair(df, rho_h[0], IM_FORM) + pair(dpf, rho_h[1], IM_FORM)
-            for df, dpf in derivs[:-1]]
+# ---------------------------------------------------------------------------
+# the bracket and derived checks
+# ---------------------------------------------------------------------------
 
+def bracket_matrix(obs_list, gen_obs_list, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+    """Brackets {obs_list[i], gen_obs_list[j]} at x, as a matrix.
 
-def heisenberg_bracket_table(derivs) -> np.ndarray:
-    """All pairwise brackets from precomputed (DF, D'F) derivative pairs."""
-    k = len(derivs)
-    out = np.zeros((k, k))
-    rho = [(_half_difference(d), _half_difference(dp)) for d, dp in derivs]
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = (pair(derivs[i][0], rho[j][0], IM_FORM)
-                         + pair(derivs[i][1], rho[j][1], IM_FORM))
+    One call of the geometry's gradient engine covers every observable; an
+    observable passed in both lists (the same object) is differentiated once.
+    """
+    everything = list(obs_list)
+    rows = len(everything)
+    index = {id(o): i for i, o in enumerate(everything)}
+    cols = []
+    for o in gen_obs_list:
+        if id(o) not in index:
+            index[id(o)] = len(everything)
+            everything.append(o)
+        cols.append(index[id(o)])
+    if isinstance(x, FusionPoint):
+        grads, contract = fusion_gradient_tables(everything, x, cfg), fusion_bracket_from_tables
+    elif isinstance(x, CotangentPoint):
+        grads, contract = cotangent_gradients(everything, x, cfg), _cotangent_contraction
+    elif isinstance(x, HeisenbergPoint):
+        grads, contract = heisenberg_derivatives_multi(everything, x, cfg), _heisenberg_contraction
+    else:
+        raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
+    out = np.zeros((rows, len(cols)))
+    for i in range(rows):
+        for j, c in enumerate(cols):
+            out[i, j] = contract(grads[i], grads[c], x)
     return out
 
 
-# ---------------------------------------------------------------------------
-# dispatch and derived checks
-# ---------------------------------------------------------------------------
-
 def poisson_bracket(f_obs, h_obs, point, cfg: DiffConfig = DEFAULT_DIFF) -> float:
     """Bracket of two observables on any supported phase space."""
-    if isinstance(point, CotangentPoint):
-        return cotangent_bracket(f_obs, h_obs, point, cfg)
-    if isinstance(point, HeisenbergPoint):
-        return heisenberg_bracket(f_obs, h_obs, point, cfg)
-    if isinstance(point, FusionPoint):
-        return fusion_bracket(f_obs, h_obs, point, cfg)
-    raise UnsupportedBracket(f"no bracket on points of type {type(point).__name__}")
+    return float(bracket_matrix([f_obs], [h_obs], point, cfg)[0, 0])
+
+
+def fusion_bracket(f_obs, h_obs, point: FusionPoint, cfg: DiffConfig = DEFAULT_DIFF) -> float:
+    """Quasi-Poisson bracket of two observables on a fusion space."""
+    return poisson_bracket(f_obs, h_obs, point, cfg)
 
 
 def group_gradient_fd(fn_value, g: np.ndarray, side: str = "L",

@@ -19,6 +19,7 @@ from pathlib import Path
 from .errors import SunflowsError
 from .scenario import (
     ScenarioConfig,
+    VerificationReport,
     emit_report,
     export_trajectory,
     run_scenario,
@@ -92,18 +93,9 @@ def main(argv=None) -> int:
                 print(path)
             return 0
         if args.command == "report":
-            data = json.loads(Path(args.report).read_text())
-            if args.format == "json":
-                print(json.dumps(data, indent=2, sort_keys=True))
-            else:
-                print(f"verification report (schema {data['schema_version']})")
-                print(f"space={data['space']} n={data['n']} seed={data['seed']} "
-                      f"tol_scale={data['tol_scale']}")
-                for c in data["checks"]:
-                    status = "PASS" if c["passed"] else "FAIL"
-                    print(f"[{status}] {c['name']}: residual={c['residual']:.3e} "
-                          f"tol={c['tol']:.1e}  ({c['claim']})")
-                print(f"overall: {'PASS' if data['passed'] else 'FAIL'}")
+            report = VerificationReport.from_body_dict(json.loads(Path(args.report).read_text()))
+            text = emit_report(report, args.format)
+            sys.stdout.write(text + "\n" if args.format == "json" else text)
             return 0
     except SunflowsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,11 +280,7 @@ def rk4_bracket_flow(x: FusionPoint, ham_obs, tau: float, steps: int = 16,
                                 return float(v.real if part == "re" else v.imag)
                             entry_obs.append(obs)
                 shapes.append((f, comp))
-        tables = brackets.fusion_gradient_tables(entry_obs + [ham_obs], p, cfg)
-        th = tables[-1]
-        vals = [
-            brackets.fusion_bracket_from_tables(tf, th, p) for tf in tables[:-1]
-        ]
+        vals = brackets.bracket_matrix(entry_obs, [ham_obs], p, cfg)[:, 0]
         out = []
         k = 0
         for f, comp in shapes:

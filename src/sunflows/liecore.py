@@ -225,12 +225,6 @@ class RootDatum:
         xi = np.asarray(xi, dtype=float)
         return xi[:-1] - xi[1:]
 
-    def highest_root_value(self, xi: np.ndarray) -> float:
-        """theta(xi) = xi_1 - xi_n for a real diagonal vector xi."""
-        xi = np.asarray(xi, dtype=float)
-        return float(xi[0] - xi[-1])
-
-
 def _exact_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Gauss-Jordan inverse in exact rational arithmetic."""
     k = len(rows)
@@ -304,11 +298,6 @@ class SpecialElements:
     apposition_conjugator: np.ndarray
     center: tuple[np.ndarray, ...]
 
-    def coxeter_permutation(self, diag: np.ndarray) -> np.ndarray:
-        """Action of the Coxeter element on diagonal coordinates (cyclic shift)."""
-        return np.roll(np.asarray(diag, dtype=float), 1)
-
-
 def special_elements(n: int) -> SpecialElements:
     if n < 2:
         raise InvalidRank(f"need n >= 2, got {n}")
@@ -379,7 +368,3 @@ def random_sl_element(n: int, rng: np.random.Generator, scale: float = 0.7) -> n
     for b in borel_basis(n):
         z += rng.standard_normal() * b
     return random_group_element(n, rng) @ scipy.linalg.expm(scale * z / (n * n))
-
-
-def group_exp(z: np.ndarray) -> np.ndarray:
-    return scipy.linalg.expm(z)

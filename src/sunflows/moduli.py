@@ -235,14 +235,6 @@ def hamiltonian_family(space: FusionSpace, fam: IntervalFamily, datum: RootDatum
     return out
 
 
-def power_trace_family(space: FusionSpace, fam: IntervalFamily, datum: RootDatum,
-                       kmax: int | None = None) -> list[WordHamiltonian]:
-    """Same blocks with polynomial class functions, handy away from walls."""
-    validate_family(space, fam)
-    ks = range(1, (kmax or space.n) + 1)
-    return [WordHamiltonian(b, PowerTrace(k)) for b in family_blocks(fam) for k in ks]
-
-
 # ---------------------------------------------------------------------------
 # flows and torus actions
 # ---------------------------------------------------------------------------

@@ -95,14 +95,6 @@ class AlcoveCoweight(ClassFunction):
         return decomp.grad_alcove_coweight(g, self.j, self.datum, self.margin)
 
 
-def coroot_family(datum: RootDatum) -> list[ClassFunction]:
-    return [AlcoveCoroot(j, datum) for j in range(datum.rank)]
-
-
-def coweight_family(datum: RootDatum) -> list[ClassFunction]:
-    return [AlcoveCoweight(j, datum) for j in range(datum.rank)]
-
-
 # ---------------------------------------------------------------------------
 # invariant functions on the algebra
 # ---------------------------------------------------------------------------
@@ -159,10 +151,6 @@ class ChamberCoroot(AlgebraFunction):
 
     def grad(self, j_alg):
         return decomp.grad_chamber_coroot(j_alg, self.j, self.datum, self.margin)
-
-
-def chamber_family(datum: RootDatum) -> list[AlgebraFunction]:
-    return [ChamberCoroot(j, datum) for j in range(datum.rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +210,6 @@ class BorelPower(BorelFunction):
         n = b.shape[0]
         pk = np.linalg.matrix_power(decomp.posdef_of_borel(b), self.k)
         return self.coeff * 2 * self.k * 1j * (pk - (np.trace(pk) / n) * np.eye(n))
-
-
-def borel_chamber_family(datum: RootDatum) -> list[BorelFunction]:
-    return [BorelChamberCoroot(j, datum) for j in range(datum.rank)]
 
 
 # ---------------------------------------------------------------------------

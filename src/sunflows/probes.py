@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import decomp, flows, liecore, moduli
+from . import brackets, decomp, flows, liecore, moduli
 from .errors import ShapeError, Unsupported
 from .liecore import RootDatum, special_elements, su_basis
 from .observables import AlcoveCoweight
@@ -30,8 +30,6 @@ from .spaces import (
 )
 
 SVD_KERNEL_TOL = 1e-7
-_FD_STEP = 1e-3
-_FD_WEIGHTS = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
 def point_flat(x) -> np.ndarray:
@@ -75,14 +73,10 @@ def combine(*specs: ActionSpec) -> ActionSpec:
     return ActionSpec("+".join(s.name for s in specs), curves, sum(s.group_dim for s in specs))
 
 
-def generator_matrix(x, action: ActionSpec, h: float = _FD_STEP) -> np.ndarray:
+def generator_matrix(x, action: ActionSpec) -> np.ndarray:
     """Columns are the generating tangent vectors of the action at x."""
-    cols = []
-    for curve in action.curves:
-        acc = np.zeros_like(point_flat(x))
-        for k, w in _FD_WEIGHTS:
-            acc = acc + w * point_flat(curve(x, k * h))
-        cols.append(acc / (12 * h))
+    cols = [brackets.directional_derivative(point_flat, lambda t, c=curve: c(x, t))
+            for curve in action.curves]
     return np.stack(cols, axis=1)
 
 
@@ -225,28 +219,13 @@ class PrincipalPoint:
     family: list = field(default_factory=list)
 
 
-def _torus_curves_cotangent(datum, family):
+def _torus_curves(space: str, act, mode: str, datum):
+    """One curve per rank direction of a torus action act(p, tau, mode, datum)."""
     def make(j):
         e = np.zeros(datum.rank)
         e[j] = 1.0
-        return lambda p, t: flows.cotangent_torus_action(p, t * e, family, datum)
-    return ActionSpec(f"cotangent-{family}", tuple(make(j) for j in range(datum.rank)), datum.rank)
-
-
-def _torus_curves_heisenberg(datum, family):
-    def make(j):
-        e = np.zeros(datum.rank)
-        e[j] = 1.0
-        return lambda p, t: flows.heisenberg_torus_action(p, t * e, family, datum)
-    return ActionSpec(f"heisenberg-{family}", tuple(make(j) for j in range(datum.rank)), datum.rank)
-
-
-def _torus_curves_double(datum, slot):
-    def make(j):
-        e = np.zeros(datum.rank)
-        e[j] = 1.0
-        return lambda p, t: flows.double_torus_action(p, t * e, slot, datum)
-    return ActionSpec(f"double-{slot}", tuple(make(j) for j in range(datum.rank)), datum.rank)
+        return lambda p, t: act(p, t * e, mode, datum)
+    return ActionSpec(f"{space}-{mode}", tuple(make(j) for j in range(datum.rank)), datum.rank)
 
 
 def torus_curves_family(datum, hams):
@@ -299,13 +278,12 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
     def conj_by_f(m):
         return fconj @ m @ fconj.conj().T
 
-    if key == "cotangent-compact-torus":
+    fam = hams = None
+    if key in ("cotangent-compact-torus", "cotangent-line-action"):
         # regular torus group part, fiber in the regular apposition algebra
         x = CotangentPoint(alcove_torus_point(n, rng), apposition_regular_algebra(n, rng))
-        torus = _torus_curves_cotangent(datum, "chamber")
-    elif key == "cotangent-line-action":
-        x = CotangentPoint(alcove_torus_point(n, rng), apposition_regular_algebra(n, rng))
-        torus = _torus_curves_cotangent(datum, "translate")
+        mode = "chamber" if key == "cotangent-compact-torus" else "translate"
+        torus = _torus_curves("cotangent", flows.cotangent_torus_action, mode, datum)
     elif key in ("heisenberg-compact-torus", "heisenberg-line-action"):
         g_right = alcove_torus_point(n, rng)
         d = np.sort(rng.uniform(-1.2, 1.2, size=n))[::-1]
@@ -316,23 +294,19 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         low = np.linalg.cholesky(gram)
         b_left = np.linalg.inv(low.conj().T)
         x = HeisenbergPoint(b_left @ g_right.conj().T)
-        torus = _torus_curves_heisenberg(
-            datum, "dress" if key == "heisenberg-compact-torus" else "translate")
+        mode = "dress" if key == "heisenberg-compact-torus" else "translate"
+        torus = _torus_curves("heisenberg", flows.heisenberg_torus_action, mode, datum)
     elif key == "double-first-family":
         a = alcove_torus_point(n, rng)
         b = fconj.copy()
         x = FusionPoint(double_space(n), ((a, b),))
-        torus = _torus_curves_double(datum, "first")
+        torus = _torus_curves("double", flows.double_torus_action, "first", datum)
     elif key == "sphere-adjoint-torus":
         c2 = apposition_regular_group(n, rng)
         c3 = apposition_regular_group(n, rng)
         c1 = alcove_torus_point(n, rng) @ c2.conj().T
         x = FusionPoint(sphere_space(n), (c1, c2, c3))
         fam = moduli.sphere_family()
-        hams = moduli.hamiltonian_family(sphere_space(n), fam, datum)
-        torus = torus_curves_family(datum, hams)
-        return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus),
-                              torus.group_dim, hams)
     elif key in ("genus2-mixed", "genus2-double-adjoint"):
         a1, b1 = regular_torus_commutator_pair(n, rng)
         if key == "genus2-mixed":
@@ -343,52 +317,28 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
             a2p, b2p = regular_torus_commutator_pair(n, rng)
             a2, b2 = conj_by_f(a2p), conj_by_f(b2p)
             fam = moduli.IntervalFamily(commutators=(1, 2))
-        space = moduli_space(2, 0, n)
-        x = FusionPoint(space, ((a1, b1), (a2, b2)))
-        hams = moduli.hamiltonian_family(space, fam, datum)
-        torus = torus_curves_family(datum, hams)
-        return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus),
-                              torus.group_dim, hams)
+        x = FusionPoint(moduli_space(2, 0, n), ((a1, b1), (a2, b2)))
     elif key == "holed-sphere-intervals":
-        space = moduli_space(0, 4, n)
         fam = moduli.IntervalFamily(intervals=((1, 2),))
         c2 = apposition_regular_group(n, rng)
         c1 = alcove_torus_point(n, rng) @ c2.conj().T
         c3 = apposition_regular_group(n, rng)
         c4 = apposition_regular_group(n, rng)
-        x = FusionPoint(space, (c1, c2, c3, c4))
-        hams = moduli.hamiltonian_family(space, fam, datum)
-        torus = torus_curves_family(datum, hams)
-        return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus),
-                              torus.group_dim, hams)
-    elif key == "one-handle-intervals":
-        space = moduli_space(1, 3, n)
-        fam = moduli.IntervalFamily(single=(1,), intervals=((2, 3),))
-        a = alcove_torus_point(n, rng)
-        b = fconj.copy()
+        x = FusionPoint(moduli_space(0, 4, n), (c1, c2, c3, c4))
+    elif key in ("one-handle-intervals", "one-handle-commutator"):
+        if key == "one-handle-intervals":
+            fam = moduli.IntervalFamily(single=(1,), intervals=((2, 3),))
+            a = alcove_torus_point(n, rng)
+            b = fconj.copy()
+        else:
+            fam = moduli.IntervalFamily(commutators=(1,), intervals=((2, 3),))
+            ap, bp = regular_torus_commutator_pair(n, rng)
+            a, b = conj_by_f(ap), conj_by_f(bp)
         c3 = apposition_regular_group(n, rng)
         c2 = alcove_torus_point(n, rng) @ c3.conj().T
         c1 = apposition_regular_group(n, rng)
-        x = FusionPoint(space, ((a, b), c1, c2, c3))
-        hams = moduli.hamiltonian_family(space, fam, datum)
-        torus = torus_curves_family(datum, hams)
-        return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus),
-                              torus.group_dim, hams)
-    elif key == "one-handle-commutator":
-        space = moduli_space(1, 3, n)
-        fam = moduli.IntervalFamily(commutators=(1,), intervals=((2, 3),))
-        ap, bp = regular_torus_commutator_pair(n, rng)
-        a, b = conj_by_f(ap), conj_by_f(bp)
-        c3 = apposition_regular_group(n, rng)
-        c2 = alcove_torus_point(n, rng) @ c3.conj().T
-        c1 = apposition_regular_group(n, rng)
-        x = FusionPoint(space, ((a, b), c1, c2, c3))
-        hams = moduli.hamiltonian_family(space, fam, datum)
-        torus = torus_curves_family(datum, hams)
-        return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus),
-                              torus.group_dim, hams)
+        x = FusionPoint(moduli_space(1, 3, n), ((a, b), c1, c2, c3))
     elif key == "two-handles-with-holes":
-        space = moduli_space(2, 2, n)
         fam = moduli.IntervalFamily(single=(1,), commutators=(2,), intervals=((1, 2),))
         a1 = alcove_torus_point(n, rng)
         b1 = fconj.copy()
@@ -396,35 +346,27 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         a2, b2 = conj_by_f(a2p), conj_by_f(b2p)
         c2 = apposition_regular_group(n, rng)
         c1 = alcove_torus_point(n, rng) @ c2.conj().T
-        x = FusionPoint(space, ((a1, b1), (a2, b2), c1, c2))
-        hams = moduli.hamiltonian_family(space, fam, datum)
-        torus = torus_curves_family(datum, hams)
-        return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus),
-                              torus.group_dim, hams)
+        x = FusionPoint(moduli_space(2, 2, n), ((a1, b1), (a2, b2), c1, c2))
     elif key == "alternating-blocks":
-        space = FusionSpace(n, ("D", "K", "D", "K"))
+        # not a canonical space, so the family is spelled out block by block
         u1 = apposition_regular_group(n, rng)
         v1 = alcove_torus_point(n, rng)
         w1 = (u1 @ v1 @ u1.conj().T @ v1.conj().T).conj().T @ alcove_torus_point(n, rng)
         u2 = apposition_regular_group(n, rng)
         v2 = alcove_torus_point(n, rng)
         w2 = (u2 @ v2 @ u2.conj().T @ v2.conj().T).conj().T @ conj_by_f(alcove_torus_point(n, rng))
-        x = FusionPoint(space, ((u1, v1), w1, (u2, v2), w2))
-        hams = [
-            moduli.WordHamiltonian(("span", 0, 1), AlcoveCoweight(j, datum))
-            for j in range(datum.rank)
-        ]
-        hams += [
-            moduli.WordHamiltonian(("span", 2, 3), AlcoveCoweight(j, datum))
-            for j in range(datum.rank)
-        ]
-        torus = torus_curves_family(datum, hams)
-        return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus),
-                              torus.group_dim, hams)
+        x = FusionPoint(FusionSpace(n, ("D", "K", "D", "K")), ((u1, v1), w1, (u2, v2), w2))
+        hams = [moduli.WordHamiltonian(("span", lo, hi), AlcoveCoweight(j, datum))
+                for lo, hi in ((0, 1), (2, 3)) for j in range(datum.rank)]
     else:
         raise Unsupported(f"no crafted point for key {key!r}")
 
-    return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus), torus.group_dim)
+    if fam is not None:
+        hams = moduli.hamiltonian_family(x.space, fam, datum)
+    if hams is not None:
+        torus = torus_curves_family(datum, hams)
+    return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus), torus.group_dim,
+                          hams or [])
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +416,12 @@ class RankReport:
     singular_values: dict = field(default_factory=dict)
 
 
-def differential_matrix(x, functions, h: float = _FD_STEP) -> np.ndarray:
+def differential_matrix(x, functions) -> np.ndarray:
     """Rows are the differentials of scalar functions along a tangent basis."""
-    curves = tangent_basis_curves(x)
-    rows = np.zeros((len(functions), len(curves)))
-    for c, curve in enumerate(curves):
-        for k, w in _FD_WEIGHTS:
-            pt = curve(x, k * h)
-            for r, fn in enumerate(functions):
-                rows[r, c] += w * fn(pt)
-    return rows / (12 * h)
+    values = lambda p: np.array([fn(p) for fn in functions])
+    cols = [brackets.directional_derivative(values, lambda t, c=curve: c(x, t))
+            for curve in tangent_basis_curves(x)]
+    return np.stack(cols, axis=1)
 
 
 def rank_of(mat: np.ndarray, tol: float = SVD_KERNEL_TOL) -> tuple[int, np.ndarray]:

@@ -52,7 +52,6 @@ class ScenarioConfig:
     checks: list | None = None
     flow_exports: list = field(default_factory=list)
     points: int = 6
-    acceptance_points: int = 20
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -116,6 +115,13 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [asdict(c) for c in sorted(self.checks, key=lambda c: c.name)],
         }
+
+    @classmethod
+    def from_body_dict(cls, body: dict) -> "VerificationReport":
+        """The report whose ``body_dict`` is ``body``, e.g. a stored report.json."""
+        return cls(schema_version=body["schema_version"], space=body["space"], n=body["n"],
+                   seed=body["seed"], tol_scale=body["tol_scale"],
+                   checks=[CheckResult(**c) for c in body["checks"]])
 
 
 def emit_report(report: VerificationReport, fmt: str = "json",
@@ -405,37 +411,9 @@ def check_shifting_trick(ctx: CheckContext) -> CheckResult:
 
 # --- per-space dynamical checks ---------------------------------------------
 
-def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
-    """Brackets of each probe observable with each generator observable."""
-    everything = list(obs_list) + list(gen_obs_list)
-    k = len(obs_list)
-    out = np.zeros((k, len(gen_obs_list)))
-    if isinstance(x, FusionPoint):
-        tabs = brackets.fusion_gradient_tables(everything, x)
-        for j in range(len(gen_obs_list)):
-            for i in range(k):
-                out[i, j] = brackets.fusion_bracket_from_tables(tabs[i], tabs[k + j], x)
-    elif isinstance(x, CotangentPoint):
-        grads = brackets.cotangent_gradients(everything, x)
-        for j in range(len(gen_obs_list)):
-            gh, jh = grads[k + j]
-            for i in range(k):
-                gf, jf = grads[i]
-                lie = jf @ jh - jh @ jf
-                out[i, j] = (liecore.pair(gf, jh) - liecore.pair(gh, jf)
-                             + liecore.pair(x.j, lie))
-    elif isinstance(x, HeisenbergPoint):
-        derivs = brackets.heisenberg_derivatives_multi(everything, x)
-        table = brackets.heisenberg_bracket_table(derivs)
-        out = table[:k, k:]
-    else:
-        raise InvalidShape(f"no bracket on {type(x).__name__}")
-    return out
-
-
 def flow_bracket_worst(h, x, gens, obs) -> float:
     """Largest relative defect between flow derivatives and brackets at x."""
-    mat = bracket_matrix(obs, [g.obs for g in gens], x)
+    mat = brackets.bracket_matrix(obs, [g.obs for g in gens], x)
     worst = 0.0
     for j, gen in enumerate(gens):
         for i, o in enumerate(obs):
@@ -477,7 +455,7 @@ def check_abelian(ctx: CheckContext) -> CheckResult:
         obs = [g.obs for g in gens]
         for _ in range(max(2, ctx.cfg.points // 3)):
             x = h.sample(rng)
-            mat = bracket_matrix(obs, obs, x)
+            mat = brackets.bracket_matrix(obs, obs, x)
             for i in range(len(gens)):
                 for j in range(i + 1, len(gens)):
                     worst = max(worst, abs(mat[i, j]))
@@ -656,16 +634,16 @@ def check_bracket_invariance(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("bracket-invariance")
     worst = 0.0
-    gens = [g for fam in h.families().values() for g in fam][:3]
+    obs = [g.obs for fam in h.families().values() for g in fam][:3]
     for _ in range(2):
         x = h.sample(rng)
         eta = liecore.random_group_element(ctx.cfg.n, rng)
         y = h.symmetry(eta, x)
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                v1 = brackets.poisson_bracket(gens[i].obs, gens[j].obs, x)
-                v2 = brackets.poisson_bracket(gens[i].obs, gens[j].obs, y)
-                worst = max(worst, abs(v1 - v2))
+        m1 = brackets.bracket_matrix(obs, obs, x)
+        m2 = brackets.bracket_matrix(obs, obs, y)
+        for i in range(len(obs)):
+            for j in range(i + 1, len(obs)):
+                worst = max(worst, abs(m1[i, j] - m2[i, j]))
     return _result(ctx, "bracket-invariance",
                    "brackets of invariant observables are symmetry invariant",
                    worst, 1e-8)

@@ -253,12 +253,6 @@ class FusionPoint:
         return np.concatenate(parts)
 
 
-def fusion_point(space: FusionSpace, *factors) -> FusionPoint:
-    if len(factors) != len(space.types):
-        raise InvalidShape(f"expected {len(space.types)} factors, got {len(factors)}")
-    return FusionPoint(space, tuple(factors))
-
-
 def moduli_point(space: FusionSpace, pairs, holes) -> FusionPoint:
     """Point of a canonical space from double pairs and conjugation components."""
     if len(pairs) != space.num_double or len(holes) != space.num_conj:

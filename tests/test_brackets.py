@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sunflows import brackets, liecore, observables as ob
-from sunflows.errors import NotClassFunction
+from sunflows.errors import NotClassFunction, UnsupportedBracket
 from sunflows.spaces import (
     double_space,
     moduli_space,
@@ -52,13 +52,13 @@ def test_nabla_class_function_rejects_non_class_functions():
 
 def test_heisenberg_derivatives_constant_and_symmetric():
     x = random_heisenberg_point(2, np.random.default_rng(3))
-    df, dpf = brackets.heisenberg_derivatives(lambda p: 1.0, x)
+    df, dpf = brackets.heisenberg_derivatives_multi([lambda p: 1.0], x)[0]
     assert np.linalg.norm(df) < 1e-12 and np.linalg.norm(dpf) < 1e-12
     # F = Re tr(X X^H) at the identity has equal left and right derivatives
     from sunflows.spaces import HeisenbergPoint
     e = HeisenbergPoint(np.eye(2, dtype=complex))
     obs = ob.word_observable(("x", "xh"))
-    df, dpf = brackets.heisenberg_derivatives(obs, e)
+    df, dpf = brackets.heisenberg_derivatives_multi([obs], e)[0]
     assert np.linalg.norm(df - dpf) < 1e-9
 
 
@@ -68,7 +68,7 @@ def test_heisenberg_derivatives_defining_property():
     rng = np.random.default_rng(5)
     x = random_heisenberg_point(2, rng)
     obs = ob.word_observable(("x", "x", "xh"))
-    df, dpf = brackets.heisenberg_derivatives(obs, x)
+    df, dpf = brackets.heisenberg_derivatives_multi([obs], x)[0]
     for _ in range(3):
         z1 = sum(rng.standard_normal() * b for b in liecore.sl_real_basis(2))
         z2 = sum(rng.standard_normal() * b for b in liecore.sl_real_basis(2))
@@ -78,7 +78,7 @@ def test_heisenberg_derivatives_defining_property():
             from sunflows.spaces import HeisenbergPoint
             return obs(HeisenbergPoint(scipy.linalg.expm(t * z1) @ x.x @ scipy.linalg.expm(t * z2)))
 
-        fd = brackets._central([curve(k * 1e-3) for k in (-2, -1, 1, 2)], 1e-3, "central-4")
+        fd = brackets._central([curve(k * 1e-3) for k in (-2, -1, 1, 2)], 1e-3)
         assert abs(lhs - fd) < 1e-7
 
 
@@ -88,9 +88,9 @@ def test_derivative_linearity():
     f1 = ob.word_observable(("x",))
     f2 = ob.word_observable(("x", "xh"))
     combo = lambda p: 2.0 * f1(p) - 0.7 * f2(p)
-    d1 = brackets.heisenberg_derivatives(f1, x)
-    d2 = brackets.heisenberg_derivatives(f2, x)
-    dc = brackets.heisenberg_derivatives(combo, x)
+    d1 = brackets.heisenberg_derivatives_multi([f1], x)[0]
+    d2 = brackets.heisenberg_derivatives_multi([f2], x)[0]
+    dc = brackets.heisenberg_derivatives_multi([combo], x)[0]
     assert np.linalg.norm(dc[0] - (2.0 * d1[0] - 0.7 * d2[0])) < 1e-9
     assert np.linalg.norm(dc[1] - (2.0 * d1[1] - 0.7 * d2[1])) < 1e-9
 
@@ -109,7 +109,7 @@ def test_cotangent_bracket_axioms():
     f = ob.word_observable(("g", "j"))
     g = ob.word_observable(("g",))
     h = ob.word_observable(("j", "j"))
-    _antisymmetry_and_leibniz(brackets.cotangent_bracket, x, f, g, h)
+    _antisymmetry_and_leibniz(brackets.poisson_bracket, x, f, g, h)
 
 
 def test_heisenberg_bracket_axioms():
@@ -118,7 +118,7 @@ def test_heisenberg_bracket_axioms():
     f = ob.word_observable(("x", "xh"))
     g = ob.word_observable(("x",))
     h = ob.word_observable(("x", "x", "xh"), part="im")
-    _antisymmetry_and_leibniz(brackets.heisenberg_bracket, x, f, g, h)
+    _antisymmetry_and_leibniz(brackets.poisson_bracket, x, f, g, h)
 
 
 def test_fusion_bracket_axioms():
@@ -138,7 +138,7 @@ def test_cotangent_fiber_family_is_abelian():
         x = random_cotangent_point(3, rng)
         f = lambda p: ob.AlgebraPower(2).value(p.j)
         h = lambda p: ob.AlgebraPower(3).value(p.j)
-        worst = max(worst, abs(brackets.cotangent_bracket(f, h, x)))
+        worst = max(worst, abs(brackets.poisson_bracket(f, h, x)))
     assert worst <= 1e-8
 
 
@@ -184,20 +184,35 @@ def test_invariant_brackets_are_invariant():
     assert abs(v1 - v2) <= 1e-8
 
 
-def test_batched_brackets_match_pairwise():
-    rng = np.random.default_rng(15)
-    x = random_cotangent_point(2, rng)
-    obs = [ob.word_observable(("g", "j")), ob.word_observable(("g",))]
-    ham = ob.word_observable(("j", "j"))
-    batch = brackets.cotangent_brackets_against(obs, ham, x)
-    single = [brackets.cotangent_bracket(o, ham, x) for o in obs]
-    assert np.allclose(batch, single, atol=1e-12)
-    xh = random_heisenberg_point(2, rng)
-    obs = [ob.word_observable(("x",)), ob.word_observable(("x", "xh"))]
-    ham = ob.word_observable(("x", "x", "xh"))
-    batch = brackets.heisenberg_brackets_against(obs, ham, xh)
-    single = [brackets.heisenberg_bracket(o, ham, xh) for o in obs]
-    assert np.allclose(batch, single, atol=1e-12)
+_PAIRWISE_CASES = {
+    "cotangent": (lambda rng: random_cotangent_point(2, rng), ("g", "j"), ("g",), ("j", "j")),
+    "heisenberg": (lambda rng: random_heisenberg_point(2, rng), ("x",), ("x", "xh"),
+                   ("x", "x", "xh")),
+    "double": (lambda rng: double_space(2).random_point(rng), ("a1", "b1"), ("a1",),
+               ("b1", "a1", "b1")),
+    "moduli": (lambda rng: moduli_space(1, 2, 2).random_point(rng), ("a1", "c1"), ("c1", "c2"),
+               ("b1", "c2", "a1")),
+}
+
+
+@pytest.mark.parametrize("space", sorted(_PAIRWISE_CASES))
+def test_bracket_matrix_matches_pairwise(space):
+    sample, *words = _PAIRWISE_CASES[space]
+    x = sample(np.random.default_rng(15))
+    obs = [ob.word_observable(w) for w in words]
+    gens = [obs[2], obs[0]]
+    mat = brackets.bracket_matrix(obs, gens, x)
+    pairwise = np.array([[brackets.poisson_bracket(f, h, x) for h in gens] for f in obs])
+    assert mat.shape == (3, 2)
+    assert np.array_equal(mat, pairwise)
+
+
+def test_bracket_matrix_rejects_foreign_points():
+    f = ob.word_observable(("g",))
+    with pytest.raises(UnsupportedBracket):
+        brackets.bracket_matrix([f], [f], np.eye(2, dtype=complex))
+    with pytest.raises(UnsupportedBracket):
+        brackets.poisson_bracket(f, f, object())
 
 
 def test_richardson_extrapolation_refines_derivative():
@@ -210,5 +225,5 @@ def test_richardson_extrapolation_refines_derivative():
     plain = brackets.directional_derivative(obs, curve)
     refined = brackets.directional_derivative(
         obs, curve, brackets.DiffConfig(richardson=True))
-    exact = brackets.cotangent_bracket(obs, lambda p: ham.value(p.j), x)
+    exact = brackets.poisson_bracket(obs, lambda p: ham.value(p.j), x)
     assert abs(refined - exact) <= abs(plain - exact) + 1e-12

@@ -153,6 +153,20 @@ def test_cli_verify_flow_report(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_report_prints_the_files_verify_wrote(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "space": "double", "n": 2, "family": "h", "seed": 42, "points": 2,
+        "checks": ["iwasawa-roundtrip", "posdef-roundtrip", "root-datum-exact"],
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for fmt, name in (("text", "report.txt"), ("json", "report.json")):
+        assert cli.main(["report", str(out / "report.json"), "--format", fmt]) == 0
+        assert capsys.readouterr().out == (out / name).read_text()
+
+
 def test_cli_rejects_invalid_family(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({
