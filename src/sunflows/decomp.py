@@ -7,10 +7,16 @@ vector of range below 2*pi with Q g Q^-1 = exp(i diag(xi)).  Frames are made
 deterministic by fixing eigenvector phases and correcting the determinant,
 and all downstream formulas only use Q^-1 t Q with t diagonal, so the
 residual torus ambiguity of the frame never leaks into results.
+
+The four normal-form kernels remember their last few results, keyed on the
+exact input, because flows and finite-difference stencils hand them the same
+matrix many times in a row.  Their results hold read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +31,56 @@ from .errors import (
 from .liecore import RootDatum
 
 DEFAULT_REGULARITY_MARGIN = 1e-8
+# results each kernel remembers; 4 catches as many repeats as 16 on the benchmark
+MEMO_SIZE = 4
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _memoized(kernel):
+    """Recency memo of a normal-form kernel ``kernel(x, *params)``.
+
+    The key is the shape, dtype and bytes of x plus the parameters, with
+    defaults filled in, so a hit returns the result computed from bit-equal
+    input.  Errors are raised afresh on every call and never stored.
+    """
+    defaults = kernel.__defaults__ or ()
+    memo: OrderedDict = OrderedDict()
+
+    @functools.wraps(kernel)
+    def wrapper(x, *params):
+        a = np.asarray(x)
+        key = (a.shape, a.dtype.str, a.tobytes(), params + defaults[len(params):])
+        out = memo.get(key)
+        if out is None:
+            out = kernel(x, *params)
+            memo[key] = out
+            if len(memo) > MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return out
+
+    return wrapper
 
 
 @dataclass(frozen=True)
 class ChamberData:
-    """Decreasing real spectrum and diagonalizing frame of an algebra element."""
+    """Decreasing real spectrum and diagonalizing frame of an algebra element.
+
+    ``vectors`` are the eigenvector columns in spectrum order; ``frame`` puts
+    them in the frame convention on first access.
+    """
 
     spectrum: np.ndarray
-    frame: np.ndarray
+    vectors: np.ndarray
+
+    @functools.cached_property
+    def frame(self) -> np.ndarray:
+        return _frame(self.vectors)
 
     @property
     def diagonal_form(self) -> np.ndarray:
@@ -41,10 +89,18 @@ class ChamberData:
 
 @dataclass(frozen=True)
 class AlcoveData:
-    """Alcove phase vector and diagonalizing frame of a group element."""
+    """Alcove phase vector and diagonalizing frame of a group element.
+
+    ``vectors`` are the Schur vectors in spectrum order; ``frame`` puts them
+    in the frame convention on first access.
+    """
 
     spectrum: np.ndarray
-    frame: np.ndarray
+    vectors: np.ndarray
+
+    @functools.cached_property
+    def frame(self) -> np.ndarray:
+        return _frame(self.vectors)
 
     @property
     def diagonal_form(self) -> np.ndarray:
@@ -79,19 +135,23 @@ def _det_correct(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frame(vectors: np.ndarray) -> np.ndarray:
+    """Frame convention: each vector's largest entry positive real, then unit determinant."""
+    return _read_only(_det_correct(_fix_phases(vectors)).conj().T)
+
+
 def _chamber_data(vals: np.ndarray, vecs: np.ndarray, margin: float) -> ChamberData:
     """Chamber data from a decreasing spectrum and its eigenvector columns.
 
-    Rejects gaps below the margin and fixes the frame convention: each
-    eigenvector's largest entry positive real, then unit determinant.
+    Rejects gaps below the margin.
     """
     gaps = vals[:-1] - vals[1:]
     if gaps.size and gaps.min() < margin:
         raise RegularityViolation(f"eigenvalue gap {gaps.min():.3e} below margin {margin:.1e}")
-    vecs = _det_correct(_fix_phases(vecs))
-    return ChamberData(spectrum=vals.astype(float), frame=vecs.conj().T)
+    return ChamberData(spectrum=_read_only(vals.astype(float)), vectors=_read_only(vecs))
 
 
+@_memoized
 def chamber_diagonalize(j: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
     """Chamber normal form of an anti-Hermitian traceless matrix.
 
@@ -102,6 +162,7 @@ def chamber_diagonalize(j: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN
     return _chamber_data(vals[::-1], vecs[:, ::-1], margin)
 
 
+@_memoized
 def borel_chamber_diagonalize(b: np.ndarray,
                               margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
     """Chamber normal form of i log(b b^H) from one eigensolve of b b^H.
@@ -139,6 +200,7 @@ def alcove_phases(thetas: np.ndarray) -> np.ndarray:
     return xi, perm
 
 
+@_memoized
 def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> AlcoveData:
     """Alcove normal form of a special unitary matrix.
 
@@ -152,9 +214,7 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
     walls = np.concatenate([xi[:-1] - xi[1:], [2 * np.pi - (xi[0] - xi[-1])]])
     if walls.min() < margin:
         raise RegularityViolation(f"alcove wall margin {walls.min():.3e} below {margin:.1e}")
-    vecs = _det_correct(_fix_phases(z[:, perm]))
-    frame = vecs.conj().T
-    return AlcoveData(spectrum=xi, frame=frame)
+    return AlcoveData(spectrum=_read_only(xi), vectors=_read_only(z[:, perm]))
 
 
 def is_regular_group(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> bool:
@@ -227,6 +287,7 @@ def _positive_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * ph[np.newaxis, :], r * (1.0 / ph)[:, np.newaxis]
 
 
+@_memoized
 def iwasawa_decompose(x: np.ndarray) -> IwasawaFactors:
     """Unique factorizations X = u_left b_right^-1 = b_left u_right^-1.
 
@@ -236,8 +297,9 @@ def iwasawa_decompose(x: np.ndarray) -> IwasawaFactors:
     """
     q1, r1 = _positive_qr(x)
     q2, r2 = _positive_qr(np.linalg.inv(x))
-    return IwasawaFactors(u_left=q1, u_right=q2,
-                          b_left=np.linalg.inv(r2), b_right=np.linalg.inv(r1))
+    return IwasawaFactors(u_left=_read_only(q1), u_right=_read_only(q2),
+                          b_left=_read_only(np.linalg.inv(r2)),
+                          b_right=_read_only(np.linalg.inv(r1)))
 
 
 def borel_left(x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -68,6 +70,17 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.space not in SPACES:
             raise InvalidShape(f"clause space: {self.space!r} not one of {SPACES}")
+        for name in ("n", "m", "holes", "seed", "points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidShape(f"clause integer: {name}={value!r} is not an integer")
+        if (isinstance(self.tol_scale, bool) or not isinstance(self.tol_scale, numbers.Real)
+                or not math.isfinite(self.tol_scale) or self.tol_scale <= 0):
+            raise InvalidShape(f"clause tol-scale: {self.tol_scale!r} is not a finite "
+                               "positive number")
+        if self.checks is not None and not (
+                isinstance(self.checks, list) and all(isinstance(c, str) for c in self.checks)):
+            raise InvalidShape(f"clause checks: {self.checks!r} is not a list of check names")
         if not 2 <= self.n <= 8:
             raise InvalidShape(f"clause group-size: n={self.n} outside 2..8")
         if self.space == "double" and self.family not in ("h", "htilde"):
@@ -118,10 +131,22 @@ class VerificationReport:
 
     @classmethod
     def from_body_dict(cls, body: dict) -> "VerificationReport":
-        """The report whose ``body_dict`` is ``body``, e.g. a stored report.json."""
-        return cls(schema_version=body["schema_version"], space=body["space"], n=body["n"],
-                   seed=body["seed"], tol_scale=body["tol_scale"],
-                   checks=[CheckResult(**c) for c in body["checks"]])
+        """The report whose ``body_dict`` is ``body``, e.g. a stored report.json.
+
+        Raises InvalidShape when ``body`` is not a report body.
+        """
+        try:
+            checks = [CheckResult(**c) for c in body["checks"]]
+            report = cls(schema_version=body["schema_version"], space=body["space"],
+                         n=body["n"], seed=body["seed"], tol_scale=body["tol_scale"],
+                         checks=checks)
+        except (KeyError, TypeError) as exc:
+            raise InvalidShape(f"not a report body: {type(exc).__name__}: {exc}") from None
+        for c in checks:
+            if not all(isinstance(v, numbers.Real) for v in (c.residual, c.tol)):
+                raise InvalidShape(f"not a report body: check {c.name!r} has a "
+                                   "non-numeric residual or tol")
+        return report
 
 
 def emit_report(report: VerificationReport, fmt: str = "json",

@@ -264,3 +264,118 @@ def test_alcove_phase_rule_recovers_known_representative():
         recovered, order = decomp.alcove_phases(thetas[perm])
         assert np.allclose(recovered, xi, atol=1e-12)
         assert np.array_equal(np.sort(perm[order]), np.arange(n))
+
+
+# ---------------------------------------------------------------------------
+# the recency memo of the normal-form kernels and the lazy frames
+# ---------------------------------------------------------------------------
+
+MEMOIZED = ("iwasawa_decompose", "alcove_diagonalize", "chamber_diagonalize",
+            "borel_chamber_diagonalize")
+
+
+def _kernel_args(name, rng, n=3):
+    if name == "iwasawa_decompose":
+        return (liecore.random_sl_element(n, rng),)
+    if name == "alcove_diagonalize":
+        return (liecore.random_group_element(n, rng), 1e-6)
+    if name == "chamber_diagonalize":
+        return (liecore.random_algebra_element(n, rng),)
+    x = liecore.random_sl_element(n, rng)
+    return (decomp.iwasawa_decompose.__wrapped__(x).b_right, 1e-6)
+
+
+def _result_arrays(result):
+    if isinstance(result, decomp.IwasawaFactors):
+        return [result.u_left, result.u_right, result.b_left, result.b_right]
+    return [result.spectrum, result.vectors, result.frame]
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_memoized_kernel_is_bit_equal_to_unwrapped(name):
+    kernel = getattr(decomp, name)
+    rng = np.random.default_rng(300)
+    for _ in range(decomp.MEMO_SIZE + 2):
+        args = _kernel_args(name, rng)
+        first = kernel(*args)
+        # a copy has other memory but the same bytes: the memo answers
+        repeat = kernel(args[0].copy(), *args[1:])
+        assert repeat is first
+        want = _result_arrays(kernel.__wrapped__(*args))
+        for got_first, got_repeat, ref in zip(_result_arrays(first), _result_arrays(repeat), want):
+            assert np.array_equal(got_first, ref)
+            assert np.array_equal(got_repeat, ref)
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_memoized_results_reject_writes(name):
+    result = getattr(decomp, name)(*_kernel_args(name, np.random.default_rng(301)))
+    for a in _result_arrays(result):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def _near_wall(name, gap):
+    xi = np.array([1.0, 1.0 - gap, -2.0 + gap])
+    if name == "alcove_diagonalize":
+        return np.diag(np.exp(1j * xi))
+    if name == "chamber_diagonalize":
+        return 1j * np.diag(xi)
+    return np.diag(np.exp(xi / 2)).astype(complex)  # log(b b^H) = diag(xi)
+
+
+@pytest.mark.parametrize("name", MEMOIZED[1:])
+def test_memo_keys_on_the_margin(name):
+    kernel = getattr(decomp, name)
+    x = _near_wall(name, 1e-3)
+    kernel(x, 1e-8)
+    for _ in range(2):
+        with pytest.raises(RegularityViolation):
+            kernel(x, 1e-2)
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_memo_never_returns_a_failure(name):
+    kernel = getattr(decomp, name)
+    if name == "iwasawa_decompose":
+        bad, error = (np.zeros((3, 3), dtype=complex),), SingularMatrix
+    else:
+        bad, error = (_near_wall(name, 0.0), 1e-8), RegularityViolation
+    for _ in range(3):
+        with pytest.raises(error):
+            kernel(*bad)
+    good = _kernel_args(name, np.random.default_rng(302))
+    assert np.array_equal(_result_arrays(kernel(*good))[0],
+                          _result_arrays(kernel.__wrapped__(*good))[0])
+
+
+@pytest.mark.parametrize("name", MEMOIZED[1:])
+def test_lazy_frame_keeps_the_frame_convention(name):
+    rng = np.random.default_rng(303)
+    kernel = getattr(decomp, name)
+    for _ in range(10):
+        args = _kernel_args(name, rng, n=4)
+        data = kernel(*args)
+        assert "frame" not in vars(data)
+        q = data.frame
+        assert data.frame is q
+        # columns of Q^-1 are the eigenvectors: largest entry positive real,
+        # except the last, whose phase makes det Q = 1
+        for col in q.conj()[:-1]:
+            top = col[np.argmax(np.abs(col))]
+            assert top.real > 0 and abs(top.imag) <= 1e-15
+        assert abs(np.linalg.det(q) - 1) <= 1e-12
+        m = args[0]
+        if name == "borel_chamber_diagonalize":
+            m = decomp.posdef_of_borel(m)
+        d = q @ m @ q.conj().T
+        assert np.linalg.norm(d - np.diag(np.diag(d))) <= 1e-10 * np.linalg.norm(m)
+
+
+def test_value_callers_do_not_build_frames():
+    from sunflows.observables import AlcoveCoroot
+    rng = np.random.default_rng(304)
+    datum = liecore.build_root_datum(3)
+    g = liecore.random_group_element(3, rng)
+    AlcoveCoroot(0, datum).value(g)
+    assert "frame" not in vars(decomp.alcove_diagonalize(g, decomp.DEFAULT_REGULARITY_MARGIN))

@@ -79,6 +79,29 @@ def test_config_validation_clauses():
     assert "unknown config fields" in str(err.value)
 
 
+def _rejected_clause(fields: dict) -> str:
+    cfg = ScenarioConfig.from_json(json.dumps({"space": "double", "n": 3, **fields}))
+    with pytest.raises(InvalidShape) as err:
+        cfg.validate()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("fields", [{"n": "3"}, {"n": 3.0}, {"m": "0"}, {"holes": 0.5},
+                                    {"seed": "42"}, {"points": 2.5}, {"points": True}])
+def test_config_validation_integer_clause(fields):
+    assert "clause integer" in _rejected_clause(fields)
+
+
+@pytest.mark.parametrize("tol_scale", [-1, 0, "1", float("nan"), float("inf")])
+def test_config_validation_tol_scale_clause(tol_scale):
+    assert "clause tol-scale" in _rejected_clause({"tol_scale": tol_scale})
+
+
+@pytest.mark.parametrize("checks", ["flow-bracket", ["flow-bracket", 3], {"flow-bracket": 1}])
+def test_config_validation_checks_clause(checks):
+    assert "clause checks" in _rejected_clause({"checks": checks})
+
+
 def test_derived_rngs_differ_by_name():
     a = derived_rng(1, "x").standard_normal(4)
     b = derived_rng(1, "y").standard_normal(4)
@@ -165,6 +188,24 @@ def test_cli_report_prints_the_files_verify_wrote(tmp_path, capsys):
     for fmt, name in (("text", "report.txt"), ("json", "report.json")):
         assert cli.main(["report", str(out / "report.json"), "--format", fmt]) == 0
         assert capsys.readouterr().out == (out / name).read_text()
+
+
+@pytest.mark.parametrize("body", [{"schema_version": "1"},
+                                  {"schema_version": "1", "space": "double", "n": 2, "seed": 1,
+                                   "tol_scale": 1.0, "checks": [{"name": "dual-basis"}]},
+                                  {"schema_version": "1", "space": "double", "n": 2, "seed": 1,
+                                   "tol_scale": 1.0,
+                                   "checks": [{"name": "dual-basis", "claim": "", "residual": "0",
+                                               "tol": 1e-9, "passed": True, "detail": {}}]},
+                                  [1, 2]])
+def test_cli_report_rejects_malformed_reports(tmp_path, capsys, body):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(body))
+    for fmt in ("text", "json"):
+        assert cli.main(["report", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: not a report body")
+        assert captured.out == ""
 
 
 def test_cli_rejects_invalid_family(tmp_path, capsys):
