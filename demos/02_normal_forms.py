@@ -40,7 +40,7 @@ print("  Q @ coroot      :", np.round(datum.q_matrix @ chi, 8))
 
 print("\ngradients match central differences:")
 for fn in (AlcoveCoroot(0, datum), AlcoveCoweight(1, datum)):
-    fd = brackets.group_gradient_fd(fn.value, g)
+    fd, = brackets.group_gradient_fd([fn.value], g)
     print(f"  {fn.name}: |closed-form - FD| = {np.linalg.norm(fn.grad(g) - fd):.2e}")
 
 print("\n=== Iwasawa decomposition of a complex group element ===")

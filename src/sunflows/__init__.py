@@ -4,6 +4,7 @@ from .brackets import (
     DiffConfig,
     bracket_matrix,
     fusion_bracket,
+    momentum_condition_matrix,
     momentum_condition_residual,
     poisson_bracket,
 )
@@ -27,6 +28,7 @@ from .errors import (
     NotClassFunction,
     NotPositiveDefinite,
     RegularityViolation,
+    SamplingFailure,
     ShapeError,
     SingularMatrix,
     SunflowsError,

@@ -3,6 +3,8 @@
 Observables are plain callables on phase-space points.  Directional
 derivatives are seeded fourth-order central differences; gradients are
 assembled against cached dual bases, so no linear solve happens per call.
+Every gradient engine, the finite-difference oracles included, takes a list
+of observables and evaluates all of them at each stencil point once.
 Every bracket goes through ``bracket_matrix``: the point's geometry supplies
 per-observable gradients (group and fiber gradients on the cotangent bundle,
 left and right complexified derivatives on the Heisenberg double, per-letter
@@ -118,19 +120,43 @@ def _sl_steps(n: int, h: float):
     return basis, dual, table
 
 
-def _stencil_gradients(obs_list, stencils, dual, h: float) -> list[np.ndarray]:
-    """Gradient of each observable from its values on per-direction stencils.
+@lru_cache(maxsize=None)
+def _expm_steps(basis: str, n: int, h: float):
+    """expm((k h) Z) for each direction Z of the "su" or "borel" basis and each offset k.
+
+    These are the stencil points of the finite-difference oracles, computed as
+    their one-curve-per-call form did; unlike _group_steps, no power is squared.
+    """
+    directions = _su_pair(n)[0] if basis == "su" else borel_basis(n)
+    return [[scipy.linalg.expm((k * h) * z) for k in _STEPS] for z in directions]
+
+
+def _stencil_derivatives(obs_list, stencils, cfg: DiffConfig) -> np.ndarray:
+    """Central differences of each observable along each stencil, (directions, observables).
 
     ``stencils`` yields, for each basis direction in order, the points at the
     offsets _STEPS * h along it.  Every point is evaluated once for all
-    observables.  The central differences are summed against the dual basis
-    one direction at a time, in basis order: a BLAS contraction would reorder
-    the sum and change the last bits of every bracket.
+    observables.  Every stencil engine passes through here, so this is where
+    Richardson extrapolation, which only ``directional_derivative`` applies,
+    is refused.
     """
-    derivs = np.array([
-        _central(np.array([[obs(p) for obs in obs_list] for p in points]), h)
+    if cfg.richardson:
+        raise ValueError("Richardson extrapolation is applied by directional_derivative "
+                         "only, not by the stencil gradient engines")
+    return np.array([
+        _central(np.array([[obs(p) for obs in obs_list] for p in points]), cfg.h)
         for points in stencils
     ])
+
+
+def _stencil_gradients(obs_list, stencils, dual, cfg: DiffConfig) -> list[np.ndarray]:
+    """Gradient of each observable from its values on per-direction stencils.
+
+    The central differences are summed against the dual basis one direction
+    at a time, in basis order: a BLAS contraction would reorder the sum and
+    change the last bits of every bracket.
+    """
+    derivs = _stencil_derivatives(obs_list, stencils, cfg)
     return [sum(d * e for d, e in zip(column, dual)) for column in derivs.T]
 
 
@@ -169,7 +195,7 @@ def fusion_gradient_tables(obs_list, point: FusionPoint, cfg: DiffConfig = DEFAU
             for side in ("lmul", "rmul"):
                 stencils = ([_perturb_fusion(point, f, comp, side, u) for u in us]
                             for us in table)
-                grads = _stencil_gradients(obs_list, stencils, dual, cfg.h)
+                grads = _stencil_gradients(obs_list, stencils, dual, cfg)
                 for tab, grad in zip(tables, grads):
                     tab[(f, comp, side)] = grad
     return tables
@@ -180,11 +206,11 @@ def cotangent_gradients(obs_list, point: CotangentPoint, cfg: DiffConfig = DEFAU
     basis, dual, table = _group_steps(point.n, cfg.h)
     group = _stencil_gradients(
         obs_list, ([CotangentPoint(u @ point.g, point.j) for u in us] for us in table),
-        dual, cfg.h)
+        dual, cfg)
     fiber = _stencil_gradients(
         obs_list, ([CotangentPoint(point.g, point.j + k * cfg.h * z) for k in _STEPS]
                    for z in basis),
-        dual, cfg.h)
+        dual, cfg)
     return list(zip(group, fiber))
 
 
@@ -197,9 +223,9 @@ def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint,
     """
     _, dual, table = _sl_steps(point.n, cfg.h)
     left = _stencil_gradients(
-        obs_list, ([HeisenbergPoint(u @ point.x) for u in us] for us in table), dual, cfg.h)
+        obs_list, ([HeisenbergPoint(u @ point.x) for u in us] for us in table), dual, cfg)
     right = _stencil_gradients(
-        obs_list, ([HeisenbergPoint(point.x @ u) for u in us] for us in table), dual, cfg.h)
+        obs_list, ([HeisenbergPoint(point.x @ u) for u in us] for us in table), dual, cfg)
     return list(zip(left, right))
 
 
@@ -320,61 +346,70 @@ def fusion_bracket(f_obs, h_obs, point: FusionPoint, cfg: DiffConfig = DEFAULT_D
     return poisson_bracket(f_obs, h_obs, point, cfg)
 
 
-def group_gradient_fd(fn_value, g: np.ndarray, side: str = "L",
-                      cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Trace-form gradient of a scalar function on SU(n) by differences."""
+def group_gradient_fd(fns, g: np.ndarray, side: str = "L",
+                      cfg: DiffConfig = DEFAULT_DIFF) -> list[np.ndarray]:
+    """Trace-form gradient of each scalar function in ``fns`` on SU(n) by differences.
+
+    ``side`` "L" moves g to exp(tZ) g, "R" to g exp(tZ).
+    """
     n = g.shape[0]
-    basis, dual = _su_pair(n)
-    out = np.zeros((n, n), dtype=complex)
-    for z, e in zip(basis, dual):
-        def curve(t, z=z):
-            u = scipy.linalg.expm(t * z)
-            return u @ g if side == "L" else g @ u
-        out += directional_derivative(fn_value, curve, cfg) * e
-    return out
+    table = _expm_steps("su", n, cfg.h)
+    stencils = ([u @ g if side == "L" else g @ u for u in us] for us in table)
+    return _stencil_gradients(fns, stencils, _su_pair(n)[1], cfg)
 
 
-def algebra_gradient_fd(fn_value, j_alg: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Trace-form gradient of a scalar function on su(n) by differences."""
-    n = j_alg.shape[0]
-    basis, dual = _su_pair(n)
-    out = np.zeros((n, n), dtype=complex)
-    for z, e in zip(basis, dual):
-        out += directional_derivative(fn_value, lambda t, z=z: j_alg + t * z, cfg) * e
-    return out
+def algebra_gradient_fd(fns, j_alg: np.ndarray,
+                        cfg: DiffConfig = DEFAULT_DIFF) -> list[np.ndarray]:
+    """Trace-form gradient of each scalar function in ``fns`` on su(n) by differences."""
+    basis, dual = _su_pair(j_alg.shape[0])
+    stencils = ([j_alg + (k * cfg.h) * z for k in _STEPS] for z in basis)
+    return _stencil_gradients(fns, stencils, dual, cfg)
 
 
-def borel_gradient_fd(fn_value, b: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Algebra-valued dressing gradient of a function on the Borel group.
+def borel_gradient_fd(fns, b: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> list[np.ndarray]:
+    """Algebra-valued dressing gradient of each function in ``fns`` on the Borel group.
 
-    Solves im-pair(Z_r, W) = d/dt fn(exp(t Z_r) b) over a Borel basis.
+    Solves im-pair(Z_r, W) = d/dt fn(exp(t Z_r) b) over a Borel basis.  Each
+    function gets its own matrix-vector product, so its gradient does not
+    depend on which other functions share the call.
     """
     n = b.shape[0]
-    bb = borel_basis(n)
     kb = su_basis(n)
-    derivs = np.array([
-        directional_derivative(
-            fn_value, lambda t, z=z: scipy.linalg.expm(t * z) @ b, cfg)
-        for z in bb
-    ])
-    coeffs = _borel_to_su_inverse(n) @ derivs
-    return sum(coeffs[s] * kb[s] for s in range(len(kb)))
+    stencils = ([u @ b for u in us] for us in _expm_steps("borel", n, cfg.h))
+    derivs = _stencil_derivatives(fns, stencils, cfg)
+    out = []
+    for column in derivs.T:
+        coeffs = _borel_to_su_inverse(n) @ np.ascontiguousarray(column)
+        out.append(sum(coeffs[s] * kb[s] for s in range(len(kb))))
+    return out
+
+
+def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint,
+                              cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+    """Defects of the momentum-map/bivector compatibility condition, as a matrix.
+
+    Entry (i, j) compares the bracket of obs_list[i] with the momentum
+    pullback of the group function k_fns[j] against half the pairing of the
+    observable's total conjugation gradient with the two-sided gradient of
+    k_fns[j] at the momentum value.  One gradient-table call covers every
+    observable and every pullback.
+    """
+    pulled = [lambda x, k_fn=k_fn: k_fn(x.momentum()) for k_fn in k_fns]
+    tables = fusion_gradient_tables(list(obs_list) + pulled, point, cfg)
+    phi = point.momentum()
+    two_sided = [left + right for left, right in zip(group_gradient_fd(k_fns, phi, "L", cfg),
+                                                     group_gradient_fd(k_fns, phi, "R", cfg))]
+    rows = len(obs_list)
+    out = np.zeros((rows, len(k_fns)))
+    for i in range(rows):
+        conj_grad = total_conjugation_gradient(tables[i], point)
+        for j, grad in enumerate(two_sided):
+            lhs = fusion_bracket_from_tables(tables[i], tables[rows + j], point)
+            out[i, j] = abs(lhs - 0.5 * pair(conj_grad, grad))
+    return out
 
 
 def momentum_condition_residual(f_obs, k_fn, point: FusionPoint,
                                 cfg: DiffConfig = DEFAULT_DIFF) -> float:
-    """Defect of the momentum-map/bivector compatibility condition.
-
-    ``k_fn`` is a scalar function on the group; the residual compares the
-    bracket of f with the momentum pullback of k_fn against half the pairing
-    of f's total conjugation gradient with the two-sided gradient of k_fn at
-    the momentum value.
-    """
-    pulled = lambda x: k_fn(x.momentum())
-    tf, th = fusion_gradient_tables([f_obs, pulled], point, cfg)
-    lhs = fusion_bracket_from_tables(tf, th, point)
-    phi = point.momentum()
-    two_sided = group_gradient_fd(k_fn, phi, "L", cfg) + group_gradient_fd(k_fn, phi, "R", cfg)
-    conj_grad = total_conjugation_gradient(tf, point)
-    rhs = 0.5 * pair(conj_grad, two_sided)
-    return abs(lhs - rhs)
+    """The 1x1 case of ``momentum_condition_matrix``."""
+    return float(momentum_condition_matrix([f_obs], [k_fn], point, cfg)[0, 0])

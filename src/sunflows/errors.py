@@ -52,6 +52,13 @@ class InvalidPlan(SunflowsError):
     """Malformed permutation plan."""
 
 
+class SamplingFailure(SunflowsError):
+    """A sampler drew its whole budget without a regular point.
+
+    The message gives the number of draws and the last rejection.
+    """
+
+
 class InvalidShape(SunflowsError):
     """Point or space has the wrong layout for the operation."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decomp, flows, moduli, probes
-from .errors import InvalidShape, SunflowsError
+from .errors import InvalidShape, SamplingFailure, SunflowsError
 from .liecore import RootDatum
 from .observables import (
     AlcoveCoroot,
@@ -101,6 +101,25 @@ class Harness:
         return probes.point_distance(x, y)
 
 
+def sample_regular(kind: str, draws: int, draw, check):
+    """The first of ``draws`` calls of ``draw()`` that ``check`` does not reject.
+
+    ``check`` rejects a candidate by raising a ``SunflowsError``; when every
+    draw is rejected, ``SamplingFailure`` names the draw count and the last
+    rejection.
+    """
+    last = None
+    for _ in range(draws):
+        x = draw()
+        try:
+            check(x)
+            return x
+        except SunflowsError as exc:
+            last = exc
+    raise SamplingFailure(f"could not sample a regular {kind} point in {draws} draws; "
+                          f"last: {last}")
+
+
 def _power_indices(n: int) -> list[int]:
     # odd traceless powers vanish identically on su(2); skip degenerate ones
     return [2, 4] if n == 2 else [2, 3]
@@ -114,15 +133,10 @@ class CotangentHarness(Harness):
     kind = "cotangent"
 
     def sample(self, rng):
-        for _ in range(64):
-            x = random_cotangent_point(self.n, rng)
-            try:
-                decomp.alcove_diagonalize(x.g, SAMPLING_MARGIN)
-                decomp.chamber_diagonalize(x.j, SAMPLING_MARGIN)
-                return x
-            except SunflowsError:
-                continue
-        raise InvalidShape("could not sample a regular cotangent point")
+        def check(x):
+            decomp.alcove_diagonalize(x.g, SAMPLING_MARGIN)
+            decomp.chamber_diagonalize(x.j, SAMPLING_MARGIN)
+        return sample_regular("cotangent", 64, lambda: random_cotangent_point(self.n, rng), check)
 
     def probes(self):
         words = [("g",), ("g", "g"), ("j", "j"), ("g", "j"), ("g", "g", "j"),
@@ -202,16 +216,12 @@ class HeisenbergHarness(Harness):
     kind = "heisenberg"
 
     def sample(self, rng):
-        for _ in range(64):
-            x = random_heisenberg_point(self.n, rng)
+        def check(x):
             f = x.factors()
-            try:
-                decomp.alcove_diagonalize(f.u_right, SAMPLING_MARGIN)
-                decomp.borel_chamber_diagonalize(f.b_right, SAMPLING_MARGIN)
-                return x
-            except SunflowsError:
-                continue
-        raise InvalidShape("could not sample a regular Heisenberg point")
+            decomp.alcove_diagonalize(f.u_right, SAMPLING_MARGIN)
+            decomp.borel_chamber_diagonalize(f.b_right, SAMPLING_MARGIN)
+        return sample_regular("Heisenberg", 64, lambda: random_heisenberg_point(self.n, rng),
+                              check)
 
     def probes(self):
         words = [("x",), ("x", "x"), ("x", "xh"), ("x", "x", "xh"),
@@ -326,15 +336,10 @@ class FusionHarness(Harness):
         self.blocks = moduli.family_blocks(family)
 
     def sample(self, rng):
-        for _ in range(128):
-            x = self.space.random_point(rng)
-            try:
-                for h in self.hams:
-                    decomp.alcove_diagonalize(h.block_value(x), SAMPLING_MARGIN)
-                return x
-            except SunflowsError:
-                continue
-        raise InvalidShape("could not sample a regular fusion point")
+        def check(x):
+            for h in self.hams:
+                decomp.alcove_diagonalize(h.block_value(x), SAMPLING_MARGIN)
+        return sample_regular("fusion", 128, lambda: self.space.random_point(rng), check)
 
     def probes(self):
         letters = []
@@ -474,17 +479,12 @@ class DoubleHarness(FusionHarness):
         return gens
 
     def sample(self, rng):
-        for _ in range(128):
-            x = self.space.random_point(rng)
-            try:
-                a, b = x.pair(1)
-                decomp.alcove_diagonalize(a, SAMPLING_MARGIN)
-                decomp.alcove_diagonalize(b, SAMPLING_MARGIN)
-                decomp.alcove_diagonalize(x.momentum(), SAMPLING_MARGIN)
-                return x
-            except SunflowsError:
-                continue
-        raise InvalidShape("could not sample a regular double point")
+        def check(x):
+            a, b = x.pair(1)
+            decomp.alcove_diagonalize(a, SAMPLING_MARGIN)
+            decomp.alcove_diagonalize(b, SAMPLING_MARGIN)
+            decomp.alcove_diagonalize(x.momentum(), SAMPLING_MARGIN)
+        return sample_regular("double", 128, lambda: self.space.random_point(rng), check)
 
     def torus_specs(self):
         datum = self.datum

@@ -22,7 +22,7 @@ def test_power_trace_gradient_matches_fd(k):
     rng = np.random.default_rng(k)
     g = liecore.random_group_element(3, rng)
     fn = ob.PowerTrace(k)
-    fd = brackets.group_gradient_fd(fn.value, g)
+    fd, = brackets.group_gradient_fd([fn.value], g)
     assert np.linalg.norm(fn.grad(g) - fd) <= 1e-6
 
 

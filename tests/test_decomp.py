@@ -155,7 +155,7 @@ def test_gradient_matches_finite_differences():
         return float(xi[j] - xi[j + 1])
 
     exact = decomp.grad_alcove_coroot(g, 0, datum)
-    fd = brackets.group_gradient_fd(val, g)
+    fd, = brackets.group_gradient_fd([val], g)
     assert np.linalg.norm(exact - fd) < 1e-6
 
 
