@@ -92,6 +92,7 @@ from .observables import (
     BorelPower,
     ChamberCoroot,
     PowerTrace,
+    WordFunction,
     nabla_class_function,
     word_observable,
 )

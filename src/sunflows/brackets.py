@@ -1,10 +1,5 @@
 """Derivative and bracket engines.
 
-Observables are plain callables on phase-space points.  Directional
-derivatives are seeded fourth-order central differences; gradients are
-assembled against cached dual bases, so no linear solve happens per call.
-Every gradient engine, the finite-difference oracles included, takes a list
-of observables and evaluates all of them at each stencil point once.
 Every bracket goes through ``bracket_matrix``: the point's geometry supplies
 per-observable gradients (group and fiber gradients on the cotangent bundle,
 left and right complexified derivatives on the Heisenberg double, per-letter
@@ -13,6 +8,24 @@ geometry pairs them against its bivector: the canonical cotangent bracket,
 the Heisenberg-double bracket built from the two isotropic projections, and
 the quasi-Poisson bracket of fusion spaces, where every bivector term reduces
 to trace-form pairings of per-letter left/right gradients.
+
+Gradients are exact where the observable knows them.  An observable may
+carry ``grad_table(point)``, returning on cotangent and fusion points the
+same table the finite-difference engine would build.  Word traces
+(``word_observable``), class functions of words (``moduli.WordHamiltonian``,
+``observables.WordFunction``) carry it: one chain rule, Goldman's cyclic
+derivative for traces and conjugation of the class-function gradient for
+the rest, gives every letter's left and right gradient.  Observables without
+a table (pullbacks, momentum pullbacks, matrix-entry observables) and every
+observable on a Heisenberg point go through one call of the
+finite-difference engine.  Those engines stay as the fallback and as the
+oracle the exact tables are tested against.
+
+Directional derivatives are seeded fourth-order central differences;
+gradients are assembled against cached dual bases, so no linear solve
+happens per call.  Every gradient engine, the finite-difference oracles
+included, takes a list of observables and evaluates all of them at each
+stencil point once.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import UnsupportedBracket
+from .errors import UnsupportedBracket, UnsupportedWord
 from .liecore import (
     IM_FORM,
     TRACE_FORM,
@@ -32,6 +45,7 @@ from .liecore import (
     pair,
     project_borel,
     project_compact,
+    skew_traceless,
     sl_real_basis,
     su_basis,
 )
@@ -131,18 +145,25 @@ def _expm_steps(basis: str, n: int, h: float):
     return [[scipy.linalg.expm((k * h) * z) for k in _STEPS] for z in directions]
 
 
+def _refuse_richardson(cfg: DiffConfig) -> None:
+    """Only ``directional_derivative`` applies Richardson extrapolation.
+
+    The stencil engines and ``bracket_matrix`` refuse it, whether or not a
+    stencil ends up being evaluated.
+    """
+    if cfg.richardson:
+        raise ValueError("Richardson extrapolation is applied by directional_derivative "
+                         "only, not by the stencil gradient engines")
+
+
 def _stencil_derivatives(obs_list, stencils, cfg: DiffConfig) -> np.ndarray:
     """Central differences of each observable along each stencil, (directions, observables).
 
     ``stencils`` yields, for each basis direction in order, the points at the
     offsets _STEPS * h along it.  Every point is evaluated once for all
-    observables.  Every stencil engine passes through here, so this is where
-    Richardson extrapolation, which only ``directional_derivative`` applies,
-    is refused.
+    observables.
     """
-    if cfg.richardson:
-        raise ValueError("Richardson extrapolation is applied by directional_derivative "
-                         "only, not by the stencil gradient engines")
+    _refuse_richardson(cfg)
     return np.array([
         _central(np.array([[obs(p) for obs in obs_list] for p in points]), cfg.h)
         for points in stencils
@@ -230,6 +251,106 @@ def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint,
 
 
 # ---------------------------------------------------------------------------
+# exact gradient tables of word observables
+# ---------------------------------------------------------------------------
+
+def word_table(x, letters, cuts, gaps=None):
+    """Gradient table of an observable of the word W_0 ... W_(k-1) at x.
+
+    ``cuts[i]`` is the observable's gradient under inserting exp(tZ) just
+    before letter i (``cuts[k]``: after the last letter), ``gaps[i]`` its
+    linear gradient in letter i when that letter is the additive cotangent
+    fiber 'j'.  A letter W contributes cuts[i] to its left-multiplication
+    and cuts[i+1] to its right-multiplication gradient; an inverted letter
+    W^-1 contributes -cuts[i+1] and -cuts[i].  Returns what
+    ``fusion_gradient_tables`` or ``cotangent_gradients`` would return for
+    the observable.
+    """
+    zero = np.zeros((x.n, x.n), dtype=complex)
+    if isinstance(x, CotangentPoint):
+        group = fiber = zero
+        for i, name in enumerate(letters):
+            if name == "j":
+                if gaps is None:
+                    raise UnsupportedWord("the fiber letter 'j' needs a linear gradient")
+                fiber = fiber + gaps[i]
+            elif name == "g":
+                group = group + cuts[i]
+            elif name == "g~":
+                group = group - cuts[i + 1]
+        return group, fiber
+    if not isinstance(x, FusionPoint):
+        raise UnsupportedBracket(f"no exact gradient table on {type(x).__name__}")
+    table = {(f, comp, side): zero for f, comps in _fusion_letters(x)
+             for comp in comps for side in ("lmul", "rmul")}
+    for i, name in enumerate(letters):
+        (f, comp), inverse = x.letter_slot(name)
+        left, right = (-cuts[i + 1], -cuts[i]) if inverse else (cuts[i], cuts[i + 1])
+        table[f, comp, "lmul"] = table[f, comp, "lmul"] + left
+        table[f, comp, "rmul"] = table[f, comp, "rmul"] + right
+    return table
+
+
+def trace_word_table(x, letters, coeff: complex):
+    """Gradient table of Re tr(coeff W_0 ... W_(k-1)) at x (Im tr: coeff -1j).
+
+    Goldman's cyclic derivative: the word read from just after letter i
+    round to just before it is the linear gradient in letter i, and the
+    cyclic rotation starting at letter i is the gradient at cut i.
+    """
+    mats = [x.letter(name) for name in letters]
+    eye = np.eye(x.n, dtype=complex)
+    prefix, suffix = [eye], [eye]
+    for m, m_back in zip(mats, reversed(mats)):
+        prefix.append(prefix[-1] @ m)
+        suffix.append(m_back @ suffix[-1])
+    suffix.reverse()  # suffix[i] = W_i ... W_(k-1)
+    rest = [suffix[i + 1] @ prefix[i] for i in range(len(mats))]
+    cuts = [skew_traceless(coeff * (m @ r)) for m, r in zip(mats, rest)]
+    gaps = [skew_traceless(coeff * r) for r in rest]
+    return word_table(x, letters, cuts + cuts[:1], gaps)
+
+
+def class_word_table(x, letters, grad: np.ndarray):
+    """Gradient table of f(W_0 ... W_(k-1)) for a class function f of unitary letters.
+
+    ``grad`` is f's gradient at the word's value P.  Inserting exp(tZ) after
+    the prefix A moves P to exp(t A Z A^-1) P, so the gradient at that cut
+    is A^-1 grad A.
+    """
+    cuts = [grad]
+    prefix = np.eye(x.n, dtype=complex)
+    for name in letters:
+        prefix = prefix @ x.letter(name)
+        cuts.append(prefix.conj().T @ grad @ prefix)
+    return word_table(x, letters, cuts)
+
+
+def _gradients(obs_list, x, cfg: DiffConfig) -> list:
+    """Gradient of each observable at x in the form the geometry's contraction reads.
+
+    On cotangent and fusion points an observable's own ``grad_table`` is
+    used when it has one; the rest, and every observable on a Heisenberg
+    point, go through one call of the geometry's finite-difference engine.
+    """
+    _refuse_richardson(cfg)
+    if isinstance(x, HeisenbergPoint):
+        return heisenberg_derivatives_multi(obs_list, x, cfg)
+    if isinstance(x, FusionPoint):
+        engine = fusion_gradient_tables
+    elif isinstance(x, CotangentPoint):
+        engine = cotangent_gradients
+    else:
+        raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
+    grads = [o.grad_table(x) if hasattr(o, "grad_table") else None for o in obs_list]
+    opaque = [i for i, g in enumerate(grads) if g is None]
+    if opaque:
+        for i, g in zip(opaque, engine([obs_list[i] for i in opaque], x, cfg)):
+            grads[i] = g
+    return grads
+
+
+# ---------------------------------------------------------------------------
 # contractions per geometry
 # ---------------------------------------------------------------------------
 
@@ -309,8 +430,9 @@ def _heisenberg_contraction(deriv_f, deriv_h, point: HeisenbergPoint) -> float:
 def bracket_matrix(obs_list, gen_obs_list, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     """Brackets {obs_list[i], gen_obs_list[j]} at x, as a matrix.
 
-    One call of the geometry's gradient engine covers every observable; an
-    observable passed in both lists (the same object) is differentiated once.
+    Observables with a ``grad_table`` use it; one call of the geometry's
+    finite-difference engine covers all the others.  An observable passed in
+    both lists (the same object) is differentiated once.
     """
     everything = list(obs_list)
     rows = len(everything)
@@ -321,14 +443,13 @@ def bracket_matrix(obs_list, gen_obs_list, x, cfg: DiffConfig = DEFAULT_DIFF) ->
             index[id(o)] = len(everything)
             everything.append(o)
         cols.append(index[id(o)])
+    grads = _gradients(everything, x, cfg)
     if isinstance(x, FusionPoint):
-        grads, contract = fusion_gradient_tables(everything, x, cfg), fusion_bracket_from_tables
+        contract = fusion_bracket_from_tables
     elif isinstance(x, CotangentPoint):
-        grads, contract = cotangent_gradients(everything, x, cfg), _cotangent_contraction
-    elif isinstance(x, HeisenbergPoint):
-        grads, contract = heisenberg_derivatives_multi(everything, x, cfg), _heisenberg_contraction
+        contract = _cotangent_contraction
     else:
-        raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
+        contract = _heisenberg_contraction
     out = np.zeros((rows, len(cols)))
     for i in range(rows):
         for j, c in enumerate(cols):
@@ -391,11 +512,11 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint,
     Entry (i, j) compares the bracket of obs_list[i] with the momentum
     pullback of the group function k_fns[j] against half the pairing of the
     observable's total conjugation gradient with the two-sided gradient of
-    k_fns[j] at the momentum value.  One gradient-table call covers every
-    observable and every pullback.
+    k_fns[j] at the momentum value.  Observables with a ``grad_table`` use
+    it; one gradient-table call covers the others and every pullback.
     """
     pulled = [lambda x, k_fn=k_fn: k_fn(x.momentum()) for k_fn in k_fns]
-    tables = fusion_gradient_tables(list(obs_list) + pulled, point, cfg)
+    tables = _gradients(list(obs_list) + pulled, point, cfg)
     phi = point.momentum()
     two_sided = [left + right for left, right in zip(group_gradient_fd(k_fns, phi, "L", cfg),
                                                      group_gradient_fd(k_fns, phi, "R", cfg))]

@@ -24,6 +24,7 @@ from .observables import (
     BorelPower,
     ChamberCoroot,
     PowerTrace,
+    WordFunction,
     word_observable,
 )
 from .spaces import (
@@ -120,6 +121,13 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
+def _word_generators(fns, letters, flow, periodic: bool, suffix: str = "") -> list[Generator]:
+    """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
+    return [Generator(fn.name + suffix, WordFunction(fn, letters),
+                      lambda p, t, fn=fn: flow(p, fn, t), periodic)
+            for fn in fns]
+
+
 def _power_indices(n: int) -> list[int]:
     # odd traceless powers vanish identically on su(2); skip degenerate ones
     return [2, 4] if n == 2 else [2, 3]
@@ -147,28 +155,14 @@ class CotangentHarness(Harness):
 
     def families(self):
         datum = self.datum
-        fiber = []
-        for k in _power_indices(self.n):
-            fn = AlgebraPower(k)
-            fiber.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.j),
-                lambda p, t, fn=fn: flows.cotangent_flow(p, fn, t), periodic=False))
-        for j in range(datum.rank):
-            fn = ChamberCoroot(j, datum)
-            fiber.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.j),
-                lambda p, t, fn=fn: flows.cotangent_flow(p, fn, t), periodic=True))
-        base = []
-        for k in _power_indices(self.n):
-            fn = PowerTrace(k)
-            base.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.g),
-                lambda p, t, fn=fn: flows.cotangent_flow(p, fn, t), periodic=False))
-        for j in range(datum.rank):
-            fn = AlcoveCoroot(j, datum)
-            base.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.g),
-                lambda p, t, fn=fn: flows.cotangent_flow(p, fn, t), periodic=False))
+        flow = flows.cotangent_flow
+        fiber = (_word_generators([AlgebraPower(k) for k in _power_indices(self.n)],
+                                  ("j",), flow, periodic=False)
+                 + _word_generators([ChamberCoroot(j, datum) for j in range(datum.rank)],
+                                    ("j",), flow, periodic=True))
+        base = _word_generators([PowerTrace(k) for k in _power_indices(self.n)]
+                                + [AlcoveCoroot(j, datum) for j in range(datum.rank)],
+                                ("g",), flow, periodic=False)
         return {"fiber-invariants": fiber, "base-class": base}
 
     def torus_specs(self):
@@ -440,43 +434,19 @@ class DoubleHarness(FusionHarness):
 
     def families(self):
         datum = self.datum
-        out = {}
-        if self.which == "h":
-            gens = []
-            for k in _power_indices(self.n):
-                fn = PowerTrace(k)
-                gens.append(Generator(
-                    f"{fn.name}@first", lambda p, fn=fn: fn.value(p.pair(1)[0]),
-                    lambda p, t, fn=fn: flows.double_flow(p, fn, t, "first"), periodic=False))
-            for j in range(datum.rank):
-                fn = AlcoveCoroot(j, datum)
-                gens.append(Generator(
-                    f"{fn.name}@first", lambda p, fn=fn: fn.value(p.pair(1)[0]),
-                    lambda p, t, fn=fn: flows.double_flow(p, fn, t, "first"), periodic=True))
-            out["h"] = gens
-        else:
-            gens = []
-            for k in _power_indices(self.n):
-                fn = PowerTrace(k)
-                gens.append(Generator(
-                    f"{fn.name}@second", lambda p, fn=fn: fn.value(p.pair(1)[1]),
-                    lambda p, t, fn=fn: flows.double_flow(p, fn, t, "second"), periodic=False))
-            for j in range(datum.rank):
-                fn = AlcoveCoroot(j, datum)
-                gens.append(Generator(
-                    f"{fn.name}@second", lambda p, fn=fn: fn.value(p.pair(1)[1]),
-                    lambda p, t, fn=fn: flows.double_flow(p, fn, t, "second"), periodic=True))
-            out["htilde"] = gens
-        return out
+        slot, letter = ("first", "a1") if self.which == "h" else ("second", "b1")
+        flow = lambda p, fn, t: flows.double_flow(p, fn, t, slot)
+        gens = (_word_generators([PowerTrace(k) for k in _power_indices(self.n)],
+                                 (letter,), flow, periodic=False, suffix=f"@{slot}")
+                + _word_generators([AlcoveCoroot(j, datum) for j in range(datum.rank)],
+                                   (letter,), flow, periodic=True, suffix=f"@{slot}"))
+        return {"h" if self.which == "h" else "htilde": gens}
 
     def momentum_generators(self) -> list[Generator]:
-        gens = []
-        for k in _power_indices(self.n):
-            fn = PowerTrace(k)
-            gens.append(Generator(
-                f"{fn.name}@momentum", lambda p, fn=fn: fn.value(p.momentum()),
-                lambda p, t, fn=fn: flows.double_flow(p, fn, t, "momentum"), periodic=False))
-        return gens
+        flow = lambda p, fn, t: flows.double_flow(p, fn, t, "momentum")
+        return _word_generators([PowerTrace(k) for k in _power_indices(self.n)],
+                                ("a1", "b1", "a1~", "b1~"), flow, periodic=False,
+                                suffix="@momentum")
 
     def sample(self, rng):
         def check(x):

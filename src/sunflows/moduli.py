@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import decomp
+from . import brackets, decomp
 from .errors import AssumptionViolation, InvalidPlan, InvalidShape, UnsupportedWord
 from .flows import coroot_torus_element, coweight_torus_element
 from .liecore import RootDatum
@@ -191,6 +191,22 @@ class WordHamiltonian:
 
     def __call__(self, x: FusionPoint) -> float:
         return self.classfn.value(self.block_value(x))
+
+    def word(self, space: FusionSpace) -> tuple[str, ...]:
+        """Letter names whose product is the block value, e.g. ('a1', 'b1', 'a1~', 'b1~', 'c1')."""
+        if self.block[0] == "single":
+            return (f"a{self.block[1]}",)
+        out = []
+        for f in block_positions(space, self.block):
+            kind = space.types[f]
+            i = space.types[: f + 1].count(kind)
+            out += [f"a{i}", f"b{i}", f"a{i}~", f"b{i}~"] if kind == "D" else [f"c{i}"]
+        return tuple(out)
+
+    def grad_table(self, x: FusionPoint) -> dict:
+        """Exact per-letter gradient table, in the form of brackets.fusion_gradient_tables."""
+        return brackets.class_word_table(x, self.word(x.space),
+                                         self.classfn.grad(self.block_value(x)))
 
     def letters(self, x: FusionPoint):
         """Positions (factor, component) moved by this block's flow."""

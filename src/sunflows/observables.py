@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decomp
-from .errors import NotClassFunction
+from . import brackets, decomp
+from .errors import NotClassFunction, UnsupportedWord
 from .liecore import RootDatum, skew_traceless
 
 
@@ -216,23 +216,62 @@ class BorelPower(BorelFunction):
 # generic word-trace probes
 # ---------------------------------------------------------------------------
 
+def word_product(x, letters) -> np.ndarray:
+    """The product of the named letters of x, left to right."""
+    m = x.letter(letters[0])
+    for name in letters[1:]:
+        m = m @ x.letter(name)
+    return m
+
+
 def word_observable(letters: tuple[str, ...], part: str = "re", coeff: float = 1.0):
     """Observable x -> coeff * Re/Im tr(product of letters of x).
 
     Letters are resolved by the point's ``letter`` method, e.g. 'g', 'j' on
     the cotangent bundle, 'x', 'xh~' on the Heisenberg double, or 'a1', 'c2~'
-    on fusion spaces.
+    on fusion spaces.  The observable carries its exact gradient table on
+    cotangent and fusion points as the function attribute ``grad_table``,
+    which survives ``functools.update_wrapper``.
     """
+    letters = tuple(letters)
+    # Im tr(P) = Re tr(-i P)
+    trace_coeff = coeff if part == "re" else -1j * coeff
 
     def obs(x):
-        m = x.letter(letters[0])
-        for name in letters[1:]:
-            m = m @ x.letter(name)
-        t = np.trace(m)
+        t = np.trace(word_product(x, letters))
         return coeff * float(t.real if part == "re" else t.imag)
 
     obs.__name__ = ("" if part == "re" else "im-") + "tr[" + ".".join(letters) + "]"
+    obs.grad_table = lambda x: brackets.trace_word_table(x, letters, trace_coeff)
     return obs
+
+
+@dataclass(frozen=True)
+class WordFunction:
+    """An invariant function of the product of named letters of a point.
+
+    ``fn`` is a ClassFunction of a word of unitary letters (e.g. ('a1',) or
+    the commutator word ('a1', 'b1', 'a1~', 'b1~')), or an AlgebraFunction
+    of the cotangent fiber word ('j',).  The value is fn.value of the
+    product and the gradient table comes from fn.grad by the chain rule.
+    """
+
+    fn: object
+    letters: tuple[str, ...]
+
+    def __post_init__(self):
+        if isinstance(self.fn, AlgebraFunction) and self.letters != ("j",):
+            raise UnsupportedWord(f"an algebra function reads the word ('j',), "
+                                  f"not {self.letters}")
+
+    def __call__(self, x) -> float:
+        return self.fn.value(word_product(x, self.letters))
+
+    def grad_table(self, x):
+        grad = self.fn.grad(word_product(x, self.letters))
+        if isinstance(self.fn, AlgebraFunction):
+            return brackets.word_table(x, self.letters, None, [grad])
+        return brackets.class_word_table(x, self.letters, grad)
 
 
 def observable_product(f, g):

@@ -187,32 +187,36 @@ class FusionPoint:
             out = out @ self.factor_momentum(f)
         return out
 
+    def _position(self, kind: str, i: int) -> int:
+        """Factor position of the i-th factor of type kind (1-based)."""
+        positions = [f for f, t in enumerate(self.space.types) if t == kind]
+        if not 1 <= i <= len(positions):
+            what = "double factor" if kind == "D" else "conjugation factor"
+            raise InvalidShape(f"no {what} with index {i}")
+        return positions[i - 1]
+
     def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The i-th double factor (1-based, counting 'D' factors only)."""
-        positions = [f for f, t in enumerate(self.space.types) if t == "D"]
-        if not 1 <= i <= len(positions):
-            raise InvalidShape(f"no double factor with index {i}")
-        return self.factors[positions[i - 1]]
+        return self.factors[self._position("D", i)]
 
     def hole(self, k: int) -> np.ndarray:
         """The k-th conjugation factor (1-based, counting 'K' factors only)."""
-        positions = [f for f, t in enumerate(self.space.types) if t == "K"]
-        if not 1 <= k <= len(positions):
-            raise InvalidShape(f"no conjugation factor with index {k}")
-        return self.factors[positions[k - 1]]
+        return self.factors[self._position("K", k)]
 
-    def letter(self, name: str) -> np.ndarray:
+    def letter_slot(self, name: str) -> tuple[tuple[int, int], bool]:
+        """The (factor, component) a letter reads, and whether it is inverted."""
         inverse = name.endswith("~")
         core = name[:-1] if inverse else name
         kind, idx = core[0], int(core[1:])
-        if kind == "a":
-            m = self.pair(idx)[0]
-        elif kind == "b":
-            m = self.pair(idx)[1]
-        elif kind == "c":
-            m = self.hole(idx)
-        else:
-            raise ShapeError(f"unknown fusion letter {name!r}")
+        if kind in ("a", "b"):
+            return (self._position("D", idx), "ab".index(kind)), inverse
+        if kind == "c":
+            return (self._position("K", idx), 0), inverse
+        raise ShapeError(f"unknown fusion letter {name!r}")
+
+    def letter(self, name: str) -> np.ndarray:
+        (f, comp), inverse = self.letter_slot(name)
+        m = self.factors[f][comp] if self.space.types[f] == "D" else self.factors[f]
         return m.conj().T if inverse else m
 
     def replace(self, f: int, value) -> "FusionPoint":

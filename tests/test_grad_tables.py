@@ -1,0 +1,114 @@
+"""Exact gradient tables against the finite-difference engines they replace.
+
+Every observable with a ``grad_table`` must return what the geometry's
+finite-difference engine builds for it (``cotangent_gradients`` or
+``fusion_gradient_tables``), to truncation error; ``bracket_matrix`` mixes
+exact and finite-difference gradients in one call.
+"""
+
+import numpy as np
+import pytest
+
+from sunflows import brackets, harness, liecore, moduli, observables as ob
+from sunflows.errors import UnsupportedBracket, UnsupportedWord
+from sunflows.scenario import all_generators
+from sunflows.spaces import CotangentPoint, moduli_space
+
+MODULI_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
+# every block kind a word Hamiltonian on the (m=2, holes=2) space can carry
+EXTRA_BLOCKS = [("commutator-range", 1, 2), ("tail", 1, 1), ("span", 0, 1), ("span", 1, 3),
+                ("interval", 1, 2), ("commutator", 1), ("single", 2)]
+
+
+def _harness(space, n):
+    datum = liecore.build_root_datum(n)
+    if space == "moduli":
+        return harness.build_harness("moduli", n, datum, family=MODULI_FAMILY, m=2, holes=2)
+    if space == "htilde":
+        return harness.build_harness("double", n, datum, family="htilde")
+    return harness.build_harness(space, n, datum)
+
+
+def _observables(h, n):
+    obs = h.probes() + [g.obs for g in all_generators(h)]
+    if isinstance(h, harness.CotangentHarness):
+        obs += [ob.word_observable(("j", "g~", "g", "j"), part="im", coeff=0.5),
+                ob.word_observable(("g~", "g~", "j"))]
+    elif h.space.num_conj == 2:
+        datum = liecore.build_root_datum(n)
+        obs += [moduli.WordHamiltonian(block, fn) for block in EXTRA_BLOCKS
+                for fn in (ob.AlcoveCoweight(0, datum), ob.PowerTrace(2))]
+        obs += [ob.word_observable(("a1~", "c2", "b2~", "a1"), part="im"),
+                ob.word_observable(("c1~", "c1~", "b1"), coeff=-2.0)]
+    return obs
+
+
+def _flat(table):
+    if isinstance(table, dict):
+        return np.concatenate([table[k].ravel() for k in sorted(table)])
+    return np.concatenate([m.ravel() for m in table])
+
+
+def _fd_engine(x):
+    return (brackets.cotangent_gradients if isinstance(x, CotangentPoint)
+            else brackets.fusion_gradient_tables)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("space", ["cotangent", "double", "htilde", "sphere4", "moduli"])
+def test_exact_tables_match_finite_differences(space, n):
+    h = _harness(space, n)
+    x = h.sample(np.random.default_rng(40 + n))
+    obs = _observables(h, n)
+    assert all(hasattr(o, "grad_table") for o in obs)
+    fd = _fd_engine(x)(obs, x)
+    for o, table_fd in zip(obs, fd):
+        table = o.grad_table(x)
+        if isinstance(table, dict):
+            assert table.keys() == table_fd.keys()
+        exact, approx = _flat(table), _flat(table_fd)
+        name = getattr(o, "__name__", getattr(o, "name", o))
+        assert np.linalg.norm(exact - approx) <= 1e-7 * max(1.0, np.linalg.norm(approx)), name
+
+
+@pytest.mark.parametrize("space", ["cotangent", "double", "moduli"])
+def test_bracket_matrix_mixes_exact_and_opaque_observables(space):
+    n = 3
+    h = _harness(space, n)
+    x = h.sample(np.random.default_rng(50))
+    probes = h.probes()[:5]
+    gens = [g.obs for g in all_generators(h)][:4]
+    chart = (lambda p: p.conjugate(p.g)) if space == "cotangent" else (lambda p: p.conjugate(
+        p.factors[0][0] if p.space.types[0] == "D" else p.factors[0]))
+    pulled = ob.pullback(probes[1], chart)
+    mixed = brackets.bracket_matrix(probes + [pulled], gens + [pulled], x)
+    opaque = lambda o: (lambda p: o(p))
+    all_fd = brackets.bracket_matrix([opaque(o) for o in probes] + [pulled],
+                                     [opaque(o) for o in gens] + [pulled], x)
+    assert np.allclose(mixed, all_fd, rtol=1e-7, atol=1e-7)
+    # the opaque observable is differentiated by the same finite differences either way
+    assert mixed[-1, -1] == all_fd[-1, -1]
+
+
+def test_pulled_family_matrix_equals_pairwise_brackets():
+    """The permutation check's pulled family: one matrix, the same bits as pair by pair."""
+    n = 3
+    datum = liecore.build_root_datum(n)
+    x = moduli_space(2, 2, n).random_point(np.random.default_rng(51))
+    pulled = [moduli.pullback_hamiltonian(
+        moduli.WordHamiltonian(("span", p1, p2), ob.AlcoveCoweight(j, datum)), [1])
+        for p1, p2 in ((0, 1), (2, 3)) for j in range(datum.rank)]
+    mat = brackets.bracket_matrix(pulled, pulled, x)
+    pairs = [(i, j) for i in range(len(pulled)) for j in range(i + 1, len(pulled))]
+    pairwise = [brackets.fusion_bracket(pulled[i], pulled[j], x) for i, j in pairs]
+    assert np.array_equal([mat[i, j] for i, j in pairs], pairwise)
+
+
+def test_tables_refuse_heisenberg_points_and_unknown_letters():
+    rng = np.random.default_rng(52)
+    probe = ob.word_observable(("x", "xh"))
+    x = harness.build_harness("heisenberg", 2, liecore.build_root_datum(2)).sample(rng)
+    with pytest.raises(UnsupportedBracket):
+        probe.grad_table(x)
+    with pytest.raises(UnsupportedWord):
+        ob.WordFunction(ob.AlgebraPower(2), ("g",))

@@ -47,3 +47,16 @@ def test_heisenberg_sampler_failure_at_n6_says_why():
                        match=r"regular Heisenberg point in 64 draws; last: eigenvalue gap "
                              r"\S+ below margin 8\.0e-02"):
         h.sample(np.random.default_rng(42))
+
+
+def test_gradient_oracles_at_n7_abort_with_a_named_sampling_failure():
+    # almost no Borel draw clears the 0.05 chamber margin at n = 7; the bounded
+    # draw ends the check with a reason instead of looping forever
+    from sunflows import scenario
+    report = scenario.run_scenario(scenario.ScenarioConfig(
+        space="cotangent", n=7, seed=42, checks=["gradient-oracles"]))
+    check, = report.checks
+    assert not check.passed
+    assert check.detail["error"].startswith(
+        f"SamplingFailure: could not sample a regular Borel point in "
+        f"{scenario.BOREL_DRAWS} draws; last: eigenvalue gap")
