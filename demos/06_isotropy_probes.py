@@ -49,4 +49,4 @@ print("\n=== displacement under nontrivial torus angles ===")
 pp = probes.principal_test_point("sphere-adjoint-torus", n, datum, np.random.default_rng(9))
 torus_curves = pp.action.curves[n * n - 1:]
 moved = torus_curves[0](pp.point, 0.5)
-print("distance after a half-radian turn:", f"{probes.point_distance(moved, pp.point):.3f}")
+print("distance after a half-radian turn:", f"{moved.distance(pp.point):.3f}")

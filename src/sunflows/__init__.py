@@ -100,7 +100,6 @@ from .probes import (
     commutator_identity_residual,
     commutator_solve,
     ieq_rank_check,
-    periodicity_residual,
     principal_test_point,
     solve_commutator_in_torus,
     stabilizer_dimension,

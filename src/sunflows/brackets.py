@@ -185,22 +185,6 @@ def _stencil_gradients(obs_list, stencils, dual, cfg: DiffConfig) -> list[np.nda
 # gradients per geometry
 # ---------------------------------------------------------------------------
 
-def _fusion_letters(point: FusionPoint):
-    for f, t in enumerate(point.space.types):
-        yield f, (0, 1) if t == "D" else (0,)
-
-
-def _perturb_fusion(point: FusionPoint, f: int, comp: int, side: str, u: np.ndarray) -> FusionPoint:
-    fac = point.factors[f]
-    if point.space.types[f] == "D":
-        m = fac[comp]
-        m = u @ m if side == "lmul" else m @ u
-        fac = (m, fac[1]) if comp == 0 else (fac[0], m)
-    else:
-        fac = u @ fac if side == "lmul" else fac @ u
-    return point.replace(f, fac)
-
-
 def fusion_gradient_tables(obs_list, point: FusionPoint, cfg: DiffConfig = DEFAULT_DIFF):
     """Per-letter translation gradients of each observable.
 
@@ -211,14 +195,14 @@ def fusion_gradient_tables(obs_list, point: FusionPoint, cfg: DiffConfig = DEFAU
     """
     _, dual, table = _group_steps(point.n, cfg.h)
     tables = [dict() for _ in obs_list]
-    for f, comps in _fusion_letters(point):
-        for comp in comps:
-            for side in ("lmul", "rmul"):
-                stencils = ([_perturb_fusion(point, f, comp, side, u) for u in us]
-                            for us in table)
-                grads = _stencil_gradients(obs_list, stencils, dual, cfg)
-                for tab, grad in zip(tables, grads):
-                    tab[(f, comp, side)] = grad
+    for slot in point.space.slots:
+        m = point.slot(*slot)
+        for side in ("lmul", "rmul"):
+            stencils = ([point.with_slots({slot: u @ m if side == "lmul" else m @ u})
+                         for u in us] for us in table)
+            grads = _stencil_gradients(obs_list, stencils, dual, cfg)
+            for tab, grad in zip(tables, grads):
+                tab[(*slot, side)] = grad
     return tables
 
 
@@ -281,8 +265,7 @@ def word_table(x, letters, cuts, gaps=None):
         return group, fiber
     if not isinstance(x, FusionPoint):
         raise UnsupportedBracket(f"no exact gradient table on {type(x).__name__}")
-    table = {(f, comp, side): zero for f, comps in _fusion_letters(x)
-             for comp in comps for side in ("lmul", "rmul")}
+    table = {(f, comp, side): zero for f, comp in x.space.slots for side in ("lmul", "rmul")}
     for i, name in enumerate(letters):
         (f, comp), inverse = x.letter_slot(name)
         left, right = (-cuts[i + 1], -cuts[i]) if inverse else (cuts[i], cuts[i + 1])
@@ -356,11 +339,10 @@ def _gradients(obs_list, x, cfg: DiffConfig) -> list:
 
 def conjugation_gradient(table: dict, point: FusionPoint, f: int) -> np.ndarray:
     """Generating-field gradient of the diagonal conjugation on factor f."""
-    comps = (0, 1) if point.space.types[f] == "D" else (0,)
     n = point.n
     out = np.zeros((n, n), dtype=complex)
-    for comp in comps:
-        out = out + table[(f, comp, "lmul")] - table[(f, comp, "rmul")]
+    for slot in point.space.factor_slots[f]:
+        out = out + table[(*slot, "lmul")] - table[(*slot, "rmul")]
     return out
 
 

@@ -157,16 +157,16 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
     """
     a, b = x.pair(1)
     if slot == "first":
-        new = (a, _maybe_reproject(b @ scipy.linalg.expm(-tau * ham.grad(a)), "double B"))
-    elif slot == "second":
-        new = (_maybe_reproject(a @ scipy.linalg.expm(tau * ham.grad(b)), "double A"), b)
-    elif slot == "momentum":
+        return x.with_slots({(0, 1): _maybe_reproject(b @ scipy.linalg.expm(-tau * ham.grad(a)),
+                                                      "double B")})
+    if slot == "second":
+        return x.with_slots({(0, 0): _maybe_reproject(a @ scipy.linalg.expm(tau * ham.grad(b)),
+                                                      "double A")})
+    if slot == "momentum":
         u = scipy.linalg.expm(tau * ham.grad(x.momentum()))
         ui = u.conj().T
-        new = (u @ a @ ui, u @ b @ ui)
-    else:
-        raise ShapeError(f"unknown double slot {slot!r}")
-    return x.replace(0, new)
+        return x.map(lambda m: u @ m @ ui)
+    raise ShapeError(f"unknown double slot {slot!r}")
 
 
 def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
@@ -175,14 +175,12 @@ def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
     if slot == "first":
         frame = decomp.alcove_diagonalize(a).frame
         t = frame.conj().T @ coroot_torus_element(-np.asarray(tau, dtype=float), datum) @ frame
-        new = (a, b @ t)
-    elif slot == "second":
+        return x.with_slots({(0, 1): b @ t})
+    if slot == "second":
         frame = decomp.alcove_diagonalize(b).frame
         t = frame.conj().T @ coroot_torus_element(tau, datum) @ frame
-        new = (a @ t, b)
-    else:
-        raise ShapeError(f"unknown double torus slot {slot!r}")
-    return x.replace(0, new)
+        return x.with_slots({(0, 0): a @ t})
+    raise ShapeError(f"unknown double torus slot {slot!r}")
 
 
 def s_transform(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,68 +263,29 @@ def rk4_bracket_flow(x: FusionPoint, ham_obs, tau: float, steps: int = 16,
     re-projected to the group after the integration.
     """
 
-    def vector(p: FusionPoint):
-        entry_obs = []
-        shapes = []
-        for f, t in enumerate(p.space.types):
-            comps = (0, 1) if t == "D" else (0,)
-            for comp in comps:
-                for i in range(p.n):
-                    for j in range(p.n):
-                        for part in ("re", "im"):
-                            def obs(q, f=f, comp=comp, i=i, j=j, part=part):
-                                m = q.factors[f][comp] if q.space.types[f] == "D" else q.factors[f]
-                                v = m[i, j]
-                                return float(v.real if part == "re" else v.imag)
-                            entry_obs.append(obs)
-                shapes.append((f, comp))
+    def vector(p: FusionPoint) -> list:
+        """(slot, velocity) for every slot of p."""
+        entry_obs = [lambda q, s=s, i=i, j=j, part=part: float(getattr(q.slot(*s)[i, j], part))
+                     for s in p.space.slots for i in range(p.n) for j in range(p.n)
+                     for part in ("real", "imag")]
         vals = brackets.bracket_matrix(entry_obs, [ham_obs], p, cfg)[:, 0]
-        out = []
-        k = 0
-        for f, comp in shapes:
-            m = np.zeros((p.n, p.n), dtype=complex)
-            for i in range(p.n):
-                for j in range(p.n):
-                    m[i, j] = vals[k] + 1j * vals[k + 1]
-                    k += 2
-            out.append(((f, comp), m))
-        return out
+        vel = (vals[0::2] + 1j * vals[1::2]).reshape(-1, p.n, p.n)
+        return list(zip(p.space.slots, vel))
+
+    def shifted(p: FusionPoint, vec, scale: float) -> FusionPoint:
+        return p.with_slots({slot: p.slot(*slot) + scale * m for slot, m in vec})
 
     def step(p: FusionPoint, dt: float) -> FusionPoint:
-        def shifted(p0, vec, scale):
-            q = p0
-            for (f, comp), m in vec:
-                if q.space.types[f] == "D":
-                    fac = list(q.factors[f])
-                    fac[comp] = fac[comp] + scale * m
-                    q = q.replace(f, tuple(fac))
-                else:
-                    q = q.replace(f, q.factors[f] + scale * m)
-            return q
-
         k1 = vector(p)
         k2 = vector(shifted(p, k1, dt / 2))
         k3 = vector(shifted(p, k2, dt / 2))
         k4 = vector(shifted(p, k3, dt))
-        q = p
-        for ((f, comp), m1), (_, m2), (_, m3), (_, m4) in zip(k1, k2, k3, k4):
-            incr = dt / 6 * (m1 + 2 * m2 + 2 * m3 + m4)
-            if q.space.types[f] == "D":
-                fac = list(q.factors[f])
-                fac[comp] = fac[comp] + incr
-                q = q.replace(f, tuple(fac))
-            else:
-                q = q.replace(f, q.factors[f] + incr)
-        return q
+        total = [(slot, m1 + 2 * m2 + 2 * m3 + m4)
+                 for (slot, m1), (_, m2), (_, m3), (_, m4) in zip(k1, k2, k3, k4)]
+        return shifted(p, total, dt / 6)
 
     p = x
     dt = tau / steps
     for _ in range(steps):
         p = step(p, dt)
-    factors = []
-    for t, fac in zip(p.space.types, p.factors):
-        if t == "D":
-            factors.append(tuple(liecore.project_special_unitary(m) for m in fac))
-        else:
-            factors.append(liecore.project_special_unitary(fac))
-    return FusionPoint(p.space, tuple(factors))
+    return p.map(liecore.project_special_unitary)

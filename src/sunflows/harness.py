@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decomp, flows, moduli, probes
+from . import decomp, flows, moduli
 from .errors import InvalidShape, SamplingFailure, SunflowsError
 from .liecore import RootDatum
 from .observables import (
@@ -97,9 +97,6 @@ class Harness:
 
     def crafted_keys(self) -> list[str]:
         return []
-
-    def distance(self, x, y) -> float:
-        return probes.point_distance(x, y)
 
 
 def sample_regular(kind: str, draws: int, draw, check):
@@ -206,6 +203,13 @@ class CotangentHarness(Harness):
 # Heisenberg double
 # ---------------------------------------------------------------------------
 
+def _right_factor_generators(fns, factor: str, periodic: bool) -> list[Generator]:
+    """One generator per function of the right Iwasawa factor ('b_right' or 'u_right')."""
+    return [Generator(fn.name, lambda p, fn=fn: fn.value(getattr(p.factors(), factor)),
+                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t), periodic)
+            for fn in fns]
+
+
 class HeisenbergHarness(Harness):
     kind = "heisenberg"
 
@@ -226,28 +230,14 @@ class HeisenbergHarness(Harness):
 
     def families(self):
         datum = self.datum
-        borel = []
-        for k in (1, 2):
-            fn = BorelPower(k)
-            borel.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.factors().b_right),
-                lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t), periodic=False))
-        for j in range(datum.rank):
-            fn = BorelChamberCoroot(j, datum)
-            borel.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.factors().b_right),
-                lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t), periodic=True))
-        unitary = []
-        for k in _power_indices(self.n):
-            fn = PowerTrace(k)
-            unitary.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.factors().u_right),
-                lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t), periodic=False))
-        for j in range(datum.rank):
-            fn = AlcoveCoroot(j, datum)
-            unitary.append(Generator(
-                fn.name, lambda p, fn=fn: fn.value(p.factors().u_right),
-                lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t), periodic=False))
+        borel = (_right_factor_generators([BorelPower(k) for k in (1, 2)], "b_right",
+                                          periodic=False)
+                 + _right_factor_generators([BorelChamberCoroot(j, datum)
+                                             for j in range(datum.rank)], "b_right",
+                                            periodic=True))
+        unitary = _right_factor_generators([PowerTrace(k) for k in _power_indices(self.n)]
+                                           + [AlcoveCoroot(j, datum) for j in range(datum.rank)],
+                                           "u_right", periodic=False)
         return {"borel-invariants": borel, "unitary-class": unitary}
 
     def torus_specs(self):

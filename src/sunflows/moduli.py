@@ -150,8 +150,7 @@ def block_positions(space: FusionSpace, block: tuple) -> list[int]:
     consecutive run of fused factors; only such runs carry the flow formula.
     """
     kind = block[0]
-    d_pos = [f for f, t in enumerate(space.types) if t == "D"]
-    k_pos = [f for f, t in enumerate(space.types) if t == "K"]
+    d_pos, k_pos = list(space.kind_positions["D"]), list(space.kind_positions["K"])
     if kind == "commutator":
         positions = [d_pos[block[1] - 1]]
     elif kind == "interval":
@@ -209,15 +208,10 @@ class WordHamiltonian:
                                          self.classfn.grad(self.block_value(x)))
 
     def letters(self, x: FusionPoint):
-        """Positions (factor, component) moved by this block's flow."""
+        """Slots (factor, component) moved by this block's flow (single: the partner letter)."""
         if self.block[0] == "single":
-            d_pos = [f for f, t in enumerate(x.space.types) if t == "D"]
-            return [(d_pos[self.block[1] - 1], 1)]  # flow moves the partner letter
-        out = []
-        for f in block_positions(x.space, self.block):
-            comps = (0, 1) if x.space.types[f] == "D" else (0,)
-            out.extend((f, c) for c in comps)
-        return out
+            return [(x.space.position("D", self.block[1]), 1)]
+        return [s for f in block_positions(x.space, self.block) for s in x.space.factor_slots[f]]
 
 
 def family_blocks(fam: IntervalFamily) -> list[tuple]:
@@ -255,18 +249,13 @@ def hamiltonian_family(space: FusionSpace, fam: IntervalFamily, datum: RootDatum
 # flows and torus actions
 # ---------------------------------------------------------------------------
 
-def _conjugate_letters(x: FusionPoint, letters, u: np.ndarray) -> FusionPoint:
+def _move_letters(x: FusionPoint, ham: "WordHamiltonian", u: np.ndarray) -> FusionPoint:
+    """Right-translate the partner letter of a single block by u, or conjugate
+    every letter of a momentum block by u."""
+    if ham.block[0] == "single":
+        return x.with_slots({s: x.slot(*s) @ u for s in ham.letters(x)})
     ui = u.conj().T
-    out = x
-    for f, comp in letters:
-        fac = out.factors[f]
-        if out.space.types[f] == "D":
-            fac = list(fac)
-            fac[comp] = u @ fac[comp] @ ui
-            out = out.replace(f, tuple(fac))
-        else:
-            out = out.replace(f, u @ fac @ ui)
-    return out
+    return x.with_slots({s: u @ x.slot(*s) @ ui for s in ham.letters(x)})
 
 
 def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint:
@@ -277,13 +266,10 @@ def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint
     exp(tau * grad of the class function at the block value).
     """
     if ham.block[0] == "single":
-        i = ham.block[1]
-        a, b = x.pair(i)
-        positions = [f for f, t in enumerate(x.space.types) if t == "D"]
-        f = positions[i - 1]
-        return x.replace(f, (a, b @ scipy.linalg.expm(-tau * ham.classfn.grad(a))))
-    u = scipy.linalg.expm(tau * ham.classfn.grad(ham.block_value(x)))
-    return _conjugate_letters(x, ham.letters(x), u)
+        u = scipy.linalg.expm(-tau * ham.classfn.grad(ham.block_value(x)))
+    else:
+        u = scipy.linalg.expm(tau * ham.classfn.grad(ham.block_value(x)))
+    return _move_letters(x, ham, u)
 
 
 def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
@@ -305,31 +291,18 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
     out = x
     for block, tau in zip(blocks, taus):
         rep = WordHamiltonian(block, PowerTrace(1))
+        frame = decomp.alcove_diagonalize(rep.block_value(out)).frame
         if block[0] == "single":
-            i = block[1]
-            a, b = out.pair(i)
-            frame = decomp.alcove_diagonalize(a).frame
-            t = frame.conj().T @ coroot_torus_element(-tau, datum) @ frame
-            positions = [f for f, ty in enumerate(out.space.types) if ty == "D"]
-            out = out.replace(positions[i - 1], (a, b @ t))
+            t = coroot_torus_element(-tau, datum)
         else:
-            val = rep.block_value(out)
-            frame = decomp.alcove_diagonalize(val).frame
-            t = frame.conj().T @ coweight_torus_element(tau, datum) @ frame
-            out = _conjugate_letters(out, rep.letters(out), t)
+            t = coweight_torus_element(tau, datum)
+        out = _move_letters(out, rep, frame.conj().T @ t @ frame)
     return out
 
 
 # ---------------------------------------------------------------------------
 # permutations of fused factors
 # ---------------------------------------------------------------------------
-
-def _act_on_factor(space: FusionSpace, factor, ftype: str, u: np.ndarray):
-    ui = u.conj().T
-    if ftype == "D":
-        return (u @ factor[0] @ ui, u @ factor[1] @ ui)
-    return u @ factor @ ui
-
 
 def swap_adjacent(x: FusionPoint, j: int) -> FusionPoint:
     """Exchange factors j and j+1 (0-based); the left momentum twists the right.
@@ -341,7 +314,9 @@ def swap_adjacent(x: FusionPoint, j: int) -> FusionPoint:
     if not 0 <= j < len(types) - 1:
         raise InvalidPlan(f"no adjacent pair at position {j}")
     phi = x.factor_momentum(j)
-    twisted = _act_on_factor(x.space, x.factors[j + 1], types[j + 1], phi)
+    phi_inv = phi.conj().T
+    twisted = x.with_slots({s: phi @ x.slot(*s) @ phi_inv
+                            for s in x.space.factor_slots[j + 1]}).factors[j + 1]
     new_types = list(types)
     new_types[j], new_types[j + 1] = new_types[j + 1], new_types[j]
     new_factors = list(x.factors)

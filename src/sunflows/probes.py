@@ -32,21 +32,6 @@ from .spaces import (
 SVD_KERNEL_TOL = 1e-7
 
 
-def point_flat(x) -> np.ndarray:
-    if isinstance(x, CotangentPoint):
-        return np.concatenate([x.g.real.ravel(), x.g.imag.ravel(),
-                               x.j.real.ravel(), x.j.imag.ravel()])
-    if isinstance(x, HeisenbergPoint):
-        return np.concatenate([x.x.real.ravel(), x.x.imag.ravel()])
-    if isinstance(x, FusionPoint):
-        return x.flat()
-    raise ShapeError(f"cannot flatten {type(x).__name__}")
-
-
-def point_distance(x, y) -> float:
-    return float(np.linalg.norm(point_flat(x) - point_flat(y)))
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """A group action at probe granularity: named one-parameter curves."""
@@ -75,7 +60,7 @@ def combine(*specs: ActionSpec) -> ActionSpec:
 
 def generator_matrix(x, action: ActionSpec) -> np.ndarray:
     """Columns are the generating tangent vectors of the action at x."""
-    cols = [brackets.directional_derivative(point_flat, lambda t, c=curve: c(x, t))
+    cols = [brackets.directional_derivative(lambda p: p.flat(), lambda t, c=curve: c(x, t))
             for curve in action.curves]
     return np.stack(cols, axis=1)
 
@@ -97,11 +82,8 @@ def stabilizer_dimension(x, action: ActionSpec, n: int, point_id: str = "",
     spec = special_elements(n)
     center_ok = True
     for zeta in spec.center:
-        if isinstance(x, HeisenbergPoint):
-            moved = quasi_adjoint(zeta, x)
-        else:
-            moved = x.conjugate(zeta)
-        if point_distance(x, moved) > 1e-8:
+        moved = quasi_adjoint(zeta, x) if isinstance(x, HeisenbergPoint) else x.conjugate(zeta)
+        if x.distance(moved) > 1e-8:
             center_ok = False
     return StabilizerReport(point_id, dim, center_ok, svals)
 
@@ -123,11 +105,6 @@ def _solve_coxeter(h: np.ndarray, sign: int) -> np.ndarray:
     m = sign * (_shift_matrix(n) - np.eye(n))
     x, *_ = np.linalg.lstsq(m, h, rcond=None)
     return x - x.mean()
-
-
-def periodicity_residual(x, flow_fn, period: float = 2 * np.pi) -> float:
-    """Distance between a point and its image after one full flow period."""
-    return point_distance(flow_fn(x, period), x)
 
 
 def commutator_identity_residual(h: np.ndarray, n: int) -> float:
@@ -375,8 +352,7 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
 
 def tangent_basis_curves(x):
     """Curves spanning the tangent space at x (left translations, fiber shifts)."""
-    n = x.n if not isinstance(x, CotangentPoint) else x.n
-    basis = su_basis(n)
+    basis = su_basis(x.n)
     curves = []
     if isinstance(x, CotangentPoint):
         for z in basis:
@@ -384,22 +360,13 @@ def tangent_basis_curves(x):
         for z in basis:
             curves.append(lambda p, t, z=z: CotangentPoint(p.g, p.j + t * z))
     elif isinstance(x, HeisenbergPoint):
-        for z in liecore.sl_real_basis(n):
+        for z in liecore.sl_real_basis(x.n):
             curves.append(lambda p, t, z=z: HeisenbergPoint(scipy.linalg.expm(t * z) @ p.x))
     elif isinstance(x, FusionPoint):
-        for f, t_ in enumerate(x.space.types):
-            comps = (0, 1) if t_ == "D" else (0,)
-            for comp in comps:
-                for z in basis:
-                    def curve(p, t, f=f, comp=comp, z=z):
-                        u = scipy.linalg.expm(t * z)
-                        fac = p.factors[f]
-                        if p.space.types[f] == "D":
-                            fac = list(fac)
-                            fac[comp] = u @ fac[comp]
-                            return p.replace(f, tuple(fac))
-                        return p.replace(f, u @ fac)
-                    curves.append(curve)
+        for slot in x.space.slots:
+            for z in basis:
+                curves.append(lambda p, t, slot=slot, z=z:
+                              p.with_slots({slot: scipy.linalg.expm(t * z) @ p.slot(*slot)}))
     else:
         raise ShapeError(f"no tangent basis for {type(x).__name__}")
     return curves

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -23,14 +24,7 @@ from . import brackets, decomp, flows, harness as harness_mod, liecore, moduli, 
 from .errors import InvalidShape
 from .liecore import build_root_datum
 from .observables import AlcoveCoweight, PowerTrace, word_observable
-from .spaces import (
-    CotangentPoint,
-    FusionPoint,
-    HeisenbergPoint,
-    embed_shift,
-    moduli_space,
-    quasi_adjoint,
-)
+from .spaces import FusionPoint, embed_shift, moduli_space, quasi_adjoint
 
 SCHEMA_VERSION = "1"
 
@@ -40,6 +34,14 @@ SPACES = ("cotangent", "heisenberg", "double", "sphere4", "moduli")
 def derived_rng(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -72,10 +74,9 @@ class ScenarioConfig:
             raise InvalidShape(f"clause space: {self.space!r} not one of {SPACES}")
         for name in ("n", "m", "holes", "seed", "points"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _integer(value):
                 raise InvalidShape(f"clause integer: {name}={value!r} is not an integer")
-        if (isinstance(self.tol_scale, bool) or not isinstance(self.tol_scale, numbers.Real)
-                or not math.isfinite(self.tol_scale) or self.tol_scale <= 0):
+        if not _finite(self.tol_scale) or self.tol_scale <= 0:
             raise InvalidShape(f"clause tol-scale: {self.tol_scale!r} is not a finite "
                                "positive number")
         if self.checks is not None and not (
@@ -86,12 +87,16 @@ class ScenarioConfig:
         if self.space == "double" and self.family not in ("h", "htilde"):
             raise InvalidShape(f"clause double-family: {self.family!r} not 'h' or 'htilde'")
         if self.space == "moduli":
-            datum = build_root_datum(self.n)
             space = moduli_space(self.m, self.holes, self.n)
             fam = harness_mod._family_from_config(space, self.family)
             moduli.validate_family(space, fam)
         if self.points < 2:
             raise InvalidShape("clause points: need at least 2 sample points")
+        if not isinstance(self.flow_exports, list):
+            raise InvalidShape(f"clause flow-exports: {self.flow_exports!r} is not a list "
+                               "of flow requests")
+        for request in self.flow_exports:
+            _check_flow_request(request)
 
 
 @dataclass
@@ -495,7 +500,7 @@ def check_flow_commutation(ctx: CheckContext) -> CheckResult:
                 for j in range(i + 1, len(gens)):
                     a = gens[j].flow(gens[i].flow(x, 0.3), 0.7)
                     b = gens[i].flow(gens[j].flow(x, 0.7), 0.3)
-                    worst = max(worst, h.distance(a, b))
+                    worst = max(worst, a.distance(b))
     return _result(ctx, "flow-commutation",
                    "family flows compose identically in either order", worst, 1e-8)
 
@@ -576,14 +581,14 @@ def check_torus_periodicity(ctx: CheckContext) -> CheckResult:
             for j in range(spec.dim):
                 tau = np.zeros(spec.dim)
                 tau[j] = 2 * np.pi
-                local = max(local, h.distance(spec.act(x, tau), x))
+                local = max(local, spec.act(x, tau).distance(x))
         detail[spec.name] = local
         worst = max(worst, local)
     # negative control: a coweight translation flow must not close up
     if ctx.cfg.space == "double":
         x = h.sample(rng)
         ham = moduli.WordHamiltonian(("single", 1), AlcoveCoweight(0, ctx.datum))
-        resid = h.distance(moduli.moduli_flow(x, ham, 2 * np.pi), x)
+        resid = moduli.moduli_flow(x, ham, 2 * np.pi).distance(x)
         detail["coweight-translation-control"] = resid
         if resid < 0.1:
             worst = max(worst, 1.0)
@@ -606,7 +611,7 @@ def check_torus_additivity(ctx: CheckContext) -> CheckResult:
             t2 = rng.uniform(-1.0, 1.0, spec.dim)
             a = spec.act(spec.act(x, t1), t2)
             b = spec.act(x, t1 + t2)
-            worst = max(worst, h.distance(a, b))
+            worst = max(worst, a.distance(b))
         if ctx.cfg.space == "heisenberg" and spec.name == "borel-translation":
             x = h.sample(rng)
             tau = np.full(spec.dim, 1.0)
@@ -629,7 +634,7 @@ def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
             b = x
             for j in range(spec.dim):
                 b = h.torus_generator_flow(spec.name, j)(b, tau[j])
-            worst = max(worst, h.distance(a, b))
+            worst = max(worst, a.distance(b))
     return _result(ctx, "torus-vs-flows",
                    "the joint torus action equals composed generator flows", worst, 1e-8)
 
@@ -646,7 +651,7 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
             for t in (0.45,):
                 a = gen.flow(h.symmetry(eta, x), t)
                 b = h.symmetry(eta, gen.flow(x, t))
-                worst = max(worst, h.distance(a, b))
+                worst = max(worst, a.distance(b))
     return _result(ctx, "flow-equivariance",
                    "every family flow commutes with the symmetry action", worst, 1e-9)
 
@@ -711,7 +716,7 @@ def check_freeness_rank(ctx: CheckContext, points: int = 20) -> CheckResult:
                 tau = rng.uniform(0.1, 2 * np.pi - 0.1, spec.dim)
             else:
                 tau = rng.uniform(0.1, 1.2, spec.dim) * rng.choice([-1.0, 1.0], spec.dim)
-            disp = h.distance(spec.act(x, tau), x)
+            disp = spec.act(x, tau).distance(x)
             min_disp = min(min_disp, disp)
     shortfall = max(0.0, 1e-4 - min_disp)
     return _result(ctx, "freeness-rank",
@@ -900,45 +905,34 @@ def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
 # trajectory export
 # ---------------------------------------------------------------------------
 
-def _component_labels(x) -> list[str]:
-    if isinstance(x, CotangentPoint):
-        mats = [("g", x.g), ("j", x.j)]
-    elif isinstance(x, HeisenbergPoint):
-        mats = [("x", x.x)]
+def _check_flow_request(request) -> None:
+    """Clause flow-exports: a dict whose name is a plain file stem, whose family
+    is a name, whose generator is an integer and whose times are a
+    {start, stop, num} dict or a list of numbers."""
+    name = request.get("name", "flow") if isinstance(request, dict) else None
+    if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
+            or os.path.basename(name) != name):
+        raise InvalidShape(f"clause flow-exports: {request!r} is not a flow request dict "
+                           "whose name is a plain file stem")
+    family, gen = request.get("family") or "", request.get("generator", 0)
+    if not isinstance(family, str) or not _integer(gen):
+        raise InvalidShape(f"clause flow-exports: {request!r} needs a family name and an "
+                           "integer generator")
+    times = request.get("times", [])
+    if isinstance(times, dict):
+        ok = (set(times) == {"start", "stop", "num"} and _finite(times["start"])
+              and _finite(times["stop"]) and _integer(times["num"]) and times["num"] >= 0)
     else:
-        mats = []
-        for f, t in enumerate(x.space.types):
-            if t == "D":
-                mats += [(f"f{f}a", x.factors[f][0]), (f"f{f}b", x.factors[f][1])]
-            else:
-                mats += [(f"f{f}c", x.factors[f])]
-    labels = []
-    for name, m in mats:
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                labels += [f"{name}_{i}{j}_re", f"{name}_{i}{j}_im"]
-    return labels
-
-
-def _flatten_interleaved(x) -> np.ndarray:
-    if isinstance(x, CotangentPoint):
-        mats = [x.g, x.j]
-    elif isinstance(x, HeisenbergPoint):
-        mats = [x.x]
-    else:
-        mats = []
-        for t, fac in zip(x.space.types, x.factors):
-            mats += list(fac) if t == "D" else [fac]
-    out = []
-    for m in mats:
-        flat = m.ravel()
-        out += [v for z in flat for v in (z.real, z.imag)]
-    return np.array(out)
+        ok = isinstance(times, list) and all(_finite(t) for t in times)
+    if not ok:
+        raise InvalidShape(f"clause flow-exports: times {times!r} is neither a "
+                           "{start, stop, num} dict nor a list of numbers")
 
 
 def export_trajectory(cfg: ScenarioConfig, request: dict) -> str:
     """CSV text for one flow request; conserved columns included per family."""
     cfg.validate()
+    _check_flow_request(request)
     datum = build_root_datum(cfg.n)
     h = harness_mod.build_harness(cfg.space, cfg.n, datum, family=cfg.family,
                                   m=cfg.m, holes=cfg.holes)
@@ -948,19 +942,20 @@ def export_trajectory(cfg: ScenarioConfig, request: dict) -> str:
     if fam_name not in fams:
         raise InvalidShape(f"clause flow-family: unknown family {fam_name!r}")
     gens = fams[fam_name]
-    idx = int(request.get("generator", 0))
+    idx = request.get("generator", 0)
     if not 0 <= idx < len(gens):
         raise InvalidShape(f"clause flow-generator: index {idx} outside 0..{len(gens) - 1}")
     gen = gens[idx]
     times = request.get("times", {"start": 0.0, "stop": 2 * np.pi, "num": 33})
     if isinstance(times, dict):
-        grid = np.linspace(times["start"], times["stop"], int(times["num"]))
+        grid = np.linspace(times["start"], times["stop"], times["num"])
     else:
         grid = np.asarray(times, dtype=float)
     x0 = h.sample(rng)
     conserved = [s for s in h.conserved() if s.family == fam_name]
     out = io.StringIO()
-    labels = _component_labels(x0)
+    labels = [f"{name}_{i}{j}_{part}" for name, m in x0.matrices()
+              for i in range(m.shape[0]) for j in range(m.shape[1]) for part in ("re", "im")]
     cons_labels = [f"conserved:{s.name}" for s in conserved]
     out.write("# trajectory export: columns are tau, flattened point components "
               "(row-major, re/im interleaved), then conserved-deviation columns\n")
@@ -970,7 +965,8 @@ def export_trajectory(cfg: ScenarioConfig, request: dict) -> str:
     base = [np.asarray(s.fn(x0)) for s in conserved]
     for t in grid:
         pt = gen.flow(x0, float(t))
-        row = [f"{t:.17g}"] + [f"{v:.17g}" for v in _flatten_interleaved(pt)]
+        row = [f"{t:.17g}"] + [f"{v:.17g}" for _, m in pt.matrices()
+                               for z in m.ravel() for v in (z.real, z.imag)]
         for s, b in zip(conserved, base):
             dev = float(np.max(np.abs(np.asarray(s.fn(pt)) - b)))
             row.append(f"{dev:.17g}")

@@ -6,11 +6,17 @@ SL(n, C), and fusion products of conjugation factors ('K') and double
 factors ('D') covering the internally fused double, the sphere system and
 all moduli-type spaces.  Points are immutable; every operation returns new
 arrays.
+
+Every point is an ordered list of labelled matrices (``matrices()``); the
+flattening and the distance of all point types are read from that list.  On
+a fusion space the list is the space's ``slots``: two per 'D' factor, one per
+'K' factor, in factor order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,18 +24,40 @@ from . import decomp, liecore
 from .errors import InvalidShape, ShapeError
 
 
+class Point:
+    """The flattener and the metric shared by every point type."""
+
+    def matrices(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """The point's matrices in order, each with its label."""
+        raise NotImplementedError
+
+    def flat(self) -> np.ndarray:
+        """Real, then imaginary entries of each matrix, matrix by matrix."""
+        parts = []
+        for _, m in self.matrices():
+            parts += [m.real.ravel(), m.imag.ravel()]
+        return np.concatenate(parts)
+
+    def distance(self, other: "Point") -> float:
+        """Euclidean norm of the flattened difference."""
+        return float(np.linalg.norm(self.flat() - other.flat()))
+
+
 # ---------------------------------------------------------------------------
 # cotangent bundle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CotangentPoint:
+class CotangentPoint(Point):
     g: np.ndarray
     j: np.ndarray
 
     @property
     def n(self) -> int:
         return self.g.shape[0]
+
+    def matrices(self):
+        return (("g", self.g), ("j", self.j))
 
     def letter(self, name: str) -> np.ndarray:
         if name == "g":
@@ -43,9 +71,6 @@ class CotangentPoint:
     def conjugate(self, eta: np.ndarray) -> "CotangentPoint":
         ei = eta.conj().T
         return CotangentPoint(eta @ self.g @ ei, eta @ self.j @ ei)
-
-    def distance(self, other: "CotangentPoint") -> float:
-        return float(np.linalg.norm(self.g - other.g) + np.linalg.norm(self.j - other.j))
 
 
 def cotangent_momentum(x: CotangentPoint) -> np.ndarray:
@@ -65,12 +90,15 @@ def random_cotangent_point(n: int, rng: np.random.Generator, scale: float = 1.0)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HeisenbergPoint:
+class HeisenbergPoint(Point):
     x: np.ndarray
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    def matrices(self):
+        return (("x", self.x),)
 
     def letter(self, name: str) -> np.ndarray:
         if name == "x":
@@ -85,9 +113,6 @@ class HeisenbergPoint:
 
     def factors(self) -> decomp.IwasawaFactors:
         return decomp.iwasawa_decompose(self.x)
-
-    def distance(self, other: "HeisenbergPoint") -> float:
-        return float(np.linalg.norm(self.x - other.x))
 
 
 def heisenberg_momentum(x: HeisenbergPoint) -> np.ndarray:
@@ -124,25 +149,44 @@ class FusionSpace:
         if any(t not in ("D", "K") for t in self.types):
             raise InvalidShape(f"unknown factor types in {self.types}")
 
+    @cached_property
+    def factor_slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per factor, its (factor, component) slots: two for 'D', one for 'K'."""
+        return tuple(((f, 0), (f, 1)) if t == "D" else ((f, 0),)
+                     for f, t in enumerate(self.types))
+
+    @cached_property
+    def slots(self) -> tuple[tuple[int, int], ...]:
+        """Every (factor, component) slot of a point, in factor order."""
+        return tuple(s for fs in self.factor_slots for s in fs)
+
+    @cached_property
+    def kind_positions(self) -> dict[str, tuple[int, ...]]:
+        """Factor positions of the 'D' and of the 'K' factors, in factor order."""
+        return {kind: tuple(f for f, t in enumerate(self.types) if t == kind)
+                for kind in ("D", "K")}
+
+    def position(self, kind: str, i: int) -> int:
+        """Factor position of the i-th factor of type kind (1-based)."""
+        positions = self.kind_positions[kind]
+        if not 1 <= i <= len(positions):
+            what = "double factor" if kind == "D" else "conjugation factor"
+            raise InvalidShape(f"no {what} with index {i}")
+        return positions[i - 1]
+
     @property
     def num_double(self) -> int:
-        return sum(1 for t in self.types if t == "D")
+        return len(self.kind_positions["D"])
 
     @property
     def num_conj(self) -> int:
-        return sum(1 for t in self.types if t == "K")
+        return len(self.kind_positions["K"])
 
     def random_point(self, rng: np.random.Generator, scale: float = 1.0) -> "FusionPoint":
-        factors = []
-        for t in self.types:
-            if t == "D":
-                factors.append((
-                    liecore.random_group_element(self.n, rng, scale),
-                    liecore.random_group_element(self.n, rng, scale),
-                ))
-            else:
-                factors.append(liecore.random_group_element(self.n, rng, scale))
-        return FusionPoint(self, tuple(factors))
+        def draw():
+            return liecore.random_group_element(self.n, rng, scale)
+        return FusionPoint(self, tuple((draw(), draw()) if t == "D" else draw()
+                                       for t in self.types))
 
 
 def moduli_space(m: int, n_holes: int, n: int) -> FusionSpace:
@@ -165,7 +209,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FusionPoint:
+class FusionPoint(Point):
     """Point of a fusion space; 'D' entries are pairs, 'K' entries single matrices."""
 
     space: FusionSpace
@@ -187,21 +231,36 @@ class FusionPoint:
             out = out @ self.factor_momentum(f)
         return out
 
-    def _position(self, kind: str, i: int) -> int:
-        """Factor position of the i-th factor of type kind (1-based)."""
-        positions = [f for f, t in enumerate(self.space.types) if t == kind]
-        if not 1 <= i <= len(positions):
-            what = "double factor" if kind == "D" else "conjugation factor"
-            raise InvalidShape(f"no {what} with index {i}")
-        return positions[i - 1]
+    def slot(self, f: int, comp: int) -> np.ndarray:
+        """The matrix in component comp of factor f."""
+        fac = self.factors[f]
+        return fac[comp] if self.space.types[f] == "D" else fac
+
+    def with_slots(self, values: dict) -> "FusionPoint":
+        """The point with the matrices of ``values`` ({(factor, comp): matrix}) replaced."""
+        factors = list(self.factors)
+        for (f, comp), m in values.items():
+            if self.space.types[f] == "D":
+                m = tuple(m if c == comp else old for c, old in enumerate(factors[f]))
+            factors[f] = m
+        return FusionPoint(self.space, tuple(factors))
+
+    def map(self, fn) -> "FusionPoint":
+        """The point with fn applied to every matrix."""
+        return self.with_slots({s: fn(self.slot(*s)) for s in self.space.slots})
+
+    def matrices(self):
+        types = self.space.types
+        return tuple((f"f{f}{'ab'[comp] if types[f] == 'D' else 'c'}", self.slot(f, comp))
+                     for f, comp in self.space.slots)
 
     def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The i-th double factor (1-based, counting 'D' factors only)."""
-        return self.factors[self._position("D", i)]
+        return self.factors[self.space.position("D", i)]
 
     def hole(self, k: int) -> np.ndarray:
         """The k-th conjugation factor (1-based, counting 'K' factors only)."""
-        return self.factors[self._position("K", k)]
+        return self.factors[self.space.position("K", k)]
 
     def letter_slot(self, name: str) -> tuple[tuple[int, int], bool]:
         """The (factor, component) a letter reads, and whether it is inverted."""
@@ -209,52 +268,23 @@ class FusionPoint:
         core = name[:-1] if inverse else name
         kind, idx = core[0], int(core[1:])
         if kind in ("a", "b"):
-            return (self._position("D", idx), "ab".index(kind)), inverse
+            return (self.space.position("D", idx), "ab".index(kind)), inverse
         if kind == "c":
-            return (self._position("K", idx), 0), inverse
+            return (self.space.position("K", idx), 0), inverse
         raise ShapeError(f"unknown fusion letter {name!r}")
 
     def letter(self, name: str) -> np.ndarray:
-        (f, comp), inverse = self.letter_slot(name)
-        m = self.factors[f][comp] if self.space.types[f] == "D" else self.factors[f]
+        slot, inverse = self.letter_slot(name)
+        m = self.slot(*slot)
         return m.conj().T if inverse else m
-
-    def replace(self, f: int, value) -> "FusionPoint":
-        factors = list(self.factors)
-        factors[f] = value
-        return FusionPoint(self.space, tuple(factors))
 
     def conjugate(self, eta: np.ndarray) -> "FusionPoint":
         ei = eta.conj().T
-        factors = []
-        for t, fac in zip(self.space.types, self.factors):
-            if t == "D":
-                factors.append((eta @ fac[0] @ ei, eta @ fac[1] @ ei))
-            else:
-                factors.append(eta @ fac @ ei)
-        return FusionPoint(self.space, tuple(factors))
-
-    def distance(self, other: "FusionPoint") -> float:
-        tot = 0.0
-        for t, f1, f2 in zip(self.space.types, self.factors, other.factors):
-            if t == "D":
-                tot += float(np.linalg.norm(f1[0] - f2[0]) + np.linalg.norm(f1[1] - f2[1]))
-            else:
-                tot += float(np.linalg.norm(f1 - f2))
-        return tot
+        return self.map(lambda m: eta @ m @ ei)
 
     def on_unit_level(self, tol: float = 1e-10) -> bool:
         """Whether the point lies on the unit level set of the momentum map."""
         return float(np.linalg.norm(self.momentum() - np.eye(self.n))) <= tol
-
-    def flat(self) -> np.ndarray:
-        parts = []
-        for t, fac in zip(self.space.types, self.factors):
-            mats = fac if t == "D" else (fac,)
-            for m in mats:
-                parts.append(m.real.ravel())
-                parts.append(m.imag.ravel())
-        return np.concatenate(parts)
 
 
 def moduli_point(space: FusionSpace, pairs, holes) -> FusionPoint:

@@ -78,8 +78,8 @@ def test_bracket_matrix_mixes_exact_and_opaque_observables(space):
     x = h.sample(np.random.default_rng(50))
     probes = h.probes()[:5]
     gens = [g.obs for g in all_generators(h)][:4]
-    chart = (lambda p: p.conjugate(p.g)) if space == "cotangent" else (lambda p: p.conjugate(
-        p.factors[0][0] if p.space.types[0] == "D" else p.factors[0]))
+    chart = (lambda p: p.conjugate(p.g)) if space == "cotangent" else (
+        lambda p: p.conjugate(p.slot(0, 0)))
     pulled = ob.pullback(probes[1], chart)
     mixed = brackets.bracket_matrix(probes + [pulled], gens + [pulled], x)
     opaque = lambda o: (lambda p: o(p))

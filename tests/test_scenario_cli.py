@@ -176,6 +176,35 @@ def test_cli_verify_flow_report(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flow_exports", [
+    [{"name": "partial-times", "times": {"start": 0}}],
+    [{"name": "named-generator", "generator": "x"}],
+    "abc",
+    [{"name": "../../escape"}],
+], ids=["times-missing-keys", "generator-not-integer", "not-a-list", "name-escapes-out"])
+def test_cli_flow_rejects_malformed_flow_exports(tmp_path, capsys, flow_exports):
+    """Malformed requests end in the flow-exports clause and exit 2, before any file is written."""
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    cfg_path = work / "config.json"
+    cfg_path.write_text(json.dumps({"space": "double", "n": 2, "family": "h", "seed": 42,
+                                    "flow_exports": flow_exports}))
+    out = work / "out"
+    before = set(tmp_path.rglob("*"))
+    assert cli.main(["flow", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: clause flow-exports")
+    assert set(tmp_path.rglob("*")) - before <= {out}
+
+
+@pytest.mark.parametrize("request_", [
+    {"name": "loop", "generator": 1, "times": [0.0, 0.5]},
+    {"name": "grid", "family": "h", "times": {"start": 0.0, "stop": 1.0, "num": 2}},
+])
+def test_config_validation_accepts_well_formed_flow_exports(request_):
+    small_config(flow_exports=[request_]).validate()
+
+
 def test_cli_report_prints_the_files_verify_wrote(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
