@@ -27,7 +27,7 @@ for key in probes.PRINCIPAL_POINT_KEYS:
 print("\n=== a non-principal control: a torus point of the double ===")
 g = np.diag(np.exp(1j * np.array([0.7, -0.2, -0.5])))
 x = sf.moduli_point(sf.double_space(n), [(g, g)], [])
-rep = probes.stabilizer_dimension(x, probes.conjugation_action(x, n), n, "torus-pair")
+rep = probes.stabilizer_dimension(x, probes.conjugation_action(n), n, "torus-pair")
 print("symmetry stabilizer dimension:", rep.infinitesimal_dim,
       " (the full maximal torus, as expected for commuting torus letters)")
 

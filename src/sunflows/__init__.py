@@ -25,7 +25,6 @@ from .errors import (
     InvalidPlan,
     InvalidRank,
     InvalidShape,
-    NotClassFunction,
     NotPositiveDefinite,
     RegularityViolation,
     SamplingFailure,
@@ -67,7 +66,6 @@ from .spaces import (
     heisenberg_momentum,
     moduli_point,
     moduli_space,
-    quasi_adjoint,
     sphere_space,
 )
 
@@ -93,7 +91,6 @@ from .observables import (
     ChamberCoroot,
     PowerTrace,
     WordFunction,
-    nabla_class_function,
     word_observable,
 )
 from .probes import (

@@ -57,7 +57,6 @@ class DiffConfig:
     """Finite-difference step control for all derivative engines."""
 
     h: float = 1e-3
-    richardson: bool = False
 
     def __post_init__(self):
         if self.h <= 0:
@@ -79,10 +78,14 @@ def _central(values, h: float):
     return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
 
 
-def directional_derivative(f, curve, cfg: DiffConfig = DEFAULT_DIFF):
-    """d/dt f(curve(t)) at t = 0 by central differences; f may be array-valued."""
+def directional_derivative(f, curve, cfg: DiffConfig = DEFAULT_DIFF, richardson: bool = False):
+    """d/dt f(curve(t)) at t = 0 by central differences; f may be array-valued.
+
+    With ``richardson`` the step-h and step-h/2 differences are combined to
+    cancel the h^4 error term.
+    """
     base = _central([f(curve(k * cfg.h)) for k in _STEPS], cfg.h)
-    if not cfg.richardson:
+    if not richardson:
         return base
     half = cfg.h / 2
     fine = _central([f(curve(k * half)) for k in _STEPS], half)
@@ -145,17 +148,6 @@ def _expm_steps(basis: str, n: int, h: float):
     return [[scipy.linalg.expm((k * h) * z) for k in _STEPS] for z in directions]
 
 
-def _refuse_richardson(cfg: DiffConfig) -> None:
-    """Only ``directional_derivative`` applies Richardson extrapolation.
-
-    The stencil engines and ``bracket_matrix`` refuse it, whether or not a
-    stencil ends up being evaluated.
-    """
-    if cfg.richardson:
-        raise ValueError("Richardson extrapolation is applied by directional_derivative "
-                         "only, not by the stencil gradient engines")
-
-
 def _stencil_derivatives(obs_list, stencils, cfg: DiffConfig) -> np.ndarray:
     """Central differences of each observable along each stencil, (directions, observables).
 
@@ -163,7 +155,6 @@ def _stencil_derivatives(obs_list, stencils, cfg: DiffConfig) -> np.ndarray:
     offsets _STEPS * h along it.  Every point is evaluated once for all
     observables.
     """
-    _refuse_richardson(cfg)
     return np.array([
         _central(np.array([[obs(p) for obs in obs_list] for p in points]), cfg.h)
         for points in stencils
@@ -316,7 +307,6 @@ def _gradients(obs_list, x, cfg: DiffConfig) -> list:
     used when it has one; the rest, and every observable on a Heisenberg
     point, go through one call of the geometry's finite-difference engine.
     """
-    _refuse_richardson(cfg)
     if isinstance(x, HeisenbergPoint):
         return heisenberg_derivatives_multi(obs_list, x, cfg)
     if isinstance(x, FusionPoint):

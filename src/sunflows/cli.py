@@ -21,6 +21,7 @@ from .scenario import (
     ScenarioConfig,
     VerificationReport,
     emit_report,
+    export_stems,
     export_trajectory,
     run_scenario,
 )
@@ -85,10 +86,9 @@ def main(argv=None) -> int:
             cfg = _load_config(args.config, args)
             outdir = _outdir(args)
             requests = cfg.flow_exports or [{"name": "flow"}]
-            for k, request in enumerate(requests):
-                name = request.get("name", f"flow-{k}")
+            for stem, request in zip(export_stems(requests), requests):
                 csv_text = export_trajectory(cfg, request)
-                path = outdir / f"{name}.csv"
+                path = outdir / f"{stem}.csv"
                 path.write_text(csv_text)
                 print(path)
             return 0

@@ -5,8 +5,9 @@ spectrum xi with frame Q satisfying Q J Q^-1 = i diag(xi).  The alcove form
 of a special unitary g picks the unique strictly decreasing, zero-sum phase
 vector of range below 2*pi with Q g Q^-1 = exp(i diag(xi)).  Frames are made
 deterministic by fixing eigenvector phases and correcting the determinant,
-and all downstream formulas only use Q^-1 t Q with t diagonal, so the
-residual torus ambiguity of the frame never leaks into results.
+and all downstream formulas only use Q^-1 t Q with t diagonal (the normal
+form's ``transport``), so the residual torus ambiguity of the frame never
+leaks into results.
 
 The four normal-form kernels remember their last few results, keyed on the
 exact input, because flows and finite-difference stencils hand them the same
@@ -68,11 +69,11 @@ def _memoized(kernel):
 
 
 @dataclass(frozen=True)
-class ChamberData:
-    """Decreasing real spectrum and diagonalizing frame of an algebra element.
+class NormalForm:
+    """Spectrum and diagonalizing frame Q of a matrix.
 
-    ``vectors`` are the eigenvector columns in spectrum order; ``frame`` puts
-    them in the frame convention on first access.
+    ``vectors`` are the eigen- or Schur vector columns in spectrum order;
+    ``frame`` puts them in the frame convention on first access.
     """
 
     spectrum: np.ndarray
@@ -81,26 +82,23 @@ class ChamberData:
     @functools.cached_property
     def frame(self) -> np.ndarray:
         return _frame(self.vectors)
+
+    def transport(self, d: np.ndarray) -> np.ndarray:
+        """Q^-1 d Q: a matrix written in the diagonal frame, carried back."""
+        frame = self.frame
+        return frame.conj().T @ d @ frame
+
+
+class ChamberData(NormalForm):
+    """Decreasing real spectrum and frame of an algebra element."""
 
     @property
     def diagonal_form(self) -> np.ndarray:
         return 1j * np.diag(self.spectrum)
 
 
-@dataclass(frozen=True)
-class AlcoveData:
-    """Alcove phase vector and diagonalizing frame of a group element.
-
-    ``vectors`` are the Schur vectors in spectrum order; ``frame`` puts them
-    in the frame convention on first access.
-    """
-
-    spectrum: np.ndarray
-    vectors: np.ndarray
-
-    @functools.cached_property
-    def frame(self) -> np.ndarray:
-        return _frame(self.vectors)
+class AlcoveData(NormalForm):
+    """Alcove phase vector and frame of a group element."""
 
     @property
     def diagonal_form(self) -> np.ndarray:
@@ -253,22 +251,19 @@ def action_variables(data: ChamberData | AlcoveData, family: str, datum: RootDat
 def grad_alcove_coroot(g: np.ndarray, j: int, datum: RootDatum,
                        margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
     """Gradient of the j-th coroot alcove variable: -Q^-1 i h_j Q."""
-    frame = alcove_diagonalize(g, margin).frame
-    return -frame.conj().T @ (1j * datum.coroots[j]) @ frame
+    return alcove_diagonalize(g, margin).transport(-(1j * datum.coroots[j]))
 
 
 def grad_alcove_coweight(g: np.ndarray, j: int, datum: RootDatum,
                          margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
     """Gradient of the j-th coweight alcove variable: -Q^-1 i w_j Q."""
-    frame = alcove_diagonalize(g, margin).frame
-    return -frame.conj().T @ (1j * datum.coweights[j]) @ frame
+    return alcove_diagonalize(g, margin).transport(-(1j * datum.coweights[j]))
 
 
 def grad_chamber_coroot(j_alg: np.ndarray, j: int, datum: RootDatum,
                         margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
     """Gradient of the j-th coroot chamber variable: -Q^-1 i h_j Q."""
-    frame = chamber_diagonalize(j_alg, margin).frame
-    return -frame.conj().T @ (1j * datum.coroots[j]) @ frame
+    return chamber_diagonalize(j_alg, margin).transport(-(1j * datum.coroots[j]))
 
 
 # ---------------------------------------------------------------------------

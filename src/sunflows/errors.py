@@ -29,10 +29,6 @@ class NotPositiveDefinite(SunflowsError):
     """A Hermitian argument is not positive definite."""
 
 
-class NotClassFunction(SunflowsError):
-    """Observable is not conjugation invariant where it must be."""
-
-
 class UnsupportedBracket(SunflowsError):
     """Requested space/observable pairing has no bracket rule."""
 

@@ -83,12 +83,10 @@ def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
     through the alcove frame of the group part.
     """
     if family == "chamber":
-        frame = decomp.chamber_diagonalize(x.j).frame
-        t = frame.conj().T @ coroot_torus_element(tau, datum) @ frame
+        t = decomp.chamber_diagonalize(x.j).transport(coroot_torus_element(tau, datum))
         return CotangentPoint(_maybe_reproject(t @ x.g, "cotangent torus"), x.j)
     if family == "translate":
-        frame = decomp.alcove_diagonalize(x.g).frame
-        shift = frame.conj().T @ coroot_translation(tau, datum) @ frame
+        shift = decomp.alcove_diagonalize(x.g).transport(coroot_translation(tau, datum))
         return CotangentPoint(x.g, x.j - shift)
     raise ShapeError(f"unknown cotangent torus family {family!r}")
 
@@ -124,9 +122,8 @@ def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: fl
 
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
-    frame = decomp.alcove_diagonalize(g).frame
     z = sum(t * h for t, h in zip(np.asarray(tau, dtype=float), datum.coroots))
-    pos = frame.conj().T @ scipy.linalg.expm(z) @ frame
+    pos = decomp.alcove_diagonalize(g).transport(scipy.linalg.expm(z))
     return decomp.borel_left(pos)
 
 
@@ -137,8 +134,7 @@ def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,
     noncompact action through the positive factorization at u_right."""
     f = x.factors()
     if family == "dress":
-        frame = decomp.borel_chamber_diagonalize(f.b_right).frame
-        t = frame.conj().T @ coroot_torus_element(tau, datum) @ frame
+        t = decomp.borel_chamber_diagonalize(f.b_right).transport(coroot_torus_element(tau, datum))
         return HeisenbergPoint(x.x @ t)
     if family == "translate":
         return HeisenbergPoint(x.x @ positive_factorization(tau, f.u_right, datum))
@@ -173,12 +169,11 @@ def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
                         datum: RootDatum) -> FusionPoint:
     a, b = x.pair(1)
     if slot == "first":
-        frame = decomp.alcove_diagonalize(a).frame
-        t = frame.conj().T @ coroot_torus_element(-np.asarray(tau, dtype=float), datum) @ frame
+        t = decomp.alcove_diagonalize(a).transport(
+            coroot_torus_element(-np.asarray(tau, dtype=float), datum))
         return x.with_slots({(0, 1): b @ t})
     if slot == "second":
-        frame = decomp.alcove_diagonalize(b).frame
-        t = frame.conj().T @ coroot_torus_element(tau, datum) @ frame
+        t = decomp.alcove_diagonalize(b).transport(coroot_torus_element(tau, datum))
         return x.with_slots({(0, 0): a @ t})
     raise ShapeError(f"unknown double torus slot {slot!r}")
 

@@ -3,9 +3,9 @@
 A harness bundles, for one phase space: regular point sampling, a probe
 family of word observables, the commuting Hamiltonian families with their
 exact flows and bracket-side observables, the torus actions with their
-periodicity type, the conserved quantities per family, and the symmetry
-action.  The verification checks are then written once against this
-interface.
+angle flows and periodicity type, and the conserved quantities per family.
+The symmetry action is the points' own ``conjugate``.  The verification
+checks are then written once against this interface.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .spaces import (
     double_space,
     heisenberg_momentum,
     moduli_space,
-    quasi_adjoint,
     random_cotangent_point,
     random_heisenberg_point,
     sphere_space,
@@ -54,13 +53,23 @@ class Generator:
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """A torus/line action: map (point, angles) -> point."""
+    """A torus/line action (point, angles) -> point and the flow of each angle."""
 
     name: str
     act: object
-    dim: int
+    flows: tuple                     # callable (point, t) -> point, one per angle
     periodic: bool
     family: str                      # matching generator family
+
+    @property
+    def dim(self) -> int:
+        return len(self.flows)
+
+    def curves(self) -> tuple:
+        """One curve t -> act(p, t e_j) per angle j."""
+        def make(e):
+            return lambda p, t: self.act(p, t * e)
+        return tuple(make(e) for e in np.eye(self.dim))
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,6 @@ class ConservedSpec:
 
 
 class Harness:
-    kind = "abstract"
-
     def __init__(self, n: int, datum: RootDatum):
         self.n = n
         self.datum = datum
@@ -92,8 +99,9 @@ class Harness:
     def conserved(self) -> list[ConservedSpec]:
         raise NotImplementedError
 
-    def symmetry(self, eta, x):
-        raise NotImplementedError
+    def extra_generators(self) -> list[Generator]:
+        """Generators outside the families that the flow checks also run."""
+        return []
 
     def crafted_keys(self) -> list[str]:
         return []
@@ -125,6 +133,11 @@ def _word_generators(fns, letters, flow, periodic: bool, suffix: str = "") -> li
             for fn in fns]
 
 
+def _flows(flow, fns) -> tuple:
+    """The flow (p, t) -> flow(p, fn, t) of each function."""
+    return tuple(lambda p, t, fn=fn: flow(p, fn, t) for fn in fns)
+
+
 def _power_indices(n: int) -> list[int]:
     # odd traceless powers vanish identically on su(2); skip degenerate ones
     return [2, 4] if n == 2 else [2, 3]
@@ -135,8 +148,6 @@ def _power_indices(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class CotangentHarness(Harness):
-    kind = "cotangent"
-
     def sample(self, rng):
         def check(x):
             decomp.alcove_diagonalize(x.g, SAMPLING_MARGIN)
@@ -163,24 +174,17 @@ class CotangentHarness(Harness):
         return {"fiber-invariants": fiber, "base-class": base}
 
     def torus_specs(self):
-        datum = self.datum
+        datum, flow, js = self.datum, flows.cotangent_flow, range(self.datum.rank)
         return [
             TorusSpec("chamber-torus",
                       lambda p, tau: flows.cotangent_torus_action(p, tau, "chamber", datum),
-                      datum.rank, True, "fiber-invariants"),
+                      _flows(flow, [ChamberCoroot(j, datum) for j in js]),
+                      True, "fiber-invariants"),
             TorusSpec("fiber-translation",
                       lambda p, tau: flows.cotangent_torus_action(p, tau, "translate", datum),
-                      datum.rank, False, "base-class"),
+                      _flows(flow, [AlcoveCoroot(j, datum) for j in js]),
+                      False, "base-class"),
         ]
-
-    def torus_generator_flow(self, spec_name: str, j: int):
-        """The single-variable flow matching the j-th torus coordinate."""
-        datum = self.datum
-        if spec_name == "chamber-torus":
-            fn = ChamberCoroot(j, datum)
-        else:
-            fn = AlcoveCoroot(j, datum)
-        return lambda p, t: flows.cotangent_flow(p, fn, t)
 
     def conserved(self):
         return [
@@ -191,9 +195,6 @@ class CotangentHarness(Harness):
             ConservedSpec("group-and-momentum-pair", "base-class",
                           lambda p: np.stack([p.g, cotangent_momentum(p)])),
         ]
-
-    def symmetry(self, eta, x):
-        return x.conjugate(eta)
 
     def crafted_keys(self):
         return ["cotangent-compact-torus", "cotangent-line-action"]
@@ -211,8 +212,6 @@ def _right_factor_generators(fns, factor: str, periodic: bool) -> list[Generator
 
 
 class HeisenbergHarness(Harness):
-    kind = "heisenberg"
-
     def sample(self, rng):
         def check(x):
             f = x.factors()
@@ -241,20 +240,17 @@ class HeisenbergHarness(Harness):
         return {"borel-invariants": borel, "unitary-class": unitary}
 
     def torus_specs(self):
-        datum = self.datum
+        datum, flow, js = self.datum, flows.heisenberg_flow, range(self.datum.rank)
         return [
             TorusSpec("dressing-torus",
                       lambda p, tau: flows.heisenberg_torus_action(p, tau, "dress", datum),
-                      datum.rank, True, "borel-invariants"),
+                      _flows(flow, [BorelChamberCoroot(j, datum) for j in js]),
+                      True, "borel-invariants"),
             TorusSpec("borel-translation",
                       lambda p, tau: flows.heisenberg_torus_action(p, tau, "translate", datum),
-                      datum.rank, False, "unitary-class"),
+                      _flows(flow, [AlcoveCoroot(j, datum) for j in js]),
+                      False, "unitary-class"),
         ]
-
-    def torus_generator_flow(self, spec_name: str, j: int):
-        datum = self.datum
-        fn = BorelChamberCoroot(j, datum) if spec_name == "dressing-torus" else AlcoveCoroot(j, datum)
-        return lambda p, t: flows.heisenberg_flow(p, fn, t)
 
     def conserved(self):
         def right_borel(p):
@@ -280,9 +276,6 @@ class HeisenbergHarness(Harness):
             ConservedSpec("triangular-invariant", "unitary-class", w_invariant),
         ]
 
-    def symmetry(self, eta, x):
-        return quasi_adjoint(eta, x)
-
     def crafted_keys(self):
         return ["heisenberg-compact-torus", "heisenberg-line-action"]
 
@@ -306,14 +299,23 @@ def _family_from_config(space: FusionSpace, family) -> moduli.IntervalFamily:
     raise InvalidShape(f"cannot interpret family spec {family!r}")
 
 
-class FusionHarness(Harness):
-    kind = "fusion"
+def family_torus(hams, datum: RootDatum, family: str) -> TorusSpec:
+    """The joint torus of a word-Hamiltonian family, one angle per generator.
 
+    The generators come block by block, rank many each, so the angles read
+    as one row per block.
+    """
+    return TorusSpec("family-torus",
+                     lambda p, tau: moduli.moduli_torus_action(
+                         p, np.asarray(tau).reshape(-1, datum.rank), hams, datum),
+                     _flows(moduli.moduli_flow, hams), True, family)
+
+
+class FusionHarness(Harness):
     def __init__(self, n: int, datum: RootDatum, space: FusionSpace,
                  family: moduli.IntervalFamily, label: str):
         super().__init__(n, datum)
         self.space = space
-        self.family = family
         self.label = label
         moduli.validate_family(space, family)
         self.hams = moduli.hamiltonian_family(space, family, datum)
@@ -355,7 +357,7 @@ class FusionHarness(Harness):
                 h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t), periodic=True))
         return {self.label: gens}
 
-    def extra_power_generators(self) -> list[Generator]:
+    def extra_generators(self):
         """Polynomial class functions on the same blocks, for flow checks."""
         gens = []
         for block in self.blocks:
@@ -366,18 +368,7 @@ class FusionHarness(Harness):
         return gens
 
     def torus_specs(self):
-        datum = self.datum
-        dim = len(self.blocks) * datum.rank
-
-        def act(p, tau):
-            return moduli.moduli_torus_action(
-                p, np.asarray(tau).reshape(len(self.blocks), datum.rank), self.hams, datum)
-
-        return [TorusSpec("family-torus", act, dim, True, self.label)]
-
-    def torus_generator_flow(self, spec_name: str, j: int):
-        h = self.hams[j]
-        return lambda p, t: moduli.moduli_flow(p, h, t)
+        return [family_torus(self.hams, self.datum, self.label)]
 
     def conserved(self):
         specs = [ConservedSpec("product-momentum", self.label, lambda p: p.momentum())]
@@ -388,51 +379,41 @@ class FusionHarness(Harness):
                 lambda p, rep=rep: np.array([rep(p)])))
         return specs
 
-    def symmetry(self, eta, x):
-        return x.conjugate(eta)
-
     def crafted_keys(self):
         table = {
-            ("double", 1, 0): ["double-first-family"],
-            ("sphere", 0, 3): ["sphere-adjoint-torus"],
-            ("moduli", 0, 4): ["holed-sphere-intervals"],
-            ("moduli", 1, 3): ["one-handle-intervals", "one-handle-commutator"],
-            ("moduli", 2, 0): ["genus2-mixed", "genus2-double-adjoint"],
-            ("moduli", 2, 2): ["two-handles-with-holes", "alternating-blocks"],
+            (1, 0): ["double-first-family"],
+            (0, 3): ["sphere-adjoint-torus"],
+            (0, 4): ["holed-sphere-intervals"],
+            (1, 3): ["one-handle-intervals", "one-handle-commutator"],
+            (2, 0): ["genus2-mixed", "genus2-double-adjoint"],
+            (2, 2): ["two-handles-with-holes", "alternating-blocks"],
         }
-        for (_, m, holes), keys in table.items():
-            if (self.space.num_double, self.space.num_conj) == (m, holes):
-                return keys
-        return []
+        return table.get((self.space.num_double, self.space.num_conj), [])
 
 
 class DoubleHarness(FusionHarness):
-    """Internally fused double with the three class-function Hamiltonian slots."""
-
-    kind = "double"
+    """Internally fused double with the first-slot ('h') or second-slot ('htilde') family."""
 
     def __init__(self, n: int, datum: RootDatum, which: str = "h"):
-        space = double_space(n)
-        family = (moduli.IntervalFamily(single=(1,)) if which == "h"
-                  else moduli.IntervalFamily(commutators=(1,)))
+        # no word family, so FusionHarness.__init__ is skipped: only space and probes are shared
+        Harness.__init__(self, n, datum)
+        self.space = double_space(n)
         self.which = which
-        if which == "htilde":
-            # second-slot family: build generators directly
-            super().__init__(n, datum, space, moduli.IntervalFamily(single=(1,)), "htilde")
-        else:
-            super().__init__(n, datum, space, family, "h")
+        self.label = "h" if which == "h" else "htilde"
+        self.slot = "first" if which == "h" else "second"
 
     def families(self):
         datum = self.datum
-        slot, letter = ("first", "a1") if self.which == "h" else ("second", "b1")
-        flow = lambda p, fn, t: flows.double_flow(p, fn, t, slot)
+        letter = "a1" if self.which == "h" else "b1"
+        flow = lambda p, fn, t: flows.double_flow(p, fn, t, self.slot)
         gens = (_word_generators([PowerTrace(k) for k in _power_indices(self.n)],
-                                 (letter,), flow, periodic=False, suffix=f"@{slot}")
+                                 (letter,), flow, periodic=False, suffix=f"@{self.slot}")
                 + _word_generators([AlcoveCoroot(j, datum) for j in range(datum.rank)],
-                                   (letter,), flow, periodic=True, suffix=f"@{slot}"))
-        return {"h" if self.which == "h" else "htilde": gens}
+                                   (letter,), flow, periodic=True, suffix=f"@{self.slot}"))
+        return {self.label: gens}
 
-    def momentum_generators(self) -> list[Generator]:
+    def extra_generators(self):
+        """The momentum family H = chi([A, B])."""
         flow = lambda p, fn, t: flows.double_flow(p, fn, t, "momentum")
         return _word_generators([PowerTrace(k) for k in _power_indices(self.n)],
                                 ("a1", "b1", "a1~", "b1~"), flow, periodic=False,
@@ -447,21 +428,15 @@ class DoubleHarness(FusionHarness):
         return sample_regular("double", 128, lambda: self.space.random_point(rng), check)
 
     def torus_specs(self):
-        datum = self.datum
-        slot = "first" if self.which == "h" else "second"
+        datum, slot = self.datum, self.slot
         return [TorusSpec(
             f"{slot}-slot-torus",
             lambda p, tau: flows.double_torus_action(p, np.asarray(tau), slot, datum),
-            datum.rank, True, "h" if self.which == "h" else "htilde")]
-
-    def torus_generator_flow(self, spec_name: str, j: int):
-        datum = self.datum
-        fn = AlcoveCoroot(j, datum)
-        slot = "first" if self.which == "h" else "second"
-        return lambda p, t: flows.double_flow(p, fn, t, slot)
+            _flows(lambda p, fn, t: flows.double_flow(p, fn, t, slot),
+                   [AlcoveCoroot(j, datum) for j in range(datum.rank)]),
+            True, self.label)]
 
     def conserved(self):
-        label = "h" if self.which == "h" else "htilde"
         def first_pair(p):
             a, b = p.pair(1)
             return np.stack([a, b @ a @ b.conj().T])
@@ -470,11 +445,11 @@ class DoubleHarness(FusionHarness):
             a, b = p.pair(1)
             return np.stack([a @ b @ a.conj().T, b])
 
-        specs = [ConservedSpec("commutator-momentum", label, lambda p: p.momentum())]
+        specs = [ConservedSpec("commutator-momentum", self.label, lambda p: p.momentum())]
         if self.which == "h":
-            specs.append(ConservedSpec("first-slot-pair", label, first_pair))
+            specs.append(ConservedSpec("first-slot-pair", self.label, first_pair))
         else:
-            specs.append(ConservedSpec("second-slot-pair", label, second_pair))
+            specs.append(ConservedSpec("second-slot-pair", self.label, second_pair))
         return specs
 
     def crafted_keys(self):

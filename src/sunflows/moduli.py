@@ -291,12 +291,11 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
     out = x
     for block, tau in zip(blocks, taus):
         rep = WordHamiltonian(block, PowerTrace(1))
-        frame = decomp.alcove_diagonalize(rep.block_value(out)).frame
         if block[0] == "single":
             t = coroot_torus_element(-tau, datum)
         else:
             t = coweight_torus_element(tau, datum)
-        out = _move_letters(out, rep, frame.conj().T @ t @ frame)
+        out = _move_letters(out, rep, decomp.alcove_diagonalize(rep.block_value(out)).transport(t))
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brackets, decomp
-from .errors import NotClassFunction, UnsupportedWord
+from .errors import UnsupportedWord
 from .liecore import RootDatum, skew_traceless
 
 
@@ -187,8 +187,8 @@ class BorelChamberCoroot(BorelFunction):
         return 0.5 * float(xi[self.j] - xi[self.j + 1])
 
     def grad(self, b):
-        frame = decomp.borel_chamber_diagonalize(b, self.margin).frame
-        return frame.conj().T @ (1j * self.datum.coroots[self.j]) @ frame
+        return decomp.borel_chamber_diagonalize(b, self.margin).transport(
+            1j * self.datum.coroots[self.j])
 
 
 @dataclass(frozen=True)
@@ -290,15 +290,3 @@ def pullback(f, chart):
 
     obs.__name__ = f"pullback[{getattr(f, '__name__', 'f')}]"
     return obs
-
-
-def require_class_function(fn) -> ClassFunction:
-    if not isinstance(fn, ClassFunction):
-        raise NotClassFunction(f"{fn!r} is not a class function")
-    return fn
-
-
-def nabla_class_function(fn: ClassFunction, g: np.ndarray) -> np.ndarray:
-    """Gradient of a class function; closed form for every supported family."""
-    require_class_function(fn)
-    return fn.grad(g)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import brackets, decomp, flows, liecore, moduli
+from . import brackets, decomp, harness, liecore, moduli
 from .errors import ShapeError, Unsupported
 from .liecore import RootDatum, special_elements, su_basis
 from .observables import AlcoveCoweight
@@ -25,7 +25,6 @@ from .spaces import (
     HeisenbergPoint,
     double_space,
     moduli_space,
-    quasi_adjoint,
     sphere_space,
 )
 
@@ -41,16 +40,11 @@ class ActionSpec:
     group_dim: int
 
 
-def conjugation_action(x, n: int) -> ActionSpec:
-    """Symmetry-group action appropriate to the point's space."""
+def conjugation_action(n: int) -> ActionSpec:
+    """The symmetry-group action, each point's own ``conjugate``."""
     basis = su_basis(n)
-
-    def make(z):
-        if isinstance(x, HeisenbergPoint):
-            return lambda p, t: quasi_adjoint(scipy.linalg.expm(t * z), p)
-        return lambda p, t: p.conjugate(scipy.linalg.expm(t * z))
-
-    return ActionSpec("symmetry", tuple(make(z) for z in basis), len(basis))
+    curves = tuple(lambda p, t, z=z: p.conjugate(scipy.linalg.expm(t * z)) for z in basis)
+    return ActionSpec("symmetry", curves, len(basis))
 
 
 def combine(*specs: ActionSpec) -> ActionSpec:
@@ -82,8 +76,7 @@ def stabilizer_dimension(x, action: ActionSpec, n: int, point_id: str = "",
     spec = special_elements(n)
     center_ok = True
     for zeta in spec.center:
-        moved = quasi_adjoint(zeta, x) if isinstance(x, HeisenbergPoint) else x.conjugate(zeta)
-        if x.distance(moved) > 1e-8:
+        if x.distance(x.conjugate(zeta)) > 1e-8:
             center_ok = False
     return StabilizerReport(point_id, dim, center_ok, svals)
 
@@ -196,33 +189,6 @@ class PrincipalPoint:
     family: list = field(default_factory=list)
 
 
-def _torus_curves(space: str, act, mode: str, datum):
-    """One curve per rank direction of a torus action act(p, tau, mode, datum)."""
-    def make(j):
-        e = np.zeros(datum.rank)
-        e[j] = 1.0
-        return lambda p, t: act(p, t * e, mode, datum)
-    return ActionSpec(f"{space}-{mode}", tuple(make(j) for j in range(datum.rank)), datum.rank)
-
-
-def torus_curves_family(datum, hams):
-    """One curve per block and rank direction of a word-Hamiltonian family."""
-    blocks = []
-    for h in hams:
-        if h.block not in blocks:
-            blocks.append(h.block)
-
-    def make(bi, j):
-        def curve(p, t):
-            taus = np.zeros((len(blocks), datum.rank))
-            taus[bi, j] = t
-            return moduli.moduli_torus_action(p, taus, hams, datum)
-        return curve
-
-    curves = tuple(make(bi, j) for bi in range(len(blocks)) for j in range(datum.rank))
-    return ActionSpec("family-torus", curves, len(blocks) * datum.rank)
-
-
 PRINCIPAL_POINT_KEYS = (
     "cotangent-compact-torus",
     "cotangent-line-action",
@@ -259,8 +225,8 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
     if key in ("cotangent-compact-torus", "cotangent-line-action"):
         # regular torus group part, fiber in the regular apposition algebra
         x = CotangentPoint(alcove_torus_point(n, rng), apposition_regular_algebra(n, rng))
-        mode = "chamber" if key == "cotangent-compact-torus" else "translate"
-        torus = _torus_curves("cotangent", flows.cotangent_torus_action, mode, datum)
+        chamber, translate = harness.CotangentHarness(n, datum).torus_specs()
+        torus = chamber if key == "cotangent-compact-torus" else translate
     elif key in ("heisenberg-compact-torus", "heisenberg-line-action"):
         g_right = alcove_torus_point(n, rng)
         d = np.sort(rng.uniform(-1.2, 1.2, size=n))[::-1]
@@ -271,13 +237,13 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         low = np.linalg.cholesky(gram)
         b_left = np.linalg.inv(low.conj().T)
         x = HeisenbergPoint(b_left @ g_right.conj().T)
-        mode = "dress" if key == "heisenberg-compact-torus" else "translate"
-        torus = _torus_curves("heisenberg", flows.heisenberg_torus_action, mode, datum)
+        dress, translate = harness.HeisenbergHarness(n, datum).torus_specs()
+        torus = dress if key == "heisenberg-compact-torus" else translate
     elif key == "double-first-family":
         a = alcove_torus_point(n, rng)
         b = fconj.copy()
         x = FusionPoint(double_space(n), ((a, b),))
-        torus = _torus_curves("double", flows.double_torus_action, "first", datum)
+        torus, = harness.DoubleHarness(n, datum, "h").torus_specs()
     elif key == "sphere-adjoint-torus":
         c2 = apposition_regular_group(n, rng)
         c3 = apposition_regular_group(n, rng)
@@ -341,9 +307,9 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
     if fam is not None:
         hams = moduli.hamiltonian_family(x.space, fam, datum)
     if hams is not None:
-        torus = torus_curves_family(datum, hams)
-    return PrincipalPoint(key, x, combine(conjugation_action(x, n), torus), torus.group_dim,
-                          hams or [])
+        torus = harness.family_torus(hams, datum, "crafted")
+    action = combine(conjugation_action(n), ActionSpec(torus.name, torus.curves(), torus.dim))
+    return PrincipalPoint(key, x, action, torus.dim, hams or [])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import brackets, decomp, flows, harness as harness_mod, liecore, moduli, 
 from .errors import InvalidShape
 from .liecore import build_root_datum
 from .observables import AlcoveCoweight, PowerTrace, word_observable
-from .spaces import FusionPoint, embed_shift, moduli_space, quasi_adjoint
+from .spaces import FusionPoint, embed_shift, moduli_space
 
 SCHEMA_VERSION = "1"
 
@@ -97,6 +97,10 @@ class ScenarioConfig:
                                "of flow requests")
         for request in self.flow_exports:
             _check_flow_request(request)
+        stems = export_stems(self.flow_exports)
+        if len(set(stems)) < len(stems):
+            raise InvalidShape(f"clause flow-exports: two flow requests share a file stem "
+                               f"in {stems}")
 
 
 @dataclass
@@ -176,10 +180,6 @@ def emit_report(report: VerificationReport, fmt: str = "json",
             out.write(f"timing_s: {report.timing_s:.2f}\n")
         return out.getvalue()
     raise InvalidShape(f"unknown report format {fmt!r}")
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +449,7 @@ def flow_bracket_worst(h, x, gens, obs) -> float:
 
 
 def all_generators(h) -> list:
-    gens = [g for fam in h.families().values() for g in fam]
-    if hasattr(h, "momentum_generators"):
-        gens += h.momentum_generators()
-    if type(h) is harness_mod.FusionHarness:
-        gens += h.extra_power_generators()
-    return gens
+    return [g for fam in h.families().values() for g in fam] + h.extra_generators()
 
 
 def check_flow_bracket(ctx: CheckContext, points: int | None = None) -> CheckResult:
@@ -556,7 +551,7 @@ def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
         x = ctx.harness.sample(rng)
         eta = liecore.random_group_element(n, rng)
         f = x.factors()
-        moved = quasi_adjoint(eta, x)
+        moved = x.conjugate(eta)
         twist = decomp.iwasawa_decompose(eta @ f.b_left).u_right.conj().T
         fm = moved.factors()
         worst = max(worst, float(np.linalg.norm(
@@ -632,8 +627,8 @@ def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
             tau = rng.uniform(-0.8, 0.8, spec.dim)
             a = spec.act(x, tau)
             b = x
-            for j in range(spec.dim):
-                b = h.torus_generator_flow(spec.name, j)(b, tau[j])
+            for flow, t in zip(spec.flows, tau):
+                b = flow(b, t)
             worst = max(worst, a.distance(b))
     return _result(ctx, "torus-vs-flows",
                    "the joint torus action equals composed generator flows", worst, 1e-8)
@@ -649,8 +644,8 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
         eta = liecore.random_group_element(ctx.cfg.n, rng)
         for gen in gens:
             for t in (0.45,):
-                a = gen.flow(h.symmetry(eta, x), t)
-                b = h.symmetry(eta, gen.flow(x, t))
+                a = gen.flow(x.conjugate(eta), t)
+                b = gen.flow(x, t).conjugate(eta)
                 worst = max(worst, a.distance(b))
     return _result(ctx, "flow-equivariance",
                    "every family flow commutes with the symmetry action", worst, 1e-9)
@@ -664,7 +659,7 @@ def check_bracket_invariance(ctx: CheckContext) -> CheckResult:
     for _ in range(2):
         x = h.sample(rng)
         eta = liecore.random_group_element(ctx.cfg.n, rng)
-        y = h.symmetry(eta, x)
+        y = x.conjugate(eta)
         m1 = brackets.bracket_matrix(obs, obs, x)
         m2 = brackets.bracket_matrix(obs, obs, y)
         for i in range(len(obs)):
@@ -701,14 +696,7 @@ def check_freeness_rank(ctx: CheckContext, points: int = 20) -> CheckResult:
     for _ in range(points):
         x = h.sample(rng)
         for spec in h.torus_specs():
-            curves = []
-            for j in range(spec.dim):
-                def curve(p, t, j=j, spec=spec):
-                    tau = np.zeros(spec.dim)
-                    tau[j] = t
-                    return spec.act(p, tau)
-                curves.append(curve)
-            action = probes.ActionSpec(spec.name, tuple(curves), spec.dim)
+            action = probes.ActionSpec(spec.name, spec.curves(), spec.dim)
             rank, _ = probes.rank_of(probes.generator_matrix(x, action))
             if rank != spec.dim:
                 failures += 1
@@ -927,6 +915,11 @@ def _check_flow_request(request) -> None:
     if not ok:
         raise InvalidShape(f"clause flow-exports: times {times!r} is neither a "
                            "{start, stop, num} dict nor a list of numbers")
+
+
+def export_stems(requests) -> list[str]:
+    """The CSV file stem of each flow request: its name, else flow-<index>."""
+    return [request.get("name", f"flow-{k}") for k, request in enumerate(requests)]
 
 
 def export_trajectory(cfg: ScenarioConfig, request: dict) -> str:

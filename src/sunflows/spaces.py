@@ -10,7 +10,9 @@ arrays.
 Every point is an ordered list of labelled matrices (``matrices()``); the
 flattening and the distance of all point types are read from that list.  On
 a fusion space the list is the space's ``slots``: two per 'D' factor, one per
-'K' factor, in factor order.
+'K' factor, in factor order.  Every point has ``conjugate(eta)``, the action
+of the symmetry group SU(n): conjugation of every matrix on cotangent and
+fusion points, the quasi-adjoint action on the Heisenberg double.
 """
 
 from __future__ import annotations
@@ -114,18 +116,16 @@ class HeisenbergPoint(Point):
     def factors(self) -> decomp.IwasawaFactors:
         return decomp.iwasawa_decompose(self.x)
 
+    def conjugate(self, eta: np.ndarray) -> "HeisenbergPoint":
+        """Quasi-adjoint action: eta X u_right(eta b_left(X))."""
+        twist = decomp.iwasawa_decompose(eta @ self.factors().b_left).u_right
+        return HeisenbergPoint(eta @ self.x @ twist)
+
 
 def heisenberg_momentum(x: HeisenbergPoint) -> np.ndarray:
     """Group-valued momentum map b_left b_right of the quasi-adjoint action."""
     f = x.factors()
     return f.b_left @ f.b_right
-
-
-def quasi_adjoint(eta: np.ndarray, x: HeisenbergPoint) -> HeisenbergPoint:
-    """Quasi-adjoint action: eta X u_right(eta b_left(X))."""
-    f = x.factors()
-    twist = decomp.iwasawa_decompose(eta @ f.b_left).u_right
-    return HeisenbergPoint(eta @ x.x @ twist)
 
 
 def random_heisenberg_point(n: int, rng: np.random.Generator, scale: float = 0.7) -> HeisenbergPoint:

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from sunflows import decomp, liecore
+from sunflows.observables import BorelChamberCoroot
 from sunflows.errors import (
     NotPositiveDefinite,
     RegularityViolation,
@@ -379,3 +380,46 @@ def test_value_callers_do_not_build_frames():
     g = liecore.random_group_element(3, rng)
     AlcoveCoroot(0, datum).value(g)
     assert "frame" not in vars(decomp.alcove_diagonalize(g, decomp.DEFAULT_REGULARITY_MARGIN))
+
+
+# ---------------------------------------------------------------------------
+# transport: the one Q^-1 d Q of every normal form
+# ---------------------------------------------------------------------------
+
+def _regular_inputs(n, seed):
+    """A regular algebra element, group element and Borel element."""
+    rng = np.random.default_rng(seed)
+    j_alg = liecore.random_algebra_element(n, rng)
+    g = liecore.random_group_element(n, rng)
+    b = decomp.iwasawa_decompose(liecore.random_sl_element(n, rng)).b_right
+    return j_alg, g, b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_transport_is_bit_equal_to_the_pasted_conjugation(n, seed):
+    j_alg, g, b = _regular_inputs(n, seed)
+    d = np.diag(np.exp(1j * np.arange(n)))
+    for data in (decomp.chamber_diagonalize(j_alg), decomp.alcove_diagonalize(g),
+                 decomp.borel_chamber_diagonalize(b)):
+        frame = data.frame
+        assert np.array_equal(data.transport(d), frame.conj().T @ d @ frame)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_form_gradients_are_bit_equal_to_their_old_formulas(n, seed):
+    datum = liecore.build_root_datum(n)
+    j_alg, g, b = _regular_inputs(n, seed)
+    alcove = decomp.alcove_diagonalize(g).frame
+    chamber = decomp.chamber_diagonalize(j_alg).frame
+    borel = decomp.borel_chamber_diagonalize(b).frame
+    for j in range(datum.rank):
+        assert np.array_equal(decomp.grad_alcove_coroot(g, j, datum),
+                              -alcove.conj().T @ (1j * datum.coroots[j]) @ alcove)
+        assert np.array_equal(decomp.grad_alcove_coweight(g, j, datum),
+                              -alcove.conj().T @ (1j * datum.coweights[j]) @ alcove)
+        assert np.array_equal(decomp.grad_chamber_coroot(j_alg, j, datum),
+                              -chamber.conj().T @ (1j * datum.coroots[j]) @ chamber)
+        assert np.array_equal(BorelChamberCoroot(j, datum).grad(b),
+                              borel.conj().T @ (1j * datum.coroots[j]) @ borel)

@@ -1,10 +1,12 @@
-"""Samplers give up with a message that says how many draws failed and why."""
+"""Samplers give up with a message that says how many draws failed and why;
+each torus spec carries the flow and the curve of every angle."""
 
 import numpy as np
 import pytest
 
-from sunflows import harness, liecore
+from sunflows import flows, harness, liecore, moduli
 from sunflows.errors import RegularityViolation, SamplingFailure, SunflowsError
+from sunflows.observables import AlcoveCoroot, BorelChamberCoroot, ChamberCoroot
 
 
 def test_sample_regular_returns_first_accepted_draw():
@@ -60,3 +62,56 @@ def test_gradient_oracles_at_n7_abort_with_a_named_sampling_failure():
     assert check.detail["error"].startswith(
         f"SamplingFailure: could not sample a regular Borel point in "
         f"{scenario.BOREL_DRAWS} draws; last: eigenvalue gap")
+
+
+# ---------------------------------------------------------------------------
+# torus specs: the flow and the curve of every angle
+# ---------------------------------------------------------------------------
+
+TORUS_HARNESSES = {
+    "cotangent": dict(space="cotangent", n=3),
+    "heisenberg": dict(space="heisenberg", n=3),
+    "double-h": dict(space="double", n=3, family="h"),
+    "double-htilde": dict(space="double", n=3, family="htilde"),
+    "sphere4": dict(space="sphere4", n=3),
+    "moduli-2-2": dict(space="moduli", n=2, m=2, holes=2,
+                       family={"single": [1], "commutators": [2], "intervals": [[1, 2]]}),
+}
+
+
+def _old_generator_flow(h, spec, j):
+    """The former ``torus_generator_flow(spec.name, j)`` of each harness."""
+    datum = h.datum
+    if spec.name == "chamber-torus":
+        return lambda p, t: flows.cotangent_flow(p, ChamberCoroot(j, datum), t)
+    if spec.name == "fiber-translation":
+        return lambda p, t: flows.cotangent_flow(p, AlcoveCoroot(j, datum), t)
+    if spec.name == "dressing-torus":
+        return lambda p, t: flows.heisenberg_flow(p, BorelChamberCoroot(j, datum), t)
+    if spec.name == "borel-translation":
+        return lambda p, t: flows.heisenberg_flow(p, AlcoveCoroot(j, datum), t)
+    if spec.name in ("first-slot-torus", "second-slot-torus"):
+        slot = spec.name.split("-")[0]
+        return lambda p, t: flows.double_flow(p, AlcoveCoroot(j, datum), t, slot)
+    return lambda p, t: moduli.moduli_flow(p, h.hams[j], t)
+
+
+@pytest.mark.parametrize("key", sorted(TORUS_HARNESSES))
+def test_torus_flows_and_curves_are_bit_equal_to_the_old_formulas(key):
+    cfg = dict(TORUS_HARNESSES[key])
+    n = cfg.pop("n")
+    datum = liecore.build_root_datum(n)
+    h = harness.build_harness(cfg.pop("space"), n, datum, **cfg)
+    x = h.sample(np.random.default_rng(7))
+    specs = h.torus_specs()
+    assert specs
+    for spec in specs:
+        blocks = len(h.blocks) if spec.name == "family-torus" else 1
+        assert len(spec.flows) == spec.dim == blocks * datum.rank
+        for j, (flow, curve) in enumerate(zip(spec.flows, spec.curves())):
+            e = np.zeros(spec.dim)
+            e[j] = 1.0
+            for t in (0.37, -0.6):
+                assert np.array_equal(flow(x, t).flat(),
+                                      _old_generator_flow(h, spec, j)(x, t).flat())
+                assert np.array_equal(curve(x, t).flat(), spec.act(x, t * e).flat())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sunflows import decomp, liecore, probes
+from sunflows import decomp, flows, liecore, moduli, probes
 from sunflows.errors import RegularityViolation, ShapeError, Unsupported
 from sunflows.spaces import double_space, moduli_point
 
@@ -13,7 +14,7 @@ def test_conjugation_stabilizer_of_regular_torus_point():
     x = moduli_point(double_space(n), [(g, g)], [])
 
     # conjugation action on a single group letter through the fusion wrapper
-    action = probes.conjugation_action(x, n)
+    action = probes.conjugation_action(n)
     rep = probes.stabilizer_dimension(x, action, n, "diag-double")
     assert rep.infinitesimal_dim == 1
     assert rep.center_fixes
@@ -29,6 +30,57 @@ def test_crafted_points_have_trivial_combined_stabilizer(key, n):
     assert rep.infinitesimal_dim == 0, (key, rep.singular_values)
     assert rep.center_fixes
     assert rep.singular_values.min() > 1e-3
+
+
+def _old_torus_curves(act, mode, datum):
+    """The former ``probes._torus_curves``: one curve per rank direction."""
+    def make(j):
+        e = np.zeros(datum.rank)
+        e[j] = 1.0
+        return lambda p, t: act(p, t * e, mode, datum)
+    return [make(j) for j in range(datum.rank)]
+
+
+def _old_family_curves(datum, hams):
+    """The former ``probes.torus_curves_family``: one curve per block and direction."""
+    blocks = []
+    for h in hams:
+        if h.block not in blocks:
+            blocks.append(h.block)
+
+    def make(bi, j):
+        def curve(p, t):
+            taus = np.zeros((len(blocks), datum.rank))
+            taus[bi, j] = t
+            return moduli.moduli_torus_action(p, taus, hams, datum)
+        return curve
+    return [make(bi, j) for bi in range(len(blocks)) for j in range(datum.rank)]
+
+
+OLD_TORUS = {
+    "cotangent-compact-torus": (flows.cotangent_torus_action, "chamber"),
+    "cotangent-line-action": (flows.cotangent_torus_action, "translate"),
+    "heisenberg-compact-torus": (flows.heisenberg_torus_action, "dress"),
+    "heisenberg-line-action": (flows.heisenberg_torus_action, "translate"),
+    "double-first-family": (flows.double_torus_action, "first"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("key", probes.PRINCIPAL_POINT_KEYS)
+def test_crafted_generator_matrix_is_bit_equal_to_the_old_curves(key, n):
+    datum = liecore.build_root_datum(n)
+    pp = probes.principal_test_point(key, n, datum, np.random.default_rng(5))
+    if key in OLD_TORUS:
+        torus = _old_torus_curves(*OLD_TORUS[key], datum)
+    else:
+        torus = _old_family_curves(datum, pp.family)
+    symmetry = [lambda p, t, z=z: p.conjugate(scipy.linalg.expm(t * z))
+                for z in liecore.su_basis(n)]
+    old = probes.ActionSpec("old", tuple(symmetry + torus), len(symmetry) + len(torus))
+    assert pp.torus_dim == len(torus)
+    assert np.array_equal(probes.generator_matrix(pp.point, pp.action),
+                          probes.generator_matrix(pp.point, old))
 
 
 def test_unknown_crafted_key():

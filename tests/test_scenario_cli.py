@@ -10,7 +10,6 @@ from sunflows.scenario import (
     derived_rng,
     emit_report,
     export_trajectory,
-    parse_report,
     run_scenario,
 )
 
@@ -39,7 +38,7 @@ def test_reports_are_deterministic():
 
 def test_json_roundtrip_preserves_residuals():
     rep = run_scenario(small_config(checks=["iwasawa-roundtrip", "posdef-roundtrip"]))
-    data = parse_report(emit_report(rep, "json"))
+    data = json.loads(emit_report(rep, "json"))
     assert data["schema_version"] == "1"
     by_name = {c["name"]: c for c in data["checks"]}
     for c in rep.checks:
@@ -181,7 +180,10 @@ def test_cli_verify_flow_report(tmp_path, capsys):
     [{"name": "named-generator", "generator": "x"}],
     "abc",
     [{"name": "../../escape"}],
-], ids=["times-missing-keys", "generator-not-integer", "not-a-list", "name-escapes-out"])
+    [{"name": "a", "generator": 0}, {"name": "a", "generator": 2}],
+    [{"name": "flow-1"}, {}],
+], ids=["times-missing-keys", "generator-not-integer", "not-a-list", "name-escapes-out",
+        "repeated-name", "name-repeats-a-default-stem"])
 def test_cli_flow_rejects_malformed_flow_exports(tmp_path, capsys, flow_exports):
     """Malformed requests end in the flow-exports clause and exit 2, before any file is written."""
     work = tmp_path / "a" / "b"

@@ -8,10 +8,11 @@ them bit for bit.
 import numpy as np
 import pytest
 
-from sunflows import scenario
+from sunflows import decomp, liecore, scenario
 from sunflows.spaces import (
     FusionPoint,
     FusionSpace,
+    HeisenbergPoint,
     Point,
     random_cotangent_point,
     random_heisenberg_point,
@@ -124,3 +125,16 @@ def test_fusion_trajectory_header_labels_are_unchanged():
             old += [f"{name}_{i}{j}_{part}" for i in range(2) for j in range(2)
                     for part in ("re", "im")]
     assert labels == old
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_heisenberg_conjugate_is_the_quasi_adjoint_action(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = random_heisenberg_point(n, rng)
+        eta = liecore.random_group_element(n, rng)
+        # the former spaces.quasi_adjoint(eta, x)
+        f = x.factors()
+        twist = decomp.iwasawa_decompose(eta @ f.b_left).u_right
+        expected = HeisenbergPoint(eta @ x.x @ twist)
+        assert np.array_equal(x.conjugate(eta).flat(), expected.flat())

@@ -11,12 +11,7 @@ import scipy.linalg
 
 from sunflows import brackets, decomp, harness, liecore, observables as ob
 from sunflows.scenario import all_generators, flow_bracket_worst
-from sunflows.spaces import (
-    double_space,
-    moduli_space,
-    random_cotangent_point,
-    random_heisenberg_point,
-)
+from sunflows.spaces import double_space, moduli_space
 
 
 def _group_case(n, rng):
@@ -146,25 +141,3 @@ def test_momentum_condition_matrix_entries_are_pairwise_residuals(space, words):
     for i, f_obs in enumerate(obs):
         for j, kfn in enumerate(kfns):
             assert mat[i, j] == brackets.momentum_condition_residual(f_obs, kfn, x)
-
-
-def test_stencil_engines_refuse_richardson():
-    rich = brackets.DiffConfig(richardson=True)
-    rng = np.random.default_rng(19)
-    x = random_cotangent_point(2, rng)
-    for words, point in ((("g", "j"), x), (("a1", "b1"), double_space(2).random_point(rng)),
-                         (("x", "xh"), random_heisenberg_point(2, rng))):
-        f = ob.word_observable(words)
-        with pytest.raises(ValueError, match="Richardson"):
-            brackets.poisson_bracket(f, f, point, rich)
-    value = ob.PowerTrace(2).value
-    with pytest.raises(ValueError, match="Richardson"):
-        brackets.group_gradient_fd([value], x.g, "L", rich)
-    with pytest.raises(ValueError, match="Richardson"):
-        brackets.algebra_gradient_fd([ob.AlgebraPower(2).value], x.j, rich)
-    b = decomp.iwasawa_decompose(liecore.random_sl_element(2, rng)).b_right
-    with pytest.raises(ValueError, match="Richardson"):
-        brackets.borel_gradient_fd([ob.BorelPower(1).value], b, rich)
-    # the one engine that applies it still does
-    curve = lambda t: x.g @ scipy.linalg.expm(t * liecore.su_basis(2)[0])
-    assert np.isfinite(brackets.directional_derivative(value, curve, rich))
