@@ -6,7 +6,7 @@ Run me directly:  python demos/01_root_data_and_special_elements.py
 import numpy as np
 
 import sunflows as sf
-from sunflows import liecore, probes
+from sunflows import decomp, liecore, probes
 
 n = 4
 datum = sf.build_root_datum(n)
@@ -18,7 +18,7 @@ for j, h in enumerate(datum.coroots):
 
 print("\nfundamental coweights pair to the Kronecker delta against the roots:")
 for j, w in enumerate(datum.coweights):
-    vals = datum.simple_root_values(np.real(np.diag(w)))
+    vals = decomp.coroot_values(np.real(np.diag(w)))
     print(f"  w_{j + 1}: root values {np.round(vals, 12)}")
 
 print("\nthe rational expansion matrix inverts the transposed Cartan matrix exactly:")

@@ -1,7 +1,6 @@
 """Integrable flows, brackets and reduction probes on doubles of SU(n)."""
 
 from .brackets import (
-    DiffConfig,
     bracket_matrix,
     fusion_bracket,
     momentum_condition_matrix,

@@ -21,16 +21,18 @@ observable on a Heisenberg point go through one call of the
 finite-difference engine.  Those engines stay as the fallback and as the
 oracle the exact tables are tested against.
 
-Directional derivatives are seeded fourth-order central differences;
-gradients are assembled against cached dual bases, so no linear solve
-happens per call.  Every gradient engine, the finite-difference oracles
-included, takes a list of observables and evaluates all of them at each
-stencil point once.
+Directional derivatives are fourth-order central differences with one step
+per basis (``STEP``).  This module builds every finite-difference stencil:
+translations read one cached table of the powers of exp(hZ) per basis
+(``_steps``), and the additive directions are shifts.  The gradient engines,
+the finite-difference oracles and the differentials of ``probes`` all use
+them.  Gradients are assembled against cached dual bases, so no linear
+solve happens per call, and every engine takes a list of observables and
+evaluates all of them at each stencil point once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,22 +53,13 @@ from .liecore import (
 )
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
-
-@dataclass(frozen=True)
-class DiffConfig:
-    """Finite-difference step control for all derivative engines."""
-
-    h: float = 1e-3
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step must be positive")
-
-
-DEFAULT_DIFF = DiffConfig()
-
 # stencil offsets, in units of the step h
 _STEPS = (-2, -1, 1, 2)
+
+# the finite-difference step of each basis; the log-composed dressing
+# invariants on the Borel group carry more curvature, so their step is finer
+H = 1e-3
+STEP = {"su": H, "sl": H, "borel": 3e-4}
 
 
 def _central(values, h: float):
@@ -78,105 +71,143 @@ def _central(values, h: float):
     return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
 
 
-def directional_derivative(f, curve, cfg: DiffConfig = DEFAULT_DIFF, richardson: bool = False):
+def directional_derivative(f, curve, richardson: bool = False):
     """d/dt f(curve(t)) at t = 0 by central differences; f may be array-valued.
 
     With ``richardson`` the step-h and step-h/2 differences are combined to
     cancel the h^4 error term.
     """
-    base = _central([f(curve(k * cfg.h)) for k in _STEPS], cfg.h)
+    base = _central([f(curve(k * H)) for k in _STEPS], H)
     if not richardson:
         return base
-    half = cfg.h / 2
+    half = H / 2
     fine = _central([f(curve(k * half)) for k in _STEPS], half)
     return (16 * fine - base) / 15
 
 
 # ---------------------------------------------------------------------------
-# cached bases
+# stencils: the one place a finite-difference point is built
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _su_pair(n: int):
-    basis = su_basis(n)
-    return basis, dual_basis(basis, TRACE_FORM)
+def _basis(kind: str, n: int):
+    """(directions, dual) of the "su", "sl" or "borel" basis.
+
+    su and sl are dual under the trace and im forms.  A Borel derivative is
+    solved into su, so the "borel" dual is the inverse of the matrix
+    im-pair(borel_r, su_s).
+    """
+    if kind == "su":
+        basis = su_basis(n)
+        return basis, dual_basis(basis, TRACE_FORM)
+    if kind == "sl":
+        basis = sl_real_basis(n)
+        return basis, dual_basis(basis, IM_FORM)
+    basis = borel_basis(n)
+    return basis, np.linalg.inv(np.array([[pair(z, w, IM_FORM) for w in su_basis(n)]
+                                          for z in basis]))
+
 
 @lru_cache(maxsize=None)
-def _sl_pair(n: int):
-    basis = sl_real_basis(n)
-    return basis, dual_basis(basis, IM_FORM)
+def _steps(kind: str, n: int):
+    """exp(k h Z) for each direction Z of the basis and each offset k, h = STEP[kind].
 
-@lru_cache(maxsize=None)
-def _borel_to_su_inverse(n: int):
-    """Inverse of the matrix im-pair(borel_r, su_s), for Borel gradients."""
-    bb, kb = borel_basis(n), su_basis(n)
-    m = np.array([[pair(z, w, IM_FORM) for w in kb] for z in bb])
-    return np.linalg.inv(m)
-
-@lru_cache(maxsize=None)
-def _group_steps(n: int, h: float):
-    """exp(k h Z) for each su-basis direction Z and each stencil offset k."""
-    basis, dual = _su_pair(n)
+    The powers are products of exp(hZ) and its inverse, the adjoint on su.
+    """
     table = []
-    for z in basis:
-        e = scipy.linalg.expm(h * z)
-        ei = e.conj().T
+    for z in _basis(kind, n)[0]:
+        e = scipy.linalg.expm(STEP[kind] * z)
+        ei = e.conj().T if kind == "su" else np.linalg.inv(e)
         powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
         table.append([powers[k] for k in _STEPS])
-    return basis, dual, table
-
-@lru_cache(maxsize=None)
-def _sl_steps(n: int, h: float):
-    basis, dual = _sl_pair(n)
-    table = []
-    for z in basis:
-        e = scipy.linalg.expm(h * z)
-        em = np.linalg.inv(e)
-        powers = {1: e, -1: em, 2: e @ e, -2: em @ em}
-        table.append([powers[k] for k in _STEPS])
-    return basis, dual, table
+    return table
 
 
-@lru_cache(maxsize=None)
-def _expm_steps(basis: str, n: int, h: float):
-    """expm((k h) Z) for each direction Z of the "su" or "borel" basis and each offset k.
+def _translations(kind: str, m: np.ndarray, left: bool, wrap=lambda y: y):
+    """The stencil block (kind, n, stencils) of the translations of m by the table's powers.
 
-    These are the stencil points of the finite-difference oracles, computed as
-    their one-curve-per-call form did; unlike _group_steps, no power is squared.
+    Per direction, the stencil holds wrap(u m) (``left``) or wrap(m u) for
+    its powers u.
     """
-    directions = _su_pair(n)[0] if basis == "su" else borel_basis(n)
-    return [[scipy.linalg.expm((k * h) * z) for k in _STEPS] for z in directions]
+    n = m.shape[0]
+    return kind, n, ([wrap(u @ m if left else m @ u) for u in us] for us in _steps(kind, n))
 
 
-def _stencil_derivatives(obs_list, stencils, cfg: DiffConfig) -> np.ndarray:
+def _shifts(kind: str, m: np.ndarray, wrap=lambda y: y):
+    """The stencil block (kind, n, stencils) of the shifts of m: wrap(m + k h Z) per direction Z."""
+    n, h = m.shape[0], STEP[kind]
+    return kind, n, ([wrap(m + (k * h) * z) for k in _STEPS] for z in _basis(kind, n)[0])
+
+
+def _tangent_blocks(x, sides=("lmul", "rmul")):
+    """(key, stencil block) of each block of directions spanning the tangent space at x.
+
+    Every group slot is translated on each of ``sides`` ('lmul': u m, 'rmul':
+    m u), by su on fusion and cotangent points and by sl on the Heisenberg
+    double; a cotangent point has one left-translation block 'group' and the
+    fiber shifts 'fiber'.
+    """
+    if isinstance(x, CotangentPoint):
+        yield "group", _translations("su", x.g, True, lambda g: CotangentPoint(g, x.j))
+        yield "fiber", _shifts("su", x.j, lambda j: CotangentPoint(x.g, j))
+    elif isinstance(x, HeisenbergPoint):
+        for side in sides:
+            yield side, _translations("sl", x.x, side == "lmul", HeisenbergPoint)
+    elif isinstance(x, FusionPoint):
+        for slot in x.space.slots:
+            for side in sides:
+                yield (*slot, side), _translations(
+                    "su", x.slot(*slot), side == "lmul", lambda m, s=slot: x.with_slots({s: m}))
+    else:
+        raise UnsupportedBracket(f"no tangent stencils on points of type {type(x).__name__}")
+
+
+def _stencil_derivatives(obs_list, block) -> np.ndarray:
     """Central differences of each observable along each stencil, (directions, observables).
 
-    ``stencils`` yields, for each basis direction in order, the points at the
-    offsets _STEPS * h along it.  Every point is evaluated once for all
-    observables.
+    The block's stencils hold, for each basis direction in order, the points
+    at the offsets _STEPS * h along it.  Every point is evaluated once for
+    all observables.
     """
+    kind, _, stencils = block
     return np.array([
-        _central(np.array([[obs(p) for obs in obs_list] for p in points]), cfg.h)
+        _central(np.array([[obs(p) for obs in obs_list] for p in points]), STEP[kind])
         for points in stencils
     ])
 
 
-def _stencil_gradients(obs_list, stencils, dual, cfg: DiffConfig) -> list[np.ndarray]:
-    """Gradient of each observable from its values on per-direction stencils.
+def _stencil_gradients(obs_list, block) -> list[np.ndarray]:
+    """Gradient of each observable from its values on a stencil block.
 
     The central differences are summed against the dual basis one direction
     at a time, in basis order: a BLAS contraction would reorder the sum and
     change the last bits of every bracket.
     """
-    derivs = _stencil_derivatives(obs_list, stencils, cfg)
-    return [sum(d * e for d, e in zip(column, dual)) for column in derivs.T]
+    dual = _basis(*block[:2])[1]
+    return [sum(d * e for d, e in zip(column, dual))
+            for column in _stencil_derivatives(obs_list, block).T]
+
+
+def differentials(fns, x) -> np.ndarray:
+    """Rows: the derivative of each function along the left-translation and fiber basis at x."""
+    return np.concatenate([_stencil_derivatives(fns, block)
+                           for _, block in _tangent_blocks(x, ("lmul",))]).T
 
 
 # ---------------------------------------------------------------------------
 # gradients per geometry
 # ---------------------------------------------------------------------------
 
-def fusion_gradient_tables(obs_list, point: FusionPoint, cfg: DiffConfig = DEFAULT_DIFF):
+def _fd_tables(obs_list, x) -> list[dict]:
+    """Per observable, the gradient on every block of ``_tangent_blocks(x)``, by key."""
+    tables = [dict() for _ in obs_list]
+    for key, block in _tangent_blocks(x):
+        for tab, grad in zip(tables, _stencil_gradients(obs_list, block)):
+            tab[key] = grad
+    return tables
+
+
+def fusion_gradient_tables(obs_list, point: FusionPoint):
     """Per-letter translation gradients of each observable.
 
     Returns one dict per observable keyed by (factor, component, side) where
@@ -184,45 +215,21 @@ def fusion_gradient_tables(obs_list, point: FusionPoint, cfg: DiffConfig = DEFAU
     frame) and 'rmul' the right-multiplication derivative (the left-invariant
     frame).
     """
-    _, dual, table = _group_steps(point.n, cfg.h)
-    tables = [dict() for _ in obs_list]
-    for slot in point.space.slots:
-        m = point.slot(*slot)
-        for side in ("lmul", "rmul"):
-            stencils = ([point.with_slots({slot: u @ m if side == "lmul" else m @ u})
-                         for u in us] for us in table)
-            grads = _stencil_gradients(obs_list, stencils, dual, cfg)
-            for tab, grad in zip(tables, grads):
-                tab[(*slot, side)] = grad
-    return tables
+    return _fd_tables(obs_list, point)
 
 
-def cotangent_gradients(obs_list, point: CotangentPoint, cfg: DiffConfig = DEFAULT_DIFF):
+def cotangent_gradients(obs_list, point: CotangentPoint):
     """(group gradient, fiber gradient) of each observable at (g, J)."""
-    basis, dual, table = _group_steps(point.n, cfg.h)
-    group = _stencil_gradients(
-        obs_list, ([CotangentPoint(u @ point.g, point.j) for u in us] for us in table),
-        dual, cfg)
-    fiber = _stencil_gradients(
-        obs_list, ([CotangentPoint(point.g, point.j + k * cfg.h * z) for k in _STEPS]
-                   for z in basis),
-        dual, cfg)
-    return list(zip(group, fiber))
+    return [(t["group"], t["fiber"]) for t in _fd_tables(obs_list, point)]
 
 
-def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint,
-                                 cfg: DiffConfig = DEFAULT_DIFF):
+def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint):
     """Left and right complexified derivatives (DF, D'F) of each observable.
 
     Both are elements of the realified complex algebra, characterized by
     im-pair(Z, DF) = d/dt F(exp(tZ) X) and the right-sided analogue.
     """
-    _, dual, table = _sl_steps(point.n, cfg.h)
-    left = _stencil_gradients(
-        obs_list, ([HeisenbergPoint(u @ point.x) for u in us] for us in table), dual, cfg)
-    right = _stencil_gradients(
-        obs_list, ([HeisenbergPoint(point.x @ u) for u in us] for us in table), dual, cfg)
-    return list(zip(left, right))
+    return [(t["lmul"], t["rmul"]) for t in _fd_tables(obs_list, point)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +307,7 @@ def class_word_table(x, letters, grad: np.ndarray):
     return word_table(x, letters, cuts)
 
 
-def _gradients(obs_list, x, cfg: DiffConfig) -> list:
+def _gradients(obs_list, x) -> list:
     """Gradient of each observable at x in the form the geometry's contraction reads.
 
     On cotangent and fusion points an observable's own ``grad_table`` is
@@ -308,7 +315,7 @@ def _gradients(obs_list, x, cfg: DiffConfig) -> list:
     point, go through one call of the geometry's finite-difference engine.
     """
     if isinstance(x, HeisenbergPoint):
-        return heisenberg_derivatives_multi(obs_list, x, cfg)
+        return heisenberg_derivatives_multi(obs_list, x)
     if isinstance(x, FusionPoint):
         engine = fusion_gradient_tables
     elif isinstance(x, CotangentPoint):
@@ -318,7 +325,7 @@ def _gradients(obs_list, x, cfg: DiffConfig) -> list:
     grads = [o.grad_table(x) if hasattr(o, "grad_table") else None for o in obs_list]
     opaque = [i for i, g in enumerate(grads) if g is None]
     if opaque:
-        for i, g in zip(opaque, engine([obs_list[i] for i in opaque], x, cfg)):
+        for i, g in zip(opaque, engine([obs_list[i] for i in opaque], x)):
             grads[i] = g
     return grads
 
@@ -399,7 +406,7 @@ def _heisenberg_contraction(deriv_f, deriv_h, point: HeisenbergPoint) -> float:
 # the bracket and derived checks
 # ---------------------------------------------------------------------------
 
-def bracket_matrix(obs_list, gen_obs_list, x, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
     """Brackets {obs_list[i], gen_obs_list[j]} at x, as a matrix.
 
     Observables with a ``grad_table`` use it; one call of the geometry's
@@ -415,7 +422,7 @@ def bracket_matrix(obs_list, gen_obs_list, x, cfg: DiffConfig = DEFAULT_DIFF) ->
             index[id(o)] = len(everything)
             everything.append(o)
         cols.append(index[id(o)])
-    grads = _gradients(everything, x, cfg)
+    grads = _gradients(everything, x)
     if isinstance(x, FusionPoint):
         contract = fusion_bracket_from_tables
     elif isinstance(x, CotangentPoint):
@@ -429,37 +436,30 @@ def bracket_matrix(obs_list, gen_obs_list, x, cfg: DiffConfig = DEFAULT_DIFF) ->
     return out
 
 
-def poisson_bracket(f_obs, h_obs, point, cfg: DiffConfig = DEFAULT_DIFF) -> float:
+def poisson_bracket(f_obs, h_obs, point) -> float:
     """Bracket of two observables on any supported phase space."""
-    return float(bracket_matrix([f_obs], [h_obs], point, cfg)[0, 0])
+    return float(bracket_matrix([f_obs], [h_obs], point)[0, 0])
 
 
-def fusion_bracket(f_obs, h_obs, point: FusionPoint, cfg: DiffConfig = DEFAULT_DIFF) -> float:
+def fusion_bracket(f_obs, h_obs, point: FusionPoint) -> float:
     """Quasi-Poisson bracket of two observables on a fusion space."""
-    return poisson_bracket(f_obs, h_obs, point, cfg)
+    return poisson_bracket(f_obs, h_obs, point)
 
 
-def group_gradient_fd(fns, g: np.ndarray, side: str = "L",
-                      cfg: DiffConfig = DEFAULT_DIFF) -> list[np.ndarray]:
+def group_gradient_fd(fns, g: np.ndarray, side: str = "L") -> list[np.ndarray]:
     """Trace-form gradient of each scalar function in ``fns`` on SU(n) by differences.
 
     ``side`` "L" moves g to exp(tZ) g, "R" to g exp(tZ).
     """
-    n = g.shape[0]
-    table = _expm_steps("su", n, cfg.h)
-    stencils = ([u @ g if side == "L" else g @ u for u in us] for us in table)
-    return _stencil_gradients(fns, stencils, _su_pair(n)[1], cfg)
+    return _stencil_gradients(fns, _translations("su", g, side == "L"))
 
 
-def algebra_gradient_fd(fns, j_alg: np.ndarray,
-                        cfg: DiffConfig = DEFAULT_DIFF) -> list[np.ndarray]:
+def algebra_gradient_fd(fns, j_alg: np.ndarray) -> list[np.ndarray]:
     """Trace-form gradient of each scalar function in ``fns`` on su(n) by differences."""
-    basis, dual = _su_pair(j_alg.shape[0])
-    stencils = ([j_alg + (k * cfg.h) * z for k in _STEPS] for z in basis)
-    return _stencil_gradients(fns, stencils, dual, cfg)
+    return _stencil_gradients(fns, _shifts("su", j_alg))
 
 
-def borel_gradient_fd(fns, b: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> list[np.ndarray]:
+def borel_gradient_fd(fns, b: np.ndarray) -> list[np.ndarray]:
     """Algebra-valued dressing gradient of each function in ``fns`` on the Borel group.
 
     Solves im-pair(Z_r, W) = d/dt fn(exp(t Z_r) b) over a Borel basis.  Each
@@ -467,18 +467,16 @@ def borel_gradient_fd(fns, b: np.ndarray, cfg: DiffConfig = DEFAULT_DIFF) -> lis
     depend on which other functions share the call.
     """
     n = b.shape[0]
-    kb = su_basis(n)
-    stencils = ([u @ b for u in us] for us in _expm_steps("borel", n, cfg.h))
-    derivs = _stencil_derivatives(fns, stencils, cfg)
+    kb, inverse = su_basis(n), _basis("borel", n)[1]
+    derivs = _stencil_derivatives(fns, _translations("borel", b, True))
     out = []
     for column in derivs.T:
-        coeffs = _borel_to_su_inverse(n) @ np.ascontiguousarray(column)
+        coeffs = inverse @ np.ascontiguousarray(column)
         out.append(sum(coeffs[s] * kb[s] for s in range(len(kb))))
     return out
 
 
-def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint,
-                              cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray:
     """Defects of the momentum-map/bivector compatibility condition, as a matrix.
 
     Entry (i, j) compares the bracket of obs_list[i] with the momentum
@@ -488,10 +486,10 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint,
     it; one gradient-table call covers the others and every pullback.
     """
     pulled = [lambda x, k_fn=k_fn: k_fn(x.momentum()) for k_fn in k_fns]
-    tables = _gradients(list(obs_list) + pulled, point, cfg)
+    tables = _gradients(list(obs_list) + pulled, point)
     phi = point.momentum()
-    two_sided = [left + right for left, right in zip(group_gradient_fd(k_fns, phi, "L", cfg),
-                                                     group_gradient_fd(k_fns, phi, "R", cfg))]
+    two_sided = [left + right for left, right in zip(group_gradient_fd(k_fns, phi, "L"),
+                                                     group_gradient_fd(k_fns, phi, "R"))]
     rows = len(obs_list)
     out = np.zeros((rows, len(k_fns)))
     for i in range(rows):
@@ -502,7 +500,6 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint,
     return out
 
 
-def momentum_condition_residual(f_obs, k_fn, point: FusionPoint,
-                                cfg: DiffConfig = DEFAULT_DIFF) -> float:
+def momentum_condition_residual(f_obs, k_fn, point: FusionPoint) -> float:
     """The 1x1 case of ``momentum_condition_matrix``."""
-    return float(momentum_condition_matrix([f_obs], [k_fn], point, cfg)[0, 0])
+    return float(momentum_condition_matrix([f_obs], [k_fn], point)[0, 0])

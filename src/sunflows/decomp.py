@@ -215,14 +215,6 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
     return AlcoveData(spectrum=_read_only(xi), vectors=_read_only(z[:, perm]))
 
 
-def is_regular_group(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> bool:
-    try:
-        alcove_diagonalize(g, margin)
-        return True
-    except RegularityViolation:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # action variables and gradients
 # ---------------------------------------------------------------------------

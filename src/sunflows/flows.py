@@ -249,8 +249,7 @@ def sample_flow(x, flow_fn, times, conserved_fns=None) -> Trajectory:
     return Trajectory(times=times, points=points, conserved=report)
 
 
-def rk4_bracket_flow(x: FusionPoint, ham_obs, tau: float, steps: int = 16,
-                     cfg: brackets.DiffConfig = brackets.DEFAULT_DIFF) -> FusionPoint:
+def rk4_bracket_flow(x: FusionPoint, ham_obs, tau: float, steps: int = 16) -> FusionPoint:
     """Integrate the bracket-defined vector field; cross-check oracle only.
 
     The tangent vector at a point is assembled from brackets of the matrix
@@ -263,7 +262,7 @@ def rk4_bracket_flow(x: FusionPoint, ham_obs, tau: float, steps: int = 16,
         entry_obs = [lambda q, s=s, i=i, j=j, part=part: float(getattr(q.slot(*s)[i, j], part))
                      for s in p.space.slots for i in range(p.n) for j in range(p.n)
                      for part in ("real", "imag")]
-        vals = brackets.bracket_matrix(entry_obs, [ham_obs], p, cfg)[:, 0]
+        vals = brackets.bracket_matrix(entry_obs, [ham_obs], p)[:, 0]
         vel = (vals[0::2] + 1j * vals[1::2]).reshape(-1, p.n, p.n)
         return list(zip(p.space.slots, vel))
 

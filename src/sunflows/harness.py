@@ -10,6 +10,7 @@ checks are then written once against this interface.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,19 +285,38 @@ class HeisenbergHarness(Harness):
 # fusion spaces (double, sphere, moduli)
 # ---------------------------------------------------------------------------
 
+# the JSON shape of each family key: a list of indices, of [lo, hi] pairs or of
+# levels of pairs
+_FAMILY_SHAPES = {"single": "index", "commutators": "index", "intervals": "pair",
+                  "nested": "level", "commutator_ranges": "pair", "tails": "pair"}
+
+
+def _family_items(key: str, value, shape: str) -> tuple:
+    """``value`` as a tuple of items of ``shape``; clause family names what is wrong."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidShape(f"clause family: {key} entry {value!r} is not a list")
+    if shape == "index":
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in value):
+            raise InvalidShape(f"clause family: {key} entry {value!r} holds a non-integer index")
+        return tuple(value)
+    if shape == "pair":
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
+            raise InvalidShape(f"clause family: {key} entry {value!r} is not a list of "
+                               "[lo, hi] pairs")
+        return tuple(_family_items(key, p, "index") for p in value)
+    return tuple(_family_items(key, level, "pair") for level in value)
+
+
 def _family_from_config(space: FusionSpace, family) -> moduli.IntervalFamily:
     if isinstance(family, moduli.IntervalFamily):
         return family
-    if isinstance(family, dict):
-        return moduli.IntervalFamily(
-            single=tuple(family.get("single", ())),
-            commutators=tuple(family.get("commutators", ())),
-            intervals=tuple(tuple(iv) for iv in family.get("intervals", ())),
-            nested=tuple(tuple(tuple(iv) for iv in lvl) for lvl in family.get("nested", ())),
-            commutator_ranges=tuple(tuple(r) for r in family.get("commutator_ranges", ())),
-            tails=tuple(tuple(t) for t in family.get("tails", ())),
-        )
-    raise InvalidShape(f"cannot interpret family spec {family!r}")
+    if not isinstance(family, dict):
+        raise InvalidShape(f"clause family: cannot interpret family spec {family!r}")
+    unknown = set(family) - set(_FAMILY_SHAPES)
+    if unknown:
+        raise InvalidShape(f"clause family: unknown family keys {sorted(unknown)}")
+    return moduli.IntervalFamily(**{key: _family_items(key, value, _FAMILY_SHAPES[key])
+                                    for key, value in family.items()})
 
 
 def family_torus(hams, datum: RootDatum, family: str) -> TorusSpec:

@@ -220,10 +220,6 @@ class RootDatum:
     q_exact: tuple[tuple[Fraction, ...], ...]
     q_matrix: np.ndarray = field(repr=False)
 
-    def simple_root_values(self, xi: np.ndarray) -> np.ndarray:
-        """alpha_j(xi) for a real diagonal vector xi, j = 1..rank."""
-        xi = np.asarray(xi, dtype=float)
-        return xi[:-1] - xi[1:]
 
 def _exact_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Gauss-Jordan inverse in exact rational arithmetic."""

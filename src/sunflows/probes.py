@@ -160,12 +160,9 @@ def apposition_regular_group(n: int, rng: np.random.Generator, margin: float = 0
 
 def regular_torus_commutator_pair(n: int, rng: np.random.Generator):
     """Torus/Coxeter pair (A, B) with [A, B] in the alcove interior, A regular."""
-    for _ in range(64):
-        xi = alcove_interior(n, rng)
-        a, b = solve_commutator_in_torus(xi, n)
-        if decomp.is_regular_group(a, 0.05):
-            return a, b
-    raise Unsupported("could not sample a regular torus commutator pair")
+    return harness.sample_regular(
+        "torus commutator pair", 64, lambda: solve_commutator_in_torus(alcove_interior(n, rng), n),
+        lambda pair: decomp.alcove_diagonalize(pair[0], 0.05))
 
 
 def apposition_regular_algebra(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -316,28 +313,6 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
 # rank checks
 # ---------------------------------------------------------------------------
 
-def tangent_basis_curves(x):
-    """Curves spanning the tangent space at x (left translations, fiber shifts)."""
-    basis = su_basis(x.n)
-    curves = []
-    if isinstance(x, CotangentPoint):
-        for z in basis:
-            curves.append(lambda p, t, z=z: CotangentPoint(scipy.linalg.expm(t * z) @ p.g, p.j))
-        for z in basis:
-            curves.append(lambda p, t, z=z: CotangentPoint(p.g, p.j + t * z))
-    elif isinstance(x, HeisenbergPoint):
-        for z in liecore.sl_real_basis(x.n):
-            curves.append(lambda p, t, z=z: HeisenbergPoint(scipy.linalg.expm(t * z) @ p.x))
-    elif isinstance(x, FusionPoint):
-        for slot in x.space.slots:
-            for z in basis:
-                curves.append(lambda p, t, slot=slot, z=z:
-                              p.with_slots({slot: scipy.linalg.expm(t * z) @ p.slot(*slot)}))
-    else:
-        raise ShapeError(f"no tangent basis for {type(x).__name__}")
-    return curves
-
-
 @dataclass
 class RankReport:
     generator_rank: int
@@ -351,10 +326,7 @@ class RankReport:
 
 def differential_matrix(x, functions) -> np.ndarray:
     """Rows are the differentials of scalar functions along a tangent basis."""
-    values = lambda p: np.array([fn(p) for fn in functions])
-    cols = [brackets.directional_derivative(values, lambda t, c=curve: c(x, t))
-            for curve in tangent_basis_curves(x)]
-    return np.stack(cols, axis=1)
+    return brackets.differentials(functions, x)
 
 
 def rank_of(mat: np.ndarray, tol: float = SVD_KERNEL_TOL) -> tuple[int, np.ndarray]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sunflows import liecore
+from sunflows import decomp, liecore
 from sunflows.errors import DegenerateBasis, InvalidRank, ShapeError
 
 
@@ -42,7 +42,7 @@ def test_q_inverts_transposed_cartan_exactly(n):
 def test_coweights_dual_to_simple_roots(n):
     datum = liecore.build_root_datum(n)
     for j, w in enumerate(datum.coweights):
-        vals = datum.simple_root_values(np.real(np.diag(w)))
+        vals = decomp.coroot_values(np.real(np.diag(w)))
         expect = np.eye(datum.rank)[j]
         assert np.array_equal(vals, expect) or np.max(np.abs(vals - expect)) == 0.0
 

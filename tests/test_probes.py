@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sunflows import decomp, flows, liecore, moduli, probes
+from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
 from sunflows.errors import RegularityViolation, ShapeError, Unsupported
-from sunflows.spaces import double_space, moduli_point
+from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, double_space,
+                             moduli_point)
 
 
 def test_conjugation_stabilizer_of_regular_torus_point():
@@ -181,3 +182,67 @@ def test_torus_displacement_at_crafted_points():
         torus = probes.ActionSpec("t", pp.action.curves[n * n - 1:], pp.torus_dim)
         moved = torus.curves[0](pp.point, tau[0])
         assert moved.distance(pp.point) >= 1e-4
+
+
+def _old_tangent_curves(x):
+    """The former ``probes.tangent_basis_curves``: one ``expm`` per stencil offset."""
+    basis = liecore.su_basis(x.n)
+    if isinstance(x, CotangentPoint):
+        return ([lambda p, t, z=z: CotangentPoint(scipy.linalg.expm(t * z) @ p.g, p.j)
+                 for z in basis]
+                + [lambda p, t, z=z: CotangentPoint(p.g, p.j + t * z) for z in basis])
+    if isinstance(x, HeisenbergPoint):
+        return [lambda p, t, z=z: HeisenbergPoint(scipy.linalg.expm(t * z) @ p.x)
+                for z in liecore.sl_real_basis(x.n)]
+    return [lambda p, t, slot=slot, z=z:
+            p.with_slots({slot: scipy.linalg.expm(t * z) @ p.slot(*slot)})
+            for slot in x.space.slots for z in basis]
+
+
+def _old_differential_matrix(x, functions):
+    values = lambda p: np.array([fn(p) for fn in functions])
+    cols = [brackets.directional_derivative(values, lambda t, c=curve: c(x, t))
+            for curve in _old_tangent_curves(x)]
+    return np.stack(cols, axis=1)
+
+
+DIFFERENTIAL_HARNESSES = [
+    dict(space="cotangent"), dict(space="heisenberg"), dict(space="double", family="h"),
+    dict(space="double", family="htilde"), dict(space="sphere4"),
+    dict(space="moduli", m=2, holes=2,
+         family={"single": [1], "commutators": [2], "intervals": [[1, 2]]}),
+]
+
+
+def _assert_same_rank(x, functions):
+    new, old = probes.differential_matrix(x, functions), _old_differential_matrix(x, functions)
+    assert new.shape == old.shape
+    assert probes.rank_of(new)[0] == probes.rank_of(old)[0]
+    assert np.allclose(new, old, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kw", DIFFERENTIAL_HARNESSES, ids=lambda kw: kw["space"] + str(
+    kw.get("family", "")).replace(" ", ""))
+def test_differential_matrix_rank_equals_the_old_expm_curves_at_harness_points(kw, n):
+    h = harness.build_harness(n=n, datum=liecore.build_root_datum(n), **kw)
+    rng = np.random.default_rng(70 + n)
+    fns = [g.obs for fam in h.families().values() for g in fam]
+    for _ in range(2):
+        x = h.sample(rng)
+        _assert_same_rank(x, fns)
+        _assert_same_rank(x, h.probes())
+
+
+CRAFTED_PROBES = {CotangentPoint: "cotangent", HeisenbergPoint: "heisenberg",
+                  FusionPoint: "double"}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("key", probes.PRINCIPAL_POINT_KEYS)
+def test_differential_matrix_rank_equals_the_old_expm_curves_at_crafted_points(key, n):
+    datum = liecore.build_root_datum(n)
+    pp = probes.principal_test_point(key, n, datum, np.random.default_rng(5))
+    fns = pp.family or harness.build_harness(
+        CRAFTED_PROBES[type(pp.point)], n, datum).probes()
+    _assert_same_rank(pp.point, fns)

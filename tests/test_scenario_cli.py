@@ -101,6 +101,46 @@ def test_config_validation_checks_clause(checks):
     assert "clause checks" in _rejected_clause({"checks": checks})
 
 
+@pytest.mark.parametrize("root", [[], 3, "double", None])
+def test_cli_rejects_a_config_root_that_is_not_an_object(tmp_path, capsys, root):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(root))
+    assert cli.main(["verify", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: clause config-root")
+
+
+@pytest.mark.parametrize("family", [
+    {"single": [1], "interval": [[1, 2]]},
+    {"single": [1.5]},
+    {"single": [True]},
+    {"intervals": [[1, 2, 3]]},
+    {"nested": [[1, 2]]},
+], ids=["misspelled-key", "float-index", "bool-index", "interval-triple", "nested-level-of-ints"])
+def test_cli_rejects_malformed_family_specs(tmp_path, capsys, family):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"space": "moduli", "n": 2, "m": 2, "holes": 2,
+                                    "family": family, "checks": ["root-datum-exact"]}))
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: clause family")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("checks", [["dual-basis", "dual-basis"],
+                                    ["dual-basis", "no-such-check"]],
+                         ids=["repeated", "unknown-after-a-known-one"])
+def test_cli_rejects_check_lists_before_any_check_runs(tmp_path, capsys, monkeypatch, checks):
+    from sunflows import scenario
+    ran = []
+    monkeypatch.setitem(scenario.BASE_CHECKS, "dual-basis", lambda ctx: ran.append(ctx))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"space": "double", "n": 2, "checks": checks}))
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: clause checks")
+    assert ran == [] and not out.exists()
+
+
 def test_derived_rngs_differ_by_name():
     a = derived_rng(1, "x").standard_normal(4)
     b = derived_rng(1, "y").standard_normal(4)

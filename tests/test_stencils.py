@@ -1,8 +1,10 @@
-"""Shared finite-difference stencils: every point is built and evaluated once.
+"""Shared finite-difference stencils: one table, every point built and evaluated once.
 
-The list forms of the gradient oracles, the per-generator flow derivatives
-of ``flow_bracket_worst`` and ``momentum_condition_matrix`` must give exactly
-(bit for bit) what one call per observable gives, so report bodies do not move.
+Every stencil point comes from ``brackets._steps`` (powers of exp(hZ)) or an
+additive shift.  The list forms of the gradient oracles, the per-generator
+flow derivatives of ``flow_bracket_worst`` and ``momentum_condition_matrix``
+must give exactly (bit for bit) what one call per observable, built from
+that table, gives, so report bodies do not move.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import scipy.linalg
 
 from sunflows import brackets, decomp, harness, liecore, observables as ob
 from sunflows.scenario import all_generators, flow_bracket_worst
-from sunflows.spaces import double_space, moduli_space
+from sunflows.spaces import CotangentPoint, double_space, moduli_space
 
 
 def _group_case(n, rng):
@@ -37,16 +39,11 @@ def _borel_case(n, rng):
     return b, [ob.BorelPower(1), ob.BorelPower(2), ob.BorelChamberCoroot(0, datum)]
 
 
-def _group_reference(fn, g, side, cfg):
-    """The one-curve-per-direction oracle: expm(t Z) rebuilt at every stencil offset."""
-    basis, dual = brackets._su_pair(g.shape[0])
-    out = np.zeros(g.shape, dtype=complex)
-    for z, e in zip(basis, dual):
-        def curve(t, z=z):
-            u = scipy.linalg.expm(t * z)
-            return u @ g if side == "L" else g @ u
-        out += brackets.directional_derivative(fn, curve, cfg) * e
-    return out
+def _reference(fn, m, kind, left=True):
+    """One function's derivatives along every direction, from the rows of ``_steps``."""
+    return np.array([brackets._central([fn(u @ m if left else m @ u) for u in row],
+                                       brackets.STEP[kind])
+                     for row in brackets._steps(kind, m.shape[0])])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -58,8 +55,11 @@ def test_group_oracle_list_equals_single_calls(n, side):
     assert len(together) == len(fns)
     for value, grad in zip(values, together):
         single, = brackets.group_gradient_fd([value], g, side)
+        reference = np.zeros((n, n), dtype=complex)
+        for d, e in zip(_reference(value, g, "su", side == "L"), brackets._basis("su", n)[1]):
+            reference += d * e
         assert np.array_equal(grad, single)
-        assert np.array_equal(grad, _group_reference(value, g, side, brackets.DEFAULT_DIFF))
+        assert np.array_equal(grad, reference)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -67,7 +67,7 @@ def test_algebra_oracle_list_equals_single_calls(n):
     j_alg, fns = _algebra_case(n, np.random.default_rng(200 + n))
     values = [fn.value for fn in fns]
     together = brackets.algebra_gradient_fd(values, j_alg)
-    basis, dual = brackets._su_pair(n)
+    basis, dual = brackets._basis("su", n)
     for value, grad in zip(values, together):
         single, = brackets.algebra_gradient_fd([value], j_alg)
         reference = np.zeros((n, n), dtype=complex)
@@ -81,32 +81,48 @@ def test_algebra_oracle_list_equals_single_calls(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_borel_oracle_list_equals_single_calls(n):
     b, fns = _borel_case(n, np.random.default_rng(300 + n))
-    cfg = brackets.DiffConfig(h=3e-4)
     values = [fn.value for fn in fns]
-    together = brackets.borel_gradient_fd(values, b, cfg)
+    together = brackets.borel_gradient_fd(values, b)
     kb = liecore.su_basis(n)
     for value, grad in zip(values, together):
-        single, = brackets.borel_gradient_fd([value], b, cfg)
-        derivs = np.array([
-            brackets.directional_derivative(
-                value, lambda t, z=z: scipy.linalg.expm(t * z) @ b, cfg)
-            for z in liecore.borel_basis(n)])
-        coeffs = brackets._borel_to_su_inverse(n) @ derivs
+        single, = brackets.borel_gradient_fd([value], b)
+        coeffs = brackets._basis("borel", n)[1] @ _reference(value, b, "borel")
         reference = sum(coeffs[s] * kb[s] for s in range(len(kb)))
         assert np.array_equal(grad, single)
         assert np.array_equal(grad, reference)
 
 
-@pytest.mark.parametrize("basis", ["su", "borel"])
-@pytest.mark.parametrize("h", [1e-3, 3e-4])
-def test_oracle_table_entries_are_expm_at_each_offset(basis, h):
-    n = 3
-    directions = liecore.su_basis(n) if basis == "su" else liecore.borel_basis(n)
-    table = brackets._expm_steps(basis, n, h)
+@pytest.mark.parametrize("kind", ["su", "sl", "borel"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_step_table_entries_are_powers_of_expm(kind, n):
+    directions = {"su": liecore.su_basis, "sl": liecore.sl_real_basis,
+                  "borel": liecore.borel_basis}[kind](n)
+    table = brackets._steps(kind, n)
+    h = brackets.STEP[kind]
     assert len(table) == len(directions)
     for z, row in zip(directions, table):
+        e = scipy.linalg.expm(h * z)
+        ei = e.conj().T if kind == "su" else np.linalg.inv(e)
+        powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
         for k, u in zip(brackets._STEPS, row):
-            assert np.array_equal(u, scipy.linalg.expm((k * h) * z))
+            assert np.array_equal(u, powers[k])
+            assert np.allclose(u, scipy.linalg.expm((k * h) * z), rtol=0, atol=1e-14)
+
+
+def test_engines_oracles_and_differentials_share_the_table():
+    """The cotangent engine's group gradient is the group oracle's, bit for bit, and the
+    differential matrix holds the same central differences along the same stencils."""
+    n = 3
+    x = harness.build_harness("cotangent", n, liecore.build_root_datum(n)).sample(
+        np.random.default_rng(19))
+    obs = ob.word_observable(("g", "j", "j"))
+    on_group = lambda g: obs(CotangentPoint(g, x.j))
+    (group, fiber), = brackets.cotangent_gradients([obs], x)
+    assert np.array_equal(group, brackets.group_gradient_fd([on_group], x.g, "L")[0])
+    assert np.array_equal(fiber, brackets.algebra_gradient_fd(
+        [lambda j: obs(CotangentPoint(x.g, j))], x.j)[0])
+    row, = brackets.differentials([obs], x)
+    assert np.array_equal(row[:n * n - 1], _reference(on_group, x.g, "su"))
 
 
 def _per_probe_worst(x, gens, obs):
