@@ -22,13 +22,21 @@ finite-difference engine.  Those engines stay as the fallback and as the
 oracle the exact tables are tested against.
 
 Directional derivatives are fourth-order central differences with one step
-per basis (``STEP``).  This module builds every finite-difference stencil:
-translations read one cached table of the powers of exp(hZ) per basis
-(``_steps``), and the additive directions are shifts.  The gradient engines,
-the finite-difference oracles and the differentials of ``probes`` all use
-them.  Gradients are assembled against cached dual bases, so no linear
-solve happens per call, and every engine takes a list of observables and
-evaluates all of them at each stencil point once.
+per basis (``STEP``).  This module builds every finite-difference stencil,
+one basis block at a time, as one (directions, offsets, n, n) stack:
+translations multiply one cached array of the powers of exp(hZ) per basis
+(``_steps``), and the additive directions are shifts m + k h Z.  The
+gradient engines, the finite-difference oracles and the differentials of
+``probes`` all use them.  Gradients are assembled against cached dual bases,
+so no linear solve happens per call.
+
+The engines wrap each stencil matrix into a point and evaluate every
+observable there, each point built once for all of them.  The oracles
+(``group_gradient_fd``, ``algebra_gradient_fd``, ``borel_gradient_fd``)
+hand the whole stack to a function's ``values`` when it has one (the
+closed-form class, algebra and Borel families), so a block costs one
+stacked eigenvalue solve instead of one normal form per stencil point;
+opaque callables are still evaluated one stencil matrix at a time.
 """
 
 from __future__ import annotations
@@ -53,8 +61,9 @@ from .liecore import (
 )
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
-# stencil offsets, in units of the step h
+# stencil offsets, in units of the step h, and as an array (offsets, 1, 1)
 _STEPS = (-2, -1, 1, 2)
+_OFFSETS = np.array(_STEPS)[:, np.newaxis, np.newaxis]
 
 # the finite-difference step of each basis; the log-composed dressing
 # invariants on the Borel group carry more curvature, so their step is finer
@@ -109,10 +118,11 @@ def _basis(kind: str, n: int):
 
 
 @lru_cache(maxsize=None)
-def _steps(kind: str, n: int):
+def _steps(kind: str, n: int) -> np.ndarray:
     """exp(k h Z) for each direction Z of the basis and each offset k, h = STEP[kind].
 
-    The powers are products of exp(hZ) and its inverse, the adjoint on su.
+    One read-only (directions, offsets, n, n) array.  The powers are products
+    of exp(hZ) and its inverse, the adjoint on su.
     """
     table = []
     for z in _basis(kind, n)[0]:
@@ -120,23 +130,22 @@ def _steps(kind: str, n: int):
         ei = e.conj().T if kind == "su" else np.linalg.inv(e)
         powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
         table.append([powers[k] for k in _STEPS])
+    table = np.array(table)
+    table.flags.writeable = False
     return table
 
 
-def _translations(kind: str, m: np.ndarray, left: bool, wrap=lambda y: y):
-    """The stencil block (kind, n, stencils) of the translations of m by the table's powers.
-
-    Per direction, the stencil holds wrap(u m) (``left``) or wrap(m u) for
-    its powers u.
-    """
-    n = m.shape[0]
-    return kind, n, ([wrap(u @ m if left else m @ u) for u in us] for us in _steps(kind, n))
+def _translations(kind: str, m: np.ndarray, left: bool) -> np.ndarray:
+    """The stencil stack (directions, offsets, n, n) of the translations u m (``left``)
+    or m u of m by the table's powers u."""
+    steps = _steps(kind, m.shape[0])
+    return steps @ m if left else m @ steps
 
 
-def _shifts(kind: str, m: np.ndarray, wrap=lambda y: y):
-    """The stencil block (kind, n, stencils) of the shifts of m: wrap(m + k h Z) per direction Z."""
-    n, h = m.shape[0], STEP[kind]
-    return kind, n, ([wrap(m + (k * h) * z) for k in _STEPS] for z in _basis(kind, n)[0])
+def _shifts(kind: str, m: np.ndarray) -> np.ndarray:
+    """The stencil stack (directions, offsets, n, n) of the shifts m + k h Z."""
+    directions = np.array(_basis(kind, m.shape[0])[0])[:, np.newaxis]
+    return m + (_OFFSETS * STEP[kind]) * directions
 
 
 def _tangent_blocks(x, sides=("lmul", "rmul")):
@@ -145,47 +154,62 @@ def _tangent_blocks(x, sides=("lmul", "rmul")):
     Every group slot is translated on each of ``sides`` ('lmul': u m, 'rmul':
     m u), by su on fusion and cotangent points and by sl on the Heisenberg
     double; a cotangent point has one left-translation block 'group' and the
-    fiber shifts 'fiber'.
+    fiber shifts 'fiber'.  A block is (kind, stack, wrap): wrap turns a
+    matrix of the stack into the point the observables read.
     """
     if isinstance(x, CotangentPoint):
-        yield "group", _translations("su", x.g, True, lambda g: CotangentPoint(g, x.j))
-        yield "fiber", _shifts("su", x.j, lambda j: CotangentPoint(x.g, j))
+        yield "group", ("su", _translations("su", x.g, True), lambda g: CotangentPoint(g, x.j))
+        yield "fiber", ("su", _shifts("su", x.j), lambda j: CotangentPoint(x.g, j))
     elif isinstance(x, HeisenbergPoint):
         for side in sides:
-            yield side, _translations("sl", x.x, side == "lmul", HeisenbergPoint)
+            yield side, ("sl", _translations("sl", x.x, side == "lmul"), HeisenbergPoint)
     elif isinstance(x, FusionPoint):
         for slot in x.space.slots:
             for side in sides:
-                yield (*slot, side), _translations(
-                    "su", x.slot(*slot), side == "lmul", lambda m, s=slot: x.with_slots({s: m}))
+                yield (*slot, side), ("su", _translations("su", x.slot(*slot), side == "lmul"),
+                                      lambda m, s=slot: x.with_slots({s: m}))
     else:
         raise UnsupportedBracket(f"no tangent stencils on points of type {type(x).__name__}")
 
 
-def _stencil_derivatives(obs_list, block) -> np.ndarray:
-    """Central differences of each observable along each stencil, (directions, observables).
+def _stencil_derivatives(fns, block) -> np.ndarray:
+    """Central differences of each function along each stencil, (directions, functions).
 
-    The block's stencils hold, for each basis direction in order, the points
-    at the offsets _STEPS * h along it.  Every point is evaluated once for
-    all observables.
+    ``block`` is (kind, stack, wrap): stack[d, i] is the matrix at offset
+    _STEPS[i] * h along basis direction d.  With a ``wrap`` the functions are
+    observables of the points wrap(stack[d, i]), each point built once for
+    all of them.  Without one they read the matrices themselves: a function
+    with ``values`` evaluates the whole stack in one call, and any other
+    callable is called on one matrix at a time.
     """
-    kind, _, stencils = block
-    return np.array([
-        _central(np.array([[obs(p) for obs in obs_list] for p in points]), STEP[kind])
-        for points in stencils
-    ])
+    kind, stack, wrap = block
+    values = np.empty((len(fns),) + stack.shape[:2])
+    pointwise = []
+    for i, fn in enumerate(fns):
+        if wrap is None and hasattr(fn, "values"):
+            values[i] = fn.values(stack)
+        else:
+            pointwise.append(i)
+    if pointwise:
+        for d, row in enumerate(stack):
+            for k, m in enumerate(row):
+                p = m if wrap is None else wrap(m)
+                for i in pointwise:
+                    values[i, d, k] = fns[i](p)
+    return _central(np.moveaxis(values, -1, 0), STEP[kind]).T
 
 
-def _stencil_gradients(obs_list, block) -> list[np.ndarray]:
-    """Gradient of each observable from its values on a stencil block.
+def _stencil_gradients(fns, block) -> list[np.ndarray]:
+    """Gradient of each function from its values on a stencil block.
 
     The central differences are summed against the dual basis one direction
     at a time, in basis order: a BLAS contraction would reorder the sum and
     change the last bits of every bracket.
     """
-    dual = _basis(*block[:2])[1]
+    kind, stack, _ = block
+    dual = _basis(kind, stack.shape[-1])[1]
     return [sum(d * e for d, e in zip(column, dual))
-            for column in _stencil_derivatives(obs_list, block).T]
+            for column in _stencil_derivatives(fns, block).T]
 
 
 def differentials(fns, x) -> np.ndarray:
@@ -449,26 +473,32 @@ def fusion_bracket(f_obs, h_obs, point: FusionPoint) -> float:
 def group_gradient_fd(fns, g: np.ndarray, side: str = "L") -> list[np.ndarray]:
     """Trace-form gradient of each scalar function in ``fns`` on SU(n) by differences.
 
-    ``side`` "L" moves g to exp(tZ) g, "R" to g exp(tZ).
+    ``side`` "L" moves g to exp(tZ) g, "R" to g exp(tZ).  A function is a
+    ClassFunction, whose ``values`` reads the whole stencil stack, or any
+    callable of one matrix.
     """
-    return _stencil_gradients(fns, _translations("su", g, side == "L"))
+    return _stencil_gradients(fns, ("su", _translations("su", g, side == "L"), None))
 
 
 def algebra_gradient_fd(fns, j_alg: np.ndarray) -> list[np.ndarray]:
-    """Trace-form gradient of each scalar function in ``fns`` on su(n) by differences."""
-    return _stencil_gradients(fns, _shifts("su", j_alg))
+    """Trace-form gradient of each scalar function in ``fns`` on su(n) by differences.
+
+    A function is an AlgebraFunction or any callable of one matrix.
+    """
+    return _stencil_gradients(fns, ("su", _shifts("su", j_alg), None))
 
 
 def borel_gradient_fd(fns, b: np.ndarray) -> list[np.ndarray]:
     """Algebra-valued dressing gradient of each function in ``fns`` on the Borel group.
 
-    Solves im-pair(Z_r, W) = d/dt fn(exp(t Z_r) b) over a Borel basis.  Each
+    Solves im-pair(Z_r, W) = d/dt fn(exp(t Z_r) b) over a Borel basis.  A
+    function is a BorelFunction or any callable of one matrix.  Each
     function gets its own matrix-vector product, so its gradient does not
     depend on which other functions share the call.
     """
     n = b.shape[0]
     kb, inverse = su_basis(n), _basis("borel", n)[1]
-    derivs = _stencil_derivatives(fns, _translations("borel", b, True))
+    derivs = _stencil_derivatives(fns, ("borel", _translations("borel", b, True), None))
     out = []
     for column in derivs.T:
         coeffs = inverse @ np.ascontiguousarray(column)

@@ -9,9 +9,13 @@ and all downstream formulas only use Q^-1 t Q with t diagonal (the normal
 form's ``transport``), so the residual torus ambiguity of the frame never
 leaks into results.
 
-The four normal-form kernels remember their last few results, keyed on the
+The normal-form kernels remember their last few results, keyed on the
 exact input, because flows and finite-difference stencils hand them the same
-matrix many times in a row.  Their results hold read-only arrays.
+matrix many times in a row.  Their results hold read-only arrays.  The
+spectra of whole stacks of matrices (``alcove_spectra``, ``chamber_spectra``,
+``borel_chamber_spectra``) come from one eigenvalue solve per stack, with the
+same phase normalization and the same regularity and positivity checks,
+applied to every matrix, as the one-matrix kernels.
 """
 
 from __future__ import annotations
@@ -138,14 +142,39 @@ def _frame(vectors: np.ndarray) -> np.ndarray:
     return _read_only(_det_correct(_fix_phases(vectors)).conj().T)
 
 
+def _require_gaps(gaps: np.ndarray, margin: float, message: str) -> None:
+    """Raise RegularityViolation when any gap, of any matrix of a stack, is below the margin.
+
+    ``message`` is formatted with the smallest gap and the margin.
+    """
+    if gaps.size and gaps.min() < margin:
+        raise RegularityViolation(message.format(gaps.min(), margin))
+
+
+_CHAMBER_GAP = "eigenvalue gap {:.3e} below margin {:.1e}"
+_ALCOVE_WALL = "alcove wall margin {:.3e} below {:.1e}"
+
+
+def _require_finite(p: np.ndarray) -> None:
+    """Raise NotPositiveDefinite when b b^H (a matrix or a stack) has a non-finite entry."""
+    if not np.all(np.isfinite(p)):
+        raise NotPositiveDefinite("b b^H has non-finite entries")
+
+
+def _require_positive(vals: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless every increasing spectrum on the last axis
+    starts with a positive eigenvalue."""
+    smallest = vals[..., 0].min()
+    if not smallest > 0:
+        raise NotPositiveDefinite(f"smallest eigenvalue {smallest:.3e} of b b^H is not positive")
+
+
 def _chamber_data(vals: np.ndarray, vecs: np.ndarray, margin: float) -> ChamberData:
     """Chamber data from a decreasing spectrum and its eigenvector columns.
 
     Rejects gaps below the margin.
     """
-    gaps = vals[:-1] - vals[1:]
-    if gaps.size and gaps.min() < margin:
-        raise RegularityViolation(f"eigenvalue gap {gaps.min():.3e} below margin {margin:.1e}")
+    _require_gaps(coroot_values(vals), margin, _CHAMBER_GAP)
     return ChamberData(spectrum=_read_only(vals.astype(float)), vectors=_read_only(vecs))
 
 
@@ -172,30 +201,37 @@ def borel_chamber_diagonalize(b: np.ndarray,
     that is not positive, and RegularityViolation as chamber_diagonalize.
     """
     p = posdef_of_borel(b)
-    if not np.all(np.isfinite(p)):
-        raise NotPositiveDefinite("b b^H has non-finite entries")
+    _require_finite(p)
     vals, vecs = np.linalg.eigh(p)
-    if not vals[0] > 0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.3e} of b b^H is not positive")
+    _require_positive(vals)
     return _chamber_data(np.log(vals[::-1]), vecs[:, ::-1], margin)
 
 
-def alcove_phases(thetas: np.ndarray) -> np.ndarray:
-    """Unique alcove representative of a set of eigenphases.
+def alcove_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique alcove representative of each set of eigenphases on the last axis.
 
     The input phases live in [0, 2*pi) and sum to 2*pi*s for an integer s.
     Sorting them decreasingly, subtracting 2*pi from the s largest and moving
     those to the tail yields the decreasing, zero-sum vector of range < 2*pi.
-    Returns the phase vector together with the argsort order used.
+    Returns the phase vectors together with the argsort orders used.
     """
     thetas = np.mod(np.asarray(thetas, dtype=float), 2 * np.pi)
-    order = np.argsort(-thetas, kind="stable")
-    sorted_phases = thetas[order]
-    s = int(np.round(sorted_phases.sum() / (2 * np.pi)))
-    xi = np.concatenate([sorted_phases[s:], sorted_phases[:s] - 2 * np.pi])
-    perm = np.concatenate([order[s:], order[:s]])
-    xi = xi - xi.mean()  # remove rounding drift in the zero-sum constraint
+    order = np.argsort(-thetas, axis=-1, kind="stable")
+    sorted_phases = np.take_along_axis(thetas, order, axis=-1)
+    s = np.round(sorted_phases.sum(axis=-1, keepdims=True) / (2 * np.pi)).astype(int)
+    ranks = np.arange(thetas.shape[-1])
+    wrapped = np.where(ranks < s, sorted_phases - 2 * np.pi, sorted_phases)
+    # rotate each row left by its s, so its s wrapped phases move to the tail
+    rotation = (ranks + s) % thetas.shape[-1]
+    xi = np.take_along_axis(wrapped, rotation, axis=-1)
+    perm = np.take_along_axis(order, rotation, axis=-1)
+    xi = xi - xi.mean(axis=-1, keepdims=True)  # remove rounding drift in the zero-sum constraint
     return xi, perm
+
+
+def _alcove_walls(xi: np.ndarray) -> np.ndarray:
+    """Distances of each alcove vector on the last axis to the alcove walls."""
+    return np.concatenate([coroot_values(xi), 2 * np.pi - (xi[..., :1] - xi[..., -1:])], axis=-1)
 
 
 @_memoized
@@ -207,12 +243,55 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
     when the point is within ``margin`` of an alcove wall.
     """
     t, z = scipy.linalg.schur(g, output="complex")
-    thetas = np.angle(np.diag(t))
-    xi, perm = alcove_phases(thetas)
-    walls = np.concatenate([xi[:-1] - xi[1:], [2 * np.pi - (xi[0] - xi[-1])]])
-    if walls.min() < margin:
-        raise RegularityViolation(f"alcove wall margin {walls.min():.3e} below {margin:.1e}")
+    xi, perm = alcove_phases(np.angle(np.diag(t)))
+    _require_gaps(_alcove_walls(xi), margin, _ALCOVE_WALL)
     return AlcoveData(spectrum=_read_only(xi), vectors=_read_only(z[:, perm]))
+
+
+# ---------------------------------------------------------------------------
+# spectra of stacks: one eigenvalue solve for a whole (..., n, n) stack
+# ---------------------------------------------------------------------------
+
+@_memoized
+def alcove_spectra(gs: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
+    """Alcove phase vectors (..., n) of a stack of special unitary matrices.
+
+    The spectra of alcove_diagonalize, without frames.  Raises
+    RegularityViolation when any matrix of the stack is within ``margin``
+    of an alcove wall.
+    """
+    xi, _ = alcove_phases(np.angle(np.linalg.eigvals(gs)))
+    _require_gaps(_alcove_walls(xi), margin, _ALCOVE_WALL)
+    return _read_only(xi)
+
+
+@_memoized
+def chamber_spectra(js: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
+    """Decreasing chamber spectra (..., n) of a stack of anti-Hermitian traceless matrices.
+
+    The spectra of chamber_diagonalize.  Raises RegularityViolation when a
+    gap of any matrix of the stack falls below the margin.
+    """
+    xi = np.linalg.eigvalsh(-1j * js)[..., ::-1]
+    _require_gaps(coroot_values(xi), margin, _CHAMBER_GAP)
+    return _read_only(xi)
+
+
+@_memoized
+def borel_chamber_spectra(bs: np.ndarray,
+                          margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
+    """Decreasing chamber spectra (..., n) of i log(b b^H) for a stack of Borel elements.
+
+    The spectra of borel_chamber_diagonalize, with its finiteness,
+    positivity and gap checks applied to every matrix of the stack.
+    """
+    p = posdef_of_borel(bs)
+    _require_finite(p)
+    vals = np.linalg.eigvalsh(p)
+    _require_positive(vals)
+    xi = np.log(vals[..., ::-1])
+    _require_gaps(coroot_values(xi), margin, _CHAMBER_GAP)
+    return _read_only(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +299,16 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
 # ---------------------------------------------------------------------------
 
 def coroot_values(xi: np.ndarray) -> np.ndarray:
-    """Pairings of the spectrum with the simple coroots: xi_j - xi_(j+1)."""
+    """Pairings of the spectra on the last axis with the simple coroots: xi_j - xi_(j+1)."""
     xi = np.asarray(xi, dtype=float)
-    return xi[:-1] - xi[1:]
+    return xi[..., :-1] - xi[..., 1:]
 
 
 def coweight_values(xi: np.ndarray, datum: RootDatum) -> np.ndarray:
-    """Pairings of the spectrum with the fundamental coweights."""
+    """Pairings of the spectra on the last axis with the fundamental coweights."""
     xi = np.asarray(xi, dtype=float)
-    return np.array([float(np.real(np.sum(np.diag(w) * xi))) for w in datum.coweights])
+    return np.stack([np.real(np.sum(np.diag(w) * xi, axis=-1)) for w in datum.coweights],
+                    axis=-1)
 
 
 def action_variables(data: ChamberData | AlcoveData, family: str, datum: RootDatum) -> np.ndarray:
@@ -299,8 +379,8 @@ def dress(eta: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def posdef_of_borel(b: np.ndarray) -> np.ndarray:
-    """The positive-definite image b b^H of a Borel element."""
-    return b @ b.conj().T
+    """The positive-definite image b b^H of a Borel element, or of each of a stack."""
+    return b @ np.swapaxes(b.conj(), -1, -2)
 
 
 def borel_of_posdef(p: np.ndarray) -> np.ndarray:

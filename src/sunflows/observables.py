@@ -5,8 +5,11 @@ dressing-invariant functions on the Borel group each carry a value and an
 exact gradient: the group gradient is the algebra element representing the
 left-translation derivative against the trace form, the algebra gradient
 represents the linear derivative, and the Borel gradient represents the
-left-translation derivative against the imaginary trace form.  Word traces
-supply generic probe observables on every phase space.
+left-translation derivative against the imaginary trace form.  The families
+here also evaluate a whole stack (..., n, n) of matrices at once
+(``values``), which is how the finite-difference oracles read their
+stencils; the oracles evaluate a function without ``values`` one matrix at
+a time.  Word traces supply generic probe observables on every phase space.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ import numpy as np
 from . import brackets, decomp
 from .errors import UnsupportedWord
 from .liecore import RootDatum, skew_traceless
+
+
+def _traces(ms: np.ndarray) -> np.ndarray:
+    """Real parts of the traces of a stack (..., n, n)."""
+    return np.trace(ms, axis1=-2, axis2=-1).real
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +57,10 @@ class PowerTrace(ClassFunction):
         return f"retr{self.k}"
 
     def value(self, g):
-        return self.coeff * float(np.trace(np.linalg.matrix_power(g, self.k)).real)
+        return float(self.values(g))
+
+    def values(self, gs):
+        return self.coeff * _traces(np.linalg.matrix_power(gs, self.k))
 
     def grad(self, g):
         return self.coeff * self.k * skew_traceless(np.linalg.matrix_power(g, self.k))
@@ -71,6 +82,10 @@ class AlcoveCoroot(ClassFunction):
         xi = decomp.alcove_diagonalize(g, self.margin).spectrum
         return float(xi[self.j] - xi[self.j + 1])
 
+    def values(self, gs):
+        xi = decomp.alcove_spectra(gs, self.margin)
+        return xi[..., self.j] - xi[..., self.j + 1]
+
     def grad(self, g):
         return decomp.grad_alcove_coroot(g, self.j, self.datum, self.margin)
 
@@ -90,6 +105,10 @@ class AlcoveCoweight(ClassFunction):
     def value(self, g):
         xi = decomp.alcove_diagonalize(g, self.margin).spectrum
         return decomp.coweight_values(xi, self.datum)[self.j]
+
+    def values(self, gs):
+        return decomp.coweight_values(decomp.alcove_spectra(gs, self.margin),
+                                      self.datum)[..., self.j]
 
     def grad(self, g):
         return decomp.grad_alcove_coweight(g, self.j, self.datum, self.margin)
@@ -124,8 +143,10 @@ class AlgebraPower(AlgebraFunction):
         return f"algpow{self.k}"
 
     def value(self, j_alg):
-        h = 1j * j_alg
-        return self.coeff * float(np.trace(np.linalg.matrix_power(h, self.k)).real)
+        return float(self.values(j_alg))
+
+    def values(self, js):
+        return self.coeff * _traces(np.linalg.matrix_power(1j * js, self.k))
 
     def grad(self, j_alg):
         n = j_alg.shape[0]
@@ -148,6 +169,10 @@ class ChamberCoroot(AlgebraFunction):
     def value(self, j_alg):
         xi = decomp.chamber_diagonalize(j_alg, self.margin).spectrum
         return float(xi[self.j] - xi[self.j + 1])
+
+    def values(self, js):
+        xi = decomp.chamber_spectra(js, self.margin)
+        return xi[..., self.j] - xi[..., self.j + 1]
 
     def grad(self, j_alg):
         return decomp.grad_chamber_coroot(j_alg, self.j, self.datum, self.margin)
@@ -186,6 +211,10 @@ class BorelChamberCoroot(BorelFunction):
         xi = decomp.borel_chamber_diagonalize(b, self.margin).spectrum
         return 0.5 * float(xi[self.j] - xi[self.j + 1])
 
+    def values(self, bs):
+        xi = decomp.borel_chamber_spectra(bs, self.margin)
+        return 0.5 * (xi[..., self.j] - xi[..., self.j + 1])
+
     def grad(self, b):
         return decomp.borel_chamber_diagonalize(b, self.margin).transport(
             1j * self.datum.coroots[self.j])
@@ -203,8 +232,10 @@ class BorelPower(BorelFunction):
         return f"borelpow{self.k}"
 
     def value(self, b):
-        p = decomp.posdef_of_borel(b)
-        return self.coeff * float(np.trace(np.linalg.matrix_power(p, self.k)).real)
+        return float(self.values(b))
+
+    def values(self, bs):
+        return self.coeff * _traces(np.linalg.matrix_power(decomp.posdef_of_borel(bs), self.k))
 
     def grad(self, b):
         n = b.shape[0]

@@ -94,7 +94,19 @@ class ScenarioConfig:
             raise InvalidShape(f"clause group-size: n={self.n} outside 2..8")
         if self.space == "double" and self.family not in ("h", "htilde"):
             raise InvalidShape(f"clause double-family: {self.family!r} not 'h' or 'htilde'")
+        if self.space != "moduli":
+            # the other spaces have a fixed shape, and only the double has a family choice
+            ignored = {name: getattr(self, name) for name in ("m", "holes")
+                       if getattr(self, name) != 0}
+            if self.space != "double" and self.family != "h":
+                ignored["family"] = self.family
+            if ignored:
+                raise InvalidShape(f"clause space-fields: space {self.space!r} takes no "
+                                   f"{', '.join(ignored)}; got {ignored!r}")
         if self.space == "moduli":
+            if self.m < 0 or self.holes < 0 or self.m == self.holes == 0:
+                raise InvalidShape(f"clause moduli-shape: need m, holes >= 0 and not both "
+                                   f"zero; got m={self.m}, holes={self.holes}")
             space = moduli_space(self.m, self.holes, self.n)
             fam = harness_mod._family_from_config(space, self.family)
             moduli.validate_family(space, fam)
@@ -401,9 +413,9 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
         b = regular_borel()
         exacts = ([fn.grad(g) for fn in group_fns] + [fn.grad(j_alg) for fn in algebra_fns]
                   + [fn.grad(b) for fn in borel_fns])
-        fds = (brackets.group_gradient_fd([fn.value for fn in group_fns], g)
-               + brackets.algebra_gradient_fd([fn.value for fn in algebra_fns], j_alg)
-               + brackets.borel_gradient_fd([fn.value for fn in borel_fns], b))
+        fds = (brackets.group_gradient_fd(group_fns, g)
+               + brackets.algebra_gradient_fd(algebra_fns, j_alg)
+               + brackets.borel_gradient_fd(borel_fns, b))
         for exact, fd in zip(exacts, fds):
             worst = max(worst, float(np.linalg.norm(exact - fd) / (1 + np.linalg.norm(exact))))
     return _result(ctx, "gradient-oracles",
@@ -443,12 +455,18 @@ def check_shifting_trick(ctx: CheckContext) -> CheckResult:
 # --- per-space dynamical checks ---------------------------------------------
 
 def flow_bracket_worst(h, x, gens, obs) -> float:
-    """Largest relative defect between flow derivatives and brackets at x."""
+    """Largest relative defect between flow derivatives and brackets at x.
+
+    The flow derivatives are Richardson-extrapolated central differences:
+    the plain h^4 truncation error along cotangent flows at n >= 5 reaches
+    the check's tolerance.
+    """
     mat = brackets.bracket_matrix(obs, [g.obs for g in gens], x)
     values = lambda p: np.array([o(p) for o in obs])
     worst = 0.0
     for j, gen in enumerate(gens):
-        d_flow = brackets.directional_derivative(values, lambda t: gen.flow(x, t))
+        d_flow = brackets.directional_derivative(values, lambda t: gen.flow(x, t),
+                                                 richardson=True)
         for i in range(len(obs)):
             worst = max(worst, abs(d_flow[i] - mat[i, j]) / (1.0 + abs(mat[i, j])))
     return worst

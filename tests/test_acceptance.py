@@ -281,3 +281,13 @@ def test_criterion_10_cli(tmp_path):
     _report("criterion 10: CLI determinism, runtime and validation",
             bool(ok), f"default suite {elapsed:.1f}s, deterministic={same}, "
                       f"clauses named={named}")
+
+
+def test_cotangent_n5_flow_bracket_passes_at_seed_6():
+    """The flow derivative is Richardson-extrapolated: with plain central
+    differences its h^4 truncation error gave 1.73e-6 here, over the 1e-6
+    tolerance."""
+    check, = run_scenario(ScenarioConfig(space="cotangent", n=5, seed=6,
+                                         checks=["flow-bracket"])).checks
+    _report("flow-bracket at cotangent n=5, seed 6", check.passed,
+            f"residual {check.residual:.2e}, tol {check.tol:.0e}")

@@ -331,3 +331,35 @@ def test_cli_exit_code_reflects_failures(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize("fields", [
+    {"space": "sphere4", "family": {"bogus": [1.5]}},
+    {"space": "cotangent", "m": 3, "holes": 1},
+    {"space": "heisenberg", "family": "htilde"},
+    {"space": "double", "holes": 2},
+], ids=["sphere4-family", "cotangent-m-holes", "heisenberg-family", "double-holes"])
+def test_cli_rejects_fields_a_fixed_space_does_not_read(tmp_path, capsys, fields):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"n": 2, "checks": ["root-datum-exact"], **fields}))
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: clause space-fields")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "sphere4", "double"])
+def test_fixed_spaces_accept_the_default_family_m_and_holes(space):
+    ScenarioConfig(space=space, n=2, family="h", m=0, holes=0).validate()
+
+
+@pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (0, 0)], ids=["m<0", "holes<0", "empty"])
+def test_cli_rejects_a_moduli_shape_under_a_named_clause(tmp_path, capsys, shape):
+    m, holes = shape
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"space": "moduli", "n": 2, "m": m, "holes": holes,
+                                    "family": {"single": [1]}}))
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: clause moduli-shape")
+    assert not out.exists()

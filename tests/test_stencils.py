@@ -130,7 +130,8 @@ def _per_probe_worst(x, gens, obs):
     worst = 0.0
     for j, gen in enumerate(gens):
         for i, o in enumerate(obs):
-            d_flow = brackets.directional_derivative(o, lambda t: gen.flow(x, t))
+            d_flow = brackets.directional_derivative(o, lambda t: gen.flow(x, t),
+                                                     richardson=True)
             worst = max(worst, abs(d_flow - mat[i, j]) / (1.0 + abs(mat[i, j])))
     return worst
 
