@@ -29,11 +29,11 @@ print("constraints: decreasing:", bool(np.all(np.diff(xi) < 0)),
       "| zero sum:", f"{xi.sum():.1e}",
       "| range < 2*pi:", bool(xi[0] - xi[-1] < 2 * np.pi))
 print("reconstruction residual:",
-      f"{np.linalg.norm(ad.frame @ g @ ad.frame.conj().T - ad.diagonal_form):.2e}")
+      f"{np.linalg.norm(ad.frame @ g @ ad.frame.conj().T - np.diag(np.exp(1j * xi))):.2e}")
 
 print("\naction variables of the two kinds, related by the rational matrix Q:")
-chi = decomp.action_variables(ad, "chi", datum)
-xiv = decomp.action_variables(ad, "xi", datum)
+chi = decomp.coroot_values(xi)
+xiv = decomp.coweight_values(xi, datum)
 print("  coroot values   :", np.round(chi, 8))
 print("  coweight values :", np.round(xiv, 8))
 print("  Q @ coroot      :", np.round(datum.q_matrix @ chi, 8))

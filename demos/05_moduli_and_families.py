@@ -73,7 +73,8 @@ print("bracket preservation:", f"{abs(v_target - v_source):.2e}")
 print("\n=== the shifting trick ===")
 u = sf.moduli_space(0, 3, n).random_point(rng)
 big = sf.embed_shift(u)
-print("embedded point on the unit level set:", big.on_unit_level())
+print("embedded point on the unit level set: |momentum - 1| =",
+      f"{np.linalg.norm(big.momentum() - np.eye(n)):.1e}")
 f1 = word_observable(("c1", "c2"))
 f2 = word_observable(("c2", "c3", "c1"))
 small = brackets.fusion_bracket(f1, f2, u)

@@ -69,7 +69,6 @@ from .spaces import (
 )
 
 from .flows import (
-    Trajectory,
     cotangent_flow,
     cotangent_torus_action,
     double_flow,
@@ -78,7 +77,6 @@ from .flows import (
     heisenberg_flow,
     heisenberg_torus_action,
     s_transform,
-    sample_flow,
     torus_action,
 )
 from .observables import (

@@ -97,10 +97,7 @@ def main(argv=None) -> int:
             text = emit_report(report, args.format)
             sys.stdout.write(text + "\n" if args.format == "json" else text)
             return 0
-    except SunflowsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SunflowsError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

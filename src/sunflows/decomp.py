@@ -15,7 +15,9 @@ matrix many times in a row.  Their results hold read-only arrays.  The
 spectra of whole stacks of matrices (``alcove_spectra``, ``chamber_spectra``,
 ``borel_chamber_spectra``) come from one eigenvalue solve per stack, with the
 same phase normalization and the same regularity and positivity checks,
-applied to every matrix, as the one-matrix kernels.
+applied to every matrix, as the one-matrix kernels.  Of these only
+``alcove_spectra`` sees a stack twice (the coroot and coweight functions of
+one stencil block), so it alone remembers its last result.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ import scipy.linalg
 from .errors import (
     NotPositiveDefinite,
     RegularityViolation,
-    ShapeError,
     SingularMatrix,
 )
 from .liecore import RootDatum
 
 DEFAULT_REGULARITY_MARGIN = 1e-8
-# results each kernel remembers; 4 catches as many repeats as 16 on the benchmark
+# results each one-matrix kernel remembers; 4 catches as many repeats as 16 on the benchmark
 MEMO_SIZE = 4
 
 
@@ -45,31 +46,34 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _memoized(kernel):
-    """Recency memo of a normal-form kernel ``kernel(x, *params)``.
+def _memoized(size: int):
+    """Recency memo of the last ``size`` results of a kernel ``kernel(x, *params)``.
 
     The key is the shape, dtype and bytes of x plus the parameters, with
     defaults filled in, so a hit returns the result computed from bit-equal
     input.  Errors are raised afresh on every call and never stored.
     """
-    defaults = kernel.__defaults__ or ()
-    memo: OrderedDict = OrderedDict()
+    def decorate(kernel):
+        defaults = kernel.__defaults__ or ()
+        memo: OrderedDict = OrderedDict()
 
-    @functools.wraps(kernel)
-    def wrapper(x, *params):
-        a = np.asarray(x)
-        key = (a.shape, a.dtype.str, a.tobytes(), params + defaults[len(params):])
-        out = memo.get(key)
-        if out is None:
-            out = kernel(x, *params)
-            memo[key] = out
-            if len(memo) > MEMO_SIZE:
-                memo.popitem(last=False)
-        else:
-            memo.move_to_end(key)
-        return out
+        @functools.wraps(kernel)
+        def wrapper(x, *params):
+            a = np.asarray(x)
+            key = (a.shape, a.dtype.str, a.tobytes(), params + defaults[len(params):])
+            out = memo.get(key)
+            if out is None:
+                out = kernel(x, *params)
+                memo[key] = out
+                if len(memo) > size:
+                    memo.popitem(last=False)
+            else:
+                memo.move_to_end(key)
+            return out
 
-    return wrapper
+        return wrapper
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -96,17 +100,9 @@ class NormalForm:
 class ChamberData(NormalForm):
     """Decreasing real spectrum and frame of an algebra element."""
 
-    @property
-    def diagonal_form(self) -> np.ndarray:
-        return 1j * np.diag(self.spectrum)
-
 
 class AlcoveData(NormalForm):
     """Alcove phase vector and frame of a group element."""
-
-    @property
-    def diagonal_form(self) -> np.ndarray:
-        return np.diag(np.exp(1j * self.spectrum))
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ def _chamber_data(vals: np.ndarray, vecs: np.ndarray, margin: float) -> ChamberD
     return ChamberData(spectrum=_read_only(vals.astype(float)), vectors=_read_only(vecs))
 
 
-@_memoized
+@_memoized(MEMO_SIZE)
 def chamber_diagonalize(j: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
     """Chamber normal form of an anti-Hermitian traceless matrix.
 
@@ -189,7 +185,7 @@ def chamber_diagonalize(j: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN
     return _chamber_data(vals[::-1], vecs[:, ::-1], margin)
 
 
-@_memoized
+@_memoized(MEMO_SIZE)
 def borel_chamber_diagonalize(b: np.ndarray,
                               margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
     """Chamber normal form of i log(b b^H) from one eigensolve of b b^H.
@@ -234,7 +230,7 @@ def _alcove_walls(xi: np.ndarray) -> np.ndarray:
     return np.concatenate([coroot_values(xi), 2 * np.pi - (xi[..., :1] - xi[..., -1:])], axis=-1)
 
 
-@_memoized
+@_memoized(MEMO_SIZE)
 def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> AlcoveData:
     """Alcove normal form of a special unitary matrix.
 
@@ -252,7 +248,7 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
 # spectra of stacks: one eigenvalue solve for a whole (..., n, n) stack
 # ---------------------------------------------------------------------------
 
-@_memoized
+@_memoized(1)
 def alcove_spectra(gs: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
     """Alcove phase vectors (..., n) of a stack of special unitary matrices.
 
@@ -265,7 +261,6 @@ def alcove_spectra(gs: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) ->
     return _read_only(xi)
 
 
-@_memoized
 def chamber_spectra(js: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
     """Decreasing chamber spectra (..., n) of a stack of anti-Hermitian traceless matrices.
 
@@ -277,7 +272,6 @@ def chamber_spectra(js: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -
     return _read_only(xi)
 
 
-@_memoized
 def borel_chamber_spectra(bs: np.ndarray,
                           margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
     """Decreasing chamber spectra (..., n) of i log(b b^H) for a stack of Borel elements.
@@ -295,7 +289,7 @@ def borel_chamber_spectra(bs: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# action variables and gradients
+# action variables
 # ---------------------------------------------------------------------------
 
 def coroot_values(xi: np.ndarray) -> np.ndarray:
@@ -309,33 +303,6 @@ def coweight_values(xi: np.ndarray, datum: RootDatum) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     return np.stack([np.real(np.sum(np.diag(w) * xi, axis=-1)) for w in datum.coweights],
                     axis=-1)
-
-
-def action_variables(data: ChamberData | AlcoveData, family: str, datum: RootDatum) -> np.ndarray:
-    """Coroot ('chi'/'phi') or coweight ('xi') action variables of a normal form."""
-    if family in ("chi", "phi"):
-        return coroot_values(data.spectrum)
-    if family == "xi":
-        return coweight_values(data.spectrum, datum)
-    raise ShapeError(f"unknown action-variable family {family!r}")
-
-
-def grad_alcove_coroot(g: np.ndarray, j: int, datum: RootDatum,
-                       margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
-    """Gradient of the j-th coroot alcove variable: -Q^-1 i h_j Q."""
-    return alcove_diagonalize(g, margin).transport(-(1j * datum.coroots[j]))
-
-
-def grad_alcove_coweight(g: np.ndarray, j: int, datum: RootDatum,
-                         margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
-    """Gradient of the j-th coweight alcove variable: -Q^-1 i w_j Q."""
-    return alcove_diagonalize(g, margin).transport(-(1j * datum.coweights[j]))
-
-
-def grad_chamber_coroot(j_alg: np.ndarray, j: int, datum: RootDatum,
-                        margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
-    """Gradient of the j-th coroot chamber variable: -Q^-1 i h_j Q."""
-    return chamber_diagonalize(j_alg, margin).transport(-(1j * datum.coroots[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +321,7 @@ def _positive_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * ph[np.newaxis, :], r * (1.0 / ph)[:, np.newaxis]
 
 
-@_memoized
+@_memoized(MEMO_SIZE)
 def iwasawa_decompose(x: np.ndarray) -> IwasawaFactors:
     """Unique factorizations X = u_left b_right^-1 = b_left u_right^-1.
 

@@ -10,7 +10,6 @@ drift tolerance, the component is re-projected (and the event logged).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -38,22 +37,20 @@ def _maybe_reproject(u: np.ndarray, label: str) -> np.ndarray:
 # torus elements
 # ---------------------------------------------------------------------------
 
+def _coroot_sum(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
+    """sum tau_j h_j over the simple coroots."""
+    return sum(t * h for t, h in zip(np.asarray(tau, dtype=float), datum.coroots))
+
+
 def coroot_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j h_j) over the simple coroots."""
-    z = sum(t * h for t, h in zip(np.asarray(tau, dtype=float), datum.coroots))
-    return scipy.linalg.expm(-1j * z)
+    return scipy.linalg.expm(-1j * _coroot_sum(tau, datum))
 
 
 def coweight_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j w_j) over the fundamental coweights."""
     z = sum(t * w for t, w in zip(np.asarray(tau, dtype=float), datum.coweights))
     return scipy.linalg.expm(-1j * z)
-
-
-def coroot_translation(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
-    """-i sum tau_j h_j, the algebra-valued version of the torus element."""
-    z = sum(t * h for t, h in zip(np.asarray(tau, dtype=float), datum.coroots))
-    return -1j * z
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +83,7 @@ def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
         t = decomp.chamber_diagonalize(x.j).transport(coroot_torus_element(tau, datum))
         return CotangentPoint(_maybe_reproject(t @ x.g, "cotangent torus"), x.j)
     if family == "translate":
-        shift = decomp.alcove_diagonalize(x.g).transport(coroot_translation(tau, datum))
+        shift = decomp.alcove_diagonalize(x.g).transport(-1j * _coroot_sum(tau, datum))
         return CotangentPoint(x.g, x.j - shift)
     raise ShapeError(f"unknown cotangent torus family {family!r}")
 
@@ -122,8 +119,7 @@ def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: fl
 
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
-    z = sum(t * h for t, h in zip(np.asarray(tau, dtype=float), datum.coroots))
-    pos = decomp.alcove_diagonalize(g).transport(scipy.linalg.expm(z))
+    pos = decomp.alcove_diagonalize(g).transport(scipy.linalg.expm(_coroot_sum(tau, datum)))
     return decomp.borel_left(pos)
 
 
@@ -223,31 +219,8 @@ def torus_action(x, tau, datum: RootDatum, kind: str):
 
 
 # ---------------------------------------------------------------------------
-# trajectories and drift accounting
+# bracket-defined oracle
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Trajectory:
-    times: list[float]
-    points: list
-    conserved: dict[str, float] = field(default_factory=dict)
-
-
-def sample_flow(x, flow_fn, times, conserved_fns=None) -> Trajectory:
-    """Evaluate an exact flow on a time grid, tracking conserved-value drift."""
-    times = [float(t) for t in times]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ShapeError("times must be strictly increasing")
-    points = [flow_fn(x, t) for t in times]
-    report = {}
-    if conserved_fns and times:
-        for name, fn in conserved_fns.items():
-            base = fn(points[0])
-            report[name] = max(
-                float(np.max(np.abs(np.asarray(fn(p)) - np.asarray(base)))) for p in points
-            )
-    return Trajectory(times=times, points=points, conserved=report)
-
 
 def rk4_bracket_flow(x: FusionPoint, ham_obs, tau: float, steps: int = 16) -> FusionPoint:
     """Integrate the bracket-defined vector field; cross-check oracle only.

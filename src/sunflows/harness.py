@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decomp, flows, moduli
-from .errors import InvalidShape, SamplingFailure, SunflowsError
+from .errors import (InvalidShape, NotPositiveDefinite, RegularityViolation, SamplingFailure,
+                     SingularMatrix)
 from .liecore import RootDatum
 from .observables import (
     AlcoveCoroot,
@@ -40,6 +41,8 @@ from .spaces import (
 )
 
 SAMPLING_MARGIN = 0.08
+# the errors by which a sampler's check rejects a candidate; any other error is a fault
+_REJECTIONS = (RegularityViolation, NotPositiveDefinite, SingularMatrix)
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,10 @@ class Harness:
 def sample_regular(kind: str, draws: int, draw, check):
     """The first of ``draws`` calls of ``draw()`` that ``check`` does not reject.
 
-    ``check`` rejects a candidate by raising a ``SunflowsError``; when every
-    draw is rejected, ``SamplingFailure`` names the draw count and the last
-    rejection.
+    ``check`` rejects a candidate by raising ``RegularityViolation``,
+    ``NotPositiveDefinite`` or ``SingularMatrix``, and any other error
+    propagates; when every draw is rejected, ``SamplingFailure``
+    names the draw count and the last rejection.
     """
     last = None
     for _ in range(draws):
@@ -121,7 +125,7 @@ def sample_regular(kind: str, draws: int, draw, check):
         try:
             check(x)
             return x
-        except SunflowsError as exc:
+        except _REJECTIONS as exc:
             last = exc
     raise SamplingFailure(f"could not sample a regular {kind} point in {draws} draws; "
                           f"last: {last}")
@@ -337,7 +341,6 @@ class FusionHarness(Harness):
         super().__init__(n, datum)
         self.space = space
         self.label = label
-        moduli.validate_family(space, family)
         self.hams = moduli.hamiltonian_family(space, family, datum)
         self.blocks = moduli.family_blocks(family)
 

@@ -18,8 +18,6 @@ import scipy.linalg
 
 from .errors import DegenerateBasis, InvalidRank, ShapeError
 
-DEFAULT_UNITARY_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # elementary checks and projections
@@ -29,18 +27,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     """Frobenius norm of U^H U - I."""
     n = u.shape[0]
     return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-
-
-def is_special_unitary(u: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
-    return unitarity_defect(u) <= tol and abs(np.linalg.det(u) - 1.0) <= tol
-
-
-def is_algebra_element(z: np.ndarray, tol: float = DEFAULT_UNITARY_TOL) -> bool:
-    """Anti-Hermitian and traceless to tolerance."""
-    return (
-        float(np.linalg.norm(z + z.conj().T)) <= tol
-        and abs(np.trace(z)) <= tol
-    )
 
 
 def project_special_unitary(u: np.ndarray) -> np.ndarray:
@@ -347,20 +333,20 @@ def apposition_algebra_element(diag: np.ndarray, special: SpecialElements) -> np
 # random sampling
 # ---------------------------------------------------------------------------
 
-def random_algebra_element(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_algebra_element(n: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian anti-Hermitian traceless matrix."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return skew_traceless(scale * a)
+    return skew_traceless(a)
 
 
-def random_group_element(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """exp of a Gaussian algebra element; scale 1.0 covers the group well."""
-    return scipy.linalg.expm(random_algebra_element(n, rng, scale))
+def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
+    """exp of a Gaussian algebra element, which covers the group well."""
+    return scipy.linalg.expm(random_algebra_element(n, rng))
 
 
-def random_sl_element(n: int, rng: np.random.Generator, scale: float = 0.7) -> np.ndarray:
+def random_sl_element(n: int, rng: np.random.Generator) -> np.ndarray:
     """Well-conditioned random element of SL(n, C): unitary times Borel factor."""
     z = np.zeros((n, n), dtype=complex)
     for b in borel_basis(n):
         z += rng.standard_normal() * b
-    return random_group_element(n, rng) @ scipy.linalg.expm(scale * z / (n * n))
+    return random_group_element(n, rng) @ scipy.linalg.expm(0.7 * z / (n * n))

@@ -44,16 +44,6 @@ class IntervalFamily:
     commutator_ranges: tuple[tuple[int, int], ...] = ()
     tails: tuple[tuple[int, int], ...] = ()
 
-    def block_count(self) -> int:
-        return (
-            len(self.single)
-            + len(self.commutators)
-            + len(self.intervals)
-            + sum(len(level) for level in self.nested)
-            + len(self.commutator_ranges)
-            + len(self.tails)
-        )
-
 
 def _check_interval_list(intervals, n_holes: int, what: str):
     prev_end = 0
@@ -74,7 +64,7 @@ def validate_family(space: FusionSpace, fam: IntervalFamily) -> None:
     m, n_holes = space.num_double, space.num_conj
     if space.types != ("D",) * m + ("K",) * n_holes:
         raise AssumptionViolation("clause canonical-order: family requires a canonical space")
-    if fam.block_count() == 0:
+    if not family_blocks(fam):
         raise AssumptionViolation("clause nonempty: at least one block is required")
     for i in fam.single:
         if not 1 <= i <= m:
@@ -225,19 +215,17 @@ def family_blocks(fam: IntervalFamily) -> list[tuple]:
     return blocks
 
 
-def hamiltonian_family(space: FusionSpace, fam: IntervalFamily, datum: RootDatum,
-                       classfns: list[ClassFunction] | None = None) -> list[WordHamiltonian]:
-    """Generators of the commuting family: one per block and class function.
+def hamiltonian_family(space: FusionSpace, fam: IntervalFamily,
+                       datum: RootDatum) -> list[WordHamiltonian]:
+    """Generators of the commuting family: one per block and alcove variable.
 
-    By default single-factor blocks carry the coroot alcove variables and
-    every momentum-type block carries the coweight alcove variables.
+    Single-factor blocks carry the coroot alcove variables and every
+    momentum-type block carries the coweight alcove variables.
     """
     validate_family(space, fam)
     out = []
     for block in family_blocks(fam):
-        if classfns is not None:
-            fns = classfns
-        elif block[0] == "single":
+        if block[0] == "single":
             fns = [AlcoveCoroot(j, datum) for j in range(datum.rank)]
         else:
             fns = [AlcoveCoweight(j, datum) for j in range(datum.rank)]

@@ -50,7 +50,6 @@ class PowerTrace(ClassFunction):
     """Re tr(g^k), the basic polynomial class function."""
 
     k: int
-    coeff: float = 1.0
 
     @property
     def name(self):
@@ -60,10 +59,10 @@ class PowerTrace(ClassFunction):
         return float(self.values(g))
 
     def values(self, gs):
-        return self.coeff * _traces(np.linalg.matrix_power(gs, self.k))
+        return _traces(np.linalg.matrix_power(gs, self.k))
 
     def grad(self, g):
-        return self.coeff * self.k * skew_traceless(np.linalg.matrix_power(g, self.k))
+        return self.k * skew_traceless(np.linalg.matrix_power(g, self.k))
 
 
 @dataclass(frozen=True)
@@ -72,22 +71,21 @@ class AlcoveCoroot(ClassFunction):
 
     j: int
     datum: RootDatum
-    margin: float = decomp.DEFAULT_REGULARITY_MARGIN
 
     @property
     def name(self):
         return f"coroot{self.j}"
 
     def value(self, g):
-        xi = decomp.alcove_diagonalize(g, self.margin).spectrum
+        xi = decomp.alcove_diagonalize(g).spectrum
         return float(xi[self.j] - xi[self.j + 1])
 
     def values(self, gs):
-        xi = decomp.alcove_spectra(gs, self.margin)
+        xi = decomp.alcove_spectra(gs)
         return xi[..., self.j] - xi[..., self.j + 1]
 
     def grad(self, g):
-        return decomp.grad_alcove_coroot(g, self.j, self.datum, self.margin)
+        return decomp.alcove_diagonalize(g).transport(-(1j * self.datum.coroots[self.j]))
 
 
 @dataclass(frozen=True)
@@ -96,22 +94,20 @@ class AlcoveCoweight(ClassFunction):
 
     j: int
     datum: RootDatum
-    margin: float = decomp.DEFAULT_REGULARITY_MARGIN
 
     @property
     def name(self):
         return f"coweight{self.j}"
 
     def value(self, g):
-        xi = decomp.alcove_diagonalize(g, self.margin).spectrum
+        xi = decomp.alcove_diagonalize(g).spectrum
         return decomp.coweight_values(xi, self.datum)[self.j]
 
     def values(self, gs):
-        return decomp.coweight_values(decomp.alcove_spectra(gs, self.margin),
-                                      self.datum)[..., self.j]
+        return decomp.coweight_values(decomp.alcove_spectra(gs), self.datum)[..., self.j]
 
     def grad(self, g):
-        return decomp.grad_alcove_coweight(g, self.j, self.datum, self.margin)
+        return decomp.alcove_diagonalize(g).transport(-(1j * self.datum.coweights[self.j]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +132,6 @@ class AlgebraPower(AlgebraFunction):
     """tr((iJ)^k); even powers include the quadratic Casimir k=2."""
 
     k: int
-    coeff: float = 1.0
 
     @property
     def name(self):
@@ -146,12 +141,12 @@ class AlgebraPower(AlgebraFunction):
         return float(self.values(j_alg))
 
     def values(self, js):
-        return self.coeff * _traces(np.linalg.matrix_power(1j * js, self.k))
+        return _traces(np.linalg.matrix_power(1j * js, self.k))
 
     def grad(self, j_alg):
         n = j_alg.shape[0]
         m = self.k * 1j * np.linalg.matrix_power(1j * j_alg, self.k - 1)
-        return self.coeff * (m - (np.trace(m) / n) * np.eye(n))
+        return m - (np.trace(m) / n) * np.eye(n)
 
 
 @dataclass(frozen=True)
@@ -160,22 +155,21 @@ class ChamberCoroot(AlgebraFunction):
 
     j: int
     datum: RootDatum
-    margin: float = decomp.DEFAULT_REGULARITY_MARGIN
 
     @property
     def name(self):
         return f"chamber{self.j}"
 
     def value(self, j_alg):
-        xi = decomp.chamber_diagonalize(j_alg, self.margin).spectrum
+        xi = decomp.chamber_diagonalize(j_alg).spectrum
         return float(xi[self.j] - xi[self.j + 1])
 
     def values(self, js):
-        xi = decomp.chamber_spectra(js, self.margin)
+        xi = decomp.chamber_spectra(js)
         return xi[..., self.j] - xi[..., self.j + 1]
 
     def grad(self, j_alg):
-        return decomp.grad_chamber_coroot(j_alg, self.j, self.datum, self.margin)
+        return decomp.chamber_diagonalize(j_alg).transport(-(1j * self.datum.coroots[self.j]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +195,21 @@ class BorelChamberCoroot(BorelFunction):
 
     j: int
     datum: RootDatum
-    margin: float = decomp.DEFAULT_REGULARITY_MARGIN
 
     @property
     def name(self):
         return f"borelchamber{self.j}"
 
     def value(self, b):
-        xi = decomp.borel_chamber_diagonalize(b, self.margin).spectrum
+        xi = decomp.borel_chamber_diagonalize(b).spectrum
         return 0.5 * float(xi[self.j] - xi[self.j + 1])
 
     def values(self, bs):
-        xi = decomp.borel_chamber_spectra(bs, self.margin)
+        xi = decomp.borel_chamber_spectra(bs)
         return 0.5 * (xi[..., self.j] - xi[..., self.j + 1])
 
     def grad(self, b):
-        return decomp.borel_chamber_diagonalize(b, self.margin).transport(
-            1j * self.datum.coroots[self.j])
+        return decomp.borel_chamber_diagonalize(b).transport(1j * self.datum.coroots[self.j])
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,6 @@ class BorelPower(BorelFunction):
     """tr((b b^H)^k), the polynomial dressing-invariant family."""
 
     k: int
-    coeff: float = 1.0
 
     @property
     def name(self):
@@ -235,12 +226,12 @@ class BorelPower(BorelFunction):
         return float(self.values(b))
 
     def values(self, bs):
-        return self.coeff * _traces(np.linalg.matrix_power(decomp.posdef_of_borel(bs), self.k))
+        return _traces(np.linalg.matrix_power(decomp.posdef_of_borel(bs), self.k))
 
     def grad(self, b):
         n = b.shape[0]
         pk = np.linalg.matrix_power(decomp.posdef_of_borel(b), self.k)
-        return self.coeff * 2 * self.k * 1j * (pk - (np.trace(pk) / n) * np.eye(n))
+        return 2 * self.k * 1j * (pk - (np.trace(pk) / n) * np.eye(n))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +246,8 @@ def word_product(x, letters) -> np.ndarray:
     return m
 
 
-def word_observable(letters: tuple[str, ...], part: str = "re", coeff: float = 1.0):
-    """Observable x -> coeff * Re/Im tr(product of letters of x).
+def word_observable(letters: tuple[str, ...], part: str = "re"):
+    """Observable x -> Re/Im tr(product of letters of x).
 
     Letters are resolved by the point's ``letter`` method, e.g. 'g', 'j' on
     the cotangent bundle, 'x', 'xh~' on the Heisenberg double, or 'a1', 'c2~'
@@ -266,11 +257,11 @@ def word_observable(letters: tuple[str, ...], part: str = "re", coeff: float = 1
     """
     letters = tuple(letters)
     # Im tr(P) = Re tr(-i P)
-    trace_coeff = coeff if part == "re" else -1j * coeff
+    trace_coeff = 1.0 if part == "re" else -1j
 
     def obs(x):
         t = np.trace(word_product(x, letters))
-        return coeff * float(t.real if part == "re" else t.imag)
+        return float(t.real if part == "re" else t.imag)
 
     obs.__name__ = ("" if part == "re" else "im-") + "tr[" + ".".join(letters) + "]"
     obs.grad_table = lambda x: brackets.trace_word_table(x, letters, trace_coeff)
@@ -303,14 +294,6 @@ class WordFunction:
         if isinstance(self.fn, AlgebraFunction):
             return brackets.word_table(x, self.letters, None, [grad])
         return brackets.class_word_table(x, self.letters, grad)
-
-
-def observable_product(f, g):
-    def obs(x):
-        return f(x) * g(x)
-
-    obs.__name__ = f"({getattr(f, '__name__', 'f')})*({getattr(g, '__name__', 'g')})"
-    return obs
 
 
 def pullback(f, chart):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import brackets, decomp, harness, liecore, moduli
-from .errors import ShapeError, Unsupported
+from .errors import RegularityViolation, ShapeError, Unsupported
 from .liecore import RootDatum, special_elements, su_basis
 from .observables import AlcoveCoweight
 from .spaces import (
@@ -29,6 +29,9 @@ from .spaces import (
 )
 
 SVD_KERNEL_TOL = 1e-7
+# draws of a gapped spectrum; the worst acceptance rate is 9.0e-4 (n=8 on [-1.2, 1.2]),
+# so all of them are rejected with probability about 4e-7
+GAPPED_DRAWS = 16384
 
 
 @dataclass(frozen=True)
@@ -165,12 +168,23 @@ def regular_torus_commutator_pair(n: int, rng: np.random.Generator):
         lambda pair: decomp.alcove_diagonalize(pair[0], 0.05))
 
 
+def _gapped_spectrum(n: int, rng: np.random.Generator, half_width: float) -> np.ndarray:
+    """Decreasing uniform draw from [-half_width, half_width]^n with every gap at least 0.2.
+
+    A draw is accepted with probability (1 - (n-1) 0.2 / (2 half_width))^n.
+    """
+    def check(d):
+        gap = np.min(d[:-1] - d[1:])
+        if gap < 0.2:
+            raise RegularityViolation(f"spectrum gap {gap:.3e} below 0.2")
+    return harness.sample_regular(
+        "gapped spectrum", GAPPED_DRAWS,
+        lambda: np.sort(rng.uniform(-half_width, half_width, size=n))[::-1], check)
+
+
 def apposition_regular_algebra(n: int, rng: np.random.Generator) -> np.ndarray:
     spec = special_elements(n)
-    d = np.sort(rng.uniform(-1.5, 1.5, size=n))[::-1]
-    while np.min(d[:-1] - d[1:]) < 0.2:
-        d = np.sort(rng.uniform(-1.5, 1.5, size=n))[::-1]
-    return liecore.apposition_algebra_element(d, spec)
+    return liecore.apposition_algebra_element(_gapped_spectrum(n, rng, 1.5), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +240,7 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         torus = chamber if key == "cotangent-compact-torus" else translate
     elif key in ("heisenberg-compact-torus", "heisenberg-line-action"):
         g_right = alcove_torus_point(n, rng)
-        d = np.sort(rng.uniform(-1.2, 1.2, size=n))[::-1]
-        while np.min(d[:-1] - d[1:]) < 0.2:
-            d = np.sort(rng.uniform(-1.2, 1.2, size=n))[::-1]
+        d = _gapped_spectrum(n, rng, 1.2)
         pos_target = conj_by_f(np.diag(np.exp(d - d.mean())))
         gram = g_right.conj().T @ np.linalg.inv(pos_target) @ g_right
         low = np.linalg.cholesky(gram)
@@ -341,11 +353,7 @@ def ieq_rank_check(pp: PrincipalPoint, n: int, invariant_probes=None) -> RankRep
     g2_rank, g2_sv = rank_of(generator_matrix(pp.point, torus))
     sym_rank, sym_sv = rank_of(generator_matrix(pp.point, sym))
     if pp.family:
-        funcs = list(pp.family)
-    else:
-        funcs = []
-    if funcs:
-        d_rank, d_sv = rank_of(differential_matrix(pp.point, funcs))
+        d_rank, d_sv = rank_of(differential_matrix(pp.point, list(pp.family)))
         d_expected = pp.torus_dim
     else:
         d_rank, d_sv = 0, np.array([])

@@ -80,11 +80,9 @@ def cotangent_momentum(x: CotangentPoint) -> np.ndarray:
     return x.j - x.g.conj().T @ x.j @ x.g
 
 
-def random_cotangent_point(n: int, rng: np.random.Generator, scale: float = 1.0) -> CotangentPoint:
-    return CotangentPoint(
-        liecore.random_group_element(n, rng, scale),
-        liecore.random_algebra_element(n, rng, scale),
-    )
+def random_cotangent_point(n: int, rng: np.random.Generator) -> CotangentPoint:
+    return CotangentPoint(liecore.random_group_element(n, rng),
+                          liecore.random_algebra_element(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +126,8 @@ def heisenberg_momentum(x: HeisenbergPoint) -> np.ndarray:
     return f.b_left @ f.b_right
 
 
-def random_heisenberg_point(n: int, rng: np.random.Generator, scale: float = 0.7) -> HeisenbergPoint:
-    return HeisenbergPoint(liecore.random_sl_element(n, rng, scale))
+def random_heisenberg_point(n: int, rng: np.random.Generator) -> HeisenbergPoint:
+    return HeisenbergPoint(liecore.random_sl_element(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +180,9 @@ class FusionSpace:
     def num_conj(self) -> int:
         return len(self.kind_positions["K"])
 
-    def random_point(self, rng: np.random.Generator, scale: float = 1.0) -> "FusionPoint":
+    def random_point(self, rng: np.random.Generator) -> "FusionPoint":
         def draw():
-            return liecore.random_group_element(self.n, rng, scale)
+            return liecore.random_group_element(self.n, rng)
         return FusionPoint(self, tuple((draw(), draw()) if t == "D" else draw()
                                        for t in self.types))
 
@@ -281,10 +279,6 @@ class FusionPoint(Point):
     def conjugate(self, eta: np.ndarray) -> "FusionPoint":
         ei = eta.conj().T
         return self.map(lambda m: eta @ m @ ei)
-
-    def on_unit_level(self, tol: float = 1e-10) -> bool:
-        """Whether the point lies on the unit level set of the momentum map."""
-        return float(np.linalg.norm(self.momentum() - np.eye(self.n))) <= tol
 
 
 def moduli_point(space: FusionSpace, pairs, holes) -> FusionPoint:

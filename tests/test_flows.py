@@ -193,19 +193,6 @@ def test_cotangent_translation_action_additivity():
     assert a.distance(b) <= 1e-9
 
 
-def test_trajectory_sampling_and_conserved_report():
-    rng = np.random.default_rng(11)
-    datum = liecore.build_root_datum(2)
-    x = double_space(2).random_point(rng)
-    ham = ob.PowerTrace(2)
-    traj = flows.sample_flow(
-        x, lambda p, t: flows.double_flow(p, ham, t, "first"),
-        np.linspace(0.0, 2.0, 9),
-        {"momentum": lambda p: p.momentum()})
-    assert len(traj.points) == 9
-    assert traj.conserved["momentum"] <= 1e-10
-
-
 def test_rk4_bracket_flow_cross_checks_exact_flow():
     rng = np.random.default_rng(12)
     x = double_space(2).random_point(rng)
@@ -215,15 +202,6 @@ def test_rk4_bracket_flow_cross_checks_exact_flow():
     exact = flows.double_flow(x, ham, tau, "first")
     numeric = flows.rk4_bracket_flow(x, h_obs, tau, steps=12)
     assert exact.distance(numeric) <= 2e-5
-
-
-def test_sample_flow_rejects_unsorted_times():
-    import pytest
-    from sunflows.errors import ShapeError
-    rng = np.random.default_rng(13)
-    x = double_space(2).random_point(rng)
-    with pytest.raises(ShapeError):
-        flows.sample_flow(x, lambda p, t: p, [0.0, 0.5, 0.5])
 
 
 def test_unitarity_drift_triggers_logged_reprojection(caplog):

@@ -32,14 +32,14 @@ def _harness(space, n):
 def _observables(h, n):
     obs = h.probes() + [g.obs for g in all_generators(h)]
     if isinstance(h, harness.CotangentHarness):
-        obs += [ob.word_observable(("j", "g~", "g", "j"), part="im", coeff=0.5),
+        obs += [ob.word_observable(("j", "g~", "g", "j"), part="im"),
                 ob.word_observable(("g~", "g~", "j"))]
     elif h.space.num_conj == 2:
         datum = liecore.build_root_datum(n)
         obs += [moduli.WordHamiltonian(block, fn) for block in EXTRA_BLOCKS
                 for fn in (ob.AlcoveCoweight(0, datum), ob.PowerTrace(2))]
         obs += [ob.word_observable(("a1~", "c2", "b2~", "a1"), part="im"),
-                ob.word_observable(("c1~", "c1~", "b1"), coeff=-2.0)]
+                ob.word_observable(("c1~", "c1~", "b1"))]
     return obs
 
 

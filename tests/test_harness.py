@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sunflows import flows, harness, liecore, moduli
-from sunflows.errors import RegularityViolation, SamplingFailure, SunflowsError
+from sunflows.errors import (NotPositiveDefinite, RegularityViolation, SamplingFailure,
+                             ShapeError, SingularMatrix, SunflowsError, UnsupportedWord)
 from sunflows.observables import AlcoveCoroot, BorelChamberCoroot, ChamberCoroot
 
 
@@ -39,6 +40,31 @@ def test_sample_regular_lets_other_errors_through():
 
     with pytest.raises(ZeroDivisionError):
         harness.sample_regular("test", 4, lambda: 0, check)
+
+
+@pytest.mark.parametrize("fault", [ShapeError, UnsupportedWord])
+def test_sample_regular_lets_a_faulty_check_through_on_the_first_draw(fault):
+    """Only RegularityViolation, NotPositiveDefinite and SingularMatrix reject a
+    draw; any other package error inside a check is a bug, not a sampling miss."""
+    drawn = []
+
+    def check(x):
+        raise fault("a bug, not a rejection")
+
+    with pytest.raises(fault):
+        harness.sample_regular("test", 4, lambda: drawn.append(len(drawn)), check)
+    assert drawn == [0]
+
+
+@pytest.mark.parametrize("rejection", [RegularityViolation, NotPositiveDefinite, SingularMatrix])
+def test_sample_regular_draws_again_after_each_rejection(rejection):
+    draws = iter(range(10))
+
+    def check(x):
+        if x < 2:
+            raise rejection(f"draw {x} rejected")
+
+    assert harness.sample_regular("test", 4, lambda: next(draws), check) == 2
 
 
 def test_heisenberg_sampler_failure_at_n6_says_why():

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
-from sunflows.errors import RegularityViolation, ShapeError, Unsupported
+from sunflows.errors import RegularityViolation, SamplingFailure, ShapeError, Unsupported
+from sunflows.observables import AlcoveCoroot
 from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, double_space,
                              moduli_point)
 
@@ -166,10 +167,39 @@ def test_rank_report_at_crafted_points():
     assert rep.invariant_probe_rank >= 1
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("half_width", [1.5, 1.2])
+def test_gapped_spectrum_takes_the_first_gapped_draw(n, half_width):
+    """The same draws, and the same rng state after them, as a loop that redraws
+    until every gap is at least 0.2."""
+    rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+    d = np.sort(reference.uniform(-half_width, half_width, size=n))[::-1]
+    while np.min(d[:-1] - d[1:]) < 0.2:
+        d = np.sort(reference.uniform(-half_width, half_width, size=n))[::-1]
+    assert np.array_equal(probes._gapped_spectrum(n, rng, half_width), d)
+    assert rng.uniform() == reference.uniform()
+
+
+def test_gapped_spectrum_gives_up_after_its_budget():
+    class Flat:
+        """Every draw is n equal values, so every gap is 0."""
+        draws = 0
+
+        def uniform(self, low, high, size):
+            self.draws += 1
+            return np.zeros(size)
+
+    rng = Flat()
+    with pytest.raises(SamplingFailure, match=rf"gapped spectrum point in {probes.GAPPED_DRAWS} "
+                                              r"draws; last: spectrum gap 0\.000e\+00 below 0\.2"):
+        probes._gapped_spectrum(3, rng, 1.5)
+    assert rng.draws == probes.GAPPED_DRAWS
+
+
 def test_irregular_argument_raises():
     datum = liecore.build_root_datum(2)
     with pytest.raises(RegularityViolation):
-        decomp.grad_alcove_coroot(np.eye(2, dtype=complex), 0, datum)
+        AlcoveCoroot(0, datum).grad(np.eye(2, dtype=complex))
 
 
 def test_torus_displacement_at_crafted_points():

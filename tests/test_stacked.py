@@ -104,14 +104,14 @@ def _cases(n, rng):
         "Borel", 4096, lambda: decomp.iwasawa_decompose(liecore.random_sl_element(n, rng)).b_right,
         lambda b: decomp.borel_chamber_diagonalize(b, 0.05))
     return [
-        ([ob.PowerTrace(1), ob.PowerTrace(2), ob.PowerTrace(3, 0.5)]
+        ([ob.PowerTrace(1), ob.PowerTrace(2), ob.PowerTrace(3)]
          + [ob.AlcoveCoroot(j, datum) for j in range(datum.rank)]
          + [ob.AlcoveCoweight(j, datum) for j in range(datum.rank)],
          g, lambda m, left: brackets._translations("su", m, left)),
-        ([ob.AlgebraPower(2), ob.AlgebraPower(3, -2.0)]
+        ([ob.AlgebraPower(2), ob.AlgebraPower(3)]
          + [ob.ChamberCoroot(j, datum) for j in range(datum.rank)],
          j_alg, lambda m, left: brackets._shifts("su", m)),
-        ([ob.BorelPower(1), ob.BorelPower(2, 0.5)]
+        ([ob.BorelPower(1), ob.BorelPower(2)]
          + [ob.BorelChamberCoroot(j, datum) for j in range(datum.rank)],
          b, lambda m, left: brackets._translations("borel", m, left)),
     ]
@@ -138,12 +138,11 @@ def test_power_families_keep_their_trace_formulas_bit_for_bit(n):
     the trace formulas they were written as."""
     (_, g, _), (_, j_alg, _), (_, b, _) = _cases(n, np.random.default_rng(450 + n))
     p = b @ b.conj().T
-    for k, coeff in ((1, 1.0), (2, 1.0), (3, 0.5), (2, -2.0)):
+    for k in (1, 2, 3):
         power = np.linalg.matrix_power
-        assert ob.PowerTrace(k, coeff).value(g) == coeff * float(np.trace(power(g, k)).real)
-        assert ob.AlgebraPower(k, coeff).value(j_alg) == coeff * float(
-            np.trace(power(1j * j_alg, k)).real)
-        assert ob.BorelPower(k, coeff).value(b) == coeff * float(np.trace(power(p, k)).real)
+        assert ob.PowerTrace(k).value(g) == float(np.trace(power(g, k)).real)
+        assert ob.AlgebraPower(k).value(j_alg) == float(np.trace(power(1j * j_alg, k)).real)
+        assert ob.BorelPower(k).value(b) == float(np.trace(power(p, k)).real)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -216,12 +215,13 @@ def test_a_stack_with_one_point_inside_the_margin_is_rejected(kind, where):
 
 
 def test_families_reject_a_stencil_block_that_reaches_inside_the_margin():
-    """A point 1.5e-3 from a wall is regular, but its stencil (steps up to
-    2h = 2e-3) reaches inside a margin of 1e-3: values() on the block raises."""
+    """A point 4h + 5e-9 from a wall is regular, but the -2h step of its stencil
+    along the wall's coroot moves the gap by -4h, to 5e-9, inside the default
+    margin of 1e-8: values() on the block raises."""
     datum = liecore.build_root_datum(3)
-    coroot = ob.AlcoveCoroot(0, datum, margin=1e-3)
-    chamber = ob.ChamberCoroot(0, datum, margin=1e-3)
-    g, j_alg = _near_wall("alcove", 1.5e-3), _near_wall("chamber", 1.5e-3)
+    coroot, chamber = ob.AlcoveCoroot(0, datum), ob.ChamberCoroot(0, datum)
+    gap = 4 * brackets.H + 5e-9
+    g, j_alg = _near_wall("alcove", gap), _near_wall("chamber", gap)
     coroot.values(g), chamber.values(j_alg)
     with pytest.raises(RegularityViolation):
         coroot.values(brackets._translations("su", g, True))
