@@ -11,7 +11,8 @@ import numpy as np
 
 import sunflows as sf
 from sunflows import brackets, decomp
-from sunflows.observables import AlcoveCoroot, BorelChamberCoroot, BorelPower, PowerTrace, word_observable
+from sunflows.observables import (AlcoveCoroot, BorelChamberCoroot, BorelPower, PowerTrace,
+                                  RightFactorFunction, word_observable)
 from sunflows.spaces import heisenberg_momentum, random_heisenberg_point
 
 rng = np.random.default_rng(23)
@@ -45,10 +46,10 @@ f2 = y2.factors()
 w2 = f2.b_left @ f2.b_right @ f2.u_left.conj().T
 print("triangular invariant drift:", f"{np.linalg.norm(w2 - w0):.2e}")
 
-print("\n=== bracket consistency ===")
+print("\n=== bracket consistency (exact gradient tables) ===")
 probe = word_observable(("x", "x", "xh"))
-for ham, obs in ((BorelPower(1), lambda p: BorelPower(1).value(p.factors().b_right)),
-                 (PowerTrace(2), lambda p: PowerTrace(2).value(p.factors().u_right))):
+for ham, obs in ((BorelPower(1), RightFactorFunction(BorelPower(1), "b_right")),
+                 (PowerTrace(2), RightFactorFunction(PowerTrace(2), "u_right"))):
     d_flow = brackets.directional_derivative(probe, lambda t: sf.heisenberg_flow(x, ham, t))
     bk = brackets.poisson_bracket(probe, obs, x)
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")

@@ -10,14 +10,19 @@ the quasi-Poisson bracket of fusion spaces, where every bivector term reduces
 to trace-form pairings of per-letter left/right gradients.
 
 Gradients are exact where the observable knows them.  An observable may
-carry ``grad_table(point)``, returning on cotangent and fusion points the
-same table the finite-difference engine would build.  Word traces
-(``word_observable``), class functions of words (``moduli.WordHamiltonian``,
-``observables.WordFunction``) carry it: one chain rule, Goldman's cyclic
-derivative for traces and conjugation of the class-function gradient for
-the rest, gives every letter's left and right gradient.  Observables without
-a table (pullbacks, momentum pullbacks, matrix-entry observables) and every
-observable on a Heisenberg point go through one call of the
+carry ``grad_table(point)``, returning the same table the geometry's
+finite-difference engine would build: the (group, fiber) pair on cotangent
+points, the per-letter dict on fusion points and the left and right
+complexified derivatives (D, D') on the Heisenberg double.  Word traces
+(``word_observable``) carry it on all three, from Goldman's cyclic
+derivative; class functions of words (``moduli.WordHamiltonian``,
+``observables.WordFunction``) carry it on cotangent and fusion points, by
+conjugating the class-function gradient along the word; functions of the
+right Iwasawa factors (``observables.RightFactorFunction``, the Heisenberg
+generators) carry it through the first-order Iwasawa splitting, the
+dressing linearization.  ``bracket_matrix`` and ``differentials`` read that
+one interface on every geometry.  Observables without a table (pullbacks,
+momentum pullbacks, matrix-entry observables) go through one call of the
 finite-difference engine.  Those engines stay as the fallback and as the
 oracle the exact tables are tested against.
 
@@ -50,6 +55,7 @@ from .errors import UnsupportedBracket, UnsupportedWord
 from .liecore import (
     IM_FORM,
     TRACE_FORM,
+    Pairing,
     borel_basis,
     dual_basis,
     pair,
@@ -69,6 +75,8 @@ _OFFSETS = np.array(_STEPS)[:, np.newaxis, np.newaxis]
 # invariants on the Borel group carry more curvature, so their step is finer
 H = 1e-3
 STEP = {"su": H, "sl": H, "borel": 3e-4}
+# the form each translation basis is dual under, and that pairs its directions with gradients
+FORM = {"su": TRACE_FORM, "sl": IM_FORM}
 
 
 def _central(values, h: float):
@@ -100,21 +108,38 @@ def directional_derivative(f, curve, richardson: bool = False):
 
 @lru_cache(maxsize=None)
 def _basis(kind: str, n: int):
-    """(directions, dual) of the "su", "sl" or "borel" basis.
+    """(directions, dual) of the "su", "sl" or "borel" basis, as read-only arrays.
 
-    su and sl are dual under the trace and im forms.  A Borel derivative is
+    su and sl are dual under their forms (``FORM``).  A Borel derivative is
     solved into su, so the "borel" dual is the inverse of the matrix
     im-pair(borel_r, su_s).
     """
-    if kind == "su":
-        basis = su_basis(n)
-        return basis, dual_basis(basis, TRACE_FORM)
-    if kind == "sl":
-        basis = sl_real_basis(n)
-        return basis, dual_basis(basis, IM_FORM)
-    basis = borel_basis(n)
-    return basis, np.linalg.inv(np.array([[pair(z, w, IM_FORM) for w in su_basis(n)]
-                                          for z in basis]))
+    if kind == "borel":
+        basis = borel_basis(n)
+        dual = np.linalg.inv(np.array([[pair(z, w, IM_FORM) for w in su_basis(n)]
+                                       for z in basis]))
+    else:
+        basis = su_basis(n) if kind == "su" else sl_real_basis(n)
+        dual = dual_basis(basis, FORM[kind])
+    basis, dual = np.array(basis), np.array(dual)
+    basis.flags.writeable = dual.flags.writeable = False
+    return basis, dual
+
+
+def _dual_sum(kind: str, n: int, derivs) -> np.ndarray:
+    """The gradient whose derivative along each direction of the basis is ``derivs``.
+
+    The derivatives are summed against the dual basis one direction at a
+    time, in basis order: a BLAS contraction would reorder the sum and
+    change the last bits of every bracket.
+    """
+    return sum(d * e for d, e in zip(derivs, _basis(kind, n)[1]))
+
+
+def _pairings(stack: np.ndarray, m: np.ndarray, form: Pairing) -> np.ndarray:
+    """pair(z, m, form) for every matrix z of the stack, as one array."""
+    t = np.einsum("dij,ji->d", stack, m)
+    return t.imag if form.kind == "im" else t.real
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +169,7 @@ def _translations(kind: str, m: np.ndarray, left: bool) -> np.ndarray:
 
 def _shifts(kind: str, m: np.ndarray) -> np.ndarray:
     """The stencil stack (directions, offsets, n, n) of the shifts m + k h Z."""
-    directions = np.array(_basis(kind, m.shape[0])[0])[:, np.newaxis]
+    directions = _basis(kind, m.shape[0])[0][:, np.newaxis]
     return m + (_OFFSETS * STEP[kind]) * directions
 
 
@@ -200,22 +225,40 @@ def _stencil_derivatives(fns, block) -> np.ndarray:
 
 
 def _stencil_gradients(fns, block) -> list[np.ndarray]:
-    """Gradient of each function from its values on a stencil block.
-
-    The central differences are summed against the dual basis one direction
-    at a time, in basis order: a BLAS contraction would reorder the sum and
-    change the last bits of every bracket.
-    """
+    """Gradient of each function from its values on a stencil block."""
     kind, stack, _ = block
-    dual = _basis(kind, stack.shape[-1])[1]
-    return [sum(d * e for d, e in zip(column, dual))
+    return [_dual_sum(kind, stack.shape[-1], column)
             for column in _stencil_derivatives(fns, block).T]
 
 
+def _keyed(table, x) -> dict:
+    """A gradient table keyed like the blocks of ``_tangent_blocks(x)``."""
+    if isinstance(x, CotangentPoint):
+        return dict(zip(("group", "fiber"), table))
+    if isinstance(x, HeisenbergPoint):
+        return dict(zip(("lmul", "rmul"), table))
+    return table
+
+
 def differentials(fns, x) -> np.ndarray:
-    """Rows: the derivative of each function along the left-translation and fiber basis at x."""
-    return np.concatenate([_stencil_derivatives(fns, block)
-                           for _, block in _tangent_blocks(x, ("lmul",))]).T
+    """Rows: the derivative of each function along the left-translation and fiber basis at x.
+
+    A function with a ``grad_table`` pairs each basis direction with its
+    table, in the basis's form (trace on su, im on sl); the others are
+    central differences along the stencils.
+    """
+    blocks = list(_tangent_blocks(x, ("lmul",)))
+    tabled = [i for i, fn in enumerate(fns) if hasattr(fn, "grad_table")]
+    opaque = [i for i, fn in enumerate(fns) if not hasattr(fn, "grad_table")]
+    rows = np.empty((len(fns), sum(len(stack) for _, (_, stack, _) in blocks)))
+    if opaque:
+        rows[opaque] = np.concatenate([_stencil_derivatives([fns[i] for i in opaque], block)
+                                       for _, block in blocks]).T
+    for i in tabled:
+        table = _keyed(fns[i].grad_table(x), x)
+        rows[i] = np.concatenate([_pairings(_basis(kind, x.n)[0], table[key], FORM[kind])
+                                  for key, (kind, _, _) in blocks])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +291,7 @@ def cotangent_gradients(obs_list, point: CotangentPoint):
 
 
 def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint):
-    """Left and right complexified derivatives (DF, D'F) of each observable.
+    """Left and right complexified derivatives (DF, D'F) of each observable, by differences.
 
     Both are elements of the realified complex algebra, characterized by
     im-pair(Z, DF) = d/dt F(exp(tZ) X) and the right-sided analogue.
@@ -296,6 +339,33 @@ def word_table(x, letters, cuts, gaps=None):
     return table
 
 
+# per Heisenberg letter (X, X^H, X^-1, X^-H): (sign, adjoint, offset).  Translating X inserts
+# +-Z or +-Z^H at the cut before or after the letter, so letter i adds sign * C_(i+offset) to
+# the left and sign * C_(i+1-offset) to the right matrix of _heisenberg_word_table, each
+# conjugate-transposed when ``adjoint``.
+_HEISENBERG_LETTERS = {"x": (1, False, 0), "xh": (1, True, 1), "x~": (-1, False, 1),
+                       "xh~": (-1, True, 0)}
+
+
+def _heisenberg_word_table(letters, rotations):
+    """(D, D') of Re tr(coeff W_0 ... W_(k-1)) on the Heisenberg double.
+
+    ``rotations[i]`` is C_i = coeff (W_i ... W_(k-1)) (W_0 ... W_(i-1)), with
+    C_k = C_0: inserting Z at cut i moves the trace by Re tr(Z C_i).  Summing
+    the letters' cuts gives M with d/dt F(exp(tZ) X) = Re tr(M Z) (M' on the
+    right), and D is the traceless part of i M, since im-pair(Z, i M) =
+    Re tr(M Z).
+    """
+    sides = [0, 0]
+    for i, name in enumerate(letters):
+        sign, adjoint, offset = _HEISENBERG_LETTERS[name]
+        for side, cut in enumerate((i + offset, i + 1 - offset)):
+            c = rotations[cut]
+            sides[side] = sides[side] + sign * (c.conj().T if adjoint else c)
+    n = rotations[0].shape[0]
+    return tuple(1j * m - (np.trace(1j * m) / n) * np.eye(n) for m in sides)
+
+
 def trace_word_table(x, letters, coeff: complex):
     """Gradient table of Re tr(coeff W_0 ... W_(k-1)) at x (Im tr: coeff -1j).
 
@@ -311,7 +381,10 @@ def trace_word_table(x, letters, coeff: complex):
         suffix.append(m_back @ suffix[-1])
     suffix.reverse()  # suffix[i] = W_i ... W_(k-1)
     rest = [suffix[i + 1] @ prefix[i] for i in range(len(mats))]
-    cuts = [skew_traceless(coeff * (m @ r)) for m, r in zip(mats, rest)]
+    rotations = [coeff * (m @ r) for m, r in zip(mats, rest)]
+    if isinstance(x, HeisenbergPoint):
+        return _heisenberg_word_table(letters, rotations + rotations[:1])
+    cuts = [skew_traceless(c) for c in rotations]
     gaps = [skew_traceless(coeff * r) for r in rest]
     return word_table(x, letters, cuts + cuts[:1], gaps)
 
@@ -331,19 +404,51 @@ def class_word_table(x, letters, grad: np.ndarray):
     return word_table(x, letters, cuts)
 
 
+# per right Iwasawa factor: the part of the splitting W = k + beta (k in su(n), beta Borel)
+# that moves it, and the form its functions' gradients pair in
+_RIGHT_FACTOR = {"b_right": (project_borel, IM_FORM), "u_right": (project_compact, TRACE_FORM)}
+
+
+def right_factor_table(x, factor: str, grad):
+    """(D, D') of F(X) = f(m) for m the right Iwasawa factor ``factor`` of X.
+
+    ``factor`` is 'b_right' (f a Borel function, whose gradient pairs in the
+    im form) or 'u_right' (f a class function, the trace form); ``grad(m)``
+    is f's gradient, form(V, grad(m)) = d/dt f(exp(tV) m).  First-order Iwasawa
+    splitting, the dressing linearization: in X = u_left b_right^-1 =
+    b_left u_right^-1, translating X by exp(tZ) inserts exp(tW), W = c^-1 Z c,
+    before the factor's inverse, where c is u_left (left translation) or
+    b_right (right) for b_right, and b_left or u_right for u_right.  The part
+    P(W) in the factor's algebra moves m to m exp(-t P(W)); the other part
+    goes to the cofactor.  So the derivative along Z is -form(P(W), m^-1
+    grad(m) m), summed against the sl duals.
+    """
+    if not isinstance(x, HeisenbergPoint):
+        raise UnsupportedBracket(f"no right Iwasawa factor on {type(x).__name__}")
+    part, form = _RIGHT_FACTOR[factor]
+    f = x.factors()
+    m = getattr(f, factor)
+    moved = np.linalg.inv(m) @ grad(m) @ m
+    directions = _basis("sl", x.n)[0]
+    table = []
+    for c in ((f.u_left, f.b_right) if factor == "b_right" else (f.b_left, f.u_right)):
+        parts = part(np.linalg.inv(c) @ directions @ c)
+        table.append(_dual_sum("sl", x.n, -_pairings(parts, moved, form)))
+    return tuple(table)
+
+
 def _gradients(obs_list, x) -> list:
     """Gradient of each observable at x in the form the geometry's contraction reads.
 
-    On cotangent and fusion points an observable's own ``grad_table`` is
-    used when it has one; the rest, and every observable on a Heisenberg
-    point, go through one call of the geometry's finite-difference engine.
+    An observable's own ``grad_table`` is used when it has one; the rest go
+    through one call of the geometry's finite-difference engine.
     """
-    if isinstance(x, HeisenbergPoint):
-        return heisenberg_derivatives_multi(obs_list, x)
     if isinstance(x, FusionPoint):
         engine = fusion_gradient_tables
     elif isinstance(x, CotangentPoint):
         engine = cotangent_gradients
+    elif isinstance(x, HeisenbergPoint):
+        engine = heisenberg_derivatives_multi
     else:
         raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
     grads = [o.grad_table(x) if hasattr(o, "grad_table") else None for o in obs_list]

@@ -26,6 +26,7 @@ from .observables import (
     BorelPower,
     ChamberCoroot,
     PowerTrace,
+    RightFactorFunction,
     WordFunction,
     word_observable,
 )
@@ -211,7 +212,7 @@ class CotangentHarness(Harness):
 
 def _right_factor_generators(fns, factor: str, periodic: bool) -> list[Generator]:
     """One generator per function of the right Iwasawa factor ('b_right' or 'u_right')."""
-    return [Generator(fn.name, lambda p, fn=fn: fn.value(getattr(p.factors(), factor)),
+    return [Generator(fn.name, RightFactorFunction(fn, factor),
                       lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t), periodic)
             for fn in fns]
 

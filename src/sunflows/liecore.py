@@ -167,7 +167,7 @@ def borel_basis(n: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def project_borel(z: np.ndarray) -> np.ndarray:
-    """Borel component of z in the splitting sl(n,C) = su(n) + borel.
+    """Borel component of z, or of each matrix of a stack, in sl(n,C) = su(n) + borel.
 
     The Borel part keeps the strict upper triangle of z plus the adjoint of
     the strict lower triangle, and the real part of the diagonal; forced by
@@ -175,11 +175,11 @@ def project_borel(z: np.ndarray) -> np.ndarray:
     """
     upper = np.triu(z, 1)
     lower = np.tril(z, -1)
-    return upper + lower.conj().T + np.diag(np.real(np.diag(z)))
+    return upper + np.swapaxes(lower, -1, -2).conj() + np.triu(np.tril(np.real(z)))
 
 
 def project_compact(z: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian component of z in the splitting sl(n,C) = su(n) + borel."""
+    """Anti-Hermitian component of z, or of each matrix of a stack, in sl(n,C) = su(n) + borel."""
     return z - project_borel(z)
 
 

@@ -9,7 +9,8 @@ left-translation derivative against the imaginary trace form.  The families
 here also evaluate a whole stack (..., n, n) of matrices at once
 (``values``), which is how the finite-difference oracles read their
 stencils; the oracles evaluate a function without ``values`` one matrix at
-a time.  Word traces supply generic probe observables on every phase space.
+a time.  Word traces supply generic probe observables on every phase space, and
+functions of a right Iwasawa factor are the Heisenberg generators.
 """
 
 from __future__ import annotations
@@ -252,8 +253,8 @@ def word_observable(letters: tuple[str, ...], part: str = "re"):
     Letters are resolved by the point's ``letter`` method, e.g. 'g', 'j' on
     the cotangent bundle, 'x', 'xh~' on the Heisenberg double, or 'a1', 'c2~'
     on fusion spaces.  The observable carries its exact gradient table on
-    cotangent and fusion points as the function attribute ``grad_table``,
-    which survives ``functools.update_wrapper``.
+    all three as the function attribute ``grad_table``, which survives
+    ``functools.update_wrapper``.
     """
     letters = tuple(letters)
     # Im tr(P) = Re tr(-i P)
@@ -294,6 +295,30 @@ class WordFunction:
         if isinstance(self.fn, AlgebraFunction):
             return brackets.word_table(x, self.letters, None, [grad])
         return brackets.class_word_table(x, self.letters, grad)
+
+
+@dataclass(frozen=True)
+class RightFactorFunction:
+    """A function of one right Iwasawa factor of a Heisenberg point.
+
+    ``fn`` is a BorelFunction of ``factor`` 'b_right' or a ClassFunction of
+    'u_right'.  The value is fn.value of the factor, and the gradient table
+    (D, D') comes from fn.grad through the first-order Iwasawa splitting.
+    """
+
+    fn: object
+    factor: str
+
+    def __post_init__(self):
+        if not ((self.factor == "b_right" and isinstance(self.fn, BorelFunction))
+                or (self.factor == "u_right" and isinstance(self.fn, ClassFunction))):
+            raise UnsupportedWord(f"{self.fn!r} is not a function of the factor {self.factor!r}")
+
+    def __call__(self, x) -> float:
+        return self.fn.value(getattr(x.factors(), self.factor))
+
+    def grad_table(self, x):
+        return brackets.right_factor_table(x, self.factor, self.fn.grad)
 
 
 def pullback(f, chart):

@@ -29,6 +29,8 @@ from .spaces import (
 )
 
 SVD_KERNEL_TOL = 1e-7
+# wall margin of the crafted alcove points
+ALCOVE_MARGIN = 0.2
 # draws of a gapped spectrum; the worst acceptance rate is 9.0e-4 (n=8 on [-1.2, 1.2]),
 # so all of them are rejected with probability about 4e-7
 GAPPED_DRAWS = 16384
@@ -70,12 +72,11 @@ class StabilizerReport:
     singular_values: np.ndarray = field(repr=False)
 
 
-def stabilizer_dimension(x, action: ActionSpec, n: int, point_id: str = "",
-                         tol: float = SVD_KERNEL_TOL) -> StabilizerReport:
+def stabilizer_dimension(x, action: ActionSpec, n: int, point_id: str = "") -> StabilizerReport:
     """Kernel dimension of the infinitesimal action at x, plus center check."""
     mat = generator_matrix(x, action)
     svals = np.linalg.svd(mat, compute_uv=False)
-    dim = int(np.sum(svals < tol)) + max(0, action.group_dim - len(svals))
+    dim = int(np.sum(svals < SVD_KERNEL_TOL)) + max(0, action.group_dim - len(svals))
     spec = special_elements(n)
     center_ok = True
     for zeta in spec.center:
@@ -141,24 +142,24 @@ def solve_commutator_in_torus(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
 # crafted sampling helpers
 # ---------------------------------------------------------------------------
 
-def alcove_interior(n: int, rng: np.random.Generator, margin: float = 0.2) -> np.ndarray:
-    """Random point of the open alcove with wall margins at least ``margin``."""
-    gaps = margin + rng.uniform(0.2, 0.8, size=n - 1)
+def alcove_interior(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random point of the open alcove with wall margins at least ``ALCOVE_MARGIN``."""
+    gaps = ALCOVE_MARGIN + rng.uniform(0.2, 0.8, size=n - 1)
     total = gaps.sum()
-    limit = 2 * np.pi - margin
+    limit = 2 * np.pi - ALCOVE_MARGIN
     if total > limit:
         gaps *= limit / total * 0.95
     xi = np.concatenate([[0.0], -np.cumsum(gaps)])
     return xi - xi.mean()
 
 
-def alcove_torus_point(n: int, rng: np.random.Generator, margin: float = 0.2) -> np.ndarray:
-    return np.diag(np.exp(1j * alcove_interior(n, rng, margin)))
+def alcove_torus_point(n: int, rng: np.random.Generator) -> np.ndarray:
+    return np.diag(np.exp(1j * alcove_interior(n, rng)))
 
 
-def apposition_regular_group(n: int, rng: np.random.Generator, margin: float = 0.2) -> np.ndarray:
+def apposition_regular_group(n: int, rng: np.random.Generator) -> np.ndarray:
     spec = special_elements(n)
-    return liecore.apposition_torus_element(alcove_interior(n, rng, margin), spec)
+    return liecore.apposition_torus_element(alcove_interior(n, rng), spec)
 
 
 def regular_torus_commutator_pair(n: int, rng: np.random.Generator):
@@ -341,9 +342,9 @@ def differential_matrix(x, functions) -> np.ndarray:
     return brackets.differentials(functions, x)
 
 
-def rank_of(mat: np.ndarray, tol: float = SVD_KERNEL_TOL) -> tuple[int, np.ndarray]:
+def rank_of(mat: np.ndarray) -> tuple[int, np.ndarray]:
     svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > tol)), svals
+    return int(np.sum(svals > SVD_KERNEL_TOL)), svals
 
 
 def ieq_rank_check(pp: PrincipalPoint, n: int, invariant_probes=None) -> RankReport:

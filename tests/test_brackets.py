@@ -3,6 +3,7 @@ import pytest
 
 from sunflows import brackets, harness, liecore, observables as ob
 from sunflows.errors import UnsupportedBracket
+from sunflows.scenario import ScenarioConfig, run_scenario
 from sunflows.spaces import (
     double_space,
     moduli_space,
@@ -154,6 +155,42 @@ def test_cotangent_bracket_satisfies_jacobi(n, seed):
     terms = [brackets.poisson_bracket(a, inner(b, c), x) for a, b, c in ((f, g, h), (g, h, f),
                                                                         (h, f, g))]
     assert abs(sum(terms)) / (1 + sum(abs(t) for t in terms)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [7, 42])
+def test_heisenberg_bracket_satisfies_jacobi(n, seed):
+    """{f,{g,h}} + cyclic vanishes on the Heisenberg double for three word probes.
+
+    The inner brackets come from the exact (D, D') tables and the outer ones
+    take them through the finite-difference engine.  With the half-difference
+    (compact - Borel)/2 replaced by z/2 the defect is 0.15 to 0.75.
+    """
+    x = harness.HeisenbergHarness(n, liecore.build_root_datum(n)).sample(
+        np.random.default_rng(seed))
+    f = ob.word_observable(("x", "xh"))
+    g = ob.word_observable(("x", "x", "xh"))
+    h = ob.word_observable(("x",), part="im")
+
+    def inner(a, b):
+        return lambda p: brackets.poisson_bracket(a, b, p)
+
+    terms = [brackets.poisson_bracket(a, inner(b, c), x) for a, b, c in ((f, g, h), (g, h, f),
+                                                                        (h, f, g))]
+    assert abs(sum(terms)) / (1 + sum(abs(t) for t in terms)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_heisenberg_flow_bracket_keeps_a_tenfold_margin(n):
+    """Heisenberg ``flow-bracket`` stays 10x under its tolerance 1e-6 at seeds 1, 2, 5, 42.
+
+    With finite-difference (D, D') the n = 4 residual at seed 5 was 3.3e-7;
+    the exact tables give about 6e-12.
+    """
+    for seed in (1, 2, 5, 42):
+        check, = run_scenario(ScenarioConfig(space="heisenberg", n=n, seed=seed,
+                                             checks=["flow-bracket"])).checks
+        assert check.residual <= 1e-7, (seed, check.residual)
 
 
 def test_cotangent_fiber_family_is_abelian():

@@ -2,17 +2,20 @@
 
 Every observable with a ``grad_table`` must return what the geometry's
 finite-difference engine builds for it (``cotangent_gradients`` or
-``fusion_gradient_tables``), to truncation error; ``bracket_matrix`` mixes
-exact and finite-difference gradients in one call.
+``fusion_gradient_tables``), to truncation error; on the Heisenberg double
+the oracle is the Richardson-extrapolated derivative along each sl
+direction, whose error stays below the plain engine's h^4 term.
+``bracket_matrix`` mixes exact and finite-difference gradients in one call.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sunflows import brackets, harness, liecore, moduli, observables as ob
 from sunflows.errors import UnsupportedBracket, UnsupportedWord
 from sunflows.scenario import all_generators
-from sunflows.spaces import CotangentPoint, moduli_space
+from sunflows.spaces import CotangentPoint, HeisenbergPoint, Point, moduli_space
 
 MODULI_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 # every block kind a word Hamiltonian on the (m=2, holes=2) space can carry
@@ -34,6 +37,9 @@ def _observables(h, n):
     if isinstance(h, harness.CotangentHarness):
         obs += [ob.word_observable(("j", "g~", "g", "j"), part="im"),
                 ob.word_observable(("g~", "g~", "j"))]
+    elif isinstance(h, harness.HeisenbergHarness):
+        obs += [ob.word_observable(("xh~", "x", "x~"), part="im"),
+                ob.word_observable(("x", "xh~", "xh", "x~"))]
     elif h.space.num_conj == 2:
         datum = liecore.build_root_datum(n)
         obs += [moduli.WordHamiltonian(block, fn) for block in EXTRA_BLOCKS
@@ -49,19 +55,38 @@ def _flat(table):
     return np.concatenate([m.ravel() for m in table])
 
 
-def _fd_engine(x):
-    return (brackets.cotangent_gradients if isinstance(x, CotangentPoint)
-            else brackets.fusion_gradient_tables)
+def _richardson_heisenberg_derivatives(obs, x):
+    """(D, D') of each observable from Richardson-extrapolated derivatives along each sl
+    direction, on both sides."""
+    n = x.n
+    values = lambda p: np.array([o(p) for o in obs])
+    sides = []
+    for left in (True, False):
+        derivs = np.array([brackets.directional_derivative(
+            values, lambda t, z=z: HeisenbergPoint(
+                scipy.linalg.expm(t * z) @ x.x if left else x.x @ scipy.linalg.expm(t * z)),
+            richardson=True) for z in liecore.sl_real_basis(n)])
+        sides.append([brackets._dual_sum("sl", n, column) for column in derivs.T])
+    return list(zip(*sides))
+
+
+def _fd_tables(obs, x):
+    if isinstance(x, HeisenbergPoint):
+        return _richardson_heisenberg_derivatives(obs, x)
+    if isinstance(x, CotangentPoint):
+        return brackets.cotangent_gradients(obs, x)
+    return brackets.fusion_gradient_tables(obs, x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("space", ["cotangent", "double", "htilde", "sphere4", "moduli"])
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "htilde", "sphere4",
+                                   "moduli"])
 def test_exact_tables_match_finite_differences(space, n):
     h = _harness(space, n)
     x = h.sample(np.random.default_rng(40 + n))
     obs = _observables(h, n)
     assert all(hasattr(o, "grad_table") for o in obs)
-    fd = _fd_engine(x)(obs, x)
+    fd = _fd_tables(obs, x)
     for o, table_fd in zip(obs, fd):
         table = o.grad_table(x)
         if isinstance(table, dict):
@@ -104,11 +129,34 @@ def test_pulled_family_matrix_equals_pairwise_brackets():
     assert np.array_equal([mat[i, j] for i, j in pairs], pairwise)
 
 
-def test_tables_refuse_heisenberg_points_and_unknown_letters():
+class _PlainPoint(Point):
+    """A point type no geometry knows, with one letter 'm'."""
+
+    n = 2
+
+    def letter(self, name):
+        return np.eye(2, dtype=complex)
+
+    def matrices(self):
+        return (("m", np.eye(2, dtype=complex)),)
+
+
+def test_tables_refuse_unsupported_points_and_words():
     rng = np.random.default_rng(52)
-    probe = ob.word_observable(("x", "xh"))
-    x = harness.build_harness("heisenberg", 2, liecore.build_root_datum(2)).sample(rng)
+    probe = ob.word_observable(("m",))
     with pytest.raises(UnsupportedBracket):
-        probe.grad_table(x)
+        probe.grad_table(_PlainPoint())
+    with pytest.raises(UnsupportedBracket):
+        brackets.bracket_matrix([probe], [probe], _PlainPoint())
+    x = harness.build_harness("heisenberg", 2, liecore.build_root_datum(2)).sample(rng)
+    # a class function of a unitary word has no table on the Heisenberg double ...
+    with pytest.raises(UnsupportedBracket):
+        ob.WordFunction(ob.PowerTrace(2), ("x",)).grad_table(x)
+    # ... and a right Iwasawa factor exists only there
+    y = harness.build_harness("cotangent", 2, liecore.build_root_datum(2)).sample(rng)
+    with pytest.raises(UnsupportedBracket):
+        ob.RightFactorFunction(ob.BorelPower(1), "b_right").grad_table(y)
     with pytest.raises(UnsupportedWord):
         ob.WordFunction(ob.AlgebraPower(2), ("g",))
+    with pytest.raises(UnsupportedWord):
+        ob.RightFactorFunction(ob.PowerTrace(2), "b_right")

@@ -230,8 +230,10 @@ def _old_tangent_curves(x):
 
 
 def _old_differential_matrix(x, functions):
+    """The differentials along the old ``expm`` curves, Richardson-extrapolated so that the
+    reference is closer to the exact tables than the plain h^4 error."""
     values = lambda p: np.array([fn(p) for fn in functions])
-    cols = [brackets.directional_derivative(values, lambda t, c=curve: c(x, t))
+    cols = [brackets.directional_derivative(values, lambda t, c=curve: c(x, t), richardson=True)
             for curve in _old_tangent_curves(x)]
     return np.stack(cols, axis=1)
 

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from sunflows import brackets, decomp, harness, liecore, observables as ob
 from sunflows.scenario import all_generators, flow_bracket_worst
-from sunflows.spaces import CotangentPoint, double_space, moduli_space
+from sunflows.spaces import CotangentPoint, HeisenbergPoint, double_space, moduli_space
 
 
 def _group_case(n, rng):
@@ -111,18 +111,42 @@ def test_step_table_entries_are_powers_of_expm(kind, n):
 
 def test_engines_oracles_and_differentials_share_the_table():
     """The cotangent engine's group gradient is the group oracle's, bit for bit, and the
-    differential matrix holds the same central differences along the same stencils."""
+    differential row of an opaque observable holds the same central differences along the
+    same stencils."""
     n = 3
     x = harness.build_harness("cotangent", n, liecore.build_root_datum(n)).sample(
         np.random.default_rng(19))
     obs = ob.word_observable(("g", "j", "j"))
+    opaque = lambda p: obs(p)
     on_group = lambda g: obs(CotangentPoint(g, x.j))
     (group, fiber), = brackets.cotangent_gradients([obs], x)
     assert np.array_equal(group, brackets.group_gradient_fd([on_group], x.g, "L")[0])
     assert np.array_equal(fiber, brackets.algebra_gradient_fd(
         [lambda j: obs(CotangentPoint(x.g, j))], x.j)[0])
-    row, = brackets.differentials([obs], x)
+    row, = brackets.differentials([opaque], x)
     assert np.array_equal(row[:n * n - 1], _reference(on_group, x.g, "su"))
+
+
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double"])
+def test_tabled_differential_rows_pair_the_basis_with_the_table(space):
+    """A tabled observable's differential row is the pairing of each left-translation (and
+    fiber) direction with its ``grad_table``: the trace form on su, the im form on sl."""
+    n = 3
+    h = harness.build_harness(space, n, liecore.build_root_datum(n))
+    x = h.sample(np.random.default_rng(20))
+    fns = h.probes()[:3] + [g.obs for g in all_generators(h)][:3]
+    rows = brackets.differentials(fns, x)
+    for fn, row in zip(fns, rows):
+        table = fn.grad_table(x)
+        if isinstance(x, CotangentPoint):
+            blocks = [(liecore.su_basis(n), m, liecore.TRACE_FORM) for m in table]
+        elif isinstance(x, HeisenbergPoint):
+            blocks = [(liecore.sl_real_basis(n), table[0], liecore.IM_FORM)]
+        else:
+            blocks = [(liecore.su_basis(n), table[(*slot, "lmul")], liecore.TRACE_FORM)
+                      for slot in x.space.slots]
+        expected = [liecore.pair(z, m, form) for basis, m, form in blocks for z in basis]
+        assert np.allclose(row, expected, rtol=0, atol=1e-13)
 
 
 def _per_probe_worst(x, gens, obs):

@@ -43,7 +43,7 @@ def test_every_spanned_target_exists():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("space", ["cotangent", "moduli"])
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "moduli"])
 def test_traced_word_observables_keep_their_exact_tables(space):
     """The tracer's counting wrapper keeps ``grad_table``, so traced brackets are bit-identical.
 
