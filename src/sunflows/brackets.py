@@ -10,10 +10,10 @@ the quasi-Poisson bracket of fusion spaces, where every bivector term reduces
 to trace-form pairings of per-letter left/right gradients.
 
 Gradients are exact where the observable knows them.  An observable may
-carry ``grad_table(point)``, returning the same table the geometry's
-finite-difference engine would build: the (group, fiber) pair on cotangent
-points, the per-letter dict on fusion points and the left and right
-complexified derivatives (D, D') on the Heisenberg double.  Word traces
+carry ``grad_table(point)``, returning the dict the geometry's finite-difference
+engine would build, keyed like ``_tangent_blocks``: 'group' and 'fiber' on cotangent
+points, the complexified derivatives 'lmul' (D) and 'rmul' (D') on the Heisenberg
+double and (factor, component, side) on fusion points.  Word traces
 (``word_observable``) carry it on all three, from Goldman's cyclic
 derivative; class functions of words (``moduli.WordHamiltonian``,
 ``observables.WordFunction``) carry it on cotangent and fusion points, by
@@ -231,15 +231,6 @@ def _stencil_gradients(fns, block) -> list[np.ndarray]:
             for column in _stencil_derivatives(fns, block).T]
 
 
-def _keyed(table, x) -> dict:
-    """A gradient table keyed like the blocks of ``_tangent_blocks(x)``."""
-    if isinstance(x, CotangentPoint):
-        return dict(zip(("group", "fiber"), table))
-    if isinstance(x, HeisenbergPoint):
-        return dict(zip(("lmul", "rmul"), table))
-    return table
-
-
 def differentials(fns, x) -> np.ndarray:
     """Rows: the derivative of each function along the left-translation and fiber basis at x.
 
@@ -255,7 +246,7 @@ def differentials(fns, x) -> np.ndarray:
         rows[opaque] = np.concatenate([_stencil_derivatives([fns[i] for i in opaque], block)
                                        for _, block in blocks]).T
     for i in tabled:
-        table = _keyed(fns[i].grad_table(x), x)
+        table = fns[i].grad_table(x)
         rows[i] = np.concatenate([_pairings(_basis(kind, x.n)[0], table[key], FORM[kind])
                                   for key, (kind, _, _) in blocks])
     return rows
@@ -275,28 +266,24 @@ def _fd_tables(obs_list, x) -> list[dict]:
 
 
 def fusion_gradient_tables(obs_list, point: FusionPoint):
-    """Per-letter translation gradients of each observable.
+    """Per-letter translation gradients of each observable, keyed (factor, component, side).
 
-    Returns one dict per observable keyed by (factor, component, side) where
-    side 'lmul' is the left-multiplication derivative (the right-invariant
-    frame) and 'rmul' the right-multiplication derivative (the left-invariant
-    frame).
+    'lmul' is the left-multiplication derivative (the right-invariant frame),
+    'rmul' the right-multiplication derivative (the left-invariant frame).
     """
     return _fd_tables(obs_list, point)
 
 
 def cotangent_gradients(obs_list, point: CotangentPoint):
-    """(group gradient, fiber gradient) of each observable at (g, J)."""
-    return [(t["group"], t["fiber"]) for t in _fd_tables(obs_list, point)]
+    """The 'group' and 'fiber' gradients of each observable at (g, J)."""
+    return _fd_tables(obs_list, point)
 
 
 def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint):
-    """Left and right complexified derivatives (DF, D'F) of each observable, by differences.
-
-    Both are elements of the realified complex algebra, characterized by
-    im-pair(Z, DF) = d/dt F(exp(tZ) X) and the right-sided analogue.
-    """
-    return [(t["lmul"], t["rmul"]) for t in _fd_tables(obs_list, point)]
+    """The complexified derivatives 'lmul' (DF) and 'rmul' (D'F) of each observable, by FD:
+    elements of the realified complex algebra with im-pair(Z, DF) = d/dt F(exp(tZ) X) and
+    the right-sided analogue."""
+    return _fd_tables(obs_list, point)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +298,9 @@ def word_table(x, letters, cuts, gaps=None):
     linear gradient in letter i when that letter is the additive cotangent
     fiber 'j'.  A letter W contributes cuts[i] to its left-multiplication
     and cuts[i+1] to its right-multiplication gradient; an inverted letter
-    W^-1 contributes -cuts[i+1] and -cuts[i].  Returns what
-    ``fusion_gradient_tables`` or ``cotangent_gradients`` would return for
-    the observable.
+    W^-1 contributes -cuts[i+1] and -cuts[i].  Returns the table that
+    ``fusion_gradient_tables`` or ``cotangent_gradients`` builds for the
+    observable.
     """
     zero = np.zeros((x.n, x.n), dtype=complex)
     if isinstance(x, CotangentPoint):
@@ -327,7 +314,7 @@ def word_table(x, letters, cuts, gaps=None):
                 group = group + cuts[i]
             elif name == "g~":
                 group = group - cuts[i + 1]
-        return group, fiber
+        return {"group": group, "fiber": fiber}
     if not isinstance(x, FusionPoint):
         raise UnsupportedBracket(f"no exact gradient table on {type(x).__name__}")
     table = {(f, comp, side): zero for f, comp in x.space.slots for side in ("lmul", "rmul")}
@@ -348,7 +335,7 @@ _HEISENBERG_LETTERS = {"x": (1, False, 0), "xh": (1, True, 1), "x~": (-1, False,
 
 
 def _heisenberg_word_table(letters, rotations):
-    """(D, D') of Re tr(coeff W_0 ... W_(k-1)) on the Heisenberg double.
+    """'lmul' (D) and 'rmul' (D') of Re tr(coeff W_0 ... W_(k-1)) on the Heisenberg double.
 
     ``rotations[i]`` is C_i = coeff (W_i ... W_(k-1)) (W_0 ... W_(i-1)), with
     C_k = C_0: inserting Z at cut i moves the trace by Re tr(Z C_i).  Summing
@@ -356,14 +343,14 @@ def _heisenberg_word_table(letters, rotations):
     right), and D is the traceless part of i M, since im-pair(Z, i M) =
     Re tr(M Z).
     """
-    sides = [0, 0]
+    sides = {"lmul": 0, "rmul": 0}
     for i, name in enumerate(letters):
         sign, adjoint, offset = _HEISENBERG_LETTERS[name]
-        for side, cut in enumerate((i + offset, i + 1 - offset)):
+        for side, cut in zip(sides, (i + offset, i + 1 - offset)):
             c = rotations[cut]
             sides[side] = sides[side] + sign * (c.conj().T if adjoint else c)
     n = rotations[0].shape[0]
-    return tuple(1j * m - (np.trace(1j * m) / n) * np.eye(n) for m in sides)
+    return {side: 1j * m - (np.trace(1j * m) / n) * np.eye(n) for side, m in sides.items()}
 
 
 def trace_word_table(x, letters, coeff: complex):
@@ -410,7 +397,7 @@ _RIGHT_FACTOR = {"b_right": (project_borel, IM_FORM), "u_right": (project_compac
 
 
 def right_factor_table(x, factor: str, grad):
-    """(D, D') of F(X) = f(m) for m the right Iwasawa factor ``factor`` of X.
+    """'lmul' (D) and 'rmul' (D') of F(X) = f(m), m the right Iwasawa factor ``factor`` of X.
 
     ``factor`` is 'b_right' (f a Borel function, whose gradient pairs in the
     im form) or 'u_right' (f a class function, the trace form); ``grad(m)``
@@ -430,11 +417,10 @@ def right_factor_table(x, factor: str, grad):
     m = getattr(f, factor)
     moved = np.linalg.inv(m) @ grad(m) @ m
     directions = _basis("sl", x.n)[0]
-    table = []
-    for c in ((f.u_left, f.b_right) if factor == "b_right" else (f.b_left, f.u_right)):
-        parts = part(np.linalg.inv(c) @ directions @ c)
-        table.append(_dual_sum("sl", x.n, -_pairings(parts, moved, form)))
-    return tuple(table)
+    cofactors = (f.u_left, f.b_right) if factor == "b_right" else (f.b_left, f.u_right)
+    return {side: _dual_sum("sl", x.n, -_pairings(part(np.linalg.inv(c) @ directions @ c),
+                                                  moved, form))
+            for side, c in zip(("lmul", "rmul"), cofactors)}
 
 
 def _gradients(obs_list, x) -> list:
@@ -463,20 +449,12 @@ def _gradients(obs_list, x) -> list:
 # contractions per geometry
 # ---------------------------------------------------------------------------
 
-def conjugation_gradient(table: dict, point: FusionPoint, f: int) -> np.ndarray:
-    """Generating-field gradient of the diagonal conjugation on factor f."""
-    n = point.n
-    out = np.zeros((n, n), dtype=complex)
-    for slot in point.space.factor_slots[f]:
+def conjugation_gradient(table: dict, slots) -> np.ndarray:
+    """Generating-field gradient of the diagonal conjugation on the letters of ``slots``,
+    summed as (sum + lmul) - rmul slot by slot; a total is summed factor by factor."""
+    out = 0
+    for slot in slots:
         out = out + table[(*slot, "lmul")] - table[(*slot, "rmul")]
-    return out
-
-
-def total_conjugation_gradient(table: dict, point: FusionPoint) -> np.ndarray:
-    n = point.n
-    out = np.zeros((n, n), dtype=complex)
-    for f in range(len(point.factors)):
-        out = out + conjugation_gradient(table, point, f)
     return out
 
 
@@ -505,17 +483,17 @@ def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> float:
     total = 0.0
     for f, t in enumerate(point.space.types):
         total += _double_term(tf, th, f) if t == "D" else _conj_term(tf, th, f)
-    conj_f = [conjugation_gradient(tf, point, f) for f in range(len(point.factors))]
-    conj_h = [conjugation_gradient(th, point, f) for f in range(len(point.factors))]
-    for f1 in range(len(point.factors)):
-        for f2 in range(f1 + 1, len(point.factors)):
+    conj_f = [conjugation_gradient(tf, slots) for slots in point.space.factor_slots]
+    conj_h = [conjugation_gradient(th, slots) for slots in point.space.factor_slots]
+    for f1 in range(len(conj_f)):
+        for f2 in range(f1 + 1, len(conj_f)):
             total -= 0.5 * (pair(conj_f[f1], conj_h[f2]) - pair(conj_h[f1], conj_f[f2]))
     return total
 
 
-def _cotangent_contraction(grad_f, grad_h, point: CotangentPoint) -> float:
+def _cotangent_contraction(tf, th, point: CotangentPoint) -> float:
     """Canonical cotangent bracket in right-translation coordinates."""
-    (gf, jf), (gh, jh) = grad_f, grad_h
+    gf, jf, gh, jh = tf["group"], tf["fiber"], th["group"], th["fiber"]
     lie = jf @ jh - jh @ jf
     return pair(gf, jh) - pair(gh, jf) + pair(point.j, lie)
 
@@ -525,10 +503,10 @@ def _half_difference(z: np.ndarray) -> np.ndarray:
     return 0.5 * (project_compact(z) - project_borel(z))
 
 
-def _heisenberg_contraction(deriv_f, deriv_h, point: HeisenbergPoint) -> float:
-    """Heisenberg-double bracket from the (DF, D'F) derivative pairs."""
-    (df, dpf), (dh, dph) = deriv_f, deriv_h
-    return pair(df, _half_difference(dh), IM_FORM) + pair(dpf, _half_difference(dph), IM_FORM)
+def _heisenberg_contraction(tf, th, point: HeisenbergPoint) -> float:
+    """Heisenberg-double bracket from the 'lmul' (DF) and 'rmul' (D'F) derivatives."""
+    return (pair(tf["lmul"], _half_difference(th["lmul"]), IM_FORM)
+            + pair(tf["rmul"], _half_difference(th["rmul"]), IM_FORM))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +606,8 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray
     rows = len(obs_list)
     out = np.zeros((rows, len(k_fns)))
     for i in range(rows):
-        conj_grad = total_conjugation_gradient(tables[i], point)
+        conj_grad = sum(conjugation_gradient(tables[i], slots)
+                        for slots in point.space.factor_slots)
         for j, grad in enumerate(two_sided):
             lhs = fusion_bracket_from_tables(tables[i], tables[rows + j], point)
             out[i, j] = abs(lhs - 0.5 * pair(conj_grad, grad))

@@ -249,31 +249,30 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
 # ---------------------------------------------------------------------------
 
 @_memoized(1)
-def alcove_spectra(gs: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
+def alcove_spectra(gs: np.ndarray) -> np.ndarray:
     """Alcove phase vectors (..., n) of a stack of special unitary matrices.
 
     The spectra of alcove_diagonalize, without frames.  Raises
-    RegularityViolation when any matrix of the stack is within ``margin``
-    of an alcove wall.
+    RegularityViolation when any matrix of the stack is within the default
+    regularity margin of an alcove wall.
     """
     xi, _ = alcove_phases(np.angle(np.linalg.eigvals(gs)))
-    _require_gaps(_alcove_walls(xi), margin, _ALCOVE_WALL)
+    _require_gaps(_alcove_walls(xi), DEFAULT_REGULARITY_MARGIN, _ALCOVE_WALL)
     return _read_only(xi)
 
 
-def chamber_spectra(js: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
+def chamber_spectra(js: np.ndarray) -> np.ndarray:
     """Decreasing chamber spectra (..., n) of a stack of anti-Hermitian traceless matrices.
 
     The spectra of chamber_diagonalize.  Raises RegularityViolation when a
-    gap of any matrix of the stack falls below the margin.
+    gap of any matrix of the stack falls below the default regularity margin.
     """
     xi = np.linalg.eigvalsh(-1j * js)[..., ::-1]
-    _require_gaps(coroot_values(xi), margin, _CHAMBER_GAP)
+    _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
     return _read_only(xi)
 
 
-def borel_chamber_spectra(bs: np.ndarray,
-                          margin: float = DEFAULT_REGULARITY_MARGIN) -> np.ndarray:
+def borel_chamber_spectra(bs: np.ndarray) -> np.ndarray:
     """Decreasing chamber spectra (..., n) of i log(b b^H) for a stack of Borel elements.
 
     The spectra of borel_chamber_diagonalize, with its finiteness,
@@ -284,7 +283,7 @@ def borel_chamber_spectra(bs: np.ndarray,
     vals = np.linalg.eigvalsh(p)
     _require_positive(vals)
     xi = np.log(vals[..., ::-1])
-    _require_gaps(coroot_values(xi), margin, _CHAMBER_GAP)
+    _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
     return _read_only(xi)
 
 
@@ -334,10 +333,6 @@ def iwasawa_decompose(x: np.ndarray) -> IwasawaFactors:
     return IwasawaFactors(u_left=_read_only(q1), u_right=_read_only(q2),
                           b_left=_read_only(np.linalg.inv(r2)),
                           b_right=_read_only(np.linalg.inv(r1)))
-
-
-def borel_left(x: np.ndarray) -> np.ndarray:
-    return iwasawa_decompose(x).b_left
 
 
 def dress(eta: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
         return HeisenbergPoint(x.x @ scipy.linalg.expm(-tau * ham.grad(f.b_right)))
     if isinstance(ham, ClassFunction):
         pos = scipy.linalg.expm(1j * tau * ham.grad(f.u_right))
-        return HeisenbergPoint(x.x @ decomp.borel_left(pos))
+        return HeisenbergPoint(x.x @ decomp.iwasawa_decompose(pos).b_left)
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
 
@@ -120,7 +120,7 @@ def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: fl
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
     pos = decomp.alcove_diagonalize(g).transport(scipy.linalg.expm(_coroot_sum(tau, datum)))
-    return decomp.borel_left(pos)
+    return decomp.iwasawa_decompose(pos).b_left
 
 
 def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,

@@ -3,9 +3,9 @@
 A harness bundles, for one phase space: regular point sampling, a probe
 family of word observables, the commuting Hamiltonian families with their
 exact flows and bracket-side observables, the torus actions with their
-angle flows and periodicity type, and the conserved quantities per family.
-The symmetry action is the points' own ``conjugate``.  The verification
-checks are then written once against this interface.
+periodicity type (the angle flows are the family's action-variable flows),
+and the conserved quantities per family.  The symmetry action is the
+points' own ``conjugate``.  The checks are written once against it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class Generator:
     name: str
     obs: object                      # callable point -> float
     flow: object                     # callable (point, tau) -> point
-    periodic: bool                   # does the 2*pi flow close up
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class TorusSpec:
     act: object
     flows: tuple                     # callable (point, t) -> point, one per angle
     periodic: bool
-    family: str                      # matching generator family
 
     @property
     def dim(self) -> int:
@@ -132,16 +130,21 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
-def _word_generators(fns, letters, flow, periodic: bool, suffix: str = "") -> list[Generator]:
+def _word_generators(fns, letters, flow, suffix: str = "") -> list[Generator]:
     """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
     return [Generator(fn.name + suffix, WordFunction(fn, letters),
-                      lambda p, t, fn=fn: flow(p, fn, t), periodic)
+                      lambda p, t, fn=fn: flow(p, fn, t))
             for fn in fns]
 
 
-def _flows(flow, fns) -> tuple:
-    """The flow (p, t) -> flow(p, fn, t) of each function."""
-    return tuple(lambda p, t, fn=fn: flow(p, fn, t) for fn in fns)
+def _moduli_generators(hams) -> list[Generator]:
+    """One generator per word Hamiltonian, with its moduli flow."""
+    return [Generator(h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t)) for h in hams]
+
+
+def _action_flows(gens, rank: int) -> tuple:
+    """The flows of a family's action variables: its last ``rank`` generators, the coroots."""
+    return tuple(g.flow for g in gens[-rank:])
 
 
 def _power_indices(n: int) -> list[int]:
@@ -168,28 +171,24 @@ class CotangentHarness(Harness):
         return obs
 
     def families(self):
-        datum = self.datum
-        flow = flows.cotangent_flow
-        fiber = (_word_generators([AlgebraPower(k) for k in _power_indices(self.n)],
-                                  ("j",), flow, periodic=False)
-                 + _word_generators([ChamberCoroot(j, datum) for j in range(datum.rank)],
-                                    ("j",), flow, periodic=True))
+        datum, flow = self.datum, flows.cotangent_flow
+        fiber = _word_generators([AlgebraPower(k) for k in _power_indices(self.n)]
+                                 + [ChamberCoroot(j, datum) for j in range(datum.rank)],
+                                 ("j",), flow)
         base = _word_generators([PowerTrace(k) for k in _power_indices(self.n)]
                                 + [AlcoveCoroot(j, datum) for j in range(datum.rank)],
-                                ("g",), flow, periodic=False)
+                                ("g",), flow)
         return {"fiber-invariants": fiber, "base-class": base}
 
     def torus_specs(self):
-        datum, flow, js = self.datum, flows.cotangent_flow, range(self.datum.rank)
+        datum, fams = self.datum, self.families()
         return [
             TorusSpec("chamber-torus",
                       lambda p, tau: flows.cotangent_torus_action(p, tau, "chamber", datum),
-                      _flows(flow, [ChamberCoroot(j, datum) for j in js]),
-                      True, "fiber-invariants"),
+                      _action_flows(fams["fiber-invariants"], datum.rank), True),
             TorusSpec("fiber-translation",
                       lambda p, tau: flows.cotangent_torus_action(p, tau, "translate", datum),
-                      _flows(flow, [AlcoveCoroot(j, datum) for j in js]),
-                      False, "base-class"),
+                      _action_flows(fams["base-class"], datum.rank), False),
         ]
 
     def conserved(self):
@@ -210,10 +209,10 @@ class CotangentHarness(Harness):
 # Heisenberg double
 # ---------------------------------------------------------------------------
 
-def _right_factor_generators(fns, factor: str, periodic: bool) -> list[Generator]:
+def _right_factor_generators(fns, factor: str) -> list[Generator]:
     """One generator per function of the right Iwasawa factor ('b_right' or 'u_right')."""
     return [Generator(fn.name, RightFactorFunction(fn, factor),
-                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t), periodic)
+                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t))
             for fn in fns]
 
 
@@ -235,27 +234,22 @@ class HeisenbergHarness(Harness):
 
     def families(self):
         datum = self.datum
-        borel = (_right_factor_generators([BorelPower(k) for k in (1, 2)], "b_right",
-                                          periodic=False)
-                 + _right_factor_generators([BorelChamberCoroot(j, datum)
-                                             for j in range(datum.rank)], "b_right",
-                                            periodic=True))
+        borel = _right_factor_generators([BorelPower(k) for k in (1, 2)] + [
+            BorelChamberCoroot(j, datum) for j in range(datum.rank)], "b_right")
         unitary = _right_factor_generators([PowerTrace(k) for k in _power_indices(self.n)]
                                            + [AlcoveCoroot(j, datum) for j in range(datum.rank)],
-                                           "u_right", periodic=False)
+                                           "u_right")
         return {"borel-invariants": borel, "unitary-class": unitary}
 
     def torus_specs(self):
-        datum, flow, js = self.datum, flows.heisenberg_flow, range(self.datum.rank)
+        datum, fams = self.datum, self.families()
         return [
             TorusSpec("dressing-torus",
                       lambda p, tau: flows.heisenberg_torus_action(p, tau, "dress", datum),
-                      _flows(flow, [BorelChamberCoroot(j, datum) for j in js]),
-                      True, "borel-invariants"),
+                      _action_flows(fams["borel-invariants"], datum.rank), True),
             TorusSpec("borel-translation",
                       lambda p, tau: flows.heisenberg_torus_action(p, tau, "translate", datum),
-                      _flows(flow, [AlcoveCoroot(j, datum) for j in js]),
-                      False, "unitary-class"),
+                      _action_flows(fams["unitary-class"], datum.rank), False),
         ]
 
     def conserved(self):
@@ -324,7 +318,7 @@ def _family_from_config(space: FusionSpace, family) -> moduli.IntervalFamily:
                                     for key, value in family.items()})
 
 
-def family_torus(hams, datum: RootDatum, family: str) -> TorusSpec:
+def family_torus(hams, datum: RootDatum) -> TorusSpec:
     """The joint torus of a word-Hamiltonian family, one angle per generator.
 
     The generators come block by block, rank many each, so the angles read
@@ -333,7 +327,7 @@ def family_torus(hams, datum: RootDatum, family: str) -> TorusSpec:
     return TorusSpec("family-torus",
                      lambda p, tau: moduli.moduli_torus_action(
                          p, np.asarray(tau).reshape(-1, datum.rank), hams, datum),
-                     _flows(moduli.moduli_flow, hams), True, family)
+                     tuple(g.flow for g in _moduli_generators(hams)), True)
 
 
 class FusionHarness(Harness):
@@ -375,24 +369,16 @@ class FusionHarness(Harness):
         return out[:12]
 
     def families(self):
-        gens = []
-        for h in self.hams:
-            gens.append(Generator(
-                h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t), periodic=True))
-        return {self.label: gens}
+        return {self.label: _moduli_generators(self.hams)}
 
     def extra_generators(self):
         """Polynomial class functions on the same blocks, for flow checks."""
-        gens = []
-        for block in self.blocks:
-            for k in _power_indices(self.n)[:1]:
-                h = moduli.WordHamiltonian(block, PowerTrace(k))
-                gens.append(Generator(
-                    h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t), periodic=False))
-        return gens
+        return _moduli_generators([moduli.WordHamiltonian(block, PowerTrace(k))
+                                   for block in self.blocks
+                                   for k in _power_indices(self.n)[:1]])
 
     def torus_specs(self):
-        return [family_torus(self.hams, self.datum, self.label)]
+        return [family_torus(self.hams, self.datum)]
 
     def conserved(self):
         specs = [ConservedSpec("product-momentum", self.label, lambda p: p.momentum())]
@@ -427,21 +413,18 @@ class DoubleHarness(FusionHarness):
         self.slot = "first" if which == "h" else "second"
 
     def families(self):
-        datum = self.datum
         letter = "a1" if self.which == "h" else "b1"
         flow = lambda p, fn, t: flows.double_flow(p, fn, t, self.slot)
-        gens = (_word_generators([PowerTrace(k) for k in _power_indices(self.n)],
-                                 (letter,), flow, periodic=False, suffix=f"@{self.slot}")
-                + _word_generators([AlcoveCoroot(j, datum) for j in range(datum.rank)],
-                                   (letter,), flow, periodic=True, suffix=f"@{self.slot}"))
-        return {self.label: gens}
+        return {self.label: _word_generators(
+            [PowerTrace(k) for k in _power_indices(self.n)]
+            + [AlcoveCoroot(j, self.datum) for j in range(self.datum.rank)],
+            (letter,), flow, suffix=f"@{self.slot}")}
 
     def extra_generators(self):
         """The momentum family H = chi([A, B])."""
         flow = lambda p, fn, t: flows.double_flow(p, fn, t, "momentum")
         return _word_generators([PowerTrace(k) for k in _power_indices(self.n)],
-                                ("a1", "b1", "a1~", "b1~"), flow, periodic=False,
-                                suffix="@momentum")
+                                ("a1", "b1", "a1~", "b1~"), flow, suffix="@momentum")
 
     def sample(self, rng):
         def check(x):
@@ -456,9 +439,7 @@ class DoubleHarness(FusionHarness):
         return [TorusSpec(
             f"{slot}-slot-torus",
             lambda p, tau: flows.double_torus_action(p, np.asarray(tau), slot, datum),
-            _flows(lambda p, fn, t: flows.double_flow(p, fn, t, slot),
-                   [AlcoveCoroot(j, datum) for j in range(datum.rank)]),
-            True, self.label)]
+            _action_flows(self.families()[self.label], datum.rank), True)]
 
     def conserved(self):
         def first_pair(p):

@@ -193,7 +193,7 @@ class WordHamiltonian:
         return tuple(out)
 
     def grad_table(self, x: FusionPoint) -> dict:
-        """Exact per-letter gradient table, in the form of brackets.fusion_gradient_tables."""
+        """Exact gradient table keyed (factor, component, side), as fusion_gradient_tables."""
         return brackets.class_word_table(x, self.word(x.space),
                                          self.classfn.grad(self.block_value(x)))
 

@@ -303,7 +303,7 @@ class RightFactorFunction:
 
     ``fn`` is a BorelFunction of ``factor`` 'b_right' or a ClassFunction of
     'u_right'.  The value is fn.value of the factor, and the gradient table
-    (D, D') comes from fn.grad through the first-order Iwasawa splitting.
+    {'lmul': D, 'rmul': D'} comes from fn.grad through the first-order Iwasawa splitting.
     """
 
     fn: object

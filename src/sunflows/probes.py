@@ -317,7 +317,7 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
     if fam is not None:
         hams = moduli.hamiltonian_family(x.space, fam, datum)
     if hams is not None:
-        torus = harness.family_torus(hams, datum, "crafted")
+        torus = harness.family_torus(hams, datum)
     action = combine(conjugation_action(n), ActionSpec(torus.name, torus.curves(), torus.dim))
     return PrincipalPoint(key, x, action, torus.dim, hams or [])
 

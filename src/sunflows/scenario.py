@@ -476,19 +476,18 @@ def all_generators(h) -> list:
     return [g for fam in h.families().values() for g in fam] + h.extra_generators()
 
 
-def check_flow_bracket(ctx: CheckContext, points: int | None = None) -> CheckResult:
+def check_flow_bracket(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("flow-bracket")
     obs = h.probes()
     worst = 0.0
-    count = points or ctx.cfg.points
     gens = all_generators(h)
-    for _ in range(count):
+    for _ in range(ctx.cfg.points):
         x = h.sample(rng)
         worst = max(worst, flow_bracket_worst(h, x, gens, obs))
     return _result(ctx, "flow-bracket",
                    "exact flows differentiate to the bracket against the probe family",
-                   worst, 1e-6, {"points": count, "observables": len(obs),
+                   worst, 1e-6, {"points": ctx.cfg.points, "observables": len(obs),
                                  "generators": len(gens)})
 
 
@@ -712,12 +711,12 @@ def check_isotropy(ctx: CheckContext) -> CheckResult:
                    "and are fixed by the center", worst, 0.0, detail)
 
 
-def check_freeness_rank(ctx: CheckContext, points: int = 20) -> CheckResult:
+def check_freeness_rank(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("freeness-rank")
     failures = 0
     min_disp = np.inf
-    for _ in range(points):
+    for _ in range(20):
         x = h.sample(rng)
         for spec in h.torus_specs():
             action = probes.ActionSpec(spec.name, spec.curves(), spec.dim)

@@ -48,14 +48,14 @@ def test_alcove_gradient_on_torus_matches_paper_normal_form():
 
 def test_heisenberg_derivatives_constant_and_symmetric():
     x = random_heisenberg_point(2, np.random.default_rng(3))
-    df, dpf = brackets.heisenberg_derivatives_multi([lambda p: 1.0], x)[0]
-    assert np.linalg.norm(df) < 1e-12 and np.linalg.norm(dpf) < 1e-12
+    d, = brackets.heisenberg_derivatives_multi([lambda p: 1.0], x)
+    assert np.linalg.norm(d["lmul"]) < 1e-12 and np.linalg.norm(d["rmul"]) < 1e-12
     # F = Re tr(X X^H) at the identity has equal left and right derivatives
     from sunflows.spaces import HeisenbergPoint
     e = HeisenbergPoint(np.eye(2, dtype=complex))
     obs = ob.word_observable(("x", "xh"))
-    df, dpf = brackets.heisenberg_derivatives_multi([obs], e)[0]
-    assert np.linalg.norm(df - dpf) < 1e-9
+    d, = brackets.heisenberg_derivatives_multi([obs], e)
+    assert np.linalg.norm(d["lmul"] - d["rmul"]) < 1e-9
 
 
 def test_heisenberg_derivatives_defining_property():
@@ -64,11 +64,12 @@ def test_heisenberg_derivatives_defining_property():
     rng = np.random.default_rng(5)
     x = random_heisenberg_point(2, rng)
     obs = ob.word_observable(("x", "x", "xh"))
-    df, dpf = brackets.heisenberg_derivatives_multi([obs], x)[0]
+    d, = brackets.heisenberg_derivatives_multi([obs], x)
     for _ in range(3):
         z1 = sum(rng.standard_normal() * b for b in liecore.sl_real_basis(2))
         z2 = sum(rng.standard_normal() * b for b in liecore.sl_real_basis(2))
-        lhs = liecore.pair(z1, df, liecore.IM_FORM) + liecore.pair(z2, dpf, liecore.IM_FORM)
+        lhs = (liecore.pair(z1, d["lmul"], liecore.IM_FORM)
+               + liecore.pair(z2, d["rmul"], liecore.IM_FORM))
 
         def curve(t):
             from sunflows.spaces import HeisenbergPoint
@@ -84,11 +85,11 @@ def test_derivative_linearity():
     f1 = ob.word_observable(("x",))
     f2 = ob.word_observable(("x", "xh"))
     combo = lambda p: 2.0 * f1(p) - 0.7 * f2(p)
-    d1 = brackets.heisenberg_derivatives_multi([f1], x)[0]
-    d2 = brackets.heisenberg_derivatives_multi([f2], x)[0]
-    dc = brackets.heisenberg_derivatives_multi([combo], x)[0]
-    assert np.linalg.norm(dc[0] - (2.0 * d1[0] - 0.7 * d2[0])) < 1e-9
-    assert np.linalg.norm(dc[1] - (2.0 * d1[1] - 0.7 * d2[1])) < 1e-9
+    d1, = brackets.heisenberg_derivatives_multi([f1], x)
+    d2, = brackets.heisenberg_derivatives_multi([f2], x)
+    dc, = brackets.heisenberg_derivatives_multi([combo], x)
+    for side in ("lmul", "rmul"):
+        assert np.linalg.norm(dc[side] - (2.0 * d1[side] - 0.7 * d2[side])) < 1e-9
 
 
 def _product(g, h):

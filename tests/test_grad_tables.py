@@ -50,24 +50,23 @@ def _observables(h, n):
 
 
 def _flat(table):
-    if isinstance(table, dict):
-        return np.concatenate([table[k].ravel() for k in sorted(table)])
-    return np.concatenate([m.ravel() for m in table])
+    return np.concatenate([table[k].ravel() for k in sorted(table)])
 
 
 def _richardson_heisenberg_derivatives(obs, x):
-    """(D, D') of each observable from Richardson-extrapolated derivatives along each sl
-    direction, on both sides."""
+    """The 'lmul' and 'rmul' derivatives (D, D') of each observable from
+    Richardson-extrapolated derivatives along each sl direction, on both sides."""
     n = x.n
     values = lambda p: np.array([o(p) for o in obs])
-    sides = []
-    for left in (True, False):
+    sides = {}
+    for side in ("lmul", "rmul"):
         derivs = np.array([brackets.directional_derivative(
             values, lambda t, z=z: HeisenbergPoint(
-                scipy.linalg.expm(t * z) @ x.x if left else x.x @ scipy.linalg.expm(t * z)),
+                scipy.linalg.expm(t * z) @ x.x if side == "lmul"
+                else x.x @ scipy.linalg.expm(t * z)),
             richardson=True) for z in liecore.sl_real_basis(n)])
-        sides.append([brackets._dual_sum("sl", n, column) for column in derivs.T])
-    return list(zip(*sides))
+        sides[side] = [brackets._dual_sum("sl", n, column) for column in derivs.T]
+    return [dict(zip(sides, grads)) for grads in zip(*sides.values())]
 
 
 def _fd_tables(obs, x):
@@ -89,8 +88,7 @@ def test_exact_tables_match_finite_differences(space, n):
     fd = _fd_tables(obs, x)
     for o, table_fd in zip(obs, fd):
         table = o.grad_table(x)
-        if isinstance(table, dict):
-            assert table.keys() == table_fd.keys()
+        assert table.keys() == table_fd.keys()
         exact, approx = _flat(table), _flat(table_fd)
         name = getattr(o, "__name__", getattr(o, "name", o))
         assert np.linalg.norm(exact - approx) <= 1e-7 * max(1.0, np.linalg.norm(approx)), name

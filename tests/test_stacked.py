@@ -203,15 +203,14 @@ _SPECTRA = {"alcove": decomp.alcove_spectra, "chamber": decomp.chamber_spectra,
 def test_a_stack_with_one_point_inside_the_margin_is_rejected(kind, where):
     kernel = _SPECTRA[kind]
     stack = _regular_stack(kind, 3, np.random.default_rng(600), count=6)
-    kernel(stack, 1e-3)
+    kernel(stack)
     stack = stack.copy()
-    stack[where] = _near_wall(kind, 1e-4)
+    # a gap of 1e-9 is inside the default regularity margin of 1e-8
+    stack[where] = _near_wall(kind, 1e-9)
     with pytest.raises(RegularityViolation):
-        kernel(stack, 1e-3)
-    # the same stack passes at a margin below that point's gap
-    kernel(stack, 1e-5)
+        kernel(stack)
     with pytest.raises(RegularityViolation):
-        kernel(stack.reshape(2, 3, 3, 3), 1e-3)
+        kernel(stack.reshape(2, 3, 3, 3))
 
 
 def test_families_reject_a_stencil_block_that_reaches_inside_the_margin():

@@ -119,9 +119,9 @@ def test_engines_oracles_and_differentials_share_the_table():
     obs = ob.word_observable(("g", "j", "j"))
     opaque = lambda p: obs(p)
     on_group = lambda g: obs(CotangentPoint(g, x.j))
-    (group, fiber), = brackets.cotangent_gradients([obs], x)
-    assert np.array_equal(group, brackets.group_gradient_fd([on_group], x.g, "L")[0])
-    assert np.array_equal(fiber, brackets.algebra_gradient_fd(
+    table, = brackets.cotangent_gradients([obs], x)
+    assert np.array_equal(table["group"], brackets.group_gradient_fd([on_group], x.g, "L")[0])
+    assert np.array_equal(table["fiber"], brackets.algebra_gradient_fd(
         [lambda j: obs(CotangentPoint(x.g, j))], x.j)[0])
     row, = brackets.differentials([opaque], x)
     assert np.array_equal(row[:n * n - 1], _reference(on_group, x.g, "su"))
@@ -139,9 +139,10 @@ def test_tabled_differential_rows_pair_the_basis_with_the_table(space):
     for fn, row in zip(fns, rows):
         table = fn.grad_table(x)
         if isinstance(x, CotangentPoint):
-            blocks = [(liecore.su_basis(n), m, liecore.TRACE_FORM) for m in table]
+            blocks = [(liecore.su_basis(n), table[key], liecore.TRACE_FORM)
+                      for key in ("group", "fiber")]
         elif isinstance(x, HeisenbergPoint):
-            blocks = [(liecore.sl_real_basis(n), table[0], liecore.IM_FORM)]
+            blocks = [(liecore.sl_real_basis(n), table["lmul"], liecore.IM_FORM)]
         else:
             blocks = [(liecore.su_basis(n), table[(*slot, "lmul")], liecore.TRACE_FORM)
                       for slot in x.space.slots]
