@@ -49,7 +49,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import UnsupportedBracket, UnsupportedWord
 from .liecore import (
@@ -58,6 +57,8 @@ from .liecore import (
     Pairing,
     borel_basis,
     dual_basis,
+    expm,
+    expm_normal,
     pair,
     project_borel,
     project_compact,
@@ -151,8 +152,12 @@ def _steps(kind: str, n: int) -> np.ndarray:
     """
     table = []
     for z in _basis(kind, n)[0]:
-        e = scipy.linalg.expm(STEP[kind] * z)
-        ei = e.conj().T if kind == "su" else np.linalg.inv(e)
+        if kind == "su":
+            e = expm_normal(STEP[kind] * z)
+            ei = e.conj().T
+        else:
+            e = expm(STEP[kind] * z)
+            ei = np.linalg.inv(e)
         powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
         table.append([powers[k] for k in _STEPS])
     table = np.array(table)

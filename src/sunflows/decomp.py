@@ -27,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NotPositiveDefinite,
@@ -80,7 +79,7 @@ def _memoized(size: int):
 class NormalForm:
     """Spectrum and diagonalizing frame Q of a matrix.
 
-    ``vectors`` are the eigen- or Schur vector columns in spectrum order;
+    ``vectors`` are orthonormal eigenvector columns in spectrum order;
     ``frame`` puts them in the frame convention on first access.
     """
 
@@ -238,10 +237,13 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
     summing to zero, with xi_1 - xi_n < 2*pi.  Raises RegularityViolation
     when the point is within ``margin`` of an alcove wall.
     """
-    t, z = scipy.linalg.schur(g, output="complex")
-    xi, perm = alcove_phases(np.angle(np.diag(t)))
+    vals, vecs = np.linalg.eig(g)
+    xi, perm = alcove_phases(np.angle(vals))
     _require_gaps(_alcove_walls(xi), margin, _ALCOVE_WALL)
-    return AlcoveData(spectrum=_read_only(xi), vectors=_read_only(z[:, perm]))
+    # g is normal, so its eigenvectors are orthogonal up to roundoff divided by the
+    # phase gaps, which the check above bounds; QR makes the frame unitary to roundoff
+    q, _ = np.linalg.qr(vecs[:, perm])
+    return AlcoveData(spectrum=_read_only(xi), vectors=_read_only(q))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.linalg
 
 from . import brackets, decomp, liecore
 from .errors import ShapeError, UnsupportedBracket
@@ -44,13 +43,13 @@ def _coroot_sum(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
 
 def coroot_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j h_j) over the simple coroots."""
-    return scipy.linalg.expm(-1j * _coroot_sum(tau, datum))
+    return liecore.expm(-1j * _coroot_sum(tau, datum))
 
 
 def coweight_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j w_j) over the fundamental coweights."""
     z = sum(t * w for t, w in zip(np.asarray(tau, dtype=float), datum.coweights))
-    return scipy.linalg.expm(-1j * z)
+    return liecore.expm(-1j * z)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
     exp(tau * grad); base class functions translate the fiber by -tau * grad.
     """
     if isinstance(ham, AlgebraFunction):
-        g = scipy.linalg.expm(tau * ham.grad(x.j)) @ x.g
+        g = liecore.expm_normal(tau * ham.grad(x.j)) @ x.g
         return CotangentPoint(_maybe_reproject(g, "cotangent group part"), x.j)
     if isinstance(ham, ClassFunction):
         return CotangentPoint(x.g, x.j - tau * ham.grad(x.g))
@@ -102,9 +101,9 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
     """
     f = x.factors()
     if isinstance(ham, BorelFunction):
-        return HeisenbergPoint(x.x @ scipy.linalg.expm(-tau * ham.grad(f.b_right)))
+        return HeisenbergPoint(x.x @ liecore.expm_normal(-tau * ham.grad(f.b_right)))
     if isinstance(ham, ClassFunction):
-        pos = scipy.linalg.expm(1j * tau * ham.grad(f.u_right))
+        pos = liecore.expm_normal(1j * tau * ham.grad(f.u_right))
         return HeisenbergPoint(x.x @ decomp.iwasawa_decompose(pos).b_left)
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
@@ -112,14 +111,14 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
 def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: float) -> np.ndarray:
     """The unitary cofactor of the class-function flow (conjugator of u_right)."""
     f = x.factors()
-    pos = scipy.linalg.expm(1j * tau * ham.grad(f.u_right))
+    pos = liecore.expm_normal(1j * tau * ham.grad(f.u_right))
     iw = decomp.iwasawa_decompose(pos)
     return iw.u_right.conj().T
 
 
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
-    pos = decomp.alcove_diagonalize(g).transport(scipy.linalg.expm(_coroot_sum(tau, datum)))
+    pos = decomp.alcove_diagonalize(g).transport(liecore.expm(_coroot_sum(tau, datum)))
     return decomp.iwasawa_decompose(pos).b_left
 
 
@@ -149,13 +148,13 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
     """
     a, b = x.pair(1)
     if slot == "first":
-        return x.with_slots({(0, 1): _maybe_reproject(b @ scipy.linalg.expm(-tau * ham.grad(a)),
+        return x.with_slots({(0, 1): _maybe_reproject(b @ liecore.expm_normal(-tau * ham.grad(a)),
                                                       "double B")})
     if slot == "second":
-        return x.with_slots({(0, 0): _maybe_reproject(a @ scipy.linalg.expm(tau * ham.grad(b)),
+        return x.with_slots({(0, 0): _maybe_reproject(a @ liecore.expm_normal(tau * ham.grad(b)),
                                                       "double A")})
     if slot == "momentum":
-        u = scipy.linalg.expm(tau * ham.grad(x.momentum()))
+        u = liecore.expm_normal(tau * ham.grad(x.momentum()))
         ui = u.conj().T
         return x.map(lambda m: u @ m @ ui)
     raise ShapeError(f"unknown double slot {slot!r}")

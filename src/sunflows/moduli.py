@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import brackets, decomp
+from . import brackets, decomp, liecore
 from .errors import AssumptionViolation, InvalidPlan, InvalidShape, UnsupportedWord
 from .flows import coroot_torus_element, coweight_torus_element
 from .liecore import RootDatum
@@ -254,9 +253,9 @@ def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint
     exp(tau * grad of the class function at the block value).
     """
     if ham.block[0] == "single":
-        u = scipy.linalg.expm(-tau * ham.classfn.grad(ham.block_value(x)))
+        u = liecore.expm_normal(-tau * ham.classfn.grad(ham.block_value(x)))
     else:
-        u = scipy.linalg.expm(tau * ham.classfn.grad(ham.block_value(x)))
+        u = liecore.expm_normal(tau * ham.classfn.grad(ham.block_value(x)))
     return _move_letters(x, ham, u)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import brackets, decomp, harness, liecore, moduli
 from .errors import RegularityViolation, ShapeError, Unsupported
@@ -48,7 +47,7 @@ class ActionSpec:
 def conjugation_action(n: int) -> ActionSpec:
     """The symmetry-group action, each point's own ``conjugate``."""
     basis = su_basis(n)
-    curves = tuple(lambda p, t, z=z: p.conjugate(scipy.linalg.expm(t * z)) for z in basis)
+    curves = tuple(lambda p, t, z=z: p.conjugate(liecore.expm_normal(t * z)) for z in basis)
     return ActionSpec("symmetry", curves, len(basis))
 
 

@@ -8,7 +8,7 @@ without the defect must pass, so a row that fails is the defect's doing.
 import numpy as np
 import pytest
 
-from sunflows import brackets, flows
+from sunflows import brackets, flows, liecore
 from sunflows.liecore import IM_FORM, TRACE_FORM, pair, project_borel, project_compact
 from sunflows.observables import AlgebraFunction
 from sunflows.scenario import ScenarioConfig, run_scenario
@@ -17,6 +17,7 @@ _half_difference = brackets._half_difference
 _double_term = brackets._double_term
 _cotangent_flow = flows.cotangent_flow
 _coroot_torus_element = flows.coroot_torus_element
+_expm_normal = liecore.expm_normal
 
 # the (2, 2) moduli space with the family of the desk-sweep benchmark
 _MODULI = dict(space="moduli", m=2, holes=2,
@@ -46,6 +47,24 @@ def _drop_double_cross_term(mp):
     mp.setattr(brackets, "_double_term", term)
 
 
+def _drop_double_a_self_term(mp):
+    # the term pair(aRF, aLH) - pair(aRH, aLF) of the first letter
+    def term(tf, th, f):
+        own = pair(tf[(f, 0, "lmul")], th[(f, 0, "rmul")]) - pair(th[(f, 0, "lmul")],
+                                                                   tf[(f, 0, "rmul")])
+        return _double_term(tf, th, f) - 0.5 * own
+    mp.setattr(brackets, "_double_term", term)
+
+
+def _drop_double_b_self_term(mp):
+    # the term -(pair(bRF, bLH) - pair(bRH, bLF)) of the second letter
+    def term(tf, th, f):
+        own = pair(tf[(f, 1, "lmul")], th[(f, 1, "rmul")]) - pair(th[(f, 1, "lmul")],
+                                                                   tf[(f, 1, "rmul")])
+        return _double_term(tf, th, f) + 0.5 * own
+    mp.setattr(brackets, "_double_term", term)
+
+
 def _drop_conjugation_term(mp):
     mp.setattr(brackets, "_conj_term", lambda tf, th, f: 0.0)
 
@@ -69,6 +88,11 @@ def _coroot_torus_at_twice_the_angle(mp):
                lambda tau, datum: _coroot_torus_element(2 * np.asarray(tau), datum))
 
 
+def _expm_normal_of_minus_a(mp):
+    # every flow and torus curve built on the eigensolve kernel runs backwards
+    mp.setattr(liecore, "expm_normal", lambda a: _expm_normal(-a))
+
+
 # name -> (defect, config fields, checks that must not all pass)
 MUTATIONS = {
     "heisenberg-half-difference-sign": (_flip_half_difference, dict(space="heisenberg", n=2),
@@ -80,6 +104,10 @@ MUTATIONS = {
     # at n=2 no check of the double catches this term (nor the two self-terms)
     "double-cross-term-dropped": (_drop_double_cross_term, dict(space="double", n=3),
                                   ["flow-bracket"]),
+    "double-a-self-term-dropped": (_drop_double_a_self_term, dict(space="double", n=3),
+                                   ["flow-bracket"]),
+    "double-b-self-term-dropped": (_drop_double_b_self_term, dict(space="double", n=3),
+                                   ["flow-bracket"]),
     "conjugation-term-dropped": (_drop_conjugation_term, dict(space="sphere4", n=2),
                                  ["flow-bracket"]),
     "fusion-cross-factor-terms-dropped": (_drop_fusion_cross_factor_terms, dict(_MODULI, n=2),
@@ -89,6 +117,8 @@ MUTATIONS = {
                                                  ["flow-bracket"]),
     "coroot-torus-at-twice-the-angle": (_coroot_torus_at_twice_the_angle,
                                         dict(space="cotangent", n=2), ["torus-vs-flows"]),
+    "expm-normal-of-minus-a": (_expm_normal_of_minus_a, dict(space="cotangent", n=2),
+                               ["flow-bracket", "torus-vs-flows"]),
 }
 
 

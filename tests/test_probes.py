@@ -77,7 +77,7 @@ def test_crafted_generator_matrix_is_bit_equal_to_the_old_curves(key, n):
         torus = _old_torus_curves(*OLD_TORUS[key], datum)
     else:
         torus = _old_family_curves(datum, pp.family)
-    symmetry = [lambda p, t, z=z: p.conjugate(scipy.linalg.expm(t * z))
+    symmetry = [lambda p, t, z=z: p.conjugate(liecore.expm_normal(t * z))
                 for z in liecore.su_basis(n)]
     old = probes.ActionSpec("old", tuple(symmetry + torus), len(symmetry) + len(torus))
     assert pp.torus_dim == len(torus)
