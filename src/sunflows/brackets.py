@@ -7,7 +7,9 @@ left/right gradient tables on fusion spaces), and one contraction per
 geometry pairs them against its bivector: the canonical cotangent bracket,
 the Heisenberg-double bracket built from the two isotropic projections, and
 the quasi-Poisson bracket of fusion spaces, where every bivector term reduces
-to trace-form pairings of per-letter left/right gradients.
+to trace-form pairings of per-letter left/right gradients.  A contraction
+takes each key's tables stacked over the row and over the column observables
+and returns the whole matrix of brackets.
 
 Gradients are exact where the observable knows them.  An observable may
 carry ``grad_table(point)``, returning the dict the geometry's finite-difference
@@ -454,6 +456,22 @@ def _gradients(obs_list, x) -> list:
 # contractions per geometry
 # ---------------------------------------------------------------------------
 
+def _pick(stack: dict, index) -> dict:
+    return {key: s[index] for key, s in stack.items()}
+
+
+def gradient_stack(obs_list, x) -> dict:
+    """The gradient tables of ``obs_list`` at x, each key's table stacked over the observables."""
+    tables = _gradients(obs_list, x)
+    return {key: np.array([t[key] for t in tables]) for key in tables[0]}
+
+
+def _gram(left: np.ndarray, right: np.ndarray, form: Pairing = TRACE_FORM) -> np.ndarray:
+    """pair(left[i], right[j], form) for every i and j, bit for bit (einsum reorders the sum)."""
+    t = np.trace(left[:, np.newaxis] @ right[np.newaxis], axis1=-2, axis2=-1)
+    return t.imag if form.kind == "im" else t.real
+
+
 def conjugation_gradient(table: dict, slots) -> np.ndarray:
     """Generating-field gradient of the diagonal conjugation on the letters of ``slots``,
     summed as (sum + lmul) - rmul slot by slot; a total is summed factor by factor."""
@@ -463,28 +481,27 @@ def conjugation_gradient(table: dict, slots) -> np.ndarray:
     return out
 
 
-def _double_term(tf, th, f) -> float:
+# the contractions pair rows F with columns H; pair(H, F) is _gram(H, F).T
+def _double_term(tf, th, f) -> np.ndarray:
     # per-letter gradients: R = right-invariant frame (lmul), L = left-invariant (rmul)
     aRF, aLF = tf[(f, 0, "lmul")], tf[(f, 0, "rmul")]
     bRF, bLF = tf[(f, 1, "lmul")], tf[(f, 1, "rmul")]
     aRH, aLH = th[(f, 0, "lmul")], th[(f, 0, "rmul")]
     bRH, bLH = th[(f, 1, "lmul")], th[(f, 1, "rmul")]
-    val = pair(aRF, aLH) - pair(aRH, aLF)
-    val -= pair(bRF, bLH) - pair(bRH, bLF)
-    val += pair(aLF, bLH + bRH) - pair(aLH, bLF + bRF)
-    val += pair(aRF, bLH - bRH) - pair(aRH, bLF - bRF)
+    val = _gram(aRF, aLH) - _gram(aRH, aLF).T
+    val -= _gram(bRF, bLH) - _gram(bRH, bLF).T
+    val += _gram(aLF, bLH + bRH) - _gram(aLH, bLF + bRF).T
+    val += _gram(aRF, bLH - bRH) - _gram(aRH, bLF - bRF).T
     return 0.5 * val
 
 
-def _conj_term(tf, th, f) -> float:
-    return 0.5 * (
-        pair(tf[(f, 0, "lmul")], th[(f, 0, "rmul")])
-        - pair(th[(f, 0, "lmul")], tf[(f, 0, "rmul")])
-    )
+def _conj_term(tf, th, f) -> np.ndarray:
+    return 0.5 * (_gram(tf[(f, 0, "lmul")], th[(f, 0, "rmul")])
+                  - _gram(th[(f, 0, "lmul")], tf[(f, 0, "rmul")]).T)
 
 
-def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> float:
-    """Contract the fused bivector with precomputed gradient tables."""
+def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> np.ndarray:
+    """Contract the fused bivector with stacked gradient tables."""
     total = 0.0
     for f, t in enumerate(point.space.types):
         total += _double_term(tf, th, f) if t == "D" else _conj_term(tf, th, f)
@@ -492,31 +509,51 @@ def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> float:
     conj_h = [conjugation_gradient(th, slots) for slots in point.space.factor_slots]
     for f1 in range(len(conj_f)):
         for f2 in range(f1 + 1, len(conj_f)):
-            total -= 0.5 * (pair(conj_f[f1], conj_h[f2]) - pair(conj_h[f1], conj_f[f2]))
+            total -= 0.5 * (_gram(conj_f[f1], conj_h[f2]) - _gram(conj_h[f1], conj_f[f2]).T)
     return total
 
 
-def _cotangent_contraction(tf, th, point: CotangentPoint) -> float:
+def _cotangent_contraction(tf, th, point: CotangentPoint) -> np.ndarray:
     """Canonical cotangent bracket in right-translation coordinates."""
     gf, jf, gh, jh = tf["group"], tf["fiber"], th["group"], th["fiber"]
-    lie = jf @ jh - jh @ jf
-    return pair(gf, jh) - pair(gh, jf) + pair(point.j, lie)
+    lie = jf[:, np.newaxis] @ jh[np.newaxis]
+    lie -= jh[np.newaxis] @ jf[:, np.newaxis]
+    return (_gram(gf, jh) - _gram(gh, jf).T
+            + np.trace(point.j @ lie, axis1=-2, axis2=-1).real)
 
 
 def _half_difference(z: np.ndarray) -> np.ndarray:
-    """The operator (compact projection - Borel projection)/2."""
+    """The operator (compact projection - Borel projection)/2, on a matrix or a stack."""
     return 0.5 * (project_compact(z) - project_borel(z))
 
 
-def _heisenberg_contraction(tf, th, point: HeisenbergPoint) -> float:
+def _heisenberg_contraction(tf, th, point: HeisenbergPoint) -> np.ndarray:
     """Heisenberg-double bracket from the 'lmul' (DF) and 'rmul' (D'F) derivatives."""
-    return (pair(tf["lmul"], _half_difference(th["lmul"]), IM_FORM)
-            + pair(tf["rmul"], _half_difference(th["rmul"]), IM_FORM))
+    return (_gram(tf["lmul"], _half_difference(th["lmul"]), IM_FORM)
+            + _gram(tf["rmul"], _half_difference(th["rmul"]), IM_FORM))
 
 
 # ---------------------------------------------------------------------------
 # the bracket and derived checks
 # ---------------------------------------------------------------------------
+
+def bracket_from_stacks(tf: dict, th: dict, x) -> np.ndarray:
+    """Brackets of the row with the column observables, from their ``gradient_stack``s."""
+    if isinstance(x, FusionPoint):
+        return fusion_bracket_from_tables(tf, th, x)
+    if isinstance(x, CotangentPoint):
+        return _cotangent_contraction(tf, th, x)
+    return _heisenberg_contraction(tf, th, x)
+
+
+def velocity_pairings(tf: dict, velocities, x) -> np.ndarray:
+    """d/dt of each row observable along each velocity (``flows``): sum over the keys of
+    form(V[key], table[key]), the trace form on su and the im form on sl."""
+    form = IM_FORM if isinstance(x, HeisenbergPoint) else TRACE_FORM
+    zero = np.zeros((x.n, x.n), dtype=complex)
+    return sum(_gram(np.array([v.get(key, zero) for v in velocities]), tf[key], form).T
+               for key in tf)
+
 
 def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
     """Brackets {obs_list[i], gen_obs_list[j]} at x, as a matrix.
@@ -525,27 +562,12 @@ def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
     finite-difference engine covers all the others.  An observable passed in
     both lists (the same object) is differentiated once.
     """
-    everything = list(obs_list)
-    rows = len(everything)
-    index = {id(o): i for i, o in enumerate(everything)}
-    cols = []
-    for o in gen_obs_list:
-        if id(o) not in index:
-            index[id(o)] = len(everything)
-            everything.append(o)
-        cols.append(index[id(o)])
-    grads = _gradients(everything, x)
-    if isinstance(x, FusionPoint):
-        contract = fusion_bracket_from_tables
-    elif isinstance(x, CotangentPoint):
-        contract = _cotangent_contraction
-    else:
-        contract = _heisenberg_contraction
-    out = np.zeros((rows, len(cols)))
-    for i in range(rows):
-        for j, c in enumerate(cols):
-            out[i, j] = contract(grads[i], grads[c], x)
-    return out
+    index = {}
+    for o in [*obs_list, *gen_obs_list]:
+        index.setdefault(id(o), (len(index), o))
+    stack = gradient_stack([o for _, o in index.values()], x)
+    rows, cols = ([index[id(o)][0] for o in side] for side in (obs_list, gen_obs_list))
+    return bracket_from_stacks(_pick(stack, rows), _pick(stack, cols), x)
 
 
 def poisson_bracket(f_obs, h_obs, point) -> float:
@@ -604,19 +626,14 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray
     it; one gradient-table call covers the others and every pullback.
     """
     pulled = [lambda x, k_fn=k_fn: k_fn(x.momentum()) for k_fn in k_fns]
-    tables = _gradients(list(obs_list) + pulled, point)
+    stack = gradient_stack(list(obs_list) + pulled, point)
+    tf = _pick(stack, slice(len(obs_list)))
     phi = point.momentum()
-    two_sided = [left + right for left, right in zip(group_gradient_fd(k_fns, phi, "L"),
-                                                     group_gradient_fd(k_fns, phi, "R"))]
-    rows = len(obs_list)
-    out = np.zeros((rows, len(k_fns)))
-    for i in range(rows):
-        conj_grad = sum(conjugation_gradient(tables[i], slots)
-                        for slots in point.space.factor_slots)
-        for j, grad in enumerate(two_sided):
-            lhs = fusion_bracket_from_tables(tables[i], tables[rows + j], point)
-            out[i, j] = abs(lhs - 0.5 * pair(conj_grad, grad))
-    return out
+    two_sided = np.array([left + right for left, right in zip(group_gradient_fd(k_fns, phi, "L"),
+                                                              group_gradient_fd(k_fns, phi, "R"))])
+    conj_grad = sum(conjugation_gradient(tf, slots) for slots in point.space.factor_slots)
+    lhs = fusion_bracket_from_tables(tf, _pick(stack, slice(len(obs_list), None)), point)
+    return np.abs(lhs - 0.5 * _gram(conj_grad, two_sided))
 
 
 def momentum_condition_residual(f_obs, k_fn, point: FusionPoint) -> float:

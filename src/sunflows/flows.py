@@ -1,4 +1,4 @@
-"""Closed-form integral curves and torus actions on the three doubles.
+"""Closed-form flows, their tau = 0 velocities (keyed like gradient tables) and torus actions.
 
 All flows are exact group-theoretic formulas; no integrator touches the main
 paths.  An optional Runge-Kutta integration of the bracket-defined vector
@@ -70,6 +70,15 @@ def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
     raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
 
 
+def cotangent_velocity(x: CotangentPoint, ham) -> dict:
+    """d/dtau of ``cotangent_flow`` at tau = 0."""
+    if isinstance(ham, AlgebraFunction):
+        return {"group": ham.grad(x.j)}
+    if isinstance(ham, ClassFunction):
+        return {"fiber": -ham.grad(x.g)}
+    raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
+
+
 def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
                            datum: RootDatum) -> CotangentPoint:
     """Joint flows of the two commuting families.
@@ -105,6 +114,15 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
     if isinstance(ham, ClassFunction):
         pos = liecore.expm_normal(1j * tau * ham.grad(f.u_right))
         return HeisenbergPoint(x.x @ decomp.iwasawa_decompose(pos).b_left)
+    raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
+
+
+def heisenberg_velocity(x: HeisenbergPoint, ham) -> dict:
+    """d/dtau of ``heisenberg_flow`` at tau = 0; a class function's is the first-order b_left."""
+    if isinstance(ham, BorelFunction):
+        return {"rmul": -ham.grad(x.factors().b_right)}
+    if isinstance(ham, ClassFunction):
+        return {"rmul": liecore.project_borel(1j * ham.grad(x.factors().u_right))}
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
 
@@ -157,6 +175,22 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
         u = liecore.expm_normal(tau * ham.grad(x.momentum()))
         ui = u.conj().T
         return x.map(lambda m: u @ m @ ui)
+    raise ShapeError(f"unknown double slot {slot!r}")
+
+
+def conjugation_velocity(slots, z: np.ndarray) -> dict:
+    """Velocity of conjugating the letters of ``slots`` by exp(tau Z)."""
+    return {(*slot, side): v for slot in slots for side, v in (("lmul", z), ("rmul", -z))}
+
+
+def double_velocity(x: FusionPoint, ham: ClassFunction, slot: str) -> dict:
+    """d/dtau of ``double_flow`` at tau = 0."""
+    if slot == "first":
+        return {(0, 1, "rmul"): -ham.grad(x.pair(1)[0])}
+    if slot == "second":
+        return {(0, 0, "rmul"): ham.grad(x.pair(1)[1])}
+    if slot == "momentum":
+        return conjugation_velocity(x.space.slots, ham.grad(x.momentum()))
     raise ShapeError(f"unknown double slot {slot!r}")
 
 

@@ -48,11 +48,12 @@ _REJECTIONS = (RegularityViolation, NotPositiveDefinite, SingularMatrix)
 
 @dataclass(frozen=True)
 class Generator:
-    """One commuting-family generator: observable plus exact flow."""
+    """One commuting-family generator: observable, exact flow and the flow's velocity."""
 
     name: str
     obs: object                      # callable point -> float
     flow: object                     # callable (point, tau) -> point
+    velocity: object                 # callable point -> d/dtau flow at tau = 0, as in flows
 
 
 @dataclass(frozen=True)
@@ -130,16 +131,17 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
-def _word_generators(fns, letters, flow, suffix: str = "") -> list[Generator]:
+def _word_generators(fns, letters, flow, velocity, suffix: str = "") -> list[Generator]:
     """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
     return [Generator(fn.name + suffix, WordFunction(fn, letters),
-                      lambda p, t, fn=fn: flow(p, fn, t))
+                      lambda p, t, fn=fn: flow(p, fn, t), lambda p, fn=fn: velocity(p, fn))
             for fn in fns]
 
 
 def _moduli_generators(hams) -> list[Generator]:
     """One generator per word Hamiltonian, with its moduli flow."""
-    return [Generator(h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t)) for h in hams]
+    return [Generator(h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t),
+                      lambda p, h=h: moduli.moduli_velocity(p, h)) for h in hams]
 
 
 def _action_flows(gens, rank: int) -> tuple:
@@ -171,13 +173,13 @@ class CotangentHarness(Harness):
         return obs
 
     def families(self):
-        datum, flow = self.datum, flows.cotangent_flow
+        datum, flow, velocity = self.datum, flows.cotangent_flow, flows.cotangent_velocity
         fiber = _word_generators([AlgebraPower(k) for k in _power_indices(self.n)]
                                  + [ChamberCoroot(j, datum) for j in range(datum.rank)],
-                                 ("j",), flow)
+                                 ("j",), flow, velocity)
         base = _word_generators([PowerTrace(k) for k in _power_indices(self.n)]
                                 + [AlcoveCoroot(j, datum) for j in range(datum.rank)],
-                                ("g",), flow)
+                                ("g",), flow, velocity)
         return {"fiber-invariants": fiber, "base-class": base}
 
     def torus_specs(self):
@@ -212,7 +214,8 @@ class CotangentHarness(Harness):
 def _right_factor_generators(fns, factor: str) -> list[Generator]:
     """One generator per function of the right Iwasawa factor ('b_right' or 'u_right')."""
     return [Generator(fn.name, RightFactorFunction(fn, factor),
-                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t))
+                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t),
+                      lambda p, fn=fn: flows.heisenberg_velocity(p, fn))
             for fn in fns]
 
 
@@ -415,16 +418,18 @@ class DoubleHarness(FusionHarness):
     def families(self):
         letter = "a1" if self.which == "h" else "b1"
         flow = lambda p, fn, t: flows.double_flow(p, fn, t, self.slot)
+        velocity = lambda p, fn: flows.double_velocity(p, fn, self.slot)
         return {self.label: _word_generators(
             [PowerTrace(k) for k in _power_indices(self.n)]
             + [AlcoveCoroot(j, self.datum) for j in range(self.datum.rank)],
-            (letter,), flow, suffix=f"@{self.slot}")}
+            (letter,), flow, velocity, suffix=f"@{self.slot}")}
 
     def extra_generators(self):
         """The momentum family H = chi([A, B])."""
         flow = lambda p, fn, t: flows.double_flow(p, fn, t, "momentum")
+        velocity = lambda p, fn: flows.double_velocity(p, fn, "momentum")
         return _word_generators([PowerTrace(k) for k in _power_indices(self.n)],
-                                ("a1", "b1", "a1~", "b1~"), flow, suffix="@momentum")
+                                ("a1", "b1", "a1~", "b1~"), flow, velocity, suffix="@momentum")
 
     def sample(self, rng):
         def check(x):

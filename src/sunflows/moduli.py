@@ -17,7 +17,7 @@ import numpy as np
 
 from . import brackets, decomp, liecore
 from .errors import AssumptionViolation, InvalidPlan, InvalidShape, UnsupportedWord
-from .flows import coroot_torus_element, coweight_torus_element
+from .flows import conjugation_velocity, coroot_torus_element, coweight_torus_element
 from .liecore import RootDatum
 from .observables import (
     AlcoveCoroot,
@@ -257,6 +257,14 @@ def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint
     else:
         u = liecore.expm_normal(tau * ham.classfn.grad(ham.block_value(x)))
     return _move_letters(x, ham, u)
+
+
+def moduli_velocity(x: FusionPoint, ham: WordHamiltonian) -> dict:
+    """d/dtau of ``moduli_flow`` at tau = 0."""
+    z = ham.classfn.grad(ham.block_value(x))
+    if ham.block[0] == "single":
+        return {(*s, "rmul"): -z for s in ham.letters(x)}
+    return conjugation_velocity(ham.letters(x), z)
 
 
 def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],

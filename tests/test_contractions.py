@@ -1,0 +1,148 @@
+"""The stacked bracket contractions against their per-pair form.
+
+Each geometry's contraction takes the tables of all row observables and of
+all column observables, each key stacked into one (observables, n, n) array,
+and returns the whole bracket matrix.  Every entry must be bit for bit the
+one the per-pair formula gives with ``liecore.pair`` on the same tables, so
+report bodies do not move.  The flow-bracket check pairs the closed-form
+velocities with those tables and differentiates the flows themselves at one
+point only: one ``directional_derivative`` call per generator per suite.
+"""
+
+import numpy as np
+import pytest
+
+from sunflows import brackets, harness, liecore
+from sunflows import observables as ob
+from sunflows.liecore import IM_FORM, pair
+from sunflows.scenario import ScenarioConfig, all_generators, run_scenario
+from sunflows.spaces import double_space, moduli_space
+
+
+# --- the per-pair reference: one liecore.pair call per term and per (row, column) ---------------
+
+def _conjugation_gradient(table, slots):
+    out = 0
+    for slot in slots:
+        out = out + table[(*slot, "lmul")] - table[(*slot, "rmul")]
+    return out
+
+
+def _double_term(tf, th, f):
+    aRF, aLF = tf[(f, 0, "lmul")], tf[(f, 0, "rmul")]
+    bRF, bLF = tf[(f, 1, "lmul")], tf[(f, 1, "rmul")]
+    aRH, aLH = th[(f, 0, "lmul")], th[(f, 0, "rmul")]
+    bRH, bLH = th[(f, 1, "lmul")], th[(f, 1, "rmul")]
+    val = pair(aRF, aLH) - pair(aRH, aLF)
+    val -= pair(bRF, bLH) - pair(bRH, bLF)
+    val += pair(aLF, bLH + bRH) - pair(aLH, bLF + bRF)
+    val += pair(aRF, bLH - bRH) - pair(aRH, bLF - bRF)
+    return 0.5 * val
+
+
+def _fusion_pair(tf, th, point):
+    total = 0.0
+    for f, t in enumerate(point.space.types):
+        if t == "D":
+            total += _double_term(tf, th, f)
+        else:
+            total += 0.5 * (pair(tf[(f, 0, "lmul")], th[(f, 0, "rmul")])
+                            - pair(th[(f, 0, "lmul")], tf[(f, 0, "rmul")]))
+    conj_f = [_conjugation_gradient(tf, slots) for slots in point.space.factor_slots]
+    conj_h = [_conjugation_gradient(th, slots) for slots in point.space.factor_slots]
+    for f1 in range(len(conj_f)):
+        for f2 in range(f1 + 1, len(conj_f)):
+            total -= 0.5 * (pair(conj_f[f1], conj_h[f2]) - pair(conj_h[f1], conj_f[f2]))
+    return total
+
+
+def _cotangent_pair(tf, th, point):
+    gf, jf, gh, jh = tf["group"], tf["fiber"], th["group"], th["fiber"]
+    return pair(gf, jh) - pair(gh, jf) + pair(point.j, jf @ jh - jh @ jf)
+
+
+def _heisenberg_pair(tf, th, point):
+    half = brackets._half_difference
+    return (pair(tf["lmul"], half(th["lmul"]), IM_FORM)
+            + pair(tf["rmul"], half(th["rmul"]), IM_FORM))
+
+
+_REFERENCE = {"cotangent": _cotangent_pair, "heisenberg": _heisenberg_pair,
+              "double": _fusion_pair, "sphere4": _fusion_pair, "moduli": _fusion_pair}
+_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
+
+
+def _case(space, n, seed):
+    kw = dict(m=2, holes=2, family=_FAMILY) if space == "moduli" else {}
+    h = harness.build_harness(space, n, liecore.build_root_datum(n), **kw)
+    x = h.sample(np.random.default_rng(seed))
+    # probes, generators and one opaque observable, which goes through the FD engine
+    obs = h.probes() + [g.obs for g in all_generators(h)]
+    probe = obs[1]
+    obs.append(lambda p: probe(p))
+    return x, obs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("space", sorted(_REFERENCE))
+def test_stacked_contraction_is_the_per_pair_formula(space, n):
+    x, obs = _case(space, n, 40 + n)
+    tables = brackets._gradients(obs, x)
+    stack = brackets.gradient_stack(obs, x)
+    rows, cols = obs[:7], obs[3:]
+    mat = brackets.bracket_from_stacks({k: s[:7] for k, s in stack.items()},
+                                       {k: s[3:] for k, s in stack.items()}, x)
+    reference = np.array([[_REFERENCE[space](tables[i], tables[3 + j], x)
+                           for j in range(len(cols))] for i in range(len(rows))])
+    assert np.array_equal(mat, reference)
+    assert np.array_equal(brackets.bracket_matrix(rows, cols, x), reference)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gram_is_pair_entry_by_entry(n):
+    rng = np.random.default_rng(50 + n)
+    left = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    right = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    for form in (liecore.TRACE_FORM, IM_FORM):
+        gram = brackets._gram(left, right, form)
+        assert np.array_equal(gram, [[pair(a, b, form) for b in right] for a in left])
+
+
+@pytest.mark.parametrize("space, words", [
+    (double_space(3), [("a1", "b1"), ("a1",), ("b1", "a1", "b1")]),
+    (moduli_space(1, 1, 2), [("a1", "c1"), ("c1",), ("b1", "c1", "a1"), ("a1", "b1")]),
+])
+def test_momentum_condition_matrix_is_the_per_pair_formula(space, words):
+    x = space.random_point(np.random.default_rng(18))
+    obs = [ob.word_observable(w) for w in words] + [ob.word_observable(words[0], part="im")]
+    kfns = [lambda g: float(np.trace(g).real), lambda g: float(np.trace(g @ g).imag)]
+    pulled = [lambda p, k=k: k(p.momentum()) for k in kfns]
+    tables = brackets._gradients(obs + pulled, x)
+    phi = x.momentum()
+    two_sided = [left + right for left, right in zip(brackets.group_gradient_fd(kfns, phi, "L"),
+                                                     brackets.group_gradient_fd(kfns, phi, "R"))]
+    reference = np.empty((len(obs), len(kfns)))
+    for i in range(len(obs)):
+        conj = sum(_conjugation_gradient(tables[i], slots) for slots in x.space.factor_slots)
+        for j, grad in enumerate(two_sided):
+            lhs = _fusion_pair(tables[i], tables[len(obs) + j], x)
+            reference[i, j] = abs(lhs - 0.5 * pair(conj, grad))
+    assert np.array_equal(brackets.momentum_condition_matrix(obs, kfns, x), reference)
+
+
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "sphere4"])
+def test_flow_bracket_differentiates_the_flows_at_one_point(space, monkeypatch):
+    """The oracle's share: one Richardson derivative per generator in the whole suite."""
+    calls = []
+    derivative = brackets.directional_derivative
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return derivative(*args, **kw)
+
+    monkeypatch.setattr(brackets, "directional_derivative", counted)
+    cfg = ScenarioConfig(space=space, n=2, checks=["flow-bracket"])
+    check, = run_scenario(cfg).checks
+    gens = all_generators(harness.build_harness(space, 2, liecore.build_root_datum(2)))
+    assert check.passed and cfg.points > 1
+    assert len(calls) == len(gens)

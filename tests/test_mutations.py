@@ -1,23 +1,33 @@
 """Checks that can fail: each row plants one defect and names the check that must catch it.
 
 A row monkeypatches one piece of the package, runs only the named checks on a
-small suite and requires at least one of them to fail.  The same suite
-without the defect must pass, so a row that fails is the defect's doing.
+small suite and requires at least one of them to fail by its residual: every
+named check must still run to a finite residual, so a defect that only makes
+a check abort does not count as caught.  The same suite without the defect
+must pass, so a row that fails is the defect's doing.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from sunflows import brackets, flows, liecore
-from sunflows.liecore import IM_FORM, TRACE_FORM, pair, project_borel, project_compact
-from sunflows.observables import AlgebraFunction
+from sunflows import brackets, flows, liecore, moduli
+from sunflows.liecore import IM_FORM, TRACE_FORM, project_borel, project_compact
+from sunflows.observables import AlgebraFunction, BorelFunction, ClassFunction
 from sunflows.scenario import ScenarioConfig, run_scenario
 
+_gram = brackets._gram
 _half_difference = brackets._half_difference
 _double_term = brackets._double_term
 _cotangent_flow = flows.cotangent_flow
 _coroot_torus_element = flows.coroot_torus_element
 _expm_normal = liecore.expm_normal
+_cotangent_velocity = flows.cotangent_velocity
+_heisenberg_velocity = flows.heisenberg_velocity
+_double_velocity = flows.double_velocity
+_moduli_velocity = moduli.moduli_velocity
+_conjugation_velocity = flows.conjugation_velocity
 
 # the (2, 2) moduli space with the family of the desk-sweep benchmark
 _MODULI = dict(space="moduli", m=2, holes=2,
@@ -38,11 +48,14 @@ def _xh_cut_on_the_wrong_side(mp):
     mp.setitem(brackets._HEISENBERG_LETTERS, "xh", (1, True, 0))
 
 
+# The bracket terms below read stacked tables (observables, n, n) and return matrices:
+# pair(F, H) is _gram(F, H), pair(H, F) is _gram(H, F).T.
+
 def _drop_double_cross_term(mp):
     # the term pair(aRF, bLH - bRH) - pair(aRH, bLF - bRF) of the double's bivector
     def term(tf, th, f):
-        cross = (pair(tf[(f, 0, "lmul")], th[(f, 1, "rmul")] - th[(f, 1, "lmul")])
-                 - pair(th[(f, 0, "lmul")], tf[(f, 1, "rmul")] - tf[(f, 1, "lmul")]))
+        cross = (_gram(tf[(f, 0, "lmul")], th[(f, 1, "rmul")] - th[(f, 1, "lmul")])
+                 - _gram(th[(f, 0, "lmul")], tf[(f, 1, "rmul")] - tf[(f, 1, "lmul")]).T)
         return _double_term(tf, th, f) - 0.5 * cross
     mp.setattr(brackets, "_double_term", term)
 
@@ -50,8 +63,8 @@ def _drop_double_cross_term(mp):
 def _drop_double_a_self_term(mp):
     # the term pair(aRF, aLH) - pair(aRH, aLF) of the first letter
     def term(tf, th, f):
-        own = pair(tf[(f, 0, "lmul")], th[(f, 0, "rmul")]) - pair(th[(f, 0, "lmul")],
-                                                                   tf[(f, 0, "rmul")])
+        own = (_gram(tf[(f, 0, "lmul")], th[(f, 0, "rmul")])
+               - _gram(th[(f, 0, "lmul")], tf[(f, 0, "rmul")]).T)
         return _double_term(tf, th, f) - 0.5 * own
     mp.setattr(brackets, "_double_term", term)
 
@@ -59,8 +72,8 @@ def _drop_double_a_self_term(mp):
 def _drop_double_b_self_term(mp):
     # the term -(pair(bRF, bLH) - pair(bRH, bLF)) of the second letter
     def term(tf, th, f):
-        own = pair(tf[(f, 1, "lmul")], th[(f, 1, "rmul")]) - pair(th[(f, 1, "lmul")],
-                                                                   tf[(f, 1, "rmul")])
+        own = (_gram(tf[(f, 1, "lmul")], th[(f, 1, "rmul")])
+               - _gram(th[(f, 1, "lmul")], tf[(f, 1, "rmul")]).T)
         return _double_term(tf, th, f) + 0.5 * own
     mp.setattr(brackets, "_double_term", term)
 
@@ -70,6 +83,7 @@ def _drop_conjugation_term(mp):
 
 
 def _drop_fusion_cross_factor_terms(mp):
+    # the per-factor terms alone, each a (rows, columns) matrix
     def contraction(tf, th, point):
         return sum(brackets._double_term(tf, th, f) if t == "D" else brackets._conj_term(tf, th, f)
                    for f, t in enumerate(point.space.types))
@@ -91,6 +105,76 @@ def _coroot_torus_at_twice_the_angle(mp):
 def _expm_normal_of_minus_a(mp):
     # every flow and torus curve built on the eigensolve kernel runs backwards
     mp.setattr(liecore, "expm_normal", lambda a: _expm_normal(-a))
+
+
+# defects of the closed-form velocities, one per velocity kind the suites reach
+
+def _algebra_velocity_on_the_fiber(mp):
+    def velocity(x, ham):
+        if isinstance(ham, AlgebraFunction):
+            return {"fiber": ham.grad(x.j)}
+        return _cotangent_velocity(x, ham)
+    mp.setattr(flows, "cotangent_velocity", velocity)
+
+
+def _class_velocity_sign_flipped(mp):
+    def velocity(x, ham):
+        v = _cotangent_velocity(x, ham)
+        return {"fiber": -v["fiber"]} if isinstance(ham, ClassFunction) else v
+    mp.setattr(flows, "cotangent_velocity", velocity)
+
+
+def _borel_velocity_sign_flipped(mp):
+    # (on the left instead of the right the velocity would go unseen: it is unitary, and the
+    # probes are invariant under unitary conjugation)
+    def velocity(x, ham):
+        v = _heisenberg_velocity(x, ham)
+        return {"rmul": -v["rmul"]} if isinstance(ham, BorelFunction) else v
+    mp.setattr(flows, "heisenberg_velocity", velocity)
+
+
+def _class_velocity_compact_part(mp):
+    # the first-order b_left of exp(i tau grad) is the Borel part of i grad, not the compact one
+    def velocity(x, ham):
+        if isinstance(ham, ClassFunction):
+            return {"rmul": project_compact(1j * ham.grad(x.factors().u_right))}
+        return _heisenberg_velocity(x, ham)
+    mp.setattr(flows, "heisenberg_velocity", velocity)
+
+
+def _first_slot_velocity_on_a(mp):
+    def velocity(x, ham, slot):
+        v = _double_velocity(x, ham, slot)
+        return {(0, 0, "rmul"): v[(0, 1, "rmul")]} if slot == "first" else v
+    mp.setattr(flows, "double_velocity", velocity)
+
+
+def _second_slot_velocity_sign_flipped(mp):
+    def velocity(x, ham, slot):
+        v = _double_velocity(x, ham, slot)
+        return {key: -z for key, z in v.items()} if slot == "second" else v
+    mp.setattr(flows, "double_velocity", velocity)
+
+
+def _momentum_velocity_without_rmul(mp):
+    def velocity(x, ham, slot):
+        v = _double_velocity(x, ham, slot)
+        return {key: z for key, z in v.items() if key[-1] != "rmul"} if slot == "momentum" else v
+    mp.setattr(flows, "double_velocity", velocity)
+
+
+def _single_block_velocity_sign_flipped(mp):
+    def velocity(x, ham):
+        v = _moduli_velocity(x, ham)
+        return {key: -z for key, z in v.items()} if ham.block[0] == "single" else v
+    mp.setattr(moduli, "moduli_velocity", velocity)
+
+
+def _block_conjugation_velocity_one_sided(mp):
+    # the moduli flow conjugates the letters of a momentum block: Z on the left only is wrong
+    def velocity(slots, z):
+        return {key: v for key, v in _conjugation_velocity(slots, z).items() if key[-1] == "lmul"}
+    mp.setattr(moduli, "conjugation_velocity", velocity)
 
 
 # name -> (defect, config fields, checks that must not all pass)
@@ -119,6 +203,25 @@ MUTATIONS = {
                                         dict(space="cotangent", n=2), ["torus-vs-flows"]),
     "expm-normal-of-minus-a": (_expm_normal_of_minus_a, dict(space="cotangent", n=2),
                                ["flow-bracket", "torus-vs-flows"]),
+    "cotangent-algebra-velocity-on-the-fiber": (_algebra_velocity_on_the_fiber,
+                                                dict(space="cotangent", n=2), ["flow-bracket"]),
+    "cotangent-class-velocity-sign-flipped": (_class_velocity_sign_flipped,
+                                              dict(space="cotangent", n=2), ["flow-bracket"]),
+    "heisenberg-borel-velocity-sign-flipped": (_borel_velocity_sign_flipped,
+                                               dict(space="heisenberg", n=2), ["flow-bracket"]),
+    "heisenberg-class-velocity-compact-part": (_class_velocity_compact_part,
+                                               dict(space="heisenberg", n=2), ["flow-bracket"]),
+    "double-first-velocity-on-a": (_first_slot_velocity_on_a, dict(space="double", n=2),
+                                   ["flow-bracket"]),
+    "double-second-velocity-sign-flipped": (_second_slot_velocity_sign_flipped,
+                                            dict(space="double", n=2, family="htilde"),
+                                            ["flow-bracket"]),
+    "double-momentum-velocity-without-rmul": (_momentum_velocity_without_rmul,
+                                              dict(space="double", n=2), ["flow-bracket"]),
+    "moduli-single-velocity-sign-flipped": (_single_block_velocity_sign_flipped,
+                                            dict(_MODULI, n=2), ["flow-bracket"]),
+    "moduli-block-conjugation-velocity-one-sided": (_block_conjugation_velocity_one_sided,
+                                                    dict(_MODULI, n=2), ["flow-bracket"]),
 }
 
 
@@ -132,4 +235,8 @@ def test_mutation_fails_its_check(name, monkeypatch):
     assert _run(fields, checks).passed
     defect(monkeypatch)
     report = _run(fields, checks)
-    assert not report.passed, [(c.name, c.residual) for c in report.checks]
+    summary = [(c.name, c.residual, c.detail.get("error")) for c in report.checks]
+    assert [c.name for c in report.checks] == checks, summary
+    assert all(math.isfinite(c.residual) and "error" not in c.detail for c in report.checks), \
+        summary
+    assert not report.passed, summary

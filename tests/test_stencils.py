@@ -2,9 +2,10 @@
 
 Every stencil point comes from ``brackets._steps`` (powers of exp(hZ)) or an
 additive shift.  The list forms of the gradient oracles, the per-generator
-flow derivatives of ``flow_bracket_worst`` and ``momentum_condition_matrix``
-must give exactly (bit for bit) what one call per observable, built from
-that table, gives, so report bodies do not move.
+flow derivatives of the flow-bracket oracle (``flow_derivatives``) and
+``momentum_condition_matrix`` must give exactly (bit for bit) what one call
+per observable, built from that table, gives, so report bodies do not move.
+The closed-form flow velocities are held to those flow derivatives.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from sunflows import brackets, decomp, harness, liecore, observables as ob
-from sunflows.scenario import all_generators, flow_bracket_worst
+from sunflows.scenario import all_generators, flow_bracket_worst, flow_derivatives
 from sunflows.spaces import CotangentPoint, HeisenbergPoint, double_space, moduli_space
 
 
@@ -150,23 +151,54 @@ def test_tabled_differential_rows_pair_the_basis_with_the_table(space):
         assert np.allclose(row, expected, rtol=0, atol=1e-13)
 
 
-def _per_probe_worst(x, gens, obs):
-    mat = brackets.bracket_matrix(obs, [g.obs for g in gens], x)
-    worst = 0.0
-    for j, gen in enumerate(gens):
-        for i, o in enumerate(obs):
-            d_flow = brackets.directional_derivative(o, lambda t: gen.flow(x, t),
-                                                     richardson=True)
-            worst = max(worst, abs(d_flow - mat[i, j]) / (1.0 + abs(mat[i, j])))
-    return worst
+def _per_probe_derivatives(x, gens, obs):
+    return np.array([[brackets.directional_derivative(o, lambda t: gen.flow(x, t),
+                                                      richardson=True) for gen in gens]
+                     for o in obs])
+
+
+# every space of the workbench, the double with both of its families
+_SPACES = {"cotangent": {}, "heisenberg": {}, "double-h": dict(family="h"),
+           "double-htilde": dict(family="htilde"), "sphere4": {},
+           "moduli": dict(m=2, holes=2,
+                          family={"single": [1], "commutators": [2], "intervals": [[1, 2]]})}
+
+
+def _build(label, n):
+    return harness.build_harness(label.split("-")[0], n, liecore.build_root_datum(n),
+                                 **_SPACES[label])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("label", sorted(_SPACES))
+def test_velocity_pairings_match_the_flow_derivatives(label, n):
+    """Every generator's closed-form velocity, paired with the probes' stacked tables, is the
+    Richardson derivative of its exact flow, up to the difference's own error."""
+    h = _build(label, n)
+    rng = np.random.default_rng(21 + n)
+    gens, obs = all_generators(h), h.probes()
+    for _ in range(3):
+        x = h.sample(rng)
+        paired = brackets.velocity_pairings(brackets.gradient_stack(obs, x),
+                                            [g.velocity(x) for g in gens], x)
+        d_flow = flow_derivatives(x, gens, obs)
+        assert paired.shape == d_flow.shape == (len(obs), len(gens))
+        assert np.max(np.abs(paired - d_flow) / (1 + np.abs(d_flow))) <= 1e-9
 
 
 @pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double"])
-def test_flow_bracket_worst_equals_per_probe_loop(space):
+def test_oracle_defect_equals_per_probe_loop(space):
+    """The oracle point's flow derivatives are one call per generator over all probes, bit for
+    bit the per-probe ones; with the oracle the residual is the larger of the two defects."""
     h = harness.build_harness(space, 2, liecore.build_root_datum(2))
     x = h.sample(np.random.default_rng(17))
     gens, obs = all_generators(h), h.probes()
-    assert flow_bracket_worst(h, x, gens, obs) == _per_probe_worst(x, gens, obs)
+    d_flow = _per_probe_derivatives(x, gens, obs)
+    assert np.array_equal(flow_derivatives(x, gens, obs), d_flow)
+    mat = brackets.bracket_matrix(obs, [g.obs for g in gens], x)
+    oracle = np.max(np.abs(d_flow - mat) / (1.0 + np.abs(mat)))
+    assert flow_bracket_worst(h, x, gens, obs) == max(
+        flow_bracket_worst(h, x, gens, obs, oracle=False), oracle)
 
 
 @pytest.mark.parametrize("space, words", [
