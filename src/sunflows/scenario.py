@@ -9,6 +9,7 @@ through the explicit ``tol_scale`` knob.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
@@ -224,10 +225,21 @@ def _above_diagonal(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat[np.triu_indices(len(mat), 1)]), initial=0.0))
 
 
+def _worst(*values, pick=max):
+    """``pick`` (max or min) of the values, NaN if one of them is NaN: Python's
+    ``max(0.0, nan)`` is 0.0, which would drop a NaN defect from a residual."""
+    for v in values:  # a loop, not any(): half the cost on the checks' inner loops
+        if v != v:
+            return math.nan
+    return pick(values)
+
+
 def _result(ctx, name, claim, residual, base_tol, detail=None) -> CheckResult:
-    tol = ctx.tol(base_tol)
-    return CheckResult(name, claim, float(residual), tol, bool(residual <= tol),
-                       detail or {})
+    tol, residual = ctx.tol(base_tol), float(residual)
+    detail = detail or {}
+    if not math.isfinite(residual):
+        detail = {**detail, "non_finite_residual": str(residual)}
+    return CheckResult(name, claim, residual, tol, bool(residual <= tol), detail)
 
 
 def check_root_datum(ctx: CheckContext) -> CheckResult:
@@ -260,15 +272,16 @@ def check_dual_basis(ctx: CheckContext) -> CheckResult:
     dual = liecore.dual_basis(basis, liecore.TRACE_FORM)
     for a in range(len(basis)):
         for b in range(len(basis)):
-            worst = max(worst, abs(liecore.pair(basis[a], dual[b]) - (a == b)))
+            worst = _worst(worst, abs(liecore.pair(basis[a], dual[b]) - (a == b)))
     rbasis = liecore.sl_real_basis(n)
     rdual = liecore.dual_basis(rbasis, liecore.IM_FORM)
     for a in range(0, len(rbasis), 3):
         for b in range(0, len(rbasis), 3):
-            worst = max(worst, abs(liecore.pair(rbasis[a], rdual[b], liecore.IM_FORM) - (a == b)))
+            worst = _worst(worst,
+                           abs(liecore.pair(rbasis[a], rdual[b], liecore.IM_FORM) - (a == b)))
     z = liecore.random_algebra_element(n, rng)
     recon = sum(liecore.pair(z, dual[a]) * basis[a] for a in range(len(basis)))
-    worst = max(worst, float(np.linalg.norm(recon - z)))
+    worst = _worst(worst, float(np.linalg.norm(recon - z)))
     return _result(ctx, "dual-basis", "dual bases satisfy the defining pairing identity",
                    worst, 1e-12)
 
@@ -286,7 +299,7 @@ def check_apposition(ctx: CheckContext) -> CheckResult:
             d2 = np.zeros(n)
             d2[k], d2[k + 1] = 1.0, -1.0
             t2 = liecore.apposition_algebra_element(d2, spec)
-            ortho = max(ortho, abs(liecore.pair(t1, t2)))
+            ortho = _worst(ortho, abs(liecore.pair(t1, t2)))
     bad = 0
     for _ in range(200):
         t = liecore.diagonal_torus_element(rng.uniform(0, 2 * np.pi, n))
@@ -299,7 +312,7 @@ def check_apposition(ctx: CheckContext) -> CheckResult:
     d -= np.trace(d) / n * np.eye(n)
     conj = spec.coxeter_rep @ (1j * d) @ spec.coxeter_rep.conj().T
     offdiag = float(np.linalg.norm(conj - np.diag(np.diag(conj))))
-    resid = max(ortho, offdiag / 1e4) + bad
+    resid = _worst(ortho, offdiag / 1e4) + bad
     return _result(ctx, "apposition-torus",
                    "second torus meets the diagonal torus only in the center, "
                    "with trace-orthogonal algebras", resid, 1e-12,
@@ -313,7 +326,7 @@ def check_commutator_identity(ctx: CheckContext) -> CheckResult:
         for _ in range(50):
             h = rng.uniform(-2.5, 2.5, n)
             h -= h.mean()
-            worst = max(worst, probes.commutator_identity_residual(h, n))
+            worst = _worst(worst, probes.commutator_identity_residual(h, n))
     return _result(ctx, "coxeter-commutator-identity",
                    "the Coxeter conjugation commutator reproduces every torus element",
                    worst, 1e-10)
@@ -327,10 +340,10 @@ def check_commutator_solve(ctx: CheckContext) -> CheckResult:
             xi = probes.alcove_interior(n, rng)
             a, b = probes.commutator_solve(xi, n)
             target = np.diag(np.exp(1j * xi))
-            worst = max(worst, float(np.linalg.norm(
+            worst = _worst(worst, float(np.linalg.norm(
                 a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - target)))
             a2, b2 = probes.solve_commutator_in_torus(xi, n)
-            worst = max(worst, float(np.linalg.norm(
+            worst = _worst(worst, float(np.linalg.norm(
                 a2 @ b2 @ np.linalg.inv(a2) @ np.linalg.inv(b2) - target)))
     return _result(ctx, "commutator-solve",
                    "torus commutator solutions hit their alcove targets", worst, 1e-10)
@@ -343,14 +356,14 @@ def check_iwasawa(ctx: CheckContext) -> CheckResult:
     for _ in range(20):
         x = liecore.random_sl_element(n, rng)
         f = decomp.iwasawa_decompose(x)
-        worst = max(worst, float(np.linalg.norm(x - f.u_left @ np.linalg.inv(f.b_right))))
-        worst = max(worst, float(np.linalg.norm(x - f.b_left @ f.u_right.conj().T)))
+        worst = _worst(worst, float(np.linalg.norm(x - f.u_left @ np.linalg.inv(f.b_right))))
+        worst = _worst(worst, float(np.linalg.norm(x - f.b_left @ f.u_right.conj().T)))
         f2 = decomp.iwasawa_decompose(f.u_left @ np.linalg.inv(f.b_right))
-        unique = max(unique, float(np.linalg.norm(f2.u_left - f.u_left)),
+        unique = _worst(unique, float(np.linalg.norm(f2.u_left - f.u_left)),
                      float(np.linalg.norm(f2.b_right - f.b_right)))
     return _result(ctx, "iwasawa-roundtrip",
                    "both unitary/triangular splittings reconstruct and are unique",
-                   max(worst, unique / 10), 1e-12, {"uniqueness": unique})
+                   _worst(worst, unique / 10), 1e-12, {"uniqueness": unique})
 
 
 def check_posdef(ctx: CheckContext) -> CheckResult:
@@ -360,7 +373,7 @@ def check_posdef(ctx: CheckContext) -> CheckResult:
     for _ in range(20):
         b = decomp.iwasawa_decompose(liecore.random_sl_element(n, rng)).b_right
         p = decomp.posdef_of_borel(b)
-        worst = max(worst, float(np.linalg.norm(decomp.borel_of_posdef(p) - b)))
+        worst = _worst(worst, float(np.linalg.norm(decomp.borel_of_posdef(p) - b)))
     return _result(ctx, "posdef-roundtrip",
                    "the positive part map and its triangular inverse are mutually inverse",
                    worst, 1e-12)
@@ -375,7 +388,7 @@ def check_dressing(ctx: CheckContext) -> CheckResult:
         eta = liecore.random_group_element(n, rng)
         lhs = decomp.posdef_of_borel(decomp.dress(eta, b))
         rhs = eta @ decomp.posdef_of_borel(b) @ eta.conj().T
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
     return _result(ctx, "dressing-equivariance",
                    "the positive part intertwines dressing with conjugation", worst, 1e-10)
 
@@ -422,7 +435,7 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
                + brackets.algebra_gradient_fd(algebra_fns, j_alg)
                + brackets.borel_gradient_fd(borel_fns, b))
         for exact, fd in zip(exacts, fds):
-            worst = max(worst, float(np.linalg.norm(exact - fd) / (1 + np.linalg.norm(exact))))
+            worst = _worst(worst, float(np.linalg.norm(exact - fd) / (1 + np.linalg.norm(exact))))
     return _result(ctx, "gradient-oracles",
                    "closed-form gradients match fourth-order central differences",
                    worst, 1e-6)
@@ -446,10 +459,10 @@ def check_shifting_trick(ctx: CheckContext) -> CheckResult:
                 lifted.append(word_observable(w))
             m_small = brackets.bracket_matrix(lifted, lifted, u)
             m_big = brackets.bracket_matrix(lifted, lifted, big_point)
-            worst = max(worst, _above_diagonal(m_small - m_big))
+            worst = _worst(worst, _above_diagonal(m_small - m_big))
             level = float(np.linalg.norm(big_point.momentum() - np.eye(n)))
             if level > 1e-10:
-                worst = max(worst, 1.0)
+                worst = _worst(worst, 1.0)
     return _result(ctx, "shifting-trick",
                    "brackets on the unit momentum level match the reduced model space",
                    worst, 1e-6)
@@ -475,7 +488,7 @@ def flow_bracket_worst(h, x, gens, obs, oracle: bool = True) -> float:
     derivs = [brackets.velocity_pairings(rows, [g.velocity(x) for g in gens], x)]
     if oracle:
         derivs.append(flow_derivatives(x, gens, obs))
-    return max(float(np.max(np.abs(d - mat) / (1.0 + np.abs(mat)))) for d in derivs)
+    return _worst(*(float(np.max(np.abs(d - mat) / (1.0 + np.abs(mat)))) for d in derivs))
 
 
 def all_generators(h) -> list:
@@ -490,7 +503,7 @@ def check_flow_bracket(ctx: CheckContext) -> CheckResult:
     gens = all_generators(h)
     for k in range(ctx.cfg.points):
         x = h.sample(rng)
-        worst = max(worst, flow_bracket_worst(h, x, gens, obs, oracle=k == 0))
+        worst = _worst(worst, flow_bracket_worst(h, x, gens, obs, oracle=k == 0))
     return _result(ctx, "flow-bracket",
                    "exact flows differentiate to the bracket against the probe family",
                    worst, 1e-6, {"points": ctx.cfg.points, "observables": len(obs),
@@ -505,7 +518,7 @@ def check_abelian(ctx: CheckContext) -> CheckResult:
         obs = [g.obs for g in gens]
         for _ in range(max(2, ctx.cfg.points // 3)):
             x = h.sample(rng)
-            worst = max(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)))
+            worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)))
     return _result(ctx, "abelian-family",
                    "family generators pairwise bracket-commute", worst, 1e-6)
 
@@ -521,7 +534,7 @@ def check_flow_commutation(ctx: CheckContext) -> CheckResult:
                 for j in range(i + 1, len(gens)):
                     a = gens[j].flow(gens[i].flow(x, 0.3), 0.7)
                     b = gens[i].flow(gens[j].flow(x, 0.7), 0.3)
-                    worst = max(worst, a.distance(b))
+                    worst = _worst(worst, a.distance(b))
     return _result(ctx, "flow-commutation",
                    "family flows compose identically in either order", worst, 1e-8)
 
@@ -542,9 +555,9 @@ def check_conservation(ctx: CheckContext) -> CheckResult:
             for gen in gens:
                 for t in taus:
                     moved = np.asarray(spec.fn(gen.flow(x, t)))
-                    local = max(local, float(np.max(np.abs(moved - base))))
+                    local = _worst(local, float(np.max(np.abs(moved - base))))
         detail[f"{spec.name}({spec.family})"] = local
-        worst = max(worst, local)
+        worst = _worst(worst, local)
     return _result(ctx, "conservation",
                    "momentum maps and companion invariants are constant along family flows",
                    worst, 1e-10, detail)
@@ -563,7 +576,7 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
                 moved = flows.heisenberg_flow(x, fn, t)
                 gamma = flows.heisenberg_flow_unitary_part(x, fn, t)
                 resid = np.linalg.norm(moved.factors().u_right - gamma @ u0 @ gamma.conj().T)
-                worst = max(worst, float(resid))
+                worst = _worst(worst, float(resid))
     return _result(ctx, "unitary-conjugation-law",
                    "the right unitary factor evolves by conjugation along class flows",
                    worst, 1e-9)
@@ -580,9 +593,9 @@ def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
         moved = x.conjugate(eta)
         twist = decomp.iwasawa_decompose(eta @ f.b_left).u_right.conj().T
         fm = moved.factors()
-        worst = max(worst, float(np.linalg.norm(
+        worst = _worst(worst, float(np.linalg.norm(
             fm.u_right - twist @ f.u_right @ twist.conj().T)))
-        worst = max(worst, float(np.linalg.norm(fm.b_right - decomp.dress(twist, f.b_right))))
+        worst = _worst(worst, float(np.linalg.norm(fm.b_right - decomp.dress(twist, f.b_right))))
     return _result(ctx, "quasi-adjoint-law",
                    "the symmetry action transforms the right factors by twist and dressing",
                    worst, 1e-9)
@@ -602,9 +615,9 @@ def check_torus_periodicity(ctx: CheckContext) -> CheckResult:
             for j in range(spec.dim):
                 tau = np.zeros(spec.dim)
                 tau[j] = 2 * np.pi
-                local = max(local, spec.act(x, tau).distance(x))
+                local = _worst(local, spec.act(x, tau).distance(x))
         detail[spec.name] = local
-        worst = max(worst, local)
+        worst = _worst(worst, local)
     # negative control: a coweight translation flow must not close up
     if ctx.cfg.space == "double":
         x = h.sample(rng)
@@ -612,7 +625,7 @@ def check_torus_periodicity(ctx: CheckContext) -> CheckResult:
         resid = moduli.moduli_flow(x, ham, 2 * np.pi).distance(x)
         detail["coweight-translation-control"] = resid
         if resid < 0.1:
-            worst = max(worst, 1.0)
+            worst = _worst(worst, 1.0)
     return _result(ctx, "torus-periodicity",
                    "compact-direction flows close up after one full period", worst,
                    1e-8, detail)
@@ -632,7 +645,7 @@ def check_torus_additivity(ctx: CheckContext) -> CheckResult:
             t2 = rng.uniform(-1.0, 1.0, spec.dim)
             a = spec.act(spec.act(x, t1), t2)
             b = spec.act(x, t1 + t2)
-            worst = max(worst, a.distance(b))
+            worst = _worst(worst, a.distance(b))
         if ctx.cfg.space == "heisenberg" and spec.name == "borel-translation":
             x = h.sample(rng)
             tau = np.full(spec.dim, 1.0)
@@ -655,7 +668,7 @@ def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
             b = x
             for flow, t in zip(spec.flows, tau):
                 b = flow(b, t)
-            worst = max(worst, a.distance(b))
+            worst = _worst(worst, a.distance(b))
     return _result(ctx, "torus-vs-flows",
                    "the joint torus action equals composed generator flows", worst, 1e-8)
 
@@ -672,7 +685,7 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
             for t in (0.45,):
                 a = gen.flow(x.conjugate(eta), t)
                 b = gen.flow(x, t).conjugate(eta)
-                worst = max(worst, a.distance(b))
+                worst = _worst(worst, a.distance(b))
     return _result(ctx, "flow-equivariance",
                    "every family flow commutes with the symmetry action", worst, 1e-9)
 
@@ -686,7 +699,7 @@ def check_bracket_invariance(ctx: CheckContext) -> CheckResult:
         x = h.sample(rng)
         eta = liecore.random_group_element(ctx.cfg.n, rng)
         y = x.conjugate(eta)
-        worst = max(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
+        worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
                                            - brackets.bracket_matrix(obs, obs, y)))
     return _result(ctx, "bracket-invariance",
                    "brackets of invariant observables are symmetry invariant",
@@ -728,8 +741,8 @@ def check_freeness_rank(ctx: CheckContext) -> CheckResult:
             else:
                 tau = rng.uniform(0.1, 1.2, spec.dim) * rng.choice([-1.0, 1.0], spec.dim)
             disp = spec.act(x, tau).distance(x)
-            min_disp = min(min_disp, disp)
-    shortfall = max(0.0, 1e-4 - min_disp)
+            min_disp = _worst(min_disp, disp, pick=min)
+    shortfall = _worst(0.0, 1e-4 - min_disp)
     return _result(ctx, "freeness-rank",
                    "torus generators have full rank and nontrivial angles move points",
                    failures + shortfall, 0.0, {"min_displacement": float(min_disp)})
@@ -764,7 +777,7 @@ def check_momentum_condition(ctx: CheckContext) -> CheckResult:
             lambda g: float(np.trace(g @ g).imag)]
     for _ in range(2):
         x = h.sample(rng)
-        worst = max(worst, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
+        worst = _worst(worst, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
     return _result(ctx, "momentum-condition",
                    "the bivector and the product momentum map satisfy the defining relation",
                    worst, 1e-6)
@@ -777,11 +790,11 @@ def check_s_transform(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     a = liecore.random_group_element(n, rng)
     p1, p2 = flows.s_transform(a, np.eye(n, dtype=complex))
-    worst = max(worst, float(np.linalg.norm(p1 - np.eye(n))), float(np.linalg.norm(p2 - a)))
+    worst = _worst(worst, float(np.linalg.norm(p1 - np.eye(n))), float(np.linalg.norm(p2 - a)))
     x = h.sample(rng)
     a, b = x.pair(1)
     s1, s2 = flows.s_transform(a, b)
-    worst = max(worst, float(np.linalg.norm(s1 - b.conj().T)))
+    worst = _worst(worst, float(np.linalg.norm(s1 - b.conj().T)))
     # bracket preservation under the automorphism, on invariant observables
     def smap(p):
         aa, bb = p.pair(1)
@@ -792,7 +805,7 @@ def check_s_transform(ctx: CheckContext) -> CheckResult:
     f2 = word_observable(("a1", "a1", "b1"))
     v_target = brackets.bracket_matrix([f1], [f2], smap(x))[0, 0]
     v_source = brackets.bracket_matrix([pullback(f1, smap)], [pullback(f2, smap)], x)[0, 0]
-    worst = max(worst, abs(v_target - v_source))
+    worst = _worst(worst, abs(v_target - v_source))
     return _result(ctx, "s-transform",
                    "the exchange automorphism acts as stated and preserves brackets",
                    worst, 1e-6)
@@ -815,7 +828,7 @@ def check_permutations(ctx: CheckContext) -> CheckResult:
         y = moduli.permutation_pushforward(x, plan)
         v_target = brackets.bracket_matrix([f_t], [h_t], y)[0, 0]
         v_source = brackets.bracket_matrix([f_s], [h_s], x)[0, 0]
-        worst = max(worst, abs(v_target - v_source))
+        worst = _worst(worst, abs(v_target - v_source))
     # the pulled-back two-block family stays Abelian on the source space
     def draw():
         cand = space.random_point(rng)
@@ -833,7 +846,7 @@ def check_permutations(ctx: CheckContext) -> CheckResult:
         for j in range(datum.rank):
             hblock = moduli.WordHamiltonian(("span", p1, p2), AlcoveCoweight(j, datum))
             pulled.append(moduli.pullback_hamiltonian(hblock, plan))
-    worst = max(worst, _above_diagonal(brackets.bracket_matrix(pulled, pulled, x)))
+    worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(pulled, pulled, x)))
     return _result(ctx, "permutation-brackets",
                    "factor transpositions preserve brackets and pulled-back families commute",
                    worst, 1e-6, {"plan": plan})
@@ -864,6 +877,18 @@ BASE_CHECKS = {
     "differential-rank": check_differential_rank,
 }
 
+# Checks that read neither the space nor its harness.  run_scenario keeps their results
+# for the life of the process in SPACE_FREE_RESULTS, keyed on (name, seed, tol_scale) and
+# n; the N_FREE_CHECKS loop over fixed ranges of n and are keyed without it.  Aborted
+# checks are never kept, and every report gets its own deep copy of a kept result.
+SPACE_FREE_CHECKS = frozenset({
+    "root-datum-exact", "dual-basis", "apposition-torus", "coxeter-commutator-identity",
+    "commutator-solve", "iwasawa-roundtrip", "posdef-roundtrip", "dressing-equivariance",
+    "gradient-oracles", "shifting-trick"})
+N_FREE_CHECKS = frozenset({"root-datum-exact", "coxeter-commutator-identity",
+                           "commutator-solve"})
+SPACE_FREE_RESULTS: dict[tuple, CheckResult] = {}
+
 
 def checks_for(cfg: ScenarioConfig) -> dict[str, object]:
     table = dict(BASE_CHECKS)
@@ -891,7 +916,14 @@ def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
     results = []
     for name in names:
         try:
-            results.append(table[name](ctx))
+            if name in SPACE_FREE_CHECKS:
+                key = (name, cfg.seed, cfg.tol_scale) + (() if name in N_FREE_CHECKS
+                                                         else (cfg.n,))
+                if key not in SPACE_FREE_RESULTS:
+                    SPACE_FREE_RESULTS[key] = table[name](ctx)
+                results.append(copy.deepcopy(SPACE_FREE_RESULTS[key]))
+            else:
+                results.append(table[name](ctx))
         except Exception as exc:  # a crashed check fails, the suite continues
             results.append(CheckResult(name, "check aborted", float("inf"), 0.0,
                                        False, {"error": f"{type(exc).__name__}: {exc}"}))

@@ -12,10 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from sunflows import brackets, flows, liecore, moduli
+from sunflows import brackets, flows, liecore, moduli, scenario, spaces
 from sunflows.liecore import IM_FORM, TRACE_FORM, project_borel, project_compact
 from sunflows.observables import AlgebraFunction, BorelFunction, ClassFunction
-from sunflows.scenario import ScenarioConfig, run_scenario
+from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, run_scenario
 
 _gram = brackets._gram
 _half_difference = brackets._half_difference
@@ -234,9 +234,66 @@ def test_mutation_fails_its_check(name, monkeypatch):
     defect, fields, checks = MUTATIONS[name]
     assert _run(fields, checks).passed
     defect(monkeypatch)
+    SPACE_FREE_RESULTS.clear()  # results kept from the clean run predate the defect
     report = _run(fields, checks)
     summary = [(c.name, c.residual, c.detail.get("error")) for c in report.checks]
     assert [c.name for c in report.checks] == checks, summary
     assert all(math.isfinite(c.residual) and "error" not in c.detail for c in report.checks), \
         summary
     assert not report.passed, summary
+
+
+# NaN defects: each row makes one value NaN at the second point (or pair) of a check,
+# one row per way a check accumulates its residual
+
+
+def _nan_at_second_call(fn, spoil):
+    """``fn``, except that its second call returns ``spoil(result)``."""
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        out = fn(*args, **kwargs)
+        return spoil(out) if calls[0] == 2 else out
+    return wrapper
+
+
+def _flow_bracket_nan_at_a_point(mp):
+    mp.setattr(scenario, "flow_bracket_worst",
+               _nan_at_second_call(scenario.flow_bracket_worst, lambda worst: math.nan))
+
+
+def _bracket_matrix_nan_above_the_diagonal(mp):
+    def spoil(mat):
+        mat = np.array(mat)
+        mat[0, 1] = math.nan
+        return mat
+    mp.setattr(brackets, "bracket_matrix", _nan_at_second_call(brackets.bracket_matrix, spoil))
+
+
+def _nan_displacement(mp):
+    mp.setattr(spaces.Point, "distance",
+               _nan_at_second_call(spaces.Point.distance, lambda d: math.nan))
+
+
+# name -> (defect, config fields, the check that must fail with a NaN residual)
+NAN_MUTATIONS = {
+    "flow-bracket-point": (_flow_bracket_nan_at_a_point, dict(space="cotangent", n=2),
+                           "flow-bracket"),
+    "abelian-family-matrix": (_bracket_matrix_nan_above_the_diagonal,
+                              dict(space="cotangent", n=2), "abelian-family"),
+    "freeness-rank-min-displacement": (_nan_displacement, dict(space="cotangent", n=2),
+                                       "freeness-rank"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_MUTATIONS))
+def test_nan_defect_fails_its_check(name, monkeypatch):
+    defect, fields, check = NAN_MUTATIONS[name]
+    assert _run(fields, [check]).passed
+    defect(monkeypatch)
+    [result] = _run(fields, [check]).checks
+    summary = (result.name, result.residual, result.detail)
+    assert math.isnan(result.residual) and "error" not in result.detail, summary
+    assert result.detail["non_finite_residual"] == "nan", summary
+    assert not result.passed, summary
