@@ -10,7 +10,7 @@ Run me directly:  python demos/06_isotropy_probes.py
 import numpy as np
 
 import sunflows as sf
-from sunflows import probes
+from sunflows import harness, probes
 
 n = 3
 datum = sf.build_root_datum(n)
@@ -47,6 +47,6 @@ print("invariant probe rank:", rep.invariant_probe_rank)
 
 print("\n=== displacement under nontrivial torus angles ===")
 pp = probes.principal_test_point("sphere-adjoint-torus", n, datum, np.random.default_rng(9))
-torus_curves = pp.action.curves[n * n - 1:]
-moved = torus_curves[0](pp.point, 0.5)
+torus = harness.family_torus(pp.family, datum)
+moved = torus.act(pp.point, 0.5 * np.eye(torus.dim)[0])
 print("distance after a half-radian turn:", f"{moved.distance(pp.point):.3f}")

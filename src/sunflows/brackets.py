@@ -133,10 +133,11 @@ def _dual_sum(kind: str, n: int, derivs) -> np.ndarray:
     """The gradient whose derivative along each direction of the basis is ``derivs``.
 
     The derivatives are summed against the dual basis one direction at a
-    time, in basis order: a BLAS contraction would reorder the sum and
-    change the last bits of every bracket.
+    time, in basis order (a reduction over the leading axis keeps it): a BLAS
+    contraction would reorder the sum and change the last bits of every bracket.
     """
-    return sum(d * e for d, e in zip(derivs, _basis(kind, n)[1]))
+    dual = _basis(kind, n)[1]
+    return np.add.reduce(np.reshape(derivs, (-1,) + (1,) * (dual.ndim - 1)) * dual, axis=0)
 
 
 def _pairings(stack: np.ndarray, m: np.ndarray, form: Pairing) -> np.ndarray:
@@ -420,11 +421,10 @@ def right_factor_table(x, factor: str, grad):
     if not isinstance(x, HeisenbergPoint):
         raise UnsupportedBracket(f"no right Iwasawa factor on {type(x).__name__}")
     part, form = _RIGHT_FACTOR[factor]
-    f = x.factors()
-    m = getattr(f, factor)
+    m = x.factor(factor)
     moved = np.linalg.inv(m) @ grad(m) @ m
     directions = _basis("sl", x.n)[0]
-    cofactors = (f.u_left, f.b_right) if factor == "b_right" else (f.b_left, f.u_right)
+    cofactors = (x.factor("u_left" if factor == "b_right" else "b_left"), m)
     return {side: _dual_sum("sl", x.n, -_pairings(part(np.linalg.inv(c) @ directions @ c),
                                                   moved, form))
             for side, c in zip(("lmul", "rmul"), cofactors)}

@@ -33,16 +33,11 @@ from .errors import (
     RegularityViolation,
     SingularMatrix,
 )
-from .liecore import RootDatum
+from .liecore import RootDatum, read_only
 
 DEFAULT_REGULARITY_MARGIN = 1e-8
 # results each one-matrix kernel remembers; 4 catches as many repeats as 16 on the benchmark
 MEMO_SIZE = 4
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _memoized(size: int):
@@ -79,12 +74,16 @@ def _memoized(size: int):
 class NormalForm:
     """Spectrum and diagonalizing frame Q of a matrix.
 
-    ``vectors`` are orthonormal eigenvector columns in spectrum order;
-    ``frame`` puts them in the frame convention on first access.
+    ``columns`` are eigenvector columns in spectrum order, ``vectors`` orthonormal
+    ones and ``frame`` puts them in the frame convention, each on first access.
     """
 
     spectrum: np.ndarray
-    vectors: np.ndarray
+    columns: np.ndarray
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.columns
 
     @functools.cached_property
     def frame(self) -> np.ndarray:
@@ -103,15 +102,20 @@ class ChamberData(NormalForm):
 class AlcoveData(NormalForm):
     """Alcove phase vector and frame of a group element."""
 
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        # g is normal: QR makes its eigenvectors unitary to roundoff over the wall margin
+        return read_only(np.linalg.qr(self.columns)[0])
+
 
 @dataclass(frozen=True)
 class IwasawaFactors:
-    """Both unitary/triangular splittings X = u_left b_right^-1 = b_left u_right^-1."""
+    """Both unitary/triangular splittings X = u_left b_right^-1 = b_left u_right^-1, in order."""
 
     u_left: np.ndarray
-    u_right: np.ndarray
-    b_left: np.ndarray
     b_right: np.ndarray
+    b_left: np.ndarray
+    u_right: np.ndarray
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -134,7 +138,7 @@ def _det_correct(vectors: np.ndarray) -> np.ndarray:
 
 def _frame(vectors: np.ndarray) -> np.ndarray:
     """Frame convention: each vector's largest entry positive real, then unit determinant."""
-    return _read_only(_det_correct(_fix_phases(vectors)).conj().T)
+    return read_only(_det_correct(_fix_phases(vectors)).conj().T)
 
 
 def _require_gaps(gaps: np.ndarray, margin: float, message: str) -> None:
@@ -170,7 +174,7 @@ def _chamber_data(vals: np.ndarray, vecs: np.ndarray, margin: float) -> ChamberD
     Rejects gaps below the margin.
     """
     _require_gaps(coroot_values(vals), margin, _CHAMBER_GAP)
-    return ChamberData(spectrum=_read_only(vals.astype(float)), vectors=_read_only(vecs))
+    return ChamberData(spectrum=read_only(vals.astype(float)), columns=read_only(vecs))
 
 
 @_memoized(MEMO_SIZE)
@@ -240,10 +244,7 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
     vals, vecs = np.linalg.eig(g)
     xi, perm = alcove_phases(np.angle(vals))
     _require_gaps(_alcove_walls(xi), margin, _ALCOVE_WALL)
-    # g is normal, so its eigenvectors are orthogonal up to roundoff divided by the
-    # phase gaps, which the check above bounds; QR makes the frame unitary to roundoff
-    q, _ = np.linalg.qr(vecs[:, perm])
-    return AlcoveData(spectrum=_read_only(xi), vectors=_read_only(q))
+    return AlcoveData(spectrum=read_only(xi), columns=read_only(vecs[:, perm]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def alcove_spectra(gs: np.ndarray) -> np.ndarray:
     """
     xi, _ = alcove_phases(np.angle(np.linalg.eigvals(gs)))
     _require_gaps(_alcove_walls(xi), DEFAULT_REGULARITY_MARGIN, _ALCOVE_WALL)
-    return _read_only(xi)
+    return read_only(xi)
 
 
 def chamber_spectra(js: np.ndarray) -> np.ndarray:
@@ -271,7 +272,7 @@ def chamber_spectra(js: np.ndarray) -> np.ndarray:
     """
     xi = np.linalg.eigvalsh(-1j * js)[..., ::-1]
     _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
-    return _read_only(xi)
+    return read_only(xi)
 
 
 def borel_chamber_spectra(bs: np.ndarray) -> np.ndarray:
@@ -286,7 +287,7 @@ def borel_chamber_spectra(bs: np.ndarray) -> np.ndarray:
     _require_positive(vals)
     xi = np.log(vals[..., ::-1])
     _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
-    return _read_only(xi)
+    return read_only(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +324,36 @@ def _positive_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_memoized(MEMO_SIZE)
+def iwasawa_left(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u_left, b_right) of X = u_left b_right^-1, from the QR of X."""
+    q, r = _positive_qr(x)
+    return read_only(q), read_only(np.linalg.inv(r))
+
+
+@_memoized(MEMO_SIZE)
+def iwasawa_right(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b_left, u_right) of X = b_left u_right^-1, from the QR of X^-1."""
+    try:
+        q, r = _positive_qr(np.linalg.inv(x))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("matrix is singular") from None
+    return read_only(np.linalg.inv(r)), read_only(q)
+
+
+@_memoized(MEMO_SIZE)
 def iwasawa_decompose(x: np.ndarray) -> IwasawaFactors:
     """Unique factorizations X = u_left b_right^-1 = b_left u_right^-1.
 
-    The unitary factors are special unitary and the triangular factors are
-    upper triangular with positive diagonal and unit determinant; both follow
-    from det X = 1.
+    The unitary factors are special unitary and the triangular factors are upper triangular
+    with positive diagonal and unit determinant; both follow from det X = 1.  A caller that
+    reads one splitting calls its half, ``iwasawa_left`` or ``iwasawa_right``, alone.
     """
-    q1, r1 = _positive_qr(x)
-    q2, r2 = _positive_qr(np.linalg.inv(x))
-    return IwasawaFactors(u_left=_read_only(q1), u_right=_read_only(q2),
-                          b_left=_read_only(np.linalg.inv(r2)),
-                          b_right=_read_only(np.linalg.inv(r1)))
+    return IwasawaFactors(*iwasawa_left(x), *iwasawa_right(x))
 
 
 def dress(eta: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dressing action of a unitary on the Borel group: b_left factor of eta b."""
-    return iwasawa_decompose(eta @ b).b_left
+    return iwasawa_right(eta @ b)[0]
 
 
 def posdef_of_borel(b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from . import brackets, decomp, liecore
 from .errors import ShapeError, UnsupportedBracket
 from .liecore import RootDatum
 from .observables import AlgebraFunction, BorelFunction, ClassFunction
-from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
+from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint, conjugation_velocity
 
 logger = logging.getLogger(__name__)
 
@@ -108,36 +108,33 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
     right-multiply by the Borel factor of exp(i tau * grad at the right
     unitary factor), which is positive definite because i*grad is Hermitian.
     """
-    f = x.factors()
     if isinstance(ham, BorelFunction):
-        return HeisenbergPoint(x.x @ liecore.expm_normal(-tau * ham.grad(f.b_right)))
+        return HeisenbergPoint(x.x @ liecore.expm_normal(-tau * ham.grad(x.factor("b_right"))))
     if isinstance(ham, ClassFunction):
-        pos = liecore.expm_normal(1j * tau * ham.grad(f.u_right))
-        return HeisenbergPoint(x.x @ decomp.iwasawa_decompose(pos).b_left)
+        pos = liecore.expm_normal(1j * tau * ham.grad(x.factor("u_right")))
+        return HeisenbergPoint(x.x @ decomp.iwasawa_right(pos)[0])
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
 
 def heisenberg_velocity(x: HeisenbergPoint, ham) -> dict:
     """d/dtau of ``heisenberg_flow`` at tau = 0; a class function's is the first-order b_left."""
     if isinstance(ham, BorelFunction):
-        return {"rmul": -ham.grad(x.factors().b_right)}
+        return {"rmul": -ham.grad(x.factor("b_right"))}
     if isinstance(ham, ClassFunction):
-        return {"rmul": liecore.project_borel(1j * ham.grad(x.factors().u_right))}
+        return {"rmul": liecore.project_borel(1j * ham.grad(x.factor("u_right")))}
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
 
 def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: float) -> np.ndarray:
     """The unitary cofactor of the class-function flow (conjugator of u_right)."""
-    f = x.factors()
-    pos = liecore.expm_normal(1j * tau * ham.grad(f.u_right))
-    iw = decomp.iwasawa_decompose(pos)
-    return iw.u_right.conj().T
+    pos = liecore.expm_normal(1j * tau * ham.grad(x.factor("u_right")))
+    return decomp.iwasawa_right(pos)[1].conj().T
 
 
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
     pos = decomp.alcove_diagonalize(g).transport(liecore.expm(_coroot_sum(tau, datum)))
-    return decomp.iwasawa_decompose(pos).b_left
+    return decomp.iwasawa_right(pos)[0]
 
 
 def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,
@@ -145,12 +142,11 @@ def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,
     """'dress': compact-torus action through the chamber frame of the
     positive part of the right Borel factor; 'translate': the proper
     noncompact action through the positive factorization at u_right."""
-    f = x.factors()
     if family == "dress":
-        t = decomp.borel_chamber_diagonalize(f.b_right).transport(coroot_torus_element(tau, datum))
-        return HeisenbergPoint(x.x @ t)
+        chamber = decomp.borel_chamber_diagonalize(x.factor("b_right"))
+        return HeisenbergPoint(x.x @ chamber.transport(coroot_torus_element(tau, datum)))
     if family == "translate":
-        return HeisenbergPoint(x.x @ positive_factorization(tau, f.u_right, datum))
+        return HeisenbergPoint(x.x @ positive_factorization(tau, x.factor("u_right"), datum))
     raise ShapeError(f"unknown Heisenberg torus family {family!r}")
 
 
@@ -176,11 +172,6 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
         ui = u.conj().T
         return x.map(lambda m: u @ m @ ui)
     raise ShapeError(f"unknown double slot {slot!r}")
-
-
-def conjugation_velocity(slots, z: np.ndarray) -> dict:
-    """Velocity of conjugating the letters of ``slots`` by exp(tau Z)."""
-    return {(*slot, side): v for slot in slots for side, v in (("lmul", z), ("rmul", -z))}
 
 
 def double_velocity(x: FusionPoint, ham: ClassFunction, slot: str) -> dict:

@@ -58,22 +58,16 @@ class Generator:
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """A torus/line action (point, angles) -> point and the flow of each angle."""
+    """A torus/line action (point, angles) -> point and the action variable of each angle."""
 
     name: str
     act: object
-    flows: tuple                     # callable (point, t) -> point, one per angle
+    generators: tuple                # the Generator of each angle: its flow and velocity
     periodic: bool
 
     @property
     def dim(self) -> int:
-        return len(self.flows)
-
-    def curves(self) -> tuple:
-        """One curve t -> act(p, t e_j) per angle j."""
-        def make(e):
-            return lambda p, t: self.act(p, t * e)
-        return tuple(make(e) for e in np.eye(self.dim))
+        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -144,9 +138,9 @@ def _moduli_generators(hams) -> list[Generator]:
                       lambda p, h=h: moduli.moduli_velocity(p, h)) for h in hams]
 
 
-def _action_flows(gens, rank: int) -> tuple:
-    """The flows of a family's action variables: its last ``rank`` generators, the coroots."""
-    return tuple(g.flow for g in gens[-rank:])
+def _action_variables(gens, rank: int) -> tuple:
+    """A family's action variables: its last ``rank`` generators, the coroots."""
+    return tuple(gens[-rank:])
 
 
 def _power_indices(n: int) -> list[int]:
@@ -187,10 +181,10 @@ class CotangentHarness(Harness):
         return [
             TorusSpec("chamber-torus",
                       lambda p, tau: flows.cotangent_torus_action(p, tau, "chamber", datum),
-                      _action_flows(fams["fiber-invariants"], datum.rank), True),
+                      _action_variables(fams["fiber-invariants"], datum.rank), True),
             TorusSpec("fiber-translation",
                       lambda p, tau: flows.cotangent_torus_action(p, tau, "translate", datum),
-                      _action_flows(fams["base-class"], datum.rank), False),
+                      _action_variables(fams["base-class"], datum.rank), False),
         ]
 
     def conserved(self):
@@ -249,15 +243,15 @@ class HeisenbergHarness(Harness):
         return [
             TorusSpec("dressing-torus",
                       lambda p, tau: flows.heisenberg_torus_action(p, tau, "dress", datum),
-                      _action_flows(fams["borel-invariants"], datum.rank), True),
+                      _action_variables(fams["borel-invariants"], datum.rank), True),
             TorusSpec("borel-translation",
                       lambda p, tau: flows.heisenberg_torus_action(p, tau, "translate", datum),
-                      _action_flows(fams["unitary-class"], datum.rank), False),
+                      _action_variables(fams["unitary-class"], datum.rank), False),
         ]
 
     def conserved(self):
         def right_borel(p):
-            return p.factors().b_right
+            return p.factor("b_right")
 
         def posdef_pairs(p):
             f = p.factors()
@@ -330,7 +324,7 @@ def family_torus(hams, datum: RootDatum) -> TorusSpec:
     return TorusSpec("family-torus",
                      lambda p, tau: moduli.moduli_torus_action(
                          p, np.asarray(tau).reshape(-1, datum.rank), hams, datum),
-                     tuple(g.flow for g in _moduli_generators(hams)), True)
+                     tuple(_moduli_generators(hams)), True)
 
 
 class FusionHarness(Harness):
@@ -444,7 +438,7 @@ class DoubleHarness(FusionHarness):
         return [TorusSpec(
             f"{slot}-slot-torus",
             lambda p, tau: flows.double_torus_action(p, np.asarray(tau), slot, datum),
-            _action_flows(self.families()[self.label], datum.rank), True)]
+            _action_variables(self.families()[self.label], datum.rank), True)]
 
     def conserved(self):
         def first_pair(p):

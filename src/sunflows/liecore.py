@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,11 @@ from .errors import DegenerateBasis, InvalidRank, ShapeError
 # ---------------------------------------------------------------------------
 # elementary checks and projections
 # ---------------------------------------------------------------------------
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Frobenius norm of U^H U - I."""
@@ -359,7 +365,9 @@ class SpecialElements:
     apposition_conjugator: np.ndarray
     center: tuple[np.ndarray, ...]
 
+@lru_cache(maxsize=None)
 def special_elements(n: int) -> SpecialElements:
+    """The special elements of SU(n), built once per n, with read-only arrays."""
     if n < 2:
         raise InvalidRank(f"need n >= 2, got {n}")
     shift = np.zeros((n, n), dtype=complex)
@@ -376,14 +384,14 @@ def special_elements(n: int) -> SpecialElements:
     det = np.linalg.det(dft)
     dft[:, 0] *= np.conj(det) / abs(det)
     zeta = np.exp(2j * np.pi / n)
-    center = tuple(zeta**k * np.eye(n, dtype=complex) for k in range(n))
+    center = tuple(read_only(zeta**k * np.eye(n, dtype=complex)) for k in range(n))
     return SpecialElements(
         n=n,
-        coxeter_rep=shift,
-        principal=principal,
+        coxeter_rep=read_only(shift),
+        principal=read_only(principal),
         coxeter_number=n,
-        rho_coweight=rho,
-        apposition_conjugator=dft,
+        rho_coweight=read_only(rho),
+        apposition_conjugator=read_only(dft),
         center=center,
     )
 

@@ -315,7 +315,7 @@ class RightFactorFunction:
             raise UnsupportedWord(f"{self.fn!r} is not a function of the factor {self.factor!r}")
 
     def __call__(self, x) -> float:
-        return self.fn.value(getattr(x.factors(), self.factor))
+        return self.fn.value(x.factor(self.factor))
 
     def grad_table(self, x):
         return brackets.right_factor_table(x, self.factor, self.fn.grad)

@@ -37,30 +37,23 @@ GAPPED_DRAWS = 16384
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """A group action at probe granularity: named one-parameter curves."""
+    """A group action at probe granularity: each generator's velocity, point -> dict."""
 
     name: str
-    curves: tuple
+    velocities: tuple
     group_dim: int
 
 
 def conjugation_action(n: int) -> ActionSpec:
     """The symmetry-group action, each point's own ``conjugate``."""
     basis = su_basis(n)
-    curves = tuple(lambda p, t, z=z: p.conjugate(liecore.expm_normal(t * z)) for z in basis)
-    return ActionSpec("symmetry", curves, len(basis))
-
-
-def combine(*specs: ActionSpec) -> ActionSpec:
-    curves = tuple(c for s in specs for c in s.curves)
-    return ActionSpec("+".join(s.name for s in specs), curves, sum(s.group_dim for s in specs))
+    velocities = tuple(lambda p, z=z: p.conjugation_velocity(z) for z in basis)
+    return ActionSpec("symmetry", velocities, len(basis))
 
 
 def generator_matrix(x, action: ActionSpec) -> np.ndarray:
-    """Columns are the generating tangent vectors of the action at x."""
-    cols = [brackets.directional_derivative(lambda p: p.flat(), lambda t, c=curve: c(x, t))
-            for curve in action.curves]
-    return np.stack(cols, axis=1)
+    """Columns are the generating tangent vectors of the action at x, in ``flat()`` order."""
+    return np.stack([x.tangent(v(x)) for v in action.velocities], axis=1)
 
 
 @dataclass
@@ -76,11 +69,8 @@ def stabilizer_dimension(x, action: ActionSpec, n: int, point_id: str = "") -> S
     mat = generator_matrix(x, action)
     svals = np.linalg.svd(mat, compute_uv=False)
     dim = int(np.sum(svals < SVD_KERNEL_TOL)) + max(0, action.group_dim - len(svals))
-    spec = special_elements(n)
-    center_ok = True
-    for zeta in spec.center:
-        if x.distance(x.conjugate(zeta)) > 1e-8:
-            center_ok = False
+    center_ok = not any(x.distance(x.conjugate(zeta)) > 1e-8
+                        for zeta in special_elements(n).center)
     return StabilizerReport(point_id, dim, center_ok, svals)
 
 
@@ -317,7 +307,8 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         hams = moduli.hamiltonian_family(x.space, fam, datum)
     if hams is not None:
         torus = harness.family_torus(hams, datum)
-    action = combine(conjugation_action(n), ActionSpec(torus.name, torus.curves(), torus.dim))
+    velocities = conjugation_action(n).velocities + tuple(g.velocity for g in torus.generators)
+    action = ActionSpec(f"symmetry+{torus.name}", velocities, n * n - 1 + torus.dim)
     return PrincipalPoint(key, x, action, torus.dim, hams or [])
 
 
@@ -348,8 +339,8 @@ def rank_of(mat: np.ndarray) -> tuple[int, np.ndarray]:
 
 def ieq_rank_check(pp: PrincipalPoint, n: int, invariant_probes=None) -> RankReport:
     """Freeness and independence ranks at a crafted principal point."""
-    torus = ActionSpec("torus", pp.action.curves[n * n - 1:], pp.torus_dim)
-    sym = ActionSpec("symmetry", pp.action.curves[: n * n - 1], n * n - 1)
+    torus = ActionSpec("torus", pp.action.velocities[n * n - 1:], pp.torus_dim)
+    sym = ActionSpec("symmetry", pp.action.velocities[: n * n - 1], n * n - 1)
     g2_rank, g2_sv = rank_of(generator_matrix(pp.point, torus))
     sym_rank, sym_sv = rank_of(generator_matrix(pp.point, sym))
     if pp.family:

@@ -371,7 +371,7 @@ def check_posdef(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("posdef")
     worst = 0.0
     for _ in range(20):
-        b = decomp.iwasawa_decompose(liecore.random_sl_element(n, rng)).b_right
+        b = decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1]
         p = decomp.posdef_of_borel(b)
         worst = _worst(worst, float(np.linalg.norm(decomp.borel_of_posdef(p) - b)))
     return _result(ctx, "posdef-roundtrip",
@@ -384,7 +384,7 @@ def check_dressing(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("dressing")
     worst = 0.0
     for _ in range(20):
-        b = decomp.iwasawa_decompose(liecore.random_sl_element(n, rng)).b_right
+        b = decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1]
         eta = liecore.random_group_element(n, rng)
         lhs = decomp.posdef_of_borel(decomp.dress(eta, b))
         rhs = eta @ decomp.posdef_of_borel(b) @ eta.conj().T
@@ -418,7 +418,7 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
     def regular_borel():
         return harness_mod.sample_regular(
             "Borel", BOREL_DRAWS,
-            lambda: decomp.iwasawa_decompose(liecore.random_sl_element(n, rng)).b_right,
+            lambda: decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1],
             lambda b: decomp.borel_chamber_diagonalize(b, 0.05))
 
     group_fns = [PowerTrace(1), PowerTrace(2), AlcoveCoroot(0, datum),
@@ -570,12 +570,12 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
     from .observables import AlcoveCoroot, PowerTrace
     for _ in range(4):
         x = h.sample(rng)
-        u0 = x.factors().u_right
+        u0 = x.factor("u_right")
         for fn in [PowerTrace(2), AlcoveCoroot(0, ctx.datum)]:
             for t in (0.3, 1.1):
                 moved = flows.heisenberg_flow(x, fn, t)
                 gamma = flows.heisenberg_flow_unitary_part(x, fn, t)
-                resid = np.linalg.norm(moved.factors().u_right - gamma @ u0 @ gamma.conj().T)
+                resid = np.linalg.norm(moved.factor("u_right") - gamma @ u0 @ gamma.conj().T)
                 worst = _worst(worst, float(resid))
     return _result(ctx, "unitary-conjugation-law",
                    "the right unitary factor evolves by conjugation along class flows",
@@ -591,7 +591,7 @@ def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
         eta = liecore.random_group_element(n, rng)
         f = x.factors()
         moved = x.conjugate(eta)
-        twist = decomp.iwasawa_decompose(eta @ f.b_left).u_right.conj().T
+        twist = decomp.iwasawa_right(eta @ f.b_left)[1].conj().T
         fm = moved.factors()
         worst = _worst(worst, float(np.linalg.norm(
             fm.u_right - twist @ f.u_right @ twist.conj().T)))
@@ -649,7 +649,7 @@ def check_torus_additivity(ctx: CheckContext) -> CheckResult:
         if ctx.cfg.space == "heisenberg" and spec.name == "borel-translation":
             x = h.sample(rng)
             tau = np.full(spec.dim, 1.0)
-            beta = flows.positive_factorization(tau, x.factors().u_right, ctx.datum)
+            beta = flows.positive_factorization(tau, x.factor("u_right"), ctx.datum)
             detail["translation-conditioning"] = float(np.linalg.cond(beta))
     return _result(ctx, "torus-additivity",
                    "torus action maps compose additively in the angles", worst, 1e-9,
@@ -666,8 +666,8 @@ def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
             tau = rng.uniform(-0.8, 0.8, spec.dim)
             a = spec.act(x, tau)
             b = x
-            for flow, t in zip(spec.flows, tau):
-                b = flow(b, t)
+            for gen, t in zip(spec.generators, tau):
+                b = gen.flow(b, t)
             worst = _worst(worst, a.distance(b))
     return _result(ctx, "torus-vs-flows",
                    "the joint torus action equals composed generator flows", worst, 1e-8)
@@ -732,7 +732,8 @@ def check_freeness_rank(ctx: CheckContext) -> CheckResult:
     for _ in range(20):
         x = h.sample(rng)
         for spec in h.torus_specs():
-            action = probes.ActionSpec(spec.name, spec.curves(), spec.dim)
+            velocities = [g.velocity for g in spec.generators]
+            action = probes.ActionSpec(spec.name, velocities, spec.dim)
             rank, _ = probes.rank_of(probes.generator_matrix(x, action))
             if rank != spec.dim:
                 failures += 1

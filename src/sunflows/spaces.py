@@ -27,7 +27,12 @@ from .errors import InvalidShape, ShapeError
 
 
 class Point:
-    """The flattener and the metric shared by every point type."""
+    """The flattener and the metric shared by every point type.
+
+    Every point type also has ``tangent(velocity)``, the ``flat()``-ordered vector of a
+    velocity keyed like the gradient tables (as in ``flows``): a translation Z moves its
+    matrix m by Z m ('lmul') or m Z ('rmul'), and a missing key does not move it.
+    """
 
     def matrices(self) -> tuple[tuple[str, np.ndarray], ...]:
         """The point's matrices in order, each with its label."""
@@ -74,6 +79,16 @@ class CotangentPoint(Point):
         ei = eta.conj().T
         return CotangentPoint(eta @ self.g @ ei, eta @ self.j @ ei)
 
+    def conjugation_velocity(self, z: np.ndarray) -> dict:
+        """Velocity of conjugate(exp(tz)) at t = 0: z g - g z = (z - g z g^H) g, z j - j z."""
+        return {"group": z - self.g @ z @ self.g.conj().T, "fiber": z @ self.j - self.j @ z}
+
+    def tangent(self, velocity: dict) -> np.ndarray:
+        """'group' Z moves g by Z g, 'fiber' V moves j by V."""
+        zero = np.zeros_like(self.j)
+        return CotangentPoint(velocity["group"] @ self.g if "group" in velocity else zero,
+                              velocity.get("fiber", zero)).flat()
+
 
 def cotangent_momentum(x: CotangentPoint) -> np.ndarray:
     """Momentum map of the conjugation action: J - g^-1 J g."""
@@ -114,10 +129,25 @@ class HeisenbergPoint(Point):
     def factors(self) -> decomp.IwasawaFactors:
         return decomp.iwasawa_decompose(self.x)
 
+    def factor(self, name: str) -> np.ndarray:
+        """Iwasawa factor ``name`` of X from its half, (u_left, b_right) or (b_left, u_right)."""
+        half = decomp.iwasawa_left if name in ("u_left", "b_right") else decomp.iwasawa_right
+        return half(self.x)[int(name.endswith("right"))]
+
     def conjugate(self, eta: np.ndarray) -> "HeisenbergPoint":
         """Quasi-adjoint action: eta X u_right(eta b_left(X))."""
-        twist = decomp.iwasawa_decompose(eta @ self.factors().b_left).u_right
+        twist = decomp.iwasawa_right(eta @ self.factor("b_left"))[1]
         return HeisenbergPoint(eta @ self.x @ twist)
+
+    def conjugation_velocity(self, z: np.ndarray) -> dict:
+        """Velocity of conjugate(exp(tz)) at t = 0: z X - X k, k the compact part of
+        b_left^-1 z b_left (the dressing linearization of u_right(exp(tz) b_left))."""
+        b_left = self.factor("b_left")
+        return {"lmul": z, "rmul": -liecore.project_compact(np.linalg.inv(b_left) @ z @ b_left)}
+
+    def tangent(self, velocity: dict) -> np.ndarray:
+        return HeisenbergPoint(sum(z @ self.x if side == "lmul" else self.x @ z
+                                   for side, z in velocity.items())).flat()
 
 
 def heisenberg_momentum(x: HeisenbergPoint) -> np.ndarray:
@@ -202,6 +232,11 @@ def sphere_space(n: int) -> FusionSpace:
     return moduli_space(0, 3, n)
 
 
+def conjugation_velocity(slots, z: np.ndarray) -> dict:
+    """Velocity of conjugating the letters of ``slots`` by exp(tau Z)."""
+    return {(*slot, side): v for slot in slots for side, v in (("lmul", z), ("rmul", -z))}
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b @ a.conj().T @ b.conj().T
 
@@ -279,6 +314,17 @@ class FusionPoint(Point):
     def conjugate(self, eta: np.ndarray) -> "FusionPoint":
         ei = eta.conj().T
         return self.map(lambda m: eta @ m @ ei)
+
+    def conjugation_velocity(self, z: np.ndarray) -> dict:
+        """Velocity of conjugate(exp(tz)) at t = 0."""
+        return conjugation_velocity(self.space.slots, z)
+
+    def tangent(self, velocity: dict) -> np.ndarray:
+        moved = {slot: np.zeros((self.n, self.n), dtype=complex) for slot in self.space.slots}
+        for (f, comp, side), z in velocity.items():
+            m = self.slot(f, comp)
+            moved[f, comp] = moved[f, comp] + (z @ m if side == "lmul" else m @ z)
+        return self.with_slots(moved).flat()
 
 
 def moduli_point(space: FusionSpace, pairs, holes) -> FusionPoint:

@@ -1,0 +1,38 @@
+"""The generator matrix from one-parameter curves, as the probes built it before velocities.
+
+``probes.generator_matrix`` stacks the closed-form tangent vectors of an
+action's velocities.  The helpers here keep its former construction, a
+4-point central difference of ``flat()`` along a curve t -> p(t) per
+generator, as the oracle the tests hold the velocities against.
+"""
+
+import numpy as np
+
+from sunflows import brackets, liecore
+
+
+def stencil_generator_matrix(x, curves) -> np.ndarray:
+    """Columns: d/dt curve(x, t).flat() at t = 0, one 4-point central difference each."""
+    cols = [brackets.directional_derivative(lambda p: p.flat(), lambda t, c=curve: c(x, t))
+            for curve in curves]
+    return np.stack(cols, axis=1)
+
+
+def conjugation_curves(n: int) -> list:
+    """t -> x.conjugate(exp(tZ)) for each Z of the su(n) basis."""
+    return [lambda p, t, z=z: p.conjugate(liecore.expm_normal(t * z))
+            for z in liecore.su_basis(n)]
+
+
+def torus_curves(spec) -> list:
+    """t -> spec.act(p, t e_j) for each angle j of a harness TorusSpec."""
+    return [lambda p, t, e=e: spec.act(p, t * e) for e in np.eye(spec.dim)]
+
+
+def assert_columns_close(new: np.ndarray, old: np.ndarray, rel: float = 1e-8) -> None:
+    """Every column of ``new`` within ``rel`` of the matching column of ``old``, relative
+    to that column's norm."""
+    assert new.shape == old.shape
+    err = np.linalg.norm(new - old, axis=0)
+    scale = np.linalg.norm(old, axis=0)
+    assert np.all(err <= rel * scale), (err / scale).max()

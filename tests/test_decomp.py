@@ -213,6 +213,33 @@ def test_iwasawa_rejects_singular():
         decomp.iwasawa_decompose(np.zeros((2, 2), dtype=complex))
 
 
+HALVES = {"iwasawa_left": ("u_left", "b_right"), "iwasawa_right": ("b_left", "u_right")}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_iwasawa_halves_are_bit_equal_to_the_decomposition(n):
+    rng = np.random.default_rng(210 + n)
+    for _ in range(10):
+        x = liecore.random_sl_element(n, rng)
+        whole = decomp.iwasawa_decompose.__wrapped__(x)
+        for name, fields in HALVES.items():
+            for got, field in zip(getattr(decomp, name).__wrapped__(x.copy()), fields):
+                assert np.array_equal(got, getattr(whole, field))
+
+
+@pytest.mark.parametrize("name", HALVES)
+def test_iwasawa_halves_raise_at_call_time_every_time(name):
+    kernel = getattr(decomp, name)
+    for _ in range(3):
+        with pytest.raises(SingularMatrix):
+            kernel(np.zeros((3, 3), dtype=complex))
+        for where in [(2, 2), (0, 2)]:
+            x = np.eye(3, dtype=complex)
+            x[where] = np.nan
+            with pytest.raises(SunflowsError):
+                kernel(x)
+
+
 def test_dressing_identity_and_torus_fixed_points():
     rng = np.random.default_rng(41)
     b = decomp.iwasawa_decompose(liecore.random_sl_element(3, rng)).b_right
@@ -271,12 +298,12 @@ def test_alcove_phase_rule_recovers_known_representative():
 # the recency memo of the normal-form kernels and the lazy frames
 # ---------------------------------------------------------------------------
 
-MEMOIZED = ("iwasawa_decompose", "alcove_diagonalize", "chamber_diagonalize",
-            "borel_chamber_diagonalize")
+NORMAL_FORMS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize")
+MEMOIZED = ("iwasawa_decompose", *HALVES, *NORMAL_FORMS)
 
 
 def _kernel_args(name, rng, n=3):
-    if name == "iwasawa_decompose":
+    if name.startswith("iwasawa"):
         return (liecore.random_sl_element(n, rng),)
     if name == "alcove_diagonalize":
         return (liecore.random_group_element(n, rng), 1e-6)
@@ -289,6 +316,8 @@ def _kernel_args(name, rng, n=3):
 def _result_arrays(result):
     if isinstance(result, decomp.IwasawaFactors):
         return [result.u_left, result.u_right, result.b_left, result.b_right]
+    if isinstance(result, tuple):
+        return list(result)
     return [result.spectrum, result.vectors, result.frame]
 
 
@@ -325,7 +354,7 @@ def _near_wall(name, gap):
     return np.diag(np.exp(xi / 2)).astype(complex)  # log(b b^H) = diag(xi)
 
 
-@pytest.mark.parametrize("name", MEMOIZED[1:])
+@pytest.mark.parametrize("name", NORMAL_FORMS)
 def test_memo_keys_on_the_margin(name):
     kernel = getattr(decomp, name)
     x = _near_wall(name, 1e-3)
@@ -338,7 +367,7 @@ def test_memo_keys_on_the_margin(name):
 @pytest.mark.parametrize("name", MEMOIZED)
 def test_memo_never_returns_a_failure(name):
     kernel = getattr(decomp, name)
-    if name == "iwasawa_decompose":
+    if name.startswith("iwasawa"):
         bad, error = (np.zeros((3, 3), dtype=complex),), SingularMatrix
     else:
         bad, error = (_near_wall(name, 0.0), 1e-8), RegularityViolation
@@ -350,7 +379,7 @@ def test_memo_never_returns_a_failure(name):
                           _result_arrays(kernel.__wrapped__(*good))[0])
 
 
-@pytest.mark.parametrize("name", MEMOIZED[1:])
+@pytest.mark.parametrize("name", NORMAL_FORMS)
 def test_lazy_frame_keeps_the_frame_convention(name):
     rng = np.random.default_rng(303)
     kernel = getattr(decomp, name)
@@ -373,13 +402,29 @@ def test_lazy_frame_keeps_the_frame_convention(name):
         assert np.linalg.norm(d - np.diag(np.diag(d))) <= 1e-10 * np.linalg.norm(m)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lazy_alcove_frame_is_bit_equal_to_the_eager_one(n):
+    rng = np.random.default_rng(305 + n)
+    for _ in range(10):
+        g = liecore.random_group_element(n, rng)
+        data = decomp.alcove_diagonalize.__wrapped__(g)
+        assert "vectors" not in vars(data)
+        # the former eager frame: the QR of the eigenvectors in alcove order
+        vals, vecs = np.linalg.eig(g)
+        _, perm = decomp.alcove_phases(np.angle(vals))
+        q, _ = np.linalg.qr(vecs[:, perm])
+        assert np.array_equal(data.vectors, q)
+        assert np.array_equal(data.frame, decomp._frame(q))
+
+
 def test_value_callers_do_not_build_frames():
     from sunflows.observables import AlcoveCoroot
     rng = np.random.default_rng(304)
     datum = liecore.build_root_datum(3)
     g = liecore.random_group_element(3, rng)
     AlcoveCoroot(0, datum).value(g)
-    assert "frame" not in vars(decomp.alcove_diagonalize(g, decomp.DEFAULT_REGULARITY_MARGIN))
+    data = decomp.alcove_diagonalize(g, decomp.DEFAULT_REGULARITY_MARGIN)
+    assert "frame" not in vars(data) and "vectors" not in vars(data)
 
 
 # ---------------------------------------------------------------------------

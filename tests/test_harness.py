@@ -1,10 +1,11 @@
 """Samplers give up with a message that says how many draws failed and why;
-each torus spec carries the flow and the curve of every angle."""
+each torus spec carries the flow of every angle; every generator's velocity is
+the derivative of its flow."""
 
 import numpy as np
 import pytest
 
-from sunflows import flows, harness, liecore, moduli
+from sunflows import brackets, flows, harness, liecore, moduli
 from sunflows.errors import (NotPositiveDefinite, RegularityViolation, SamplingFailure,
                              ShapeError, SingularMatrix, SunflowsError, UnsupportedWord)
 from sunflows.observables import AlcoveCoroot, BorelChamberCoroot, ChamberCoroot
@@ -91,7 +92,7 @@ def test_gradient_oracles_at_n7_abort_with_a_named_sampling_failure():
 
 
 # ---------------------------------------------------------------------------
-# torus specs: the flow and the curve of every angle
+# torus specs: the flow of every angle
 # ---------------------------------------------------------------------------
 
 TORUS_HARNESSES = {
@@ -123,7 +124,7 @@ def _old_generator_flow(h, spec, j):
 
 
 @pytest.mark.parametrize("key", sorted(TORUS_HARNESSES))
-def test_torus_flows_and_curves_are_bit_equal_to_the_old_formulas(key):
+def test_torus_flows_are_bit_equal_to_the_old_formulas(key):
     cfg = dict(TORUS_HARNESSES[key])
     n = cfg.pop("n")
     datum = liecore.build_root_datum(n)
@@ -133,11 +134,37 @@ def test_torus_flows_and_curves_are_bit_equal_to_the_old_formulas(key):
     assert specs
     for spec in specs:
         blocks = len(h.blocks) if spec.name == "family-torus" else 1
-        assert len(spec.flows) == spec.dim == blocks * datum.rank
-        for j, (flow, curve) in enumerate(zip(spec.flows, spec.curves())):
-            e = np.zeros(spec.dim)
-            e[j] = 1.0
+        assert len(spec.generators) == spec.dim == blocks * datum.rank
+        for j, gen in enumerate(spec.generators):
             for t in (0.37, -0.6):
-                assert np.array_equal(flow(x, t).flat(),
+                assert np.array_equal(gen.flow(x, t).flat(),
                                       _old_generator_flow(h, spec, j)(x, t).flat())
-                assert np.array_equal(curve(x, t).flat(), spec.act(x, t * e).flat())
+
+
+# ---------------------------------------------------------------------------
+# velocities: the closed-form tangent of every generator's flow
+# ---------------------------------------------------------------------------
+
+VELOCITY_HARNESSES = [
+    dict(space="cotangent"), dict(space="heisenberg"), dict(space="double", family="h"),
+    dict(space="double", family="htilde"), dict(space="sphere4"),
+    dict(space="moduli", m=2, holes=2,
+         family={"single": [1], "commutators": [2], "intervals": [[1, 2]]}),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kw", VELOCITY_HARNESSES,
+                         ids=lambda kw: kw["space"] + str(kw.get("family", "")).replace(" ", ""))
+def test_every_velocity_is_the_derivative_of_its_flow(kw, n):
+    """x.tangent(velocity) against the Richardson difference of the flow's flat(), for every
+    family and extra generator.  On the Heisenberg double this tells a left from a right
+    translation, which no probe of flow-bracket can."""
+    h = harness.build_harness(n=n, datum=liecore.build_root_datum(n), **kw)
+    x = h.sample(np.random.default_rng(90 + n))
+    gens = [g for fam in h.families().values() for g in fam] + h.extra_generators()
+    for gen in gens:
+        exact = x.tangent(gen.velocity(x))
+        fd = brackets.directional_derivative(lambda p: p.flat(), lambda t: gen.flow(x, t),
+                                             richardson=True)
+        assert np.linalg.norm(exact - fd) <= 1e-8 * np.linalg.norm(fd), gen.name

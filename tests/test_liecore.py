@@ -163,6 +163,16 @@ def test_special_elements_invariants(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
+def test_special_elements_are_built_once_with_read_only_arrays(n):
+    spec = liecore.special_elements(n)
+    assert liecore.special_elements(n) is spec
+    for a in (spec.coxeter_rep, spec.principal, spec.rho_coweight, spec.apposition_conjugator,
+              *spec.center):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_torus_algebras_orthogonal(n):
     spec = liecore.special_elements(n)
     for j in range(n - 1):

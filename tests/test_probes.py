@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from curve_stencils import (assert_columns_close, conjugation_curves, stencil_generator_matrix,
+                            torus_curves)
 from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
 from sunflows.errors import RegularityViolation, SamplingFailure, ShapeError, Unsupported
 from sunflows.observables import AlcoveCoroot
@@ -68,21 +70,46 @@ OLD_TORUS = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("key", probes.PRINCIPAL_POINT_KEYS)
-def test_crafted_generator_matrix_is_bit_equal_to_the_old_curves(key, n):
+def test_crafted_generator_matrix_matches_a_stencil_of_the_old_curves(key, n):
+    """The velocity columns against the former stencil matrix of the symmetry and torus curves."""
     datum = liecore.build_root_datum(n)
     pp = probes.principal_test_point(key, n, datum, np.random.default_rng(5))
     if key in OLD_TORUS:
         torus = _old_torus_curves(*OLD_TORUS[key], datum)
     else:
         torus = _old_family_curves(datum, pp.family)
-    symmetry = [lambda p, t, z=z: p.conjugate(liecore.expm_normal(t * z))
-                for z in liecore.su_basis(n)]
-    old = probes.ActionSpec("old", tuple(symmetry + torus), len(symmetry) + len(torus))
     assert pp.torus_dim == len(torus)
-    assert np.array_equal(probes.generator_matrix(pp.point, pp.action),
-                          probes.generator_matrix(pp.point, old))
+    assert_columns_close(probes.generator_matrix(pp.point, pp.action),
+                         stencil_generator_matrix(pp.point, conjugation_curves(n) + torus))
+
+
+HARNESSES = [
+    dict(space="cotangent"), dict(space="heisenberg"), dict(space="double", family="h"),
+    dict(space="double", family="htilde"), dict(space="sphere4"),
+    dict(space="moduli", m=2, holes=2,
+         family={"single": [1], "commutators": [2], "intervals": [[1, 2]]}),
+]
+
+
+def _harness_id(kw):
+    return kw["space"] + str(kw.get("family", "")).replace(" ", "")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kw", HARNESSES, ids=_harness_id)
+def test_harness_generator_matrices_match_stencils_of_the_actions(kw, n):
+    """Every harness TorusSpec's velocities, and the symmetry action's, at sampled points."""
+    h = harness.build_harness(n=n, datum=liecore.build_root_datum(n), **kw)
+    x = h.sample(np.random.default_rng(80 + n))
+    sym = probes.conjugation_action(n)
+    assert_columns_close(probes.generator_matrix(x, sym),
+                         stencil_generator_matrix(x, conjugation_curves(n)))
+    for spec in h.torus_specs():
+        action = probes.ActionSpec(spec.name, [g.velocity for g in spec.generators], spec.dim)
+        assert_columns_close(probes.generator_matrix(x, action),
+                             stencil_generator_matrix(x, torus_curves(spec)))
 
 
 def test_unknown_crafted_key():
@@ -209,8 +236,8 @@ def test_torus_displacement_at_crafted_points():
         rng = np.random.default_rng(seed)
         pp = probes.principal_test_point("sphere-adjoint-torus", n, datum, rng)
         tau = rng.uniform(0.1, 2 * np.pi - 0.1, pp.torus_dim)
-        torus = probes.ActionSpec("t", pp.action.curves[n * n - 1:], pp.torus_dim)
-        moved = torus.curves[0](pp.point, tau[0])
+        moved = harness.family_torus(pp.family, datum).act(pp.point,
+                                                           tau[0] * np.eye(pp.torus_dim)[0])
         assert moved.distance(pp.point) >= 1e-4
 
 
@@ -238,14 +265,6 @@ def _old_differential_matrix(x, functions):
     return np.stack(cols, axis=1)
 
 
-DIFFERENTIAL_HARNESSES = [
-    dict(space="cotangent"), dict(space="heisenberg"), dict(space="double", family="h"),
-    dict(space="double", family="htilde"), dict(space="sphere4"),
-    dict(space="moduli", m=2, holes=2,
-         family={"single": [1], "commutators": [2], "intervals": [[1, 2]]}),
-]
-
-
 def _assert_same_rank(x, functions):
     new, old = probes.differential_matrix(x, functions), _old_differential_matrix(x, functions)
     assert new.shape == old.shape
@@ -254,8 +273,7 @@ def _assert_same_rank(x, functions):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("kw", DIFFERENTIAL_HARNESSES, ids=lambda kw: kw["space"] + str(
-    kw.get("family", "")).replace(" ", ""))
+@pytest.mark.parametrize("kw", HARNESSES, ids=_harness_id)
 def test_differential_matrix_rank_equals_the_old_expm_curves_at_harness_points(kw, n):
     h = harness.build_harness(n=n, datum=liecore.build_root_datum(n), **kw)
     rng = np.random.default_rng(70 + n)

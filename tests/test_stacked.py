@@ -261,7 +261,7 @@ def test_stacked_results_are_read_only_and_memoized():
 _FAMILIES = (ob.PowerTrace, ob.AlcoveCoroot, ob.AlcoveCoweight, ob.AlgebraPower,
              ob.ChamberCoroot, ob.BorelPower, ob.BorelChamberCoroot)
 _KERNELS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize",
-            "iwasawa_decompose")
+            "iwasawa_left")
 _ORACLES = ("group_gradient_fd", "algebra_gradient_fd", "borel_gradient_fd")
 
 
@@ -323,4 +323,5 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     assert calls["alcove_diagonalize"] == draws["group"] + 2 * points
     assert calls["chamber_diagonalize"] == draws["algebra"] + points
     assert calls["borel_chamber_diagonalize"] == draws["Borel"] + points
-    assert calls["iwasawa_decompose"] == draws["Borel"]
+    # a Borel draw reads b_right, the left half of the Iwasawa decomposition
+    assert calls["iwasawa_left"] == draws["Borel"]

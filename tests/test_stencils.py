@@ -5,15 +5,20 @@ additive shift.  The list forms of the gradient oracles, the per-generator
 flow derivatives of the flow-bracket oracle (``flow_derivatives``) and
 ``momentum_condition_matrix`` must give exactly (bit for bit) what one call
 per observable, built from that table, gives, so report bodies do not move.
-The closed-form flow velocities are held to those flow derivatives.
+The closed-form flow velocities are held to those flow derivatives, and a
+full suite reaches ``directional_derivative`` from those flow derivatives only.
 """
+
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sunflows import brackets, decomp, harness, liecore, observables as ob
-from sunflows.scenario import all_generators, flow_bracket_worst, flow_derivatives
+from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
+from sunflows import observables as ob
+from sunflows.scenario import (ScenarioConfig, all_generators, flow_bracket_worst,
+                               flow_derivatives, run_scenario)
 from sunflows.spaces import CotangentPoint, HeisenbergPoint, double_space, moduli_space
 
 
@@ -215,3 +220,69 @@ def test_momentum_condition_matrix_entries_are_pairwise_residuals(space, words):
     for i, f_obs in enumerate(obs):
         for j, kfn in enumerate(kfns):
             assert mat[i, j] == brackets.momentum_condition_residual(f_obs, kfn, x)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["su", "sl", "borel"])
+def test_dual_sum_is_bit_equal_to_the_sequential_sum(kind, n):
+    """The reduction over the basis keeps the order of a Python sum, bit for bit."""
+    dual = brackets._basis(kind, n)[1]
+    rng = np.random.default_rng(n)
+    for derivs in (rng.standard_normal(len(dual)), np.where(np.arange(len(dual)) % 2, -0.0, 1.5)):
+        want = sum(d * e for d, e in zip(derivs, dual))
+        assert brackets._dual_sum(kind, n, derivs).tobytes() == want.tobytes()
+
+
+# the flows and torus action maps that a harness generator or TorusSpec calls
+_FLOW_MAPS = [(flows, name) for name in ("cotangent_flow", "heisenberg_flow", "double_flow",
+                                         "cotangent_torus_action", "heisenberg_torus_action",
+                                         "double_torus_action")]
+_FLOW_MAPS += [(moduli, "moduli_flow"), (moduli, "moduli_torus_action")]
+
+
+def _caller(frame) -> str:
+    """module.function of the first frame that is not a comprehension or lambda."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+
+
+@pytest.mark.parametrize("label", sorted(_SPACES))
+def test_finite_differences_run_only_in_the_flow_bracket_oracle(label, monkeypatch):
+    """In a full suite at n=2, directional derivatives come only from ``flow_derivatives``,
+    and a generator matrix calls no flow and no torus action: the rank and isotropy
+    probes read closed-form velocities."""
+    callers, in_generator_matrix, moved = set(), [0], []
+    derivative = brackets.directional_derivative
+
+    def traced_derivative(*args, **kwargs):
+        callers.add(_caller(sys._getframe(1)))
+        return derivative(*args, **kwargs)
+
+    def guarded(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if in_generator_matrix[0]:
+                moved.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    generator_matrix = probes.generator_matrix
+
+    def traced_generator_matrix(*args):
+        in_generator_matrix[0] += 1
+        try:
+            return generator_matrix(*args)
+        finally:
+            in_generator_matrix[0] -= 1
+
+    monkeypatch.setattr(brackets, "directional_derivative", traced_derivative)
+    monkeypatch.setattr(probes, "generator_matrix", traced_generator_matrix)
+    for module, name in _FLOW_MAPS:
+        guarded(module, name)
+    space = label.split("-")[0]
+    report = run_scenario(ScenarioConfig(space=space, n=2, **_SPACES[label]))
+    assert all(c.passed for c in report.checks)
+    assert callers == {"sunflows.scenario.flow_derivatives"}
+    assert not moved
