@@ -61,9 +61,11 @@ from .liecore import (
     dual_basis,
     expm,
     expm_normal,
-    pair,
+    gram,
+    ordered_sum,
     project_borel,
     project_compact,
+    read_only,
     skew_traceless,
     sl_real_basis,
     su_basis,
@@ -118,26 +120,18 @@ def _basis(kind: str, n: int):
     im-pair(borel_r, su_s).
     """
     if kind == "borel":
-        basis = borel_basis(n)
-        dual = np.linalg.inv(np.array([[pair(z, w, IM_FORM) for w in su_basis(n)]
-                                       for z in basis]))
+        basis, su = borel_basis(n), _basis("su", n)[0]
+        dual = np.linalg.inv(np.array([gram(z, su, IM_FORM) for z in basis]))
     else:
-        basis = su_basis(n) if kind == "su" else sl_real_basis(n)
+        basis = np.array(su_basis(n) if kind == "su" else sl_real_basis(n))
         dual = dual_basis(basis, FORM[kind])
-    basis, dual = np.array(basis), np.array(dual)
-    basis.flags.writeable = dual.flags.writeable = False
-    return basis, dual
+    return read_only(basis), read_only(dual)
 
 
 def _dual_sum(kind: str, n: int, derivs) -> np.ndarray:
-    """The gradient whose derivative along each direction of the basis is ``derivs``.
-
-    The derivatives are summed against the dual basis one direction at a
-    time, in basis order (a reduction over the leading axis keeps it): a BLAS
-    contraction would reorder the sum and change the last bits of every bracket.
-    """
-    dual = _basis(kind, n)[1]
-    return np.add.reduce(np.reshape(derivs, (-1,) + (1,) * (dual.ndim - 1)) * dual, axis=0)
+    """The gradient whose derivative along each direction of the basis is ``derivs``,
+    summed against the dual basis in basis order, so every bracket keeps its last bits."""
+    return ordered_sum(derivs, _basis(kind, n)[1])
 
 
 def _pairings(stack: np.ndarray, m: np.ndarray, form: Pairing) -> np.ndarray:
@@ -466,12 +460,6 @@ def gradient_stack(obs_list, x) -> dict:
     return {key: np.array([t[key] for t in tables]) for key in tables[0]}
 
 
-def _gram(left: np.ndarray, right: np.ndarray, form: Pairing = TRACE_FORM) -> np.ndarray:
-    """pair(left[i], right[j], form) for every i and j, bit for bit (einsum reorders the sum)."""
-    t = np.trace(left[:, np.newaxis] @ right[np.newaxis], axis1=-2, axis2=-1)
-    return t.imag if form.kind == "im" else t.real
-
-
 def conjugation_gradient(table: dict, slots) -> np.ndarray:
     """Generating-field gradient of the diagonal conjugation on the letters of ``slots``,
     summed as (sum + lmul) - rmul slot by slot; a total is summed factor by factor."""
@@ -481,23 +469,23 @@ def conjugation_gradient(table: dict, slots) -> np.ndarray:
     return out
 
 
-# the contractions pair rows F with columns H; pair(H, F) is _gram(H, F).T
+# the contractions pair rows F with columns H; pair(H, F) is gram(H, F).T
 def _double_term(tf, th, f) -> np.ndarray:
     # per-letter gradients: R = right-invariant frame (lmul), L = left-invariant (rmul)
     aRF, aLF = tf[(f, 0, "lmul")], tf[(f, 0, "rmul")]
     bRF, bLF = tf[(f, 1, "lmul")], tf[(f, 1, "rmul")]
     aRH, aLH = th[(f, 0, "lmul")], th[(f, 0, "rmul")]
     bRH, bLH = th[(f, 1, "lmul")], th[(f, 1, "rmul")]
-    val = _gram(aRF, aLH) - _gram(aRH, aLF).T
-    val -= _gram(bRF, bLH) - _gram(bRH, bLF).T
-    val += _gram(aLF, bLH + bRH) - _gram(aLH, bLF + bRF).T
-    val += _gram(aRF, bLH - bRH) - _gram(aRH, bLF - bRF).T
+    val = gram(aRF, aLH) - gram(aRH, aLF).T
+    val -= gram(bRF, bLH) - gram(bRH, bLF).T
+    val += gram(aLF, bLH + bRH) - gram(aLH, bLF + bRF).T
+    val += gram(aRF, bLH - bRH) - gram(aRH, bLF - bRF).T
     return 0.5 * val
 
 
 def _conj_term(tf, th, f) -> np.ndarray:
-    return 0.5 * (_gram(tf[(f, 0, "lmul")], th[(f, 0, "rmul")])
-                  - _gram(th[(f, 0, "lmul")], tf[(f, 0, "rmul")]).T)
+    return 0.5 * (gram(tf[(f, 0, "lmul")], th[(f, 0, "rmul")])
+                  - gram(th[(f, 0, "lmul")], tf[(f, 0, "rmul")]).T)
 
 
 def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> np.ndarray:
@@ -509,7 +497,7 @@ def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> np.ndarray:
     conj_h = [conjugation_gradient(th, slots) for slots in point.space.factor_slots]
     for f1 in range(len(conj_f)):
         for f2 in range(f1 + 1, len(conj_f)):
-            total -= 0.5 * (_gram(conj_f[f1], conj_h[f2]) - _gram(conj_h[f1], conj_f[f2]).T)
+            total -= 0.5 * (gram(conj_f[f1], conj_h[f2]) - gram(conj_h[f1], conj_f[f2]).T)
     return total
 
 
@@ -518,7 +506,7 @@ def _cotangent_contraction(tf, th, point: CotangentPoint) -> np.ndarray:
     gf, jf, gh, jh = tf["group"], tf["fiber"], th["group"], th["fiber"]
     lie = jf[:, np.newaxis] @ jh[np.newaxis]
     lie -= jh[np.newaxis] @ jf[:, np.newaxis]
-    return (_gram(gf, jh) - _gram(gh, jf).T
+    return (gram(gf, jh) - gram(gh, jf).T
             + np.trace(point.j @ lie, axis1=-2, axis2=-1).real)
 
 
@@ -529,8 +517,8 @@ def _half_difference(z: np.ndarray) -> np.ndarray:
 
 def _heisenberg_contraction(tf, th, point: HeisenbergPoint) -> np.ndarray:
     """Heisenberg-double bracket from the 'lmul' (DF) and 'rmul' (D'F) derivatives."""
-    return (_gram(tf["lmul"], _half_difference(th["lmul"]), IM_FORM)
-            + _gram(tf["rmul"], _half_difference(th["rmul"]), IM_FORM))
+    return (gram(tf["lmul"], _half_difference(th["lmul"]), IM_FORM)
+            + gram(tf["rmul"], _half_difference(th["rmul"]), IM_FORM))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +539,7 @@ def velocity_pairings(tf: dict, velocities, x) -> np.ndarray:
     form(V[key], table[key]), the trace form on su and the im form on sl."""
     form = IM_FORM if isinstance(x, HeisenbergPoint) else TRACE_FORM
     zero = np.zeros((x.n, x.n), dtype=complex)
-    return sum(_gram(np.array([v.get(key, zero) for v in velocities]), tf[key], form).T
+    return sum(gram(np.array([v.get(key, zero) for v in velocities]), tf[key], form).T
                for key in tf)
 
 
@@ -607,13 +595,9 @@ def borel_gradient_fd(fns, b: np.ndarray) -> list[np.ndarray]:
     depend on which other functions share the call.
     """
     n = b.shape[0]
-    kb, inverse = su_basis(n), _basis("borel", n)[1]
+    kb, inverse = _basis("su", n)[0], _basis("borel", n)[1]
     derivs = _stencil_derivatives(fns, ("borel", _translations("borel", b, True), None))
-    out = []
-    for column in derivs.T:
-        coeffs = inverse @ np.ascontiguousarray(column)
-        out.append(sum(coeffs[s] * kb[s] for s in range(len(kb))))
-    return out
+    return [ordered_sum(inverse @ np.ascontiguousarray(column), kb) for column in derivs.T]
 
 
 def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray:
@@ -633,7 +617,7 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray
                                                               group_gradient_fd(k_fns, phi, "R"))])
     conj_grad = sum(conjugation_gradient(tf, slots) for slots in point.space.factor_slots)
     lhs = fusion_bracket_from_tables(tf, _pick(stack, slice(len(obs_list), None)), point)
-    return np.abs(lhs - 0.5 * _gram(conj_grad, two_sided))
+    return np.abs(lhs - 0.5 * gram(conj_grad, two_sided))
 
 
 def momentum_condition_residual(f_obs, k_fn, point: FusionPoint) -> float:

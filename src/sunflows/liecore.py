@@ -165,18 +165,34 @@ def pair(x: np.ndarray, y: np.ndarray, pairing: Pairing = TRACE_FORM) -> float:
     raise ShapeError(f"unknown pairing kind {pairing.kind!r}")
 
 
-def dual_basis(basis: list[np.ndarray], pairing: Pairing = TRACE_FORM) -> list[np.ndarray]:
+def gram(left: np.ndarray, right: np.ndarray, pairing: Pairing = TRACE_FORM) -> np.ndarray:
+    """pair(left[i], right[j], pairing) for every i and j, bit for bit (einsum reorders the sum).
+
+    A single matrix as ``left`` gives one row: the per-n constants are built row
+    by row, so that no (rows, columns, n, n) temporary is allocated.
+    """
+    t = np.trace(left[..., np.newaxis, :, :] @ right, axis1=-2, axis2=-1)
+    return t.imag if pairing.kind == "im" else t.real
+
+
+def dual_basis(basis, pairing: Pairing = TRACE_FORM) -> np.ndarray:
     """Dual basis w.r.t. the pairing: pair(basis[a], dual[b]) = delta_ab.
 
-    Computed through the inverse Gram matrix, dual[a] = sum_b (G^-1)_ab basis[b].
+    Computed through the inverse Gram matrix, dual[a] = sum_b (G^-1)_ab basis[b],
+    each sum taken in basis order.
     """
-    k = len(basis)
-    gram = np.array([[pair(basis[a], basis[b], pairing) for b in range(k)] for a in range(k)])
-    cond = np.linalg.cond(gram)
+    basis = np.asarray(basis)
+    g = np.array([gram(b, basis, pairing) for b in basis])
+    cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateBasis(f"Gram matrix is singular (cond={cond:.3e})")
-    ginv = np.linalg.inv(gram)
-    return [sum(ginv[a, b] * basis[b] for b in range(k)) for a in range(k)]
+    return np.array([ordered_sum(row, basis) for row in np.linalg.inv(g)])
+
+
+def ordered_sum(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a coeffs[a] stack[a], added in order (a BLAS contraction would reorder the sum)."""
+    coeffs = np.reshape(coeffs, (-1,) + (1,) * (stack.ndim - 1))
+    return np.add.reduce(coeffs * stack, axis=0, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +244,10 @@ def sl_real_basis(n: int) -> list[np.ndarray]:
     return cb + [1.0j * b for b in cb]
 
 
-def borel_basis(n: int) -> list[np.ndarray]:
-    """Real basis of the Borel algebra: real coroot diagonals and upper pairs."""
+@lru_cache(maxsize=None)
+def borel_basis(n: int) -> np.ndarray:
+    """Real basis of the Borel algebra, real coroot diagonals and upper pairs, as one
+    read-only stack built once per n."""
     out = []
     for j in range(n - 1):
         m = np.zeros((n, n), dtype=complex)
@@ -244,7 +262,7 @@ def borel_basis(n: int) -> list[np.ndarray]:
             m = np.zeros((n, n), dtype=complex)
             m[j, k] = 1.0j
             out.append(m)
-    return out
+    return read_only(np.array(out))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +326,9 @@ def _exact_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[k:] for row in aug]
 
 
+@lru_cache(maxsize=None)
 def build_root_datum(n: int) -> RootDatum:
+    """The root datum of SU(n), built once per n, with read-only arrays."""
     if n < 2:
         raise InvalidRank(f"need n >= 2, got {n}")
     rank = n - 1
@@ -317,13 +337,13 @@ def build_root_datum(n: int) -> RootDatum:
         d = np.zeros(n)
         d[j] = 1.0
         d[j + 1] = -1.0
-        coroots.append(np.diag(d).astype(complex))
+        coroots.append(read_only(np.diag(d).astype(complex)))
     coweights = []
     coweights_exact = []
     for j in range(1, n):
         d = tuple([Fraction(n - j, n)] * j + [Fraction(-j, n)] * (n - j))
         coweights_exact.append(d)
-        coweights.append(np.diag([float(v) for v in d]).astype(complex))
+        coweights.append(read_only(np.diag([float(v) for v in d]).astype(complex)))
     cartan = 2 * np.eye(rank, dtype=int) - np.eye(rank, dtype=int, k=1) - np.eye(rank, dtype=int, k=-1)
     # q_exact inverts the transposed Cartan matrix in rational arithmetic
     ct = [[Fraction(int(cartan[k][j])) for k in range(rank)] for j in range(rank)]
@@ -336,9 +356,9 @@ def build_root_datum(n: int) -> RootDatum:
         coroots=tuple(coroots),
         coweights=tuple(coweights),
         coweights_exact=tuple(coweights_exact),
-        cartan=cartan,
+        cartan=read_only(cartan),
         q_exact=q_exact,
-        q_matrix=q_matrix,
+        q_matrix=read_only(q_matrix),
     )
 
 
@@ -426,6 +446,15 @@ def random_algebra_element(n: int, rng: np.random.Generator) -> np.ndarray:
     return skew_traceless(a)
 
 
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random special unitary frame: the QR of a complex Gaussian with the phases of
+    R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007), then det-corrected."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    return q * np.linalg.det(q) ** (-1.0 / n)
+
+
 def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
     """exp of a Gaussian algebra element, which covers the group well."""
     return expm(random_algebra_element(n, rng))
@@ -433,7 +462,6 @@ def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_sl_element(n: int, rng: np.random.Generator) -> np.ndarray:
     """Well-conditioned random element of SL(n, C): unitary times Borel factor."""
-    z = np.zeros((n, n), dtype=complex)
-    for b in borel_basis(n):
-        z += rng.standard_normal() * b
+    basis = borel_basis(n)
+    z = ordered_sum(rng.standard_normal(len(basis)), basis)
     return random_group_element(n, rng) @ expm(0.7 * z / (n * n))

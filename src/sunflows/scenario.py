@@ -265,22 +265,16 @@ def check_root_datum(ctx: CheckContext) -> CheckResult:
 
 
 def check_dual_basis(ctx: CheckContext) -> CheckResult:
+    """The cached dual bases that the finite-difference engine sums gradients against."""
     n = ctx.cfg.n
     rng = ctx.rng("dual-basis")
-    worst = 0.0
-    basis = liecore.su_basis(n)
-    dual = liecore.dual_basis(basis, liecore.TRACE_FORM)
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            worst = _worst(worst, abs(liecore.pair(basis[a], dual[b]) - (a == b)))
-    rbasis = liecore.sl_real_basis(n)
-    rdual = liecore.dual_basis(rbasis, liecore.IM_FORM)
-    for a in range(0, len(rbasis), 3):
-        for b in range(0, len(rbasis), 3):
-            worst = _worst(worst,
-                           abs(liecore.pair(rbasis[a], rdual[b], liecore.IM_FORM) - (a == b)))
+    basis, dual = brackets._basis("su", n)
+    worst = float(np.max(np.abs([liecore.gram(b, dual) for b in basis] - np.eye(len(basis)))))
+    rbasis, rdual = (stack[::3] for stack in brackets._basis("sl", n))
+    worst = _worst(worst, float(np.max(np.abs(
+        [liecore.gram(b, rdual, liecore.IM_FORM) for b in rbasis] - np.eye(len(rbasis))))))
     z = liecore.random_algebra_element(n, rng)
-    recon = sum(liecore.pair(z, dual[a]) * basis[a] for a in range(len(basis)))
+    recon = liecore.ordered_sum(liecore.gram(z, dual), basis)
     worst = _worst(worst, float(np.linalg.norm(recon - z)))
     return _result(ctx, "dual-basis", "dual bases satisfy the defining pairing identity",
                    worst, 1e-12)
@@ -393,42 +387,47 @@ def check_dressing(ctx: CheckContext) -> CheckResult:
                    "the positive part intertwines dressing with conjugation", worst, 1e-10)
 
 
-# Borel draws per gradient-oracles point: about 0.3% are accepted at n = 6 and
-# almost none at n >= 7, where the check then aborts with a SamplingFailure
-BOREL_DRAWS = 4096
+# wall and gap floor of the gradient-oracles spectra, at least twice the 0.05 margin that the
+# normal forms assert.  The stencils' truncation error grows like (step / gap)^4; 0.12 is the
+# smallest floor (in steps of 0.01) whose seed-42 residuals at n = 2, 3 and 5 leave the
+# benchmark workloads' mean margins no lower than rejection-sampled points did
+ORACLE_FLOOR = 0.12
+
+
+def _oracle_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Decreasing zero-sum vector whose n - 1 gaps and affine wall 2*pi - (xi_1 - xi_n) are
+    ORACLE_FLOOR plus a uniform split of the rest of 2*pi: an alcove and a chamber vector."""
+    gaps = ORACLE_FLOOR + (2 * np.pi - n * ORACLE_FLOOR) * rng.dirichlet(np.ones(n))
+    xi = -np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    return xi - xi.mean()
 
 
 def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
+    """Closed-form gradients against finite differences at points that are regular by
+    construction: a Haar frame Q conjugates spectra that clear every wall by ORACLE_FLOOR.
+    The normal forms still assert the 0.05 margin; no point is ever drawn again."""
     n = ctx.cfg.n
     datum = ctx.datum
     rng = ctx.rng("gradient-oracles")
     worst = 0.0
     from .observables import (AlcoveCoroot, AlcoveCoweight, AlgebraPower,
                               BorelChamberCoroot, BorelPower, ChamberCoroot, PowerTrace)
-    def regular_group():
-        return harness_mod.sample_regular(
-            "group", 64, lambda: liecore.random_group_element(n, rng),
-            lambda g: decomp.alcove_diagonalize(g, 0.05))
 
-    def regular_algebra():
-        return harness_mod.sample_regular(
-            "algebra", 64, lambda: liecore.random_algebra_element(n, rng),
-            lambda j_alg: decomp.chamber_diagonalize(j_alg, 0.05))
-
-    def regular_borel():
-        return harness_mod.sample_regular(
-            "Borel", BOREL_DRAWS,
-            lambda: decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1],
-            lambda b: decomp.borel_chamber_diagonalize(b, 0.05))
+    def conjugate(diag):
+        q = liecore.haar_unitary(n, rng)
+        return (q * diag) @ q.conj().T
 
     group_fns = [PowerTrace(1), PowerTrace(2), AlcoveCoroot(0, datum),
                  AlcoveCoweight(datum.rank - 1, datum)]
     algebra_fns = [AlgebraPower(2), ChamberCoroot(0, datum)]
     borel_fns = [BorelPower(1), BorelChamberCoroot(0, datum)]
     for _ in range(30):
-        g = regular_group()
-        j_alg = regular_algebra()
-        b = regular_borel()
+        g = conjugate(np.exp(1j * _oracle_spectrum(n, rng)))
+        j_alg = liecore.skew_traceless(conjugate(1j * _oracle_spectrum(n, rng)))
+        b = decomp.borel_of_posdef(conjugate(np.exp(_oracle_spectrum(n, rng))))
+        decomp.alcove_diagonalize(g, 0.05)
+        decomp.chamber_diagonalize(j_alg, 0.05)
+        decomp.borel_chamber_diagonalize(b, 0.05)
         exacts = ([fn.grad(g) for fn in group_fns] + [fn.grad(j_alg) for fn in algebra_fns]
                   + [fn.grad(b) for fn in borel_fns])
         fds = (brackets.group_gradient_fd(group_fns, g)

@@ -104,7 +104,7 @@ def test_gram_is_pair_entry_by_entry(n):
     left = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
     right = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
     for form in (liecore.TRACE_FORM, IM_FORM):
-        gram = brackets._gram(left, right, form)
+        gram = liecore.gram(left, right, form)
         assert np.array_equal(gram, [[pair(a, b, form) for b in right] for a in left])
 
 

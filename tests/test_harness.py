@@ -2,13 +2,16 @@
 each torus spec carries the flow of every angle; every generator's velocity is
 the derivative of its flow."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from sunflows import brackets, flows, harness, liecore, moduli
 from sunflows.errors import (NotPositiveDefinite, RegularityViolation, SamplingFailure,
                              ShapeError, SingularMatrix, SunflowsError, UnsupportedWord)
-from sunflows.observables import AlcoveCoroot, BorelChamberCoroot, ChamberCoroot
+from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, BorelChamberCoroot,
+                                  ChamberCoroot)
 
 
 def test_sample_regular_returns_first_accepted_draw():
@@ -78,17 +81,89 @@ def test_heisenberg_sampler_failure_at_n6_says_why():
         h.sample(np.random.default_rng(42))
 
 
-def test_gradient_oracles_at_n7_abort_with_a_named_sampling_failure():
-    # almost no Borel draw clears the 0.05 chamber margin at n = 7; the bounded
-    # draw ends the check with a reason instead of looping forever
-    from sunflows import scenario
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gradient_oracles_build_thirty_regular_points_of_each_kind(n, monkeypatch):
+    """The oracle points are regular by construction at every admitted n: 30 group, 30
+    algebra and 30 Borel points, each from one Haar frame and one spectrum, none redrawn,
+    and each passing its 0.05-margin normal form."""
+    from sunflows import decomp, scenario
+    built, asserted = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def asserting(name, fn):
+        def wrapper(x, *margin):
+            if margin == (0.05,):
+                asserted[name] += 1
+            return fn(x, *margin)
+        return wrapper
+
+    monkeypatch.setattr(liecore, "haar_unitary", counted("frame", liecore.haar_unitary))
+    monkeypatch.setattr(scenario, "_oracle_spectrum",
+                        counted("spectrum", scenario._oracle_spectrum))
+    for name in ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize"):
+        monkeypatch.setattr(decomp, name, asserting(name, getattr(decomp, name)))
     report = scenario.run_scenario(scenario.ScenarioConfig(
-        space="cotangent", n=7, seed=42, checks=["gradient-oracles"]))
+        space="cotangent", n=n, seed=42, checks=["gradient-oracles"]))
     check, = report.checks
-    assert not check.passed
-    assert check.detail["error"].startswith(
-        f"SamplingFailure: could not sample a regular Borel point in "
-        f"{scenario.BOREL_DRAWS} draws; last: eigenvalue gap")
+    assert check.passed, check.detail
+    assert built == {"frame": 90, "spectrum": 90}
+    assert asserted == {"alcove_diagonalize": 30, "chamber_diagonalize": 30,
+                        "borel_chamber_diagonalize": 30}
+
+
+def _gapped(gaps):
+    """The decreasing zero-sum vector with these consecutive gaps."""
+    xi = -np.concatenate([[0.0], np.cumsum(gaps)])
+    return xi - xi.mean()
+
+
+def _oracle_error(fns, point, fds):
+    """The gradient-oracles residual of closed-form gradients against their oracle."""
+    return max(np.linalg.norm(fn.grad(point) - fd) / (1 + np.linalg.norm(fn.grad(point)))
+               for fn, fd in zip(fns, fds))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_closed_form_gradients_match_the_oracles_at_twice_the_margin(n):
+    """Oracle points clear every wall by a floor above twice the 0.05 margin; at points
+    with one alcove wall or one chamber gap at exactly 2 x 0.05, the closed-form
+    gradients still match the finite-difference oracles within the check's 1e-6."""
+    from sunflows import decomp
+    wall, datum = 2 * 0.05, liecore.build_root_datum(n)
+    rng = np.random.default_rng(80 + n)
+
+    def conjugate(diag):
+        q = liecore.haar_unitary(n, rng)
+        return (q * diag) @ q.conj().T
+
+    group_fns = ([AlcoveCoroot(j, datum) for j in range(n - 1)]
+                 + [AlcoveCoweight(j, datum) for j in range(n - 1)])
+    algebra_fns = [ChamberCoroot(j, datum) for j in range(n - 1)]
+    borel_fns = [BorelChamberCoroot(j, datum) for j in range(n - 1)]
+    worst = 0.0
+    # n alcove walls: the n - 1 simple-root gaps and the affine wall 2 pi - (xi_1 - xi_n)
+    for near in range(n):
+        gaps = np.full(n, (2 * np.pi - wall) / (n - 1))
+        gaps[near] = wall
+        g = conjugate(np.exp(1j * _gapped(gaps[:-1])))
+        assert decomp.alcove_spectra(g[np.newaxis])[0] == pytest.approx(_gapped(gaps[:-1]))
+        worst = max(worst, _oracle_error(group_fns, g, brackets.group_gradient_fd(group_fns, g)))
+    for near in range(n - 1):
+        gaps = np.ones(n - 1)
+        gaps[near] = wall
+        j_alg = liecore.skew_traceless(conjugate(1j * _gapped(gaps)))
+        b = decomp.borel_of_posdef(conjugate(np.exp(_gapped(gaps))))
+        assert np.diff(decomp.chamber_diagonalize(j_alg, 0.05).spectrum) == pytest.approx(-gaps)
+        assert np.diff(decomp.borel_chamber_diagonalize(b, 0.05).spectrum) == pytest.approx(-gaps)
+        worst = max(worst,
+                    _oracle_error(algebra_fns, j_alg, brackets.algebra_gradient_fd(algebra_fns, j_alg)),
+                    _oracle_error(borel_fns, b, brackets.borel_gradient_fd(borel_fns, b)))
+    assert worst <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,7 @@ def test_random_elements_land_in_their_sets():
     assert _is_algebra_element(z)
     x = liecore.random_sl_element(4, rng)
     assert abs(np.linalg.det(x) - 1.0) < 1e-9
+    assert _is_special_unitary(liecore.haar_unitary(4, rng))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -238,3 +239,67 @@ def test_exact_coweights_solve_defining_equations(n):
         for k in range(datum.rank):
             assert w[k] - w[k + 1] == (1 if k == j else 0)
         assert np.allclose([float(v) for v in w], np.real(np.diag(datum.coweights[j])))
+
+
+# ---------------------------------------------------------------------------
+# the per-n constants: stacked, and bit for bit the per-pair and per-term formulas
+# ---------------------------------------------------------------------------
+
+_BASES = {"su": liecore.su_basis, "sl": liecore.sl_real_basis, "borel": liecore.borel_basis}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", sorted(_BASES))
+def test_gram_is_pair_on_the_bases(kind, n):
+    """On the su, realified sl and Borel bases, under both forms, ``gram`` of a stack and
+    of one row of it are ``pair`` entry by entry."""
+    basis = np.array(_BASES[kind](n))
+    for form in (liecore.TRACE_FORM, liecore.IM_FORM):
+        want = np.array([[liecore.pair(a, b, form) for b in basis] for a in basis])
+        assert liecore.gram(basis, basis, form).tobytes() == want.tobytes()
+        for a, row in zip(basis, want):
+            assert liecore.gram(a, basis, form).tobytes() == row.tobytes()
+
+
+def _dual_basis_loops(basis, pairing):
+    """``dual_basis`` as it was written with a double loop of ``pair``: the reference."""
+    k = len(basis)
+    gram = np.array([[liecore.pair(basis[a], basis[b], pairing) for b in range(k)]
+                     for a in range(k)])
+    ginv = np.linalg.inv(gram)
+    return [sum(ginv[a, b] * basis[b] for b in range(k)) for a in range(k)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind, form", [("su", liecore.TRACE_FORM), ("sl", liecore.IM_FORM)])
+def test_dual_basis_is_the_double_loop_bit_for_bit(kind, form, n):
+    basis = _BASES[kind](n)
+    dual = liecore.dual_basis(basis, form)
+    assert dual.tobytes() == np.array(_dual_basis_loops(basis, form)).tobytes()
+
+
+def _random_sl_element_loop(n, rng):
+    """``random_sl_element`` as it was written, one coefficient draw per basis element."""
+    z = np.zeros((n, n), dtype=complex)
+    for b in liecore.borel_basis(n):
+        z += rng.standard_normal() * b
+    return liecore.random_group_element(n, rng) @ liecore.expm(0.7 * z / (n * n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_random_sl_element_keeps_its_bits_and_the_rng_state(n):
+    fast, slow = np.random.default_rng(90 + n), np.random.default_rng(90 + n)
+    for _ in range(3):
+        assert liecore.random_sl_element(n, fast).tobytes() == \
+            _random_sl_element_loop(n, slow).tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_per_n_constants_are_built_once_and_read_only(n):
+    datum = liecore.build_root_datum(n)
+    assert liecore.build_root_datum(n) is datum
+    assert liecore.borel_basis(n) is liecore.borel_basis(n)
+    for a in (*datum.coroots, *datum.coweights, datum.cartan, datum.q_matrix,
+              liecore.borel_basis(n)):
+        assert not a.flags.writeable

@@ -17,7 +17,7 @@ from sunflows.liecore import IM_FORM, TRACE_FORM, project_borel, project_compact
 from sunflows.observables import AlgebraFunction, BorelFunction, ClassFunction
 from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, run_scenario
 
-_gram = brackets._gram
+_gram = liecore.gram
 _half_difference = brackets._half_difference
 _double_term = brackets._double_term
 _cotangent_flow = flows.cotangent_flow

@@ -268,8 +268,8 @@ _ORACLES = ("group_gradient_fd", "algebra_gradient_fd", "borel_gradient_fd")
 def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     """With checks=["gradient-oracles"] at n=3: no value() call and no one-matrix
     normal form inside an oracle, one eigenvalue solve per stencil block, and
-    every one-matrix normal form accounted for by a sampling draw or an
-    exact grad()."""
+    every one-matrix normal form accounted for by the regularity assertion of
+    a built point or an exact grad()."""
     calls, inside, draws = Counter(), Counter(), Counter()
     depth = [0]
 
@@ -318,10 +318,11 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     # one eigensolve per stencil block: the coroot and the coweight share it
     assert inside["eigvals"] == calls["eigvals"] == points
     assert inside["eigvalsh"] == calls["eigvalsh"] == 2 * points
-    # the draws' acceptance tests, and the exact gradients: two alcove
-    # functions, one chamber function and one Borel chamber function
-    assert calls["alcove_diagonalize"] == draws["group"] + 2 * points
-    assert calls["chamber_diagonalize"] == draws["algebra"] + points
-    assert calls["borel_chamber_diagonalize"] == draws["Borel"] + points
-    # a Borel draw reads b_right, the left half of the Iwasawa decomposition
-    assert calls["iwasawa_left"] == draws["Borel"]
+    # the points are built regular: no sampling draw, and no Iwasawa factor
+    assert not draws
+    assert calls["iwasawa_left"] == 0
+    # one regularity assertion per built point, and the exact gradients: two
+    # alcove functions, one chamber function and one Borel chamber function
+    assert calls["alcove_diagonalize"] == points + 2 * points
+    assert calls["chamber_diagonalize"] == points + points
+    assert calls["borel_chamber_diagonalize"] == points + points
