@@ -22,11 +22,13 @@ derivative; class functions of words (``moduli.WordHamiltonian``,
 conjugating the class-function gradient along the word; functions of the
 right Iwasawa factors (``observables.RightFactorFunction``, the Heisenberg
 generators) carry it through the first-order Iwasawa splitting, the
-dressing linearization.  ``bracket_matrix`` and ``differentials`` read that
-one interface on every geometry.  Observables without a table (pullbacks,
-momentum pullbacks, matrix-entry observables) go through one call of the
-finite-difference engine.  Those engines stay as the fallback and as the
-oracle the exact tables are tested against.
+dressing linearization.  Chart pullbacks are letter substitutions
+(``observables.substitute``) and a momentum pullback k(mu) is a class
+function of the whole momentum word, so they carry word tables too.
+``bracket_matrix`` and ``differentials`` read that one interface on every
+geometry.  Only opaque callables go through one call of the
+finite-difference engine, the fallback and the oracle the exact tables are
+tested against; no check of the suite reaches it.
 
 Directional derivatives are fourth-order central differences with one step
 per basis (``STEP``).  This module builds every finite-difference stencil,
@@ -604,20 +606,19 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray
     """Defects of the momentum-map/bivector compatibility condition, as a matrix.
 
     Entry (i, j) compares the bracket of obs_list[i] with the momentum
-    pullback of the group function k_fns[j] against half the pairing of the
+    pullback of the class function k_fns[j] against half the pairing of the
     observable's total conjugation gradient with the two-sided gradient of
-    k_fns[j] at the momentum value.  Observables with a ``grad_table`` use
-    it; one gradient-table call covers the others and every pullback.
+    k_fns[j] at the momentum value.  The pullback's table is the word table
+    of k_fns[j] over the whole momentum word.
     """
-    pulled = [lambda x, k_fn=k_fn: k_fn(x.momentum()) for k_fn in k_fns]
-    stack = gradient_stack(list(obs_list) + pulled, point)
-    tf = _pick(stack, slice(len(obs_list)))
     phi = point.momentum()
-    two_sided = np.array([left + right for left, right in zip(group_gradient_fd(k_fns, phi, "L"),
-                                                              group_gradient_fd(k_fns, phi, "R"))])
+    word = [name for f in range(len(point.factors)) for name in point.space.momentum_word(f)]
+    tables = [class_word_table(point, word, k_fn.grad(phi)) for k_fn in k_fns]
+    tf = gradient_stack(obs_list, point)
+    th = {key: np.array([t[key] for t in tables]) for key in tables[0]}
+    two_sided = np.array([k_fn.two_sided_grad(phi) for k_fn in k_fns])
     conj_grad = sum(conjugation_gradient(tf, slots) for slots in point.space.factor_slots)
-    lhs = fusion_bracket_from_tables(tf, _pick(stack, slice(len(obs_list), None)), point)
-    return np.abs(lhs - 0.5 * gram(conj_grad, two_sided))
+    return np.abs(fusion_bracket_from_tables(tf, th, point) - 0.5 * gram(conj_grad, two_sided))
 
 
 def momentum_condition_residual(f_obs, k_fn, point: FusionPoint) -> float:

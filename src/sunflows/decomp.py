@@ -11,7 +11,8 @@ leaks into results.
 
 The normal-form kernels remember their last few results, keyed on the
 exact input, because flows and finite-difference stencils hand them the same
-matrix many times in a row.  Their results hold read-only arrays.  The
+matrix many times in a row; the memo holds the margin-free normal form, and
+each call checks its own regularity margin.  Results hold read-only arrays.  The
 spectra of whole stacks of matrices (``alcove_spectra``, ``chamber_spectra``,
 ``borel_chamber_spectra``) come from one eigenvalue solve per stack, with the
 same phase normalization and the same regularity and positivity checks,
@@ -41,28 +42,41 @@ MEMO_SIZE = 4
 
 
 def _memoized(size: int):
-    """Recency memo of the last ``size`` results of a kernel ``kernel(x, *params)``.
+    """Recency memo of the last ``size`` results of a kernel ``kernel(x)``.
 
-    The key is the shape, dtype and bytes of x plus the parameters, with
-    defaults filled in, so a hit returns the result computed from bit-equal
-    input.  Errors are raised afresh on every call and never stored.
+    The key is the shape, dtype and bytes of x, so a hit returns the result
+    computed from bit-equal input.  Errors are raised afresh on every call
+    and never stored.
     """
     def decorate(kernel):
-        defaults = kernel.__defaults__ or ()
         memo: OrderedDict = OrderedDict()
 
         @functools.wraps(kernel)
-        def wrapper(x, *params):
+        def wrapper(x):
             a = np.asarray(x)
-            key = (a.shape, a.dtype.str, a.tobytes(), params + defaults[len(params):])
+            key = (a.shape, a.dtype.str, a.tobytes())
             out = memo.get(key)
             if out is None:
-                out = kernel(x, *params)
+                out = kernel(x)
                 memo[key] = out
                 if len(memo) > size:
                     memo.popitem(last=False)
             else:
                 memo.move_to_end(key)
+            return out
+
+        return wrapper
+
+    return decorate
+
+
+def _regular(walls, message: str):
+    """A margin-free normal form that checks walls(spectrum) against each call's margin."""
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def wrapper(x, margin: float = DEFAULT_REGULARITY_MARGIN):
+            out = kernel(x)
+            _require_gaps(walls(out.spectrum), margin, message)
             return out
 
         return wrapper
@@ -150,6 +164,12 @@ def _require_gaps(gaps: np.ndarray, margin: float, message: str) -> None:
         raise RegularityViolation(message.format(gaps.min(), margin))
 
 
+def coroot_values(xi: np.ndarray) -> np.ndarray:
+    """Pairings of the spectra on the last axis with the simple coroots: xi_j - xi_(j+1)."""
+    xi = np.asarray(xi, dtype=float)
+    return xi[..., :-1] - xi[..., 1:]
+
+
 _CHAMBER_GAP = "eigenvalue gap {:.3e} below margin {:.1e}"
 _ALCOVE_WALL = "alcove wall margin {:.3e} below {:.1e}"
 
@@ -168,29 +188,26 @@ def _require_positive(vals: np.ndarray) -> None:
         raise NotPositiveDefinite(f"smallest eigenvalue {smallest:.3e} of b b^H is not positive")
 
 
-def _chamber_data(vals: np.ndarray, vecs: np.ndarray, margin: float) -> ChamberData:
-    """Chamber data from a decreasing spectrum and its eigenvector columns.
-
-    Rejects gaps below the margin.
-    """
-    _require_gaps(coroot_values(vals), margin, _CHAMBER_GAP)
+def _chamber_data(vals: np.ndarray, vecs: np.ndarray) -> ChamberData:
+    """Chamber data from a decreasing spectrum and its eigenvector columns."""
     return ChamberData(spectrum=read_only(vals.astype(float)), columns=read_only(vecs))
 
 
+@_regular(coroot_values, _CHAMBER_GAP)
 @_memoized(MEMO_SIZE)
-def chamber_diagonalize(j: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
+def chamber_diagonalize(j: np.ndarray) -> ChamberData:
     """Chamber normal form of an anti-Hermitian traceless matrix.
 
     Returns (xi, Q) with Q j Q^-1 = i diag(xi) and xi strictly decreasing.
     Raises RegularityViolation when eigenvalue gaps fall below the margin.
     """
     vals, vecs = np.linalg.eigh(-1j * j)
-    return _chamber_data(vals[::-1], vecs[:, ::-1], margin)
+    return _chamber_data(vals[::-1], vecs[:, ::-1])
 
 
+@_regular(coroot_values, _CHAMBER_GAP)
 @_memoized(MEMO_SIZE)
-def borel_chamber_diagonalize(b: np.ndarray,
-                              margin: float = DEFAULT_REGULARITY_MARGIN) -> ChamberData:
+def borel_chamber_diagonalize(b: np.ndarray) -> ChamberData:
     """Chamber normal form of i log(b b^H) from one eigensolve of b b^H.
 
     b b^H is Hermitian positive definite, so its matrix log has the same
@@ -203,7 +220,7 @@ def borel_chamber_diagonalize(b: np.ndarray,
     _require_finite(p)
     vals, vecs = np.linalg.eigh(p)
     _require_positive(vals)
-    return _chamber_data(np.log(vals[::-1]), vecs[:, ::-1], margin)
+    return _chamber_data(np.log(vals[::-1]), vecs[:, ::-1])
 
 
 def alcove_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +250,9 @@ def _alcove_walls(xi: np.ndarray) -> np.ndarray:
     return np.concatenate([coroot_values(xi), 2 * np.pi - (xi[..., :1] - xi[..., -1:])], axis=-1)
 
 
+@_regular(_alcove_walls, _ALCOVE_WALL)
 @_memoized(MEMO_SIZE)
-def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> AlcoveData:
+def alcove_diagonalize(g: np.ndarray) -> AlcoveData:
     """Alcove normal form of a special unitary matrix.
 
     Returns (xi, Q) with Q g Q^-1 = exp(i diag(xi)), xi strictly decreasing,
@@ -243,7 +261,6 @@ def alcove_diagonalize(g: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN)
     """
     vals, vecs = np.linalg.eig(g)
     xi, perm = alcove_phases(np.angle(vals))
-    _require_gaps(_alcove_walls(xi), margin, _ALCOVE_WALL)
     return AlcoveData(spectrum=read_only(xi), columns=read_only(vecs[:, perm]))
 
 
@@ -293,12 +310,6 @@ def borel_chamber_spectra(bs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # action variables
 # ---------------------------------------------------------------------------
-
-def coroot_values(xi: np.ndarray) -> np.ndarray:
-    """Pairings of the spectra on the last axis with the simple coroots: xi_j - xi_(j+1)."""
-    xi = np.asarray(xi, dtype=float)
-    return xi[..., :-1] - xi[..., 1:]
-
 
 def coweight_values(xi: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Pairings of the spectra on the last axis with the fundamental coweights."""

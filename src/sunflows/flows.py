@@ -204,6 +204,11 @@ def s_transform(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bi, bi @ a @ b
 
 
+# s_transform as a letter map of the double: the word each target letter reads in the source
+# letters, so a word function pulls back to the word function of ``observables.substitute``
+S_LETTERS = {"a1": ("b1~",), "b1": ("b1~", "a1", "b1")}
+
+
 # ---------------------------------------------------------------------------
 # dispatchers
 # ---------------------------------------------------------------------------

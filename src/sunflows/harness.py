@@ -343,10 +343,7 @@ class FusionHarness(Harness):
         return sample_regular("fusion", 128, lambda: self.space.random_point(rng), check)
 
     def probes(self):
-        letters = []
-        for i in range(1, self.space.num_double + 1):
-            letters += [f"a{i}", f"b{i}"]
-        letters += [f"c{k}" for k in range(1, self.space.num_conj + 1)]
+        letters = [self.space.momentum_word(f)[comp] for f, comp in self.space.slots]
         words = [(l,) for l in letters]
         k = len(letters)
         for i in range(k):

@@ -24,6 +24,10 @@ from .observables import (
     AlcoveCoweight,
     ClassFunction,
     PowerTrace,
+    WordFunction,
+    inverse_word,
+    substitute,
+    word_observable,
 )
 from .spaces import FusionPoint, FusionSpace
 
@@ -184,12 +188,8 @@ class WordHamiltonian:
         """Letter names whose product is the block value, e.g. ('a1', 'b1', 'a1~', 'b1~', 'c1')."""
         if self.block[0] == "single":
             return (f"a{self.block[1]}",)
-        out = []
-        for f in block_positions(space, self.block):
-            kind = space.types[f]
-            i = space.types[: f + 1].count(kind)
-            out += [f"a{i}", f"b{i}", f"a{i}~", f"b{i}~"] if kind == "D" else [f"c{i}"]
-        return tuple(out)
+        return tuple(name for f in block_positions(space, self.block)
+                     for name in space.momentum_word(f))
 
     def grad_table(self, x: FusionPoint) -> dict:
         """Exact gradient table keyed (factor, component, side), as fusion_gradient_tables."""
@@ -298,42 +298,70 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
 # permutations of fused factors
 # ---------------------------------------------------------------------------
 
+def _swapped_space(space: FusionSpace, j) -> FusionSpace:
+    """The fusion space with factors j and j+1 (0-based) exchanged."""
+    if not (isinstance(j, int) and 0 <= j < len(space.types) - 1):
+        raise InvalidPlan(f"no adjacent pair at position {j!r}")
+    types = list(space.types)
+    types[j], types[j + 1] = types[j + 1], types[j]
+    return FusionSpace(space.n, tuple(types))
+
+
 def swap_adjacent(x: FusionPoint, j: int) -> FusionPoint:
     """Exchange factors j and j+1 (0-based); the left momentum twists the right.
 
     This is the standard quasi-Poisson identification of the two fusion
     orders: (.., m_j, m_(j+1), ..) maps to (.., momentum_j(m_j) . m_(j+1), m_j, ..).
     """
-    types = x.space.types
-    if not 0 <= j < len(types) - 1:
-        raise InvalidPlan(f"no adjacent pair at position {j}")
+    target = _swapped_space(x.space, j)
     phi = x.factor_momentum(j)
     phi_inv = phi.conj().T
     twisted = x.with_slots({s: phi @ x.slot(*s) @ phi_inv
                             for s in x.space.factor_slots[j + 1]}).factors[j + 1]
-    new_types = list(types)
-    new_types[j], new_types[j + 1] = new_types[j + 1], new_types[j]
     new_factors = list(x.factors)
     new_factors[j], new_factors[j + 1] = twisted, x.factors[j]
-    return FusionPoint(FusionSpace(x.n, tuple(new_types)), tuple(new_factors))
+    return FusionPoint(target, tuple(new_factors))
 
 
 def permutation_pushforward(x: FusionPoint, plan: list[int]) -> FusionPoint:
     """Apply a sequence of adjacent transpositions of fused factors."""
     out = x
     for j in plan:
-        if not isinstance(j, int):
-            raise InvalidPlan(f"plan entries must be integers, got {j!r}")
         out = swap_adjacent(out, j)
     return out
 
 
+def _swap_letters(space: FusionSpace, j: int) -> tuple[FusionSpace, dict]:
+    """``swap_adjacent(., j)`` as a letter map: the target space and the source word of each
+    target letter, phi_j . letter . phi_j^-1 on the twisted factor (phi_j: factor j's
+    momentum word)."""
+    target, phi = _swapped_space(space, j), space.momentum_word(j)
+    words = {}
+    for f, comp in target.slots:
+        letter = (space.momentum_word({j: j + 1, j + 1: j}.get(f, f))[comp],)
+        words[target.momentum_word(f)[comp]] = (
+            phi + letter + inverse_word(phi) if f == j else letter)
+    return target, words
+
+
 def pullback_hamiltonian(h, plan: list[int]):
-    """Observable on the source space: h evaluated after the pushforward."""
+    """Observable on the source space: h, a word observable or a word Hamiltonian,
+    evaluated after the pushforward.  Each swap is a letter map (``_swap_letters``), so the
+    pullback is the word function of h's word in the source letters, with its exact table."""
+
+    def pulled(space: FusionSpace):
+        words = {}  # each letter of ``space``, as a word in the source letters
+        for j in plan:
+            space, step = _swap_letters(space, j)
+            words = {name: substitute(word, words) for name, word in step.items()}
+        if isinstance(h, WordHamiltonian):
+            return WordFunction(h.classfn, substitute(h.word(space), words))
+        return word_observable(substitute(h.letters, words), h.part)
 
     def obs(x: FusionPoint):
-        return h(permutation_pushforward(x, plan))
+        return pulled(x.space)(x)
 
+    obs.grad_table = lambda x: pulled(x.space).grad_table(x)
     obs.__name__ = f"pullback[{getattr(h, 'name', getattr(h, '__name__', 'h'))}]"
     return obs
 

@@ -24,6 +24,10 @@ from .errors import UnsupportedWord
 from .liecore import RootDatum, skew_traceless
 
 
+# the coefficient c of Re tr(c P) for each part: Im tr(P) = Re tr(-i P)
+_PART = {"re": 1.0, "im": -1j}
+
+
 def _traces(ms: np.ndarray) -> np.ndarray:
     """Real parts of the traces of a stack (..., n, n)."""
     return np.trace(ms, axis1=-2, axis2=-1).real
@@ -45,25 +49,30 @@ class ClassFunction:
         """Algebra element N with pair(Z, N) = d/dt value(exp(tZ) g) at t=0."""
         raise NotImplementedError
 
+    def two_sided_grad(self, g: np.ndarray) -> np.ndarray:
+        """grad_L + grad_R: the right gradient of a class function equals its left one."""
+        return 2 * self.grad(g)
+
 
 @dataclass(frozen=True)
 class PowerTrace(ClassFunction):
-    """Re tr(g^k), the basic polynomial class function."""
+    """Re tr(g^k), the basic polynomial class function; Im tr(g^k) with part "im"."""
 
     k: int
+    part: str = "re"
 
     @property
     def name(self):
-        return f"retr{self.k}"
+        return f"{self.part}tr{self.k}"
 
     def value(self, g):
         return float(self.values(g))
 
     def values(self, gs):
-        return _traces(np.linalg.matrix_power(gs, self.k))
+        return _traces(_PART[self.part] * np.linalg.matrix_power(gs, self.k))
 
     def grad(self, g):
-        return self.k * skew_traceless(np.linalg.matrix_power(g, self.k))
+        return self.k * skew_traceless(_PART[self.part] * np.linalg.matrix_power(g, self.k))
 
 
 @dataclass(frozen=True)
@@ -253,20 +262,47 @@ def word_observable(letters: tuple[str, ...], part: str = "re"):
     Letters are resolved by the point's ``letter`` method, e.g. 'g', 'j' on
     the cotangent bundle, 'x', 'xh~' on the Heisenberg double, or 'a1', 'c2~'
     on fusion spaces.  The observable carries its exact gradient table on
-    all three as the function attribute ``grad_table``, which survives
+    all three as the function attribute ``grad_table``, and its word as
+    ``letters`` and ``part``; function attributes survive
     ``functools.update_wrapper``.
     """
     letters = tuple(letters)
-    # Im tr(P) = Re tr(-i P)
-    trace_coeff = 1.0 if part == "re" else -1j
 
     def obs(x):
         t = np.trace(word_product(x, letters))
         return float(t.real if part == "re" else t.imag)
 
     obs.__name__ = ("" if part == "re" else "im-") + "tr[" + ".".join(letters) + "]"
-    obs.grad_table = lambda x: brackets.trace_word_table(x, letters, trace_coeff)
+    obs.grad_table = lambda x: brackets.trace_word_table(x, letters, _PART[part])
+    obs.letters, obs.part = letters, part
     return obs
+
+
+def entry_observable(c: np.ndarray, letter: str):
+    """Observable x -> Re tr(c m) of one letter m: unlike a word trace, not invariant under
+    conjugation.  Its gradient table is the letter's, with cuts m c and c m."""
+    def obs(x):
+        return float(np.trace(c @ x.letter(letter)).real)
+
+    obs.grad_table = lambda x: brackets.word_table(
+        x, (letter,), [skew_traceless(x.letter(letter) @ c), skew_traceless(c @ x.letter(letter))])
+    return obs
+
+
+def inverse_word(letters) -> tuple[str, ...]:
+    """The word of the inverse product: the letters reversed, each inverted."""
+    return tuple(name[:-1] if name.endswith("~") else name + "~" for name in reversed(letters))
+
+
+def substitute(letters, words: dict) -> tuple[str, ...]:
+    """The word with each letter replaced by its word in ``words`` (an inverted letter by the
+    inverse word; an unnamed letter stays): a chart that is a letter map pulls a word
+    function back to the word function of the substituted word."""
+    out = ()
+    for name in letters:
+        word = words.get(name.rstrip("~"), (name.rstrip("~"),))
+        out += inverse_word(word) if name.endswith("~") else word
+    return out
 
 
 @dataclass(frozen=True)
@@ -320,12 +356,3 @@ class RightFactorFunction:
     def grad_table(self, x):
         return brackets.right_factor_table(x, self.factor, self.fn.grad)
 
-
-def pullback(f, chart):
-    """Observable f composed with a point map (used for permutation pullbacks)."""
-
-    def obs(x):
-        return f(chart(x))
-
-    obs.__name__ = f"pullback[{getattr(f, '__name__', 'f')}]"
-    return obs

@@ -24,7 +24,8 @@ import numpy as np
 from . import brackets, decomp, flows, harness as harness_mod, liecore, moduli, probes
 from .errors import InvalidShape
 from .liecore import build_root_datum
-from .observables import AlcoveCoweight, PowerTrace, word_observable
+from .observables import (AlcoveCoweight, PowerTrace, entry_observable, substitute,
+                          word_observable, word_product)
 from .spaces import FusionPoint, embed_shift, moduli_space
 
 SCHEMA_VERSION = "1"
@@ -772,9 +773,11 @@ def check_momentum_condition(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("momentum-condition")
     worst = 0.0
-    obs = h.probes()[:3]
-    kfns = [lambda g: float(np.trace(g).real),
-            lambda g: float(np.trace(g @ g).imag)]
+    # both sides vanish on the conjugation-invariant probes; a letter entry is not invariant
+    entry = entry_observable(ctx.rng("momentum-entry").standard_normal((ctx.cfg.n,) * 2),
+                             h.space.momentum_word(0)[0])
+    obs = h.probes()[:3] + [entry]
+    kfns = [PowerTrace(1), PowerTrace(2, part="im")]
     for _ in range(2):
         x = h.sample(rng)
         worst = _worst(worst, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
@@ -794,17 +797,16 @@ def check_s_transform(ctx: CheckContext) -> CheckResult:
     x = h.sample(rng)
     a, b = x.pair(1)
     s1, s2 = flows.s_transform(a, b)
-    worst = _worst(worst, float(np.linalg.norm(s1 - b.conj().T)))
-    # bracket preservation under the automorphism, on invariant observables
-    def smap(p):
-        aa, bb = p.pair(1)
-        m1, m2 = flows.s_transform(aa, bb)
-        return FusionPoint(p.space, ((m1, m2),))
-    from .observables import pullback
+    worst = _worst(worst, float(np.linalg.norm(s1 - b.conj().T)),
+                   *(float(np.linalg.norm(word_product(x, flows.S_LETTERS[name]) - m))
+                     for name, m in (("a1", s1), ("b1", s2))))
+    # bracket preservation under the automorphism, on invariant observables pulled back
+    # through its letter map
     f1 = word_observable(("a1", "b1"))
     f2 = word_observable(("a1", "a1", "b1"))
-    v_target = brackets.bracket_matrix([f1], [f2], smap(x))[0, 0]
-    v_source = brackets.bracket_matrix([pullback(f1, smap)], [pullback(f2, smap)], x)[0, 0]
+    pulled = [word_observable(substitute(f.letters, flows.S_LETTERS)) for f in (f1, f2)]
+    v_target = brackets.bracket_matrix([f1], [f2], FusionPoint(x.space, ((s1, s2),)))[0, 0]
+    v_source = brackets.bracket_matrix(pulled[:1], pulled[1:], x)[0, 0]
     worst = _worst(worst, abs(v_target - v_source))
     return _result(ctx, "s-transform",
                    "the exchange automorphism acts as stated and preserves brackets",

@@ -202,6 +202,13 @@ class FusionSpace:
             raise InvalidShape(f"no {what} with index {i}")
         return positions[i - 1]
 
+    def momentum_word(self, f: int) -> tuple[str, ...]:
+        """Letters whose product is factor f's momentum: (a_i, b_i, a_i~, b_i~) for the i-th
+        'D' factor, (c_i,) for the i-th 'K' factor.  Letter ``comp`` reads slot (f, comp)."""
+        kind = self.types[f]
+        i = self.types[: f + 1].count(kind)
+        return (f"a{i}", f"b{i}", f"a{i}~", f"b{i}~") if kind == "D" else (f"c{i}",)
+
     @property
     def num_double(self) -> int:
         return len(self.kind_positions["D"])

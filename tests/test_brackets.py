@@ -222,18 +222,17 @@ def test_momentum_condition_identity_map():
     rng = np.random.default_rng(12)
     x = moduli_space(0, 1, 2).random_point(rng)
     f = ob.word_observable(("c1", "c1"))
-    for kfn in (lambda g: float(np.trace(g).real),
-                lambda g: float(np.trace(g @ g).imag)):
+    for kfn in (ob.PowerTrace(1), ob.PowerTrace(2, part="im")):
         assert brackets.momentum_condition_residual(f, kfn, x) <= 1e-6
-    assert brackets.momentum_condition_residual(f, lambda g: 3.0, x) <= 1e-12
+    # Re tr(g^0) = n is constant
+    assert brackets.momentum_condition_residual(f, ob.PowerTrace(0), x) <= 1e-12
 
 
 def test_momentum_condition_double():
     rng = np.random.default_rng(13)
     x = double_space(2).random_point(rng)
     f = ob.word_observable(("a1", "b1"))
-    kfn = lambda g: float(np.trace(g).real)
-    assert brackets.momentum_condition_residual(f, kfn, x) <= 1e-6
+    assert brackets.momentum_condition_residual(f, ob.PowerTrace(1), x) <= 1e-6
 
 
 def test_invariant_brackets_are_invariant():

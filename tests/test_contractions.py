@@ -115,12 +115,14 @@ def test_gram_is_pair_entry_by_entry(n):
 def test_momentum_condition_matrix_is_the_per_pair_formula(space, words):
     x = space.random_point(np.random.default_rng(18))
     obs = [ob.word_observable(w) for w in words] + [ob.word_observable(words[0], part="im")]
-    kfns = [lambda g: float(np.trace(g).real), lambda g: float(np.trace(g @ g).imag)]
-    pulled = [lambda p, k=k: k(p.momentum()) for k in kfns]
-    tables = brackets._gradients(obs + pulled, x)
+    kfns = [ob.PowerTrace(1), ob.PowerTrace(2, part="im")]
     phi = x.momentum()
-    two_sided = [left + right for left, right in zip(brackets.group_gradient_fd(kfns, phi, "L"),
-                                                     brackets.group_gradient_fd(kfns, phi, "R"))]
+    word = [name for f in range(len(x.factors)) for name in x.space.momentum_word(f)]
+    # k(mu) is a class function of the whole momentum word, and its left and right
+    # gradients agree
+    tables = brackets._gradients(obs, x) + [brackets.class_word_table(x, word, k.grad(phi))
+                                            for k in kfns]
+    two_sided = [k.grad(phi) + k.grad(phi) for k in kfns]
     reference = np.empty((len(obs), len(kfns)))
     for i in range(len(obs)):
         conj = sum(_conjugation_gradient(tables[i], slots) for slots in x.space.factor_slots)

@@ -6,16 +6,20 @@ finite-difference engine builds for it (``cotangent_gradients`` or
 the oracle is the Richardson-extrapolated derivative along each sl
 direction, whose error stays below the plain engine's h^4 term.
 ``bracket_matrix`` mixes exact and finite-difference gradients in one call.
+Chart pullbacks are letter substitutions: each substituted observable must
+match its opaque composition, and no check of a suite builds a
+finite-difference table.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sunflows import brackets, harness, liecore, moduli, observables as ob
+from sunflows import brackets, flows, harness, liecore, moduli, observables as ob, scenario
 from sunflows.errors import UnsupportedBracket, UnsupportedWord
-from sunflows.scenario import all_generators
-from sunflows.spaces import CotangentPoint, HeisenbergPoint, Point, moduli_space
+from sunflows.scenario import BASE_CHECKS, ScenarioConfig, all_generators, run_scenario
+from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, Point, double_space,
+                             moduli_space, sphere_space)
 
 MODULI_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 # every block kind a word Hamiltonian on the (m=2, holes=2) space can carry
@@ -46,6 +50,10 @@ def _observables(h, n):
                 for fn in (ob.AlcoveCoweight(0, datum), ob.PowerTrace(2))]
         obs += [ob.word_observable(("a1~", "c2", "b2~", "a1"), part="im"),
                 ob.word_observable(("c1~", "c1~", "b1"))]
+    if not isinstance(h, harness.HeisenbergHarness):
+        # a letter entry, which no conjugation leaves invariant
+        first = "g" if isinstance(h, harness.CotangentHarness) else h.space.momentum_word(0)[0]
+        obs.append(ob.entry_observable(np.random.default_rng(n).standard_normal((n, n)), first))
     return obs
 
 
@@ -103,7 +111,7 @@ def test_bracket_matrix_mixes_exact_and_opaque_observables(space):
     gens = [g.obs for g in all_generators(h)][:4]
     chart = (lambda p: p.conjugate(p.g)) if space == "cotangent" else (
         lambda p: p.conjugate(p.slot(0, 0)))
-    pulled = ob.pullback(probes[1], chart)
+    pulled = lambda p: probes[1](chart(p))
     mixed = brackets.bracket_matrix(probes + [pulled], gens + [pulled], x)
     opaque = lambda o: (lambda p: o(p))
     all_fd = brackets.bracket_matrix([opaque(o) for o in probes] + [pulled],
@@ -158,3 +166,108 @@ def test_tables_refuse_unsupported_points_and_words():
         ob.WordFunction(ob.AlgebraPower(2), ("g",))
     with pytest.raises(UnsupportedWord):
         ob.RightFactorFunction(ob.PowerTrace(2), "b_right")
+
+
+# ---------------------------------------------------------------------------
+# chart pullbacks are letter substitutions: each substituted observable against
+# its opaque composition
+# ---------------------------------------------------------------------------
+
+def _match_their_compositions(pulled, composed, x):
+    """Each substituted observable agrees with its opaque composition to roundoff, and its
+    exact table is the composition's finite-difference table, to truncation error."""
+    for p, c, table_fd in zip(pulled, composed, brackets.fusion_gradient_tables(composed, x)):
+        assert abs(p(x) - c(x)) <= 1e-13 * max(1.0, abs(c(x)))
+        table = p.grad_table(x)
+        assert table.keys() == table_fd.keys()
+        exact, approx = _flat(table), _flat(table_fd)
+        assert np.linalg.norm(exact - approx) <= 1e-7 * max(1.0, np.linalg.norm(approx))
+
+
+def _target_hamiltonians(space, datum):
+    """Word observables and word Hamiltonians of every target space of the plans below."""
+    if space.num_double == 2:
+        words = [("a2", "c1"), ("c1", "b2", "c2"), ("a1", "b2~", "c2", "b1")]
+        blocks = [("span", 0, 1), ("span", 1, 3), ("single", 2)]
+    else:
+        words = [("a1", "c1", "c3~"), ("c2", "b1", "c3"), ("b1~", "c2", "a1", "c1")]
+        blocks = [("span", 1, 2), ("span", 0, 3), ("single", 1)]
+    return ([ob.word_observable(words[0]), ob.word_observable(words[1], part="im"),
+             ob.word_observable(words[2])]
+            + [moduli.WordHamiltonian(block, fn) for block in blocks
+               for fn in (ob.AlcoveCoweight(0, datum), ob.PowerTrace(2))])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("plan", [[0], [1], [2], [1, 0], [0, 1, 2]])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
+def test_permutation_pullbacks_match_their_compositions(shape, plan, n):
+    datum = liecore.build_root_datum(n)
+    x = moduli_space(*shape, n).random_point(np.random.default_rng(70 + n))
+    hams = _target_hamiltonians(x.space, datum)
+    _match_their_compositions(
+        [moduli.pullback_hamiltonian(h, plan) for h in hams],
+        [lambda p, h=h: h(moduli.permutation_pushforward(p, plan)) for h in hams], x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_s_transform_pullbacks_match_their_compositions(n):
+    x = double_space(n).random_point(np.random.default_rng(80 + n))
+
+    def smap(p):
+        return FusionPoint(p.space, (flows.s_transform(*p.pair(1)),))
+
+    fs = [ob.word_observable(("a1", "b1")), ob.word_observable(("a1", "a1", "b1")),
+          ob.word_observable(("b1~", "a1", "b1", "b1"), part="im")]
+    pulled = [ob.word_observable(ob.substitute(f.letters, flows.S_LETTERS), f.part) for f in fs]
+    fs.append(ob.WordFunction(ob.PowerTrace(2), ("a1", "b1", "a1~", "b1~")))
+    pulled.append(ob.WordFunction(fs[-1].fn, ob.substitute(fs[-1].letters, flows.S_LETTERS)))
+    _match_their_compositions(pulled, [lambda p, f=f: f(smap(p)) for f in fs], x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("space", [double_space, sphere_space,
+                                   lambda n: moduli_space(2, 2, n)])
+def test_momentum_pullbacks_match_their_compositions(space, n):
+    """k(mu) is a class function of the whole momentum word, the table that
+    ``momentum_condition_matrix`` builds."""
+    x = space(n).random_point(np.random.default_rng(90 + n))
+    word = [name for f in range(len(x.factors)) for name in x.space.momentum_word(f)]
+    ks = [ob.PowerTrace(1), ob.PowerTrace(2, part="im"),
+          ob.AlcoveCoweight(0, liecore.build_root_datum(n))]
+    pulled = [ob.WordFunction(k, tuple(word)) for k in ks]
+    _match_their_compositions(pulled, [lambda p, k=k: k.value(p.momentum()) for k in ks], x)
+    for k, p in zip(ks, pulled):
+        table = brackets.class_word_table(x, word, k.grad(x.momentum()))
+        assert np.allclose(_flat(table), _flat(p.grad_table(x)), rtol=0, atol=1e-13)
+
+
+def test_the_suites_build_no_finite_difference_table(monkeypatch):
+    """The full double, sphere4 and moduli suites at n=3 pass with the finite-difference
+    table engine switched off, and only gradient-oracles reaches group_gradient_fd."""
+    def refuse(*args):
+        raise AssertionError("a suite check built a finite-difference table")
+
+    group_fd, oracles, inside = brackets.group_gradient_fd, BASE_CHECKS["gradient-oracles"], []
+
+    def check_oracles(ctx):
+        inside.append(True)
+        try:
+            return oracles(ctx)
+        finally:
+            inside.pop()
+
+    def group_gradient_fd(*args, **kwargs):
+        assert inside, "group_gradient_fd outside gradient-oracles"
+        return group_fd(*args, **kwargs)
+
+    monkeypatch.setattr(brackets, "_fd_tables", refuse)
+    monkeypatch.setattr(brackets, "group_gradient_fd", group_gradient_fd)
+    monkeypatch.setitem(BASE_CHECKS, "gradient-oracles", check_oracles)
+    monkeypatch.setattr(scenario, "SPACE_FREE_RESULTS", {})
+    for fields in (dict(space="double"), dict(space="sphere4"),
+                   dict(space="moduli", m=2, holes=2, family=MODULI_FAMILY)):
+        report = run_scenario(ScenarioConfig(n=3, seed=42, **fields))
+        failed = [(c.name, c.residual, c.detail.get("error")) for c in report.checks
+                  if not c.passed]
+        assert report.passed and not failed, failed

@@ -14,7 +14,7 @@ import pytest
 
 from sunflows import brackets, flows, liecore, moduli, scenario, spaces
 from sunflows.liecore import IM_FORM, TRACE_FORM, project_borel, project_compact
-from sunflows.observables import AlgebraFunction, BorelFunction, ClassFunction
+from sunflows.observables import AlgebraFunction, BorelFunction, ClassFunction, inverse_word
 from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, run_scenario
 
 _gram = liecore.gram
@@ -28,6 +28,7 @@ _heisenberg_velocity = flows.heisenberg_velocity
 _double_velocity = flows.double_velocity
 _moduli_velocity = moduli.moduli_velocity
 _conjugation_velocity = flows.conjugation_velocity
+_swap_letters = moduli._swap_letters
 
 # the (2, 2) moduli space with the family of the desk-sweep benchmark
 _MODULI = dict(space="moduli", m=2, holes=2,
@@ -177,6 +178,29 @@ def _block_conjugation_velocity_one_sided(mp):
     mp.setattr(moduli, "conjugation_velocity", velocity)
 
 
+# defects of the exact chart and momentum pullbacks
+
+def _twist_by_the_inverse_momentum(mp):
+    # swap_adjacent conjugates the next factor's letters by phi_j, not by phi_j^-1
+    def swap_letters(space, j):
+        target, words = _swap_letters(space, j)
+        phi = space.momentum_word(j)
+        k = len(phi)
+        return target, {name: inverse_word(phi) + word[k:-k] + phi if len(word) > 1 else word
+                        for name, word in words.items()}
+    mp.setattr(moduli, "_swap_letters", swap_letters)
+
+
+def _s_letter_map_conjugated_the_wrong_way(mp):
+    # the S-transform sends B to B^-1 A B, not to B A B^-1
+    mp.setitem(flows.S_LETTERS, "b1", ("b1", "a1", "b1~"))
+
+
+def _one_sided_momentum_gradient(mp):
+    # the condition pairs with grad_L + grad_R = 2 grad of the class function
+    mp.setattr(ClassFunction, "two_sided_grad", lambda self, g: self.grad(g))
+
+
 # name -> (defect, config fields, checks that must not all pass)
 MUTATIONS = {
     "heisenberg-half-difference-sign": (_flip_half_difference, dict(space="heisenberg", n=2),
@@ -222,6 +246,14 @@ MUTATIONS = {
                                             dict(_MODULI, n=2), ["flow-bracket"]),
     "moduli-block-conjugation-velocity-one-sided": (_block_conjugation_velocity_one_sided,
                                                     dict(_MODULI, n=2), ["flow-bracket"]),
+    "permutation-twist-by-the-inverse-momentum": (_twist_by_the_inverse_momentum,
+                                                  dict(_MODULI, n=2), ["permutation-brackets"]),
+    "s-transform-letter-map-conjugated-the-wrong-way": (_s_letter_map_conjugated_the_wrong_way,
+                                                        dict(space="double", n=2),
+                                                        ["s-transform"]),
+    "momentum-condition-one-sided-gradient": (_one_sided_momentum_gradient,
+                                              dict(space="double", n=2),
+                                              ["momentum-condition"]),
 }
 
 

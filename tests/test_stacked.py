@@ -269,15 +269,33 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     """With checks=["gradient-oracles"] at n=3: no value() call and no one-matrix
     normal form inside an oracle, one eigenvalue solve per stencil block, and
     every one-matrix normal form accounted for by the regularity assertion of
-    a built point or an exact grad()."""
-    calls, inside, draws = Counter(), Counter(), Counter()
-    depth = [0]
+    a built point or an exact grad(), both served by one eigensolve."""
+    calls, inside, draws, solves = Counter(), Counter(), Counter(), Counter()
+    depth, kernel_depth = [0], [0]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if depth[0]:
                 inside[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def kernel(name, fn):
+        inner = counted(name, fn)
+
+        def wrapper(*args, **kwargs):
+            kernel_depth[0] += 1
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                kernel_depth[0] -= 1
+        return wrapper
+
+    def solver(name, fn):
+        def wrapper(*args, **kwargs):
+            if kernel_depth[0]:
+                solves[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -302,11 +320,13 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     for cls in _FAMILIES:
         monkeypatch.setattr(cls, "value", counted("value", cls.value))
     for name in _KERNELS:
-        monkeypatch.setattr(decomp, name, counted(name, getattr(decomp, name)))
+        monkeypatch.setattr(decomp, name, kernel(name, getattr(decomp, name)))
     for name in _ORACLES:
         monkeypatch.setattr(brackets, name, oracle(getattr(brackets, name)))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eig", solver("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigh", solver("eigh", np.linalg.eigh))
     monkeypatch.setattr(harness, "sample_regular", counted_sample)
 
     report = run_scenario(ScenarioConfig(space="cotangent", n=3, checks=["gradient-oracles"]))
@@ -326,3 +346,8 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     assert calls["alcove_diagonalize"] == points + 2 * points
     assert calls["chamber_diagonalize"] == points + points
     assert calls["borel_chamber_diagonalize"] == points + points
+    # the memo keeps the margin-free normal form, so the 0.05-margin assertion and the
+    # default-margin grad() of a point share one eigensolve: one eig per group point and
+    # one eigh per algebra and per Borel point
+    assert solves["eig"] == points
+    assert solves["eigh"] == 2 * points

@@ -213,8 +213,7 @@ def test_oracle_defect_equals_per_probe_loop(space):
 def test_momentum_condition_matrix_entries_are_pairwise_residuals(space, words):
     x = space.random_point(np.random.default_rng(18))
     obs = [ob.word_observable(w) for w in words]
-    kfns = [lambda g: float(np.trace(g).real), lambda g: float(np.trace(g @ g).imag),
-            lambda g: 3.0]
+    kfns = [ob.PowerTrace(1), ob.PowerTrace(2, part="im"), ob.PowerTrace(0)]
     mat = brackets.momentum_condition_matrix(obs, kfns, x)
     assert mat.shape == (len(obs), len(kfns))
     for i, f_obs in enumerate(obs):
