@@ -3,13 +3,13 @@
 Every bracket goes through ``bracket_matrix``: the point's geometry supplies
 per-observable gradients (group and fiber gradients on the cotangent bundle,
 left and right complexified derivatives on the Heisenberg double, per-letter
-left/right gradient tables on fusion spaces), and one contraction per
-geometry pairs them against its bivector: the canonical cotangent bracket,
-the Heisenberg-double bracket built from the two isotropic projections, and
-the quasi-Poisson bracket of fusion spaces, where every bivector term reduces
-to trace-form pairings of per-letter left/right gradients.  A contraction
-takes each key's tables stacked over the row and over the column observables
-and returns the whole matrix of brackets.
+left/right gradient tables on fusion spaces), and each geometry states its
+bivector P once, as its sharp map (``sharp``), from stacked gradient tables
+to stacked Hamiltonian velocities keyed like the flows' velocities: the
+canonical cotangent bivector, the Heisenberg-double bivector built from the
+two isotropic projections, and the quasi-Poisson bivector of fusion spaces.
+{F, H} is F's table paired with P-sharp of H's (``velocity_pairings``, the
+one pairing kernel, which also pairs the flows' closed-form velocities).
 
 Gradients are exact where the observable knows them.  An observable may
 carry ``grad_table(point)``, returning the dict the geometry's finite-difference
@@ -25,19 +25,18 @@ generators) carry it through the first-order Iwasawa splitting, the
 dressing linearization.  Chart pullbacks are letter substitutions
 (``observables.substitute``) and a momentum pullback k(mu) is a class
 function of the whole momentum word, so they carry word tables too.
-``bracket_matrix`` and ``differentials`` read that one interface on every
-geometry.  Only opaque callables go through one call of the
-finite-difference engine, the fallback and the oracle the exact tables are
-tested against; no check of the suite reaches it.
+``bracket_matrix``, ``momentum_condition_matrix`` and ``differentials`` read
+that one interface on every geometry.  Only opaque callables go through one
+call of the finite-difference engine, the fallback and the oracle the exact
+tables are tested against; no check of the suite reaches it.
 
 Directional derivatives are fourth-order central differences with one step
 per basis (``STEP``).  This module builds every finite-difference stencil,
 one basis block at a time, as one (directions, offsets, n, n) stack:
 translations multiply one cached array of the powers of exp(hZ) per basis
 (``_steps``), and the additive directions are shifts m + k h Z.  The
-gradient engines, the finite-difference oracles and the differentials of
-``probes`` all use them.  Gradients are assembled against cached dual bases,
-so no linear solve happens per call.
+gradient engines and the finite-difference oracles use them.  Gradients are
+assembled against cached dual bases, so no linear solve happens per call.
 
 The engines wrap each stencil matrix into a point and evaluate every
 observable there, each point built once for all of them.  The oracles
@@ -58,7 +57,6 @@ from .errors import UnsupportedBracket, UnsupportedWord
 from .liecore import (
     IM_FORM,
     TRACE_FORM,
-    Pairing,
     borel_basis,
     dual_basis,
     expm,
@@ -134,12 +132,6 @@ def _dual_sum(kind: str, n: int, derivs) -> np.ndarray:
     """The gradient whose derivative along each direction of the basis is ``derivs``,
     summed against the dual basis in basis order, so every bracket keeps its last bits."""
     return ordered_sum(derivs, _basis(kind, n)[1])
-
-
-def _pairings(stack: np.ndarray, m: np.ndarray, form: Pairing) -> np.ndarray:
-    """pair(z, m, form) for every matrix z of the stack, as one array."""
-    t = np.einsum("dij,ji->d", stack, m)
-    return t.imag if form.kind == "im" else t.real
 
 
 @lru_cache(maxsize=None)
@@ -238,22 +230,12 @@ def _stencil_gradients(fns, block) -> list[np.ndarray]:
 def differentials(fns, x) -> np.ndarray:
     """Rows: the derivative of each function along the left-translation and fiber basis at x.
 
-    A function with a ``grad_table`` pairs each basis direction with its
-    table, in the basis's form (trace on su, im on sl); the others are
-    central differences along the stencils.
+    Each basis direction is paired with the function's gradient table in the
+    basis's form (trace on su, im on sl).
     """
-    blocks = list(_tangent_blocks(x, ("lmul",)))
-    tabled = [i for i, fn in enumerate(fns) if hasattr(fn, "grad_table")]
-    opaque = [i for i, fn in enumerate(fns) if not hasattr(fn, "grad_table")]
-    rows = np.empty((len(fns), sum(len(stack) for _, (_, stack, _) in blocks)))
-    if opaque:
-        rows[opaque] = np.concatenate([_stencil_derivatives([fns[i] for i in opaque], block)
-                                       for _, block in blocks]).T
-    for i in tabled:
-        table = fns[i].grad_table(x)
-        rows[i] = np.concatenate([_pairings(_basis(kind, x.n)[0], table[key], FORM[kind])
-                                  for key, (kind, _, _) in blocks])
-    return rows
+    stack = gradient_stack(fns, x)
+    return np.concatenate([gram(stack[key], _basis(kind, x.n)[0], FORM[kind])
+                           for key, (kind, _, _) in _tangent_blocks(x, ("lmul",))], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +403,13 @@ def right_factor_table(x, factor: str, grad):
     moved = np.linalg.inv(m) @ grad(m) @ m
     directions = _basis("sl", x.n)[0]
     cofactors = (x.factor("u_left" if factor == "b_right" else "b_left"), m)
-    return {side: _dual_sum("sl", x.n, -_pairings(part(np.linalg.inv(c) @ directions @ c),
-                                                  moved, form))
+    return {side: _dual_sum("sl", x.n, -gram(part(np.linalg.inv(c) @ directions @ c),
+                                             moved, form)[:, 0])
             for side, c in zip(("lmul", "rmul"), cofactors)}
 
 
 def _gradients(obs_list, x) -> list:
-    """Gradient of each observable at x in the form the geometry's contraction reads.
+    """Gradient of each observable at x in the form the geometry's sharp map reads.
 
     An observable's own ``grad_table`` is used when it has one; the rest go
     through one call of the geometry's finite-difference engine.
@@ -449,67 +431,37 @@ def _gradients(obs_list, x) -> list:
 
 
 # ---------------------------------------------------------------------------
-# contractions per geometry
+# the bivector of each geometry, as its sharp map
 # ---------------------------------------------------------------------------
 
 def _pick(stack: dict, index) -> dict:
     return {key: s[index] for key, s in stack.items()}
 
 
+def stack_tables(tables) -> dict:
+    """Each key's matrices stacked over ``tables`` into one (tables, n, n) array; a table
+    without the key holds zero there (a velocity that does not move that matrix)."""
+    keys = dict.fromkeys(key for t in tables for key in t)
+    zero = np.zeros_like(next(iter(tables[0].values())))
+    return {key: np.array([t.get(key, zero) for t in tables]) for key in keys}
+
+
 def gradient_stack(obs_list, x) -> dict:
     """The gradient tables of ``obs_list`` at x, each key's table stacked over the observables."""
-    tables = _gradients(obs_list, x)
-    return {key: np.array([t[key] for t in tables]) for key in tables[0]}
+    return stack_tables(_gradients(obs_list, x))
 
 
 def conjugation_gradient(table: dict, slots) -> np.ndarray:
-    """Generating-field gradient of the diagonal conjugation on the letters of ``slots``,
-    summed as (sum + lmul) - rmul slot by slot; a total is summed factor by factor."""
-    out = 0
-    for slot in slots:
-        out = out + table[(*slot, "lmul")] - table[(*slot, "rmul")]
-    return out
+    """Generating-field gradient of the diagonal conjugation on the letters of ``slots``: the
+    sum of their left- minus their right-multiplication gradients."""
+    return sum(table[(*slot, "lmul")] - table[(*slot, "rmul")] for slot in slots)
 
 
-# the contractions pair rows F with columns H; pair(H, F) is gram(H, F).T
-def _double_term(tf, th, f) -> np.ndarray:
-    # per-letter gradients: R = right-invariant frame (lmul), L = left-invariant (rmul)
-    aRF, aLF = tf[(f, 0, "lmul")], tf[(f, 0, "rmul")]
-    bRF, bLF = tf[(f, 1, "lmul")], tf[(f, 1, "rmul")]
-    aRH, aLH = th[(f, 0, "lmul")], th[(f, 0, "rmul")]
-    bRH, bLH = th[(f, 1, "lmul")], th[(f, 1, "rmul")]
-    val = gram(aRF, aLH) - gram(aRH, aLF).T
-    val -= gram(bRF, bLH) - gram(bRH, bLF).T
-    val += gram(aLF, bLH + bRH) - gram(aLH, bLF + bRF).T
-    val += gram(aRF, bLH - bRH) - gram(aRH, bLF - bRF).T
-    return 0.5 * val
-
-
-def _conj_term(tf, th, f) -> np.ndarray:
-    return 0.5 * (gram(tf[(f, 0, "lmul")], th[(f, 0, "rmul")])
-                  - gram(th[(f, 0, "lmul")], tf[(f, 0, "rmul")]).T)
-
-
-def fusion_bracket_from_tables(tf, th, point: FusionPoint) -> np.ndarray:
-    """Contract the fused bivector with stacked gradient tables."""
-    total = 0.0
-    for f, t in enumerate(point.space.types):
-        total += _double_term(tf, th, f) if t == "D" else _conj_term(tf, th, f)
-    conj_f = [conjugation_gradient(tf, slots) for slots in point.space.factor_slots]
-    conj_h = [conjugation_gradient(th, slots) for slots in point.space.factor_slots]
-    for f1 in range(len(conj_f)):
-        for f2 in range(f1 + 1, len(conj_f)):
-            total -= 0.5 * (gram(conj_f[f1], conj_h[f2]) - gram(conj_h[f1], conj_f[f2]).T)
-    return total
-
-
-def _cotangent_contraction(tf, th, point: CotangentPoint) -> np.ndarray:
-    """Canonical cotangent bracket in right-translation coordinates."""
-    gf, jf, gh, jh = tf["group"], tf["fiber"], th["group"], th["fiber"]
-    lie = jf[:, np.newaxis] @ jh[np.newaxis]
-    lie -= jh[np.newaxis] @ jf[:, np.newaxis]
-    return (gram(gf, jh) - gram(gh, jf).T
-            + np.trace(point.j @ lie, axis1=-2, axis2=-1).real)
+def _cotangent_sharp(th, x: CotangentPoint) -> dict:
+    """The canonical bivector in right-translation coordinates: the group moves by the fiber
+    gradient on the left, the fiber by [fiber gradient, J] minus the group gradient."""
+    jh = th["fiber"]
+    return {"group": jh, "fiber": jh @ x.j - x.j @ jh - th["group"]}
 
 
 def _half_difference(z: np.ndarray) -> np.ndarray:
@@ -517,36 +469,66 @@ def _half_difference(z: np.ndarray) -> np.ndarray:
     return 0.5 * (project_compact(z) - project_borel(z))
 
 
-def _heisenberg_contraction(tf, th, point: HeisenbergPoint) -> np.ndarray:
-    """Heisenberg-double bracket from the 'lmul' (DF) and 'rmul' (D'F) derivatives."""
-    return (gram(tf["lmul"], _half_difference(th["lmul"]), IM_FORM)
-            + gram(tf["rmul"], _half_difference(th["rmul"]), IM_FORM))
+def _heisenberg_sharp(th, x: HeisenbergPoint) -> dict:
+    """The Heisenberg-double bivector (Semenov-Tian-Shansky): each side's complexified
+    derivative, D on the left and D' on the right, moves that side by its half difference."""
+    return {side: _half_difference(th[side]) for side in ("lmul", "rmul")}
+
+
+# P-sharp of one factor's own bivector: per slot key (comp, side) of the factor, the signed
+# column keys whose gradients sum to its velocity, before the overall 1/2.  'lmul' is the
+# right-invariant frame (R), 'rmul' the left-invariant one (L).  A 'D' factor (a, b):
+# aR: aL + bL - bR, aL: bL + bR - aR, bR: aR - aL - bL, bL: bR - aL - aR; a 'K' factor c:
+# cR: cL, cL: -cR.
+_FACTOR_SHARP = {
+    "D": {(0, "lmul"): ((1, 0, "rmul"), (1, 1, "rmul"), (-1, 1, "lmul")),
+          (0, "rmul"): ((1, 1, "rmul"), (1, 1, "lmul"), (-1, 0, "lmul")),
+          (1, "lmul"): ((1, 0, "lmul"), (-1, 0, "rmul"), (-1, 1, "rmul")),
+          (1, "rmul"): ((1, 1, "lmul"), (-1, 0, "rmul"), (-1, 0, "lmul"))},
+    "K": {(0, "lmul"): ((1, 0, "rmul"),), (0, "rmul"): ((-1, 0, "lmul"),)},
+}
+
+
+def _fusion_sharp(th, x: FusionPoint) -> dict:
+    """The quasi-Poisson bivector of the fusion product: each factor's own (``_FACTOR_SHARP``)
+    plus, on the letters of factor g, the conjugation by sum_(f<g) C_f - sum_(f>g) C_f, where
+    C_f is factor f's ``conjugation_gradient``; all halved."""
+    conj = [conjugation_gradient(th, slots) for slots in x.space.factor_slots]
+    v = {}
+    for f, t in enumerate(x.space.types):
+        w = sum(conj[:f]) - sum(conj[f + 1:])
+        for (comp, side), terms in _FACTOR_SHARP[t].items():
+            local = sum(sign * th[f, c, s] for sign, c, s in terms)
+            v[f, comp, side] = 0.5 * (local + w if side == "lmul" else local - w)
+    return v
+
+
+_SHARP = {CotangentPoint: _cotangent_sharp, HeisenbergPoint: _heisenberg_sharp,
+          FusionPoint: _fusion_sharp}
+
+
+def sharp(th: dict, x) -> dict:
+    """P-sharp: the Hamiltonian velocity of each observable whose stacked gradient table is
+    ``th``, as a stacked velocity dict keyed like the tables, like ``flows``' velocities and
+    like ``Point.tangent``.  The bivector of each geometry is stated here once."""
+    return _SHARP[type(x)](th, x)
 
 
 # ---------------------------------------------------------------------------
 # the bracket and derived checks
 # ---------------------------------------------------------------------------
 
-def bracket_from_stacks(tf: dict, th: dict, x) -> np.ndarray:
-    """Brackets of the row with the column observables, from their ``gradient_stack``s."""
-    if isinstance(x, FusionPoint):
-        return fusion_bracket_from_tables(tf, th, x)
-    if isinstance(x, CotangentPoint):
-        return _cotangent_contraction(tf, th, x)
-    return _heisenberg_contraction(tf, th, x)
-
-
-def velocity_pairings(tf: dict, velocities, x) -> np.ndarray:
-    """d/dt of each row observable along each velocity (``flows``): sum over the keys of
-    form(V[key], table[key]), the trace form on su and the im form on sl."""
+def velocity_pairings(tf: dict, velocities: dict, x) -> np.ndarray:
+    """d/dt of each row observable along each velocity, (rows, velocities), from stacked dicts
+    (``stack_tables``): the sum over the velocities' keys of form(table[key], velocity[key]),
+    the trace form on su and the im form on sl."""
     form = IM_FORM if isinstance(x, HeisenbergPoint) else TRACE_FORM
-    zero = np.zeros((x.n, x.n), dtype=complex)
-    return sum(gram(np.array([v.get(key, zero) for v in velocities]), tf[key], form).T
-               for key in tf)
+    return sum(gram(tf[key], v, form) for key, v in velocities.items())
 
 
 def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
-    """Brackets {obs_list[i], gen_obs_list[j]} at x, as a matrix.
+    """Brackets {obs_list[i], gen_obs_list[j]} at x, as a matrix: the rows' tables paired
+    with the columns' Hamiltonian velocities (``sharp``).
 
     Observables with a ``grad_table`` use it; one call of the geometry's
     finite-difference engine covers all the others.  An observable passed in
@@ -557,7 +539,7 @@ def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
         index.setdefault(id(o), (len(index), o))
     stack = gradient_stack([o for _, o in index.values()], x)
     rows, cols = ([index[id(o)][0] for o in side] for side in (obs_list, gen_obs_list))
-    return bracket_from_stacks(_pick(stack, rows), _pick(stack, cols), x)
+    return velocity_pairings(_pick(stack, rows), sharp(_pick(stack, cols), x), x)
 
 
 def poisson_bracket(f_obs, h_obs, point) -> float:
@@ -570,14 +552,14 @@ def fusion_bracket(f_obs, h_obs, point: FusionPoint) -> float:
     return poisson_bracket(f_obs, h_obs, point)
 
 
-def group_gradient_fd(fns, g: np.ndarray, side: str = "L") -> list[np.ndarray]:
-    """Trace-form gradient of each scalar function in ``fns`` on SU(n) by differences.
+def group_gradient_fd(fns, g: np.ndarray) -> list[np.ndarray]:
+    """Trace-form gradient of each scalar function in ``fns`` on SU(n) by differences along
+    the left translations exp(tZ) g.
 
-    ``side`` "L" moves g to exp(tZ) g, "R" to g exp(tZ).  A function is a
-    ClassFunction, whose ``values`` reads the whole stencil stack, or any
-    callable of one matrix.
+    A function is a ClassFunction, whose ``values`` reads the whole stencil
+    stack, or any callable of one matrix.
     """
-    return _stencil_gradients(fns, ("su", _translations("su", g, side == "L"), None))
+    return _stencil_gradients(fns, ("su", _translations("su", g, True), None))
 
 
 def algebra_gradient_fd(fns, j_alg: np.ndarray) -> list[np.ndarray]:
@@ -603,22 +585,21 @@ def borel_gradient_fd(fns, b: np.ndarray) -> list[np.ndarray]:
 
 
 def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray:
-    """Defects of the momentum-map/bivector compatibility condition, as a matrix.
+    """Defects of the moment map condition, as a (observables, class functions) matrix.
 
-    Entry (i, j) compares the bracket of obs_list[i] with the momentum
-    pullback of the class function k_fns[j] against half the pairing of the
-    observable's total conjugation gradient with the two-sided gradient of
-    k_fns[j] at the momentum value.  The pullback's table is the word table
-    of k_fns[j] over the whole momentum word.
+    The condition (Alekseev, Kosmann-Schwarzbach and Meinrenken) is a
+    velocity identity: the Hamiltonian velocity of the momentum pullback
+    k(mu) equals half the conjugation velocity of the two-sided gradient of k
+    at mu.  Entry (i, j) pairs obs_list[i] with the difference for k_fns[j].
+    The pullback's table is the word table of k_fns[j] over the whole
+    momentum word.
     """
     phi = point.momentum()
     word = [name for f in range(len(point.factors)) for name in point.space.momentum_word(f)]
-    tables = [class_word_table(point, word, k_fn.grad(phi)) for k_fn in k_fns]
-    tf = gradient_stack(obs_list, point)
-    th = {key: np.array([t[key] for t in tables]) for key in tables[0]}
-    two_sided = np.array([k_fn.two_sided_grad(phi) for k_fn in k_fns])
-    conj_grad = sum(conjugation_gradient(tf, slots) for slots in point.space.factor_slots)
-    return np.abs(fusion_bracket_from_tables(tf, th, point) - 0.5 * gram(conj_grad, two_sided))
+    th = stack_tables([class_word_table(point, word, k_fn.grad(phi)) for k_fn in k_fns])
+    conj = point.conjugation_velocity(np.array([k_fn.two_sided_grad(phi) for k_fn in k_fns]))
+    defect = {key: v - 0.5 * conj[key] for key, v in sharp(th, point).items()}
+    return np.abs(velocity_pairings(gradient_stack(obs_list, point), defect, point))
 
 
 def momentum_condition_residual(f_obs, k_fn, point: FusionPoint) -> float:

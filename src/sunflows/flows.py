@@ -16,7 +16,7 @@ import numpy as np
 from . import brackets, decomp, liecore
 from .errors import ShapeError, UnsupportedBracket
 from .liecore import RootDatum
-from .observables import AlgebraFunction, BorelFunction, ClassFunction
+from .observables import AlgebraFunction, BorelFunction, ClassFunction, entry_observable
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint, conjugation_velocity
 
 logger = logging.getLogger(__name__)
@@ -254,17 +254,20 @@ def torus_action(x, tau, datum: RootDatum, kind: str):
 def rk4_bracket_flow(x: FusionPoint, ham_obs, tau: float, steps: int = 16) -> FusionPoint:
     """Integrate the bracket-defined vector field; cross-check oracle only.
 
-    The tangent vector at a point is assembled from brackets of the matrix
-    entries with the Hamiltonian, then the factors are stepped additively and
-    re-projected to the group after the integration.
+    The tangent vector at a point is assembled from the brackets of the
+    matrix entries with the Hamiltonian: Re and Im of entry (i, j) of a
+    letter are the exact ``entry_observable``s of E_ji and -i E_ji.  Then the
+    factors are stepped additively and re-projected to the group after the
+    integration.
     """
+    eye = np.eye(x.n)
+    entries = [entry_observable(c * np.outer(eye[j], eye[i]), x.space.momentum_word(f)[comp])
+               for f, comp in x.space.slots for i in range(x.n) for j in range(x.n)
+               for c in (1, -1j)]
 
     def vector(p: FusionPoint) -> list:
         """(slot, velocity) for every slot of p."""
-        entry_obs = [lambda q, s=s, i=i, j=j, part=part: float(getattr(q.slot(*s)[i, j], part))
-                     for s in p.space.slots for i in range(p.n) for j in range(p.n)
-                     for part in ("real", "imag")]
-        vals = brackets.bracket_matrix(entry_obs, [ham_obs], p)[:, 0]
+        vals = brackets.bracket_matrix(entries, [ham_obs], p)[:, 0]
         vel = (vals[0::2] + 1j * vals[1::2]).reshape(-1, p.n, p.n)
         return list(zip(p.space.slots, vel))
 

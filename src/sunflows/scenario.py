@@ -479,16 +479,23 @@ def flow_derivatives(x, gens, obs) -> np.ndarray:
                                                      richardson=True) for g in gens]).T
 
 
-def flow_bracket_worst(h, x, gens, obs, oracle: bool = True) -> float:
-    """Largest relative defect between flow derivatives and brackets at x: the closed-form
-    velocities paired with the probes' stacked tables and, with ``oracle``, the flows'
+def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
+    """Largest relative defect at x between each generator's closed-form velocity and its
+    Hamiltonian velocity (P-sharp of its table): as ambient tangent vectors and paired with
+    the probes' stacked tables, and, with ``oracle``, the brackets against the flows'
     finite-difference derivatives (``flow_derivatives``)."""
     rows = brackets.gradient_stack(obs, x)
-    mat = brackets.bracket_from_stacks(rows, brackets.gradient_stack([g.obs for g in gens], x), x)
-    derivs = [brackets.velocity_pairings(rows, [g.velocity(x) for g in gens], x)]
+    hamiltonian = brackets.sharp(brackets.gradient_stack([g.obs for g in gens], x), x)
+    velocities = [g.velocity(x) for g in gens]
+    mat = brackets.velocity_pairings(rows, hamiltonian, x)
+    derivs = [brackets.velocity_pairings(rows, brackets.stack_tables(velocities), x)]
     if oracle:
         derivs.append(flow_derivatives(x, gens, obs))
-    return _worst(*(float(np.max(np.abs(d - mat) / (1.0 + np.abs(mat)))) for d in derivs))
+    defects = [float(np.max(np.abs(d - mat) / (1.0 + np.abs(mat)))) for d in derivs]
+    for j, v in enumerate(velocities):
+        ref = x.tangent({key: s[j] for key, s in hamiltonian.items()})
+        defects.append(float(np.linalg.norm(x.tangent(v) - ref) / (1.0 + np.linalg.norm(ref))))
+    return _worst(*defects)
 
 
 def all_generators(h) -> list:
@@ -503,7 +510,7 @@ def check_flow_bracket(ctx: CheckContext) -> CheckResult:
     gens = all_generators(h)
     for k in range(ctx.cfg.points):
         x = h.sample(rng)
-        worst = _worst(worst, flow_bracket_worst(h, x, gens, obs, oracle=k == 0))
+        worst = _worst(worst, flow_bracket_worst(x, gens, obs, oracle=k == 0))
     return _result(ctx, "flow-bracket",
                    "exact flows differentiate to the bracket against the probe family",
                    worst, 1e-6, {"points": ctx.cfg.points, "observables": len(obs),

@@ -83,7 +83,7 @@ def test_criterion_1_bracket_flow_consistency():
         local = 0.0
         for _ in range(20):
             x = h.sample(rng)
-            local = max(local, flow_bracket_worst(h, x, gens, obs))
+            local = max(local, flow_bracket_worst(x, gens, obs))
         worst = max(worst, local)
     _report("criterion 1: bracket-flow consistency <= 1e-6 relative",
             worst <= 1e-6, f"worst residual {worst:.3e}")

@@ -1,12 +1,15 @@
-"""The stacked bracket contractions against their per-pair form.
+"""Each geometry's sharp map against the per-pair bivector formula and the flows' velocities.
 
-Each geometry's contraction takes the tables of all row observables and of
-all column observables, each key stacked into one (observables, n, n) array,
-and returns the whole bracket matrix.  Every entry must be bit for bit the
-one the per-pair formula gives with ``liecore.pair`` on the same tables, so
-report bodies do not move.  The flow-bracket check pairs the closed-form
-velocities with those tables and differentiates the flows themselves at one
-point only: one ``directional_derivative`` call per generator per suite.
+A bracket is the rows' stacked tables paired with P-sharp of the columns'
+stacked tables (``brackets.sharp``, ``velocity_pairings``).  Every entry must
+match the per-pair bivector formula, written here term by term with
+``liecore.pair`` on the same tables, up to the reassociation of its sums
+(bit for bit on the Heisenberg double, whose sharp map keeps the formula's
+order).  Every column of P-sharp must be, as an ambient tangent vector, the
+closed-form velocity of the generator's flow.  The flow-bracket check pairs
+those velocities with the probes' tables and differentiates the flows
+themselves at one point only: one ``directional_derivative`` call per
+generator per suite.
 """
 
 import numpy as np
@@ -17,6 +20,13 @@ from sunflows import observables as ob
 from sunflows.liecore import IM_FORM, pair
 from sunflows.scenario import ScenarioConfig, all_generators, run_scenario
 from sunflows.spaces import double_space, moduli_space
+
+# the sums of a sharp map reassociate the per-pair formula's: entries agree to rounding
+REL = 1e-13
+
+
+def _close(mat, reference):
+    return np.all(np.abs(mat - reference) <= REL * (1 + np.abs(reference)))
 
 
 # --- the per-pair reference: one liecore.pair call per term and per (row, column) ---------------
@@ -85,17 +95,44 @@ def _case(space, n, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("space", sorted(_REFERENCE))
-def test_stacked_contraction_is_the_per_pair_formula(space, n):
+def test_sharp_pairing_is_the_per_pair_formula(space, n):
     x, obs = _case(space, n, 40 + n)
     tables = brackets._gradients(obs, x)
     stack = brackets.gradient_stack(obs, x)
     rows, cols = obs[:7], obs[3:]
-    mat = brackets.bracket_from_stacks({k: s[:7] for k, s in stack.items()},
-                                       {k: s[3:] for k, s in stack.items()}, x)
+    mat = brackets.velocity_pairings({k: s[:7] for k, s in stack.items()},
+                                     brackets.sharp({k: s[3:] for k, s in stack.items()}, x), x)
     reference = np.array([[_REFERENCE[space](tables[i], tables[3 + j], x)
                            for j in range(len(cols))] for i in range(len(rows))])
-    assert np.array_equal(mat, reference)
-    assert np.array_equal(brackets.bracket_matrix(rows, cols, x), reference)
+    assert np.array_equal(mat, brackets.bracket_matrix(rows, cols, x))
+    if space == "heisenberg":
+        assert np.array_equal(mat, reference)
+    else:
+        assert _close(mat, reference)
+
+
+# every space of the workbench, the double with both of its families
+_SPACES = {"cotangent": {}, "heisenberg": {}, "double-h": dict(family="h"),
+           "double-htilde": dict(family="htilde"), "sphere4": {},
+           "moduli": dict(m=2, holes=2, family=_FAMILY)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("label", sorted(_SPACES))
+def test_sharp_of_each_generator_is_its_flow_velocity(label, n):
+    """The Hamiltonian velocity P-sharp(dH) of every generator moves the point as its
+    closed-form flow velocity does (``Point.tangent``, the ambient vector)."""
+    h = harness.build_harness(label.split("-")[0], n, liecore.build_root_datum(n),
+                              **_SPACES[label])
+    rng = np.random.default_rng(30 + n)
+    gens = all_generators(h)
+    for _ in range(2):
+        x = h.sample(rng)
+        velocities = brackets.sharp(brackets.gradient_stack([g.obs for g in gens], x), x)
+        for j, g in enumerate(gens):
+            ref = x.tangent(g.velocity(x))
+            got = x.tangent({key: v[j] for key, v in velocities.items()})
+            assert np.linalg.norm(got - ref) <= 1e-13 * (1 + np.linalg.norm(ref)), (g.name, j)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -129,7 +166,7 @@ def test_momentum_condition_matrix_is_the_per_pair_formula(space, words):
         for j, grad in enumerate(two_sided):
             lhs = _fusion_pair(tables[i], tables[len(obs) + j], x)
             reference[i, j] = abs(lhs - 0.5 * pair(conj, grad))
-    assert np.array_equal(brackets.momentum_condition_matrix(obs, kfns, x), reference)
+    assert _close(brackets.momentum_condition_matrix(obs, kfns, x), reference)
 
 
 @pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "sphere4"])

@@ -204,6 +204,20 @@ def test_rk4_bracket_flow_cross_checks_exact_flow():
     assert exact.distance(numeric) <= 2e-5
 
 
+def test_rk4_bracket_flow_brackets_exact_tables(monkeypatch):
+    """With a tabled Hamiltonian the oracle's vector field builds no finite-difference table:
+    the matrix entries are exact ``entry_observable``s, and Re tr(A A) is a word trace."""
+    def refuse(*args):
+        raise AssertionError("rk4_bracket_flow built a finite-difference table")
+
+    monkeypatch.setattr(brackets, "_fd_tables", refuse)
+    x = double_space(2).random_point(np.random.default_rng(12))
+    tau = 0.25
+    exact = flows.double_flow(x, ob.PowerTrace(2), tau, "first")
+    numeric = flows.rk4_bracket_flow(x, ob.word_observable(("a1", "a1")), tau, steps=12)
+    assert exact.distance(numeric) <= 2e-5
+
+
 def test_unitarity_drift_triggers_logged_reprojection(caplog):
     import logging
     rng = np.random.default_rng(14)
