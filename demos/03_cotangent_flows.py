@@ -12,7 +12,8 @@ import numpy as np
 
 import sunflows as sf
 from sunflows import brackets, liecore
-from sunflows.observables import AlgebraPower, ChamberCoroot, PowerTrace, word_observable
+from sunflows.observables import (AlgebraPower, ChamberCoroot, PowerTrace, WordFunction,
+                                  word_observable)
 from sunflows.spaces import cotangent_momentum, random_cotangent_point
 
 rng = np.random.default_rng(11)
@@ -37,8 +38,8 @@ for ham, label in ((quadratic, "fiber family"), (base_class, "class family")):
 
 print("\n=== flow derivative vs canonical bracket ===")
 probe = word_observable(("g", "j", "g", "j"))
-for ham, obs in ((quadratic, lambda p: quadratic.value(p.j)),
-                 (base_class, lambda p: base_class.value(p.g))):
+for ham, obs in ((quadratic, WordFunction(quadratic, ("j",))),
+                 (base_class, WordFunction(base_class, ("g",)))):
     d_flow = brackets.directional_derivative(probe, lambda t: sf.cotangent_flow(x, ham, t))
     bk = brackets.poisson_bracket(probe, obs, x)
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")

@@ -11,6 +11,7 @@ import numpy as np
 
 import sunflows as sf
 from sunflows import harness, probes
+from sunflows.observables import word_observable
 
 n = 3
 datum = sf.build_root_datum(n)
@@ -34,11 +35,10 @@ print("symmetry stabilizer dimension:", rep.infinitesimal_dim,
 print("\n=== rank checks at a crafted point ===")
 pp = probes.principal_test_point("two-handles-with-holes", n, datum,
                                  np.random.default_rng(5))
+momentum_word = tuple(name for f in range(len(pp.point.factors))
+                      for name in pp.point.space.momentum_word(f))
 rep = probes.ieq_rank_check(pp, n, invariant_probes=[
-    lambda p: float(np.trace(p.pair(1)[0]).real),
-    lambda p: float(np.trace(p.momentum()).real),
-    lambda p: float(np.trace(p.hole(1) @ p.hole(2)).real),
-])
+    word_observable(("a1",)), word_observable(momentum_word), word_observable(("c1", "c2"))])
 print("torus generator rank:", rep.generator_rank, "expected:", rep.generator_expected)
 print("family differential rank:", rep.differential_rank,
       "expected:", rep.differential_expected)

@@ -11,8 +11,8 @@ two isotropic projections, and the quasi-Poisson bivector of fusion spaces.
 {F, H} is F's table paired with P-sharp of H's (``velocity_pairings``, the
 one pairing kernel, which also pairs the flows' closed-form velocities).
 
-Gradients are exact where the observable knows them.  An observable may
-carry ``grad_table(point)``, returning the dict the geometry's finite-difference
+Gradients are exact tables, and only exact tables.  An observable carries
+``grad_table(point)``, returning the dict the geometry's finite-difference
 engine would build, keyed like ``_tangent_blocks``: 'group' and 'fiber' on cotangent
 points, the complexified derivatives 'lmul' (D) and 'rmul' (D') on the Heisenberg
 double and (factor, component, side) on fusion points.  Word traces
@@ -26,9 +26,10 @@ dressing linearization.  Chart pullbacks are letter substitutions
 (``observables.substitute``) and a momentum pullback k(mu) is a class
 function of the whole momentum word, so they carry word tables too.
 ``bracket_matrix``, ``momentum_condition_matrix`` and ``differentials`` read
-that one interface on every geometry.  Only opaque callables go through one
-call of the finite-difference engine, the fallback and the oracle the exact
-tables are tested against; no check of the suite reaches it.
+that one interface on every geometry, and refuse an observable without a
+table (``UnsupportedBracket``).  The finite-difference table engine
+(``_fd_tables`` and its per-geometry names) is no bracket path: it is the
+oracle the exact tables are tested against.
 
 Directional derivatives are fourth-order central differences with one step
 per basis (``STEP``).  This module builds every finite-difference stencil,
@@ -170,25 +171,28 @@ def _shifts(kind: str, m: np.ndarray) -> np.ndarray:
 
 
 def _tangent_blocks(x, sides=("lmul", "rmul")):
-    """(key, stencil block) of each block of directions spanning the tangent space at x.
+    """(key, kind, stencil) of each block of directions spanning the tangent space at x.
 
     Every group slot is translated on each of ``sides`` ('lmul': u m, 'rmul':
     m u), by su on fusion and cotangent points and by sl on the Heisenberg
     double; a cotangent point has one left-translation block 'group' and the
-    fiber shifts 'fiber'.  A block is (kind, stack, wrap): wrap turns a
-    matrix of the stack into the point the observables read.
+    fiber shifts 'fiber'.  ``stencil()`` builds the block's (stack, wrap) only
+    when called: wrap turns a matrix of the stack into the point the
+    observables read.
     """
     if isinstance(x, CotangentPoint):
-        yield "group", ("su", _translations("su", x.g, True), lambda g: CotangentPoint(g, x.j))
-        yield "fiber", ("su", _shifts("su", x.j), lambda j: CotangentPoint(x.g, j))
+        yield "group", "su", lambda: (_translations("su", x.g, True),
+                                      lambda g: CotangentPoint(g, x.j))
+        yield "fiber", "su", lambda: (_shifts("su", x.j), lambda j: CotangentPoint(x.g, j))
     elif isinstance(x, HeisenbergPoint):
         for side in sides:
-            yield side, ("sl", _translations("sl", x.x, side == "lmul"), HeisenbergPoint)
+            yield side, "sl", lambda s=side: (_translations("sl", x.x, s == "lmul"),
+                                              HeisenbergPoint)
     elif isinstance(x, FusionPoint):
         for slot in x.space.slots:
             for side in sides:
-                yield (*slot, side), ("su", _translations("su", x.slot(*slot), side == "lmul"),
-                                      lambda m, s=slot: x.with_slots({s: m}))
+                yield (*slot, side), "su", lambda s=slot, left=side == "lmul": (
+                    _translations("su", x.slot(*s), left), lambda m: x.with_slots({s: m}))
     else:
         raise UnsupportedBracket(f"no tangent stencils on points of type {type(x).__name__}")
 
@@ -235,7 +239,7 @@ def differentials(fns, x) -> np.ndarray:
     """
     stack = gradient_stack(fns, x)
     return np.concatenate([gram(stack[key], _basis(kind, x.n)[0], FORM[kind])
-                           for key, (kind, _, _) in _tangent_blocks(x, ("lmul",))], axis=1)
+                           for key, kind, _ in _tangent_blocks(x, ("lmul",))], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +249,8 @@ def differentials(fns, x) -> np.ndarray:
 def _fd_tables(obs_list, x) -> list[dict]:
     """Per observable, the gradient on every block of ``_tangent_blocks(x)``, by key."""
     tables = [dict() for _ in obs_list]
-    for key, block in _tangent_blocks(x):
-        for tab, grad in zip(tables, _stencil_gradients(obs_list, block)):
+    for key, kind, stencil in _tangent_blocks(x):
+        for tab, grad in zip(tables, _stencil_gradients(obs_list, (kind, *stencil()))):
             tab[key] = grad
     return tables
 
@@ -409,25 +413,18 @@ def right_factor_table(x, factor: str, grad):
 
 
 def _gradients(obs_list, x) -> list:
-    """Gradient of each observable at x in the form the geometry's sharp map reads.
+    """Each observable's own ``grad_table`` at x, in the form the geometry's sharp map reads.
 
-    An observable's own ``grad_table`` is used when it has one; the rest go
-    through one call of the geometry's finite-difference engine.
+    There is no fallback: an observable without a table raises
+    ``UnsupportedBracket`` naming it.  Finite-difference tables are the
+    tests' oracle, not a bracket path.
     """
-    if isinstance(x, FusionPoint):
-        engine = fusion_gradient_tables
-    elif isinstance(x, CotangentPoint):
-        engine = cotangent_gradients
-    elif isinstance(x, HeisenbergPoint):
-        engine = heisenberg_derivatives_multi
-    else:
+    if type(x) not in _SHARP:
         raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
-    grads = [o.grad_table(x) if hasattr(o, "grad_table") else None for o in obs_list]
-    opaque = [i for i, g in enumerate(grads) if g is None]
-    if opaque:
-        for i, g in zip(opaque, engine([obs_list[i] for i in opaque], x)):
-            grads[i] = g
-    return grads
+    for o in obs_list:
+        if not hasattr(o, "grad_table"):
+            raise UnsupportedBracket(f"{getattr(o, '__name__', o)!r} has no exact gradient table")
+    return [o.grad_table(x) for o in obs_list]
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +527,9 @@ def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
     """Brackets {obs_list[i], gen_obs_list[j]} at x, as a matrix: the rows' tables paired
     with the columns' Hamiltonian velocities (``sharp``).
 
-    Observables with a ``grad_table`` use it; one call of the geometry's
-    finite-difference engine covers all the others.  An observable passed in
-    both lists (the same object) is differentiated once.
+    Every observable brings its exact ``grad_table``; one without raises
+    ``UnsupportedBracket``.  An observable passed in both lists (the same
+    object) is differentiated once.
     """
     index = {}
     for o in [*obs_list, *gen_obs_list]:

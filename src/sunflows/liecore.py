@@ -310,22 +310,6 @@ class RootDatum:
     q_matrix: np.ndarray = field(repr=False)
 
 
-def _exact_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse in exact rational arithmetic."""
-    k = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(rows)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
 @lru_cache(maxsize=None)
 def build_root_datum(n: int) -> RootDatum:
     """The root datum of SU(n), built once per n, with read-only arrays."""
@@ -345,9 +329,8 @@ def build_root_datum(n: int) -> RootDatum:
         coweights_exact.append(d)
         coweights.append(read_only(np.diag([float(v) for v in d]).astype(complex)))
     cartan = 2 * np.eye(rank, dtype=int) - np.eye(rank, dtype=int, k=1) - np.eye(rank, dtype=int, k=-1)
-    # q_exact inverts the transposed Cartan matrix in rational arithmetic
-    ct = [[Fraction(int(cartan[k][j])) for k in range(rank)] for j in range(rank)]
-    q_rows = _exact_inverse(ct)
+    # q_exact inverts the (symmetric) Cartan matrix of A_(n-1): min(j, k) - jk/n, 1-based
+    q_rows = [[Fraction(min(j, k)) - Fraction(j * k, n) for k in range(1, n)] for j in range(1, n)]
     q_exact = tuple(tuple(row) for row in q_rows)
     q_matrix = np.array([[float(v) for v in row] for row in q_rows])
     return RootDatum(

@@ -35,25 +35,15 @@ ALCOVE_MARGIN = 0.2
 GAPPED_DRAWS = 16384
 
 
-@dataclass(frozen=True)
-class ActionSpec:
-    """A group action at probe granularity: each generator's velocity, point -> dict."""
-
-    name: str
-    velocities: tuple
-    group_dim: int
+def conjugation_action(n: int) -> tuple:
+    """The symmetry-group action as the velocity (point -> dict) of each su(n) generator."""
+    return tuple(lambda p, z=z: p.conjugation_velocity(z) for z in su_basis(n))
 
 
-def conjugation_action(n: int) -> ActionSpec:
-    """The symmetry-group action, each point's own ``conjugate``."""
-    basis = su_basis(n)
-    velocities = tuple(lambda p, z=z: p.conjugation_velocity(z) for z in basis)
-    return ActionSpec("symmetry", velocities, len(basis))
-
-
-def generator_matrix(x, action: ActionSpec) -> np.ndarray:
-    """Columns are the generating tangent vectors of the action at x, in ``flat()`` order."""
-    return np.stack([x.tangent(v(x)) for v in action.velocities], axis=1)
+def generator_matrix(x, velocities) -> np.ndarray:
+    """Columns are the tangent vectors of the action's ``velocities`` (point -> dict) at x,
+    in ``flat()`` order."""
+    return np.stack([x.tangent(v(x)) for v in velocities], axis=1)
 
 
 @dataclass
@@ -64,11 +54,11 @@ class StabilizerReport:
     singular_values: np.ndarray = field(repr=False)
 
 
-def stabilizer_dimension(x, action: ActionSpec, n: int, point_id: str = "") -> StabilizerReport:
-    """Kernel dimension of the infinitesimal action at x, plus center check."""
+def stabilizer_dimension(x, action, n: int, point_id: str = "") -> StabilizerReport:
+    """Kernel dimension of the infinitesimal action (its velocities) at x, plus center check."""
     mat = generator_matrix(x, action)
     svals = np.linalg.svd(mat, compute_uv=False)
-    dim = int(np.sum(svals < SVD_KERNEL_TOL)) + max(0, action.group_dim - len(svals))
+    dim = int(np.sum(svals < SVD_KERNEL_TOL)) + max(0, len(action) - len(svals))
     center_ok = not any(x.distance(x.conjugate(zeta)) > 1e-8
                         for zeta in special_elements(n).center)
     return StabilizerReport(point_id, dim, center_ok, svals)
@@ -185,7 +175,7 @@ def apposition_regular_algebra(n: int, rng: np.random.Generator) -> np.ndarray:
 class PrincipalPoint:
     key: str
     point: object
-    action: ActionSpec
+    action: tuple                    # the velocities of the symmetry and then the torus
     torus_dim: int
     family: list = field(default_factory=list)
 
@@ -307,8 +297,7 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         hams = moduli.hamiltonian_family(x.space, fam, datum)
     if hams is not None:
         torus = harness.family_torus(hams, datum)
-    velocities = conjugation_action(n).velocities + tuple(g.velocity for g in torus.generators)
-    action = ActionSpec(f"symmetry+{torus.name}", velocities, n * n - 1 + torus.dim)
+    action = conjugation_action(n) + tuple(g.velocity for g in torus.generators)
     return PrincipalPoint(key, x, action, torus.dim, hams or [])
 
 
@@ -339,10 +328,8 @@ def rank_of(mat: np.ndarray) -> tuple[int, np.ndarray]:
 
 def ieq_rank_check(pp: PrincipalPoint, n: int, invariant_probes=None) -> RankReport:
     """Freeness and independence ranks at a crafted principal point."""
-    torus = ActionSpec("torus", pp.action.velocities[n * n - 1:], pp.torus_dim)
-    sym = ActionSpec("symmetry", pp.action.velocities[: n * n - 1], n * n - 1)
-    g2_rank, g2_sv = rank_of(generator_matrix(pp.point, torus))
-    sym_rank, sym_sv = rank_of(generator_matrix(pp.point, sym))
+    g2_rank, g2_sv = rank_of(generator_matrix(pp.point, pp.action[n * n - 1:]))
+    sym_rank, sym_sv = rank_of(generator_matrix(pp.point, pp.action[: n * n - 1]))
     if pp.family:
         d_rank, d_sv = rank_of(differential_matrix(pp.point, list(pp.family)))
         d_expected = pp.torus_dim

@@ -740,8 +740,7 @@ def check_freeness_rank(ctx: CheckContext) -> CheckResult:
         x = h.sample(rng)
         for spec in h.torus_specs():
             velocities = [g.velocity for g in spec.generators]
-            action = probes.ActionSpec(spec.name, velocities, spec.dim)
-            rank, _ = probes.rank_of(probes.generator_matrix(x, action))
+            rank, _ = probes.rank_of(probes.generator_matrix(x, velocities))
             if rank != spec.dim:
                 failures += 1
             if spec.periodic:

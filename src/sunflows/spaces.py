@@ -298,10 +298,6 @@ class FusionPoint(Point):
         """The i-th double factor (1-based, counting 'D' factors only)."""
         return self.factors[self.space.position("D", i)]
 
-    def hole(self, k: int) -> np.ndarray:
-        """The k-th conjugation factor (1-based, counting 'K' factors only)."""
-        return self.factors[self.space.position("K", k)]
-
     def letter_slot(self, name: str) -> tuple[tuple[int, int], bool]:
         """The (factor, component) a letter reads, and whether it is inverted."""
         inverse = name.endswith("~")

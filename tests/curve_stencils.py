@@ -1,14 +1,27 @@
-"""The generator matrix from one-parameter curves, as the probes built it before velocities.
+"""Finite-difference oracles the tests hold the closed forms against.
 
 ``probes.generator_matrix`` stacks the closed-form tangent vectors of an
 action's velocities.  The helpers here keep its former construction, a
 4-point central difference of ``flat()`` along a curve t -> p(t) per
 generator, as the oracle the tests hold the velocities against.
+
+Brackets read exact gradient tables only.  ``fd_observable`` gives a
+composition that has none (a product, a nested bracket, a chart followed by
+an observable) the finite-difference table of its geometry instead.
 """
 
 import numpy as np
 
 from sunflows import brackets, liecore
+
+
+def fd_observable(f):
+    """The observable f with the geometry's finite-difference table as its ``grad_table``."""
+    def obs(x):
+        return f(x)
+
+    obs.grad_table = lambda x: brackets._fd_tables([f], x)[0]
+    return obs
 
 
 def stencil_generator_matrix(x, curves) -> np.ndarray:

@@ -164,8 +164,7 @@ def test_criterion_5_isotropy():
             for spec in h.torus_specs():
                 # the velocities the probes read, and the torus action maps by stencils
                 velocities = [g.velocity for g in spec.generators]
-                action = probes.ActionSpec(spec.name, velocities, spec.dim)
-                for mat in (probes.generator_matrix(x, action),
+                for mat in (probes.generator_matrix(x, velocities),
                             stencil_generator_matrix(x, torus_curves(spec))):
                     if probes.rank_of(mat)[0] != spec.dim:
                         ok = False

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from curve_stencils import fd_observable
 
 from sunflows import brackets, harness, liecore, observables as ob
 from sunflows.errors import UnsupportedBracket
@@ -93,8 +94,8 @@ def test_derivative_linearity():
 
 
 def _product(g, h):
-    """The pointwise product observable; it has no exact table, so brackets take it by FD."""
-    return lambda x: g(x) * h(x)
+    """The pointwise product observable; it has no exact table, so it carries its FD table."""
+    return fd_observable(lambda x: g(x) * h(x))
 
 
 def _antisymmetry_and_leibniz(bracket, x, f, g, h):
@@ -151,7 +152,7 @@ def test_cotangent_bracket_satisfies_jacobi(n, seed):
     h = ob.word_observable(("g", "j"), part="im")
 
     def inner(a, b):
-        return lambda p: brackets.poisson_bracket(a, b, p)
+        return fd_observable(lambda p: brackets.poisson_bracket(a, b, p))
 
     terms = [brackets.poisson_bracket(a, inner(b, c), x) for a, b, c in ((f, g, h), (g, h, f),
                                                                         (h, f, g))]
@@ -174,7 +175,7 @@ def test_heisenberg_bracket_satisfies_jacobi(n, seed):
     h = ob.word_observable(("x",), part="im")
 
     def inner(a, b):
-        return lambda p: brackets.poisson_bracket(a, b, p)
+        return fd_observable(lambda p: brackets.poisson_bracket(a, b, p))
 
     terms = [brackets.poisson_bracket(a, inner(b, c), x) for a, b, c in ((f, g, h), (g, h, f),
                                                                         (h, f, g))]
@@ -200,8 +201,8 @@ def test_cotangent_fiber_family_is_abelian():
     worst = 0.0
     for _ in range(3):
         x = random_cotangent_point(3, rng)
-        f = lambda p: ob.AlgebraPower(2).value(p.j)
-        h = lambda p: ob.AlgebraPower(3).value(p.j)
+        f = fd_observable(lambda p: ob.AlgebraPower(2).value(p.j))
+        h = fd_observable(lambda p: ob.AlgebraPower(3).value(p.j))
         worst = max(worst, abs(brackets.poisson_bracket(f, h, x)))
     assert worst <= 1e-8
 
@@ -211,7 +212,7 @@ def test_double_bracket_equals_flow_derivative_on_word():
     rng = np.random.default_rng(11)
     x = double_space(2).random_point(rng)
     ham = ob.PowerTrace(2)
-    h_obs = lambda p: ham.value(p.pair(1)[0])
+    h_obs = fd_observable(lambda p: ham.value(p.pair(1)[0]))
     word = ob.word_observable(("b1", "a1", "b1", "a1~"))
     bk = brackets.fusion_bracket(word, h_obs, x)
     d_flow = brackets.directional_derivative(word, lambda t: flows.double_flow(x, ham, t, "first"))
@@ -240,8 +241,8 @@ def test_invariant_brackets_are_invariant():
     datum = liecore.build_root_datum(2)
     x = double_space(2).random_point(rng)
     eta = liecore.random_group_element(2, rng)
-    f = lambda p: ob.PowerTrace(2).value(p.pair(1)[0])
-    h = lambda p: ob.PowerTrace(1).value(p.pair(1)[0] @ p.pair(1)[1])
+    f = fd_observable(lambda p: ob.PowerTrace(2).value(p.pair(1)[0]))
+    h = fd_observable(lambda p: ob.PowerTrace(1).value(p.pair(1)[0] @ p.pair(1)[1]))
     v1 = brackets.fusion_bracket(f, h, x)
     v2 = brackets.fusion_bracket(f, h, x.conjugate(eta))
     assert abs(v1 - v2) <= 1e-8
@@ -287,5 +288,5 @@ def test_richardson_extrapolation_refines_derivative():
     curve = lambda t: flows.cotangent_flow(x, ham, t)
     plain = brackets.directional_derivative(obs, curve)
     refined = brackets.directional_derivative(obs, curve, richardson=True)
-    exact = brackets.poisson_bracket(obs, lambda p: ham.value(p.j), x)
+    exact = brackets.poisson_bracket(obs, fd_observable(lambda p: ham.value(p.j)), x)
     assert abs(refined - exact) <= abs(plain - exact) + 1e-12

@@ -14,6 +14,7 @@ generator per suite.
 
 import numpy as np
 import pytest
+from curve_stencils import fd_observable
 
 from sunflows import brackets, harness, liecore
 from sunflows import observables as ob
@@ -86,10 +87,10 @@ def _case(space, n, seed):
     kw = dict(m=2, holes=2, family=_FAMILY) if space == "moduli" else {}
     h = harness.build_harness(space, n, liecore.build_root_datum(n), **kw)
     x = h.sample(np.random.default_rng(seed))
-    # probes, generators and one opaque observable, which goes through the FD engine
+    # probes, generators and one opaque observable, which carries its FD table
     obs = h.probes() + [g.obs for g in all_generators(h)]
     probe = obs[1]
-    obs.append(lambda p: probe(p))
+    obs.append(fd_observable(lambda p: probe(p)))
     return x, obs
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import scipy.linalg
+from curve_stencils import fd_observable
 
 from sunflows import brackets, decomp, flows, liecore, observables as ob
 from sunflows.spaces import (
@@ -197,7 +198,7 @@ def test_rk4_bracket_flow_cross_checks_exact_flow():
     rng = np.random.default_rng(12)
     x = double_space(2).random_point(rng)
     ham = ob.PowerTrace(2)
-    h_obs = lambda p: ham.value(p.pair(1)[0])
+    h_obs = fd_observable(lambda p: ham.value(p.pair(1)[0]))
     tau = 0.25
     exact = flows.double_flow(x, ham, tau, "first")
     numeric = flows.rk4_bracket_flow(x, h_obs, tau, steps=12)

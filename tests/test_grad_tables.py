@@ -5,7 +5,9 @@ finite-difference engine builds for it (``cotangent_gradients`` or
 ``fusion_gradient_tables``), to truncation error; on the Heisenberg double
 the oracle is the Richardson-extrapolated derivative along each sl
 direction, whose error stays below the plain engine's h^4 term.
-``bracket_matrix`` mixes exact and finite-difference gradients in one call.
+Brackets read exact tables only: an observable without one is refused by
+name, and ``bracket_matrix`` mixes exact tables with the finite-difference
+tables that ``fd_observable`` attaches to opaque compositions.
 Chart pullbacks are letter substitutions: each substituted observable must
 match its opaque composition, and no check of a suite builds a
 finite-difference table.
@@ -14,6 +16,7 @@ finite-difference table.
 import numpy as np
 import pytest
 import scipy.linalg
+from curve_stencils import fd_observable
 
 from sunflows import brackets, flows, harness, liecore, moduli, observables as ob, scenario
 from sunflows.errors import UnsupportedBracket, UnsupportedWord
@@ -111,9 +114,9 @@ def test_bracket_matrix_mixes_exact_and_opaque_observables(space):
     gens = [g.obs for g in all_generators(h)][:4]
     chart = (lambda p: p.conjugate(p.g)) if space == "cotangent" else (
         lambda p: p.conjugate(p.slot(0, 0)))
-    pulled = lambda p: probes[1](chart(p))
+    pulled = fd_observable(lambda p: probes[1](chart(p)))
     mixed = brackets.bracket_matrix(probes + [pulled], gens + [pulled], x)
-    opaque = lambda o: (lambda p: o(p))
+    opaque = lambda o: fd_observable(lambda p: o(p))
     all_fd = brackets.bracket_matrix([opaque(o) for o in probes] + [pulled],
                                      [opaque(o) for o in gens] + [pulled], x)
     assert np.allclose(mixed, all_fd, rtol=1e-7, atol=1e-7)
@@ -166,6 +169,41 @@ def test_tables_refuse_unsupported_points_and_words():
         ob.WordFunction(ob.AlgebraPower(2), ("g",))
     with pytest.raises(UnsupportedWord):
         ob.RightFactorFunction(ob.PowerTrace(2), "b_right")
+
+
+def test_brackets_refuse_an_observable_without_a_table():
+    """No finite-difference fallback: every bracket path names the untabled observable."""
+    x = double_space(2).random_point(np.random.default_rng(53))
+    probe = ob.word_observable(("a1", "b1"))
+
+    def untabled_probe(p):
+        return probe(p)
+
+    calls = (lambda: brackets.bracket_matrix([probe], [untabled_probe], x),
+             lambda: brackets.bracket_matrix([untabled_probe], [probe], x),
+             lambda: brackets.momentum_condition_matrix([untabled_probe], [ob.PowerTrace(1)], x),
+             lambda: brackets.differentials([probe, untabled_probe], x))
+    for call in calls:
+        with pytest.raises(UnsupportedBracket, match="untabled_probe"):
+            call()
+
+
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "moduli"])
+def test_differentials_build_no_stencil(space, monkeypatch):
+    """Differential rows read only the keys and kinds of the tangent blocks: with every
+    stencil constructor refusing, the rows are the same."""
+    n = 3
+    h = _harness(space, n)
+    x = h.sample(np.random.default_rng(54))
+    fns = h.probes()[:3] + [g.obs for g in all_generators(h)][:3]
+    rows = brackets.differentials(fns, x)
+
+    def refuse(*args):
+        raise AssertionError("differentials built a stencil")
+
+    monkeypatch.setattr(brackets, "_translations", refuse)
+    monkeypatch.setattr(brackets, "_shifts", refuse)
+    assert np.array_equal(brackets.differentials(fns, x), rows)
 
 
 # ---------------------------------------------------------------------------

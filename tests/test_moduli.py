@@ -60,7 +60,7 @@ def test_embed_shift_lands_on_unit_level():
     # a point already on the level set gets the identity appended
     x0 = moduli_point(moduli_space(1, 0, 2),
                       [(np.diag([1j, -1j]), np.eye(2, dtype=complex))], [])
-    assert np.linalg.norm(embed_shift(x0).hole(1) - np.eye(2)) < 1e-12
+    assert np.linalg.norm(embed_shift(x0).letter("c1") - np.eye(2)) < 1e-12
 
 
 def test_sphere_family_generates_product_class_functions():
@@ -158,7 +158,7 @@ def test_commutator_range_and_tail_blocks_admissible():
     x = moduli_space(2, 1, 2).random_point(rng)
     h = moduli.WordHamiltonian(("tail", 2, 1), ob.PowerTrace(1))
     a, b = x.pair(2)
-    expect = a @ b @ a.conj().T @ b.conj().T @ x.hole(1)
+    expect = a @ b @ a.conj().T @ b.conj().T @ x.letter("c1")
     assert np.linalg.norm(h.block_value(x) - expect) < 1e-12
 
 
@@ -198,7 +198,7 @@ def test_single_block_flow_translates_partner():
     y = moduli.moduli_flow(x, h, 0.6)
     assert np.linalg.norm(y.pair(1)[0] - a) == 0.0
     assert np.linalg.norm(y.pair(1)[1] - b @ scipy.linalg.expm(-0.6 * chi.grad(a))) < 1e-13
-    assert np.linalg.norm(y.hole(1) - x.hole(1)) == 0.0
+    assert np.linalg.norm(y.letter("c1") - x.letter("c1")) == 0.0
 
 
 def test_momentum_conserved_along_all_family_flows():
@@ -240,7 +240,7 @@ def test_permutation_identity_and_explicit_form():
     # moving the first hole before the second handle twists it by that momentum
     y = moduli.permutation_pushforward(x, [1])
     (a1, b1), (a2, b2) = x.pair(1), x.pair(2)
-    c1, c2 = x.hole(1), x.hole(2)
+    c1, c2 = x.letter("c1"), x.letter("c2")
     phi2 = a2 @ b2 @ a2.conj().T @ b2.conj().T
     assert y.space.types == ("D", "K", "D", "K")
     assert np.linalg.norm(y.factors[0][0] - a1) == 0.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from curve_stencils import (assert_columns_close, conjugation_curves, stencil_generator_matrix,
-                            torus_curves)
+from curve_stencils import (assert_columns_close, conjugation_curves, fd_observable,
+                            stencil_generator_matrix, torus_curves)
 from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
 from sunflows.errors import RegularityViolation, SamplingFailure, ShapeError, Unsupported
 from sunflows.observables import AlcoveCoroot
@@ -107,7 +107,7 @@ def test_harness_generator_matrices_match_stencils_of_the_actions(kw, n):
     assert_columns_close(probes.generator_matrix(x, sym),
                          stencil_generator_matrix(x, conjugation_curves(n)))
     for spec in h.torus_specs():
-        action = probes.ActionSpec(spec.name, [g.velocity for g in spec.generators], spec.dim)
+        action = [g.velocity for g in spec.generators]
         assert_columns_close(probes.generator_matrix(x, action),
                              stencil_generator_matrix(x, torus_curves(spec)))
 
@@ -186,8 +186,8 @@ def test_rank_report_at_crafted_points():
 
     pp = probes.principal_test_point("sphere-adjoint-torus", n, datum, rng)
     rep = probes.ieq_rank_check(pp, n, invariant_probes=[
-        lambda p: float(np.trace(p.hole(1)).real),
-        lambda p: float(np.trace(p.hole(1) @ p.hole(2)).real),
+        fd_observable(lambda p: float(np.trace(p.letter("c1")).real)),
+        fd_observable(lambda p: float(np.trace(p.letter("c1") @ p.letter("c2")).real)),
     ])
     assert rep.generator_rank == rep.generator_expected == datum.rank
     assert rep.differential_rank == datum.rank

@@ -8,7 +8,8 @@ name from one of:
 - a demo script;
 - the benchmark tracer's ``SPANNED`` targets, which it wraps by name.
 
-Helpers that only tests call belong in the tests.
+Helpers that only tests call belong in the tests.  Likewise every name that
+``__init__.py`` re-exports is read through the package namespace by a demo.
 """
 
 import ast
@@ -74,3 +75,29 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
             if name not in _identifiers(tree, skip=[span]):
                 orphans.append(f"{path.stem}.{qual}")
     assert not orphans, f"defined in src but called only by tests (or not at all): {orphans}"
+
+
+def _package_reads(tree: ast.Module) -> set[str]:
+    """Names a script reads from the package namespace: ``sunflows.x`` through any alias of
+    ``import sunflows``, and ``from sunflows import x``."""
+    aliases, out = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "sunflows"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "sunflows" and not node.level:
+            out |= {a.name for a in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            out.add(node.attr)
+    return out
+
+
+def test_every_package_export_is_read_by_a_demo():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    read = set().union(*(_package_reads(ast.parse(demo.read_text()))
+                         for demo in sorted((ROOT / "demos").glob("*.py"))))
+    unread = sorted(exported - read)
+    assert not unread, f"re-exported by the package but read by no demo: {unread}"

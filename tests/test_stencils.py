@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from curve_stencils import fd_observable
 
 from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
 from sunflows import observables as ob
@@ -123,7 +124,7 @@ def test_engines_oracles_and_differentials_share_the_table():
     x = harness.build_harness("cotangent", n, liecore.build_root_datum(n)).sample(
         np.random.default_rng(19))
     obs = ob.word_observable(("g", "j", "j"))
-    opaque = lambda p: obs(p)
+    opaque = fd_observable(lambda p: obs(p))
     on_group = lambda g: obs(CotangentPoint(g, x.j))
     table, = brackets.cotangent_gradients([obs], x)
     assert np.array_equal(table["group"], brackets.group_gradient_fd([on_group], x.g)[0])
