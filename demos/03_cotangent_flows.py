@@ -41,7 +41,7 @@ probe = word_observable(("g", "j", "g", "j"))
 for ham, obs in ((quadratic, WordFunction(quadratic, ("j",))),
                  (base_class, WordFunction(base_class, ("g",)))):
     d_flow = brackets.directional_derivative(probe, lambda t: sf.cotangent_flow(x, ham, t))
-    bk = brackets.poisson_bracket(probe, obs, x)
+    bk = brackets.bracket_matrix([probe], [obs], x)[0, 0]
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")
 
 print("\n=== the compact torus action on the fiber-regular set ===")

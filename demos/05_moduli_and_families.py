@@ -13,7 +13,7 @@ import numpy as np
 
 import sunflows as sf
 from sunflows import brackets, moduli
-from sunflows.observables import AlcoveCoweight, PowerTrace, word_observable
+from sunflows.observables import PowerTrace, word_observable
 
 rng = np.random.default_rng(3)
 n = 2

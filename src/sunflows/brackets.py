@@ -539,14 +539,9 @@ def bracket_matrix(obs_list, gen_obs_list, x) -> np.ndarray:
     return velocity_pairings(_pick(stack, rows), sharp(_pick(stack, cols), x), x)
 
 
-def poisson_bracket(f_obs, h_obs, point) -> float:
-    """Bracket of two observables on any supported phase space."""
-    return float(bracket_matrix([f_obs], [h_obs], point)[0, 0])
-
-
 def fusion_bracket(f_obs, h_obs, point: FusionPoint) -> float:
     """Quasi-Poisson bracket of two observables on a fusion space."""
-    return poisson_bracket(f_obs, h_obs, point)
+    return float(bracket_matrix([f_obs], [h_obs], point)[0, 0])
 
 
 def group_gradient_fd(fns, g: np.ndarray) -> list[np.ndarray]:

@@ -216,9 +216,8 @@ def _right_factor_generators(fns, factor: str) -> list[Generator]:
 class HeisenbergHarness(Harness):
     def sample(self, rng):
         def check(x):
-            f = x.factors()
-            decomp.alcove_diagonalize(f.u_right, SAMPLING_MARGIN)
-            decomp.borel_chamber_diagonalize(f.b_right, SAMPLING_MARGIN)
+            decomp.alcove_diagonalize(x.factor("u_right"), SAMPLING_MARGIN)
+            decomp.borel_chamber_diagonalize(x.factor("b_right"), SAMPLING_MARGIN)
         return sample_regular("Heisenberg", 64, lambda: random_heisenberg_point(self.n, rng),
                               check)
 
@@ -254,22 +253,17 @@ class HeisenbergHarness(Harness):
             return p.factor("b_right")
 
         def posdef_pairs(p):
-            f = p.factors()
-            pos = decomp.posdef_of_borel(f.b_right)
-            return np.stack([pos, f.u_right.conj().T @ pos @ f.u_right])
-
-        def pl_momentum(p):
-            return heisenberg_momentum(p)
+            pos, u_right = decomp.posdef_of_borel(p.factor("b_right")), p.factor("u_right")
+            return np.stack([pos, u_right.conj().T @ pos @ u_right])
 
         def w_invariant(p):
-            f = p.factors()
-            return f.b_left @ f.b_right @ f.u_left.conj().T
+            return heisenberg_momentum(p) @ p.factor("u_left").conj().T
 
         return [
             ConservedSpec("right-borel-factor", "borel-invariants", right_borel),
             ConservedSpec("posdef-momentum-pair", "borel-invariants", posdef_pairs),
-            ConservedSpec("group-momentum", "borel-invariants", pl_momentum),
-            ConservedSpec("group-momentum", "unitary-class", pl_momentum),
+            ConservedSpec("group-momentum", "borel-invariants", heisenberg_momentum),
+            ConservedSpec("group-momentum", "unitary-class", heisenberg_momentum),
             ConservedSpec("triangular-invariant", "unitary-class", w_invariant),
         ]
 
@@ -395,12 +389,13 @@ class FusionHarness(Harness):
         return table.get((self.space.num_double, self.space.num_conj), [])
 
 
-class DoubleHarness(FusionHarness):
+class DoubleHarness(Harness):
     """Internally fused double with the first-slot ('h') or second-slot ('htilde') family."""
 
+    probes = FusionHarness.probes
+
     def __init__(self, n: int, datum: RootDatum, which: str = "h"):
-        # no word family, so FusionHarness.__init__ is skipped: only space and probes are shared
-        Harness.__init__(self, n, datum)
+        super().__init__(n, datum)
         self.space = double_space(n)
         self.which = which
         self.label = "h" if which == "h" else "htilde"

@@ -5,7 +5,9 @@ special unitary matrices, algebra elements are anti-Hermitian traceless
 matrices, and the invariant bilinear form is normalized so that it coincides
 with the matrix trace form.  With that normalization the pairing of opposite
 root vectors equals one, which is the convention every bracket and gradient
-formula in the package relies on.
+formula in the package relies on.  ``gapped_spectrum`` builds every regular
+spectrum the package does not rejection sample: alcove and chamber vectors
+that clear every wall by a chosen floor.
 """
 
 from __future__ import annotations
@@ -146,9 +148,6 @@ class Pairing:
 
     kind: str = "trace"
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
-        return pair(x, y, self)
-
 
 TRACE_FORM = Pairing("trace")
 IM_FORM = Pairing("im")
@@ -158,11 +157,7 @@ def pair(x: np.ndarray, y: np.ndarray, pairing: Pairing = TRACE_FORM) -> float:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ShapeError(f"incompatible shapes {x.shape} and {y.shape}")
     t = np.trace(x @ y)
-    if pairing.kind == "trace":
-        return float(t.real)
-    if pairing.kind == "im":
-        return float(t.imag)
-    raise ShapeError(f"unknown pairing kind {pairing.kind!r}")
+    return float(t.imag if pairing.kind == "im" else t.real)
 
 
 def gram(left: np.ndarray, right: np.ndarray, pairing: Pairing = TRACE_FORM) -> np.ndarray:
@@ -422,6 +417,19 @@ def apposition_algebra_element(diag: np.ndarray, special: SpecialElements) -> np
 # ---------------------------------------------------------------------------
 # random sampling
 # ---------------------------------------------------------------------------
+
+def gapped_spectrum(n: int, rng: np.random.Generator, floor: float,
+                    total: float = 2 * np.pi) -> np.ndarray:
+    """Decreasing zero-sum vector xi whose n - 1 gaps and slack total - (xi_1 - xi_n) are each
+    ``floor`` plus a uniform (Dirichlet) split of the rest of ``total``.
+
+    With total = 2*pi the slack is the affine wall, so xi is an alcove vector and a chamber
+    vector at once, clearing every wall by ``floor``; a smaller total bounds its spread.
+    """
+    gaps = floor + (total - n * floor) * rng.dirichlet(np.ones(n))
+    xi = -np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    return xi - xi.mean()
+
 
 def random_algebra_element(n: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian anti-Hermitian traceless matrix."""

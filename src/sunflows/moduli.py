@@ -176,10 +176,7 @@ class WordHamiltonian:
     def block_value(self, x: FusionPoint) -> np.ndarray:
         if self.block[0] == "single":
             return x.pair(self.block[1])[0]
-        out = np.eye(x.n, dtype=complex)
-        for f in block_positions(x.space, self.block):
-            out = out @ x.factor_momentum(f)
-        return out
+        return x.momentum(block_positions(x.space, self.block))
 
     def __call__(self, x: FusionPoint) -> float:
         return self.classfn.value(self.block_value(x))

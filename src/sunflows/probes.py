@@ -4,7 +4,9 @@ Infinitesimal stabilizers are measured as kernels of the generator matrix of
 an action at a point, crafted points realize the principal-isotropy
 constructions (torus pairs in apposition, Coxeter representatives, torus
 commutator solutions), and rank checks compare generator spans against the
-differentials of the action variables.
+differentials of the action variables.  The alcove and chamber vectors of the
+crafted points come from ``liecore.gapped_spectrum`` and are regular by
+construction; only the torus commutator pairs are redrawn.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import brackets, decomp, harness, liecore, moduli
-from .errors import RegularityViolation, ShapeError, Unsupported
+from .errors import ShapeError, Unsupported
 from .liecore import RootDatum, special_elements, su_basis
 from .observables import AlcoveCoweight
 from .spaces import (
@@ -28,11 +30,9 @@ from .spaces import (
 )
 
 SVD_KERNEL_TOL = 1e-7
-# wall margin of the crafted alcove points
+# wall margin of the crafted alcove points and of the commutator-solve targets; the crafted
+# chamber vectors keep the same 0.2 gaps within totals of 3.0 (algebra) and 2.4 (Borel)
 ALCOVE_MARGIN = 0.2
-# draws of a gapped spectrum; the worst acceptance rate is 9.0e-4 (n=8 on [-1.2, 1.2]),
-# so all of them are rejected with probability about 4e-7
-GAPPED_DRAWS = 16384
 
 
 def conjugation_action(n: int) -> tuple:
@@ -121,50 +121,26 @@ def solve_commutator_in_torus(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
 # crafted sampling helpers
 # ---------------------------------------------------------------------------
 
-def alcove_interior(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random point of the open alcove with wall margins at least ``ALCOVE_MARGIN``."""
-    gaps = ALCOVE_MARGIN + rng.uniform(0.2, 0.8, size=n - 1)
-    total = gaps.sum()
-    limit = 2 * np.pi - ALCOVE_MARGIN
-    if total > limit:
-        gaps *= limit / total * 0.95
-    xi = np.concatenate([[0.0], -np.cumsum(gaps)])
-    return xi - xi.mean()
-
-
 def alcove_torus_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    return np.diag(np.exp(1j * alcove_interior(n, rng)))
+    return np.diag(np.exp(1j * liecore.gapped_spectrum(n, rng, ALCOVE_MARGIN)))
 
 
 def apposition_regular_group(n: int, rng: np.random.Generator) -> np.ndarray:
     spec = special_elements(n)
-    return liecore.apposition_torus_element(alcove_interior(n, rng), spec)
+    return liecore.apposition_torus_element(liecore.gapped_spectrum(n, rng, ALCOVE_MARGIN), spec)
 
 
 def regular_torus_commutator_pair(n: int, rng: np.random.Generator):
     """Torus/Coxeter pair (A, B) with [A, B] in the alcove interior, A regular."""
     return harness.sample_regular(
-        "torus commutator pair", 64, lambda: solve_commutator_in_torus(alcove_interior(n, rng), n),
+        "torus commutator pair", 64,
+        lambda: solve_commutator_in_torus(liecore.gapped_spectrum(n, rng, ALCOVE_MARGIN), n),
         lambda pair: decomp.alcove_diagonalize(pair[0], 0.05))
-
-
-def _gapped_spectrum(n: int, rng: np.random.Generator, half_width: float) -> np.ndarray:
-    """Decreasing uniform draw from [-half_width, half_width]^n with every gap at least 0.2.
-
-    A draw is accepted with probability (1 - (n-1) 0.2 / (2 half_width))^n.
-    """
-    def check(d):
-        gap = np.min(d[:-1] - d[1:])
-        if gap < 0.2:
-            raise RegularityViolation(f"spectrum gap {gap:.3e} below 0.2")
-    return harness.sample_regular(
-        "gapped spectrum", GAPPED_DRAWS,
-        lambda: np.sort(rng.uniform(-half_width, half_width, size=n))[::-1], check)
 
 
 def apposition_regular_algebra(n: int, rng: np.random.Generator) -> np.ndarray:
     spec = special_elements(n)
-    return liecore.apposition_algebra_element(_gapped_spectrum(n, rng, 1.5), spec)
+    return liecore.apposition_algebra_element(liecore.gapped_spectrum(n, rng, 0.2, 3.0), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +196,8 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         torus = chamber if key == "cotangent-compact-torus" else translate
     elif key in ("heisenberg-compact-torus", "heisenberg-line-action"):
         g_right = alcove_torus_point(n, rng)
-        d = _gapped_spectrum(n, rng, 1.2)
-        pos_target = conj_by_f(np.diag(np.exp(d - d.mean())))
+        d = liecore.gapped_spectrum(n, rng, 0.2, 2.4)
+        pos_target = conj_by_f(np.diag(np.exp(d)))
         gram = g_right.conj().T @ np.linalg.inv(pos_target) @ g_right
         low = np.linalg.cholesky(gram)
         b_left = np.linalg.inv(low.conj().T)

@@ -24,7 +24,8 @@ import numpy as np
 from . import brackets, decomp, flows, harness as harness_mod, liecore, moduli, probes
 from .errors import InvalidShape
 from .liecore import build_root_datum
-from .observables import (AlcoveCoweight, PowerTrace, entry_observable, substitute,
+from .observables import (AlcoveCoroot, AlcoveCoweight, AlgebraPower, BorelChamberCoroot,
+                          BorelPower, ChamberCoroot, PowerTrace, entry_observable, substitute,
                           word_observable, word_product)
 from .spaces import FusionPoint, embed_shift, moduli_space
 
@@ -332,7 +333,7 @@ def check_commutator_solve(ctx: CheckContext) -> CheckResult:
     for n in range(2, 6):
         rng = ctx.rng(f"commutator-solve-{n}")
         for _ in range(10):
-            xi = probes.alcove_interior(n, rng)
+            xi = liecore.gapped_spectrum(n, rng, probes.ALCOVE_MARGIN)
             a, b = probes.commutator_solve(xi, n)
             target = np.diag(np.exp(1j * xi))
             worst = _worst(worst, float(np.linalg.norm(
@@ -395,26 +396,19 @@ def check_dressing(ctx: CheckContext) -> CheckResult:
 ORACLE_FLOOR = 0.12
 
 
-def _oracle_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Decreasing zero-sum vector whose n - 1 gaps and affine wall 2*pi - (xi_1 - xi_n) are
-    ORACLE_FLOOR plus a uniform split of the rest of 2*pi: an alcove and a chamber vector."""
-    gaps = ORACLE_FLOOR + (2 * np.pi - n * ORACLE_FLOOR) * rng.dirichlet(np.ones(n))
-    xi = -np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    return xi - xi.mean()
-
-
 def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
     """Closed-form gradients against finite differences at points that are regular by
-    construction: a Haar frame Q conjugates spectra that clear every wall by ORACLE_FLOOR.
-    The normal forms still assert the 0.05 margin; no point is ever drawn again."""
+    construction: a Haar frame Q conjugates spectra (``liecore.gapped_spectrum``) that clear
+    every wall by ORACLE_FLOOR.  The normal forms still assert the 0.05 margin; no point is
+    ever drawn again."""
     n = ctx.cfg.n
     datum = ctx.datum
     rng = ctx.rng("gradient-oracles")
     worst = 0.0
-    from .observables import (AlcoveCoroot, AlcoveCoweight, AlgebraPower,
-                              BorelChamberCoroot, BorelPower, ChamberCoroot, PowerTrace)
 
-    def conjugate(diag):
+    def conjugate(fn):
+        """Q fn(xi) Q^H for a fresh gapped spectrum xi and then a fresh Haar frame Q."""
+        diag = fn(liecore.gapped_spectrum(n, rng, ORACLE_FLOOR))
         q = liecore.haar_unitary(n, rng)
         return (q * diag) @ q.conj().T
 
@@ -423,9 +417,9 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
     algebra_fns = [AlgebraPower(2), ChamberCoroot(0, datum)]
     borel_fns = [BorelPower(1), BorelChamberCoroot(0, datum)]
     for _ in range(30):
-        g = conjugate(np.exp(1j * _oracle_spectrum(n, rng)))
-        j_alg = liecore.skew_traceless(conjugate(1j * _oracle_spectrum(n, rng)))
-        b = decomp.borel_of_posdef(conjugate(np.exp(_oracle_spectrum(n, rng))))
+        g = conjugate(lambda xi: np.exp(1j * xi))
+        j_alg = liecore.skew_traceless(conjugate(lambda xi: 1j * xi))
+        b = decomp.borel_of_posdef(conjugate(np.exp))
         decomp.alcove_diagonalize(g, 0.05)
         decomp.chamber_diagonalize(j_alg, 0.05)
         decomp.borel_chamber_diagonalize(b, 0.05)
@@ -574,7 +568,6 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("unitary-conjugation-law")
     worst = 0.0
-    from .observables import AlcoveCoroot, PowerTrace
     for _ in range(4):
         x = h.sample(rng)
         u0 = x.factor("u_right")
@@ -596,13 +589,12 @@ def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
     for _ in range(6):
         x = ctx.harness.sample(rng)
         eta = liecore.random_group_element(n, rng)
-        f = x.factors()
         moved = x.conjugate(eta)
-        twist = decomp.iwasawa_right(eta @ f.b_left)[1].conj().T
-        fm = moved.factors()
+        twist = decomp.iwasawa_right(eta @ x.factor("b_left"))[1].conj().T
         worst = _worst(worst, float(np.linalg.norm(
-            fm.u_right - twist @ f.u_right @ twist.conj().T)))
-        worst = _worst(worst, float(np.linalg.norm(fm.b_right - decomp.dress(twist, f.b_right))))
+            moved.factor("u_right") - twist @ x.factor("u_right") @ twist.conj().T)))
+        worst = _worst(worst, float(np.linalg.norm(
+            moved.factor("b_right") - decomp.dress(twist, x.factor("b_right")))))
     return _result(ctx, "quasi-adjoint-law",
                    "the symmetry action transforms the right factors by twist and dressing",
                    worst, 1e-9)
@@ -844,10 +836,8 @@ def check_permutations(ctx: CheckContext) -> CheckResult:
 
     def check(drawn):
         for p1, p2 in ((0, 1), (2, 3)):
-            val = np.eye(n, dtype=complex)
-            for f in range(p1, p2 + 1):
-                val = val @ drawn[1].factor_momentum(f)
-            decomp.alcove_diagonalize(val, harness_mod.SAMPLING_MARGIN)
+            decomp.alcove_diagonalize(drawn[1].momentum(range(p1, p2 + 1)),
+                                      harness_mod.SAMPLING_MARGIN)
     x, _ = harness_mod.sample_regular("permuted", 64, draw, check)
     pulled = []
     for p1, p2 in ((0, 1), (2, 3)):

@@ -126,9 +126,6 @@ class HeisenbergPoint(Point):
             return np.linalg.inv(self.x.conj().T)
         raise ShapeError(f"unknown Heisenberg letter {name!r}")
 
-    def factors(self) -> decomp.IwasawaFactors:
-        return decomp.iwasawa_decompose(self.x)
-
     def factor(self, name: str) -> np.ndarray:
         """Iwasawa factor ``name`` of X from its half, (u_left, b_right) or (b_left, u_right)."""
         half = decomp.iwasawa_left if name in ("u_left", "b_right") else decomp.iwasawa_right
@@ -152,8 +149,7 @@ class HeisenbergPoint(Point):
 
 def heisenberg_momentum(x: HeisenbergPoint) -> np.ndarray:
     """Group-valued momentum map b_left b_right of the quasi-adjoint action."""
-    f = x.factors()
-    return f.b_left @ f.b_right
+    return x.factor("b_left") @ x.factor("b_right")
 
 
 def random_heisenberg_point(n: int, rng: np.random.Generator) -> HeisenbergPoint:
@@ -265,9 +261,10 @@ class FusionPoint(Point):
             return commutator(a, b)
         return self.factors[f]
 
-    def momentum(self) -> np.ndarray:
+    def momentum(self, positions=None) -> np.ndarray:
+        """Product of the factor momenta at ``positions`` in order, all of them by default."""
         out = np.eye(self.n, dtype=complex)
-        for f in range(len(self.factors)):
+        for f in range(len(self.factors)) if positions is None else positions:
             out = out @ self.factor_momentum(f)
         return out
 

@@ -9,12 +9,9 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from curve_stencils import stencil_generator_matrix, torus_curves
 from sunflows import liecore, probes
 from sunflows import harness as harness_mod
-from sunflows import observables as ob
 from sunflows.scenario import (
     CheckContext,
     ScenarioConfig,

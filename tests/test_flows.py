@@ -1,6 +1,5 @@
 import numpy as np
 import scipy.linalg
-from curve_stencils import fd_observable
 
 from sunflows import brackets, decomp, flows, liecore, observables as ob
 from sunflows.spaces import (
@@ -74,11 +73,11 @@ def test_heisenberg_conserved_quantities():
     rng = np.random.default_rng(3)
     datum = liecore.build_root_datum(2)
     x = random_heisenberg_point(2, rng)
-    f0 = x.factors()
+    f0 = decomp.iwasawa_decompose(x.x)
     lam0 = heisenberg_momentum(x)
     for ham in (ob.BorelPower(1), ob.BorelChamberCoroot(0, datum)):
         y = flows.heisenberg_flow(x, ham, 0.9)
-        f1 = y.factors()
+        f1 = decomp.iwasawa_decompose(y.x)
         assert np.linalg.norm(f1.b_right - f0.b_right) <= 1e-10
         assert np.linalg.norm(heisenberg_momentum(y) - lam0) <= 1e-10
         pos0 = decomp.posdef_of_borel(f0.b_right)
@@ -93,12 +92,12 @@ def test_heisenberg_unitary_factor_conjugation_law():
     rng = np.random.default_rng(4)
     datum = liecore.build_root_datum(2)
     x = random_heisenberg_point(2, rng)
-    u0 = x.factors().u_right
+    u0 = x.factor("u_right")
     for tau in (0.4, 1.5):
         ham = ob.AlcoveCoroot(0, datum)
         y = flows.heisenberg_flow(x, ham, tau)
         gamma = flows.heisenberg_flow_unitary_part(x, ham, tau)
-        assert np.linalg.norm(y.factors().u_right - gamma @ u0 @ gamma.conj().T) <= 1e-9
+        assert np.linalg.norm(y.factor("u_right") - gamma @ u0 @ gamma.conj().T) <= 1e-9
 
 
 def test_heisenberg_torus_matches_flows_and_periodicity():
@@ -198,7 +197,7 @@ def test_rk4_bracket_flow_cross_checks_exact_flow():
     rng = np.random.default_rng(12)
     x = double_space(2).random_point(rng)
     ham = ob.PowerTrace(2)
-    h_obs = fd_observable(lambda p: ham.value(p.pair(1)[0]))
+    h_obs = ob.WordFunction(ham, ("a1",))
     tau = 0.25
     exact = flows.double_flow(x, ham, tau, "first")
     numeric = flows.rk4_bracket_flow(x, h_obs, tau, steps=12)

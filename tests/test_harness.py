@@ -103,8 +103,7 @@ def test_gradient_oracles_build_thirty_regular_points_of_each_kind(n, monkeypatc
         return wrapper
 
     monkeypatch.setattr(liecore, "haar_unitary", counted("frame", liecore.haar_unitary))
-    monkeypatch.setattr(scenario, "_oracle_spectrum",
-                        counted("spectrum", scenario._oracle_spectrum))
+    monkeypatch.setattr(liecore, "gapped_spectrum", counted("spectrum", liecore.gapped_spectrum))
     for name in ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize"):
         monkeypatch.setattr(decomp, name, asserting(name, getattr(decomp, name)))
     report = scenario.run_scenario(scenario.ScenarioConfig(

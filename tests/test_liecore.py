@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sunflows import decomp, liecore
+from sunflows import decomp, liecore, probes, scenario
 from sunflows.errors import DegenerateBasis, InvalidRank, ShapeError
 
 
@@ -228,6 +228,26 @@ def test_random_elements_land_in_their_sets():
     x = liecore.random_sl_element(4, rng)
     assert abs(np.linalg.det(x) - 1.0) < 1e-9
     assert _is_special_unitary(liecore.haar_unitary(4, rng))
+
+
+# the (floor, total) of every caller: gradient-oracles, the crafted alcove points and
+# commutator-solve targets, and the crafted algebra and Borel chamber vectors
+_GAPPED_FLOORS = [(scenario.ORACLE_FLOOR, 2 * np.pi), (probes.ALCOVE_MARGIN, 2 * np.pi),
+                  (0.2, 3.0), (0.2, 2.4)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("floor, total", _GAPPED_FLOORS)
+def test_gapped_spectrum_clears_every_wall_by_its_floor(floor, total, n):
+    """A zero-sum decreasing vector whose gaps and slack total - (xi_1 - xi_n) are each at
+    least ``floor``, up to the roundoff of the cumulative sums."""
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        xi = liecore.gapped_spectrum(n, rng, floor, total)
+        assert xi.shape == (n,)
+        assert abs(xi.sum()) <= 1e-12
+        gaps = np.append(xi[:-1] - xi[1:], total - (xi[0] - xi[-1]))
+        assert np.all(gaps >= floor - 1e-12), gaps
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -31,6 +31,26 @@ def test_momentum_of_commuting_pair_is_identity():
     assert np.linalg.norm(x.momentum() - np.eye(3)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_momenta_are_the_left_to_right_products(n):
+    """``momentum(positions)`` is bit-equal to the product of the factor momenta at
+    ``positions`` taken left to right from the identity: the loop that ``block_value`` and
+    the permutation-brackets sampler ran before, on each momentum block of the desk-sweep
+    family and on the span of the first two factors."""
+    space = moduli_space(2, 2, n)
+    family = moduli.IntervalFamily(single=(1,), commutators=(2,), intervals=((1, 2),))
+    blocks = [b for b in moduli.family_blocks(family) if b[0] != "single"] + [("span", 0, 1)]
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = space.random_point(rng)
+        for block in blocks:
+            positions = moduli.block_positions(space, block)
+            old = np.eye(n, dtype=complex)
+            for f in positions:
+                old = old @ x.factor_momentum(f)
+            assert np.array_equal(x.momentum(positions), old), block
+
+
 def test_momentum_equivariance():
     rng = np.random.default_rng(0)
     space = moduli_space(1, 2, 3)

@@ -140,7 +140,7 @@ def _class_velocity_compact_part(mp):
     # the first-order b_left of exp(i tau grad) is the Borel part of i grad, not the compact one
     def velocity(x, ham):
         if isinstance(ham, ClassFunction):
-            return {"rmul": project_compact(1j * ham.grad(x.factors().u_right))}
+            return {"rmul": project_compact(1j * ham.grad(x.factor("u_right")))}
         return _heisenberg_velocity(x, ham)
     mp.setattr(flows, "heisenberg_velocity", velocity)
 

@@ -4,8 +4,8 @@ import scipy.linalg
 
 from curve_stencils import (assert_columns_close, conjugation_curves, fd_observable,
                             stencil_generator_matrix, torus_curves)
-from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
-from sunflows.errors import RegularityViolation, SamplingFailure, ShapeError, Unsupported
+from sunflows import brackets, flows, harness, liecore, moduli, probes
+from sunflows.errors import RegularityViolation, ShapeError, Unsupported
 from sunflows.observables import AlcoveCoroot
 from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, double_space,
                              moduli_point)
@@ -152,20 +152,11 @@ def test_commutator_solve_values():
 def test_commutator_solve_random_targets(n):
     rng = np.random.default_rng(n + 10)
     for _ in range(5):
-        xi = probes.alcove_interior(n, rng)
+        xi = liecore.gapped_spectrum(n, rng, probes.ALCOVE_MARGIN)
         for a, b in (probes.commutator_solve(xi, n),
                      probes.solve_commutator_in_torus(xi, n)):
             comm = a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
             assert np.linalg.norm(comm - np.diag(np.exp(1j * xi))) <= 1e-10
-
-
-def test_alcove_interior_has_margins():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 5):
-        xi = probes.alcove_interior(n, rng)
-        assert abs(xi.sum()) < 1e-12
-        assert np.min(xi[:-1] - xi[1:]) >= 0.2
-        assert xi[0] - xi[-1] < 2 * np.pi - 0.2
 
 
 def test_rank_report_at_crafted_points():
@@ -192,35 +183,6 @@ def test_rank_report_at_crafted_points():
     assert rep.generator_rank == rep.generator_expected == datum.rank
     assert rep.differential_rank == datum.rank
     assert rep.invariant_probe_rank >= 1
-
-
-@pytest.mark.parametrize("n", [2, 5, 8])
-@pytest.mark.parametrize("half_width", [1.5, 1.2])
-def test_gapped_spectrum_takes_the_first_gapped_draw(n, half_width):
-    """The same draws, and the same rng state after them, as a loop that redraws
-    until every gap is at least 0.2."""
-    rng, reference = np.random.default_rng(n), np.random.default_rng(n)
-    d = np.sort(reference.uniform(-half_width, half_width, size=n))[::-1]
-    while np.min(d[:-1] - d[1:]) < 0.2:
-        d = np.sort(reference.uniform(-half_width, half_width, size=n))[::-1]
-    assert np.array_equal(probes._gapped_spectrum(n, rng, half_width), d)
-    assert rng.uniform() == reference.uniform()
-
-
-def test_gapped_spectrum_gives_up_after_its_budget():
-    class Flat:
-        """Every draw is n equal values, so every gap is 0."""
-        draws = 0
-
-        def uniform(self, low, high, size):
-            self.draws += 1
-            return np.zeros(size)
-
-    rng = Flat()
-    with pytest.raises(SamplingFailure, match=rf"gapped spectrum point in {probes.GAPPED_DRAWS} "
-                                              r"draws; last: spectrum gap 0\.000e\+00 below 0\.2"):
-        probes._gapped_spectrum(3, rng, 1.5)
-    assert rng.draws == probes.GAPPED_DRAWS
 
 
 def test_irregular_argument_raises():

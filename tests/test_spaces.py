@@ -134,7 +134,6 @@ def test_heisenberg_conjugate_is_the_quasi_adjoint_action(n):
         x = random_heisenberg_point(n, rng)
         eta = liecore.random_group_element(n, rng)
         # the former spaces.quasi_adjoint(eta, x)
-        f = x.factors()
-        twist = decomp.iwasawa_decompose(eta @ f.b_left).u_right
+        twist = decomp.iwasawa_decompose(eta @ x.factor("b_left")).u_right
         expected = HeisenbergPoint(eta @ x.x @ twist)
         assert np.array_equal(x.conjugate(eta).flat(), expected.flat())

@@ -9,7 +9,8 @@ name from one of:
 - the benchmark tracer's ``SPANNED`` targets, which it wraps by name.
 
 Helpers that only tests call belong in the tests.  Likewise every name that
-``__init__.py`` re-exports is read through the package namespace by a demo.
+``__init__.py`` re-exports is read through the package namespace by a demo, and
+no module of the package, the demos or the tests imports a name it never reads.
 """
 
 import ast
@@ -101,3 +102,23 @@ def test_every_package_export_is_read_by_a_demo():
                          for demo in sorted((ROOT / "demos").glob("*.py"))))
     unread = sorted(exported - read)
     assert not unread, f"re-exported by the package but read by no demo: {unread}"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the imports of ``tree`` (``__future__`` aside) that it never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({a.asname or a.name: node.lineno for a in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unread = {str(p.relative_to(ROOT)): names for p in paths
+              if (names := _unread_imports(ast.parse(p.read_text())))}
+    assert not unread, f"imported but never read: {unread}"
