@@ -1,51 +1,48 @@
 """Derivative and bracket engines.
 
-Every bracket goes through ``bracket_matrix``: the point's geometry supplies
-per-observable gradients (group and fiber gradients on the cotangent bundle,
-left and right complexified derivatives on the Heisenberg double, per-letter
-left/right gradient tables on fusion spaces), and each geometry states its
-bivector P once, as its sharp map (``sharp``), from stacked gradient tables
-to stacked Hamiltonian velocities keyed like the flows' velocities: the
-canonical cotangent bivector, the Heisenberg-double bivector built from the
-two isotropic projections, and the quasi-Poisson bivector of fusion spaces.
+Every bracket goes through ``bracket_matrix``: each observable brings its
+gradient table at the point, and each geometry states its bivector P once,
+as its sharp map (``sharp``) from stacked gradient tables to stacked
+Hamiltonian velocities keyed like the flows' velocities: the canonical
+cotangent bivector, the Heisenberg-double bivector built from the two
+isotropic projections, and the quasi-Poisson bivector of fusion spaces.
 {F, H} is F's table paired with P-sharp of H's (``velocity_pairings``, the
 one pairing kernel, which also pairs the flows' closed-form velocities).
 
 Gradients are exact tables, and only exact tables.  An observable carries
-``grad_table(point)``, returning the dict the geometry's finite-difference
-engine would build, keyed like ``_tangent_blocks``: 'group' and 'fiber' on cotangent
-points, the complexified derivatives 'lmul' (D) and 'rmul' (D') on the Heisenberg
-double and (factor, component, side) on fusion points.  Word traces
-(``word_observable``) carry it on all three, from Goldman's cyclic
-derivative; class functions of words (``moduli.WordHamiltonian``,
-``observables.WordFunction``) carry it on cotangent and fusion points, by
-conjugating the class-function gradient along the word; functions of the
-right Iwasawa factors (``observables.RightFactorFunction``, the Heisenberg
-generators) carry it through the first-order Iwasawa splitting, the
-dressing linearization.  Chart pullbacks are letter substitutions
-(``observables.substitute``) and a momentum pullback k(mu) is a class
-function of the whole momentum word, so they carry word tables too.
-``bracket_matrix``, ``momentum_condition_matrix`` and ``differentials`` read
-that one interface on every geometry, and refuse an observable without a
-table (``UnsupportedBracket``).  The finite-difference table engine
-(``_fd_tables`` and its per-geometry names) is no bracket path: it is the
-oracle the exact tables are tested against.
+``grad_table(point)``, keyed like ``_tangent_blocks``: 'group' and 'fiber'
+on cotangent points, the complexified derivatives 'lmul' (D) and 'rmul'
+(D') on the Heisenberg double and (factor, component, side) on fusion
+points.  Word traces carry it on all three, from Goldman's cyclic
+derivative (``trace_word_table``); class functions of words on cotangent
+and fusion points, by conjugating the class-function gradient along the
+word (``class_word_table``); functions of the right Iwasawa factors (the
+Heisenberg generators) through the dressing linearization
+(``right_factor_table``).  Chart pullbacks are letter substitutions and a
+momentum pullback k(mu) is a class function of the whole momentum word, so
+they carry word tables too.  An observable without a table raises
+``UnsupportedBracket``.  The finite-difference table engine (``_fd_tables``
+and its per-geometry names) is no bracket path: it is the oracle the exact
+tables are tested against.
+
+Points may be stacks (``spaces``).  The word, class and right-factor
+tables, ``gradient_stack``, ``sharp``, ``velocity_pairings``,
+``bracket_matrix``, ``momentum_condition_matrix`` and ``differentials``
+take a leading point axis: tables are (..., observables, n, n) and
+brackets (..., rows, columns), each point with the bytes of its one-point
+call.  The stencils below are built one point at a time.
 
 Directional derivatives are fourth-order central differences with one step
-per basis (``STEP``).  This module builds every finite-difference stencil,
-one basis block at a time, as one (directions, offsets, n, n) stack:
-translations multiply one cached array of the powers of exp(hZ) per basis
-(``_steps``), and the additive directions are shifts m + k h Z.  The
-gradient engines and the finite-difference oracles use them.  Gradients are
-assembled against cached dual bases, so no linear solve happens per call.
-
-The engines wrap each stencil matrix into a point and evaluate every
-observable there, each point built once for all of them.  The oracles
-(``group_gradient_fd``, ``algebra_gradient_fd``, ``borel_gradient_fd``)
-hand the whole stack to a function's ``values`` when it has one (the
-closed-form class, algebra and Borel families), so a block costs one
-stacked eigenvalue solve instead of one normal form per stencil point;
-opaque callables are still evaluated one stencil matrix at a time.
+per basis (``STEP``).  Every stencil is built one basis block at a time, as
+one (directions, offsets, n, n) stack: translations multiply one cached
+array of the powers of exp(hZ) per basis (``_steps``), and the additive
+directions are shifts m + k h Z.  Gradients are assembled against cached
+dual bases, so no linear solve happens per call.  The engines wrap each
+stencil matrix into a point and evaluate every observable there; the
+oracles (``group_gradient_fd``, ``algebra_gradient_fd``,
+``borel_gradient_fd``) hand the whole stack to a function's ``values`` when
+it has one, so a block costs one stacked eigenvalue solve; opaque callables
+are still evaluated one stencil matrix at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +55,7 @@ from .errors import UnsupportedBracket, UnsupportedWord
 from .liecore import (
     IM_FORM,
     TRACE_FORM,
+    adjoint,
     borel_basis,
     dual_basis,
     expm,
@@ -70,6 +68,7 @@ from .liecore import (
     skew_traceless,
     sl_real_basis,
     su_basis,
+    trace,
 )
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
@@ -239,7 +238,7 @@ def differentials(fns, x) -> np.ndarray:
     """
     stack = gradient_stack(fns, x)
     return np.concatenate([gram(stack[key], _basis(kind, x.n)[0], FORM[kind])
-                           for key, kind, _ in _tangent_blocks(x, ("lmul",))], axis=1)
+                           for key, kind, _ in _tangent_blocks(x, ("lmul",))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def word_table(x, letters, cuts, gaps=None):
     ``fusion_gradient_tables`` or ``cotangent_gradients`` builds for the
     observable.
     """
-    zero = np.zeros((x.n, x.n), dtype=complex)
+    zero = np.zeros_like(x.matrices()[0][1], dtype=complex)
     if isinstance(x, CotangentPoint):
         group = fiber = zero
         for i, name in enumerate(letters):
@@ -335,12 +334,13 @@ def _heisenberg_word_table(letters, rotations):
     """
     sides = {"lmul": 0, "rmul": 0}
     for i, name in enumerate(letters):
-        sign, adjoint, offset = _HEISENBERG_LETTERS[name]
+        sign, conjugate, offset = _HEISENBERG_LETTERS[name]
         for side, cut in zip(sides, (i + offset, i + 1 - offset)):
             c = rotations[cut]
-            sides[side] = sides[side] + sign * (c.conj().T if adjoint else c)
-    n = rotations[0].shape[0]
-    return {side: 1j * m - (np.trace(1j * m) / n) * np.eye(n) for side, m in sides.items()}
+            sides[side] = sides[side] + sign * (adjoint(c) if conjugate else c)
+    n = rotations[0].shape[-1]
+    return {side: 1j * m - (trace(1j * m) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
+            for side, m in sides.items()}
 
 
 def trace_word_table(x, letters, coeff: complex):
@@ -377,7 +377,7 @@ def class_word_table(x, letters, grad: np.ndarray):
     prefix = np.eye(x.n, dtype=complex)
     for name in letters:
         prefix = prefix @ x.letter(name)
-        cuts.append(prefix.conj().T @ grad @ prefix)
+        cuts.append(adjoint(prefix) @ grad @ prefix)
     return word_table(x, letters, cuts)
 
 
@@ -404,11 +404,13 @@ def right_factor_table(x, factor: str, grad):
         raise UnsupportedBracket(f"no right Iwasawa factor on {type(x).__name__}")
     part, form = _RIGHT_FACTOR[factor]
     m = x.factor(factor)
-    moved = np.linalg.inv(m) @ grad(m) @ m
+    moved = (np.linalg.inv(m) @ grad(m) @ m)[..., np.newaxis, :, :]
     directions = _basis("sl", x.n)[0]
-    cofactors = (x.factor("u_left" if factor == "b_right" else "b_left"), m)
+    # each cofactor c gets a directions axis, so that c^-1 Z c runs over the directions Z
+    cofactors = [c[..., np.newaxis, :, :]
+                 for c in (x.factor("u_left" if factor == "b_right" else "b_left"), m)]
     return {side: _dual_sum("sl", x.n, -gram(part(np.linalg.inv(c) @ directions @ c),
-                                             moved, form)[:, 0])
+                                             moved, form)[..., 0])
             for side, c in zip(("lmul", "rmul"), cofactors)}
 
 
@@ -432,15 +434,16 @@ def _gradients(obs_list, x) -> list:
 # ---------------------------------------------------------------------------
 
 def _pick(stack: dict, index) -> dict:
-    return {key: s[index] for key, s in stack.items()}
+    return {key: s[..., index, :, :] for key, s in stack.items()}
 
 
 def stack_tables(tables) -> dict:
-    """Each key's matrices stacked over ``tables`` into one (tables, n, n) array; a table
-    without the key holds zero there (a velocity that does not move that matrix)."""
+    """Each key's matrices stacked over ``tables`` into one (..., tables, n, n) array, after
+    the point axes; a table without the key holds zero there (a velocity that does not move
+    that matrix)."""
     keys = dict.fromkeys(key for t in tables for key in t)
     zero = np.zeros_like(next(iter(tables[0].values())))
-    return {key: np.array([t.get(key, zero) for t in tables]) for key in keys}
+    return {key: np.stack([t.get(key, zero) for t in tables], axis=-3) for key in keys}
 
 
 def gradient_stack(obs_list, x) -> dict:
@@ -457,8 +460,8 @@ def conjugation_gradient(table: dict, slots) -> np.ndarray:
 def _cotangent_sharp(th, x: CotangentPoint) -> dict:
     """The canonical bivector in right-translation coordinates: the group moves by the fiber
     gradient on the left, the fiber by [fiber gradient, J] minus the group gradient."""
-    jh = th["fiber"]
-    return {"group": jh, "fiber": jh @ x.j - x.j @ jh - th["group"]}
+    jh, j = th["fiber"], x.j[..., np.newaxis, :, :]
+    return {"group": jh, "fiber": jh @ j - j @ jh - th["group"]}
 
 
 def _half_difference(z: np.ndarray) -> np.ndarray:
@@ -589,7 +592,8 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray
     phi = point.momentum()
     word = [name for f in range(len(point.factors)) for name in point.space.momentum_word(f)]
     th = stack_tables([class_word_table(point, word, k_fn.grad(phi)) for k_fn in k_fns])
-    conj = point.conjugation_velocity(np.array([k_fn.two_sided_grad(phi) for k_fn in k_fns]))
+    conj = point.conjugation_velocity(np.stack([k_fn.two_sided_grad(phi) for k_fn in k_fns],
+                                               axis=-3))
     defect = {key: v - 0.5 * conj[key] for key, v in sharp(th, point).items()}
     return np.abs(velocity_pairings(gradient_stack(obs_list, point), defect, point))
 

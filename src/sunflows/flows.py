@@ -5,6 +5,9 @@ paths.  An optional Runge-Kutta integration of the bracket-defined vector
 field exists purely as a cross-check oracle.  After each flow step the
 unitarity drift of group components is measured and, only if it exceeds the
 drift tolerance, the component is re-projected (and the event logged).
+
+Flows, velocities and torus actions act on stacked points (``spaces``), with
+one flow time or one row of torus angles per point, or one for all of them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import brackets, decomp, liecore
 from .errors import ShapeError, UnsupportedBracket
-from .liecore import RootDatum
+from .liecore import RootDatum, adjoint
 from .observables import AlgebraFunction, BorelFunction, ClassFunction, entry_observable
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint, conjugation_velocity
 
@@ -25,20 +28,36 @@ DRIFT_TOL = 1e-9
 
 
 def _maybe_reproject(u: np.ndarray, label: str) -> np.ndarray:
-    drift = liecore.unitarity_defect(u)
-    if drift > DRIFT_TOL:
-        logger.warning("unitarity drift %.3e on %s; re-projecting", drift, label)
-        return liecore.project_special_unitary(u)
+    """u with each matrix that drifts more than DRIFT_TOL re-projected, one event each."""
+    drift = np.asarray(liecore.unitarity_defect(u))
+    bad = drift > DRIFT_TOL
+    if not bad.any():
+        return u
+    for d in drift[bad]:
+        logger.warning("unitarity drift %.3e on %s; re-projecting", d, label)
+    u = u.copy()
+    u[bad] = liecore.project_special_unitary(u[bad])
     return u
+
+
+def _times(tau, m: np.ndarray) -> np.ndarray:
+    """tau * m for a flow time tau that is one number or one per point of a stack."""
+    return np.asarray(tau)[..., np.newaxis, np.newaxis] * m
 
 
 # ---------------------------------------------------------------------------
 # torus elements
 # ---------------------------------------------------------------------------
 
+def _weighted(tau: np.ndarray, elements) -> np.ndarray:
+    """sum_j tau[..., j] e_j, per row of angles tau."""
+    tau = np.asarray(tau, dtype=float)[..., np.newaxis, np.newaxis]
+    return sum(tau[..., j, :, :] * e for j, e in enumerate(elements))
+
+
 def _coroot_sum(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """sum tau_j h_j over the simple coroots."""
-    return sum(t * h for t, h in zip(np.asarray(tau, dtype=float), datum.coroots))
+    return _weighted(tau, datum.coroots)
 
 
 def coroot_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
@@ -48,8 +67,7 @@ def coroot_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
 
 def coweight_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j w_j) over the fundamental coweights."""
-    z = sum(t * w for t, w in zip(np.asarray(tau, dtype=float), datum.coweights))
-    return liecore.expm(-1j * z)
+    return liecore.expm(-1j * _weighted(tau, datum.coweights))
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +81,10 @@ def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
     exp(tau * grad); base class functions translate the fiber by -tau * grad.
     """
     if isinstance(ham, AlgebraFunction):
-        g = liecore.expm_normal(tau * ham.grad(x.j)) @ x.g
+        g = liecore.expm_normal(_times(tau, ham.grad(x.j))) @ x.g
         return CotangentPoint(_maybe_reproject(g, "cotangent group part"), x.j)
     if isinstance(ham, ClassFunction):
-        return CotangentPoint(x.g, x.j - tau * ham.grad(x.g))
+        return CotangentPoint(x.g, x.j - _times(tau, ham.grad(x.g)))
     raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
 
 
@@ -109,9 +127,10 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
     unitary factor), which is positive definite because i*grad is Hermitian.
     """
     if isinstance(ham, BorelFunction):
-        return HeisenbergPoint(x.x @ liecore.expm_normal(-tau * ham.grad(x.factor("b_right"))))
+        return HeisenbergPoint(x.x @ liecore.expm_normal(
+            _times(-np.asarray(tau), ham.grad(x.factor("b_right")))))
     if isinstance(ham, ClassFunction):
-        pos = liecore.expm_normal(1j * tau * ham.grad(x.factor("u_right")))
+        pos = liecore.expm_normal(_times(1j * np.asarray(tau), ham.grad(x.factor("u_right"))))
         return HeisenbergPoint(x.x @ decomp.iwasawa_right(pos)[0])
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
@@ -127,8 +146,8 @@ def heisenberg_velocity(x: HeisenbergPoint, ham) -> dict:
 
 def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: float) -> np.ndarray:
     """The unitary cofactor of the class-function flow (conjugator of u_right)."""
-    pos = liecore.expm_normal(1j * tau * ham.grad(x.factor("u_right")))
-    return decomp.iwasawa_right(pos)[1].conj().T
+    pos = liecore.expm_normal(_times(1j * np.asarray(tau), ham.grad(x.factor("u_right"))))
+    return adjoint(decomp.iwasawa_right(pos)[1])
 
 
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
@@ -162,14 +181,14 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
     """
     a, b = x.pair(1)
     if slot == "first":
-        return x.with_slots({(0, 1): _maybe_reproject(b @ liecore.expm_normal(-tau * ham.grad(a)),
-                                                      "double B")})
+        u = liecore.expm_normal(_times(-np.asarray(tau), ham.grad(a)))
+        return x.with_slots({(0, 1): _maybe_reproject(b @ u, "double B")})
     if slot == "second":
-        return x.with_slots({(0, 0): _maybe_reproject(a @ liecore.expm_normal(tau * ham.grad(b)),
-                                                      "double A")})
+        u = liecore.expm_normal(_times(tau, ham.grad(b)))
+        return x.with_slots({(0, 0): _maybe_reproject(a @ u, "double A")})
     if slot == "momentum":
-        u = liecore.expm_normal(tau * ham.grad(x.momentum()))
-        ui = u.conj().T
+        u = liecore.expm_normal(_times(tau, ham.grad(x.momentum())))
+        ui = adjoint(u)
         return x.map(lambda m: u @ m @ ui)
     raise ShapeError(f"unknown double slot {slot!r}")
 
@@ -200,7 +219,7 @@ def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
 
 def s_transform(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mapping-class building block (A, B) -> (B^-1, B^-1 A B)."""
-    bi = b.conj().T
+    bi = adjoint(b)
     return bi, bi @ a @ b
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import decomp, flows, moduli
 from .errors import (InvalidShape, NotPositiveDefinite, RegularityViolation, SamplingFailure,
                      SingularMatrix)
-from .liecore import RootDatum
+from .liecore import RootDatum, adjoint
 from .observables import (
     AlcoveCoroot,
     AlgebraPower,
@@ -125,17 +125,20 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
+def _generators(fns, obs, flow, velocity, suffix: str = "") -> list[Generator]:
+    """One generator per function fn: observable obs(fn), flow(p, fn, t), velocity(p, fn)."""
+    return [Generator(fn.name + suffix, obs(fn), lambda p, t, fn=fn: flow(p, fn, t),
+                      lambda p, fn=fn: velocity(p, fn)) for fn in fns]
+
+
 def _word_generators(fns, letters, flow, velocity, suffix: str = "") -> list[Generator]:
-    """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
-    return [Generator(fn.name + suffix, WordFunction(fn, letters),
-                      lambda p, t, fn=fn: flow(p, fn, t), lambda p, fn=fn: velocity(p, fn))
-            for fn in fns]
+    """One generator per invariant function of the word ``letters``."""
+    return _generators(fns, lambda fn: WordFunction(fn, letters), flow, velocity, suffix)
 
 
 def _moduli_generators(hams) -> list[Generator]:
     """One generator per word Hamiltonian, with its moduli flow."""
-    return [Generator(h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t),
-                      lambda p, h=h: moduli.moduli_velocity(p, h)) for h in hams]
+    return _generators(hams, lambda h: h, moduli.moduli_flow, moduli.moduli_velocity)
 
 
 def _action_variables(gens, rank: int) -> tuple:
@@ -192,9 +195,9 @@ class CotangentHarness(Harness):
             ConservedSpec("conjugation-momentum", "fiber-invariants", cotangent_momentum),
             ConservedSpec("conjugation-momentum", "base-class", cotangent_momentum),
             ConservedSpec("transported-fiber-pair", "fiber-invariants",
-                          lambda p: np.stack([p.g.conj().T @ p.j @ p.g, p.j])),
+                          lambda p: np.stack([adjoint(p.g) @ p.j @ p.g, p.j], axis=-3)),
             ConservedSpec("group-and-momentum-pair", "base-class",
-                          lambda p: np.stack([p.g, cotangent_momentum(p)])),
+                          lambda p: np.stack([p.g, cotangent_momentum(p)], axis=-3)),
         ]
 
     def crafted_keys(self):
@@ -207,10 +210,8 @@ class CotangentHarness(Harness):
 
 def _right_factor_generators(fns, factor: str) -> list[Generator]:
     """One generator per function of the right Iwasawa factor ('b_right' or 'u_right')."""
-    return [Generator(fn.name, RightFactorFunction(fn, factor),
-                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t),
-                      lambda p, fn=fn: flows.heisenberg_velocity(p, fn))
-            for fn in fns]
+    return _generators(fns, lambda fn: RightFactorFunction(fn, factor),
+                       lambda p, fn, t: flows.heisenberg_flow(p, fn, t), flows.heisenberg_velocity)
 
 
 class HeisenbergHarness(Harness):
@@ -254,10 +255,10 @@ class HeisenbergHarness(Harness):
 
         def posdef_pairs(p):
             pos, u_right = decomp.posdef_of_borel(p.factor("b_right")), p.factor("u_right")
-            return np.stack([pos, u_right.conj().T @ pos @ u_right])
+            return np.stack([pos, adjoint(u_right) @ pos @ u_right], axis=-3)
 
         def w_invariant(p):
-            return heisenberg_momentum(p) @ p.factor("u_left").conj().T
+            return heisenberg_momentum(p) @ adjoint(p.factor("u_left"))
 
         return [
             ConservedSpec("right-borel-factor", "borel-invariants", right_borel),
@@ -313,11 +314,14 @@ def family_torus(hams, datum: RootDatum) -> TorusSpec:
     """The joint torus of a word-Hamiltonian family, one angle per generator.
 
     The generators come block by block, rank many each, so the angles read
-    as one row per block.
+    as one row per block (per point of a stack).
     """
-    return TorusSpec("family-torus",
-                     lambda p, tau: moduli.moduli_torus_action(
-                         p, np.asarray(tau).reshape(-1, datum.rank), hams, datum),
+    def act(p, tau):
+        tau = np.asarray(tau)
+        return moduli.moduli_torus_action(p, tau.reshape(tau.shape[:-1] + (-1, datum.rank)),
+                                          hams, datum)
+
+    return TorusSpec("family-torus", act,
                      tuple(_moduli_generators(hams)), True)
 
 
@@ -374,7 +378,7 @@ class FusionHarness(Harness):
             rep = moduli.WordHamiltonian(block, PowerTrace(1))
             specs.append(ConservedSpec(
                 f"block-value-{'-'.join(str(s) for s in block)}", self.label,
-                lambda p, rep=rep: np.array([rep(p)])))
+                lambda p, rep=rep: rep.classfn.values(rep.block_value(p))[..., np.newaxis]))
         return specs
 
     def crafted_keys(self):
@@ -435,11 +439,11 @@ class DoubleHarness(Harness):
     def conserved(self):
         def first_pair(p):
             a, b = p.pair(1)
-            return np.stack([a, b @ a @ b.conj().T])
+            return np.stack([a, b @ a @ adjoint(b)], axis=-3)
 
         def second_pair(p):
             a, b = p.pair(1)
-            return np.stack([a @ b @ a.conj().T, b])
+            return np.stack([a @ b @ adjoint(a), b], axis=-3)
 
         specs = [ConservedSpec("commutator-momentum", self.label, lambda p: p.momentum())]
         if self.which == "h":

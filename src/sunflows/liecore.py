@@ -30,26 +30,52 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Frobenius norm of U^H U - I."""
-    n = u.shape[0]
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack (..., n, n)."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def trace(a: np.ndarray) -> np.ndarray:
+    """The trace of a matrix, or of each matrix of a stack, bit for bit as np.trace."""
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def norms(a: np.ndarray, block: int = 1):
+    """np.linalg.norm of each trailing ``block``-dimensional block of a (a float for one),
+    one call each: a norm over stacked axes is not bit-equal to the one-block norm."""
+    if a.ndim == block:
+        return float(np.linalg.norm(a))
+    flat = a.reshape((-1,) + a.shape[a.ndim - block:])
+    return np.array([np.linalg.norm(m) for m in flat]).reshape(a.shape[:a.ndim - block])
+
+
+def unitarity_defect(u: np.ndarray):
+    """Frobenius norm of U^H U - I, per matrix of a stack."""
+    n = u.shape[-1]
+    return norms(adjoint(u) @ u - np.eye(n), 2)
 
 
 def project_special_unitary(u: np.ndarray) -> np.ndarray:
-    """Closest special unitary matrix (polar factor, det-corrected)."""
+    """Closest special unitary matrix (polar factor, det-corrected), per matrix of a stack."""
     w, _, vh = np.linalg.svd(u)
     q = w @ vh
-    n = q.shape[0]
-    q = q * np.linalg.det(q) ** (-1.0 / n)
+    n = q.shape[-1]
+    q = q * (np.linalg.det(q) ** (-1.0 / n))[..., np.newaxis, np.newaxis]
     return q
 
 
 def skew_traceless(m: np.ndarray) -> np.ndarray:
-    """Project onto anti-Hermitian traceless matrices w.r.t. the trace form."""
-    n = m.shape[0]
-    s = 0.5 * (m - m.conj().T)
-    return s - (np.trace(s) / n) * np.eye(n)
+    """Project onto anti-Hermitian traceless matrices w.r.t. the trace form, per matrix."""
+    n = m.shape[-1]
+    s = 0.5 * (m - adjoint(m))
+    return s - (trace(s) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
+
+
+def _add_identity(r: np.ndarray) -> np.ndarray:
+    """r + I in place, on every matrix of a stack."""
+    idx = np.arange(r.shape[-1])
+    r[..., idx, idx] += 1
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +83,26 @@ def skew_traceless(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def expm_normal(a: np.ndarray) -> np.ndarray:
-    """exp(a) of an anti-Hermitian or Hermitian matrix, from one Hermitian eigensolve.
+    """exp(a) of an anti-Hermitian or Hermitian matrix, or of each of a stack, from one
+    Hermitian eigensolve.
 
     The larger of the parts (a - a^H)/2 and (a + a^H)/2 is exponentiated and
     the other dropped, so a must be one of the two up to roundoff; the
-    anti-Hermitian part is the larger exactly when Re tr(a^2) <= 0.  One
-    Newton-Schulz step V (3I - V^H V)/2 makes the eigenvectors orthonormal to
-    second order, which brings the unitarity defect of the result close to
-    that of a Pade approximant.  The result is formed as I + V expm1(L) V^H,
-    so at small norm (the stencil steps) its error scales with the norm of a
-    instead of sitting at the unit roundoff.
+    anti-Hermitian part is the larger exactly when Re tr(a^2) <= 0, and each
+    matrix of a stack takes its own branch.  One Newton-Schulz step
+    V (3I - V^H V)/2 makes the eigenvectors orthonormal to second order, which
+    brings the unitarity defect of the result close to that of a Pade
+    approximant.  The result is formed as I + V expm1(L) V^H, so at small norm
+    (the stencil steps) its error scales with the norm of a instead of sitting
+    at the unit roundoff.
     """
-    ah = a.conj().T
-    if np.vdot(ah, a).real <= 0:
-        lam, v = np.linalg.eigh(0.5j * (ah - a))
-        d = np.expm1(1j * lam)
-    else:
-        lam, v = np.linalg.eigh(0.5 * (a + ah))
-        d = np.expm1(lam)
-    v = 1.5 * v - 0.5 * v @ (v.conj().T @ v)
-    r = (v * d) @ v.conj().T
-    r.flat[::a.shape[0] + 1] += 1
-    return r
+    ah = adjoint(a)
+    skew = (np.swapaxes(a, -1, -2) * a).sum(axis=(-2, -1)).real <= 0
+    lam, v = np.linalg.eigh(np.where(skew[..., np.newaxis, np.newaxis],
+                                     0.5j * (ah - a), 0.5 * (a + ah)))
+    d = np.where(skew[..., np.newaxis], np.expm1(1j * lam), np.expm1(lam))
+    v = 1.5 * v - 0.5 * v @ (adjoint(v) @ v)
+    return _add_identity((v * d[..., np.newaxis, :]) @ adjoint(v))
 
 
 # Pade approximants of exp (Higham, "The scaling and squaring method for the
@@ -105,12 +129,19 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     The degree is the lowest of 3, 5, 7, 9 whose theta bounds the 1-norm of a,
     else 13 applied to a / 2^s and squared s times (Higham 2005, Algorithm
-    2.3).  Diagonal input (the torus elements) is exponentiated entrywise.
+    2.3).  Diagonal input (the torus elements) is exponentiated entrywise, a
+    whole stack at once; any other stack one matrix at a time, so that each
+    picks its own degree and scaling.
     """
-    diag = np.diagonal(a)
+    n = a.shape[-1]
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
     if np.count_nonzero(a) == np.count_nonzero(diag):
-        return np.diag(np.exp(diag))
-    n = a.shape[0]
+        e = np.exp(diag)
+        out = np.zeros(a.shape, dtype=e.dtype)
+        out[..., np.arange(n), np.arange(n)] = e
+        return out
+    if a.ndim > 2:
+        return np.array([expm(m) for m in a.reshape(-1, n, n)]).reshape(a.shape)
     norm = np.abs(a).sum(axis=0).max()
     m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
     s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
@@ -125,8 +156,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     odd, even = (_PADE_COEFFS[m] @ evens.reshape(k, n * n)).reshape(2, n, n)
     u = a @ odd
     # (even - u)^-1 (even + u) as I + (even - u)^-1 2u: the correction to I is rounded on its own scale
-    r = np.linalg.solve(even - u, 2 * u)
-    r.flat[::n + 1] += 1
+    r = _add_identity(np.linalg.solve(even - u, 2 * u))
     for _ in range(s):
         r = r @ r
     return r
@@ -161,12 +191,15 @@ def pair(x: np.ndarray, y: np.ndarray, pairing: Pairing = TRACE_FORM) -> float:
 
 
 def gram(left: np.ndarray, right: np.ndarray, pairing: Pairing = TRACE_FORM) -> np.ndarray:
-    """pair(left[i], right[j], pairing) for every i and j, bit for bit (einsum reorders the sum).
+    """pair(left[..., i], right[..., j], pairing) for every i and j, bit for bit (einsum
+    reorders the sum): stacks (..., rows, n, n) and (..., cols, n, n) give (..., rows, cols).
 
     A single matrix as ``left`` gives one row: the per-n constants are built row
     by row, so that no (rows, columns, n, n) temporary is allocated.
     """
-    t = np.trace(left[..., np.newaxis, :, :] @ right, axis1=-2, axis2=-1)
+    if left.ndim == 2:
+        return gram(left[np.newaxis], right, pairing)[0]
+    t = trace(left[..., :, np.newaxis, :, :] @ right[..., np.newaxis, :, :, :])
     return t.imag if pairing.kind == "im" else t.real
 
 
@@ -185,52 +218,39 @@ def dual_basis(basis, pairing: Pairing = TRACE_FORM) -> np.ndarray:
 
 
 def ordered_sum(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_a coeffs[a] stack[a], added in order (a BLAS contraction would reorder the sum)."""
-    coeffs = np.reshape(coeffs, (-1,) + (1,) * (stack.ndim - 1))
-    return np.add.reduce(coeffs * stack, axis=0, initial=0.0)
+    """sum_a coeffs[..., a] stack[a], added in order (a BLAS contraction would reorder the
+    sum); leading axes of coeffs give a stack of sums."""
+    coeffs = np.asarray(coeffs)[(...,) + (np.newaxis,) * (stack.ndim - 1)]
+    return np.add.reduce(coeffs * stack, axis=-stack.ndim, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
 # standard bases
 # ---------------------------------------------------------------------------
 
+def _matrix(n: int, entries: dict) -> np.ndarray:
+    """The complex n-by-n matrix with the {(row, column): value} entries, zero elsewhere."""
+    m = np.zeros((n, n), dtype=complex)
+    for (j, k), v in entries.items():
+        m[j, k] = v
+    return m
+
+
+def _coroot_diagonals(n: int, scale=1.0) -> list[np.ndarray]:
+    return [_matrix(n, {(j, j): scale, (j + 1, j + 1): -scale}) for j in range(n - 1)]
+
+
 def su_basis(n: int) -> list[np.ndarray]:
     """Real basis of su(n): off-diagonal skew pairs plus i*coroot diagonals."""
-    out = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = -1.0
-            out.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0j
-            m[k, j] = 1.0j
-            out.append(m)
-    for j in range(n - 1):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, j] = 1.0j
-        m[j + 1, j + 1] = -1.0j
-        out.append(m)
-    return out
+    return [_matrix(n, e) for j in range(n) for k in range(j + 1, n)
+            for e in ({(j, k): 1.0, (k, j): -1.0}, {(j, k): 1j, (k, j): 1j})
+            ] + _coroot_diagonals(n, 1j)
 
 
 def sl_complex_basis(n: int) -> list[np.ndarray]:
     """Complex basis of sl(n, C): elementary off-diagonals plus coroots."""
-    out = []
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0
-            out.append(m)
-    for j in range(n - 1):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, j] = 1.0
-        m[j + 1, j + 1] = -1.0
-        out.append(m)
-    return out
+    return ([_matrix(n, {(j, k): 1.0}) for j in range(n) for k in range(n) if j != k]
+            + _coroot_diagonals(n))
 
 
 def sl_real_basis(n: int) -> list[np.ndarray]:
@@ -243,21 +263,8 @@ def sl_real_basis(n: int) -> list[np.ndarray]:
 def borel_basis(n: int) -> np.ndarray:
     """Real basis of the Borel algebra, real coroot diagonals and upper pairs, as one
     read-only stack built once per n."""
-    out = []
-    for j in range(n - 1):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, j] = 1.0
-        m[j + 1, j + 1] = -1.0
-        out.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0
-            out.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0j
-            out.append(m)
-    return read_only(np.array(out))
+    return read_only(np.array(_coroot_diagonals(n) + [
+        _matrix(n, {(j, k): v}) for j in range(n) for k in range(j + 1, n) for v in (1.0, 1j)]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +375,7 @@ def special_elements(n: int) -> SpecialElements:
     """The special elements of SU(n), built once per n, with read-only arrays."""
     if n < 2:
         raise InvalidRank(f"need n >= 2, got {n}")
-    shift = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        shift[(j + 1) % n, j] = 1.0
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
     # det of the cyclic shift is (-1)^(n-1); flip one entry when needed
     if n % 2 == 0:
         shift[0, n - 1] = -1.0

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import brackets, decomp, liecore
 from .errors import AssumptionViolation, InvalidPlan, InvalidShape, UnsupportedWord
-from .flows import conjugation_velocity, coroot_torus_element, coweight_torus_element
-from .liecore import RootDatum
+from .flows import _times, conjugation_velocity, coroot_torus_element, coweight_torus_element
+from .liecore import RootDatum, adjoint
 from .observables import (
     AlcoveCoroot,
     AlcoveCoweight,
@@ -238,7 +238,7 @@ def _move_letters(x: FusionPoint, ham: "WordHamiltonian", u: np.ndarray) -> Fusi
     every letter of a momentum block by u."""
     if ham.block[0] == "single":
         return x.with_slots({s: x.slot(*s) @ u for s in ham.letters(x)})
-    ui = u.conj().T
+    ui = adjoint(u)
     return x.with_slots({s: u @ x.slot(*s) @ ui for s in ham.letters(x)})
 
 
@@ -250,9 +250,9 @@ def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint
     exp(tau * grad of the class function at the block value).
     """
     if ham.block[0] == "single":
-        u = liecore.expm_normal(-tau * ham.classfn.grad(ham.block_value(x)))
+        u = liecore.expm_normal(_times(-np.asarray(tau), ham.classfn.grad(ham.block_value(x))))
     else:
-        u = liecore.expm_normal(tau * ham.classfn.grad(ham.block_value(x)))
+        u = liecore.expm_normal(_times(tau, ham.classfn.grad(ham.block_value(x))))
     return _move_letters(x, ham, u)
 
 
@@ -269,19 +269,20 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
     """Joint torus action of a family, one angle vector per block.
 
     ``taus`` maps each distinct block (in family order) to a rank-length
-    angle vector.  Single blocks translate by the coroot torus element in the
-    alcove frame of their argument; momentum blocks conjugate by the
-    coweight torus element in the alcove frame of the block value.
+    angle vector, (..., blocks, rank) with one set per point of a stack.
+    Single blocks translate by the coroot torus element in the alcove frame
+    of their argument; momentum blocks conjugate by the coweight torus
+    element in the alcove frame of the block value.
     """
     blocks = []
     for h in hams:
         if h.block not in blocks:
             blocks.append(h.block)
     taus = np.asarray(taus, dtype=float)
-    if taus.shape != (len(blocks), datum.rank):
+    if taus.shape[-2:] != (len(blocks), datum.rank):
         raise InvalidShape(f"need {(len(blocks), datum.rank)} angles, got {taus.shape}")
     out = x
-    for block, tau in zip(blocks, taus):
+    for block, tau in zip(blocks, np.moveaxis(taus, -2, 0)):
         rep = WordHamiltonian(block, PowerTrace(1))
         if block[0] == "single":
             t = coroot_torus_element(-tau, datum)
@@ -312,7 +313,7 @@ def swap_adjacent(x: FusionPoint, j: int) -> FusionPoint:
     """
     target = _swapped_space(x.space, j)
     phi = x.factor_momentum(j)
-    phi_inv = phi.conj().T
+    phi_inv = adjoint(phi)
     twisted = x.with_slots({s: phi @ x.slot(*s) @ phi_inv
                             for s in x.space.factor_slots[j + 1]}).factors[j + 1]
     new_factors = list(x.factors)

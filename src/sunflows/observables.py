@@ -9,8 +9,10 @@ left-translation derivative against the imaginary trace form.  The families
 here also evaluate a whole stack (..., n, n) of matrices at once
 (``values``), which is how the finite-difference oracles read their
 stencils; the oracles evaluate a function without ``values`` one matrix at
-a time.  Word traces supply generic probe observables on every phase space, and
-functions of a right Iwasawa factor are the Heisenberg generators.
+a time.  Every ``grad`` and every gradient table takes a stack as well,
+one gradient per matrix or point.  Word traces supply generic probe
+observables on every phase space, and functions of a right Iwasawa factor
+are the Heisenberg generators.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import brackets, decomp
 from .errors import UnsupportedWord
-from .liecore import RootDatum, skew_traceless
+from .liecore import RootDatum, skew_traceless, trace
 
 
 # the coefficient c of Re tr(c P) for each part: Im tr(P) = Re tr(-i P)
@@ -30,7 +32,7 @@ _PART = {"re": 1.0, "im": -1j}
 
 def _traces(ms: np.ndarray) -> np.ndarray:
     """Real parts of the traces of a stack (..., n, n)."""
-    return np.trace(ms, axis1=-2, axis2=-1).real
+    return trace(ms).real
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +156,9 @@ class AlgebraPower(AlgebraFunction):
         return _traces(np.linalg.matrix_power(1j * js, self.k))
 
     def grad(self, j_alg):
-        n = j_alg.shape[0]
+        n = j_alg.shape[-1]
         m = self.k * 1j * np.linalg.matrix_power(1j * j_alg, self.k - 1)
-        return m - (np.trace(m) / n) * np.eye(n)
+        return m - (trace(m) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
 
 
 @dataclass(frozen=True)
@@ -239,9 +241,9 @@ class BorelPower(BorelFunction):
         return _traces(np.linalg.matrix_power(decomp.posdef_of_borel(bs), self.k))
 
     def grad(self, b):
-        n = b.shape[0]
+        n = b.shape[-1]
         pk = np.linalg.matrix_power(decomp.posdef_of_borel(b), self.k)
-        return 2 * self.k * 1j * (pk - (np.trace(pk) / n) * np.eye(n))
+        return 2 * self.k * 1j * (pk - (trace(pk) / n)[..., np.newaxis, np.newaxis] * np.eye(n))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def conjugation_action(n: int) -> tuple:
 
 def generator_matrix(x, velocities) -> np.ndarray:
     """Columns are the tangent vectors of the action's ``velocities`` (point -> dict) at x,
-    in ``flat()`` order."""
-    return np.stack([x.tangent(v(x)) for v in velocities], axis=1)
+    in ``flat()`` order; one matrix per point of a stack."""
+    return np.stack([x.tangent(v(x)) for v in velocities], axis=-1)
 
 
 @dataclass
@@ -68,17 +68,10 @@ def stabilizer_dimension(x, action, n: int, point_id: str = "") -> StabilizerRep
 # Coxeter commutator identity and torus commutator solutions
 # ---------------------------------------------------------------------------
 
-def _shift_matrix(n: int) -> np.ndarray:
-    s = np.zeros((n, n))
-    for j in range(n):
-        s[(j + 1) % n, j] = 1.0
-    return s
-
-
 def _solve_coxeter(h: np.ndarray, sign: int) -> np.ndarray:
     """Traceless solution x of (sign*(w - id)) x = h for the cyclic Coxeter w."""
     n = h.size
-    m = sign * (_shift_matrix(n) - np.eye(n))
+    m = sign * (np.roll(np.eye(n), 1, axis=0) - np.eye(n))
     x, *_ = np.linalg.lstsq(m, h, rcond=None)
     return x - x.mean()
 
@@ -297,9 +290,11 @@ def differential_matrix(x, functions) -> np.ndarray:
     return brackets.differentials(functions, x)
 
 
-def rank_of(mat: np.ndarray) -> tuple[int, np.ndarray]:
+def rank_of(mat: np.ndarray):
+    """Numerical rank and singular values of a matrix, or of each of a stack."""
     svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > SVD_KERNEL_TOL)), svals
+    ranks = np.sum(svals > SVD_KERNEL_TOL, axis=-1)
+    return (int(ranks) if ranks.ndim == 0 else ranks), svals
 
 
 def ieq_rank_check(pp: PrincipalPoint, n: int, invariant_probes=None) -> RankReport:

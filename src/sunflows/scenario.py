@@ -23,15 +23,22 @@ import numpy as np
 
 from . import brackets, decomp, flows, harness as harness_mod, liecore, moduli, probes
 from .errors import InvalidShape
-from .liecore import build_root_datum
+from .liecore import adjoint, build_root_datum
 from .observables import (AlcoveCoroot, AlcoveCoweight, AlgebraPower, BorelChamberCoroot,
                           BorelPower, ChamberCoroot, PowerTrace, entry_observable, substitute,
                           word_observable, word_product)
-from .spaces import FusionPoint, embed_shift, moduli_space
+from .spaces import FusionPoint, embed_shift, moduli_space, stack
 
 SCHEMA_VERSION = "1"
 
 SPACES = ("cotangent", "heisenberg", "double", "sphere4", "moduli")
+
+# the most points a check may stack.  At n = 8 the largest stacked array per configured point
+# is the pairing temporary (points, probes, generators, n, n) of flow-bracket on the
+# desk-sweep moduli space (2, 2): 12 x 24 x 64 complex entries, 288 KiB a point; with the
+# other stacked tables a point holds about 1 MiB (tracemalloc), so 256 points keep a check
+# under 256 MiB
+MAX_POINTS = 256
 
 
 def derived_rng(seed: int, name: str) -> np.random.Generator:
@@ -113,8 +120,8 @@ class ScenarioConfig:
             space = moduli_space(self.m, self.holes, self.n)
             fam = harness_mod._family_from_config(space, self.family)
             moduli.validate_family(space, fam)
-        if self.points < 2:
-            raise InvalidShape("clause points: need at least 2 sample points")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise InvalidShape(f"clause points: points={self.points} outside 2..{MAX_POINTS}")
         if not isinstance(self.flow_exports, list):
             raise InvalidShape(f"clause flow-exports: {self.flow_exports!r} is not a list "
                                "of flow requests")
@@ -223,8 +230,19 @@ class CheckContext:
 
 
 def _above_diagonal(mat: np.ndarray) -> float:
-    """The largest |entry| above the diagonal of a square matrix."""
-    return float(np.max(np.abs(mat[np.triu_indices(len(mat), 1)]), initial=0.0))
+    """The largest |entry| above the diagonal of a square matrix, or of every matrix of a stack."""
+    rows, cols = np.triu_indices(mat.shape[-1], 1)
+    return float(np.max(np.abs(mat[..., rows, cols]), initial=0.0))
+
+
+def _sample_stack(h, rng, count: int, *draws):
+    """``count`` points of the harness as one stacked point (``spaces.stack``), each point
+    drawn just before its own ``draws`` (functions of rng, such as angles or group elements),
+    the rng order of a loop over points.  With draws, returns the point and each draw's
+    values stacked on a leading point axis."""
+    rows = [(h.sample(rng), *(draw(rng) for draw in draws)) for _ in range(count)]
+    points, *values = zip(*rows)
+    return (stack(points), *map(np.array, values)) if draws else stack(points)
 
 
 def _worst(*values, pick=max):
@@ -348,15 +366,13 @@ def check_commutator_solve(ctx: CheckContext) -> CheckResult:
 def check_iwasawa(ctx: CheckContext) -> CheckResult:
     n = ctx.cfg.n
     rng = ctx.rng("iwasawa")
-    worst = unique = 0.0
-    for _ in range(20):
-        x = liecore.random_sl_element(n, rng)
-        f = decomp.iwasawa_decompose(x)
-        worst = _worst(worst, float(np.linalg.norm(x - f.u_left @ np.linalg.inv(f.b_right))))
-        worst = _worst(worst, float(np.linalg.norm(x - f.b_left @ f.u_right.conj().T)))
-        f2 = decomp.iwasawa_decompose(f.u_left @ np.linalg.inv(f.b_right))
-        unique = _worst(unique, float(np.linalg.norm(f2.u_left - f.u_left)),
-                     float(np.linalg.norm(f2.b_right - f.b_right)))
+    x = np.array([liecore.random_sl_element(n, rng) for _ in range(20)])
+    f = decomp.iwasawa_decompose(x)
+    f2 = decomp.iwasawa_decompose(f.u_left @ np.linalg.inv(f.b_right))
+    worst = _worst(0.0, *liecore.norms(x - f.u_left @ np.linalg.inv(f.b_right), 2),
+                   *liecore.norms(x - f.b_left @ adjoint(f.u_right), 2))
+    unique = _worst(0.0, *liecore.norms(f2.u_left - f.u_left, 2),
+                    *liecore.norms(f2.b_right - f.b_right, 2))
     return _result(ctx, "iwasawa-roundtrip",
                    "both unitary/triangular splittings reconstruct and are unique",
                    _worst(worst, unique / 10), 1e-12, {"uniqueness": unique})
@@ -378,13 +394,11 @@ def check_posdef(ctx: CheckContext) -> CheckResult:
 def check_dressing(ctx: CheckContext) -> CheckResult:
     n = ctx.cfg.n
     rng = ctx.rng("dressing")
-    worst = 0.0
-    for _ in range(20):
-        b = decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1]
-        eta = liecore.random_group_element(n, rng)
-        lhs = decomp.posdef_of_borel(decomp.dress(eta, b))
-        rhs = eta @ decomp.posdef_of_borel(b) @ eta.conj().T
-        worst = _worst(worst, float(np.linalg.norm(lhs - rhs)))
+    b, eta = map(np.array, zip(*[(decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1],
+                                  liecore.random_group_element(n, rng)) for _ in range(20)]))
+    lhs = decomp.posdef_of_borel(decomp.dress(eta, b))
+    rhs = eta @ decomp.posdef_of_borel(b) @ adjoint(eta)
+    worst = _worst(0.0, *liecore.norms(lhs - rhs, 2))
     return _result(ctx, "dressing-equivariance",
                    "the positive part intertwines dressing with conjugation", worst, 1e-10)
 
@@ -416,20 +430,26 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
                  AlcoveCoweight(datum.rank - 1, datum)]
     algebra_fns = [AlgebraPower(2), ChamberCoroot(0, datum)]
     borel_fns = [BorelPower(1), BorelChamberCoroot(0, datum)]
+    built = []
     for _ in range(30):
         g = conjugate(lambda xi: np.exp(1j * xi))
         j_alg = liecore.skew_traceless(conjugate(lambda xi: 1j * xi))
-        b = decomp.borel_of_posdef(conjugate(np.exp))
-        decomp.alcove_diagonalize(g, 0.05)
-        decomp.chamber_diagonalize(j_alg, 0.05)
-        decomp.borel_chamber_diagonalize(b, 0.05)
-        exacts = ([fn.grad(g) for fn in group_fns] + [fn.grad(j_alg) for fn in algebra_fns]
-                  + [fn.grad(b) for fn in borel_fns])
+        built.append((g, j_alg, decomp.borel_of_posdef(conjugate(np.exp))))
+    gs, js, bs = (np.array(column) for column in zip(*built))
+    decomp.alcove_diagonalize(gs, 0.05)
+    decomp.chamber_diagonalize(js, 0.05)
+    decomp.borel_chamber_diagonalize(bs, 0.05)
+    exacts = ([fn.grad(gs) for fn in group_fns] + [fn.grad(js) for fn in algebra_fns]
+              + [fn.grad(bs) for fn in borel_fns])
+    # the stencils stay one point per call: a stack of every stencil would hold 30 times
+    # the finite-difference tables at once
+    for k, (g, j_alg, b) in enumerate(built):
         fds = (brackets.group_gradient_fd(group_fns, g)
                + brackets.algebra_gradient_fd(algebra_fns, j_alg)
                + brackets.borel_gradient_fd(borel_fns, b))
         for exact, fd in zip(exacts, fds):
-            worst = _worst(worst, float(np.linalg.norm(exact - fd) / (1 + np.linalg.norm(exact))))
+            worst = _worst(worst, float(np.linalg.norm(exact[k] - fd)
+                                        / (1 + np.linalg.norm(exact[k]))))
     return _result(ctx, "gradient-oracles",
                    "closed-form gradients match fourth-order central differences",
                    worst, 1e-6)
@@ -438,25 +458,18 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
 def check_shifting_trick(ctx: CheckContext) -> CheckResult:
     n = ctx.cfg.n
     worst = 0.0
-    for label, (m, holes) in (("four-holes", (0, 4)), ("one-handle", (1, 2))):
+    for label, (m, holes), words in (
+            ("four-holes", (0, 4), [("c1", "c2"), ("c1", "c3"), ("c2", "c3", "c1")]),
+            ("one-handle", (1, 2), [("a1", "b1"), ("a1", "c1"), ("b1", "c1", "a1")])):
         rng = ctx.rng(f"shifting-{label}")
         small = moduli_space(m, holes - 1, n)
-        for _ in range(3):
-            u = small.random_point(rng)
-            big_point = embed_shift(u)
-            lifted = []
-            if m == 1:
-                words_small = [("a1", "b1"), ("a1", "c1"), ("b1", "c1", "a1")]
-            else:
-                words_small = [("c1", "c2"), ("c1", "c3"), ("c2", "c3", "c1")]
-            for w in words_small:
-                lifted.append(word_observable(w))
-            m_small = brackets.bracket_matrix(lifted, lifted, u)
-            m_big = brackets.bracket_matrix(lifted, lifted, big_point)
-            worst = _worst(worst, _above_diagonal(m_small - m_big))
-            level = float(np.linalg.norm(big_point.momentum() - np.eye(n)))
-            if level > 1e-10:
-                worst = _worst(worst, 1.0)
+        u = stack([small.random_point(rng) for _ in range(3)])
+        big_point = embed_shift(u)
+        lifted = [word_observable(w) for w in words]
+        worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(lifted, lifted, u)
+                                           - brackets.bracket_matrix(lifted, lifted, big_point)))
+        if np.max(liecore.norms(big_point.momentum() - np.eye(n), 2)) > 1e-10:
+            worst = _worst(worst, 1.0)
     return _result(ctx, "shifting-trick",
                    "brackets on the unit momentum level match the reduced model space",
                    worst, 1e-6)
@@ -474,10 +487,10 @@ def flow_derivatives(x, gens, obs) -> np.ndarray:
 
 
 def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
-    """Largest relative defect at x between each generator's closed-form velocity and its
-    Hamiltonian velocity (P-sharp of its table): as ambient tangent vectors and paired with
-    the probes' stacked tables, and, with ``oracle``, the brackets against the flows'
-    finite-difference derivatives (``flow_derivatives``)."""
+    """Largest relative defect at x, a point or a stack, between each generator's closed-form
+    velocity and its Hamiltonian velocity (P-sharp of its table): as ambient tangent vectors
+    and paired with the probes' stacked tables, and, with ``oracle`` (one point only), the
+    brackets against the flows' finite-difference derivatives (``flow_derivatives``)."""
     rows = brackets.gradient_stack(obs, x)
     hamiltonian = brackets.sharp(brackets.gradient_stack([g.obs for g in gens], x), x)
     velocities = [g.velocity(x) for g in gens]
@@ -487,8 +500,9 @@ def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
         derivs.append(flow_derivatives(x, gens, obs))
     defects = [float(np.max(np.abs(d - mat) / (1.0 + np.abs(mat)))) for d in derivs]
     for j, v in enumerate(velocities):
-        ref = x.tangent({key: s[j] for key, s in hamiltonian.items()})
-        defects.append(float(np.linalg.norm(x.tangent(v) - ref) / (1.0 + np.linalg.norm(ref))))
+        ref = x.tangent({key: s[..., j, :, :] for key, s in hamiltonian.items()})
+        defects.append(float(np.max(liecore.norms(x.tangent(v) - ref)
+                                    / (1.0 + liecore.norms(ref)))))
     return _worst(*defects)
 
 
@@ -502,9 +516,10 @@ def check_flow_bracket(ctx: CheckContext) -> CheckResult:
     obs = h.probes()
     worst = 0.0
     gens = all_generators(h)
-    for k in range(ctx.cfg.points):
-        x = h.sample(rng)
-        worst = _worst(worst, flow_bracket_worst(x, gens, obs, oracle=k == 0))
+    first = h.sample(rng)
+    rest = _sample_stack(h, rng, ctx.cfg.points - 1)
+    worst = _worst(flow_bracket_worst(first, gens, obs),
+                   flow_bracket_worst(rest, gens, obs, oracle=False))
     return _result(ctx, "flow-bracket",
                    "exact flows differentiate to the bracket against the probe family",
                    worst, 1e-6, {"points": ctx.cfg.points, "observables": len(obs),
@@ -517,9 +532,8 @@ def check_abelian(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for fam_name, gens in h.families().items():
         obs = [g.obs for g in gens]
-        for _ in range(max(2, ctx.cfg.points // 3)):
-            x = h.sample(rng)
-            worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)))
+        x = _sample_stack(h, rng, max(2, ctx.cfg.points // 3))
+        worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)))
     return _result(ctx, "abelian-family",
                    "family generators pairwise bracket-commute", worst, 1e-6)
 
@@ -529,13 +543,12 @@ def check_flow_commutation(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("flow-commutation")
     worst = 0.0
     for fam_name, gens in h.families().items():
-        for _ in range(2):
-            x = h.sample(rng)
-            for i in range(len(gens)):
-                for j in range(i + 1, len(gens)):
-                    a = gens[j].flow(gens[i].flow(x, 0.3), 0.7)
-                    b = gens[i].flow(gens[j].flow(x, 0.7), 0.3)
-                    worst = _worst(worst, a.distance(b))
+        x = _sample_stack(h, rng, 2)
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                a = gens[j].flow(gens[i].flow(x, 0.3), 0.7)
+                b = gens[i].flow(gens[j].flow(x, 0.7), 0.3)
+                worst = _worst(worst, *np.ravel(a.distance(b)))
     return _result(ctx, "flow-commutation",
                    "family flows compose identically in either order", worst, 1e-8)
 
@@ -550,13 +563,12 @@ def check_conservation(ctx: CheckContext) -> CheckResult:
     for spec in h.conserved():
         gens = fams.get(spec.family, [])
         local = 0.0
-        for _ in range(3):
-            x = h.sample(rng)
-            base = np.asarray(spec.fn(x))
-            for gen in gens:
-                for t in taus:
-                    moved = np.asarray(spec.fn(gen.flow(x, t)))
-                    local = _worst(local, float(np.max(np.abs(moved - base))))
+        x = _sample_stack(h, rng, 3)
+        base = np.asarray(spec.fn(x))
+        for gen in gens:
+            for t in taus:
+                moved = np.asarray(spec.fn(gen.flow(x, t)))
+                local = _worst(local, float(np.max(np.abs(moved - base))))
         detail[f"{spec.name}({spec.family})"] = local
         worst = _worst(worst, local)
     return _result(ctx, "conservation",
@@ -568,15 +580,14 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("unitary-conjugation-law")
     worst = 0.0
-    for _ in range(4):
-        x = h.sample(rng)
-        u0 = x.factor("u_right")
-        for fn in [PowerTrace(2), AlcoveCoroot(0, ctx.datum)]:
-            for t in (0.3, 1.1):
-                moved = flows.heisenberg_flow(x, fn, t)
-                gamma = flows.heisenberg_flow_unitary_part(x, fn, t)
-                resid = np.linalg.norm(moved.factor("u_right") - gamma @ u0 @ gamma.conj().T)
-                worst = _worst(worst, float(resid))
+    x = _sample_stack(h, rng, 4)
+    u0 = x.factor("u_right")
+    for fn in [PowerTrace(2), AlcoveCoroot(0, ctx.datum)]:
+        for t in (0.3, 1.1):
+            moved = flows.heisenberg_flow(x, fn, t)
+            gamma = flows.heisenberg_flow_unitary_part(x, fn, t)
+            resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
+            worst = _worst(worst, *resid)
     return _result(ctx, "unitary-conjugation-law",
                    "the right unitary factor evolves by conjugation along class flows",
                    worst, 1e-9)
@@ -585,16 +596,12 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
 def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
     n = ctx.cfg.n
     rng = ctx.rng("quasi-adjoint-law")
-    worst = 0.0
-    for _ in range(6):
-        x = ctx.harness.sample(rng)
-        eta = liecore.random_group_element(n, rng)
-        moved = x.conjugate(eta)
-        twist = decomp.iwasawa_right(eta @ x.factor("b_left"))[1].conj().T
-        worst = _worst(worst, float(np.linalg.norm(
-            moved.factor("u_right") - twist @ x.factor("u_right") @ twist.conj().T)))
-        worst = _worst(worst, float(np.linalg.norm(
-            moved.factor("b_right") - decomp.dress(twist, x.factor("b_right")))))
+    x, eta = _sample_stack(ctx.harness, rng, 6, lambda r: liecore.random_group_element(n, r))
+    moved = x.conjugate(eta)
+    twist = adjoint(decomp.iwasawa_right(eta @ x.factor("b_left"))[1])
+    u_defect = moved.factor("u_right") - twist @ x.factor("u_right") @ adjoint(twist)
+    b_defect = moved.factor("b_right") - decomp.dress(twist, x.factor("b_right"))
+    worst = _worst(0.0, *liecore.norms(u_defect, 2), *liecore.norms(b_defect, 2))
     return _result(ctx, "quasi-adjoint-law",
                    "the symmetry action transforms the right factors by twist and dressing",
                    worst, 1e-9)
@@ -608,13 +615,9 @@ def check_torus_periodicity(ctx: CheckContext) -> CheckResult:
     for spec in h.torus_specs():
         if not spec.periodic:
             continue
-        local = 0.0
-        for _ in range(3):
-            x = h.sample(rng)
-            for j in range(spec.dim):
-                tau = np.zeros(spec.dim)
-                tau[j] = 2 * np.pi
-                local = _worst(local, spec.act(x, tau).distance(x))
+        x = _sample_stack(h, rng, 3)
+        local = _worst(0.0, *(d for tau in 2 * np.pi * np.eye(spec.dim)
+                              for d in spec.act(x, tau).distance(x)))
         detail[spec.name] = local
         worst = _worst(worst, local)
     # negative control: a coweight translation flow must not close up
@@ -638,13 +641,9 @@ def check_torus_additivity(ctx: CheckContext) -> CheckResult:
     # angles are capped; the noncompact directions are proper but unbounded,
     # so the conditioning of the positive factorization is reported alongside
     for spec in h.torus_specs():
-        for _ in range(3):
-            x = h.sample(rng)
-            t1 = rng.uniform(-1.0, 1.0, spec.dim)
-            t2 = rng.uniform(-1.0, 1.0, spec.dim)
-            a = spec.act(spec.act(x, t1), t2)
-            b = spec.act(x, t1 + t2)
-            worst = _worst(worst, a.distance(b))
+        angles = lambda r, dim=spec.dim: r.uniform(-1.0, 1.0, dim)
+        x, t1, t2 = _sample_stack(h, rng, 3, angles, angles)
+        worst = _worst(worst, *spec.act(spec.act(x, t1), t2).distance(spec.act(x, t1 + t2)))
         if ctx.cfg.space == "heisenberg" and spec.name == "borel-translation":
             x = h.sample(rng)
             tau = np.full(spec.dim, 1.0)
@@ -660,14 +659,11 @@ def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("torus-vs-flows")
     worst = 0.0
     for spec in h.torus_specs():
-        for _ in range(2):
-            x = h.sample(rng)
-            tau = rng.uniform(-0.8, 0.8, spec.dim)
-            a = spec.act(x, tau)
-            b = x
-            for gen, t in zip(spec.generators, tau):
-                b = gen.flow(b, t)
-            worst = _worst(worst, a.distance(b))
+        x, tau = _sample_stack(h, rng, 2, lambda r, dim=spec.dim: r.uniform(-0.8, 0.8, dim))
+        b = x
+        for gen, t in zip(spec.generators, tau.T):
+            b = gen.flow(b, t)
+        worst = _worst(worst, *spec.act(x, tau).distance(b))
     return _result(ctx, "torus-vs-flows",
                    "the joint torus action equals composed generator flows", worst, 1e-8)
 
@@ -677,14 +673,10 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("flow-equivariance")
     worst = 0.0
     gens = [g for fam in h.families().values() for g in fam]
-    for _ in range(2):
-        x = h.sample(rng)
-        eta = liecore.random_group_element(ctx.cfg.n, rng)
-        for gen in gens:
-            for t in (0.45,):
-                a = gen.flow(x.conjugate(eta), t)
-                b = gen.flow(x, t).conjugate(eta)
-                worst = _worst(worst, a.distance(b))
+    x, eta = _sample_stack(h, rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
+    for gen in gens:
+        worst = _worst(worst, *gen.flow(x.conjugate(eta), 0.45).distance(
+            gen.flow(x, 0.45).conjugate(eta)))
     return _result(ctx, "flow-equivariance",
                    "every family flow commutes with the symmetry action", worst, 1e-9)
 
@@ -694,12 +686,9 @@ def check_bracket_invariance(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("bracket-invariance")
     worst = 0.0
     obs = [g.obs for fam in h.families().values() for g in fam][:3]
-    for _ in range(2):
-        x = h.sample(rng)
-        eta = liecore.random_group_element(ctx.cfg.n, rng)
-        y = x.conjugate(eta)
-        worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
-                                           - brackets.bracket_matrix(obs, obs, y)))
+    x, eta = _sample_stack(h, rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
+    worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
+                                       - brackets.bracket_matrix(obs, obs, x.conjugate(eta))))
     return _result(ctx, "bracket-invariance",
                    "brackets of invariant observables are symmetry invariant",
                    worst, 1e-8)
@@ -726,21 +715,20 @@ def check_isotropy(ctx: CheckContext) -> CheckResult:
 def check_freeness_rank(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("freeness-rank")
+    specs = h.torus_specs()
+
+    def angles(r, spec):
+        if spec.periodic:
+            return r.uniform(0.1, 2 * np.pi - 0.1, spec.dim)
+        return r.uniform(0.1, 1.2, spec.dim) * r.choice([-1.0, 1.0], spec.dim)
+
+    x, *taus = _sample_stack(h, rng, 20, *(lambda r, s=s: angles(r, s) for s in specs))
     failures = 0
     min_disp = np.inf
-    for _ in range(20):
-        x = h.sample(rng)
-        for spec in h.torus_specs():
-            velocities = [g.velocity for g in spec.generators]
-            rank, _ = probes.rank_of(probes.generator_matrix(x, velocities))
-            if rank != spec.dim:
-                failures += 1
-            if spec.periodic:
-                tau = rng.uniform(0.1, 2 * np.pi - 0.1, spec.dim)
-            else:
-                tau = rng.uniform(0.1, 1.2, spec.dim) * rng.choice([-1.0, 1.0], spec.dim)
-            disp = spec.act(x, tau).distance(x)
-            min_disp = _worst(min_disp, disp, pick=min)
+    for spec, tau in zip(specs, taus):
+        ranks, _ = probes.rank_of(probes.generator_matrix(x, [g.velocity for g in spec.generators]))
+        failures += int(np.count_nonzero(ranks != spec.dim))
+        min_disp = _worst(min_disp, *np.ravel(spec.act(x, tau).distance(x)), pick=min)
     shortfall = _worst(0.0, 1e-4 - min_disp)
     return _result(ctx, "freeness-rank",
                    "torus generators have full rank and nontrivial angles move points",
@@ -750,21 +738,14 @@ def check_freeness_rank(ctx: CheckContext) -> CheckResult:
 def check_differential_rank(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("differential-rank")
-    failures = 0
-    detail = {}
-    gens = [g for fam in h.families().values() for g in fam]
-    fns = [g.obs for g in gens]
+    fns = [g.obs for fam in h.families().values() for g in fam]
     expected_min = sum(spec.dim for spec in h.torus_specs())
-    for k in range(3):
-        x = h.sample(rng)
-        rank, sv = probes.rank_of(probes.differential_matrix(x, fns))
-        detail[f"point-{k}"] = rank
-        if rank < expected_min:
-            failures += 1
+    ranks, _ = probes.rank_of(probes.differential_matrix(_sample_stack(h, rng, 3), fns))
+    detail = {f"point-{k}": int(rank) for k, rank in enumerate(ranks)}
     detail["expected_min"] = expected_min
     return _result(ctx, "differential-rank",
-                   "family differentials span at least the torus dimension", failures,
-                   0.0, detail)
+                   "family differentials span at least the torus dimension",
+                   int(np.count_nonzero(ranks < expected_min)), 0.0, detail)
 
 
 def check_momentum_condition(ctx: CheckContext) -> CheckResult:
@@ -776,9 +757,8 @@ def check_momentum_condition(ctx: CheckContext) -> CheckResult:
                              h.space.momentum_word(0)[0])
     obs = h.probes()[:3] + [entry]
     kfns = [PowerTrace(1), PowerTrace(2, part="im")]
-    for _ in range(2):
-        x = h.sample(rng)
-        worst = _worst(worst, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
+    x = _sample_stack(h, rng, 2)
+    worst = _worst(worst, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
     return _result(ctx, "momentum-condition",
                    "the bivector and the product momentum map satisfy the defining relation",
                    worst, 1e-6)
@@ -823,12 +803,9 @@ def check_permutations(ctx: CheckContext) -> CheckResult:
     h_t = word_observable(("c1", "b2", "c2"))
     f_s = moduli.pullback_hamiltonian(f_t, plan)
     h_s = moduli.pullback_hamiltonian(h_t, plan)
-    for _ in range(2):
-        x = space.random_point(rng)
-        y = moduli.permutation_pushforward(x, plan)
-        v_target = brackets.bracket_matrix([f_t], [h_t], y)[0, 0]
-        v_source = brackets.bracket_matrix([f_s], [h_s], x)[0, 0]
-        worst = _worst(worst, abs(v_target - v_source))
+    x = stack([space.random_point(rng) for _ in range(2)])
+    v_target = brackets.bracket_matrix([f_t], [h_t], moduli.permutation_pushforward(x, plan))
+    worst = _worst(worst, *np.abs(v_target - brackets.bracket_matrix([f_s], [h_s], x))[:, 0, 0])
     # the pulled-back two-block family stays Abelian on the source space
     def draw():
         cand = space.random_point(rng)
@@ -839,11 +816,9 @@ def check_permutations(ctx: CheckContext) -> CheckResult:
             decomp.alcove_diagonalize(drawn[1].momentum(range(p1, p2 + 1)),
                                       harness_mod.SAMPLING_MARGIN)
     x, _ = harness_mod.sample_regular("permuted", 64, draw, check)
-    pulled = []
-    for p1, p2 in ((0, 1), (2, 3)):
-        for j in range(datum.rank):
-            hblock = moduli.WordHamiltonian(("span", p1, p2), AlcoveCoweight(j, datum))
-            pulled.append(moduli.pullback_hamiltonian(hblock, plan))
+    pulled = [moduli.pullback_hamiltonian(moduli.WordHamiltonian(
+        ("span", p1, p2), AlcoveCoweight(j, datum)), plan)
+        for p1, p2 in ((0, 1), (2, 3)) for j in range(datum.rank)]
     worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(pulled, pulled, x)))
     return _result(ctx, "permutation-brackets",
                    "factor transpositions preserve brackets and pulled-back families commute",

@@ -13,17 +13,26 @@ a fusion space the list is the space's ``slots``: two per 'D' factor, one per
 'K' factor, in factor order.  Every point has ``conjugate(eta)``, the action
 of the symmetry group SU(n): conjugation of every matrix on cotangent and
 fusion points, the quasi-adjoint action on the Heisenberg double.
+
+Points are stacks.  Every matrix of a point may carry leading point axes,
+(..., n, n), and ``stack(points)`` builds one such point from per-point
+draws.  ``flat``, ``distance``, ``tangent``, ``conjugation_velocity``,
+``conjugate`` (by one eta or one per point), ``letter``, ``factor`` and the
+momentum maps act on each point of a stack; a single point is the case with
+no leading axis.  ``distance`` takes one norm per point, because a norm over
+stacked axes is not bit-equal to the one-point norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import decomp, liecore
 from .errors import InvalidShape, ShapeError
+from .liecore import adjoint
 
 
 class Point:
@@ -39,15 +48,15 @@ class Point:
         raise NotImplementedError
 
     def flat(self) -> np.ndarray:
-        """Real, then imaginary entries of each matrix, matrix by matrix."""
+        """Real, then imaginary entries of each matrix, matrix by matrix, on the last axis."""
         parts = []
         for _, m in self.matrices():
-            parts += [m.real.ravel(), m.imag.ravel()]
-        return np.concatenate(parts)
+            parts += [m.real.reshape(m.shape[:-2] + (-1,)), m.imag.reshape(m.shape[:-2] + (-1,))]
+        return np.concatenate(parts, axis=-1)
 
-    def distance(self, other: "Point") -> float:
-        """Euclidean norm of the flattened difference."""
-        return float(np.linalg.norm(self.flat() - other.flat()))
+    def distance(self, other: "Point"):
+        """Euclidean norm of the flattened difference, per point of a stack."""
+        return liecore.norms(self.flat() - other.flat())
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +70,7 @@ class CotangentPoint(Point):
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     def matrices(self):
         return (("g", self.g), ("j", self.j))
@@ -70,18 +79,18 @@ class CotangentPoint(Point):
         if name == "g":
             return self.g
         if name == "g~":
-            return self.g.conj().T
+            return adjoint(self.g)
         if name == "j":
             return self.j
         raise ShapeError(f"unknown cotangent letter {name!r}")
 
     def conjugate(self, eta: np.ndarray) -> "CotangentPoint":
-        ei = eta.conj().T
+        ei = adjoint(eta)
         return CotangentPoint(eta @ self.g @ ei, eta @ self.j @ ei)
 
     def conjugation_velocity(self, z: np.ndarray) -> dict:
         """Velocity of conjugate(exp(tz)) at t = 0: z g - g z = (z - g z g^H) g, z j - j z."""
-        return {"group": z - self.g @ z @ self.g.conj().T, "fiber": z @ self.j - self.j @ z}
+        return {"group": z - self.g @ z @ adjoint(self.g), "fiber": z @ self.j - self.j @ z}
 
     def tangent(self, velocity: dict) -> np.ndarray:
         """'group' Z moves g by Z g, 'fiber' V moves j by V."""
@@ -92,7 +101,7 @@ class CotangentPoint(Point):
 
 def cotangent_momentum(x: CotangentPoint) -> np.ndarray:
     """Momentum map of the conjugation action: J - g^-1 J g."""
-    return x.j - x.g.conj().T @ x.j @ x.g
+    return x.j - adjoint(x.g) @ x.j @ x.g
 
 
 def random_cotangent_point(n: int, rng: np.random.Generator) -> CotangentPoint:
@@ -110,7 +119,7 @@ class HeisenbergPoint(Point):
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     def matrices(self):
         return (("x", self.x),)
@@ -121,9 +130,9 @@ class HeisenbergPoint(Point):
         if name == "x~":
             return np.linalg.inv(self.x)
         if name == "xh":
-            return self.x.conj().T
+            return adjoint(self.x)
         if name == "xh~":
-            return np.linalg.inv(self.x.conj().T)
+            return np.linalg.inv(adjoint(self.x))
         raise ShapeError(f"unknown Heisenberg letter {name!r}")
 
     def factor(self, name: str) -> np.ndarray:
@@ -241,7 +250,7 @@ def conjugation_velocity(slots, z: np.ndarray) -> dict:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b @ a.conj().T @ b.conj().T
+    return a @ b @ adjoint(a) @ adjoint(b)
 
 
 @dataclass(frozen=True)
@@ -262,7 +271,8 @@ class FusionPoint(Point):
         return self.factors[f]
 
     def momentum(self, positions=None) -> np.ndarray:
-        """Product of the factor momenta at ``positions`` in order, all of them by default."""
+        """Product of the factor momenta at ``positions`` in order, all of them by default
+        (per point of a stack: the identity broadcasts)."""
         out = np.eye(self.n, dtype=complex)
         for f in range(len(self.factors)) if positions is None else positions:
             out = out @ self.factor_momentum(f)
@@ -309,10 +319,10 @@ class FusionPoint(Point):
     def letter(self, name: str) -> np.ndarray:
         slot, inverse = self.letter_slot(name)
         m = self.slot(*slot)
-        return m.conj().T if inverse else m
+        return adjoint(m) if inverse else m
 
     def conjugate(self, eta: np.ndarray) -> "FusionPoint":
-        ei = eta.conj().T
+        ei = adjoint(eta)
         return self.map(lambda m: eta @ m @ ei)
 
     def conjugation_velocity(self, z: np.ndarray) -> dict:
@@ -320,11 +330,21 @@ class FusionPoint(Point):
         return conjugation_velocity(self.space.slots, z)
 
     def tangent(self, velocity: dict) -> np.ndarray:
-        moved = {slot: np.zeros((self.n, self.n), dtype=complex) for slot in self.space.slots}
+        moved = {slot: np.zeros_like(self.slot(*slot)) for slot in self.space.slots}
         for (f, comp, side), z in velocity.items():
             m = self.slot(f, comp)
             moved[f, comp] = moved[f, comp] + (z @ m if side == "lmul" else m @ z)
         return self.with_slots(moved).flat()
+
+
+def stack(points) -> Point:
+    """One point of the type of ``points[0]`` whose matrices stack those of the points on a
+    new leading axis."""
+    first = points[0]
+    if isinstance(first, FusionPoint):
+        return first.with_slots({s: np.stack([p.slot(*s) for p in points])
+                                 for s in first.space.slots})
+    return type(first)(*(np.stack([getattr(p, f.name) for p in points]) for f in fields(first)))
 
 
 def moduli_point(space: FusionSpace, pairs, holes) -> FusionPoint:

@@ -85,7 +85,7 @@ def test_heisenberg_sampler_failure_at_n6_says_why():
 def test_gradient_oracles_build_thirty_regular_points_of_each_kind(n, monkeypatch):
     """The oracle points are regular by construction at every admitted n: 30 group, 30
     algebra and 30 Borel points, each from one Haar frame and one spectrum, none redrawn,
-    and each passing its 0.05-margin normal form."""
+    and each passing its 0.05-margin normal form, asserted on one stack per kind."""
     from sunflows import decomp, scenario
     built, asserted = Counter(), Counter()
 
@@ -99,6 +99,7 @@ def test_gradient_oracles_build_thirty_regular_points_of_each_kind(n, monkeypatc
         def wrapper(x, *margin):
             if margin == (0.05,):
                 asserted[name] += 1
+                asserted[f"{name} matrices"] += int(np.prod(np.shape(x)[:-2]))
             return fn(x, *margin)
         return wrapper
 
@@ -111,8 +112,9 @@ def test_gradient_oracles_build_thirty_regular_points_of_each_kind(n, monkeypatc
     check, = report.checks
     assert check.passed, check.detail
     assert built == {"frame": 90, "spectrum": 90}
-    assert asserted == {"alcove_diagonalize": 30, "chamber_diagonalize": 30,
-                        "borel_chamber_diagonalize": 30}
+    kinds = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize")
+    assert asserted == {**{name: 1 for name in kinds},
+                        **{f"{name} matrices": 30 for name in kinds}}
 
 
 def _gapped(gaps):

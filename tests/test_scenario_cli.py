@@ -6,6 +6,7 @@ import pytest
 from sunflows import cli
 from sunflows.errors import InvalidShape
 from sunflows.scenario import (
+    MAX_POINTS,
     ScenarioConfig,
     derived_rng,
     emit_report,
@@ -89,6 +90,16 @@ def _rejected_clause(fields: dict) -> str:
                                     {"seed": "42"}, {"points": 2.5}, {"points": True}])
 def test_config_validation_integer_clause(fields):
     assert "clause integer" in _rejected_clause(fields)
+
+
+@pytest.mark.parametrize("points", [-1, 0, 1, MAX_POINTS + 1, 10**7])
+def test_config_validation_points_clause(points):
+    assert "clause points" in _rejected_clause({"points": points})
+
+
+@pytest.mark.parametrize("points", [2, MAX_POINTS])
+def test_config_validation_admits_points_up_to_the_bound(points):
+    ScenarioConfig(space="double", n=3, points=points).validate()
 
 
 @pytest.mark.parametrize("tol_scale", [-1, 0, "1", float("nan"), float("inf")])

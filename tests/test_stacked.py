@@ -267,8 +267,9 @@ _ORACLES = ("group_gradient_fd", "algebra_gradient_fd", "borel_gradient_fd")
 def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     """With checks=["gradient-oracles"] at n=3: no value() call and no one-matrix
     normal form inside an oracle, one eigenvalue solve per stencil block, and
-    every one-matrix normal form accounted for by the regularity assertion of
-    a built point or an exact grad(), both served by one eigensolve."""
+    every normal form outside the oracles accounted for by the regularity
+    assertion of a stack of built points or an exact grad() on it, both served
+    by one eigensolve."""
     calls, inside, draws, solves = Counter(), Counter(), Counter(), Counter()
     depth, kernel_depth = [0], [0]
 
@@ -340,13 +341,14 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     # the points are built regular: no sampling draw, and no Iwasawa factor
     assert not draws
     assert calls["iwasawa_left"] == 0
-    # one regularity assertion per built point, and the exact gradients: two
-    # alcove functions, one chamber function and one Borel chamber function
-    assert calls["alcove_diagonalize"] == points + 2 * points
-    assert calls["chamber_diagonalize"] == points + points
-    assert calls["borel_chamber_diagonalize"] == points + points
+    # the built points are stacked, one stack per kind: one regularity assertion per
+    # stack, and the exact gradients on it: two alcove functions, one chamber function and
+    # one Borel chamber function
+    assert calls["alcove_diagonalize"] == 1 + 2
+    assert calls["chamber_diagonalize"] == 1 + 1
+    assert calls["borel_chamber_diagonalize"] == 1 + 1
     # the memo keeps the margin-free normal form, so the 0.05-margin assertion and the
-    # default-margin grad() of a point share one eigensolve: one eig per group point and
-    # one eigh per algebra and per Borel point
-    assert solves["eig"] == points
-    assert solves["eigh"] == 2 * points
+    # default-margin grad() of a stack share one eigensolve: one eig for the group stack
+    # and one eigh for the algebra and for the Borel stack
+    assert solves["eig"] == 1
+    assert solves["eigh"] == 2
