@@ -1,29 +1,35 @@
 """Derivative and bracket engines.
 
-Every bracket goes through ``bracket_matrix``: each observable brings its
-gradient table at the point, and each geometry states its bivector P once,
-as its sharp map (``sharp``) from stacked gradient tables to stacked
-Hamiltonian velocities keyed like the flows' velocities: the canonical
-cotangent bivector, the Heisenberg-double bivector built from the two
-isotropic projections, and the quasi-Poisson bivector of fusion spaces.
+Every bracket goes through ``bracket_matrix``: the point's geometry supplies
+per-observable gradients (group and fiber gradients on the cotangent bundle,
+left and right complexified derivatives on the Heisenberg double, per-letter
+left/right gradient tables on fusion spaces), and each geometry states its
+bivector P once, as its sharp map (``sharp``), from stacked gradient tables
+to stacked Hamiltonian velocities keyed like the flows' velocities: the
+canonical cotangent bivector, the Heisenberg-double bivector built from the
+two isotropic projections, and the quasi-Poisson bivector of fusion spaces.
 {F, H} is F's table paired with P-sharp of H's (``velocity_pairings``, the
 one pairing kernel, which also pairs the flows' closed-form velocities).
 
 Gradients are exact tables, and only exact tables.  An observable carries
-``grad_table(point)``, keyed like ``_tangent_blocks``: 'group' and 'fiber'
-on cotangent points, the complexified derivatives 'lmul' (D) and 'rmul'
-(D') on the Heisenberg double and (factor, component, side) on fusion
-points.  Word traces carry it on all three, from Goldman's cyclic
-derivative (``trace_word_table``); class functions of words on cotangent
-and fusion points, by conjugating the class-function gradient along the
-word (``class_word_table``); functions of the right Iwasawa factors (the
-Heisenberg generators) through the dressing linearization
-(``right_factor_table``).  Chart pullbacks are letter substitutions and a
-momentum pullback k(mu) is a class function of the whole momentum word, so
-they carry word tables too.  An observable without a table raises
-``UnsupportedBracket``.  The finite-difference table engine (``_fd_tables``
-and its per-geometry names) is no bracket path: it is the oracle the exact
-tables are tested against.
+``grad_table(point)``, returning the dict the geometry's finite-difference
+engine would build, keyed like ``_tangent_blocks``: 'group' and 'fiber' on cotangent
+points, the complexified derivatives 'lmul' (D) and 'rmul' (D') on the Heisenberg
+double and (factor, component, side) on fusion points.  Word traces
+(``word_observable``) carry it on all three, from Goldman's cyclic
+derivative; class functions of words (``moduli.WordHamiltonian``,
+``observables.WordFunction``) carry it on cotangent and fusion points, by
+conjugating the class-function gradient along the word; functions of the
+right Iwasawa factors (``observables.RightFactorFunction``, the Heisenberg
+generators) carry it through the first-order Iwasawa splitting, the
+dressing linearization.  Chart pullbacks are letter substitutions
+(``observables.substitute``) and a momentum pullback k(mu) is a class
+function of the whole momentum word, so they carry word tables too.
+``bracket_matrix``, ``momentum_condition_matrix`` and ``differentials`` read
+that one interface on every geometry, and refuse an observable without a
+table (``UnsupportedBracket``).  The finite-difference table engine
+(``_fd_tables`` and its per-geometry names) is no bracket path: it is the
+oracle the exact tables are tested against.
 
 Points may be stacks (``spaces``).  The word, class and right-factor
 tables, ``gradient_stack``, ``sharp``, ``velocity_pairings``,
@@ -33,16 +39,20 @@ brackets (..., rows, columns), each point with the bytes of its one-point
 call.  The stencils below are built one point at a time.
 
 Directional derivatives are fourth-order central differences with one step
-per basis (``STEP``).  Every stencil is built one basis block at a time, as
-one (directions, offsets, n, n) stack: translations multiply one cached
-array of the powers of exp(hZ) per basis (``_steps``), and the additive
-directions are shifts m + k h Z.  Gradients are assembled against cached
-dual bases, so no linear solve happens per call.  The engines wrap each
-stencil matrix into a point and evaluate every observable there; the
-oracles (``group_gradient_fd``, ``algebra_gradient_fd``,
-``borel_gradient_fd``) hand the whole stack to a function's ``values`` when
-it has one, so a block costs one stacked eigenvalue solve; opaque callables
-are still evaluated one stencil matrix at a time.
+per basis (``STEP``).  This module builds every finite-difference stencil,
+one basis block at a time, as one (directions, offsets, n, n) stack:
+translations multiply one cached array of the powers of exp(hZ) per basis
+(``_steps``), and the additive directions are shifts m + k h Z.  The
+gradient engines and the finite-difference oracles use them.  Gradients are
+assembled against cached dual bases, so no linear solve happens per call.
+
+The engines wrap each stencil matrix into a point and evaluate every
+observable there, each point built once for all of them.  The oracles
+(``group_gradient_fd``, ``algebra_gradient_fd``, ``borel_gradient_fd``)
+hand the whole stack to a function's ``values`` when it has one (the
+closed-form class, algebra and Borel families), so a block costs one
+stacked eigenvalue solve instead of one normal form per stencil point;
+opaque callables are still evaluated one stencil matrix at a time.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ from .liecore import (
     skew_traceless,
     sl_real_basis,
     su_basis,
-    trace,
+    traceless,
 )
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
@@ -338,9 +348,7 @@ def _heisenberg_word_table(letters, rotations):
         for side, cut in zip(sides, (i + offset, i + 1 - offset)):
             c = rotations[cut]
             sides[side] = sides[side] + sign * (adjoint(c) if conjugate else c)
-    n = rotations[0].shape[-1]
-    return {side: 1j * m - (trace(1j * m) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
-            for side, m in sides.items()}
+    return {side: traceless(1j * m) for side, m in sides.items()}
 
 
 def trace_word_table(x, letters, coeff: complex):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import brackets, decomp, liecore
 from .errors import ShapeError, UnsupportedBracket
-from .liecore import RootDatum, adjoint
+from .liecore import RootDatum, adjoint, scaled
 from .observables import AlgebraFunction, BorelFunction, ClassFunction, entry_observable
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint, conjugation_velocity
 
@@ -40,11 +40,6 @@ def _maybe_reproject(u: np.ndarray, label: str) -> np.ndarray:
     return u
 
 
-def _times(tau, m: np.ndarray) -> np.ndarray:
-    """tau * m for a flow time tau that is one number or one per point of a stack."""
-    return np.asarray(tau)[..., np.newaxis, np.newaxis] * m
-
-
 # ---------------------------------------------------------------------------
 # torus elements
 # ---------------------------------------------------------------------------
@@ -55,14 +50,9 @@ def _weighted(tau: np.ndarray, elements) -> np.ndarray:
     return sum(tau[..., j, :, :] * e for j, e in enumerate(elements))
 
 
-def _coroot_sum(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
-    """sum tau_j h_j over the simple coroots."""
-    return _weighted(tau, datum.coroots)
-
-
 def coroot_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j h_j) over the simple coroots."""
-    return liecore.expm(-1j * _coroot_sum(tau, datum))
+    return liecore.expm(-1j * _weighted(tau, datum.coroots))
 
 
 def coweight_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
@@ -81,10 +71,10 @@ def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
     exp(tau * grad); base class functions translate the fiber by -tau * grad.
     """
     if isinstance(ham, AlgebraFunction):
-        g = liecore.expm_normal(_times(tau, ham.grad(x.j))) @ x.g
+        g = liecore.expm_normal(scaled(tau, ham.grad(x.j))) @ x.g
         return CotangentPoint(_maybe_reproject(g, "cotangent group part"), x.j)
     if isinstance(ham, ClassFunction):
-        return CotangentPoint(x.g, x.j - _times(tau, ham.grad(x.g)))
+        return CotangentPoint(x.g, x.j - scaled(tau, ham.grad(x.g)))
     raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
 
 
@@ -109,7 +99,7 @@ def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
         t = decomp.chamber_diagonalize(x.j).transport(coroot_torus_element(tau, datum))
         return CotangentPoint(_maybe_reproject(t @ x.g, "cotangent torus"), x.j)
     if family == "translate":
-        shift = decomp.alcove_diagonalize(x.g).transport(-1j * _coroot_sum(tau, datum))
+        shift = decomp.alcove_diagonalize(x.g).transport(-1j * _weighted(tau, datum.coroots))
         return CotangentPoint(x.g, x.j - shift)
     raise ShapeError(f"unknown cotangent torus family {family!r}")
 
@@ -128,9 +118,9 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
     """
     if isinstance(ham, BorelFunction):
         return HeisenbergPoint(x.x @ liecore.expm_normal(
-            _times(-np.asarray(tau), ham.grad(x.factor("b_right")))))
+            scaled(-tau, ham.grad(x.factor("b_right")))))
     if isinstance(ham, ClassFunction):
-        pos = liecore.expm_normal(_times(1j * np.asarray(tau), ham.grad(x.factor("u_right"))))
+        pos = liecore.expm_normal(scaled(1j * tau, ham.grad(x.factor("u_right"))))
         return HeisenbergPoint(x.x @ decomp.iwasawa_right(pos)[0])
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
@@ -146,13 +136,13 @@ def heisenberg_velocity(x: HeisenbergPoint, ham) -> dict:
 
 def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: float) -> np.ndarray:
     """The unitary cofactor of the class-function flow (conjugator of u_right)."""
-    pos = liecore.expm_normal(_times(1j * np.asarray(tau), ham.grad(x.factor("u_right"))))
+    pos = liecore.expm_normal(scaled(1j * tau, ham.grad(x.factor("u_right"))))
     return adjoint(decomp.iwasawa_right(pos)[1])
 
 
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
-    pos = decomp.alcove_diagonalize(g).transport(liecore.expm(_coroot_sum(tau, datum)))
+    pos = decomp.alcove_diagonalize(g).transport(liecore.expm(_weighted(tau, datum.coroots)))
     return decomp.iwasawa_right(pos)[0]
 
 
@@ -181,13 +171,13 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
     """
     a, b = x.pair(1)
     if slot == "first":
-        u = liecore.expm_normal(_times(-np.asarray(tau), ham.grad(a)))
+        u = liecore.expm_normal(scaled(-tau, ham.grad(a)))
         return x.with_slots({(0, 1): _maybe_reproject(b @ u, "double B")})
     if slot == "second":
-        u = liecore.expm_normal(_times(tau, ham.grad(b)))
+        u = liecore.expm_normal(scaled(tau, ham.grad(b)))
         return x.with_slots({(0, 0): _maybe_reproject(a @ u, "double A")})
     if slot == "momentum":
-        u = liecore.expm_normal(_times(tau, ham.grad(x.momentum())))
+        u = liecore.expm_normal(scaled(tau, ham.grad(x.momentum())))
         ui = adjoint(u)
         return x.map(lambda m: u @ m @ ui)
     raise ShapeError(f"unknown double slot {slot!r}")

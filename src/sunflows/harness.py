@@ -125,20 +125,17 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
-def _generators(fns, obs, flow, velocity, suffix: str = "") -> list[Generator]:
-    """One generator per function fn: observable obs(fn), flow(p, fn, t), velocity(p, fn)."""
-    return [Generator(fn.name + suffix, obs(fn), lambda p, t, fn=fn: flow(p, fn, t),
-                      lambda p, fn=fn: velocity(p, fn)) for fn in fns]
-
-
 def _word_generators(fns, letters, flow, velocity, suffix: str = "") -> list[Generator]:
-    """One generator per invariant function of the word ``letters``."""
-    return _generators(fns, lambda fn: WordFunction(fn, letters), flow, velocity, suffix)
+    """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
+    return [Generator(fn.name + suffix, WordFunction(fn, letters),
+                      lambda p, t, fn=fn: flow(p, fn, t), lambda p, fn=fn: velocity(p, fn))
+            for fn in fns]
 
 
 def _moduli_generators(hams) -> list[Generator]:
     """One generator per word Hamiltonian, with its moduli flow."""
-    return _generators(hams, lambda h: h, moduli.moduli_flow, moduli.moduli_velocity)
+    return [Generator(h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t),
+                      lambda p, h=h: moduli.moduli_velocity(p, h)) for h in hams]
 
 
 def _action_variables(gens, rank: int) -> tuple:
@@ -210,8 +207,10 @@ class CotangentHarness(Harness):
 
 def _right_factor_generators(fns, factor: str) -> list[Generator]:
     """One generator per function of the right Iwasawa factor ('b_right' or 'u_right')."""
-    return _generators(fns, lambda fn: RightFactorFunction(fn, factor),
-                       lambda p, fn, t: flows.heisenberg_flow(p, fn, t), flows.heisenberg_velocity)
+    return [Generator(fn.name, RightFactorFunction(fn, factor),
+                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t),
+                      lambda p, fn=fn: flows.heisenberg_velocity(p, fn))
+            for fn in fns]
 
 
 class HeisenbergHarness(Harness):
@@ -378,7 +377,7 @@ class FusionHarness(Harness):
             rep = moduli.WordHamiltonian(block, PowerTrace(1))
             specs.append(ConservedSpec(
                 f"block-value-{'-'.join(str(s) for s in block)}", self.label,
-                lambda p, rep=rep: rep.classfn.values(rep.block_value(p))[..., np.newaxis]))
+                lambda p, rep=rep: rep.values(p)[..., np.newaxis]))
         return specs
 
     def crafted_keys(self):

@@ -35,6 +35,11 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
+def scaled(tau, m: np.ndarray) -> np.ndarray:
+    """tau * m for a time tau that is one number, or one per matrix of a stack m."""
+    return np.asarray(tau)[..., np.newaxis, np.newaxis] * m
+
+
 def trace(a: np.ndarray) -> np.ndarray:
     """The trace of a matrix, or of each matrix of a stack, bit for bit as np.trace."""
     return np.trace(a, axis1=-2, axis2=-1)
@@ -64,11 +69,14 @@ def project_special_unitary(u: np.ndarray) -> np.ndarray:
     return q
 
 
+def traceless(m: np.ndarray) -> np.ndarray:
+    """m minus tr(m)/n times the identity, per matrix of a stack."""
+    return m - (trace(m) / m.shape[-1])[..., np.newaxis, np.newaxis] * np.eye(m.shape[-1])
+
+
 def skew_traceless(m: np.ndarray) -> np.ndarray:
     """Project onto anti-Hermitian traceless matrices w.r.t. the trace form, per matrix."""
-    n = m.shape[-1]
-    s = 0.5 * (m - adjoint(m))
-    return s - (trace(s) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
+    return traceless(0.5 * (m - adjoint(m)))
 
 
 def _add_identity(r: np.ndarray) -> np.ndarray:
@@ -228,29 +236,43 @@ def ordered_sum(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
 # standard bases
 # ---------------------------------------------------------------------------
 
-def _matrix(n: int, entries: dict) -> np.ndarray:
-    """The complex n-by-n matrix with the {(row, column): value} entries, zero elsewhere."""
-    m = np.zeros((n, n), dtype=complex)
-    for (j, k), v in entries.items():
-        m[j, k] = v
-    return m
-
-
-def _coroot_diagonals(n: int, scale=1.0) -> list[np.ndarray]:
-    return [_matrix(n, {(j, j): scale, (j + 1, j + 1): -scale}) for j in range(n - 1)]
-
-
 def su_basis(n: int) -> list[np.ndarray]:
     """Real basis of su(n): off-diagonal skew pairs plus i*coroot diagonals."""
-    return [_matrix(n, e) for j in range(n) for k in range(j + 1, n)
-            for e in ({(j, k): 1.0, (k, j): -1.0}, {(j, k): 1j, (k, j): 1j})
-            ] + _coroot_diagonals(n, 1j)
+    out = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = 1.0
+            m[k, j] = -1.0
+            out.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = 1.0j
+            m[k, j] = 1.0j
+            out.append(m)
+    for j in range(n - 1):
+        m = np.zeros((n, n), dtype=complex)
+        m[j, j] = 1.0j
+        m[j + 1, j + 1] = -1.0j
+        out.append(m)
+    return out
 
 
 def sl_complex_basis(n: int) -> list[np.ndarray]:
     """Complex basis of sl(n, C): elementary off-diagonals plus coroots."""
-    return ([_matrix(n, {(j, k): 1.0}) for j in range(n) for k in range(n) if j != k]
-            + _coroot_diagonals(n))
+    out = []
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = 1.0
+            out.append(m)
+    for j in range(n - 1):
+        m = np.zeros((n, n), dtype=complex)
+        m[j, j] = 1.0
+        m[j + 1, j + 1] = -1.0
+        out.append(m)
+    return out
 
 
 def sl_real_basis(n: int) -> list[np.ndarray]:
@@ -263,8 +285,21 @@ def sl_real_basis(n: int) -> list[np.ndarray]:
 def borel_basis(n: int) -> np.ndarray:
     """Real basis of the Borel algebra, real coroot diagonals and upper pairs, as one
     read-only stack built once per n."""
-    return read_only(np.array(_coroot_diagonals(n) + [
-        _matrix(n, {(j, k): v}) for j in range(n) for k in range(j + 1, n) for v in (1.0, 1j)]))
+    out = []
+    for j in range(n - 1):
+        m = np.zeros((n, n), dtype=complex)
+        m[j, j] = 1.0
+        m[j + 1, j + 1] = -1.0
+        out.append(m)
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = 1.0
+            out.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = 1.0j
+            out.append(m)
+    return read_only(np.array(out))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +410,9 @@ def special_elements(n: int) -> SpecialElements:
     """The special elements of SU(n), built once per n, with read-only arrays."""
     if n < 2:
         raise InvalidRank(f"need n >= 2, got {n}")
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    shift = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        shift[(j + 1) % n, j] = 1.0
     # det of the cyclic shift is (-1)^(n-1); flip one entry when needed
     if n % 2 == 0:
         shift[0, n - 1] = -1.0

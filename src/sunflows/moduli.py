@@ -17,8 +17,8 @@ import numpy as np
 
 from . import brackets, decomp, liecore
 from .errors import AssumptionViolation, InvalidPlan, InvalidShape, UnsupportedWord
-from .flows import _times, conjugation_velocity, coroot_torus_element, coweight_torus_element
-from .liecore import RootDatum, adjoint
+from .flows import conjugation_velocity, coroot_torus_element, coweight_torus_element
+from .liecore import RootDatum, adjoint, scaled
 from .observables import (
     AlcoveCoroot,
     AlcoveCoweight,
@@ -181,6 +181,10 @@ class WordHamiltonian:
     def __call__(self, x: FusionPoint) -> float:
         return self.classfn.value(self.block_value(x))
 
+    def values(self, x: FusionPoint) -> np.ndarray:
+        """The class function's ``values`` at the block value of each point of a stack."""
+        return self.classfn.values(self.block_value(x))
+
     def word(self, space: FusionSpace) -> tuple[str, ...]:
         """Letter names whose product is the block value, e.g. ('a1', 'b1', 'a1~', 'b1~', 'c1')."""
         if self.block[0] == "single":
@@ -250,9 +254,9 @@ def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint
     exp(tau * grad of the class function at the block value).
     """
     if ham.block[0] == "single":
-        u = liecore.expm_normal(_times(-np.asarray(tau), ham.classfn.grad(ham.block_value(x))))
+        u = liecore.expm_normal(scaled(-tau, ham.classfn.grad(ham.block_value(x))))
     else:
-        u = liecore.expm_normal(_times(tau, ham.classfn.grad(ham.block_value(x))))
+        u = liecore.expm_normal(scaled(tau, ham.classfn.grad(ham.block_value(x))))
     return _move_letters(x, ham, u)
 
 

@@ -23,16 +23,11 @@ import numpy as np
 
 from . import brackets, decomp
 from .errors import UnsupportedWord
-from .liecore import RootDatum, skew_traceless, trace
+from .liecore import RootDatum, skew_traceless, trace, traceless
 
 
 # the coefficient c of Re tr(c P) for each part: Im tr(P) = Re tr(-i P)
 _PART = {"re": 1.0, "im": -1j}
-
-
-def _traces(ms: np.ndarray) -> np.ndarray:
-    """Real parts of the traces of a stack (..., n, n)."""
-    return trace(ms).real
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +66,7 @@ class PowerTrace(ClassFunction):
         return float(self.values(g))
 
     def values(self, gs):
-        return _traces(_PART[self.part] * np.linalg.matrix_power(gs, self.k))
+        return trace(_PART[self.part] * np.linalg.matrix_power(gs, self.k)).real
 
     def grad(self, g):
         return self.k * skew_traceless(_PART[self.part] * np.linalg.matrix_power(g, self.k))
@@ -153,12 +148,10 @@ class AlgebraPower(AlgebraFunction):
         return float(self.values(j_alg))
 
     def values(self, js):
-        return _traces(np.linalg.matrix_power(1j * js, self.k))
+        return trace(np.linalg.matrix_power(1j * js, self.k)).real
 
     def grad(self, j_alg):
-        n = j_alg.shape[-1]
-        m = self.k * 1j * np.linalg.matrix_power(1j * j_alg, self.k - 1)
-        return m - (trace(m) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
+        return traceless(self.k * 1j * np.linalg.matrix_power(1j * j_alg, self.k - 1))
 
 
 @dataclass(frozen=True)
@@ -238,12 +231,11 @@ class BorelPower(BorelFunction):
         return float(self.values(b))
 
     def values(self, bs):
-        return _traces(np.linalg.matrix_power(decomp.posdef_of_borel(bs), self.k))
+        return trace(np.linalg.matrix_power(decomp.posdef_of_borel(bs), self.k)).real
 
     def grad(self, b):
-        n = b.shape[-1]
         pk = np.linalg.matrix_power(decomp.posdef_of_borel(b), self.k)
-        return 2 * self.k * 1j * (pk - (trace(pk) / n)[..., np.newaxis, np.newaxis] * np.eye(n))
+        return 2 * self.k * 1j * traceless(pk)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,17 @@ def stabilizer_dimension(x, action, n: int, point_id: str = "") -> StabilizerRep
 # Coxeter commutator identity and torus commutator solutions
 # ---------------------------------------------------------------------------
 
+def _shift_matrix(n: int) -> np.ndarray:
+    s = np.zeros((n, n))
+    for j in range(n):
+        s[(j + 1) % n, j] = 1.0
+    return s
+
+
 def _solve_coxeter(h: np.ndarray, sign: int) -> np.ndarray:
     """Traceless solution x of (sign*(w - id)) x = h for the cyclic Coxeter w."""
     n = h.size
-    m = sign * (np.roll(np.eye(n), 1, axis=0) - np.eye(n))
+    m = sign * (_shift_matrix(n) - np.eye(n))
     x, *_ = np.linalg.lstsq(m, h, rcond=None)
     return x - x.mean()
 

@@ -816,9 +816,11 @@ def check_permutations(ctx: CheckContext) -> CheckResult:
             decomp.alcove_diagonalize(drawn[1].momentum(range(p1, p2 + 1)),
                                       harness_mod.SAMPLING_MARGIN)
     x, _ = harness_mod.sample_regular("permuted", 64, draw, check)
-    pulled = [moduli.pullback_hamiltonian(moduli.WordHamiltonian(
-        ("span", p1, p2), AlcoveCoweight(j, datum)), plan)
-        for p1, p2 in ((0, 1), (2, 3)) for j in range(datum.rank)]
+    pulled = []
+    for p1, p2 in ((0, 1), (2, 3)):
+        for j in range(datum.rank):
+            hblock = moduli.WordHamiltonian(("span", p1, p2), AlcoveCoweight(j, datum))
+            pulled.append(moduli.pullback_hamiltonian(hblock, plan))
     worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(pulled, pulled, x)))
     return _result(ctx, "permutation-brackets",
                    "factor transpositions preserve brackets and pulled-back families commute",

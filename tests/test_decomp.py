@@ -223,7 +223,7 @@ def test_iwasawa_halves_are_bit_equal_to_the_decomposition(n):
     rng = np.random.default_rng(210 + n)
     for _ in range(10):
         x = liecore.random_sl_element(n, rng)
-        whole = decomp.iwasawa_decompose(x)
+        whole = decomp.iwasawa_decompose.__wrapped__(x)
         for name, fields in HALVES.items():
             for got, field in zip(getattr(decomp, name).__wrapped__(x.copy()), fields):
                 assert np.array_equal(got, getattr(whole, field))
@@ -301,7 +301,7 @@ def test_alcove_phase_rule_recovers_known_representative():
 # ---------------------------------------------------------------------------
 
 NORMAL_FORMS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize")
-MEMOIZED = (*HALVES, *NORMAL_FORMS)
+MEMOIZED = ("iwasawa_decompose", *HALVES, *NORMAL_FORMS)
 
 
 def _kernel_args(name, rng, n=3):
@@ -312,7 +312,7 @@ def _kernel_args(name, rng, n=3):
     if name == "chamber_diagonalize":
         return (liecore.random_algebra_element(n, rng),)
     x = liecore.random_sl_element(n, rng)
-    return (decomp.iwasawa_decompose(x).b_right, 1e-6)
+    return (decomp.iwasawa_decompose.__wrapped__(x).b_right, 1e-6)
 
 
 def _result_arrays(result):

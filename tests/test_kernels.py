@@ -95,12 +95,12 @@ def test_expm_of_diagonal_input_is_bit_equal_to_scipy():
         rho = liecore.special_elements(n).rho_coweight
         diagonals = [np.diag(rng.standard_normal(n)),
                      np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-                     -1j * flows._coroot_sum(tau, datum), 2j * np.pi * rho / n,
+                     -1j * flows._weighted(tau, datum.coroots), 2j * np.pi * rho / n,
                      np.zeros((n, n), dtype=complex)]
         for d in diagonals:
             assert np.array_equal(liecore.expm(d), scipy.linalg.expm(d))
         assert np.array_equal(flows.coroot_torus_element(tau, datum),
-                              scipy.linalg.expm(-1j * flows._coroot_sum(tau, datum)))
+                              scipy.linalg.expm(-1j * flows._weighted(tau, datum.coroots)))
 
 
 @pytest.mark.parametrize("shape", ["upper-triangular", "general"])

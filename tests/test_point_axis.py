@@ -4,8 +4,9 @@ A stacked kernel must give, on each slice, the bytes of its one-matrix (or
 one-point) call: the report bodies depend on it.  These tests compare the
 two with ``tobytes`` at n = 2, 3, 5 and 8 over 40 draws per n, for a stack
 of one as well; run every converted check at n = 8 on every space; and
-count the normal-form and Iwasawa kernel calls of each converted check,
-which must not grow with the number of points it evaluates.
+count the normal-form, Iwasawa and bracket-pairing calls of each converted
+check, which must not grow with the number of points it evaluates, and of
+which none but the listed ones may see a single point.
 """
 
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 
 from sunflows import brackets, decomp, flows, harness, liecore, observables as ob, probes, spaces
 from sunflows.decomp import NormalForm
-from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, run_scenario
+from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, checks_for, run_scenario
 
 NS = (2, 3, 5, 8)
 DRAWS = 40
@@ -23,7 +24,20 @@ FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 SPACES = {"cotangent": {}, "heisenberg": {}, "double": {}, "double-htilde": {"family": "htilde"},
           "sphere4": {}, "moduli": {"m": 2, "holes": 2, "family": FAMILY}}
 CONVERTED = ("conservation", "flow-bracket", "freeness-rank", "abelian-family",
-             "flow-commutation", "gradient-oracles")
+             "flow-commutation", "gradient-oracles", "torus-periodicity", "torus-additivity",
+             "torus-vs-flows", "flow-equivariance", "bracket-invariance", "differential-rank",
+             "momentum-condition", "unitary-conjugation-law", "quasi-adjoint-law",
+             "shifting-trick", "iwasawa-roundtrip", "dressing-equivariance",
+             "permutation-brackets")
+
+
+def _config(space, **fields) -> ScenarioConfig:
+    return ScenarioConfig(space=space.split("-")[0], **SPACES[space], **fields)
+
+
+def _converted(space) -> list:
+    """The converted checks that run on ``space``."""
+    return [c for c in CONVERTED if c in checks_for(_config(space))]
 
 
 def _leaves(out) -> list:
@@ -91,7 +105,7 @@ def test_matrix_kernels_act_on_each_slice(n):
             ("iwasawa_right", decomp.iwasawa_right, xs),
             ("posdef_of_borel", decomp.posdef_of_borel, bs)]:
         _check(fn, [(m,) for m in column], name)
-    _check(lambda t: liecore.expm(-1j * flows._coroot_sum(t, datum)),
+    _check(lambda t: liecore.expm(-1j * flows._weighted(t, datum.coroots)),
            [(t,) for t in taus], "expm of diagonal stacks")
     _check(decomp.dress, list(zip(gs, bs)), "dress")
     _check(lambda a, b: liecore.gram(a, b, liecore.IM_FORM),
@@ -243,29 +257,51 @@ def test_converted_checks_reach_their_verdict_at_n8(space, monkeypatch):
     0.08 sampling margin at n >= 6, so the Heisenberg points are sampled at 0.01 here."""
     if space == "heisenberg":
         monkeypatch.setattr(harness, "SAMPLING_MARGIN", 0.01)
-    fields = dict(SPACES[space])
-    report = run_scenario(ScenarioConfig(space=space.split("-")[0], n=8, points=2,
-                                         checks=list(CONVERTED), **fields))
-    assert [c.name for c in report.checks] == list(CONVERTED)
+    checks = _converted(space)
+    report = run_scenario(_config(space, n=8, points=2, checks=checks))
+    assert [c.name for c in report.checks] == checks
     for c in report.checks:
         assert c.passed, (c.name, c.residual, c.detail)
 
 
 _KERNELS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize",
-            "iwasawa_left", "iwasawa_right")
+            "iwasawa_decompose", "iwasawa_left", "iwasawa_right")
+
+# the one-matrix kernel calls that a converted check still makes outside the sampler, on
+# purpose: the one-point negative control of torus-periodicity on the double, the
+# conditioning detail of torus-additivity on the Heisenberg double, the regular point that
+# the second half of permutation-brackets draws and the per-point draws of
+# dressing-equivariance (flow-bracket's one-point Richardson oracle is not listed: every
+# kernel sees it)
+ONE_POINT = {("torus-periodicity", "double"): Counter(alcove_diagonalize=1),
+             ("torus-additivity", "heisenberg"): Counter(alcove_diagonalize=1, iwasawa_right=2),
+             ("permutation-brackets", "moduli"): Counter(alcove_diagonalize=2,
+                                                         velocity_pairings=1)}
+
+
+def _one_point(check, space) -> Counter:
+    if check == "dressing-equivariance":
+        return Counter(iwasawa_left=20)
+    return ONE_POINT.get((check, space), Counter())
 
 
 def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
-    """(calls, one-matrix calls) of the normal-form and Iwasawa kernels made outside the
-    harness sampler, by kernel, in one run of ``cfg``."""
+    """(calls, one-matrix calls) of the normal-form and Iwasawa kernels and of the bracket
+    pairing ``velocity_pairings`` (one-point calls) made outside the harness sampler and
+    outside another of these kernels (so that the memo of ``iwasawa_decompose`` hides no
+    call of its halves), by kernel, in one run of ``cfg``."""
     calls, single, depth = Counter(), Counter(), [0]
 
-    def counted(name, fn):
-        def wrapper(x, *args):
+    def counted(name, fn, matrix=lambda *args: args[0]):
+        def wrapper(*args):
             if not depth[0]:
                 calls[name] += 1
-                single[name] += np.ndim(x) == 2
-            return fn(x, *args)
+                single[name] += np.ndim(matrix(*args)) == 2
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
         return wrapper
 
     def sampling(fn):
@@ -280,6 +316,10 @@ def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
     with monkeypatch.context() as mp:
         for name in _KERNELS:
             mp.setattr(decomp, name, counted(name, getattr(decomp, name)))
+        # every bracket pairs through velocity_pairings(rows, velocities, point)
+        mp.setattr(brackets, "velocity_pairings",
+                   counted("velocity_pairings", brackets.velocity_pairings,
+                           lambda rows, velocities, x: x.matrices()[0][1]))
         mp.setattr(harness, "sample_regular", sampling(harness.sample_regular))
         SPACE_FREE_RESULTS.clear()
         report = run_scenario(cfg)
@@ -287,19 +327,20 @@ def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
     return calls, single
 
 
-@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "sphere4", "moduli"])
-@pytest.mark.parametrize("check", CONVERTED)
+@pytest.mark.parametrize("space, check", [
+    (space, check) for space in ("cotangent", "heisenberg", "double", "sphere4", "moduli")
+    for check in _converted(space)])
 def test_converted_checks_call_the_kernels_once_per_stack(space, check, monkeypatch):
     """The kernel calls of a converted check do not grow with its points: the same at
     points = 2 and 14 (flow-bracket evaluates 2 and 14 points, abelian-family 2 and 4 per
-    family).  Outside the sampler, no kernel sees a single matrix except at flow-bracket's
-    one-point oracle (the stencils of gradient-oracles read stacked spectra)."""
-    fields = dict(SPACES[space], n=2 if space == "moduli" else 3, checks=[check])
-    few, few_single = _kernel_calls(monkeypatch, ScenarioConfig(space=space, points=2,
-                                                                **fields))
-    many, many_single = _kernel_calls(monkeypatch, ScenarioConfig(space=space, points=14,
-                                                                  **fields))
+    family; the other checks draw a fixed number of points).  Outside the sampler, no kernel
+    sees a single matrix or point except flow-bracket's oracle and the calls in ONE_POINT
+    (the stencils of gradient-oracles read stacked spectra), so a check that went back to a
+    loop over points fails here."""
+    fields = dict(n=2 if space == "moduli" else 3, checks=[check])
+    few, few_single = _kernel_calls(monkeypatch, _config(space, points=2, **fields))
+    many, many_single = _kernel_calls(monkeypatch, _config(space, points=14, **fields))
     assert many == few
     assert many_single == few_single
     if check != "flow-bracket":
-        assert not +few_single, few_single
+        assert +few_single == _one_point(check, space), few_single
