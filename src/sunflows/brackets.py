@@ -49,10 +49,10 @@ assembled against cached dual bases, so no linear solve happens per call.
 The engines wrap each stencil matrix into a point and evaluate every
 observable there, each point built once for all of them.  The oracles
 (``group_gradient_fd``, ``algebra_gradient_fd``, ``borel_gradient_fd``)
-hand the whole stack to a function's ``values`` when it has one (the
-closed-form class, algebra and Borel families), so a block costs one
-stacked eigenvalue solve instead of one normal form per stencil point;
-opaque callables are still evaluated one stencil matrix at a time.
+hand the whole stack to a function's ``value`` when it has one (the
+closed-form class, algebra and Borel families, whose ``value`` takes a
+stack), so a block costs one stacked eigenvalue solve; opaque callables
+are evaluated one stencil matrix at a time.
 """
 
 from __future__ import annotations
@@ -161,9 +161,7 @@ def _steps(kind: str, n: int) -> np.ndarray:
             ei = np.linalg.inv(e)
         powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
         table.append([powers[k] for k in _STEPS])
-    table = np.array(table)
-    table.flags.writeable = False
-    return table
+    return read_only(np.array(table))
 
 
 def _translations(kind: str, m: np.ndarray, left: bool) -> np.ndarray:
@@ -213,15 +211,15 @@ def _stencil_derivatives(fns, block) -> np.ndarray:
     _STEPS[i] * h along basis direction d.  With a ``wrap`` the functions are
     observables of the points wrap(stack[d, i]), each point built once for
     all of them.  Without one they read the matrices themselves: a function
-    with ``values`` evaluates the whole stack in one call, and any other
-    callable is called on one matrix at a time.
+    with ``value`` (a closed-form family) evaluates the whole stack in one
+    call, and any other callable is called on one matrix at a time.
     """
     kind, stack, wrap = block
     values = np.empty((len(fns),) + stack.shape[:2])
     pointwise = []
     for i, fn in enumerate(fns):
-        if wrap is None and hasattr(fn, "values"):
-            values[i] = fn.values(stack)
+        if wrap is None and hasattr(fn, "value"):
+            values[i] = fn.value(stack)
         else:
             pointwise.append(i)
     if pointwise:
@@ -559,7 +557,7 @@ def group_gradient_fd(fns, g: np.ndarray) -> list[np.ndarray]:
     """Trace-form gradient of each scalar function in ``fns`` on SU(n) by differences along
     the left translations exp(tZ) g.
 
-    A function is a ClassFunction, whose ``values`` reads the whole stencil
+    A function is a ClassFunction, whose ``value`` reads the whole stencil
     stack, or any callable of one matrix.
     """
     return _stencil_gradients(fns, ("su", _translations("su", g, True), None))

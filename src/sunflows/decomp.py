@@ -20,12 +20,12 @@ The normal-form and Iwasawa kernels remember their last few results, keyed
 on the exact input (a whole stack), because flows hand them the same stack
 many times in a row; the memo holds the margin-free normal form, and each
 call checks its own regularity margin.  Results hold read-only arrays.  The
-spectra of the stencil stacks (``alcove_spectra``, ``chamber_spectra``,
-``borel_chamber_spectra``) come from one eigenvalue solve per stack without
-frames, with the same phase normalization and the same regularity and
-positivity checks, applied to every matrix, as the normal forms; they are
-not bit-equal to them.  Of these only ``alcove_spectra`` sees a stack twice
-(the coroot and coweight functions of one stencil block), so it alone
+spectra kernels (``alcove_spectra``, ``chamber_spectra``, ``borel_chamber_spectra``)
+serve the observables' ``value`` on a matrix or a stack, and the normal forms their
+gradients: one eigenvalue solve per stack without frames, with the same phase
+normalization and the same regularity and positivity checks, applied to every matrix, as
+the normal forms, but not bit-equal to them.  Of these only ``alcove_spectra`` sees a
+stack twice (the coroot and coweight functions of one stencil block), so it alone
 remembers its last result.
 """
 
@@ -289,7 +289,7 @@ def alcove_diagonalize(g: np.ndarray) -> AlcoveData:
 
 @_memoized(1)
 def alcove_spectra(gs: np.ndarray) -> np.ndarray:
-    """Alcove phase vectors (..., n) of a stack of special unitary matrices.
+    """Alcove phase vectors (..., n) of a special unitary matrix or a stack of them.
 
     The spectra of alcove_diagonalize, without frames.  Raises
     RegularityViolation when any matrix of the stack is within the default
@@ -301,7 +301,7 @@ def alcove_spectra(gs: np.ndarray) -> np.ndarray:
 
 
 def chamber_spectra(js: np.ndarray) -> np.ndarray:
-    """Decreasing chamber spectra (..., n) of a stack of anti-Hermitian traceless matrices.
+    """Decreasing chamber spectra (..., n) of an anti-Hermitian traceless matrix or a stack.
 
     The spectra of chamber_diagonalize.  Raises RegularityViolation when a
     gap of any matrix of the stack falls below the default regularity margin.
@@ -312,16 +312,16 @@ def chamber_spectra(js: np.ndarray) -> np.ndarray:
 
 
 def borel_chamber_spectra(bs: np.ndarray) -> np.ndarray:
-    """Decreasing chamber spectra (..., n) of i log(b b^H) for a stack of Borel elements.
+    """Decreasing chamber spectra (..., n) of i log(b b^H) for a Borel element or a stack.
 
-    The spectra of borel_chamber_diagonalize, with its finiteness,
-    positivity and gap checks applied to every matrix of the stack.
+    The spectra of borel_chamber_diagonalize, with its log (``_log_reversed``) and its
+    finiteness, positivity and gap checks applied to every matrix of the stack.
     """
     p = posdef_of_borel(bs)
     _require_finite(p)
     vals = np.linalg.eigvalsh(p)
     _require_positive(vals)
-    xi = np.log(vals[..., ::-1])
+    xi = _log_reversed(vals)
     _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
     return read_only(xi)
 

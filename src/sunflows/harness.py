@@ -377,7 +377,7 @@ class FusionHarness(Harness):
             rep = moduli.WordHamiltonian(block, PowerTrace(1))
             specs.append(ConservedSpec(
                 f"block-value-{'-'.join(str(s) for s in block)}", self.label,
-                lambda p, rep=rep: rep.values(p)[..., np.newaxis]))
+                lambda p, rep=rep: rep(p)[..., np.newaxis]))
         return specs
 
     def crafted_keys(self):

@@ -178,12 +178,9 @@ class WordHamiltonian:
             return x.pair(self.block[1])[0]
         return x.momentum(block_positions(x.space, self.block))
 
-    def __call__(self, x: FusionPoint) -> float:
+    def __call__(self, x: FusionPoint) -> np.ndarray:
+        """The class function at the block value of x, one value per point of a stack."""
         return self.classfn.value(self.block_value(x))
-
-    def values(self, x: FusionPoint) -> np.ndarray:
-        """The class function's ``values`` at the block value of each point of a stack."""
-        return self.classfn.values(self.block_value(x))
 
     def word(self, space: FusionSpace) -> tuple[str, ...]:
         """Letter names whose product is the block value, e.g. ('a1', 'b1', 'a1~', 'b1~', 'c1')."""

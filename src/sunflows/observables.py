@@ -5,14 +5,14 @@ dressing-invariant functions on the Borel group each carry a value and an
 exact gradient: the group gradient is the algebra element representing the
 left-translation derivative against the trace form, the algebra gradient
 represents the linear derivative, and the Borel gradient represents the
-left-translation derivative against the imaginary trace form.  The families
-here also evaluate a whole stack (..., n, n) of matrices at once
-(``values``), which is how the finite-difference oracles read their
-stencils; the oracles evaluate a function without ``values`` one matrix at
-a time.  Every ``grad`` and every gradient table takes a stack as well,
-one gradient per matrix or point.  Word traces supply generic probe
-observables on every phase space, and functions of a right Iwasawa factor
-are the Heisenberg generators.
+left-translation derivative against the imaginary trace form.  ``value``
+and ``grad`` take a matrix or a stack (..., n, n), one value or gradient
+per matrix: values come from the frame-free spectra kernels
+(``decomp.*_spectra``), gradients from the framed normal forms, so a
+finite-difference oracle reads a whole stencil block in one ``value`` call.
+The word, class and right-factor observables take a point or a stacked
+point.  Word traces supply generic probe observables on every phase space,
+and functions of a right Iwasawa factor are the Heisenberg generators.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ _PART = {"re": 1.0, "im": -1j}
 class ClassFunction:
     """Conjugation-invariant function on SU(n) with an exact gradient."""
 
-    name = "class-function"
-
-    def value(self, g: np.ndarray) -> float:
+    def value(self, g: np.ndarray) -> np.ndarray:
+        """One value per matrix of g, (..., n, n) -> (...)."""
         raise NotImplementedError
 
     def grad(self, g: np.ndarray) -> np.ndarray:
@@ -63,10 +62,7 @@ class PowerTrace(ClassFunction):
         return f"{self.part}tr{self.k}"
 
     def value(self, g):
-        return float(self.values(g))
-
-    def values(self, gs):
-        return trace(_PART[self.part] * np.linalg.matrix_power(gs, self.k)).real
+        return trace(_PART[self.part] * np.linalg.matrix_power(g, self.k)).real
 
     def grad(self, g):
         return self.k * skew_traceless(_PART[self.part] * np.linalg.matrix_power(g, self.k))
@@ -84,12 +80,7 @@ class AlcoveCoroot(ClassFunction):
         return f"coroot{self.j}"
 
     def value(self, g):
-        xi = decomp.alcove_diagonalize(g).spectrum
-        return float(xi[self.j] - xi[self.j + 1])
-
-    def values(self, gs):
-        xi = decomp.alcove_spectra(gs)
-        return xi[..., self.j] - xi[..., self.j + 1]
+        return decomp.coroot_values(decomp.alcove_spectra(g))[..., self.j]
 
     def grad(self, g):
         return decomp.alcove_diagonalize(g).transport(-(1j * self.datum.coroots[self.j]))
@@ -107,11 +98,7 @@ class AlcoveCoweight(ClassFunction):
         return f"coweight{self.j}"
 
     def value(self, g):
-        xi = decomp.alcove_diagonalize(g).spectrum
-        return decomp.coweight_values(xi, self.datum)[self.j]
-
-    def values(self, gs):
-        return decomp.coweight_values(decomp.alcove_spectra(gs), self.datum)[..., self.j]
+        return decomp.coweight_values(decomp.alcove_spectra(g), self.datum)[..., self.j]
 
     def grad(self, g):
         return decomp.alcove_diagonalize(g).transport(-(1j * self.datum.coweights[self.j]))
@@ -124,9 +111,8 @@ class AlcoveCoweight(ClassFunction):
 class AlgebraFunction:
     """Conjugation-invariant function on su(n) with an exact gradient."""
 
-    name = "algebra-function"
-
-    def value(self, j_alg: np.ndarray) -> float:
+    def value(self, j_alg: np.ndarray) -> np.ndarray:
+        """One value per matrix of j_alg, (..., n, n) -> (...)."""
         raise NotImplementedError
 
     def grad(self, j_alg: np.ndarray) -> np.ndarray:
@@ -145,10 +131,7 @@ class AlgebraPower(AlgebraFunction):
         return f"algpow{self.k}"
 
     def value(self, j_alg):
-        return float(self.values(j_alg))
-
-    def values(self, js):
-        return trace(np.linalg.matrix_power(1j * js, self.k)).real
+        return trace(np.linalg.matrix_power(1j * j_alg, self.k)).real
 
     def grad(self, j_alg):
         return traceless(self.k * 1j * np.linalg.matrix_power(1j * j_alg, self.k - 1))
@@ -166,12 +149,7 @@ class ChamberCoroot(AlgebraFunction):
         return f"chamber{self.j}"
 
     def value(self, j_alg):
-        xi = decomp.chamber_diagonalize(j_alg).spectrum
-        return float(xi[self.j] - xi[self.j + 1])
-
-    def values(self, js):
-        xi = decomp.chamber_spectra(js)
-        return xi[..., self.j] - xi[..., self.j + 1]
+        return decomp.coroot_values(decomp.chamber_spectra(j_alg))[..., self.j]
 
     def grad(self, j_alg):
         return decomp.chamber_diagonalize(j_alg).transport(-(1j * self.datum.coroots[self.j]))
@@ -184,9 +162,8 @@ class ChamberCoroot(AlgebraFunction):
 class BorelFunction:
     """Dressing-invariant function on the Borel group with exact gradient."""
 
-    name = "borel-function"
-
-    def value(self, b: np.ndarray) -> float:
+    def value(self, b: np.ndarray) -> np.ndarray:
+        """One value per matrix of b, (..., n, n) -> (...)."""
         raise NotImplementedError
 
     def grad(self, b: np.ndarray) -> np.ndarray:
@@ -206,12 +183,7 @@ class BorelChamberCoroot(BorelFunction):
         return f"borelchamber{self.j}"
 
     def value(self, b):
-        xi = decomp.borel_chamber_diagonalize(b).spectrum
-        return 0.5 * float(xi[self.j] - xi[self.j + 1])
-
-    def values(self, bs):
-        xi = decomp.borel_chamber_spectra(bs)
-        return 0.5 * (xi[..., self.j] - xi[..., self.j + 1])
+        return 0.5 * decomp.coroot_values(decomp.borel_chamber_spectra(b))[..., self.j]
 
     def grad(self, b):
         return decomp.borel_chamber_diagonalize(b).transport(1j * self.datum.coroots[self.j])
@@ -228,10 +200,7 @@ class BorelPower(BorelFunction):
         return f"borelpow{self.k}"
 
     def value(self, b):
-        return float(self.values(b))
-
-    def values(self, bs):
-        return trace(np.linalg.matrix_power(decomp.posdef_of_borel(bs), self.k)).real
+        return trace(np.linalg.matrix_power(decomp.posdef_of_borel(b), self.k)).real
 
     def grad(self, b):
         pk = np.linalg.matrix_power(decomp.posdef_of_borel(b), self.k)
@@ -304,9 +273,9 @@ class WordFunction:
     """An invariant function of the product of named letters of a point.
 
     ``fn`` is a ClassFunction of a word of unitary letters (e.g. ('a1',) or
-    the commutator word ('a1', 'b1', 'a1~', 'b1~')), or an AlgebraFunction
-    of the cotangent fiber word ('j',).  The value is fn.value of the
-    product and the gradient table comes from fn.grad by the chain rule.
+    the commutator word ('a1', 'b1', 'a1~', 'b1~')), or an AlgebraFunction of the cotangent
+    fiber word ('j',).  The value is fn.value of the product, one per point of a stack, and
+    the gradient table comes from fn.grad by the chain rule.
     """
 
     fn: object
@@ -317,7 +286,7 @@ class WordFunction:
             raise UnsupportedWord(f"an algebra function reads the word ('j',), "
                                   f"not {self.letters}")
 
-    def __call__(self, x) -> float:
+    def __call__(self, x) -> np.ndarray:
         return self.fn.value(word_product(x, self.letters))
 
     def grad_table(self, x):
@@ -332,8 +301,9 @@ class RightFactorFunction:
     """A function of one right Iwasawa factor of a Heisenberg point.
 
     ``fn`` is a BorelFunction of ``factor`` 'b_right' or a ClassFunction of
-    'u_right'.  The value is fn.value of the factor, and the gradient table
-    {'lmul': D, 'rmul': D'} comes from fn.grad through the first-order Iwasawa splitting.
+    'u_right'.  The value is fn.value of the factor, one per point of a stack, and the
+    gradient table {'lmul': D, 'rmul': D'} comes from fn.grad through the first-order
+    Iwasawa splitting.
     """
 
     fn: object
@@ -344,7 +314,7 @@ class RightFactorFunction:
                 or (self.factor == "u_right" and isinstance(self.fn, ClassFunction))):
             raise UnsupportedWord(f"{self.fn!r} is not a function of the factor {self.factor!r}")
 
-    def __call__(self, x) -> float:
+    def __call__(self, x) -> np.ndarray:
         return self.fn.value(x.factor(self.factor))
 
     def grad_table(self, x):

@@ -56,9 +56,8 @@ class StabilizerReport:
 
 def stabilizer_dimension(x, action, n: int, point_id: str = "") -> StabilizerReport:
     """Kernel dimension of the infinitesimal action (its velocities) at x, plus center check."""
-    mat = generator_matrix(x, action)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    dim = int(np.sum(svals < SVD_KERNEL_TOL)) + max(0, len(action) - len(svals))
+    rank, svals = rank_of(generator_matrix(x, action))
+    dim = len(action) - rank
     center_ok = not any(x.distance(x.conjugate(zeta)) > 1e-8
                         for zeta in special_elements(n).center)
     return StabilizerReport(point_id, dim, center_ok, svals)

@@ -39,6 +39,12 @@ SPACES = ("cotangent", "heisenberg", "double", "sphere4", "moduli")
 # other stacked tables a point holds about 1 MiB (tracemalloc), so 256 points keep a check
 # under 256 MiB
 MAX_POINTS = 256
+# the most factors m + holes of a moduli space: at n = 8 the suite of the family {"single": [1]}
+# takes 0.34 s at 2 factors, 1.7 s at 128 and 3.2 s at 256, against a 3 s budget per suite
+MAX_MODULI_FACTORS = 128
+# the most times of a flow export, one flow and CSV row each: at n = 8 and m + holes = 128 a
+# row costs 24 ms and 516 kB (0.3 ms on the cotangent bundle); 256 rows take 5.5 s and 305 MB
+MAX_EXPORT_TIMES = 256
 
 
 def derived_rng(seed: int, name: str) -> np.random.Generator:
@@ -114,9 +120,9 @@ class ScenarioConfig:
                 raise InvalidShape(f"clause space-fields: space {self.space!r} takes no "
                                    f"{', '.join(ignored)}; got {ignored!r}")
         if self.space == "moduli":
-            if self.m < 0 or self.holes < 0 or self.m == self.holes == 0:
-                raise InvalidShape(f"clause moduli-shape: need m, holes >= 0 and not both "
-                                   f"zero; got m={self.m}, holes={self.holes}")
+            if min(self.m, self.holes) < 0 or not 0 < self.m + self.holes <= MAX_MODULI_FACTORS:
+                raise InvalidShape(f"clause moduli-shape: need m, holes >= 0 and 0 < m + holes <= "
+                                   f"{MAX_MODULI_FACTORS}; got m={self.m}, holes={self.holes}")
             space = moduli_space(self.m, self.holes, self.n)
             fam = harness_mod._family_from_config(space, self.family)
             moduli.validate_family(space, fam)
@@ -933,12 +939,15 @@ def _check_flow_request(request) -> None:
     times = request.get("times", [])
     if isinstance(times, dict):
         ok = (set(times) == {"start", "stop", "num"} and _finite(times["start"])
-              and _finite(times["stop"]) and _integer(times["num"]) and times["num"] >= 0)
+              and _finite(times["stop"]) and _integer(times["num"]))
     else:
         ok = isinstance(times, list) and all(_finite(t) for t in times)
     if not ok:
         raise InvalidShape(f"clause flow-exports: times {times!r} is neither a "
                            "{start, stop, num} dict nor a list of numbers")
+    count = times["num"] if isinstance(times, dict) else len(times)
+    if not 0 <= count <= MAX_EXPORT_TIMES:
+        raise InvalidShape(f"clause flow-exports: {count} times outside 0..{MAX_EXPORT_TIMES}")
 
 
 def export_stems(requests) -> list[str]:

@@ -422,14 +422,23 @@ def test_lazy_alcove_frame_is_bit_equal_to_the_eager_one(n):
         assert np.array_equal(data.frame, decomp._frame(q))
 
 
-def test_value_callers_do_not_build_frames():
-    from sunflows.observables import AlcoveCoroot
+def test_values_build_no_normal_form(monkeypatch):
+    """value reads the frame-free spectra kernels: no normal form, so no eigenvector solve,
+    on one matrix or on a stack."""
     rng = np.random.default_rng(304)
     datum = liecore.build_root_datum(3)
     g = liecore.random_group_element(3, rng)
-    AlcoveCoroot(0, datum).value(g)
-    data = decomp.alcove_diagonalize(g, decomp.DEFAULT_REGULARITY_MARGIN)
-    assert "frame" not in vars(data) and "vectors" not in vars(data)
+    j_alg = liecore.random_algebra_element(3, rng)
+    b = decomp.iwasawa_left(liecore.random_sl_element(3, rng))[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("value built a normal form")
+
+    for name in ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize"):
+        monkeypatch.setattr(decomp, name, refuse)
+    for fn, m in ((AlcoveCoroot(0, datum), g), (AlcoveCoweight(1, datum), g),
+                  (ChamberCoroot(0, datum), j_alg), (BorelChamberCoroot(0, datum), b)):
+        fn.value(m), fn.value(np.stack([m, m]))
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,7 @@ def test_each_geometry_acts_on_each_point_of_a_stack(space, n):
     gens = [g for fam in h.families().values() for g in fam] + h.extra_generators()
     taus = [(rng.uniform(-1, 1),) for _ in range(DRAWS)]
     for gen in gens:
+        _check(gen.obs, pts, f"{gen.name} value")
         _check(gen.velocity, pts, f"{gen.name} velocity")
         _check(lambda p: gen.flow(p, 0.35), pts, f"{gen.name} flow")
         _check(lambda p, t: gen.flow(p, t), [(p, t) for (p,), (t,) in zip(pts, taus)],

@@ -24,6 +24,34 @@ def test_conjugation_stabilizer_of_regular_torus_point():
     assert rep.center_fixes
 
 
+class _FlatPoint:
+    """A stand-in point whose velocities are already tangent vectors, fixed by conjugation."""
+
+    def tangent(self, v):
+        return v
+
+    def conjugate(self, eta):
+        return self
+
+    def distance(self, other):
+        return 0.0
+
+
+def test_a_singular_value_at_the_kernel_tolerance_is_counted_once():
+    """The kernel dimension and the rank read one rule, so they sum to the number of
+    columns even when a singular value equals SVD_KERNEL_TOL."""
+    tol = probes.SVD_KERNEL_TOL
+    columns = np.diag([1.0, tol, 0.0])
+    action = [lambda p, c=c: c for c in columns.T]
+    mat = probes.generator_matrix(_FlatPoint(), action)
+    rank, svals = probes.rank_of(mat)
+    assert tol in svals
+    rep = probes.stabilizer_dimension(_FlatPoint(), action, 2)
+    assert rep.infinitesimal_dim + rank == len(action)
+    assert rep.infinitesimal_dim == 2
+    assert np.array_equal(rep.singular_values, svals)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("key", probes.PRINCIPAL_POINT_KEYS)
 def test_crafted_points_have_trivial_combined_stabilizer(key, n):

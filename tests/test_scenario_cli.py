@@ -6,6 +6,8 @@ import pytest
 from sunflows import cli
 from sunflows.errors import InvalidShape
 from sunflows.scenario import (
+    MAX_EXPORT_TIMES,
+    MAX_MODULI_FACTORS,
     MAX_POINTS,
     ScenarioConfig,
     derived_rng,
@@ -258,6 +260,22 @@ def test_config_validation_accepts_well_formed_flow_exports(request_):
     small_config(flow_exports=[request_]).validate()
 
 
+@pytest.mark.parametrize("form", ["grid", "list"])
+def test_flow_exports_hold_at_most_the_bounded_number_of_times(form):
+    """A {start, stop, num} grid or a list of times is admitted up to MAX_EXPORT_TIMES
+    times and refused one past it, before any flow runs."""
+    def request(count):
+        if form == "grid":
+            return {"name": "f", "times": {"start": 0.0, "stop": 1.0, "num": count}}
+        return {"name": "f", "times": [0.0] * count}
+
+    small_config(flow_exports=[request(MAX_EXPORT_TIMES)]).validate()
+    with pytest.raises(InvalidShape, match="^clause flow-exports"):
+        small_config(flow_exports=[request(MAX_EXPORT_TIMES + 1)]).validate()
+    with pytest.raises(InvalidShape, match="^clause flow-exports"):
+        export_trajectory(small_config(), request(MAX_EXPORT_TIMES + 1))
+
+
 def test_cli_report_prints_the_files_verify_wrote(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
@@ -374,3 +392,14 @@ def test_cli_rejects_a_moduli_shape_under_a_named_clause(tmp_path, capsys, shape
     assert cli.main(["verify", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: clause moduli-shape")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [0, 1, MAX_MODULI_FACTORS // 2, MAX_MODULI_FACTORS - 1])
+def test_moduli_shape_admits_at_most_the_bounded_number_of_factors(m):
+    """m + holes up to MAX_MODULI_FACTORS is admitted, one more factor is refused."""
+    family = {"single": [1]} if m else {"intervals": [[1, 2]]}
+    ScenarioConfig(space="moduli", n=2, m=m, holes=MAX_MODULI_FACTORS - m,
+                   family=family).validate()
+    with pytest.raises(InvalidShape, match="^clause moduli-shape"):
+        ScenarioConfig(space="moduli", n=2, m=m, holes=MAX_MODULI_FACTORS + 1 - m,
+                       family=family).validate()

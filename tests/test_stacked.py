@@ -1,13 +1,13 @@
 """Stacked stencil evaluation: one eigenvalue solve per stencil block.
 
 The finite-difference oracles hand every stencil block, a (directions, 4,
-n, n) stack, to the closed-form families' ``values`` in one call.  These
+n, n) stack, to the closed-form families' ``value`` in one call.  These
 tests hold the stacked kernels to the one-matrix ones: the vectorised alcove
-phase rule against its loop form, ``values`` against ``value`` on every
-slice, the stacked oracles against the same oracles fed plain callables, the
-regularity and positivity checks on every matrix of a stack, and a count of
-kernel calls that fails if the oracles go back to one normal form per
-stencil point.
+phase rule against its loop form, ``value`` of a stack against ``value`` of
+each slice, bit for bit, the stacked oracles against the same oracles fed
+plain callables, the regularity and positivity checks on every matrix of a
+stack, and a count of kernel calls that fails if the oracles go back to one
+normal form, or one ``value`` call, per stencil point.
 """
 
 from collections import Counter
@@ -89,7 +89,7 @@ def test_phase_rows_cover_every_wrap_count(n):
 
 
 # ---------------------------------------------------------------------------
-# values(stack) against value() on every slice
+# value(stack) against value() of every slice
 # ---------------------------------------------------------------------------
 
 def _cases(n, rng):
@@ -118,24 +118,31 @@ def _cases(n, rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_values_equal_value_on_every_slice(n):
+def test_stacked_value_has_the_bytes_of_each_slice(n):
+    """All seven families: value of a stencil stack, of a flat list of its matrices and of a
+    stack of one carry, slice by slice, the bytes of value of that one matrix."""
+    families = set()
     for fns, m, stencils in _cases(n, np.random.default_rng(400 + n)):
         for left in (True, False):
             stack = stencils(m, left)
             for fn in fns:
-                got = fn.values(stack)
+                families.add(type(fn))
+                got = fn.value(stack)
                 assert got.shape == stack.shape[:2]
                 want = np.array([[fn.value(p) for p in row] for row in stack])
-                assert np.max(np.abs(got - want)) <= 1e-12, fn.name
-                # any stack shape: one matrix, and a flat list of them
-                assert abs(fn.values(m) - fn.value(m)) <= 1e-12
-                assert np.max(np.abs(fn.values(stack.reshape(-1, n, n)) - want.ravel())) <= 1e-12
+                assert got.tobytes() == want.tobytes(), fn.name
+                flat = fn.value(stack.reshape(-1, n, n))
+                assert flat.tobytes() == want.tobytes(), fn.name
+                one = np.asarray(fn.value(m[np.newaxis]))
+                assert one.shape == (1,)
+                assert one.tobytes() == np.asarray(fn.value(m)).tobytes(), fn.name
+    assert families == set(_FAMILIES)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_power_families_keep_their_trace_formulas_bit_for_bit(n):
-    """value() of the power families is values() of one matrix: the same bits as
-    the trace formulas they were written as."""
+    """value() of the power families on one matrix has the same bits as the trace
+    formulas they were written as."""
     (_, g, _), (_, j_alg, _), (_, b, _) = _cases(n, np.random.default_rng(450 + n))
     p = b @ b.conj().T
     for k in (1, 2, 3):
@@ -158,7 +165,7 @@ def test_stacked_oracles_agree_with_the_scalar_callable_oracles(n):
     for stacked, scalar in pairs:
         assert len(stacked) == len(scalar)
         for a, c in zip(stacked, scalar):
-            assert np.linalg.norm(a - c) <= 1e-10
+            assert np.array_equal(a, c)
 
 
 def test_an_oracle_mixes_stacked_functions_and_callables():
@@ -167,7 +174,7 @@ def test_an_oracle_mixes_stacked_functions_and_callables():
     g = liecore.random_group_element(n, np.random.default_rng(7))
     coroot = ob.AlcoveCoroot(0, datum)
     mixed = brackets.group_gradient_fd([coroot, coroot.value, ob.PowerTrace(2)], g)
-    assert np.linalg.norm(mixed[0] - mixed[1]) <= 1e-10
+    assert np.array_equal(mixed[0], mixed[1])
     assert np.array_equal(mixed[0], brackets.group_gradient_fd([coroot], g)[0])
 
 
@@ -215,16 +222,16 @@ def test_a_stack_with_one_point_inside_the_margin_is_rejected(kind, where):
 def test_families_reject_a_stencil_block_that_reaches_inside_the_margin():
     """A point 4h + 5e-9 from a wall is regular, but the -2h step of its stencil
     along the wall's coroot moves the gap by -4h, to 5e-9, inside the default
-    margin of 1e-8: values() on the block raises."""
+    margin of 1e-8: value() on the block raises."""
     datum = liecore.build_root_datum(3)
     coroot, chamber = ob.AlcoveCoroot(0, datum), ob.ChamberCoroot(0, datum)
     gap = 4 * brackets.H + 5e-9
     g, j_alg = _near_wall("alcove", gap), _near_wall("chamber", gap)
-    coroot.values(g), chamber.values(j_alg)
+    coroot.value(g), chamber.value(j_alg)
     with pytest.raises(RegularityViolation):
-        coroot.values(brackets._translations("su", g, True))
+        coroot.value(brackets._translations("su", g, True))
     with pytest.raises(RegularityViolation):
-        chamber.values(brackets._shifts("su", j_alg))
+        chamber.value(brackets._shifts("su", j_alg))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -235,7 +242,7 @@ def test_a_non_finite_borel_stack_is_not_positive_definite(bad):
     with pytest.raises(NotPositiveDefinite):
         decomp.borel_chamber_spectra(stack)
     with pytest.raises(NotPositiveDefinite):
-        ob.BorelChamberCoroot(0, liecore.build_root_datum(3)).values(stack)
+        ob.BorelChamberCoroot(0, liecore.build_root_datum(3)).value(stack)
 
 
 def test_a_singular_borel_stack_is_not_positive_definite():
@@ -265,8 +272,8 @@ _ORACLES = ("group_gradient_fd", "algebra_gradient_fd", "borel_gradient_fd")
 
 
 def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
-    """With checks=["gradient-oracles"] at n=3: no value() call and no one-matrix
-    normal form inside an oracle, one eigenvalue solve per stencil block, and
+    """With checks=["gradient-oracles"] at n=3: no value() call on one matrix and no
+    one-matrix normal form inside an oracle, one eigenvalue solve per stencil block, and
     every normal form outside the oracles accounted for by the regularity
     assertion of a stack of built points or an exact grad() on it, both served
     by one eigensolve."""
@@ -309,6 +316,15 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
                 depth[0] -= 1
         return wrapper
 
+    def counted_value(fn):
+        def wrapper(self, m):
+            name = "one-matrix value" if np.ndim(m) == 2 else "stacked value"
+            calls[name] += 1
+            if depth[0]:
+                inside[name] += 1
+            return fn(self, m)
+        return wrapper
+
     sample = harness.sample_regular
 
     def counted_sample(kind, budget, draw, check):
@@ -318,7 +334,7 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
         return sample(kind, budget, counted_draw, check)
 
     for cls in _FAMILIES:
-        monkeypatch.setattr(cls, "value", counted("value", cls.value))
+        monkeypatch.setattr(cls, "value", counted_value(cls.value))
     for name in _KERNELS:
         monkeypatch.setattr(decomp, name, kernel(name, getattr(decomp, name)))
     for name in _ORACLES:
@@ -333,7 +349,8 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     assert report.checks[0].passed
     points = calls["group_gradient_fd"]
     assert points == calls["algebra_gradient_fd"] == calls["borel_gradient_fd"] > 0
-    assert calls["value"] == 0
+    assert calls["one-matrix value"] == 0
+    assert calls["stacked value"] == inside["stacked value"] > 0
     assert not any(inside[name] for name in _KERNELS)
     # one eigensolve per stencil block: the coroot and the coweight share it
     assert inside["eigvals"] == calls["eigvals"] == points
