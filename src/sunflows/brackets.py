@@ -68,7 +68,7 @@ from .liecore import (
     adjoint,
     borel_basis,
     dual_basis,
-    expm,
+    expm_diagonal,
     expm_normal,
     gram,
     ordered_sum,
@@ -149,15 +149,18 @@ def _steps(kind: str, n: int) -> np.ndarray:
     """exp(k h Z) for each direction Z of the basis and each offset k, h = STEP[kind].
 
     One read-only (directions, offsets, n, n) array.  The powers are products
-    of exp(hZ) and its inverse, the adjoint on su.
+    of exp(hZ) and its inverse, the adjoint on su.  Every sl and Borel
+    direction is diagonal or square-zero, so exp(hZ) is exactly the entrywise
+    exponential of its diagonal plus its off-diagonal part.
     """
     table = []
     for z in _basis(kind, n)[0]:
+        a = STEP[kind] * z
         if kind == "su":
-            e = expm_normal(STEP[kind] * z)
+            e = expm_normal(a)
             ei = e.conj().T
         else:
-            e = expm(STEP[kind] * z)
+            e = expm_diagonal(a) + (a - np.diag(np.diagonal(a)))
             ei = np.linalg.inv(e)
         powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
         table.append([powers[k] for k in _STEPS])

@@ -52,12 +52,12 @@ def _weighted(tau: np.ndarray, elements) -> np.ndarray:
 
 def coroot_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j h_j) over the simple coroots."""
-    return liecore.expm(-1j * _weighted(tau, datum.coroots))
+    return liecore.expm_diagonal(-1j * _weighted(tau, datum.coroots))
 
 
 def coweight_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
     """exp(-i sum tau_j w_j) over the fundamental coweights."""
-    return liecore.expm(-1j * _weighted(tau, datum.coweights))
+    return liecore.expm_diagonal(-1j * _weighted(tau, datum.coweights))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,8 @@ def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: fl
 
 def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
     """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
-    pos = decomp.alcove_diagonalize(g).transport(liecore.expm(_weighted(tau, datum.coroots)))
+    pos = decomp.alcove_diagonalize(g).transport(
+        liecore.expm_diagonal(_weighted(tau, datum.coroots)))
     return decomp.iwasawa_right(pos)[0]
 
 

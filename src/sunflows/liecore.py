@@ -113,61 +113,13 @@ def expm_normal(a: np.ndarray) -> np.ndarray:
     return _add_identity((v * d[..., np.newaxis, :]) @ adjoint(v))
 
 
-# Pade approximants of exp (Higham, "The scaling and squaring method for the
-# matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3):
-# degree m -> largest 1-norm theta_m at which the degree-m approximant is exact to
-# the unit roundoff, and its numerator coefficients b_0..b_m as the rows
-# (b_1, b_3, ..., b_m) and (b_0, b_2, ..., b_(m-1)) that multiply I, a^2, a^4, ...
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-               9: 2.097847961257068, 13: 5.371920351148152}
-_PADE_COEFFS = {m: np.array([b[1::2], b[0::2]]) for m, b in {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
-        110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}.items()}
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a general square matrix by Pade approximation with scaling and squaring.
-
-    The degree is the lowest of 3, 5, 7, 9 whose theta bounds the 1-norm of a,
-    else 13 applied to a / 2^s and squared s times (Higham 2005, Algorithm
-    2.3).  Diagonal input (the torus elements) is exponentiated entrywise, a
-    whole stack at once; any other stack one matrix at a time, so that each
-    picks its own degree and scaling.
-    """
+def expm_diagonal(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a diagonal matrix a, or of each of a stack: its diagonal entrywise."""
     n = a.shape[-1]
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    if np.count_nonzero(a) == np.count_nonzero(diag):
-        e = np.exp(diag)
-        out = np.zeros(a.shape, dtype=e.dtype)
-        out[..., np.arange(n), np.arange(n)] = e
-        return out
-    if a.ndim > 2:
-        return np.array([expm(m) for m in a.reshape(-1, n, n)]).reshape(a.shape)
-    norm = np.abs(a).sum(axis=0).max()
-    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
-    s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
-    a = a / 2.0**s
-    # the even powers I, a^2, a^4, ... as one stack, summed against both coefficient rows at once
-    k = m // 2 + 1
-    evens = np.empty((k, n, n), dtype=a.dtype)
-    evens[0] = np.eye(n)
-    np.matmul(a, a, out=evens[1])
-    for j in range(2, k):
-        np.matmul(evens[j - 1], evens[1], out=evens[j])
-    odd, even = (_PADE_COEFFS[m] @ evens.reshape(k, n * n)).reshape(2, n, n)
-    u = a @ odd
-    # (even - u)^-1 (even + u) as I + (even - u)^-1 2u: the correction to I is rounded on its own scale
-    r = _add_identity(np.linalg.solve(even - u, 2 * u))
-    for _ in range(s):
-        r = r @ r
-    return r
+    e = np.exp(np.diagonal(a, axis1=-2, axis2=-1))
+    out = np.zeros(a.shape, dtype=e.dtype)
+    out[..., np.arange(n), np.arange(n)] = e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +369,7 @@ def special_elements(n: int) -> SpecialElements:
     if n % 2 == 0:
         shift[0, n - 1] = -1.0
     rho = np.diag([(n - 1) / 2.0 - j for j in range(n)]).astype(complex)
-    principal = expm(2j * np.pi * rho / n)
+    principal = expm_diagonal(2j * np.pi * rho / n)
     dft = np.array(
         [[np.exp(2j * np.pi * j * k / n) for k in range(n)] for j in range(n)]
     ) / np.sqrt(n)
@@ -490,11 +442,12 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
     """exp of a Gaussian algebra element, which covers the group well."""
-    return expm(random_algebra_element(n, rng))
+    return expm_normal(random_algebra_element(n, rng))
 
 
 def random_sl_element(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Well-conditioned random element of SL(n, C): unitary times Borel factor."""
+    """Well-conditioned random element of SL(n, C) in polar form: unitary times exp of a
+    traceless Hermitian matrix, the Hermitian part of a Gaussian Borel element."""
     basis = borel_basis(n)
     z = ordered_sum(rng.standard_normal(len(basis)), basis)
-    return random_group_element(n, rng) @ expm(0.7 * z / (n * n))
+    return random_group_element(n, rng) @ expm_normal(0.35 / (n * n) * (z + adjoint(z)))

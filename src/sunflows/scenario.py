@@ -42,9 +42,15 @@ MAX_POINTS = 256
 # the most factors m + holes of a moduli space: at n = 8 the suite of the family {"single": [1]}
 # takes 0.34 s at 2 factors, 1.7 s at 128 and 3.2 s at 256, against a 3 s budget per suite
 MAX_MODULI_FACTORS = 128
-# the most times of a flow export, one flow and CSV row each: at n = 8 and m + holes = 128 a
-# row costs 24 ms and 516 kB (0.3 ms on the cotangent bundle); 256 rows take 5.5 s and 305 MB
+# the most generators of a moduli family, n - 1 per block: at n = 8 and m = holes = 8 the suite
+# of single blocks takes 2.4 s with 6 blocks (42 generators), 3.2 s with 7 and 4.7 s with 8
+MAX_FAMILY_GENERATORS = 42
+# the most times of the flow exports of a config, summed over its requests, one flow and CSV
+# row each: at n = 8 and m + holes = 128 a row costs 24 ms and 516 kB (0.3 ms on the cotangent
+# bundle); 256 rows take 5.5 s and 305 MB
 MAX_EXPORT_TIMES = 256
+# the times of a flow request that names none
+DEFAULT_TIMES = {"start": 0.0, "stop": 2 * np.pi, "num": 33}
 
 
 def derived_rng(seed: int, name: str) -> np.random.Generator:
@@ -126,13 +132,19 @@ class ScenarioConfig:
             space = moduli_space(self.m, self.holes, self.n)
             fam = harness_mod._family_from_config(space, self.family)
             moduli.validate_family(space, fam)
+            generators = len(moduli.family_blocks(fam)) * (self.n - 1)
+            if generators > MAX_FAMILY_GENERATORS:
+                raise InvalidShape(f"clause moduli-family-size: {generators} generators, more "
+                                   f"than {MAX_FAMILY_GENERATORS}")
         if not 2 <= self.points <= MAX_POINTS:
             raise InvalidShape(f"clause points: points={self.points} outside 2..{MAX_POINTS}")
         if not isinstance(self.flow_exports, list):
             raise InvalidShape(f"clause flow-exports: {self.flow_exports!r} is not a list "
                                "of flow requests")
-        for request in self.flow_exports:
-            _check_flow_request(request)
+        rows = sum(_check_flow_request(request) for request in self.flow_exports)
+        if rows > MAX_EXPORT_TIMES:
+            raise InvalidShape(f"clause flow-exports: {rows} times over all requests, more "
+                               f"than {MAX_EXPORT_TIMES}")
         stems = export_stems(self.flow_exports)
         if len(set(stems)) < len(stems):
             raise InvalidShape(f"clause flow-exports: two flow requests share a file stem "
@@ -188,6 +200,10 @@ class VerificationReport:
         except (KeyError, TypeError) as exc:
             raise InvalidShape(f"not a report body: {type(exc).__name__}: {exc}") from None
         for c in checks:
+            if not (isinstance(c.name, str) and isinstance(c.claim, str)
+                    and isinstance(c.passed, bool)):
+                raise InvalidShape(f"not a report body: check {c.name!r} needs a string name "
+                                   "and claim and a boolean passed")
             if not all(isinstance(v, numbers.Real) for v in (c.residual, c.tol)):
                 raise InvalidShape(f"not a report body: check {c.name!r} has a "
                                    "non-numeric residual or tol")
@@ -588,10 +604,10 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     x = _sample_stack(h, rng, 4)
     u0 = x.factor("u_right")
-    for fn in [PowerTrace(2), AlcoveCoroot(0, ctx.datum)]:
+    for gen in h.families()["unitary-class"]:
         for t in (0.3, 1.1):
-            moved = flows.heisenberg_flow(x, fn, t)
-            gamma = flows.heisenberg_flow_unitary_part(x, fn, t)
+            moved = gen.flow(x, t)
+            gamma = flows.heisenberg_flow_unitary_part(x, gen.obs.fn, t)
             resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
             worst = _worst(worst, *resid)
     return _result(ctx, "unitary-conjugation-law",
@@ -923,10 +939,10 @@ def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
 # trajectory export
 # ---------------------------------------------------------------------------
 
-def _check_flow_request(request) -> None:
+def _check_flow_request(request) -> int:
     """Clause flow-exports: a dict whose name is a plain file stem, whose family
     is a name, whose generator is an integer and whose times are a
-    {start, stop, num} dict or a list of numbers."""
+    {start, stop, num} dict or a list of numbers.  Returns the number of times."""
     name = request.get("name", "flow") if isinstance(request, dict) else None
     if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
             or os.path.basename(name) != name):
@@ -936,7 +952,7 @@ def _check_flow_request(request) -> None:
     if not isinstance(family, str) or not _integer(gen):
         raise InvalidShape(f"clause flow-exports: {request!r} needs a family name and an "
                            "integer generator")
-    times = request.get("times", [])
+    times = request.get("times", DEFAULT_TIMES)
     if isinstance(times, dict):
         ok = (set(times) == {"start", "stop", "num"} and _finite(times["start"])
               and _finite(times["stop"]) and _integer(times["num"]))
@@ -948,6 +964,7 @@ def _check_flow_request(request) -> None:
     count = times["num"] if isinstance(times, dict) else len(times)
     if not 0 <= count <= MAX_EXPORT_TIMES:
         raise InvalidShape(f"clause flow-exports: {count} times outside 0..{MAX_EXPORT_TIMES}")
+    return count
 
 
 def export_stems(requests) -> list[str]:
@@ -972,7 +989,7 @@ def export_trajectory(cfg: ScenarioConfig, request: dict) -> str:
     if not 0 <= idx < len(gens):
         raise InvalidShape(f"clause flow-generator: index {idx} outside 0..{len(gens) - 1}")
     gen = gens[idx]
-    times = request.get("times", {"start": 0.0, "stop": 2 * np.pi, "num": 33})
+    times = request.get("times", DEFAULT_TIMES)
     if isinstance(times, dict):
         grid = np.linspace(times["start"], times["stop"], times["num"])
     else:

@@ -1,13 +1,14 @@
 """The numpy matrix kernels against scipy and mpmath oracles.
 
 ``liecore.expm_normal`` (one Hermitian eigensolve) exponentiates the
-anti-Hermitian and Hermitian generators of flows, torus curves and stencil
-steps; ``liecore.expm`` (Pade with scaling and squaring) the sampling draws,
-the nilpotent stencil steps and the diagonal torus elements; and
-``decomp.alcove_diagonalize`` builds its frame from ``eig`` and ``qr``.  The
-package itself imports no scipy.
+anti-Hermitian and Hermitian generators of flows, torus curves, stencil steps
+and the sampling draws; ``liecore.expm_diagonal`` (entrywise) the diagonal
+torus elements, the principal element and the diagonal stencil steps, whose
+square-zero ones are I + hZ; and ``decomp.alcove_diagonalize`` builds its frame
+from ``eig`` and ``qr``.  The package itself imports no scipy.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sunflows import decomp, flows, liecore
+from sunflows import brackets, decomp, flows, liecore
 from sunflows.errors import RegularityViolation
 
 NORMS = [1e-3, 1e-2, 0.1, 1.0, 5.0]
@@ -74,49 +75,67 @@ def test_expm_normal_is_as_unitary_as_pade(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_kernels_against_mpmath(n):
+def test_expm_normal_against_mpmath(n):
     rng = np.random.default_rng(10 + n)
-    # a stencil step: both kernels round the correction to I on its own scale
+    # a stencil step: the correction to I is rounded on its own scale
     a = _generator("anti-hermitian", n, 1e-3, rng)
-    exact = _exact_expm(a)
-    assert np.linalg.norm(liecore.expm_normal(a) - exact) <= 1e-17
-    assert np.linalg.norm(liecore.expm(a) - exact) <= 1e-17
+    assert np.linalg.norm(liecore.expm_normal(a) - _exact_expm(a)) <= 1e-17
     # the sampling draws, Gaussian algebra elements of norm about n
     for _ in range(3):
         a = liecore.random_algebra_element(n, rng)
-        assert np.linalg.norm(liecore.expm(a) - _exact_expm(a)) <= 5e-15
+        assert np.linalg.norm(liecore.expm_normal(a) - _exact_expm(a)) <= 5e-15
 
 
-def test_expm_of_diagonal_input_is_bit_equal_to_scipy():
+def test_expm_diagonal_is_bit_equal_to_scipy_on_diagonal_stacks():
     rng = np.random.default_rng(0)
     for n in range(2, 7):
         datum = liecore.build_root_datum(n)
-        tau = rng.uniform(-3, 3, n - 1)
+        taus = rng.uniform(-3, 3, (4, n - 1))
         rho = liecore.special_elements(n).rho_coweight
-        diagonals = [np.diag(rng.standard_normal(n)),
-                     np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-                     -1j * flows._weighted(tau, datum.coroots), 2j * np.pi * rho / n,
-                     np.zeros((n, n), dtype=complex)]
-        for d in diagonals:
-            assert np.array_equal(liecore.expm(d), scipy.linalg.expm(d))
-        assert np.array_equal(flows.coroot_torus_element(tau, datum),
-                              scipy.linalg.expm(-1j * flows._weighted(tau, datum.coroots)))
+        diagonals = np.array([np.diag(rng.standard_normal(n)),
+                              np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                              2j * np.pi * rho / n, np.zeros((n, n), dtype=complex),
+                              *(-1j * flows._weighted(taus, datum.coroots))])
+        e = liecore.expm_diagonal(diagonals)
+        assert e.tobytes() == np.array([scipy.linalg.expm(d) for d in diagonals]).tobytes()
+        assert flows.coroot_torus_element(taus, datum).tobytes() == e[4:].tobytes()
 
 
-@pytest.mark.parametrize("shape", ["upper-triangular", "general"])
-@pytest.mark.parametrize("n", range(2, 7))
-def test_expm_matches_scipy(n, shape):
-    """Every Pade degree (3 to 13) and the scaled range; triangular input stays triangular."""
-    rng = np.random.default_rng(n)
-    for norm in [1e-3, 0.1, 0.5, 1.5, 4.0, 10.0]:
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if shape == "upper-triangular":
-            a = np.triu(a)
-        a *= norm / np.linalg.norm(a, 1)
-        e, ref = liecore.expm(a), scipy.linalg.expm(a)
-        assert np.linalg.norm(e - ref) <= 1e-13 * np.linalg.norm(ref), norm
-        if shape == "upper-triangular":
-            assert not np.any(np.tril(e, -1))
+def _exact_exponentials(n):
+    """Every exponential the package takes of a diagonal or square-zero matrix at n: the sl
+    and Borel step tables, the coroot and coweight torus elements (one by one and stacked),
+    positive factorizations at Haar frames and the principal element."""
+    datum = liecore.build_root_datum(n)
+    rng = np.random.default_rng(500 + n)
+    taus = rng.uniform(-3, 3, (4, n - 1))
+    gs = [liecore.haar_unitary(n, rng) for _ in range(3)]
+    out = [brackets._steps(kind, n) for kind in ("sl", "borel")]
+    for torus in (flows.coroot_torus_element, flows.coweight_torus_element):
+        out += [torus(t, datum) for t in taus] + [torus(taus, datum)]
+    out += [flows.positive_factorization(t, g, datum) for t, g in zip(taus, gs)]
+    return out + [liecore.special_elements(n).principal]
+
+
+# sha256 of _exact_exponentials(n) as the scaling-and-squaring Pade kernel built them
+_PADE_DIGESTS = {
+    2: "125bff5d54856bad5f8d99d412b38afb5f1ac866832b31e1d07294f1cc1bdf0f",
+    3: "de498f265d0eb06aa129dc831ccaee06ff91e289f8d3f23044afc1dd93873f5d",
+    4: "fd9fa3be5ff30325d81eb2540c9cae317c2504217bc6920e4f9eed6721bf43fb",
+    5: "80abe09003d265210e98d10586f42e85d164a97a48139abec89165f32d9262c8",
+    6: "f9553ea88352b002bc5432e3acf6f7706825251ae66cb4e91bd6f6532875ae25",
+    7: "d78b29016ab8fbf77ee2d254a58ac6e49f5fdf0ef9a6fb0b03a6b05f47027374",
+    8: "f7894ae66f66e5e9829bd7370f4a09ec403fa7ac989f316cea03d92a4a306a12",
+}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exact_exponentials_keep_the_bytes_of_the_pade_kernel(n):
+    """The step tables, torus elements, positive factorizations and principal element
+    are exact, so the entrywise and I + hZ forms give the Pade kernel's bytes."""
+    digest = hashlib.sha256()
+    for a in _exact_exponentials(n):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == _PADE_DIGESTS[n]
 
 
 def _schur_spectrum(g):

@@ -299,19 +299,22 @@ def test_dual_basis_is_the_double_loop_bit_for_bit(kind, form, n):
 
 
 def _random_sl_element_loop(n, rng):
-    """``random_sl_element`` as it was written, one coefficient draw per basis element."""
+    """``random_sl_element`` written out: one coefficient draw per Borel basis element, then
+    the unitary draw times exp of the Hermitian part of the Borel element."""
     z = np.zeros((n, n), dtype=complex)
     for b in liecore.borel_basis(n):
         z += rng.standard_normal() * b
-    return liecore.random_group_element(n, rng) @ liecore.expm(0.7 * z / (n * n))
+    hermitian = 0.35 / (n * n) * (z + z.conj().T)
+    return liecore.random_group_element(n, rng) @ liecore.expm_normal(hermitian)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_random_sl_element_keeps_its_bits_and_the_rng_state(n):
     fast, slow = np.random.default_rng(90 + n), np.random.default_rng(90 + n)
     for _ in range(3):
-        assert liecore.random_sl_element(n, fast).tobytes() == \
-            _random_sl_element_loop(n, slow).tobytes()
+        x = liecore.random_sl_element(n, fast)
+        assert x.tobytes() == _random_sl_element_loop(n, slow).tobytes()
+        assert abs(np.linalg.det(x) - 1) <= 1e-13
     assert fast.bit_generator.state == slow.bit_generator.state
 
 

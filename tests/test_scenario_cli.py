@@ -6,7 +6,9 @@ import pytest
 from sunflows import cli
 from sunflows.errors import InvalidShape
 from sunflows.scenario import (
+    DEFAULT_TIMES,
     MAX_EXPORT_TIMES,
+    MAX_FAMILY_GENERATORS,
     MAX_MODULI_FACTORS,
     MAX_POINTS,
     ScenarioConfig,
@@ -276,6 +278,23 @@ def test_flow_exports_hold_at_most_the_bounded_number_of_times(form):
         export_trajectory(small_config(), request(MAX_EXPORT_TIMES + 1))
 
 
+def test_flow_exports_hold_at_most_the_bounded_number_of_times_in_all():
+    """The bound holds for the times summed over the requests, a request without times
+    counting its default grid: at the bound the config is admitted, one past it refused."""
+    def requests(*counts):
+        return [{"name": f"f{k}", "times": [0.0] * c} for k, c in enumerate(counts)]
+
+    half, refused = MAX_EXPORT_TIMES // 2, f"^clause flow-exports: {MAX_EXPORT_TIMES + 1} times"
+    small_config(flow_exports=requests(half, MAX_EXPORT_TIMES - half)).validate()
+    with pytest.raises(InvalidShape, match=refused):
+        small_config(flow_exports=requests(half, MAX_EXPORT_TIMES - half + 1)).validate()
+    default = DEFAULT_TIMES["num"]
+    defaults = [{"name": f"d{k}"} for k in range(MAX_EXPORT_TIMES // default)]
+    small_config(flow_exports=defaults + requests(MAX_EXPORT_TIMES % default)).validate()
+    with pytest.raises(InvalidShape, match=refused):
+        small_config(flow_exports=defaults + requests(MAX_EXPORT_TIMES % default + 1)).validate()
+
+
 def test_cli_report_prints_the_files_verify_wrote(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
@@ -297,7 +316,19 @@ def test_cli_report_prints_the_files_verify_wrote(tmp_path, capsys):
                                    "tol_scale": 1.0,
                                    "checks": [{"name": "dual-basis", "claim": "", "residual": "0",
                                                "tol": 1e-9, "passed": True, "detail": {}}]},
-                                  [1, 2]])
+                                  {"schema_version": "1", "space": "double", "n": 2, "seed": 1,
+                                   "tol_scale": 1.0,
+                                   "checks": [{"name": 1, "claim": "", "residual": 0.0,
+                                               "tol": 1e-9, "passed": True, "detail": {}},
+                                              {"name": "b", "claim": "", "residual": 0.0,
+                                               "tol": 1e-9, "passed": True, "detail": {}}]},
+                                  {"schema_version": "1", "space": "double", "n": 2, "seed": 1,
+                                   "tol_scale": 1.0,
+                                   "checks": [{"name": "dual-basis", "claim": "", "residual": 1.0,
+                                               "tol": 1e-9, "passed": "yes", "detail": {}}]},
+                                  [1, 2]],
+                         ids=["no-checks", "missing-fields", "string-residual", "integer-name",
+                              "string-passed", "not-a-dict"])
 def test_cli_report_rejects_malformed_reports(tmp_path, capsys, body):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(body))
@@ -403,3 +434,18 @@ def test_moduli_shape_admits_at_most_the_bounded_number_of_factors(m):
     with pytest.raises(InvalidShape, match="^clause moduli-shape"):
         ScenarioConfig(space="moduli", n=2, m=m, holes=MAX_MODULI_FACTORS + 1 - m,
                        family=family).validate()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_moduli_family_has_at_most_the_bounded_number_of_generators(n):
+    """n - 1 generators per block: up to MAX_FAMILY_GENERATORS is admitted, one more block
+    is refused."""
+    blocks = MAX_FAMILY_GENERATORS // (n - 1)
+
+    def config(k):
+        return ScenarioConfig(space="moduli", n=n, m=blocks + 1, holes=blocks + 1,
+                              family={"single": list(range(1, k + 1))})
+
+    config(blocks).validate()
+    with pytest.raises(InvalidShape, match="^clause moduli-family-size"):
+        config(blocks + 1).validate()

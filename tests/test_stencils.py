@@ -100,19 +100,27 @@ def test_borel_oracle_list_equals_single_calls(n):
 
 
 @pytest.mark.parametrize("kind", ["su", "sl", "borel"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_step_table_entries_are_powers_of_expm(kind, n):
+    """su steps come from expm_normal; every sl and Borel direction is diagonal or
+    square-zero, so its step is the closed form diag(exp(h diag Z)) or I + hZ, bit for bit."""
     directions = {"su": liecore.su_basis, "sl": liecore.sl_real_basis,
                   "borel": liecore.borel_basis}[kind](n)
     table = brackets._steps(kind, n)
     h = brackets.STEP[kind]
     assert len(table) == len(directions)
     for z, row in zip(directions, table):
-        e = liecore.expm_normal(h * z) if kind == "su" else liecore.expm(h * z)
+        if kind == "su":
+            e = liecore.expm_normal(h * z)
+        elif np.count_nonzero(z - np.diag(np.diag(z))):
+            assert not np.any(z @ z)
+            e = np.eye(n) + h * z
+        else:
+            e = np.diag(np.exp(h * np.diag(z)))
         ei = e.conj().T if kind == "su" else np.linalg.inv(e)
         powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
         for k, u in zip(brackets._STEPS, row):
-            assert np.array_equal(u, powers[k])
+            assert u.tobytes() == powers[k].tobytes()
             assert np.allclose(u, scipy.linalg.expm((k * h) * z), rtol=0, atol=1e-14)
 
 
