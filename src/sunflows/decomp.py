@@ -11,10 +11,10 @@ leaks into results.
 
 The three normal forms (with their frames and ``transport``), the Iwasawa
 halves ``iwasawa_left``/``iwasawa_right`` (and ``iwasawa_decompose``, which
-packs both), ``dress`` and ``posdef_of_borel`` take a leading point axis,
-(..., n, n): each matrix of a stack gets the bytes of its one-matrix call,
-and a regularity check fails if any matrix of the stack is inside its
-margin.  ``borel_of_posdef`` takes one matrix.
+packs both), ``dress``, ``posdef_of_borel`` and ``borel_of_posdef`` take a
+leading point axis, (..., n, n): each matrix of a stack gets the bytes of its
+one-matrix call, and a regularity check fails if any matrix of the stack is
+inside its margin.
 
 The normal-form and Iwasawa kernels remember their last few results, keyed
 on the exact input (a whole stack), because flows hand them the same stack
@@ -42,7 +42,7 @@ from .errors import (
     RegularityViolation,
     SingularMatrix,
 )
-from .liecore import RootDatum, adjoint, read_only
+from .liecore import RootDatum, adjoint, norms, read_only
 
 DEFAULT_REGULARITY_MARGIN = 1e-8
 # results each normal-form and Iwasawa kernel remembers: over one seed-42 pass of each of the
@@ -392,15 +392,15 @@ def posdef_of_borel(b: np.ndarray) -> np.ndarray:
 
 
 def borel_of_posdef(p: np.ndarray) -> np.ndarray:
-    """Upper-triangular positive-diagonal b with b b^H = p.
+    """Upper-triangular positive-diagonal b with b b^H = p, for p or each matrix of a stack.
 
     Obtained from the Cholesky factor of p^-1: with p^-1 = L L^H lower
     triangular, b = L^-H is upper triangular with positive diagonal.
     """
-    if np.linalg.norm(p - p.conj().T) > 1e-10 * (1 + np.linalg.norm(p)):
+    if np.any(norms(p - adjoint(p), 2) > 1e-10 * (1 + norms(p, 2))):
         raise NotPositiveDefinite("argument is not Hermitian")
     try:
         low = np.linalg.cholesky(np.linalg.inv(p))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("argument is not positive definite") from exc
-    return np.linalg.inv(low.conj().T)
+    return np.linalg.inv(adjoint(low))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decomp, flows, moduli
+from . import decomp, flows, liecore, moduli
 from .errors import (InvalidShape, NotPositiveDefinite, RegularityViolation, SamplingFailure,
                      SingularMatrix)
 from .liecore import RootDatum, adjoint
@@ -31,14 +31,15 @@ from .observables import (
     word_observable,
 )
 from .spaces import (
+    CotangentPoint,
     FusionSpace,
+    HeisenbergPoint,
     cotangent_momentum,
     double_space,
     heisenberg_momentum,
     moduli_space,
-    random_cotangent_point,
-    random_heisenberg_point,
     sphere_space,
+    stack,
 )
 
 SAMPLING_MARGIN = 0.08
@@ -83,7 +84,16 @@ class Harness:
         self.datum = datum
 
     def sample(self, rng) -> object:
+        """One regular point."""
         raise NotImplementedError
+
+    def sample_stack(self, rng, count: int, *draws):
+        """``count`` points as one stacked point (``spaces.stack``), each drawn just before its
+        own ``draws`` (functions of rng, such as angles or group elements); with draws, also
+        each draw's values on a leading point axis."""
+        rows = [(self.sample(rng), *(draw(rng) for draw in draws)) for _ in range(count)]
+        points, *values = zip(*rows)
+        return (stack(points), *map(np.array, values)) if draws else stack(points)
 
     def probes(self) -> list:
         raise NotImplementedError
@@ -125,6 +135,21 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
+class BuiltHarness(Harness):
+    """Points regular by construction: ``build(rng, count)`` conjugates spectra that clear
+    every wall by twice SAMPLING_MARGIN by Haar frames (``liecore.conjugated_spectrum``), a
+    stack from one stacked draw, or one point without a count; no point is drawn again."""
+
+    def sample(self, rng):
+        return self.build(rng)
+
+    def sample_stack(self, rng, count: int, *draws):
+        """``count`` points from one stacked build, then the ``draws`` of each point in turn."""
+        x = self.build(rng, count)
+        rows = [tuple(draw(rng) for draw in draws) for _ in range(count)]
+        return (x, *map(np.array, zip(*rows))) if draws else x
+
+
 def _word_generators(fns, letters, flow, velocity, suffix: str = "") -> list[Generator]:
     """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
     return [Generator(fn.name + suffix, WordFunction(fn, letters),
@@ -152,12 +177,14 @@ def _power_indices(n: int) -> list[int]:
 # cotangent bundle
 # ---------------------------------------------------------------------------
 
-class CotangentHarness(Harness):
-    def sample(self, rng):
-        def check(x):
-            decomp.alcove_diagonalize(x.g, SAMPLING_MARGIN)
-            decomp.chamber_diagonalize(x.j, SAMPLING_MARGIN)
-        return sample_regular("cotangent", 64, lambda: random_cotangent_point(self.n, rng), check)
+class CotangentHarness(BuiltHarness):
+    def build(self, rng, count=None):
+        """g = V exp(i diag(xi)) V^H with xi an alcove vector; J = W i diag(eta) W^H with eta a
+        chamber vector of spread below n."""
+        n, floor = self.n, 2 * SAMPLING_MARGIN
+        g = liecore.conjugated_spectrum(n, rng, lambda xi: np.exp(1j * xi), floor, count=count)
+        j = liecore.conjugated_spectrum(n, rng, lambda eta: 1j * eta, floor, n, count)
+        return CotangentPoint(g, liecore.skew_traceless(j))
 
     def probes(self):
         words = [("g",), ("g", "g"), ("j", "j"), ("g", "j"), ("g", "g", "j"),
@@ -213,13 +240,17 @@ def _right_factor_generators(fns, factor: str) -> list[Generator]:
             for fn in fns]
 
 
-class HeisenbergHarness(Harness):
-    def sample(self, rng):
-        def check(x):
-            decomp.alcove_diagonalize(x.factor("u_right"), SAMPLING_MARGIN)
-            decomp.borel_chamber_diagonalize(x.factor("b_right"), SAMPLING_MARGIN)
-        return sample_regular("Heisenberg", 64, lambda: random_heisenberg_point(self.n, rng),
-                              check)
+class HeisenbergHarness(BuiltHarness):
+    def build(self, rng, count=None):
+        """X with Iwasawa factors u_right = U and b_right = B: U = V exp(i diag(xi)) V^H with xi
+        an alcove vector, and B = ``borel_of_posdef``(Q exp(diag(lam)) Q^H) with lam a chamber
+        vector whose gaps beyond the floor share 0.6.  With the positive QR B^-1 U = Q_m R,
+        X = Q_m^H B^-1 = R U^H, so u_left = Q_m^H and b_left = R."""
+        n, floor = self.n, 2 * SAMPLING_MARGIN
+        u = liecore.conjugated_spectrum(n, rng, lambda xi: np.exp(1j * xi), floor, count=count)
+        pos = liecore.conjugated_spectrum(n, rng, np.exp, floor, floor * n + 0.6, count)
+        b_inv = np.linalg.inv(decomp.borel_of_posdef(pos))
+        return HeisenbergPoint(adjoint(decomp.iwasawa_left(b_inv @ u)[0]) @ b_inv)
 
     def probes(self):
         words = [("x",), ("x", "x"), ("x", "xh"), ("x", "x", "xh"),

@@ -113,13 +113,17 @@ def expm_normal(a: np.ndarray) -> np.ndarray:
     return _add_identity((v * d[..., np.newaxis, :]) @ adjoint(v))
 
 
+def diagonal_matrix(d: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of a vector, or of each vector of a stack (..., n), as np.diag."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,), dtype=d.dtype)
+    out[..., np.arange(n), np.arange(n)] = d
+    return out
+
+
 def expm_diagonal(a: np.ndarray) -> np.ndarray:
     """exp(a) of a diagonal matrix a, or of each of a stack: its diagonal entrywise."""
-    n = a.shape[-1]
-    e = np.exp(np.diagonal(a, axis1=-2, axis2=-1))
-    out = np.zeros(a.shape, dtype=e.dtype)
-    out[..., np.arange(n), np.arange(n)] = e
-    return out
+    return diagonal_matrix(np.exp(np.diagonal(a, axis1=-2, axis2=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +393,26 @@ def special_elements(n: int) -> SpecialElements:
 
 
 def diagonal_torus_element(phases: np.ndarray) -> np.ndarray:
-    """exp(i diag(phases)) with the phases shifted to zero sum."""
+    """exp(i diag(phases)) with the phases shifted to zero sum, for phases or each row of a
+    stack (..., n)."""
     phases = np.asarray(phases, dtype=float)
-    phases = phases - phases.mean()
-    return np.diag(np.exp(1j * phases))
+    phases = phases - phases.mean(axis=-1, keepdims=True)
+    return diagonal_matrix(np.exp(1j * phases))
 
 
 def apposition_torus_element(phases: np.ndarray, special: SpecialElements) -> np.ndarray:
+    """The apposition torus element F exp(i diag(phases)) F^H, for each row of (..., n)."""
     f = special.apposition_conjugator
     return f @ diagonal_torus_element(phases) @ f.conj().T
 
 
 def apposition_algebra_element(diag: np.ndarray, special: SpecialElements) -> np.ndarray:
-    """Element of the apposition torus algebra from real diagonal coordinates."""
+    """Element of the apposition torus algebra from real diagonal coordinates, for each row
+    of (..., n)."""
     diag = np.asarray(diag, dtype=float)
-    diag = diag - diag.mean()
+    diag = diag - diag.mean(axis=-1, keepdims=True)
     f = special.apposition_conjugator
-    return f @ (1j * np.diag(diag)) @ f.conj().T
+    return f @ (1j * diagonal_matrix(diag)) @ f.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +420,26 @@ def apposition_algebra_element(diag: np.ndarray, special: SpecialElements) -> np
 # ---------------------------------------------------------------------------
 
 def gapped_spectrum(n: int, rng: np.random.Generator, floor: float,
-                    total: float = 2 * np.pi) -> np.ndarray:
+                    total: float = 2 * np.pi, count: int | None = None) -> np.ndarray:
     """Decreasing zero-sum vector xi whose n - 1 gaps and slack total - (xi_1 - xi_n) are each
-    ``floor`` plus a uniform (Dirichlet) split of the rest of ``total``.
+    ``floor`` plus a uniform (Dirichlet) split of the rest of ``total``; with a ``count``,
+    a (count, n) stack of them from one draw.
 
     With total = 2*pi the slack is the affine wall, so xi is an alcove vector and a chamber
     vector at once, clearing every wall by ``floor``; a smaller total bounds its spread.
     """
-    gaps = floor + (total - n * floor) * rng.dirichlet(np.ones(n))
-    xi = -np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    return xi - xi.mean()
+    gaps = floor + (total - n * floor) * rng.dirichlet(np.ones(n), count)
+    xi = -np.concatenate([np.zeros(gaps.shape[:-1] + (1,)), np.cumsum(gaps[..., :-1], -1)], -1)
+    return xi - xi.mean(axis=-1, keepdims=True)
+
+
+def conjugated_spectrum(n: int, rng: np.random.Generator, fn, floor: float,
+                        total: float = 2 * np.pi, count: int | None = None) -> np.ndarray:
+    """V diag(fn(xi)) V^H for a gapped spectrum xi (``gapped_spectrum``) and then a Haar
+    frame V (``haar_unitary``); with a ``count``, a stack of them from one draw of each."""
+    d = fn(gapped_spectrum(n, rng, floor, total, count))
+    v = haar_unitary(n, rng, count)
+    return (v * d[..., np.newaxis, :]) @ adjoint(v)
 
 
 def random_algebra_element(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -431,13 +448,15 @@ def random_algebra_element(n: int, rng: np.random.Generator) -> np.ndarray:
     return skew_traceless(a)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Haar-random special unitary frame: the QR of a complex Gaussian with the phases of
-    R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007), then det-corrected."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q * np.linalg.det(q) ** (-1.0 / n)
+    R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007), then det-corrected; with a
+    ``count``, a (count, n, n) stack of them from one draw and one stacked QR."""
+    shape = (n, n) if count is None else (count, n, n)
+    q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., np.newaxis, :]
+    return q * (np.linalg.det(q) ** (-1.0 / n))[..., np.newaxis, np.newaxis]
 
 
 def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -75,45 +75,42 @@ def _shift_matrix(n: int) -> np.ndarray:
 
 
 def _solve_coxeter(h: np.ndarray, sign: int) -> np.ndarray:
-    """Traceless solution x of (sign*(w - id)) x = h for the cyclic Coxeter w."""
-    n = h.size
+    """Traceless solution x of (sign*(w - id)) x = h for the cyclic Coxeter w, for each row of
+    h (..., n): one least-squares solve whose right-hand sides are the rows."""
+    n = h.shape[-1]
     m = sign * (_shift_matrix(n) - np.eye(n))
-    x, *_ = np.linalg.lstsq(m, h, rcond=None)
-    return x - x.mean()
+    x = np.linalg.lstsq(m, h.reshape(-1, n).T, rcond=None)[0].T.reshape(h.shape)
+    return x - x.mean(axis=-1, keepdims=True)
 
 
-def commutator_identity_residual(h: np.ndarray, n: int) -> float:
-    """Defect of the Coxeter commutator identity on the diagonal torus.
+def commutator_identity_residual(h: np.ndarray, n: int):
+    """Defect of the Coxeter commutator identity on the diagonal torus, for h or each row of
+    a stack (..., n).
 
     With g the Coxeter representative and x the preimage of h under
     (coxeter - id), the commutator of g and exp(i diag(x)) must reproduce
     exp(i diag(h)).
     """
     h = np.asarray(h, dtype=float)
-    if h.size != n or abs(h.sum()) > 1e-9 * (1 + np.abs(h).max()):
+    if h.shape[-1:] != (n,) or np.any(np.abs(h.sum(-1)) > 1e-9 * (1 + np.abs(h).max(-1))):
         raise ShapeError("argument must be a traceless real diagonal vector")
-    spec = special_elements(n)
-    g = spec.coxeter_rep
-    x = _solve_coxeter(h, +1)
-    b = np.diag(np.exp(1j * x))
-    lhs = g @ b @ g.conj().T @ b.conj().T
-    return float(np.linalg.norm(lhs - np.diag(np.exp(1j * h))))
+    g = special_elements(n).coxeter_rep
+    b = liecore.diagonal_matrix(np.exp(1j * _solve_coxeter(h, +1)))
+    lhs = g @ b @ g.conj().T @ liecore.adjoint(b)
+    return liecore.norms(lhs - liecore.diagonal_matrix(np.exp(1j * h)), 2)
 
 
 def commutator_solve(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with [A, B] = exp(i diag(xi)): A the Coxeter representative."""
-    xi = np.asarray(xi, dtype=float)
-    spec = special_elements(n)
-    x = _solve_coxeter(xi, +1)
-    return spec.coxeter_rep, np.diag(np.exp(1j * x))
+    """(A, B) with [A, B] = exp(i diag(xi)): A the Coxeter representative; B per row of xi."""
+    x = _solve_coxeter(np.asarray(xi, dtype=float), +1)
+    return special_elements(n).coxeter_rep, liecore.diagonal_matrix(np.exp(1j * x))
 
 
 def solve_commutator_in_torus(xi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with [A, B] = exp(i diag(xi)), A in the diagonal torus, B Coxeter."""
-    xi = np.asarray(xi, dtype=float)
-    spec = special_elements(n)
-    x = _solve_coxeter(xi, -1)
-    return np.diag(np.exp(1j * x)), spec.coxeter_rep
+    """(A, B) with [A, B] = exp(i diag(xi)), A in the diagonal torus (per row of xi), B
+    Coxeter."""
+    x = _solve_coxeter(np.asarray(xi, dtype=float), -1)
+    return liecore.diagonal_matrix(np.exp(1j * x)), special_elements(n).coxeter_rep
 
 
 # ---------------------------------------------------------------------------

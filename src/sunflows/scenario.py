@@ -257,16 +257,6 @@ def _above_diagonal(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat[..., rows, cols]), initial=0.0))
 
 
-def _sample_stack(h, rng, count: int, *draws):
-    """``count`` points of the harness as one stacked point (``spaces.stack``), each point
-    drawn just before its own ``draws`` (functions of rng, such as angles or group elements),
-    the rng order of a loop over points.  With draws, returns the point and each draw's
-    values stacked on a leading point axis."""
-    rows = [(h.sample(rng), *(draw(rng) for draw in draws)) for _ in range(count)]
-    points, *values = zip(*rows)
-    return (stack(points), *map(np.array, values)) if draws else stack(points)
-
-
 def _worst(*values, pick=max):
     """``pick`` (max or min) of the values, NaN if one of them is NaN: Python's
     ``max(0.0, nan)`` is 0.0, which would drop a NaN defect from a residual."""
@@ -326,23 +316,15 @@ def check_apposition(ctx: CheckContext) -> CheckResult:
     n = ctx.cfg.n
     rng = ctx.rng("apposition-torus")
     spec = liecore.special_elements(n)
-    ortho = 0.0
-    for j in range(n - 1):
-        d1 = np.zeros(n)
-        d1[j], d1[j + 1] = 1.0, -1.0
-        t1 = 1j * np.diag(d1)
-        for k in range(n - 1):
-            d2 = np.zeros(n)
-            d2[k], d2[k + 1] = 1.0, -1.0
-            t2 = liecore.apposition_algebra_element(d2, spec)
-            ortho = _worst(ortho, abs(liecore.pair(t1, t2)))
-    bad = 0
-    for _ in range(200):
-        t = liecore.diagonal_torus_element(rng.uniform(0, 2 * np.pi, n))
-        tp = liecore.apposition_torus_element(rng.uniform(0, 2 * np.pi, n), spec)
-        if np.linalg.norm(t - tp) <= 1e-8:
-            if min(np.linalg.norm(t - z) for z in spec.center) > 1e-8:
-                bad += 1
+    coroots = np.eye(n)[:-1] - np.eye(n)[1:]
+    ortho = float(np.max(np.abs(liecore.gram(1j * liecore.diagonal_matrix(coroots),
+                                             liecore.apposition_algebra_element(coroots, spec)))))
+    # 200 pairs of diagonal and apposition phases, drawn in the order of a loop over pairs
+    phases = rng.uniform(0, 2 * np.pi, (200, 2, n))
+    t = liecore.diagonal_torus_element(phases[:, 0])
+    tp = liecore.apposition_torus_element(phases[:, 1], spec)
+    bad = sum(int(min(np.linalg.norm(t[k] - z) for z in spec.center) > 1e-8)
+              for k in np.flatnonzero(liecore.norms(t - tp, 2) <= 1e-8))
     # the coxeter representative must normalize the diagonal torus
     d = np.diag(rng.uniform(-1, 1, n) + 0j)
     d -= np.trace(d) / n * np.eye(n)
@@ -359,10 +341,9 @@ def check_commutator_identity(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for n in range(2, 6):
         rng = ctx.rng(f"commutator-identity-{n}")
-        for _ in range(50):
-            h = rng.uniform(-2.5, 2.5, n)
-            h -= h.mean()
-            worst = _worst(worst, probes.commutator_identity_residual(h, n))
+        h = rng.uniform(-2.5, 2.5, (50, n))
+        h -= h.mean(axis=-1, keepdims=True)
+        worst = _worst(worst, *probes.commutator_identity_residual(h, n))
     return _result(ctx, "coxeter-commutator-identity",
                    "the Coxeter conjugation commutator reproduces every torus element",
                    worst, 1e-10)
@@ -371,16 +352,12 @@ def check_commutator_identity(ctx: CheckContext) -> CheckResult:
 def check_commutator_solve(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for n in range(2, 6):
-        rng = ctx.rng(f"commutator-solve-{n}")
-        for _ in range(10):
-            xi = liecore.gapped_spectrum(n, rng, probes.ALCOVE_MARGIN)
-            a, b = probes.commutator_solve(xi, n)
-            target = np.diag(np.exp(1j * xi))
-            worst = _worst(worst, float(np.linalg.norm(
-                a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - target)))
-            a2, b2 = probes.solve_commutator_in_torus(xi, n)
-            worst = _worst(worst, float(np.linalg.norm(
-                a2 @ b2 @ np.linalg.inv(a2) @ np.linalg.inv(b2) - target)))
+        xi = liecore.gapped_spectrum(n, ctx.rng(f"commutator-solve-{n}"), probes.ALCOVE_MARGIN,
+                                     count=10)
+        target = liecore.diagonal_matrix(np.exp(1j * xi))
+        for a, b in (probes.commutator_solve(xi, n), probes.solve_commutator_in_torus(xi, n)):
+            worst = _worst(worst, *liecore.norms(
+                a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - target, 2))
     return _result(ctx, "commutator-solve",
                    "torus commutator solutions hit their alcove targets", worst, 1e-10)
 
@@ -403,11 +380,8 @@ def check_iwasawa(ctx: CheckContext) -> CheckResult:
 def check_posdef(ctx: CheckContext) -> CheckResult:
     n = ctx.cfg.n
     rng = ctx.rng("posdef")
-    worst = 0.0
-    for _ in range(20):
-        b = decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1]
-        p = decomp.posdef_of_borel(b)
-        worst = _worst(worst, float(np.linalg.norm(decomp.borel_of_posdef(p) - b)))
+    b = decomp.iwasawa_left(np.array([liecore.random_sl_element(n, rng) for _ in range(20)]))[1]
+    worst = _worst(0.0, *liecore.norms(decomp.borel_of_posdef(decomp.posdef_of_borel(b)) - b, 2))
     return _result(ctx, "posdef-roundtrip",
                    "the positive part map and its triangular inverse are mutually inverse",
                    worst, 1e-12)
@@ -434,20 +408,14 @@ ORACLE_FLOOR = 0.12
 
 def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
     """Closed-form gradients against finite differences at points that are regular by
-    construction: a Haar frame Q conjugates spectra (``liecore.gapped_spectrum``) that clear
-    every wall by ORACLE_FLOOR.  The normal forms still assert the 0.05 margin; no point is
-    ever drawn again."""
+    construction: a Haar frame Q conjugates spectra that clear every wall by ORACLE_FLOOR
+    (``liecore.conjugated_spectrum``).  The normal forms still assert the 0.05 margin; no
+    point is ever drawn again."""
     n = ctx.cfg.n
     datum = ctx.datum
     rng = ctx.rng("gradient-oracles")
     worst = 0.0
-
-    def conjugate(fn):
-        """Q fn(xi) Q^H for a fresh gapped spectrum xi and then a fresh Haar frame Q."""
-        diag = fn(liecore.gapped_spectrum(n, rng, ORACLE_FLOOR))
-        q = liecore.haar_unitary(n, rng)
-        return (q * diag) @ q.conj().T
-
+    conjugate = lambda fn: liecore.conjugated_spectrum(n, rng, fn, ORACLE_FLOOR)
     group_fns = [PowerTrace(1), PowerTrace(2), AlcoveCoroot(0, datum),
                  AlcoveCoweight(datum.rank - 1, datum)]
     algebra_fns = [AlgebraPower(2), ChamberCoroot(0, datum)]
@@ -539,7 +507,7 @@ def check_flow_bracket(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     gens = all_generators(h)
     first = h.sample(rng)
-    rest = _sample_stack(h, rng, ctx.cfg.points - 1)
+    rest = h.sample_stack(rng, ctx.cfg.points - 1)
     worst = _worst(flow_bracket_worst(first, gens, obs),
                    flow_bracket_worst(rest, gens, obs, oracle=False))
     return _result(ctx, "flow-bracket",
@@ -554,7 +522,7 @@ def check_abelian(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for fam_name, gens in h.families().items():
         obs = [g.obs for g in gens]
-        x = _sample_stack(h, rng, max(2, ctx.cfg.points // 3))
+        x = h.sample_stack(rng, max(2, ctx.cfg.points // 3))
         worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)))
     return _result(ctx, "abelian-family",
                    "family generators pairwise bracket-commute", worst, 1e-6)
@@ -565,7 +533,7 @@ def check_flow_commutation(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("flow-commutation")
     worst = 0.0
     for fam_name, gens in h.families().items():
-        x = _sample_stack(h, rng, 2)
+        x = h.sample_stack(rng, 2)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 a = gens[j].flow(gens[i].flow(x, 0.3), 0.7)
@@ -585,7 +553,7 @@ def check_conservation(ctx: CheckContext) -> CheckResult:
     for spec in h.conserved():
         gens = fams.get(spec.family, [])
         local = 0.0
-        x = _sample_stack(h, rng, 3)
+        x = h.sample_stack(rng, 3)
         base = np.asarray(spec.fn(x))
         for gen in gens:
             for t in taus:
@@ -602,7 +570,7 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
     h = ctx.harness
     rng = ctx.rng("unitary-conjugation-law")
     worst = 0.0
-    x = _sample_stack(h, rng, 4)
+    x = h.sample_stack(rng, 4)
     u0 = x.factor("u_right")
     for gen in h.families()["unitary-class"]:
         for t in (0.3, 1.1):
@@ -618,7 +586,7 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
 def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
     n = ctx.cfg.n
     rng = ctx.rng("quasi-adjoint-law")
-    x, eta = _sample_stack(ctx.harness, rng, 6, lambda r: liecore.random_group_element(n, r))
+    x, eta = ctx.harness.sample_stack(rng, 6, lambda r: liecore.random_group_element(n, r))
     moved = x.conjugate(eta)
     twist = adjoint(decomp.iwasawa_right(eta @ x.factor("b_left"))[1])
     u_defect = moved.factor("u_right") - twist @ x.factor("u_right") @ adjoint(twist)
@@ -637,7 +605,7 @@ def check_torus_periodicity(ctx: CheckContext) -> CheckResult:
     for spec in h.torus_specs():
         if not spec.periodic:
             continue
-        x = _sample_stack(h, rng, 3)
+        x = h.sample_stack(rng, 3)
         local = _worst(0.0, *(d for tau in 2 * np.pi * np.eye(spec.dim)
                               for d in spec.act(x, tau).distance(x)))
         detail[spec.name] = local
@@ -664,7 +632,7 @@ def check_torus_additivity(ctx: CheckContext) -> CheckResult:
     # so the conditioning of the positive factorization is reported alongside
     for spec in h.torus_specs():
         angles = lambda r, dim=spec.dim: r.uniform(-1.0, 1.0, dim)
-        x, t1, t2 = _sample_stack(h, rng, 3, angles, angles)
+        x, t1, t2 = h.sample_stack(rng, 3, angles, angles)
         worst = _worst(worst, *spec.act(spec.act(x, t1), t2).distance(spec.act(x, t1 + t2)))
         if ctx.cfg.space == "heisenberg" and spec.name == "borel-translation":
             x = h.sample(rng)
@@ -681,7 +649,7 @@ def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("torus-vs-flows")
     worst = 0.0
     for spec in h.torus_specs():
-        x, tau = _sample_stack(h, rng, 2, lambda r, dim=spec.dim: r.uniform(-0.8, 0.8, dim))
+        x, tau = h.sample_stack(rng, 2, lambda r, dim=spec.dim: r.uniform(-0.8, 0.8, dim))
         b = x
         for gen, t in zip(spec.generators, tau.T):
             b = gen.flow(b, t)
@@ -695,7 +663,7 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("flow-equivariance")
     worst = 0.0
     gens = [g for fam in h.families().values() for g in fam]
-    x, eta = _sample_stack(h, rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
+    x, eta = h.sample_stack(rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
     for gen in gens:
         worst = _worst(worst, *gen.flow(x.conjugate(eta), 0.45).distance(
             gen.flow(x, 0.45).conjugate(eta)))
@@ -708,7 +676,7 @@ def check_bracket_invariance(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("bracket-invariance")
     worst = 0.0
     obs = [g.obs for fam in h.families().values() for g in fam][:3]
-    x, eta = _sample_stack(h, rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
+    x, eta = h.sample_stack(rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
     worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
                                        - brackets.bracket_matrix(obs, obs, x.conjugate(eta))))
     return _result(ctx, "bracket-invariance",
@@ -744,7 +712,7 @@ def check_freeness_rank(ctx: CheckContext) -> CheckResult:
             return r.uniform(0.1, 2 * np.pi - 0.1, spec.dim)
         return r.uniform(0.1, 1.2, spec.dim) * r.choice([-1.0, 1.0], spec.dim)
 
-    x, *taus = _sample_stack(h, rng, 20, *(lambda r, s=s: angles(r, s) for s in specs))
+    x, *taus = h.sample_stack(rng, 20, *(lambda r, s=s: angles(r, s) for s in specs))
     failures = 0
     min_disp = np.inf
     for spec, tau in zip(specs, taus):
@@ -762,7 +730,7 @@ def check_differential_rank(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("differential-rank")
     fns = [g.obs for fam in h.families().values() for g in fam]
     expected_min = sum(spec.dim for spec in h.torus_specs())
-    ranks, _ = probes.rank_of(probes.differential_matrix(_sample_stack(h, rng, 3), fns))
+    ranks, _ = probes.rank_of(probes.differential_matrix(h.sample_stack(rng, 3), fns))
     detail = {f"point-{k}": int(rank) for k, rank in enumerate(ranks)}
     detail["expected_min"] = expected_min
     return _result(ctx, "differential-rank",
@@ -779,7 +747,7 @@ def check_momentum_condition(ctx: CheckContext) -> CheckResult:
                              h.space.momentum_word(0)[0])
     obs = h.probes()[:3] + [entry]
     kfns = [PowerTrace(1), PowerTrace(2, part="im")]
-    x = _sample_stack(h, rng, 2)
+    x = h.sample_stack(rng, 2)
     worst = _worst(worst, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
     return _result(ctx, "momentum-condition",
                    "the bivector and the product momentum map satisfy the defining relation",

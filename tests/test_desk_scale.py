@@ -29,12 +29,18 @@ def test_upper_desk_scale(cfg):
     assert not failed, failed
 
 
-def _benchmark_scenarios(seed):
-    """(workload, config) of every scenario of the benchmark workloads at ``seed``."""
+def _workloads():
+    """The benchmark's workload definitions, ``benchmarks/workloads.py``."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _benchmark_scenarios(seed):
+    """(workload, config) of every scenario of the benchmark workloads at ``seed``."""
+    workloads = _workloads()
     return [(name, cfg) for name in workloads.WORKLOADS
             for cfg in workloads.scenario_configs(name, seed)]
 
@@ -47,3 +53,20 @@ def test_benchmark_scenarios_keep_a_tenfold_margin(workload, cfg):
     thin = {c.name: c.tol / c.residual for c in report.checks
             if c.tol > 0 and not c.tol >= 10 * c.residual}
     assert not thin, thin
+
+
+SWEEP = {"cotangent": {}, "heisenberg": {}, "double": {}, "sphere4": {},
+         "moduli": {"m": 2, "holes": 2, "family": _workloads().MODULI_FAMILY}}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("space", sorted(SWEEP))
+def test_every_space_reaches_a_verdict_at_every_n(space, n):
+    """The sweep: every space at every admitted n, with points = 2 and seed 42 (the moduli
+    space at m = holes = 2 with the benchmark's family), runs its whole suite to a verdict,
+    no check aborted, and every check passes."""
+    report = run_scenario(ScenarioConfig(space=space, n=n, seed=42, points=2, **SWEEP[space]))
+    aborted = {c.name: c.detail["error"] for c in report.checks if c.claim == "check aborted"}
+    assert not aborted, aborted
+    failed = {c.name: c.residual for c in report.checks if not c.passed}
+    assert not failed, failed

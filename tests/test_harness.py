@@ -71,14 +71,40 @@ def test_sample_regular_draws_again_after_each_rejection(rejection):
     assert harness.sample_regular("test", 4, lambda: next(draws), check) == 2
 
 
-def test_heisenberg_sampler_failure_at_n6_says_why():
-    # the Borel exponent of random_sl_element shrinks like 1/n^2, so no draw
-    # clears the sampling margin at n = 6 (acceptance rate 0.00)
-    h = harness.HeisenbergHarness(6, liecore.build_root_datum(6))
-    with pytest.raises(SamplingFailure,
-                       match=r"regular Heisenberg point in 64 draws; last: eigenvalue gap "
-                             r"\S+ below margin 8\.0e-02"):
-        h.sample(np.random.default_rng(42))
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_built_stacks_clear_twice_the_sampling_margin(space, n):
+    """The cotangent and Heisenberg points are regular by construction at every admitted n:
+    the normal forms of a whole stack clear 2 x SAMPLING_MARGIN, asserted once per stack."""
+    from sunflows import decomp
+    floor = 2 * harness.SAMPLING_MARGIN
+    h = harness.build_harness(space, n, liecore.build_root_datum(n))
+    x = h.sample_stack(np.random.default_rng(60 + n), 32)
+    assert x.matrices()[0][1].shape == (32, n, n)
+    if space == "cotangent":
+        decomp.alcove_diagonalize(x.g, floor)
+        decomp.chamber_diagonalize(x.j, floor)
+    else:
+        decomp.alcove_diagonalize(x.factor("u_right"), floor)
+        decomp.borel_chamber_diagonalize(x.factor("b_right"), floor)
+
+
+@pytest.mark.parametrize("count", [None, 16])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_built_heisenberg_point_has_the_drawn_right_factors(n, count, monkeypatch):
+    """X = Q_m^H B^-1, with B^-1 U = Q_m R the positive QR, has the Iwasawa factors
+    u_right = U and b_right = B that were drawn, to 1e-12, for one point and for a stack."""
+    from sunflows import decomp
+    h = harness.HeisenbergHarness(n, liecore.build_root_datum(n))
+    drawn = []
+    conjugated = liecore.conjugated_spectrum
+    monkeypatch.setattr(liecore, "conjugated_spectrum",
+                        lambda *args, **kw: drawn.append(conjugated(*args, **kw)) or drawn[-1])
+    x = h.build(np.random.default_rng(70 + n), count)
+    u, pos = drawn
+    factors = decomp.iwasawa_decompose(x.x)
+    assert np.max(liecore.norms(factors.u_right - u, 2)) <= 1e-12
+    assert np.max(liecore.norms(factors.b_right - decomp.borel_of_posdef(pos), 2)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -175,15 +175,12 @@ def _harness(space, n):
                                  holes=fields.get("holes", 0))
 
 
-def _points(h, n, rng):
-    """DRAWS points of the harness's space; Heisenberg points come straight from the
-    sampler's constructor (no draw clears its margin at n >= 6)."""
-    if isinstance(h, harness.HeisenbergHarness):
-        return [spaces.random_heisenberg_point(n, rng) for _ in range(DRAWS)]
-    space = getattr(h, "space", None)
-    if space is None:
-        return [spaces.random_cotangent_point(n, rng) for _ in range(DRAWS)]
-    return [space.random_point(rng) for _ in range(DRAWS)]
+def _points(h, rng):
+    """DRAWS points of the harness's space: one at a time from the cotangent and Heisenberg
+    harnesses, which build them regular, and unfiltered draws on the fusion spaces."""
+    if isinstance(h, harness.BuiltHarness):
+        return [h.sample(rng) for _ in range(DRAWS)]
+    return [h.space.random_point(rng) for _ in range(DRAWS)]
 
 
 @pytest.mark.parametrize("space", sorted(SPACES))
@@ -191,7 +188,7 @@ def _points(h, n, rng):
 def test_each_geometry_acts_on_each_point_of_a_stack(space, n):
     rng = np.random.default_rng(800 + n)
     h = _harness(space, n)
-    pts = [(p,) for p in _points(h, n, rng)]
+    pts = [(p,) for p in _points(h, rng)]
     z = liecore.random_algebra_element(n, rng)
     etas = [liecore.random_group_element(n, rng) for _ in range(DRAWS)]
     _check(lambda p: p.flat(), pts, "flat")
@@ -253,11 +250,8 @@ def test_each_geometry_acts_on_each_point_of_a_stack(space, n):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("space", sorted(SPACES))
-def test_converted_checks_reach_their_verdict_at_n8(space, monkeypatch):
-    """Every converted check passes at n = 8 with points = 2.  No Heisenberg draw clears the
-    0.08 sampling margin at n >= 6, so the Heisenberg points are sampled at 0.01 here."""
-    if space == "heisenberg":
-        monkeypatch.setattr(harness, "SAMPLING_MARGIN", 0.01)
+def test_converted_checks_reach_their_verdict_at_n8(space):
+    """Every converted check passes at n = 8 with points = 2."""
     checks = _converted(space)
     report = run_scenario(_config(space, n=8, points=2, checks=checks))
     assert [c.name for c in report.checks] == checks
@@ -288,9 +282,10 @@ def _one_point(check, space) -> Counter:
 
 def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
     """(calls, one-matrix calls) of the normal-form and Iwasawa kernels and of the bracket
-    pairing ``velocity_pairings`` (one-point calls) made outside the harness sampler and
-    outside another of these kernels (so that the memo of ``iwasawa_decompose`` hides no
-    call of its halves), by kernel, in one run of ``cfg``."""
+    pairing ``velocity_pairings`` (one-point calls) made outside the samplers (the rejection
+    loop ``sample_regular`` and the built harnesses' stacked draw ``build``) and outside
+    another of these kernels (so that the memo of ``iwasawa_decompose`` hides no call of its
+    halves), by kernel, in one run of ``cfg``."""
     calls, single, depth = Counter(), Counter(), [0]
 
     def counted(name, fn, matrix=lambda *args: args[0]):
@@ -322,6 +317,8 @@ def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
                    counted("velocity_pairings", brackets.velocity_pairings,
                            lambda rows, velocities, x: x.matrices()[0][1]))
         mp.setattr(harness, "sample_regular", sampling(harness.sample_regular))
+        for built in (harness.CotangentHarness, harness.HeisenbergHarness):
+            mp.setattr(built, "build", sampling(built.build))
         SPACE_FREE_RESULTS.clear()
         report = run_scenario(cfg)
     assert all(c.passed for c in report.checks), [(c.name, c.detail) for c in report.checks]
