@@ -14,7 +14,7 @@ import sunflows as sf
 from sunflows import brackets, liecore
 from sunflows.observables import (AlgebraPower, ChamberCoroot, PowerTrace, WordFunction,
                                   word_observable)
-from sunflows.spaces import cotangent_momentum, random_cotangent_point
+from sunflows.spaces import cotangent_momentum, random_cotangent_point, stack
 
 rng = np.random.default_rng(11)
 n = 3
@@ -37,10 +37,12 @@ for ham, label in ((quadratic, "fiber family"), (base_class, "class family")):
     print(f"momentum drift along {label}: {drift:.2e}")
 
 print("\n=== flow derivative vs canonical bracket ===")
+# the curve takes every stencil time at once: one flow call on a stack of copies of x
 probe = word_observable(("g", "j", "g", "j"))
 for ham, obs in ((quadratic, WordFunction(quadratic, ("j",))),
                  (base_class, WordFunction(base_class, ("g",)))):
-    d_flow = brackets.directional_derivative(probe, lambda t: sf.cotangent_flow(x, ham, t))
+    d_flow = brackets.directional_derivative(
+        probe, lambda t: sf.cotangent_flow(stack([x] * len(t)), ham, t))
     bk = brackets.bracket_matrix([probe], [obs], x)[0, 0]
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")
 

@@ -12,7 +12,7 @@ import numpy as np
 import sunflows as sf
 from sunflows import brackets
 from sunflows.observables import BorelPower, PowerTrace, RightFactorFunction, word_observable
-from sunflows.spaces import heisenberg_momentum, random_heisenberg_point
+from sunflows.spaces import heisenberg_momentum, random_heisenberg_point, stack
 
 rng = np.random.default_rng(23)
 n = 2
@@ -51,10 +51,12 @@ drift = np.linalg.norm(triangular_invariant(y2) - triangular_invariant(x))
 print("triangular invariant drift:", f"{drift:.2e}")
 
 print("\n=== bracket consistency (exact gradient tables) ===")
+# the curve takes every stencil time at once: one flow call on a stack of copies of x
 probe = word_observable(("x", "x", "xh"))
 for ham, obs in ((BorelPower(1), RightFactorFunction(BorelPower(1), "b_right")),
                  (PowerTrace(2), RightFactorFunction(PowerTrace(2), "u_right"))):
-    d_flow = brackets.directional_derivative(probe, lambda t: sf.heisenberg_flow(x, ham, t))
+    d_flow = brackets.directional_derivative(
+        probe, lambda t: sf.heisenberg_flow(stack([x] * len(t)), ham, t))
     bk = brackets.bracket_matrix([probe], [obs], x)[0, 0]
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")
 

@@ -104,17 +104,16 @@ def _central(values, h: float):
 
 
 def directional_derivative(f, curve, richardson: bool = False):
-    """d/dt f(curve(t)) at t = 0 by central differences; f may be array-valued.
-
-    With ``richardson`` the step-h and step-h/2 differences are combined to
-    cancel the h^4 error term.
-    """
-    base = _central([f(curve(k * H)) for k in _STEPS], H)
+    """d/dt f(curve(t)) at t = 0 by central differences, in one call of curve and of f:
+    curve maps the array of stencil times to their points, stacked on a leading axis, and f
+    gives one row per time (f may be array-valued).  With ``richardson`` the stack also
+    holds the step-h/2 stencil, and the two differences cancel the h^4 error term."""
+    times = np.array(_STEPS) * H
+    rows = f(curve(np.concatenate([times, times / 2]) if richardson else times))
+    base = _central(rows[:4], H)
     if not richardson:
         return base
-    half = H / 2
-    fine = _central([f(curve(k * half)) for k in _STEPS], half)
-    return (16 * fine - base) / 15
+    return (16 * _central(rows[4:], H / 2) - base) / 15
 
 
 # ---------------------------------------------------------------------------

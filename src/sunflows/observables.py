@@ -220,7 +220,7 @@ def word_product(x, letters) -> np.ndarray:
 
 
 def word_observable(letters: tuple[str, ...], part: str = "re"):
-    """Observable x -> Re/Im tr(product of letters of x).
+    """Observable x -> Re/Im tr(product of letters of x), one per point of a stack.
 
     Letters are resolved by the point's ``letter`` method, e.g. 'g', 'j' on
     the cotangent bundle, 'x', 'xh~' on the Heisenberg double, or 'a1', 'c2~'
@@ -232,8 +232,8 @@ def word_observable(letters: tuple[str, ...], part: str = "re"):
     letters = tuple(letters)
 
     def obs(x):
-        t = np.trace(word_product(x, letters))
-        return float(t.real if part == "re" else t.imag)
+        t = getattr(trace(word_product(x, letters)), "real" if part == "re" else "imag")
+        return float(t) if t.ndim == 0 else t
 
     obs.__name__ = ("" if part == "re" else "im-") + "tr[" + ".".join(letters) + "]"
     obs.grad_table = lambda x: brackets.trace_word_table(x, letters, _PART[part])
@@ -245,7 +245,8 @@ def entry_observable(c: np.ndarray, letter: str):
     """Observable x -> Re tr(c m) of one letter m: unlike a word trace, not invariant under
     conjugation.  Its gradient table is the letter's, with cuts m c and c m."""
     def obs(x):
-        return float(np.trace(c @ x.letter(letter)).real)
+        t = trace(c @ x.letter(letter)).real
+        return float(t) if t.ndim == 0 else t
 
     obs.grad_table = lambda x: brackets.word_table(
         x, (letter,), [skew_traceless(x.letter(letter) @ c), skew_traceless(c @ x.letter(letter))])

@@ -45,9 +45,9 @@ MAX_MODULI_FACTORS = 128
 # the most generators of a moduli family, n - 1 per block: at n = 8 and m = holes = 8 the suite
 # of single blocks takes 2.4 s with 6 blocks (42 generators), 3.2 s with 7 and 4.7 s with 8
 MAX_FAMILY_GENERATORS = 42
-# the most times of the flow exports of a config, summed over its requests, one flow and CSV
-# row each: at n = 8 and m + holes = 128 a row costs 24 ms and 516 kB (0.3 ms on the cotangent
-# bundle); 256 rows take 5.5 s and 305 MB
+# the most times of the flow exports of a config, summed over its requests, one CSV row each:
+# at n = 8 and m + holes = 128 a row costs 16 ms and 516 kB (0.2 ms on the cotangent bundle);
+# 256 rows, flowed as one stack of 256 points, take 4.2 s and 346 MB
 MAX_EXPORT_TIMES = 256
 # the times of a flow request that names none
 DEFAULT_TIMES = {"start": 0.0, "stop": 2 * np.pi, "num": 33}
@@ -468,12 +468,13 @@ def check_shifting_trick(ctx: CheckContext) -> CheckResult:
 # --- per-space dynamical checks ---------------------------------------------
 
 def flow_derivatives(x, gens, obs) -> np.ndarray:
-    """d/dt of each probe along each generator's flow at x, (probes, generators), by one
-    Richardson-extrapolated central difference per generator (the plain h^4 truncation
-    error along cotangent flows at n >= 5 reaches the check's tolerance)."""
-    values = lambda p: np.array([o(p) for o in obs])
-    return np.array([brackets.directional_derivative(values, lambda t, g=g: g.flow(x, t),
-                                                     richardson=True) for g in gens]).T
+    """d/dt of each probe along each generator's flow at x, (probes, generators): one
+    Richardson difference per generator, from one flow call on its 8 stencil times (a plain
+    difference's h^4 error along cotangent flows at n >= 5 reaches the check's tolerance)."""
+    values = lambda p: np.array([o(p) for o in obs]).T
+    return np.array([brackets.directional_derivative(
+        values, lambda t, g=g: g.flow(stack([x] * len(t)), t), richardson=True)
+        for g in gens]).T
 
 
 def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
@@ -534,10 +535,11 @@ def check_flow_commutation(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     for fam_name, gens in h.families().items():
         x = h.sample_stack(rng, 2)
+        first = {t: [g.flow(x, t) for g in gens] for t in (0.3, 0.7)}
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                a = gens[j].flow(gens[i].flow(x, 0.3), 0.7)
-                b = gens[i].flow(gens[j].flow(x, 0.7), 0.3)
+                a = gens[j].flow(first[0.3][i], 0.7)
+                b = gens[i].flow(first[0.7][j], 0.3)
                 worst = _worst(worst, *np.ravel(a.distance(b)))
     return _result(ctx, "flow-commutation",
                    "family flows compose identically in either order", worst, 1e-8)
@@ -548,7 +550,7 @@ def check_conservation(ctx: CheckContext) -> CheckResult:
     rng = ctx.rng("conservation")
     worst = 0.0
     fams = h.families()
-    taus = (0.35, 0.9, 1.8)
+    taus = np.array([0.35, 0.9, 1.8])[:, np.newaxis]
     detail = {}
     for spec in h.conserved():
         gens = fams.get(spec.family, [])
@@ -556,9 +558,8 @@ def check_conservation(ctx: CheckContext) -> CheckResult:
         x = h.sample_stack(rng, 3)
         base = np.asarray(spec.fn(x))
         for gen in gens:
-            for t in taus:
-                moved = np.asarray(spec.fn(gen.flow(x, t)))
-                local = _worst(local, float(np.max(np.abs(moved - base))))
+            moved = np.asarray(spec.fn(gen.flow(stack([x] * len(taus)), taus)))
+            local = _worst(local, float(np.max(np.abs(moved - base))))
         detail[f"{spec.name}({spec.family})"] = local
         worst = _worst(worst, local)
     return _result(ctx, "conservation",
@@ -572,12 +573,12 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     x = h.sample_stack(rng, 4)
     u0 = x.factor("u_right")
+    taus, xs = np.array([0.3, 1.1])[:, np.newaxis], stack([x] * 2)
     for gen in h.families()["unitary-class"]:
-        for t in (0.3, 1.1):
-            moved = gen.flow(x, t)
-            gamma = flows.heisenberg_flow_unitary_part(x, gen.obs.fn, t)
-            resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
-            worst = _worst(worst, *resid)
+        moved = gen.flow(xs, taus)
+        gamma = flows.heisenberg_flow_unitary_part(xs, gen.obs.fn, taus)
+        resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
+        worst = _worst(worst, *np.ravel(resid))
     return _result(ctx, "unitary-conjugation-law",
                    "the right unitary factor evolves by conjugation along class flows",
                    worst, 1e-9)
@@ -665,8 +666,9 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
     gens = [g for fam in h.families().values() for g in fam]
     x, eta = h.sample_stack(rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
     for gen in gens:
-        worst = _worst(worst, *gen.flow(x.conjugate(eta), 0.45).distance(
-            gen.flow(x, 0.45).conjugate(eta)))
+        # the conjugated points and the points themselves, flowed in one call
+        moved = gen.flow(stack([x.conjugate(eta), x]), 0.45)
+        worst = _worst(worst, *liecore.norms(moved.flat()[0] - moved.conjugate(eta).flat()[1]))
     return _result(ctx, "flow-equivariance",
                    "every family flow commutes with the symmetry action", worst, 1e-9)
 
@@ -973,13 +975,12 @@ def export_trajectory(cfg: ScenarioConfig, request: dict) -> str:
     out.write(f"# space={cfg.space} n={cfg.n} family={fam_name} generator={gen.name} "
               f"seed={cfg.seed}\n")
     out.write(",".join(["tau"] + labels + cons_labels) + "\n")
-    base = [np.asarray(s.fn(x0)) for s in conserved]
-    for t in grid:
-        pt = gen.flow(x0, float(t))
-        row = [f"{t:.17g}"] + [f"{v:.17g}" for _, m in pt.matrices()
-                               for z in m.ravel() for v in (z.real, z.imag)]
-        for s, b in zip(conserved, base):
-            dev = float(np.max(np.abs(np.asarray(s.fn(pt)) - b)))
-            row.append(f"{dev:.17g}")
-        out.write(",".join(row) + "\n")
+    if len(grid):  # one flow call for the whole grid; a stack of no points cannot be built
+        path = gen.flow(stack([x0] * len(grid)), grid)
+        devs = [np.abs(s.fn(path) - s.fn(x0)).reshape(len(grid), -1).max(axis=1)
+                for s in conserved]
+        for k, t in enumerate(grid):
+            row = [f"{t:.17g}"] + [f"{v:.17g}" for _, m in path.matrices()
+                                   for z in m[k].ravel() for v in (z.real, z.imag)]
+            out.write(",".join(row + [f"{dev[k]:.17g}" for dev in devs]) + "\n")
     return out.getvalue()

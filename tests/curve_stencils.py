@@ -3,7 +3,10 @@
 ``probes.generator_matrix`` stacks the closed-form tangent vectors of an
 action's velocities.  The helpers here keep its former construction, a
 4-point central difference of ``flat()`` along a curve t -> p(t) per
-generator, as the oracle the tests hold the velocities against.
+generator, as the oracle the tests hold the velocities against.  Those curves
+and the other reference curves of the tests map one time to one point;
+``per_time`` gives ``directional_derivative``, which evaluates all of its
+stencil times in one call, the list of their points.
 
 Brackets read exact gradient tables only.  ``fd_observable`` gives a
 composition that has none (a product, a nested bracket, a chart followed by
@@ -24,9 +27,17 @@ def fd_observable(f):
     return obs
 
 
+def per_time(f, curve):
+    """(f, curve) for ``directional_derivative`` from a one-time curve t -> point and a
+    one-point f: the list of the curve's points at the stencil times, and f's row for each."""
+    return (lambda points: np.array([f(p) for p in points]),
+            lambda times: [curve(t) for t in times])
+
+
 def stencil_generator_matrix(x, curves) -> np.ndarray:
     """Columns: d/dt curve(x, t).flat() at t = 0, one 4-point central difference each."""
-    cols = [brackets.directional_derivative(lambda p: p.flat(), lambda t, c=curve: c(x, t))
+    cols = [brackets.directional_derivative(*per_time(lambda p: p.flat(),
+                                                      lambda t, c=curve: c(x, t)))
             for curve in curves]
     return np.stack(cols, axis=1)
 

@@ -10,6 +10,7 @@ from sunflows.spaces import (
     moduli_space,
     random_cotangent_point,
     random_heisenberg_point,
+    stack,
 )
 
 
@@ -218,7 +219,8 @@ def test_double_bracket_equals_flow_derivative_on_word():
     h_obs = ob.WordFunction(ham, ("a1",))
     word = ob.word_observable(("b1", "a1", "b1", "a1~"))
     bk = brackets.fusion_bracket(word, h_obs, x)
-    d_flow = brackets.directional_derivative(word, lambda t: flows.double_flow(x, ham, t, "first"))
+    d_flow = brackets.directional_derivative(
+        word, lambda t: flows.double_flow(stack([x] * len(t)), ham, t, "first"))
     assert abs(d_flow - bk) <= 1e-6 * (1 + abs(bk))
 
 
@@ -288,7 +290,7 @@ def test_richardson_extrapolation_refines_derivative():
     obs = ob.word_observable(("g", "j"))
     ham = ob.AlgebraPower(2)
     from sunflows import flows
-    curve = lambda t: flows.cotangent_flow(x, ham, t)
+    curve = lambda t: flows.cotangent_flow(stack([x] * len(t)), ham, t)
     plain = brackets.directional_derivative(obs, curve)
     refined = brackets.directional_derivative(obs, curve, richardson=True)
     exact = _bracket(obs, ob.WordFunction(ham, ("j",)), x)

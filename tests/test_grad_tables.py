@@ -16,7 +16,7 @@ finite-difference table.
 import numpy as np
 import pytest
 import scipy.linalg
-from curve_stencils import fd_observable
+from curve_stencils import fd_observable, per_time
 
 from sunflows import brackets, flows, harness, liecore, moduli, observables as ob, scenario
 from sunflows.errors import UnsupportedBracket, UnsupportedWord
@@ -72,9 +72,9 @@ def _richardson_heisenberg_derivatives(obs, x):
     sides = {}
     for side in ("lmul", "rmul"):
         derivs = np.array([brackets.directional_derivative(
-            values, lambda t, z=z: HeisenbergPoint(
+            *per_time(values, lambda t, z=z: HeisenbergPoint(
                 scipy.linalg.expm(t * z) @ x.x if side == "lmul"
-                else x.x @ scipy.linalg.expm(t * z)),
+                else x.x @ scipy.linalg.expm(t * z))),
             richardson=True) for z in liecore.sl_real_basis(n)])
         sides[side] = [brackets._dual_sum("sl", n, column) for column in derivs.T]
     return [dict(zip(sides, grads)) for grads in zip(*sides.values())]

@@ -12,6 +12,7 @@ from sunflows.errors import (NotPositiveDefinite, RegularityViolation, SamplingF
                              ShapeError, SingularMatrix, SunflowsError, UnsupportedWord)
 from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, BorelChamberCoroot,
                                   ChamberCoroot)
+from sunflows.spaces import stack
 
 
 def test_sample_regular_returns_first_accepted_draw():
@@ -267,6 +268,6 @@ def test_every_velocity_is_the_derivative_of_its_flow(kw, n):
     gens = [g for fam in h.families().values() for g in fam] + h.extra_generators()
     for gen in gens:
         exact = x.tangent(gen.velocity(x))
-        fd = brackets.directional_derivative(lambda p: p.flat(), lambda t: gen.flow(x, t),
-                                             richardson=True)
+        fd = brackets.directional_derivative(
+            lambda p: p.flat(), lambda t: gen.flow(stack([x] * len(t)), t), richardson=True)
         assert np.linalg.norm(exact - fd) <= 1e-8 * np.linalg.norm(fd), gen.name

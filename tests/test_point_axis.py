@@ -6,7 +6,8 @@ two with ``tobytes`` at n = 2, 3, 5 and 8 over 40 draws per n, for a stack
 of one as well; run every converted check at n = 8 on every space; and
 count the normal-form, Iwasawa and bracket-pairing calls of each converted
 check, which must not grow with the number of points it evaluates, and of
-which none but the listed ones may see a single point.
+which none but the listed ones may see a single point; and count its
+generator flow calls, one per generator for all of a check's times.
 """
 
 from collections import Counter
@@ -207,11 +208,16 @@ def test_each_geometry_acts_on_each_point_of_a_stack(space, n):
     else:
         _check(lambda p: p.momentum(), pts, "momentum")
     first = pts[0][0]
+    re, im = np.random.default_rng(820 + n).standard_normal((2, n, n))
+    coeff = re + 1j * im
     for name in ("g", "g~", "j") if space == "cotangent" else (
             ("x", "x~", "xh", "xh~") if space == "heisenberg" else
             [first.space.momentum_word(f)[c] + inv for f, c in first.space.slots
              for inv in ("", "~")]):
         _check(lambda p: p.letter(name), pts, f"letter {name}")
+        entry = ob.entry_observable(coeff, name)
+        assert type(entry(first)) is float
+        _check(entry, pts, f"entry {name}")
     for spec in h.conserved():
         _check(spec.fn, pts, spec.name)
     gens = [g for fam in h.families().values() for g in fam] + h.extra_generators()
@@ -230,6 +236,8 @@ def test_each_geometry_acts_on_each_point_of_a_stack(space, n):
                pts, f"{spec.name} generator matrix")
     obs = h.probes()
     for o in obs:
+        assert type(o(first)) is float
+        _check(o, pts, f"{o.__name__} value")
         _check(o.grad_table, pts, o.__name__)
     _check(lambda p: brackets.gradient_stack(obs, p), pts, "gradient_stack")
     _check(lambda p: brackets.sharp(brackets.gradient_stack([g.obs for g in gens], p), p), pts,
@@ -342,3 +350,52 @@ def test_converted_checks_call_the_kernels_once_per_stack(space, check, monkeypa
     assert many_single == few_single
     if check != "flow-bracket":
         assert +few_single == _one_point(check, space), few_single
+
+
+def _flow_calls(monkeypatch, cfg: ScenarioConfig) -> int:
+    """The ``Generator.flow`` calls of one run of ``cfg``."""
+    calls = [0]
+
+    class Counted(harness.Generator):
+        def __init__(self, name, obs, flow, velocity):
+            def counted(*args):
+                calls[0] += 1
+                return flow(*args)
+            super().__init__(name, obs, counted, velocity)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "Generator", Counted)
+        SPACE_FREE_RESULTS.clear()
+        report = run_scenario(cfg)
+    assert all(c.passed for c in report.checks), [(c.name, c.detail) for c in report.checks]
+    return calls[0]
+
+
+def _expected_flow_calls(check, space, n) -> int:
+    """One flow call per generator and all of its times: per generator in flow-bracket (its
+    Richardson stencil), per generator and conserved quantity in conservation, per
+    generator in unitary-conjugation-law and flow-equivariance; each generator's two first
+    steps and then one second step per ordered pair in flow-commutation; one per torus
+    angle in torus-vs-flows (the composed flows)."""
+    h = _harness(space, n)
+    fams = h.families()
+    sizes = [len(gens) for gens in fams.values()]
+    return {"flow-bracket": sum(sizes) + len(h.extra_generators()),
+            "conservation": sum(len(fams.get(s.family, [])) for s in h.conserved()),
+            "unitary-conjugation-law": len(fams.get("unitary-class", [])),
+            "flow-equivariance": sum(sizes),
+            "flow-commutation": sum(2 * g + g * (g - 1) for g in sizes),
+            "torus-vs-flows": sum(spec.dim for spec in h.torus_specs())}.get(check, 0)
+
+
+@pytest.mark.parametrize("space, check", [
+    (space, check) for space in ("cotangent", "heisenberg", "double", "sphere4", "moduli")
+    for check in _converted(space)])
+def test_converted_checks_call_each_flow_once_for_all_times(space, check, monkeypatch):
+    """Time is a stack axis: a check calls a generator's flow once per point stack for all
+    of its times, so its flow calls do not grow with its points (the same at points = 2 and
+    14) and are the counts of ``_expected_flow_calls``."""
+    n = 2 if space == "moduli" else 3
+    few = _flow_calls(monkeypatch, _config(space, n=n, points=2, checks=[check]))
+    assert _flow_calls(monkeypatch, _config(space, n=n, points=14, checks=[check])) == few
+    assert few == _expected_flow_calls(check, space, n)

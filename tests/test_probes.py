@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from curve_stencils import (assert_columns_close, conjugation_curves, fd_observable,
+from curve_stencils import (assert_columns_close, conjugation_curves, fd_observable, per_time,
                             stencil_generator_matrix, torus_curves)
 from sunflows import brackets, flows, harness, liecore, moduli, probes
 from sunflows.errors import RegularityViolation, ShapeError, Unsupported
@@ -250,7 +250,8 @@ def _old_differential_matrix(x, functions):
     """The differentials along the old ``expm`` curves, Richardson-extrapolated so that the
     reference is closer to the exact tables than the plain h^4 error."""
     values = lambda p: np.array([fn(p) for fn in functions])
-    cols = [brackets.directional_derivative(values, lambda t, c=curve: c(x, t), richardson=True)
+    cols = [brackets.directional_derivative(*per_time(values, lambda t, c=curve: c(x, t)),
+                                            richardson=True)
             for curve in _old_tangent_curves(x)]
     return np.stack(cols, axis=1)
 

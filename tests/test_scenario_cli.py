@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sunflows import cli
+from sunflows import cli, harness, liecore
 from sunflows.errors import InvalidShape
 from sunflows.scenario import (
     DEFAULT_TIMES,
@@ -188,10 +188,37 @@ def test_trajectory_export_periodicity_and_header():
 
 def test_trajectory_export_empty_grid_is_header_only():
     cfg = small_config()
-    text = export_trajectory(cfg, {"name": "empty", "times": []})
-    lines = text.strip().splitlines()
-    assert len(lines) == 3  # two comment lines plus the column header
-    assert lines[2].startswith("tau")
+    for times in ([], {"start": 0.0, "stop": 1.0, "num": 0}):
+        text = export_trajectory(cfg, {"name": "empty", "times": times})
+        lines = text.strip().splitlines()
+        assert len(lines) == 3  # two comment lines plus the column header
+        assert lines[2].startswith("tau")
+
+
+@pytest.mark.parametrize("fields", [
+    dict(space="cotangent"), dict(space="heisenberg"), dict(space="double", family="htilde"),
+    dict(space="sphere4"),
+    dict(space="moduli", m=2, holes=2, family={"single": [1], "intervals": [[1, 2]]})],
+    ids=lambda fields: fields["space"])
+def test_trajectory_export_rows_equal_one_flow_call_per_time(fields):
+    """The export flows its whole grid in one call on a stack; its rows are, byte for byte,
+    those of one flow call per time at the export's starting point."""
+    cfg = ScenarioConfig(n=3, **fields)
+    h = harness.build_harness(cfg.space, 3, liecore.build_root_datum(3), family=cfg.family,
+                              m=cfg.m, holes=cfg.holes)
+    fam, gens = list(h.families().items())[-1]
+    times = [0.0, 0.4, -1.3, 2 * np.pi, 1e-3]
+    x0 = h.sample(derived_rng(cfg.seed, "flow:ref"))
+    rows = []
+    for t in times:
+        pt = gens[-1].flow(x0, t)
+        row = [f"{t:.17g}"] + [f"{v:.17g}" for _, m in pt.matrices()
+                               for z in m.ravel() for v in (z.real, z.imag)]
+        row += [f"{float(np.max(np.abs(s.fn(pt) - s.fn(x0)))):.17g}"
+                for s in h.conserved() if s.family == fam]
+        rows.append(",".join(row))
+    request = {"name": "ref", "family": fam, "generator": len(gens) - 1, "times": times}
+    assert export_trajectory(cfg, request).splitlines()[3:] == rows
 
 
 def test_trajectory_rejects_bad_requests():

@@ -7,6 +7,9 @@ flow derivatives of the flow-bracket oracle (``flow_derivatives``) and
 per observable, built from that table, gives, so report bodies do not move.
 The closed-form flow velocities are held to those flow derivatives, and a
 full suite reaches ``directional_derivative`` from those flow derivatives only.
+Those derivatives flow all of their stencil times in one call, on a stack of
+copies of the point: each time slice of a flow must hold the bytes of its
+one-time call.
 """
 
 import sys
@@ -14,14 +17,14 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from curve_stencils import fd_observable
+from curve_stencils import fd_observable, per_time
 
 from sunflows import brackets, decomp, flows, harness, liecore, moduli, probes
 from sunflows import observables as ob
 from sunflows.scenario import (ScenarioConfig, all_generators, flow_bracket_worst,
                                flow_derivatives, run_scenario)
 from sunflows.spaces import (CotangentPoint, HeisenbergPoint, double_space, moduli_space,
-                             random_cotangent_point)
+                             random_cotangent_point, stack)
 
 
 def _group_case(n, rng):
@@ -81,7 +84,7 @@ def test_algebra_oracle_list_equals_single_calls(n):
         reference = np.zeros((n, n), dtype=complex)
         for z, e in zip(basis, dual):
             reference += brackets.directional_derivative(
-                value, lambda t, z=z: j_alg + t * z) * e
+                value, lambda t, z=z: j_alg + liecore.scaled(t, z)) * e
         assert np.array_equal(grad, single)
         assert np.array_equal(grad, reference)
 
@@ -167,9 +170,10 @@ def test_tabled_differential_rows_pair_the_basis_with_the_table(space):
 
 
 def _per_probe_derivatives(x, gens, obs):
-    return np.array([[brackets.directional_derivative(o, lambda t: gen.flow(x, t),
-                                                      richardson=True) for gen in gens]
-                     for o in obs])
+    """One derivative per probe and generator, with one flow call per stencil time."""
+    return np.array([[brackets.directional_derivative(
+        *per_time(o, lambda t, gen=gen: gen.flow(x, t)), richardson=True) for gen in gens]
+        for o in obs])
 
 
 # every space of the workbench, the double with both of its families
@@ -182,6 +186,39 @@ _SPACES = {"cotangent": {}, "heisenberg": {}, "double-h": dict(family="h"),
 def _build(label, n):
     return harness.build_harness(label.split("-")[0], n, liecore.build_root_datum(n),
                                  **_SPACES[label])
+
+
+# the times the suite flows by: both Richardson stencils of the flow-bracket oracle, then
+# those of conservation, unitary-conjugation-law, flow-commutation and flow-equivariance
+_TIMES = np.concatenate([np.array(brackets._STEPS) * brackets.H,
+                         np.array(brackets._STEPS) * brackets.H / 2,
+                         [0.35, 0.9, 1.8, 0.3, 1.1, 0.7, 0.45]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("label", sorted(_SPACES))
+def test_a_flow_on_a_time_stack_keeps_the_bytes_of_each_time(label, n):
+    """Time is a stack axis: gen.flow(stack([x] * k), times) holds at slice k the bytes of
+    gen.flow(x, times[k]), for one point x and for a 2-point stack x (times on the leading
+    axis, points on the next), and so does the unitary cofactor of the Heisenberg class
+    flows."""
+    h = _build(label, n)
+    rng = np.random.default_rng(40 + n)
+    cases = [(h.sample(rng), _TIMES), (h.sample_stack(rng, 2), _TIMES[:, np.newaxis])]
+    k = len(_TIMES)
+    for gen in all_generators(h):
+        for x, times in cases:
+            moved = gen.flow(stack([x] * k), times)
+            for j, t in enumerate(_TIMES):
+                one = gen.flow(x, float(t))
+                for (_, many), (_, m) in zip(moved.matrices(), one.matrices()):
+                    assert many[j].tobytes() == m.tobytes(), (gen.name, t)
+    for gen in h.families().get("unitary-class", []):
+        for x, times in cases:
+            gamma = flows.heisenberg_flow_unitary_part(stack([x] * k), gen.obs.fn, times)
+            for slice_, t in zip(gamma, _TIMES):
+                one = flows.heisenberg_flow_unitary_part(x, gen.obs.fn, float(t))
+                assert slice_.tobytes() == one.tobytes(), (gen.name, t)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
