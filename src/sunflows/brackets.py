@@ -214,16 +214,22 @@ def _stencil_derivatives(fns, block) -> np.ndarray:
     observables of the points wrap(stack[d, i]), each point built once for
     all of them.  Without one they read the matrices themselves: a function
     with ``value`` (a closed-form family) evaluates the whole stack in one
-    call, and any other callable is called on one matrix at a time.
+    call, the spectral functions of one kernel share its spectra of the
+    stack, and any other callable is called on one matrix at a time.
     """
     kind, stack, wrap = block
     values = np.empty((len(fns),) + stack.shape[:2])
-    pointwise = []
+    pointwise, spectra = [], {}
     for i, fn in enumerate(fns):
-        if wrap is None and hasattr(fn, "value"):
-            values[i] = fn.value(stack)
-        else:
+        if wrap is not None or not hasattr(fn, "value"):
             pointwise.append(i)
+        elif hasattr(fn, "of_spectra"):  # the functions of one spectra kernel share its call
+            kernel = type(fn).spectra
+            if kernel not in spectra:
+                spectra[kernel] = fn.spectra(stack)
+            values[i] = fn.of_spectra(spectra[kernel])
+        else:
+            values[i] = fn.value(stack)
     if pointwise:
         for d, row in enumerate(stack):
             for k, m in enumerate(row):

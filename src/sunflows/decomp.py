@@ -16,23 +16,17 @@ leading point axis, (..., n, n): each matrix of a stack gets the bytes of its
 one-matrix call, and a regularity check fails if any matrix of the stack is
 inside its margin.
 
-The normal-form and Iwasawa kernels remember their last few results, keyed
-on the exact input (a whole stack), because flows hand them the same stack
-many times in a row; the memo holds the margin-free normal form, and each
-call checks its own regularity margin.  Results hold read-only arrays.  The
-spectra kernels (``alcove_spectra``, ``chamber_spectra``, ``borel_chamber_spectra``)
-serve the observables' ``value`` on a matrix or a stack, and the normal forms their
-gradients: one eigenvalue solve per stack without frames, with the same phase
-normalization and the same regularity and positivity checks, applied to every matrix, as
-the normal forms, but not bit-equal to them.  Of these only ``alcove_spectra`` sees a
-stack twice (the coroot and coweight functions of one stencil block), so it alone
-remembers its last result.
+Every kernel is a pure function that checks its own call's margin and returns read-only
+arrays; the points keep the normal forms and Iwasawa halves of their matrices
+(``spaces.Point.form``).  The spectra kernels (``alcove_spectra``, ``chamber_spectra``,
+``borel_chamber_spectra``) serve the observables' ``value``: one eigenvalue solve per stack
+without frames, with the phase normalization and the regularity and positivity checks of
+the normal forms, applied to every matrix, but not bit-equal to them.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +39,6 @@ from .errors import (
 from .liecore import RootDatum, adjoint, norms, read_only
 
 DEFAULT_REGULARITY_MARGIN = 1e-8
-# results each normal-form and Iwasawa kernel remembers: one seed-42 pass of each benchmark
-# workload (a fresh process each) hits them 492 times at size 1, 594 at 4 and 608 at 16
-MEMO_SIZE = 4
-
-
-def _memoized(size: int):
-    """Recency memo of the last ``size`` results of a kernel ``kernel(x)``.
-
-    The key is the shape, dtype and bytes of x, so a hit returns the result
-    computed from bit-equal input.  Errors are raised afresh on every call
-    and never stored.
-    """
-    def decorate(kernel):
-        memo: OrderedDict = OrderedDict()
-
-        @functools.wraps(kernel)
-        def wrapper(x):
-            a = np.asarray(x)
-            key = (a.shape, a.dtype.str, a.tobytes())
-            out = memo.get(key)
-            if out is None:
-                out = kernel(x)
-                memo[key] = out
-                if len(memo) > size:
-                    memo.popitem(last=False)
-            else:
-                memo.move_to_end(key)
-            return out
-
-        return wrapper
-
-    return decorate
 
 
 def _regular(walls, message: str):
@@ -205,7 +167,6 @@ def _chamber_data(vals: np.ndarray, vecs: np.ndarray) -> ChamberData:
 
 
 @_regular(coroot_values, _CHAMBER_GAP)
-@_memoized(MEMO_SIZE)
 def chamber_diagonalize(j: np.ndarray) -> ChamberData:
     """Chamber normal form of an anti-Hermitian traceless matrix.
 
@@ -224,7 +185,6 @@ def _log_reversed(vals: np.ndarray) -> np.ndarray:
 
 
 @_regular(coroot_values, _CHAMBER_GAP)
-@_memoized(MEMO_SIZE)
 def borel_chamber_diagonalize(b: np.ndarray) -> ChamberData:
     """Chamber normal form of i log(b b^H) from one eigensolve of b b^H.
 
@@ -269,7 +229,6 @@ def _alcove_walls(xi: np.ndarray) -> np.ndarray:
 
 
 @_regular(_alcove_walls, _ALCOVE_WALL)
-@_memoized(MEMO_SIZE)
 def alcove_diagonalize(g: np.ndarray) -> AlcoveData:
     """Alcove normal form of a special unitary matrix.
 
@@ -287,7 +246,6 @@ def alcove_diagonalize(g: np.ndarray) -> AlcoveData:
 # spectra of stacks: one eigenvalue solve for a whole (..., n, n) stack
 # ---------------------------------------------------------------------------
 
-@_memoized(1)
 def alcove_spectra(gs: np.ndarray) -> np.ndarray:
     """Alcove phase vectors (..., n) of a special unitary matrix or a stack of them.
 
@@ -353,14 +311,12 @@ def _positive_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * ph[..., np.newaxis, :], r * (1.0 / ph)[..., :, np.newaxis]
 
 
-@_memoized(MEMO_SIZE)
 def iwasawa_left(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u_left, b_right) of X = u_left b_right^-1, from the QR of X."""
     q, r = _positive_qr(x)
     return read_only(q), read_only(np.linalg.inv(r))
 
 
-@_memoized(MEMO_SIZE)
 def iwasawa_right(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(b_left, u_right) of X = b_left u_right^-1, from the QR of X^-1."""
     try:
@@ -370,7 +326,6 @@ def iwasawa_right(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return read_only(np.linalg.inv(r)), read_only(q)
 
 
-@_memoized(MEMO_SIZE)
 def iwasawa_decompose(x: np.ndarray) -> IwasawaFactors:
     """Unique factorizations X = u_left b_right^-1 = b_left u_right^-1.
 

@@ -8,6 +8,8 @@ drift tolerance, the component is re-projected (and the event logged).
 
 Flows, velocities and torus actions act on stacked points (``spaces``), with
 one flow time or one row of torus angles per point, or one for all of them.
+They read the normal forms and Iwasawa halves the point keeps (``spaces.Point.form``), so
+every generator and torus action at one point shares one per matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import brackets, decomp, liecore
 from .errors import ShapeError, UnsupportedBracket
 from .liecore import RootDatum, adjoint, scaled
-from .observables import AlgebraFunction, BorelFunction, ClassFunction, entry_observable
+from .observables import AlgebraFunction, BorelFunction, ClassFunction, entry_observable, grad_on
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint, conjugation_velocity
 
 logger = logging.getLogger(__name__)
@@ -71,19 +73,19 @@ def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
     exp(tau * grad); base class functions translate the fiber by -tau * grad.
     """
     if isinstance(ham, AlgebraFunction):
-        g = liecore.expm_normal(scaled(tau, ham.grad(x.j))) @ x.g
+        g = liecore.expm_normal(scaled(tau, grad_on(ham, x, ("j",), x.j))) @ x.g
         return CotangentPoint(_maybe_reproject(g, "cotangent group part"), x.j)
     if isinstance(ham, ClassFunction):
-        return CotangentPoint(x.g, x.j - scaled(tau, ham.grad(x.g)))
+        return CotangentPoint(x.g, x.j - scaled(tau, grad_on(ham, x, ("g",), x.g)))
     raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
 
 
 def cotangent_velocity(x: CotangentPoint, ham) -> dict:
     """d/dtau of ``cotangent_flow`` at tau = 0."""
     if isinstance(ham, AlgebraFunction):
-        return {"group": ham.grad(x.j)}
+        return {"group": grad_on(ham, x, ("j",), x.j)}
     if isinstance(ham, ClassFunction):
-        return {"fiber": -ham.grad(x.g)}
+        return {"fiber": -grad_on(ham, x, ("g",), x.g)}
     raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
 
 
@@ -96,10 +98,12 @@ def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
     through the alcove frame of the group part.
     """
     if family == "chamber":
-        t = decomp.chamber_diagonalize(x.j).transport(coroot_torus_element(tau, datum))
+        chamber = x.form(("j",), decomp.chamber_diagonalize, x.j)
+        t = chamber.transport(coroot_torus_element(tau, datum))
         return CotangentPoint(_maybe_reproject(t @ x.g, "cotangent torus"), x.j)
     if family == "translate":
-        shift = decomp.alcove_diagonalize(x.g).transport(-1j * _weighted(tau, datum.coroots))
+        alcove = x.form(("g",), decomp.alcove_diagonalize, x.g)
+        shift = alcove.transport(-1j * _weighted(tau, datum.coroots))
         return CotangentPoint(x.g, x.j - shift)
     raise ShapeError(f"unknown cotangent torus family {family!r}")
 
@@ -118,9 +122,9 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
     """
     if isinstance(ham, BorelFunction):
         return HeisenbergPoint(x.x @ liecore.expm_normal(
-            scaled(-tau, ham.grad(x.factor("b_right")))))
+            scaled(-tau, grad_on(ham, x, "b_right", x.factor("b_right")))))
     if isinstance(ham, ClassFunction):
-        pos = liecore.expm_normal(scaled(1j * tau, ham.grad(x.factor("u_right"))))
+        pos = liecore.expm_normal(scaled(1j * tau, grad_on(ham, x, "u_right", x.factor("u_right"))))
         return HeisenbergPoint(x.x @ decomp.iwasawa_right(pos)[0])
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
@@ -128,22 +132,21 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
 def heisenberg_velocity(x: HeisenbergPoint, ham) -> dict:
     """d/dtau of ``heisenberg_flow`` at tau = 0; a class function's is the first-order b_left."""
     if isinstance(ham, BorelFunction):
-        return {"rmul": -ham.grad(x.factor("b_right"))}
+        return {"rmul": -grad_on(ham, x, "b_right", x.factor("b_right"))}
     if isinstance(ham, ClassFunction):
-        return {"rmul": liecore.project_borel(1j * ham.grad(x.factor("u_right")))}
+        return {"rmul": liecore.project_borel(1j * grad_on(ham, x, "u_right", x.factor("u_right")))}
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
 
 def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: float) -> np.ndarray:
     """The unitary cofactor of the class-function flow (conjugator of u_right)."""
-    pos = liecore.expm_normal(scaled(1j * tau, ham.grad(x.factor("u_right"))))
+    pos = liecore.expm_normal(scaled(1j * tau, grad_on(ham, x, "u_right", x.factor("u_right"))))
     return adjoint(decomp.iwasawa_right(pos)[1])
 
 
-def positive_factorization(tau: np.ndarray, g: np.ndarray, datum: RootDatum) -> np.ndarray:
-    """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the alcove frame of g."""
-    pos = decomp.alcove_diagonalize(g).transport(
-        liecore.expm_diagonal(_weighted(tau, datum.coroots)))
+def positive_factorization(tau: np.ndarray, alcove, datum: RootDatum) -> np.ndarray:
+    """Borel factor of frame^-1 exp(sum tau_j h_j) frame at the frame of an alcove form."""
+    pos = alcove.transport(liecore.expm_diagonal(_weighted(tau, datum.coroots)))
     return decomp.iwasawa_right(pos)[0]
 
 
@@ -153,10 +156,11 @@ def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,
     positive part of the right Borel factor; 'translate': the proper
     noncompact action through the positive factorization at u_right."""
     if family == "dress":
-        chamber = decomp.borel_chamber_diagonalize(x.factor("b_right"))
+        chamber = x.form("b_right", decomp.borel_chamber_diagonalize, x.factor("b_right"))
         return HeisenbergPoint(x.x @ chamber.transport(coroot_torus_element(tau, datum)))
     if family == "translate":
-        return HeisenbergPoint(x.x @ positive_factorization(tau, x.factor("u_right"), datum))
+        alcove = x.form("u_right", decomp.alcove_diagonalize, x.factor("u_right"))
+        return HeisenbergPoint(x.x @ positive_factorization(tau, alcove, datum))
     raise ShapeError(f"unknown Heisenberg torus family {family!r}")
 
 
@@ -172,10 +176,10 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
     """
     a, b = x.pair(1)
     if slot == "first":
-        u = liecore.expm_normal(scaled(-tau, ham.grad(a)))
+        u = liecore.expm_normal(scaled(-tau, grad_on(ham, x, ("a1",), a)))
         return x.with_slots({(0, 1): _maybe_reproject(b @ u, "double B")})
     if slot == "second":
-        u = liecore.expm_normal(scaled(tau, ham.grad(b)))
+        u = liecore.expm_normal(scaled(tau, grad_on(ham, x, ("b1",), b)))
         return x.with_slots({(0, 0): _maybe_reproject(a @ u, "double A")})
     if slot == "momentum":
         u = liecore.expm_normal(scaled(tau, ham.grad(x.momentum())))
@@ -187,9 +191,9 @@ def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> Fu
 def double_velocity(x: FusionPoint, ham: ClassFunction, slot: str) -> dict:
     """d/dtau of ``double_flow`` at tau = 0."""
     if slot == "first":
-        return {(0, 1, "rmul"): -ham.grad(x.pair(1)[0])}
+        return {(0, 1, "rmul"): -grad_on(ham, x, ("a1",), x.pair(1)[0])}
     if slot == "second":
-        return {(0, 0, "rmul"): ham.grad(x.pair(1)[1])}
+        return {(0, 0, "rmul"): grad_on(ham, x, ("b1",), x.pair(1)[1])}
     if slot == "momentum":
         return conjugation_velocity(x.space.slots, ham.grad(x.momentum()))
     raise ShapeError(f"unknown double slot {slot!r}")
@@ -199,11 +203,12 @@ def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
                         datum: RootDatum) -> FusionPoint:
     a, b = x.pair(1)
     if slot == "first":
-        t = decomp.alcove_diagonalize(a).transport(
+        t = x.form(("a1",), decomp.alcove_diagonalize, a).transport(
             coroot_torus_element(-np.asarray(tau, dtype=float), datum))
         return x.with_slots({(0, 1): b @ t})
     if slot == "second":
-        t = decomp.alcove_diagonalize(b).transport(coroot_torus_element(tau, datum))
+        t = x.form(("b1",), decomp.alcove_diagonalize, b).transport(
+            coroot_torus_element(tau, datum))
         return x.with_slots({(0, 0): a @ t})
     raise ShapeError(f"unknown double torus slot {slot!r}")
 

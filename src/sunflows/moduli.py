@@ -25,6 +25,7 @@ from .observables import (
     ClassFunction,
     PowerTrace,
     WordFunction,
+    grad_on,
     inverse_word,
     substitute,
     word_observable,
@@ -182,6 +183,10 @@ class WordHamiltonian:
         """The class function at the block value of x, one value per point of a stack."""
         return self.classfn.value(self.block_value(x))
 
+    def block_grad(self, x: FusionPoint) -> np.ndarray:
+        """The class function's gradient at the block value, off the form x keeps for the block."""
+        return grad_on(self.classfn, x, self.block, self.block_value(x))
+
     def word(self, space: FusionSpace) -> tuple[str, ...]:
         """Letter names whose product is the block value, e.g. ('a1', 'b1', 'a1~', 'b1~', 'c1')."""
         if self.block[0] == "single":
@@ -191,8 +196,7 @@ class WordHamiltonian:
 
     def grad_table(self, x: FusionPoint) -> dict:
         """Exact gradient table keyed (factor, component, side), as fusion_gradient_tables."""
-        return brackets.class_word_table(x, self.word(x.space),
-                                         self.classfn.grad(self.block_value(x)))
+        return brackets.class_word_table(x, self.word(x.space), self.block_grad(x))
 
     def letters(self, x: FusionPoint):
         """Slots (factor, component) moved by this block's flow (single: the partner letter)."""
@@ -250,16 +254,13 @@ def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint
     momentum-type blocks conjugate every letter of the block by
     exp(tau * grad of the class function at the block value).
     """
-    if ham.block[0] == "single":
-        u = liecore.expm_normal(scaled(-tau, ham.classfn.grad(ham.block_value(x))))
-    else:
-        u = liecore.expm_normal(scaled(tau, ham.classfn.grad(ham.block_value(x))))
-    return _move_letters(x, ham, u)
+    sign = -1 if ham.block[0] == "single" else 1
+    return _move_letters(x, ham, liecore.expm_normal(scaled(sign * tau, ham.block_grad(x))))
 
 
 def moduli_velocity(x: FusionPoint, ham: WordHamiltonian) -> dict:
     """d/dtau of ``moduli_flow`` at tau = 0."""
-    z = ham.classfn.grad(ham.block_value(x))
+    z = ham.block_grad(x)
     if ham.block[0] == "single":
         return {(*s, "rmul"): -z for s in ham.letters(x)}
     return conjugation_velocity(ham.letters(x), z)
@@ -273,23 +274,19 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
     angle vector, (..., blocks, rank) with one set per point of a stack.
     Single blocks translate by the coroot torus element in the alcove frame
     of their argument; momentum blocks conjugate by the coweight torus
-    element in the alcove frame of the block value.
+    element in the alcove frame of the block value, which the point keeps.
     """
-    blocks = []
-    for h in hams:
-        if h.block not in blocks:
-            blocks.append(h.block)
+    blocks = list(dict.fromkeys(h.block for h in hams))
     taus = np.asarray(taus, dtype=float)
     if taus.shape[-2:] != (len(blocks), datum.rank):
         raise InvalidShape(f"need {(len(blocks), datum.rank)} angles, got {taus.shape}")
     out = x
     for block, tau in zip(blocks, np.moveaxis(taus, -2, 0)):
         rep = WordHamiltonian(block, PowerTrace(1))
-        if block[0] == "single":
-            t = coroot_torus_element(-tau, datum)
-        else:
-            t = coweight_torus_element(tau, datum)
-        out = _move_letters(out, rep, decomp.alcove_diagonalize(rep.block_value(out)).transport(t))
+        t = (coroot_torus_element(-tau, datum) if block[0] == "single"
+             else coweight_torus_element(tau, datum))
+        alcove = out.form(block, decomp.alcove_diagonalize, rep.block_value(out))
+        out = _move_letters(out, rep, alcove.transport(t))
     return out
 
 

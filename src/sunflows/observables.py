@@ -7,9 +7,9 @@ left-translation derivative against the trace form, the algebra gradient
 represents the linear derivative, and the Borel gradient represents the
 left-translation derivative against the imaginary trace form.  ``value``
 and ``grad`` take a matrix or a stack (..., n, n), one value or gradient
-per matrix: values come from the frame-free spectra kernels
-(``decomp.*_spectra``), gradients from the framed normal forms, so a
-finite-difference oracle reads a whole stencil block in one ``value`` call.
+per matrix.  A spectral function reads ``value`` off a frame-free spectra kernel
+(``of_spectra(spectra(m))``), one eigenvalue solve per stencil block, and ``grad`` off a
+normal form (``at(normal_form(m))``), which a point keeps for all of them (``grad_on``).
 The word, class and right-factor observables take a point or a stacked
 point.  Word traces supply generic probe observables on every phase space,
 and functions of a right Iwasawa factor are the Heisenberg generators.
@@ -39,11 +39,11 @@ class ClassFunction:
 
     def value(self, g: np.ndarray) -> np.ndarray:
         """One value per matrix of g, (..., n, n) -> (...)."""
-        raise NotImplementedError
+        return self.of_spectra(self.spectra(g))
 
     def grad(self, g: np.ndarray) -> np.ndarray:
         """Algebra element N with pair(Z, N) = d/dt value(exp(tZ) g) at t=0."""
-        raise NotImplementedError
+        return self.at(self.normal_form(g))
 
     def two_sided_grad(self, g: np.ndarray) -> np.ndarray:
         """grad_L + grad_R: the right gradient of a class function equals its left one."""
@@ -68,8 +68,18 @@ class PowerTrace(ClassFunction):
         return self.k * skew_traceless(_PART[self.part] * np.linalg.matrix_power(g, self.k))
 
 
+class AlcoveFunction(ClassFunction):
+    """A function of the alcove phase vector, read off its spectra or its normal form."""
+
+    def spectra(self, g):
+        return decomp.alcove_spectra(g)
+
+    def normal_form(self, g):
+        return decomp.alcove_diagonalize(g)
+
+
 @dataclass(frozen=True)
-class AlcoveCoroot(ClassFunction):
+class AlcoveCoroot(AlcoveFunction):
     """Pairing of the alcove phase vector with the j-th simple coroot."""
 
     j: int
@@ -79,15 +89,15 @@ class AlcoveCoroot(ClassFunction):
     def name(self):
         return f"coroot{self.j}"
 
-    def value(self, g):
-        return decomp.coroot_values(decomp.alcove_spectra(g))[..., self.j]
+    def of_spectra(self, xi):
+        return decomp.coroot_values(xi)[..., self.j]
 
-    def grad(self, g):
-        return decomp.alcove_diagonalize(g).transport(-(1j * self.datum.coroots[self.j]))
+    def at(self, form):
+        return form.transport(-(1j * self.datum.coroots[self.j]))
 
 
 @dataclass(frozen=True)
-class AlcoveCoweight(ClassFunction):
+class AlcoveCoweight(AlcoveFunction):
     """Pairing of the alcove phase vector with the j-th fundamental coweight."""
 
     j: int
@@ -97,11 +107,11 @@ class AlcoveCoweight(ClassFunction):
     def name(self):
         return f"coweight{self.j}"
 
-    def value(self, g):
-        return decomp.coweight_values(decomp.alcove_spectra(g), self.datum)[..., self.j]
+    def of_spectra(self, xi):
+        return decomp.coweight_values(xi, self.datum)[..., self.j]
 
-    def grad(self, g):
-        return decomp.alcove_diagonalize(g).transport(-(1j * self.datum.coweights[self.j]))
+    def at(self, form):
+        return form.transport(-(1j * self.datum.coweights[self.j]))
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +123,11 @@ class AlgebraFunction:
 
     def value(self, j_alg: np.ndarray) -> np.ndarray:
         """One value per matrix of j_alg, (..., n, n) -> (...)."""
-        raise NotImplementedError
+        return self.of_spectra(self.spectra(j_alg))
 
     def grad(self, j_alg: np.ndarray) -> np.ndarray:
         """Algebra element W with pair(Z, W) = d/dt value(J + tZ) at t=0."""
-        raise NotImplementedError
+        return self.at(self.normal_form(j_alg))
 
 
 @dataclass(frozen=True)
@@ -148,11 +158,17 @@ class ChamberCoroot(AlgebraFunction):
     def name(self):
         return f"chamber{self.j}"
 
-    def value(self, j_alg):
-        return decomp.coroot_values(decomp.chamber_spectra(j_alg))[..., self.j]
+    def spectra(self, j_alg):
+        return decomp.chamber_spectra(j_alg)
 
-    def grad(self, j_alg):
-        return decomp.chamber_diagonalize(j_alg).transport(-(1j * self.datum.coroots[self.j]))
+    def of_spectra(self, xi):
+        return decomp.coroot_values(xi)[..., self.j]
+
+    def normal_form(self, j_alg):
+        return decomp.chamber_diagonalize(j_alg)
+
+    def at(self, form):
+        return form.transport(-(1j * self.datum.coroots[self.j]))
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +180,11 @@ class BorelFunction:
 
     def value(self, b: np.ndarray) -> np.ndarray:
         """One value per matrix of b, (..., n, n) -> (...)."""
-        raise NotImplementedError
+        return self.of_spectra(self.spectra(b))
 
     def grad(self, b: np.ndarray) -> np.ndarray:
         """Algebra element W with im-pair(Z, W) = d/dt value(exp(tZ) b), Z Borel."""
-        raise NotImplementedError
+        return self.at(self.normal_form(b))
 
 
 @dataclass(frozen=True)
@@ -182,11 +198,17 @@ class BorelChamberCoroot(BorelFunction):
     def name(self):
         return f"borelchamber{self.j}"
 
-    def value(self, b):
-        return 0.5 * decomp.coroot_values(decomp.borel_chamber_spectra(b))[..., self.j]
+    def spectra(self, b):
+        return decomp.borel_chamber_spectra(b)
 
-    def grad(self, b):
-        return decomp.borel_chamber_diagonalize(b).transport(1j * self.datum.coroots[self.j])
+    def of_spectra(self, xi):
+        return 0.5 * decomp.coroot_values(xi)[..., self.j]
+
+    def normal_form(self, b):
+        return decomp.borel_chamber_diagonalize(b)
+
+    def at(self, form):
+        return form.transport(1j * self.datum.coroots[self.j])
 
 
 @dataclass(frozen=True)
@@ -205,6 +227,11 @@ class BorelPower(BorelFunction):
     def grad(self, b):
         pk = np.linalg.matrix_power(decomp.posdef_of_borel(b), self.k)
         return 2 * self.k * 1j * traceless(pk)
+
+
+def grad_on(fn, x, key, m: np.ndarray) -> np.ndarray:
+    """fn.grad(m), m the matrix of x named ``key``: off x's kept normal form if fn is spectral."""
+    return fn.at(x.form(key, fn.normal_form, m)) if hasattr(fn, "at") else fn.grad(m)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +318,7 @@ class WordFunction:
         return self.fn.value(word_product(x, self.letters))
 
     def grad_table(self, x):
-        grad = self.fn.grad(word_product(x, self.letters))
+        grad = grad_on(self.fn, x, self.letters, word_product(x, self.letters))
         if isinstance(self.fn, AlgebraFunction):
             return brackets.word_table(x, self.letters, None, [grad])
         return brackets.class_word_table(x, self.letters, grad)
@@ -319,5 +346,6 @@ class RightFactorFunction:
         return self.fn.value(x.factor(self.factor))
 
     def grad_table(self, x):
-        return brackets.right_factor_table(x, self.factor, self.fn.grad)
+        return brackets.right_factor_table(
+            x, self.factor, lambda m: grad_on(self.fn, x, self.factor, m))
 

@@ -426,11 +426,11 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
         j_alg = liecore.skew_traceless(conjugate(lambda xi: 1j * xi))
         built.append((g, j_alg, decomp.borel_of_posdef(conjugate(np.exp))))
     gs, js, bs = (np.array(column) for column in zip(*built))
-    decomp.alcove_diagonalize(gs, 0.05)
-    decomp.chamber_diagonalize(js, 0.05)
-    decomp.borel_chamber_diagonalize(bs, 0.05)
-    exacts = ([fn.grad(gs) for fn in group_fns] + [fn.grad(js) for fn in algebra_fns]
-              + [fn.grad(bs) for fn in borel_fns])
+    exacts = []  # the spectral gradients read the normal forms of the margin assertion
+    for fns, m, form in ((group_fns, gs, decomp.alcove_diagonalize(gs, 0.05)),
+                         (algebra_fns, js, decomp.chamber_diagonalize(js, 0.05)),
+                         (borel_fns, bs, decomp.borel_chamber_diagonalize(bs, 0.05))):
+        exacts += [fn.at(form) if hasattr(fn, "at") else fn.grad(m) for fn in fns]
     # the stencils stay one point per call: a stack of every stencil would hold 30 times
     # the finite-difference tables at once
     for k, (g, j_alg, b) in enumerate(built):
@@ -472,9 +472,9 @@ def flow_derivatives(x, gens, obs) -> np.ndarray:
     Richardson difference per generator, from one flow call on its 8 stencil times (a plain
     difference's h^4 error along cotangent flows at n >= 5 reaches the check's tolerance)."""
     values = lambda p: np.array([o(p) for o in obs]).T
+    xs = stack([x] * 8)  # the 8 times of a Richardson stencil, one point for every generator
     return np.array([brackets.directional_derivative(
-        values, lambda t, g=g: g.flow(stack([x] * len(t)), t), richardson=True)
-        for g in gens]).T
+        values, lambda t, g=g: g.flow(xs, t), richardson=True) for g in gens]).T
 
 
 def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
@@ -556,9 +556,9 @@ def check_conservation(ctx: CheckContext) -> CheckResult:
         gens = fams.get(spec.family, [])
         local = 0.0
         x = h.sample_stack(rng, 3)
-        base = np.asarray(spec.fn(x))
+        base, xs = np.asarray(spec.fn(x)), stack([x] * len(taus))
         for gen in gens:
-            moved = np.asarray(spec.fn(gen.flow(stack([x] * len(taus)), taus)))
+            moved = np.asarray(spec.fn(gen.flow(xs, taus)))
             local = _worst(local, float(np.max(np.abs(moved - base))))
         detail[f"{spec.name}({spec.family})"] = local
         worst = _worst(worst, local)
@@ -638,7 +638,8 @@ def check_torus_additivity(ctx: CheckContext) -> CheckResult:
         if ctx.cfg.space == "heisenberg" and spec.name == "borel-translation":
             x = h.sample(rng)
             tau = np.full(spec.dim, 1.0)
-            beta = flows.positive_factorization(tau, x.factor("u_right"), ctx.datum)
+            alcove = decomp.alcove_diagonalize(x.factor("u_right"))
+            beta = flows.positive_factorization(tau, alcove, ctx.datum)
             detail["translation-conditioning"] = float(np.linalg.cond(beta))
     return _result(ctx, "torus-additivity",
                    "torus action maps compose additively in the angles", worst, 1e-9,
@@ -665,9 +666,9 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
     worst = 0.0
     gens = [g for fam in h.families().values() for g in fam]
     x, eta = h.sample_stack(rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
+    both = stack([x.conjugate(eta), x])  # flowed in one call per generator
     for gen in gens:
-        # the conjugated points and the points themselves, flowed in one call
-        moved = gen.flow(stack([x.conjugate(eta), x]), 0.45)
+        moved = gen.flow(both, 0.45)
         worst = _worst(worst, *liecore.norms(moved.flat()[0] - moved.conjugate(eta).flat()[1]))
     return _result(ctx, "flow-equivariance",
                    "every family flow commutes with the symmetry action", worst, 1e-9)

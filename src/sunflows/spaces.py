@@ -58,6 +58,14 @@ class Point:
         """Euclidean norm of the flattened difference, per point of a stack."""
         return liecore.norms(self.flat() - other.flat())
 
+    def form(self, key, kernel, m):
+        """kernel(m) for the point's matrix m that ``key`` names (a letter word, a block or a
+        factor name), kept for as long as the point lives; a kernel that raises keeps nothing."""
+        forms = self.__dict__.setdefault("_forms", {})
+        if key not in forms:
+            forms[key] = kernel(m)
+        return forms[key]
+
 
 # ---------------------------------------------------------------------------
 # cotangent bundle
@@ -136,9 +144,9 @@ class HeisenbergPoint(Point):
         raise ShapeError(f"unknown Heisenberg letter {name!r}")
 
     def factor(self, name: str) -> np.ndarray:
-        """Iwasawa factor ``name`` of X from its half, (u_left, b_right) or (b_left, u_right)."""
-        half = decomp.iwasawa_left if name in ("u_left", "b_right") else decomp.iwasawa_right
-        return half(self.x)[int(name.endswith("right"))]
+        """Iwasawa factor ``name`` from the kept half: (u_left, b_right) or (b_left, u_right)."""
+        half = "iwasawa_left" if name in ("u_left", "b_right") else "iwasawa_right"
+        return self.form(half, getattr(decomp, half), self.x)[int(name.endswith("right"))]
 
     def conjugate(self, eta: np.ndarray) -> "HeisenbergPoint":
         """Quasi-adjoint action: eta X u_right(eta b_left(X))."""

@@ -1,8 +1,12 @@
-import inspect
+import ast
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunflows import decomp, liecore
 from sunflows.observables import AlcoveCoroot, AlcoveCoweight, BorelChamberCoroot, ChamberCoroot
@@ -223,10 +227,67 @@ def test_iwasawa_halves_are_bit_equal_to_the_decomposition(n):
     rng = np.random.default_rng(210 + n)
     for _ in range(10):
         x = liecore.random_sl_element(n, rng)
-        whole = decomp.iwasawa_decompose.__wrapped__(x)
+        whole = decomp.iwasawa_decompose(x)
         for name, fields in HALVES.items():
-            for got, field in zip(getattr(decomp, name).__wrapped__(x.copy()), fields):
+            for got, field in zip(getattr(decomp, name)(x.copy()), fields):
                 assert np.array_equal(got, getattr(whole, field))
+
+
+def _unitary_times_borel(n, seed, spread):
+    """(U, B): U a Haar special unitary and B = borel_of_posdef(P), P positive with a gapped
+    zero-sum log spectrum (gaps of at least 0.05) of spread up to ``spread``."""
+    rng = np.random.default_rng(seed)
+    pos = liecore.conjugated_spectrum(n, rng, np.exp, 0.05, spread)
+    return liecore.haar_unitary(n, rng), decomp.borel_of_posdef(pos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.3, 6.0))
+def test_iwasawa_factors_of_unitary_times_borel(n, seed, spread):
+    u, b = _unitary_times_borel(n, seed, spread)
+    x = u @ b
+    f = decomp.iwasawa_decompose(x)
+    tol = 1e-12 * np.linalg.cond(x)
+    scale = np.linalg.norm(x)
+    # X = U B is already the left splitting
+    assert np.linalg.norm(f.u_left - u) <= tol
+    assert np.linalg.norm(f.b_right @ b - np.eye(n)) <= tol
+    assert np.linalg.norm(f.u_left @ np.linalg.inv(f.b_right) - x) <= tol * scale
+    assert np.linalg.norm(f.b_left @ np.linalg.inv(f.u_right) - x) <= tol * scale
+    for b in (f.b_left, f.b_right):
+        assert np.linalg.norm(np.tril(b, -1)) <= tol * np.linalg.norm(b)
+        d = np.diagonal(b)
+        assert np.all(d.real > 0) and np.all(np.abs(d.imag) <= tol * d.real)
+    for u in (f.u_left, f.u_right):
+        assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= tol
+    for m in (f.u_left, f.b_right, f.b_left, f.u_right):
+        assert abs(np.linalg.det(m) - 1) <= tol
+    halves = [*decomp.iwasawa_left(x), *decomp.iwasawa_right(x)]
+    for got, field in zip(halves, ("u_left", "b_right", "b_left", "u_right"), strict=True):
+        assert got.tobytes() == getattr(f, field).tobytes()
+
+
+def _mp_b_right(x):
+    """b_right of X = u_left b_right^-1 from an mpmath QR at 40 digits: R with its diagonal
+    made positive, inverted."""
+    with mpmath.workdps(40):
+        q, r = mpmath.qr(mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in x]))
+        n = x.shape[0]
+        for i in range(n):
+            phase = r[i, i] / abs(r[i, i])
+            for k in range(n):
+                r[i, k] /= phase
+        inv = r ** -1
+        return np.array([[complex(inv[i, k]) for k in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n, seed, spread", [(2, 11, 6.0), (3, 12, 3.0), (5, 13, 6.0)])
+def test_iwasawa_b_right_matches_a_40_digit_qr(n, seed, spread):
+    u, b = _unitary_times_borel(n, seed, spread)
+    x = u @ b
+    want = _mp_b_right(x)
+    got = decomp.iwasawa_left(x)[1]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name", HALVES)
@@ -296,12 +357,11 @@ def test_alcove_phase_rule_recovers_known_representative():
         assert np.array_equal(np.sort(perm[order]), np.arange(n))
 
 
-# ---------------------------------------------------------------------------
-# the recency memo of the normal-form kernels and the lazy frames
+# kernel results, the margin of each call and the lazy frames
 # ---------------------------------------------------------------------------
 
 NORMAL_FORMS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize")
-MEMOIZED = ("iwasawa_decompose", *HALVES, *NORMAL_FORMS)
+KERNELS = ("iwasawa_decompose", *HALVES, *NORMAL_FORMS)
 
 
 def _kernel_args(name, rng, n=3):
@@ -311,11 +371,12 @@ def _kernel_args(name, rng, n=3):
         return (liecore.random_group_element(n, rng), 1e-6)
     if name == "chamber_diagonalize":
         return (liecore.random_algebra_element(n, rng),)
-    x = liecore.random_sl_element(n, rng)
-    return (decomp.iwasawa_decompose.__wrapped__(x).b_right, 1e-6)
+    return (decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1], 1e-6)
 
 
 def _result_arrays(result):
+    if isinstance(result, np.ndarray):
+        return [result]
     if isinstance(result, decomp.IwasawaFactors):
         return [result.u_left, result.u_right, result.b_left, result.b_right]
     if isinstance(result, tuple):
@@ -323,25 +384,8 @@ def _result_arrays(result):
     return [result.spectrum, result.vectors, result.frame]
 
 
-@pytest.mark.parametrize("name", MEMOIZED)
-def test_memoized_kernel_is_bit_equal_to_unwrapped(name):
-    kernel = getattr(decomp, name)
-    rng = np.random.default_rng(300)
-    for _ in range(decomp.MEMO_SIZE + 2):
-        args = _kernel_args(name, rng)
-        first = kernel(*args)
-        # a copy has other memory but the same bytes: the memo answers
-        repeat = kernel(args[0].copy(), *args[1:])
-        assert repeat is first
-        # the kernel under the memo (and under the margin check) reads the matrix alone
-        want = _result_arrays(inspect.unwrap(kernel)(args[0]))
-        for got_first, got_repeat, ref in zip(_result_arrays(first), _result_arrays(repeat), want):
-            assert np.array_equal(got_first, ref)
-            assert np.array_equal(got_repeat, ref)
-
-
-@pytest.mark.parametrize("name", MEMOIZED)
-def test_memoized_results_reject_writes(name):
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_results_reject_writes(name):
     result = getattr(decomp, name)(*_kernel_args(name, np.random.default_rng(301)))
     for a in _result_arrays(result):
         with pytest.raises(ValueError):
@@ -358,30 +402,57 @@ def _near_wall(name, gap):
 
 
 @pytest.mark.parametrize("name", NORMAL_FORMS)
-def test_memo_keys_on_the_margin(name):
-    """The memo keeps the margin-free normal form and every call checks its own margin."""
+def test_each_call_checks_its_own_margin(name):
+    """A call inside its margin raises, every time, and leaves a later call with a smaller
+    margin free to succeed."""
     kernel = getattr(decomp, name)
     x = _near_wall(name, 1e-3)
     data = kernel(x, 1e-8)
     for _ in range(2):
         with pytest.raises(RegularityViolation):
             kernel(x, 1e-2)
-    assert kernel(x) is data
+    assert np.array_equal(kernel(x).spectrum, data.spectrum)
 
 
-@pytest.mark.parametrize("name", MEMOIZED)
-def test_memo_never_returns_a_failure(name):
+# ---------------------------------------------------------------------------
+# guard: decomp keeps no state
+# ---------------------------------------------------------------------------
+
+def test_decomp_keeps_no_module_level_cache():
+    """decomp binds no dict or OrderedDict at module level and decorates nothing with
+    lru_cache or cache: no kernel of it is memoized."""
+    tree = ast.parse(Path(decomp.__file__).read_text())
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and value is not None:
+            assert not isinstance(value, (ast.Dict, ast.DictComp)), ast.unparse(node)
+            if isinstance(value, ast.Call):
+                assert ast.unparse(value.func).split(".")[-1] not in ("dict", "OrderedDict")
+    assert not [name for name, value in vars(decomp).items()
+                if isinstance(value, dict) and not name.startswith("__")]
+    for node in ast.walk(tree):
+        assert getattr(node, "id", getattr(node, "attr", None)) != "OrderedDict"
+        for deco in getattr(node, "decorator_list", []):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            assert ast.unparse(target).split(".")[-1] not in ("lru_cache", "cache"), node.name
+
+
+# each spectra kernel, with the normal form whose input it reads
+SPECTRA = {"alcove_spectra": "alcove_diagonalize", "chamber_spectra": "chamber_diagonalize",
+           "borel_chamber_spectra": "borel_chamber_diagonalize"}
+
+
+@pytest.mark.parametrize("name", KERNELS + tuple(SPECTRA))
+def test_kernels_return_a_fresh_result_per_call(name):
+    """Two calls on bit-equal input return two distinct objects with bit-equal arrays."""
+    args = _kernel_args(SPECTRA.get(name, name), np.random.default_rng(300))
+    args = args[:1] if name in SPECTRA else args
     kernel = getattr(decomp, name)
-    if name.startswith("iwasawa"):
-        bad, error = (np.zeros((3, 3), dtype=complex),), SingularMatrix
-    else:
-        bad, error = (_near_wall(name, 0.0), 1e-8), RegularityViolation
-    for _ in range(3):
-        with pytest.raises(error):
-            kernel(*bad)
-    good = _kernel_args(name, np.random.default_rng(302))
-    assert np.array_equal(_result_arrays(kernel(*good))[0],
-                          _result_arrays(inspect.unwrap(kernel)(good[0]))[0])
+    first, second = kernel(*args), kernel(args[0].copy(), *args[1:])
+    assert first is not second
+    for a, b in zip(_result_arrays(first), _result_arrays(second), strict=True):
+        assert a is not b
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", NORMAL_FORMS)

@@ -112,7 +112,8 @@ def _exact_exponentials(n):
     out = [brackets._steps(kind, n) for kind in ("sl", "borel")]
     for torus in (flows.coroot_torus_element, flows.coweight_torus_element):
         out += [torus(t, datum) for t in taus] + [torus(taus, datum)]
-    out += [flows.positive_factorization(t, g, datum) for t, g in zip(taus, gs)]
+    out += [flows.positive_factorization(t, decomp.alcove_diagonalize(g), datum)
+            for t, g in zip(taus, gs)]
     return out + [liecore.special_elements(n).principal]
 
 

@@ -292,8 +292,8 @@ def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
     """(calls, one-matrix calls) of the normal-form and Iwasawa kernels and of the bracket
     pairing ``velocity_pairings`` (one-point calls) made outside the samplers (the rejection
     loop ``sample_regular`` and the built harnesses' stacked draw ``build``) and outside
-    another of these kernels (so that the memo of ``iwasawa_decompose`` hides no call of its
-    halves), by kernel, in one run of ``cfg``."""
+    another of these kernels (so that a call of ``iwasawa_decompose`` counts once, not
+    again for each of its halves), by kernel, in one run of ``cfg``."""
     calls, single, depth = Counter(), Counter(), [0]
 
     def counted(name, fn, matrix=lambda *args: args[0]):
