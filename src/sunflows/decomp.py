@@ -147,18 +147,23 @@ _CHAMBER_GAP = "eigenvalue gap {:.3e} below margin {:.1e}"
 _ALCOVE_WALL = "alcove wall margin {:.3e} below {:.1e}"
 
 
-def _require_finite(p: np.ndarray) -> None:
-    """Raise NotPositiveDefinite when b b^H (a matrix or a stack) has a non-finite entry."""
+def _finite_posdef(b: np.ndarray) -> np.ndarray:
+    """b b^H of a Borel element or a stack; raises NotPositiveDefinite on a non-finite entry."""
+    p = posdef_of_borel(b)
     if not np.all(np.isfinite(p)):
         raise NotPositiveDefinite("b b^H has non-finite entries")
+    return p
 
 
-def _require_positive(vals: np.ndarray) -> None:
-    """Raise NotPositiveDefinite unless every increasing spectrum on the last axis
-    starts with a positive eigenvalue."""
+def _log_spectrum(vals: np.ndarray) -> np.ndarray:
+    """log of each increasing spectrum of b b^H on the last axis, in reverse order; raises
+    NotPositiveDefinite unless every smallest eigenvalue is positive.  The log is taken on one
+    reversed 1-D view of all the entries: that is the view a single spectrum's log reads, and
+    numpy rounds a reversed view (libm) and a contiguous run (SIMD) differently."""
     smallest = vals[..., 0].min()
     if not smallest > 0:
         raise NotPositiveDefinite(f"smallest eigenvalue {smallest:.3e} of b b^H is not positive")
+    return np.log(vals.reshape(-1)[::-1])[::-1].reshape(vals.shape)[..., ::-1]
 
 
 def _chamber_data(vals: np.ndarray, vecs: np.ndarray) -> ChamberData:
@@ -177,13 +182,6 @@ def chamber_diagonalize(j: np.ndarray) -> ChamberData:
     return _chamber_data(vals[..., ::-1], vecs[..., ::-1])
 
 
-def _log_reversed(vals: np.ndarray) -> np.ndarray:
-    """log of each spectrum on the last axis, in reverse order, taken on one reversed 1-D view
-    of all the entries: that is the view a single spectrum's log reads, and numpy rounds a
-    reversed view (libm) and a contiguous run (SIMD) differently."""
-    return np.log(vals.reshape(-1)[::-1])[::-1].reshape(vals.shape)[..., ::-1]
-
-
 @_regular(coroot_values, _CHAMBER_GAP)
 def borel_chamber_diagonalize(b: np.ndarray) -> ChamberData:
     """Chamber normal form of i log(b b^H) from one eigensolve of b b^H.
@@ -194,11 +192,8 @@ def borel_chamber_diagonalize(b: np.ndarray) -> ChamberData:
     NotPositiveDefinite when b b^H has a non-finite entry or an eigenvalue
     that is not positive, and RegularityViolation as chamber_diagonalize.
     """
-    p = posdef_of_borel(b)
-    _require_finite(p)
-    vals, vecs = np.linalg.eigh(p)
-    _require_positive(vals)
-    return _chamber_data(_log_reversed(vals), vecs[..., ::-1])
+    vals, vecs = np.linalg.eigh(_finite_posdef(b))
+    return _chamber_data(_log_spectrum(vals), vecs[..., ::-1])
 
 
 def alcove_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,14 +267,11 @@ def chamber_spectra(js: np.ndarray) -> np.ndarray:
 def borel_chamber_spectra(bs: np.ndarray) -> np.ndarray:
     """Decreasing chamber spectra (..., n) of i log(b b^H) for a Borel element or a stack.
 
-    The spectra of borel_chamber_diagonalize, with its log (``_log_reversed``) and its
-    finiteness, positivity and gap checks applied to every matrix of the stack.
+    The spectra of borel_chamber_diagonalize, with its finiteness check
+    (``_finite_posdef``), its positivity check and log (``_log_spectrum``) and its gap check
+    applied to every matrix of the stack.
     """
-    p = posdef_of_borel(bs)
-    _require_finite(p)
-    vals = np.linalg.eigvalsh(p)
-    _require_positive(vals)
-    xi = _log_reversed(vals)
+    xi = _log_spectrum(np.linalg.eigvalsh(_finite_posdef(bs)))
     _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
     return read_only(xi)
 

@@ -356,6 +356,8 @@ def family_torus(hams, datum: RootDatum) -> TorusSpec:
 
 
 class FusionHarness(Harness):
+    kind = "fusion"  # the point kind a SamplingFailure names
+
     def __init__(self, n: int, datum: RootDatum, space: FusionSpace,
                  family: moduli.IntervalFamily, label: str):
         super().__init__(n, datum)
@@ -365,10 +367,15 @@ class FusionHarness(Harness):
         self.blocks = moduli.family_blocks(family)
 
     def sample(self, rng):
+        """The first of 128 draws whose ``regular_values`` all clear the sampling margin."""
         def check(x):
-            for h in self.hams[::self.datum.rank]:  # each block once: it has rank generators
-                decomp.alcove_diagonalize(h.block_value(x), SAMPLING_MARGIN)
-        return sample_regular("fusion", 128, lambda: self.space.random_point(rng), check)
+            for value in self.regular_values(x):
+                decomp.alcove_diagonalize(value, SAMPLING_MARGIN)
+        return sample_regular(self.kind, 128, lambda: self.space.random_point(rng), check)
+
+    def regular_values(self, x) -> list:
+        """Each block value once: a block has rank generators."""
+        return [h.block_value(x) for h in self.hams[::self.datum.rank]]
 
     def probes(self):
         letters = [self.space.momentum_word(f)[comp] for f, comp in self.space.slots]
@@ -423,13 +430,14 @@ class FusionHarness(Harness):
         return table.get((self.space.num_double, self.space.num_conj), [])
 
 
-class DoubleHarness(Harness):
-    """Internally fused double with the first-slot ('h') or second-slot ('htilde') family."""
+class DoubleHarness(FusionHarness):
+    """Internally fused double with the first-slot ('h') or second-slot ('htilde') family;
+    it shares the fusion harness's sampler and probes, and overrides the rest."""
 
-    probes = FusionHarness.probes
+    kind = "double"
 
     def __init__(self, n: int, datum: RootDatum, which: str = "h"):
-        super().__init__(n, datum)
+        Harness.__init__(self, n, datum)
         self.space = double_space(n)
         self.which = which
         self.label = "h" if which == "h" else "htilde"
@@ -451,13 +459,9 @@ class DoubleHarness(Harness):
         return _word_generators([PowerTrace(k) for k in _power_indices(self.n)],
                                 ("a1", "b1", "a1~", "b1~"), flow, velocity, suffix="@momentum")
 
-    def sample(self, rng):
-        def check(x):
-            a, b = x.pair(1)
-            decomp.alcove_diagonalize(a, SAMPLING_MARGIN)
-            decomp.alcove_diagonalize(b, SAMPLING_MARGIN)
-            decomp.alcove_diagonalize(x.momentum(), SAMPLING_MARGIN)
-        return sample_regular("double", 128, lambda: self.space.random_point(rng), check)
+    def regular_values(self, x) -> list:
+        """A, B and the momentum [A, B]."""
+        return [*x.pair(1), x.momentum()]
 
     def torus_specs(self):
         datum, slot = self.datum, self.slot

@@ -130,31 +130,21 @@ def expm_diagonal(a: np.ndarray) -> np.ndarray:
 # pairings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pairing:
-    """Invariant bilinear form: the trace form or its imaginary part.
-
-    ``kind`` is 'trace' for Re tr(XY) on the compact algebra (and its
-    complexification) or 'im' for Im tr(XY) on the realified complex algebra.
-    The normalization constant is fixed once and for all at 1, which makes
-    the form of two opposite root vectors equal to 1 = 2/|alpha|^2.
-    """
-
-    kind: str = "trace"
+# The invariant bilinear forms: Re tr(XY) on the compact algebra (and its complexification)
+# and Im tr(XY) on the realified complex algebra.  The normalization constant is fixed once
+# and for all at 1, which makes the form of two opposite root vectors equal to 1 = 2/|alpha|^2.
+TRACE_FORM = "trace"
+IM_FORM = "im"
 
 
-TRACE_FORM = Pairing("trace")
-IM_FORM = Pairing("im")
-
-
-def pair(x: np.ndarray, y: np.ndarray, pairing: Pairing = TRACE_FORM) -> float:
+def pair(x: np.ndarray, y: np.ndarray, pairing: str = TRACE_FORM) -> float:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ShapeError(f"incompatible shapes {x.shape} and {y.shape}")
     t = np.trace(x @ y)
-    return float(t.imag if pairing.kind == "im" else t.real)
+    return float(t.imag if pairing == IM_FORM else t.real)
 
 
-def gram(left: np.ndarray, right: np.ndarray, pairing: Pairing = TRACE_FORM) -> np.ndarray:
+def gram(left: np.ndarray, right: np.ndarray, pairing: str = TRACE_FORM) -> np.ndarray:
     """pair(left[..., i], right[..., j], pairing) for every i and j, bit for bit (einsum
     reorders the sum): stacks (..., rows, n, n) and (..., cols, n, n) give (..., rows, cols).
 
@@ -164,10 +154,10 @@ def gram(left: np.ndarray, right: np.ndarray, pairing: Pairing = TRACE_FORM) -> 
     if left.ndim == 2:
         return gram(left[np.newaxis], right, pairing)[0]
     t = trace(left[..., :, np.newaxis, :, :] @ right[..., np.newaxis, :, :, :])
-    return t.imag if pairing.kind == "im" else t.real
+    return t.imag if pairing == IM_FORM else t.real
 
 
-def dual_basis(basis, pairing: Pairing = TRACE_FORM) -> np.ndarray:
+def dual_basis(basis, pairing: str = TRACE_FORM) -> np.ndarray:
     """Dual basis w.r.t. the pairing: pair(basis[a], dual[b]) = delta_ab.
 
     Computed through the inverse Gram matrix, dual[a] = sum_b (G^-1)_ab basis[b],

@@ -10,6 +10,7 @@ through the explicit ``tol_scale`` knob.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -266,15 +267,30 @@ def _worst(*values, pick=max):
     return pick(values)
 
 
-def _result(ctx, name, claim, residual, base_tol, detail=None) -> CheckResult:
-    tol, residual = ctx.tol(base_tol), float(residual)
-    detail = detail or {}
-    if not math.isfinite(residual):
-        detail = {**detail, "non_finite_residual": str(residual)}
-    return CheckResult(name, claim, residual, tol, bool(residual <= tol), detail)
+def check(name: str, claim: str, base_tol: float, spaces=SPACES, shared=None):
+    """Declare a check, which returns its residual or (residual, detail): the decorated
+    function returns the CheckResult against ``base_tol`` times tol_scale, and a non-finite
+    residual fails and is named in the detail.  ``spaces`` run it.  ``shared`` marks a check
+    that reads neither the space nor its harness: run_scenario keeps its result per (name,
+    seed, tol_scale) and n ("space"), or without n for a check that reads no n ("all")."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(ctx: CheckContext) -> CheckResult:
+            out = fn(ctx)
+            residual, detail = out if isinstance(out, tuple) else (out, {})
+            tol, residual = ctx.tol(base_tol), float(residual)
+            if not math.isfinite(residual):
+                detail = {**detail, "non_finite_residual": str(residual)}
+            return CheckResult(name, claim, residual, tol, bool(residual <= tol), detail)
+
+        run.name, run.spaces, run.shared = name, spaces, shared
+        return run
+    return decorate
 
 
-def check_root_datum(ctx: CheckContext) -> CheckResult:
+@check("root-datum-exact", "coweight expansion inverts the transposed Cartan matrix exactly",
+       0.0, shared="all")
+def check_root_datum(ctx: CheckContext):
     violations = 0
     for n in range(2, 9):
         datum = build_root_datum(n)
@@ -291,12 +307,11 @@ def check_root_datum(ctx: CheckContext) -> CheckResult:
                     violations += 1
             if sum(w) != 0:
                 violations += 1
-    return _result(ctx, "root-datum-exact",
-                   "coweight expansion inverts the transposed Cartan matrix exactly",
-                   violations, 0.0)
+    return violations
 
 
-def check_dual_basis(ctx: CheckContext) -> CheckResult:
+@check("dual-basis", "dual bases satisfy the defining pairing identity", 1e-12, shared="space")
+def check_dual_basis(ctx: CheckContext):
     """The cached dual bases that the finite-difference engine sums gradients against."""
     n = ctx.cfg.n
     rng = ctx.rng("dual-basis")
@@ -307,12 +322,12 @@ def check_dual_basis(ctx: CheckContext) -> CheckResult:
         [liecore.gram(b, rdual, liecore.IM_FORM) for b in rbasis] - np.eye(len(rbasis))))))
     z = liecore.random_algebra_element(n, rng)
     recon = liecore.ordered_sum(liecore.gram(z, dual), basis)
-    worst = _worst(worst, float(np.linalg.norm(recon - z)))
-    return _result(ctx, "dual-basis", "dual bases satisfy the defining pairing identity",
-                   worst, 1e-12)
+    return _worst(worst, float(np.linalg.norm(recon - z)))
 
 
-def check_apposition(ctx: CheckContext) -> CheckResult:
+@check("apposition-torus", "second torus meets the diagonal torus only in the center, "
+       "with trace-orthogonal algebras", 1e-12, shared="space")
+def check_apposition(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("apposition-torus")
     spec = liecore.special_elements(n)
@@ -330,26 +345,25 @@ def check_apposition(ctx: CheckContext) -> CheckResult:
     d -= np.trace(d) / n * np.eye(n)
     conj = spec.coxeter_rep @ (1j * d) @ spec.coxeter_rep.conj().T
     offdiag = float(np.linalg.norm(conj - np.diag(np.diag(conj))))
-    resid = _worst(ortho, offdiag / 1e4) + bad
-    return _result(ctx, "apposition-torus",
-                   "second torus meets the diagonal torus only in the center, "
-                   "with trace-orthogonal algebras", resid, 1e-12,
-                   {"orthogonality": ortho, "intersection_violations": bad})
+    return (_worst(ortho, offdiag / 1e4) + bad,
+            {"orthogonality": ortho, "intersection_violations": bad})
 
 
-def check_commutator_identity(ctx: CheckContext) -> CheckResult:
+@check("coxeter-commutator-identity",
+       "the Coxeter conjugation commutator reproduces every torus element", 1e-10, shared="all")
+def check_commutator_identity(ctx: CheckContext):
     worst = 0.0
     for n in range(2, 6):
         rng = ctx.rng(f"commutator-identity-{n}")
         h = rng.uniform(-2.5, 2.5, (50, n))
         h -= h.mean(axis=-1, keepdims=True)
         worst = _worst(worst, *probes.commutator_identity_residual(h, n))
-    return _result(ctx, "coxeter-commutator-identity",
-                   "the Coxeter conjugation commutator reproduces every torus element",
-                   worst, 1e-10)
+    return worst
 
 
-def check_commutator_solve(ctx: CheckContext) -> CheckResult:
+@check("commutator-solve", "torus commutator solutions hit their alcove targets", 1e-10,
+       shared="all")
+def check_commutator_solve(ctx: CheckContext):
     worst = 0.0
     for n in range(2, 6):
         xi = liecore.gapped_spectrum(n, ctx.rng(f"commutator-solve-{n}"), probes.ALCOVE_MARGIN,
@@ -358,11 +372,12 @@ def check_commutator_solve(ctx: CheckContext) -> CheckResult:
         for a, b in (probes.commutator_solve(xi, n), probes.solve_commutator_in_torus(xi, n)):
             worst = _worst(worst, *liecore.norms(
                 a @ b @ np.linalg.inv(a) @ np.linalg.inv(b) - target, 2))
-    return _result(ctx, "commutator-solve",
-                   "torus commutator solutions hit their alcove targets", worst, 1e-10)
+    return worst
 
 
-def check_iwasawa(ctx: CheckContext) -> CheckResult:
+@check("iwasawa-roundtrip", "both unitary/triangular splittings reconstruct and are unique",
+       1e-12, shared="space")
+def check_iwasawa(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("iwasawa")
     x = np.array([liecore.random_sl_element(n, rng) for _ in range(20)])
@@ -372,31 +387,29 @@ def check_iwasawa(ctx: CheckContext) -> CheckResult:
                    *liecore.norms(x - f.b_left @ adjoint(f.u_right), 2))
     unique = _worst(0.0, *liecore.norms(f2.u_left - f.u_left, 2),
                     *liecore.norms(f2.b_right - f.b_right, 2))
-    return _result(ctx, "iwasawa-roundtrip",
-                   "both unitary/triangular splittings reconstruct and are unique",
-                   _worst(worst, unique / 10), 1e-12, {"uniqueness": unique})
+    return _worst(worst, unique / 10), {"uniqueness": unique}
 
 
-def check_posdef(ctx: CheckContext) -> CheckResult:
+@check("posdef-roundtrip",
+       "the positive part map and its triangular inverse are mutually inverse", 1e-12,
+       shared="space")
+def check_posdef(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("posdef")
     b = decomp.iwasawa_left(np.array([liecore.random_sl_element(n, rng) for _ in range(20)]))[1]
-    worst = _worst(0.0, *liecore.norms(decomp.borel_of_posdef(decomp.posdef_of_borel(b)) - b, 2))
-    return _result(ctx, "posdef-roundtrip",
-                   "the positive part map and its triangular inverse are mutually inverse",
-                   worst, 1e-12)
+    return _worst(0.0, *liecore.norms(decomp.borel_of_posdef(decomp.posdef_of_borel(b)) - b, 2))
 
 
-def check_dressing(ctx: CheckContext) -> CheckResult:
+@check("dressing-equivariance", "the positive part intertwines dressing with conjugation",
+       1e-10, shared="space")
+def check_dressing(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("dressing")
     b, eta = map(np.array, zip(*[(decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1],
                                   liecore.random_group_element(n, rng)) for _ in range(20)]))
     lhs = decomp.posdef_of_borel(decomp.dress(eta, b))
     rhs = eta @ decomp.posdef_of_borel(b) @ adjoint(eta)
-    worst = _worst(0.0, *liecore.norms(lhs - rhs, 2))
-    return _result(ctx, "dressing-equivariance",
-                   "the positive part intertwines dressing with conjugation", worst, 1e-10)
+    return _worst(0.0, *liecore.norms(lhs - rhs, 2))
 
 
 # wall and gap floor of the gradient-oracles spectra, at least twice the 0.05 margin that the
@@ -406,7 +419,9 @@ def check_dressing(ctx: CheckContext) -> CheckResult:
 ORACLE_FLOOR = 0.12
 
 
-def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
+@check("gradient-oracles", "closed-form gradients match fourth-order central differences",
+       1e-6, shared="space")
+def check_gradient_oracles(ctx: CheckContext):
     """Closed-form gradients against finite differences at points that are regular by
     construction: a Haar frame Q conjugates spectra that clear every wall by ORACLE_FLOOR
     (``liecore.conjugated_spectrum``).  The normal forms still assert the 0.05 margin; no
@@ -440,12 +455,12 @@ def check_gradient_oracles(ctx: CheckContext) -> CheckResult:
         for exact, fd in zip(exacts, fds):
             worst = _worst(worst, float(np.linalg.norm(exact[k] - fd)
                                         / (1 + np.linalg.norm(exact[k]))))
-    return _result(ctx, "gradient-oracles",
-                   "closed-form gradients match fourth-order central differences",
-                   worst, 1e-6)
+    return worst
 
 
-def check_shifting_trick(ctx: CheckContext) -> CheckResult:
+@check("shifting-trick", "brackets on the unit momentum level match the reduced model space",
+       1e-6, shared="space")
+def check_shifting_trick(ctx: CheckContext):
     n = ctx.cfg.n
     worst = 0.0
     for label, (m, holes), words in (
@@ -460,9 +475,7 @@ def check_shifting_trick(ctx: CheckContext) -> CheckResult:
                                            - brackets.bracket_matrix(lifted, lifted, big_point)))
         if np.max(liecore.norms(big_point.momentum() - np.eye(n), 2)) > 1e-10:
             worst = _worst(worst, 1.0)
-    return _result(ctx, "shifting-trick",
-                   "brackets on the unit momentum level match the reduced model space",
-                   worst, 1e-6)
+    return worst
 
 
 # --- per-space dynamical checks ---------------------------------------------
@@ -501,23 +514,22 @@ def all_generators(h) -> list:
     return [g for fam in h.families().values() for g in fam] + h.extra_generators()
 
 
-def check_flow_bracket(ctx: CheckContext) -> CheckResult:
+@check("flow-bracket", "exact flows differentiate to the bracket against the probe family",
+       1e-6)
+def check_flow_bracket(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("flow-bracket")
     obs = h.probes()
-    worst = 0.0
     gens = all_generators(h)
     first = h.sample(rng)
     rest = h.sample_stack(rng, ctx.cfg.points - 1)
-    worst = _worst(flow_bracket_worst(first, gens, obs),
-                   flow_bracket_worst(rest, gens, obs, oracle=False))
-    return _result(ctx, "flow-bracket",
-                   "exact flows differentiate to the bracket against the probe family",
-                   worst, 1e-6, {"points": ctx.cfg.points, "observables": len(obs),
-                                 "generators": len(gens)})
+    return (_worst(flow_bracket_worst(first, gens, obs),
+                   flow_bracket_worst(rest, gens, obs, oracle=False)),
+            {"points": ctx.cfg.points, "observables": len(obs), "generators": len(gens)})
 
 
-def check_abelian(ctx: CheckContext) -> CheckResult:
+@check("abelian-family", "family generators pairwise bracket-commute", 1e-6)
+def check_abelian(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("abelian-family")
     worst = 0.0
@@ -525,27 +537,30 @@ def check_abelian(ctx: CheckContext) -> CheckResult:
         obs = [g.obs for g in gens]
         x = h.sample_stack(rng, max(2, ctx.cfg.points // 3))
         worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)))
-    return _result(ctx, "abelian-family",
-                   "family generators pairwise bracket-commute", worst, 1e-6)
+    return worst
 
 
-def check_flow_commutation(ctx: CheckContext) -> CheckResult:
+@check("flow-commutation", "family flows compose identically in either order", 1e-8)
+def check_flow_commutation(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("flow-commutation")
     worst = 0.0
     for fam_name, gens in h.families().items():
         x = h.sample_stack(rng, 2)
-        first = {t: [g.flow(x, t) for g in gens] for t in (0.3, 0.7)}
+        early, late = ([g.flow(x, t) for g in gens] for t in (0.3, 0.7))
+        # one second step per generator, on the stack of its partners' first steps: j at 0.7
+        # after each earlier i at 0.3, and i at 0.3 after each later j at 0.7
+        after = [gens[j].flow(stack(early[:j]), 0.7).flat() for j in range(1, len(gens))]
+        before = [gens[i].flow(stack(late[i + 1:]), 0.3).flat() for i in range(len(gens) - 1)]
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                a = gens[j].flow(first[0.3][i], 0.7)
-                b = gens[i].flow(first[0.7][j], 0.3)
-                worst = _worst(worst, *np.ravel(a.distance(b)))
-    return _result(ctx, "flow-commutation",
-                   "family flows compose identically in either order", worst, 1e-8)
+                worst = _worst(worst, *liecore.norms(after[j - 1][i] - before[i][j - i - 1]))
+    return worst
 
 
-def check_conservation(ctx: CheckContext) -> CheckResult:
+@check("conservation",
+       "momentum maps and companion invariants are constant along family flows", 1e-10)
+def check_conservation(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("conservation")
     worst = 0.0
@@ -562,12 +577,13 @@ def check_conservation(ctx: CheckContext) -> CheckResult:
             local = _worst(local, float(np.max(np.abs(moved - base))))
         detail[f"{spec.name}({spec.family})"] = local
         worst = _worst(worst, local)
-    return _result(ctx, "conservation",
-                   "momentum maps and companion invariants are constant along family flows",
-                   worst, 1e-10, detail)
+    return worst, detail
 
 
-def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
+@check("unitary-conjugation-law",
+       "the right unitary factor evolves by conjugation along class flows", 1e-9,
+       spaces=("heisenberg",))
+def check_heisenberg_conjugation_law(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("unitary-conjugation-law")
     worst = 0.0
@@ -579,12 +595,13 @@ def check_heisenberg_conjugation_law(ctx: CheckContext) -> CheckResult:
         gamma = flows.heisenberg_flow_unitary_part(xs, gen.obs.fn, taus)
         resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
         worst = _worst(worst, *np.ravel(resid))
-    return _result(ctx, "unitary-conjugation-law",
-                   "the right unitary factor evolves by conjugation along class flows",
-                   worst, 1e-9)
+    return worst
 
 
-def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
+@check("quasi-adjoint-law",
+       "the symmetry action transforms the right factors by twist and dressing", 1e-9,
+       spaces=("heisenberg",))
+def check_quasi_adjoint_law(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("quasi-adjoint-law")
     x, eta = ctx.harness.sample_stack(rng, 6, lambda r: liecore.random_group_element(n, r))
@@ -592,13 +609,11 @@ def check_quasi_adjoint_law(ctx: CheckContext) -> CheckResult:
     twist = adjoint(decomp.iwasawa_right(eta @ x.factor("b_left"))[1])
     u_defect = moved.factor("u_right") - twist @ x.factor("u_right") @ adjoint(twist)
     b_defect = moved.factor("b_right") - decomp.dress(twist, x.factor("b_right"))
-    worst = _worst(0.0, *liecore.norms(u_defect, 2), *liecore.norms(b_defect, 2))
-    return _result(ctx, "quasi-adjoint-law",
-                   "the symmetry action transforms the right factors by twist and dressing",
-                   worst, 1e-9)
+    return _worst(0.0, *liecore.norms(u_defect, 2), *liecore.norms(b_defect, 2))
 
 
-def check_torus_periodicity(ctx: CheckContext) -> CheckResult:
+@check("torus-periodicity", "compact-direction flows close up after one full period", 1e-8)
+def check_torus_periodicity(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("torus-periodicity")
     worst = 0.0
@@ -619,12 +634,11 @@ def check_torus_periodicity(ctx: CheckContext) -> CheckResult:
         detail["coweight-translation-control"] = resid
         if resid < 0.1:
             worst = _worst(worst, 1.0)
-    return _result(ctx, "torus-periodicity",
-                   "compact-direction flows close up after one full period", worst,
-                   1e-8, detail)
+    return worst, detail
 
 
-def check_torus_additivity(ctx: CheckContext) -> CheckResult:
+@check("torus-additivity", "torus action maps compose additively in the angles", 1e-9)
+def check_torus_additivity(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("torus-additivity")
     worst = 0.0
@@ -641,12 +655,11 @@ def check_torus_additivity(ctx: CheckContext) -> CheckResult:
             alcove = decomp.alcove_diagonalize(x.factor("u_right"))
             beta = flows.positive_factorization(tau, alcove, ctx.datum)
             detail["translation-conditioning"] = float(np.linalg.cond(beta))
-    return _result(ctx, "torus-additivity",
-                   "torus action maps compose additively in the angles", worst, 1e-9,
-                   detail)
+    return worst, detail
 
 
-def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
+@check("torus-vs-flows", "the joint torus action equals composed generator flows", 1e-8)
+def check_torus_vs_flows(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("torus-vs-flows")
     worst = 0.0
@@ -656,11 +669,11 @@ def check_torus_vs_flows(ctx: CheckContext) -> CheckResult:
         for gen, t in zip(spec.generators, tau.T):
             b = gen.flow(b, t)
         worst = _worst(worst, *spec.act(x, tau).distance(b))
-    return _result(ctx, "torus-vs-flows",
-                   "the joint torus action equals composed generator flows", worst, 1e-8)
+    return worst
 
 
-def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
+@check("flow-equivariance", "every family flow commutes with the symmetry action", 1e-9)
+def check_flow_equivariance(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("flow-equivariance")
     worst = 0.0
@@ -670,24 +683,22 @@ def check_flow_equivariance(ctx: CheckContext) -> CheckResult:
     for gen in gens:
         moved = gen.flow(both, 0.45)
         worst = _worst(worst, *liecore.norms(moved.flat()[0] - moved.conjugate(eta).flat()[1]))
-    return _result(ctx, "flow-equivariance",
-                   "every family flow commutes with the symmetry action", worst, 1e-9)
+    return worst
 
 
-def check_bracket_invariance(ctx: CheckContext) -> CheckResult:
+@check("bracket-invariance", "brackets of invariant observables are symmetry invariant", 1e-8)
+def check_bracket_invariance(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("bracket-invariance")
-    worst = 0.0
     obs = [g.obs for fam in h.families().values() for g in fam][:3]
     x, eta = h.sample_stack(rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
-    worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
-                                       - brackets.bracket_matrix(obs, obs, x.conjugate(eta))))
-    return _result(ctx, "bracket-invariance",
-                   "brackets of invariant observables are symmetry invariant",
-                   worst, 1e-8)
+    return _worst(0.0, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
+                                      - brackets.bracket_matrix(obs, obs, x.conjugate(eta))))
 
 
-def check_isotropy(ctx: CheckContext) -> CheckResult:
+@check("isotropy-crafted", "crafted points have trivial combined infinitesimal stabilizer "
+       "and are fixed by the center", 0.0)
+def check_isotropy(ctx: CheckContext):
     h = ctx.harness
     n = ctx.cfg.n
     worst = 0
@@ -700,12 +711,12 @@ def check_isotropy(ctx: CheckContext) -> CheckResult:
                        "min_sv": float(rep.singular_values.min())}
         if rep.infinitesimal_dim != 0 or not rep.center_fixes:
             worst += 1
-    return _result(ctx, "isotropy-crafted",
-                   "crafted points have trivial combined infinitesimal stabilizer "
-                   "and are fixed by the center", worst, 0.0, detail)
+    return worst, detail
 
 
-def check_freeness_rank(ctx: CheckContext) -> CheckResult:
+@check("freeness-rank", "torus generators have full rank and nontrivial angles move points",
+       0.0)
+def check_freeness_rank(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("freeness-rank")
     specs = h.torus_specs()
@@ -722,13 +733,11 @@ def check_freeness_rank(ctx: CheckContext) -> CheckResult:
         ranks, _ = probes.rank_of(probes.generator_matrix(x, [g.velocity for g in spec.generators]))
         failures += int(np.count_nonzero(ranks != spec.dim))
         min_disp = _worst(min_disp, *np.ravel(spec.act(x, tau).distance(x)), pick=min)
-    shortfall = _worst(0.0, 1e-4 - min_disp)
-    return _result(ctx, "freeness-rank",
-                   "torus generators have full rank and nontrivial angles move points",
-                   failures + shortfall, 0.0, {"min_displacement": float(min_disp)})
+    return failures + _worst(0.0, 1e-4 - min_disp), {"min_displacement": float(min_disp)}
 
 
-def check_differential_rank(ctx: CheckContext) -> CheckResult:
+@check("differential-rank", "family differentials span at least the torus dimension", 0.0)
+def check_differential_rank(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("differential-rank")
     fns = [g.obs for fam in h.families().values() for g in fam]
@@ -736,28 +745,27 @@ def check_differential_rank(ctx: CheckContext) -> CheckResult:
     ranks, _ = probes.rank_of(probes.differential_matrix(h.sample_stack(rng, 3), fns))
     detail = {f"point-{k}": int(rank) for k, rank in enumerate(ranks)}
     detail["expected_min"] = expected_min
-    return _result(ctx, "differential-rank",
-                   "family differentials span at least the torus dimension",
-                   int(np.count_nonzero(ranks < expected_min)), 0.0, detail)
+    return int(np.count_nonzero(ranks < expected_min)), detail
 
 
-def check_momentum_condition(ctx: CheckContext) -> CheckResult:
+@check("momentum-condition",
+       "the bivector and the product momentum map satisfy the defining relation", 1e-6,
+       spaces=("double", "sphere4", "moduli"))
+def check_momentum_condition(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("momentum-condition")
-    worst = 0.0
     # both sides vanish on the conjugation-invariant probes; a letter entry is not invariant
     entry = entry_observable(ctx.rng("momentum-entry").standard_normal((ctx.cfg.n,) * 2),
                              h.space.momentum_word(0)[0])
     obs = h.probes()[:3] + [entry]
     kfns = [PowerTrace(1), PowerTrace(2, part="im")]
     x = h.sample_stack(rng, 2)
-    worst = _worst(worst, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
-    return _result(ctx, "momentum-condition",
-                   "the bivector and the product momentum map satisfy the defining relation",
-                   worst, 1e-6)
+    return _worst(0.0, float(np.max(brackets.momentum_condition_matrix(obs, kfns, x))))
 
 
-def check_s_transform(ctx: CheckContext) -> CheckResult:
+@check("s-transform", "the exchange automorphism acts as stated and preserves brackets", 1e-6,
+       spaces=("double",))
+def check_s_transform(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("s-transform")
     h = ctx.harness
@@ -778,13 +786,13 @@ def check_s_transform(ctx: CheckContext) -> CheckResult:
     pulled = [word_observable(substitute(f.letters, flows.S_LETTERS)) for f in (f1, f2)]
     v_target = brackets.bracket_matrix([f1], [f2], FusionPoint(x.space, ((s1, s2),)))[0, 0]
     v_source = brackets.bracket_matrix(pulled[:1], pulled[1:], x)[0, 0]
-    worst = _worst(worst, abs(v_target - v_source))
-    return _result(ctx, "s-transform",
-                   "the exchange automorphism acts as stated and preserves brackets",
-                   worst, 1e-6)
+    return _worst(worst, abs(v_target - v_source))
 
 
-def check_permutations(ctx: CheckContext) -> CheckResult:
+@check("permutation-brackets",
+       "factor transpositions preserve brackets and pulled-back families commute", 1e-6,
+       spaces=("moduli",))
+def check_permutations(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("permutation-brackets")
     space = moduli_space(2, 2, n)
@@ -804,72 +812,37 @@ def check_permutations(ctx: CheckContext) -> CheckResult:
         cand = space.random_point(rng)
         return cand, moduli.permutation_pushforward(cand, plan)
 
-    def check(drawn):
+    def regular(drawn):
         for p1, p2 in ((0, 1), (2, 3)):
             decomp.alcove_diagonalize(drawn[1].momentum(range(p1, p2 + 1)),
                                       harness_mod.SAMPLING_MARGIN)
-    x, _ = harness_mod.sample_regular("permuted", 64, draw, check)
+    x, _ = harness_mod.sample_regular("permuted", 64, draw, regular)
     pulled = []
     for p1, p2 in ((0, 1), (2, 3)):
         for j in range(datum.rank):
             hblock = moduli.WordHamiltonian(("span", p1, p2), AlcoveCoweight(j, datum))
             pulled.append(moduli.pullback_hamiltonian(hblock, plan))
     worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(pulled, pulled, x)))
-    return _result(ctx, "permutation-brackets",
-                   "factor transpositions preserve brackets and pulled-back families commute",
-                   worst, 1e-6, {"plan": plan})
+    return worst, {"plan": plan}
 
 
-BASE_CHECKS = {
-    "root-datum-exact": check_root_datum,
-    "dual-basis": check_dual_basis,
-    "apposition-torus": check_apposition,
-    "coxeter-commutator-identity": check_commutator_identity,
-    "commutator-solve": check_commutator_solve,
-    "iwasawa-roundtrip": check_iwasawa,
-    "posdef-roundtrip": check_posdef,
-    "dressing-equivariance": check_dressing,
-    "gradient-oracles": check_gradient_oracles,
-    "shifting-trick": check_shifting_trick,
-    "flow-bracket": check_flow_bracket,
-    "abelian-family": check_abelian,
-    "flow-commutation": check_flow_commutation,
-    "conservation": check_conservation,
-    "torus-periodicity": check_torus_periodicity,
-    "torus-additivity": check_torus_additivity,
-    "torus-vs-flows": check_torus_vs_flows,
-    "flow-equivariance": check_flow_equivariance,
-    "bracket-invariance": check_bracket_invariance,
-    "isotropy-crafted": check_isotropy,
-    "freeness-rank": check_freeness_rank,
-    "differential-rank": check_differential_rank,
-}
-
-# Checks that read neither the space nor its harness.  run_scenario keeps their results
-# for the life of the process in SPACE_FREE_RESULTS, keyed on (name, seed, tol_scale) and
-# n; the N_FREE_CHECKS loop over fixed ranges of n and are keyed without it.  Aborted
-# checks are never kept, and every report gets its own deep copy of a kept result.
-SPACE_FREE_CHECKS = frozenset({
-    "root-datum-exact", "dual-basis", "apposition-torus", "coxeter-commutator-identity",
-    "commutator-solve", "iwasawa-roundtrip", "posdef-roundtrip", "dressing-equivariance",
-    "gradient-oracles", "shifting-trick"})
-N_FREE_CHECKS = frozenset({"root-datum-exact", "coxeter-commutator-identity",
-                           "commutator-solve"})
+CHECKS = {c.name: c for c in (
+    check_root_datum, check_dual_basis, check_apposition, check_commutator_identity,
+    check_commutator_solve, check_iwasawa, check_posdef, check_dressing, check_gradient_oracles,
+    check_shifting_trick, check_flow_bracket, check_abelian, check_flow_commutation,
+    check_conservation, check_torus_periodicity, check_torus_additivity, check_torus_vs_flows,
+    check_flow_equivariance, check_bracket_invariance, check_isotropy, check_freeness_rank,
+    check_differential_rank, check_momentum_condition, check_s_transform,
+    check_heisenberg_conjugation_law, check_quasi_adjoint_law, check_permutations)}
+# the results of the shared checks, for the life of the process; aborted checks are never
+# kept, and every report gets its own deep copy of a kept result
 SPACE_FREE_RESULTS: dict[tuple, CheckResult] = {}
 
 
 def checks_for(cfg: ScenarioConfig) -> dict[str, object]:
-    table = dict(BASE_CHECKS)
-    if cfg.space in ("double", "sphere4", "moduli"):
-        table["momentum-condition"] = check_momentum_condition
-    if cfg.space == "double":
-        table["s-transform"] = check_s_transform
-    if cfg.space == "heisenberg":
-        table["unitary-conjugation-law"] = check_heisenberg_conjugation_law
-        table["quasi-adjoint-law"] = check_quasi_adjoint_law
-    if cfg.space == "moduli" and (cfg.m, cfg.holes) == (2, 2):
-        table["permutation-brackets"] = check_permutations
-    return table
+    """The checks of cfg's space; permutation-brackets needs the moduli space (2, 2)."""
+    return {name: c for name, c in CHECKS.items() if cfg.space in c.spaces
+            and (name != "permutation-brackets" or (cfg.m, cfg.holes) == (2, 2))}
 
 
 def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
@@ -884,9 +857,8 @@ def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
     results = []
     for name in names:
         try:
-            if name in SPACE_FREE_CHECKS:
-                key = (name, cfg.seed, cfg.tol_scale) + (() if name in N_FREE_CHECKS
-                                                         else (cfg.n,))
+            if shared := table[name].shared:
+                key = (name, cfg.seed, cfg.tol_scale) + (() if shared == "all" else (cfg.n,))
                 if key not in SPACE_FREE_RESULTS:
                     SPACE_FREE_RESULTS[key] = table[name](ctx)
                 results.append(copy.deepcopy(SPACE_FREE_RESULTS[key]))

@@ -13,6 +13,8 @@ match its opaque composition, and no check of a suite builds a
 finite-difference table.
 """
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,7 @@ from curve_stencils import fd_observable, per_time
 
 from sunflows import brackets, flows, harness, liecore, moduli, observables as ob, scenario
 from sunflows.errors import UnsupportedBracket, UnsupportedWord
-from sunflows.scenario import BASE_CHECKS, ScenarioConfig, all_generators, run_scenario
+from sunflows.scenario import CHECKS, ScenarioConfig, all_generators, run_scenario
 from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, Point, double_space,
                              moduli_space, sphere_space)
 
@@ -286,8 +288,9 @@ def test_the_suites_build_no_finite_difference_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("a suite check built a finite-difference table")
 
-    group_fd, oracles, inside = brackets.group_gradient_fd, BASE_CHECKS["gradient-oracles"], []
+    group_fd, oracles, inside = brackets.group_gradient_fd, CHECKS["gradient-oracles"], []
 
+    @functools.wraps(oracles)  # keeps its spaces and sharing
     def check_oracles(ctx):
         inside.append(True)
         try:
@@ -301,7 +304,7 @@ def test_the_suites_build_no_finite_difference_table(monkeypatch):
 
     monkeypatch.setattr(brackets, "_fd_tables", refuse)
     monkeypatch.setattr(brackets, "group_gradient_fd", group_gradient_fd)
-    monkeypatch.setitem(BASE_CHECKS, "gradient-oracles", check_oracles)
+    monkeypatch.setitem(CHECKS, "gradient-oracles", check_oracles)
     monkeypatch.setattr(scenario, "SPACE_FREE_RESULTS", {})
     for fields in (dict(space="double"), dict(space="sphere4"),
                    dict(space="moduli", m=2, holes=2, family=MODULI_FAMILY)):

@@ -375,7 +375,8 @@ def _expected_flow_calls(check, space, n) -> int:
     """One flow call per generator and all of its times: per generator in flow-bracket (its
     Richardson stencil), per generator and conserved quantity in conservation, per
     generator in unitary-conjugation-law and flow-equivariance; each generator's two first
-    steps and then one second step per ordered pair in flow-commutation; one per torus
+    steps and then, on the stack of its partners' first steps, one second step after the
+    earlier generators and one after the later ones in flow-commutation; one per torus
     angle in torus-vs-flows (the composed flows)."""
     h = _harness(space, n)
     fams = h.families()
@@ -384,7 +385,7 @@ def _expected_flow_calls(check, space, n) -> int:
             "conservation": sum(len(fams.get(s.family, [])) for s in h.conserved()),
             "unitary-conjugation-law": len(fams.get("unitary-class", [])),
             "flow-equivariance": sum(sizes),
-            "flow-commutation": sum(2 * g + g * (g - 1) for g in sizes),
+            "flow-commutation": sum(2 * g + 2 * (g - 1) for g in sizes),
             "torus-vs-flows": sum(spec.dim for spec in h.torus_specs())}.get(check, 0)
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -147,7 +148,9 @@ def test_cli_rejects_malformed_family_specs(tmp_path, capsys, family):
 def test_cli_rejects_check_lists_before_any_check_runs(tmp_path, capsys, monkeypatch, checks):
     from sunflows import scenario
     ran = []
-    monkeypatch.setitem(scenario.BASE_CHECKS, "dual-basis", lambda ctx: ran.append(ctx))
+    check = scenario.CHECKS["dual-basis"]
+    monkeypatch.setitem(scenario.CHECKS, "dual-basis",
+                        functools.wraps(check)(lambda ctx: ran.append(ctx)))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"space": "double", "n": 2, "checks": checks}))
     out = tmp_path / "out"
