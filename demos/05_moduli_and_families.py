@@ -30,9 +30,11 @@ h = moduli.WordHamiltonian(("interval", 1, 2), PowerTrace(2))
 y = moduli.moduli_flow(x, h, 0.7)
 print("third hole is fixed by the flow:", f"{np.linalg.norm(y.factors[2] - x.factors[2]):.1e}")
 print("momentum drift:", f"{np.linalg.norm(y.momentum() - x.momentum()):.2e}")
-c0 = sf.sphere_constants_of_motion(x)
-c1 = sf.sphere_constants_of_motion(y)
-print("constants of motion drift:", f"{max(abs(c0[k] - c1[k]) for k in c0):.2e}")
+# word traces of (C1, C2), of (C1 C2, C3) and of C3: the flow conjugates C1, C2 together
+constants = [word_observable(w) for w in (
+    ("c1",), ("c2",), ("c1", "c2"), ("c1", "c2", "c3"), ("c3",), ("c1", "c2", "c3", "c1", "c2"),
+    ("c1", "c2", "c2"))]
+print("constants of motion drift:", f"{max(abs(f(x) - f(y)) for f in constants):.2e}")
 
 print("\n=== a genus-2 family: one single block, one commutator block ===")
 g2 = sf.moduli_space(2, 0, n)

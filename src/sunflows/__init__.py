@@ -23,7 +23,6 @@ from .liecore import (
 from .moduli import (
     IntervalFamily,
     hamiltonian_family,
-    sphere_constants_of_motion,
     sphere_family,
 )
 from .spaces import (

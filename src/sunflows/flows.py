@@ -18,18 +18,18 @@ import logging
 
 import numpy as np
 
-from . import brackets, decomp, liecore
+from . import brackets, decomp, liecore, moduli
 from .errors import ShapeError, UnsupportedBracket
 from .liecore import RootDatum, adjoint, scaled
 from .observables import AlgebraFunction, BorelFunction, ClassFunction, entry_observable, grad_on
-from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint, conjugation_velocity
+from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
 logger = logging.getLogger(__name__)
 
 DRIFT_TOL = 1e-9
 
 
-def _maybe_reproject(u: np.ndarray, label: str) -> np.ndarray:
+def maybe_reproject(u: np.ndarray, label: str) -> np.ndarray:
     """u with each matrix that drifts more than DRIFT_TOL re-projected, one event each."""
     drift = np.asarray(liecore.unitarity_defect(u))
     bad = drift > DRIFT_TOL
@@ -74,7 +74,7 @@ def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
     """
     if isinstance(ham, AlgebraFunction):
         g = liecore.expm_normal(scaled(tau, grad_on(ham, x, ("j",), x.j))) @ x.g
-        return CotangentPoint(_maybe_reproject(g, "cotangent group part"), x.j)
+        return CotangentPoint(maybe_reproject(g, "cotangent group part"), x.j)
     if isinstance(ham, ClassFunction):
         return CotangentPoint(x.g, x.j - scaled(tau, grad_on(ham, x, ("g",), x.g)))
     raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
@@ -100,7 +100,7 @@ def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
     if family == "chamber":
         chamber = x.form(("j",), decomp.chamber_diagonalize, x.j)
         t = chamber.transport(coroot_torus_element(tau, datum))
-        return CotangentPoint(_maybe_reproject(t @ x.g, "cotangent torus"), x.j)
+        return CotangentPoint(maybe_reproject(t @ x.g, "cotangent torus"), x.j)
     if family == "translate":
         alcove = x.form(("g",), decomp.alcove_diagonalize, x.g)
         shift = alcove.transport(-1j * _weighted(tau, datum.coroots))
@@ -165,52 +165,36 @@ def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,
 
 
 # ---------------------------------------------------------------------------
-# internally fused double
+# internally fused double: the one-handle fusion space
 # ---------------------------------------------------------------------------
 
-def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> FusionPoint:
-    """Flows of the three Hamiltonian families of the fused double.
+# the double's slots as blocks of its one handle: chi(A) right-translates B ('single'), chi(B)
+# right-translates A ('partner') and chi([A, B]) conjugates both ('commutator')
+DOUBLE_BLOCKS = {"first": ("single", 1), "second": ("partner", 1), "momentum": ("commutator", 1)}
 
-    slot 'first': H = chi(A) moves B by right translation; slot 'second':
-    H = chi(B) moves A; slot 'momentum': H = chi([A, B]) conjugates both.
-    """
-    a, b = x.pair(1)
-    if slot == "first":
-        u = liecore.expm_normal(scaled(-tau, grad_on(ham, x, ("a1",), a)))
-        return x.with_slots({(0, 1): _maybe_reproject(b @ u, "double B")})
-    if slot == "second":
-        u = liecore.expm_normal(scaled(tau, grad_on(ham, x, ("b1",), b)))
-        return x.with_slots({(0, 0): _maybe_reproject(a @ u, "double A")})
-    if slot == "momentum":
-        u = liecore.expm_normal(scaled(tau, ham.grad(x.momentum())))
-        ui = adjoint(u)
-        return x.map(lambda m: u @ m @ ui)
-    raise ShapeError(f"unknown double slot {slot!r}")
+
+def _block_hamiltonian(ham: ClassFunction | None, slot: str):
+    """The word Hamiltonian of ham on the block of a double slot (a torus action reads no ham)."""
+    if slot not in DOUBLE_BLOCKS:
+        raise ShapeError(f"unknown double slot {slot!r}")
+    return moduli.WordHamiltonian(DOUBLE_BLOCKS[slot], ham)
+
+
+def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> FusionPoint:
+    """The moduli flow of a class function on the block of a double slot (``DOUBLE_BLOCKS``)."""
+    return moduli.moduli_flow(x, _block_hamiltonian(ham, slot), tau)
 
 
 def double_velocity(x: FusionPoint, ham: ClassFunction, slot: str) -> dict:
     """d/dtau of ``double_flow`` at tau = 0."""
-    if slot == "first":
-        return {(0, 1, "rmul"): -grad_on(ham, x, ("a1",), x.pair(1)[0])}
-    if slot == "second":
-        return {(0, 0, "rmul"): grad_on(ham, x, ("b1",), x.pair(1)[1])}
-    if slot == "momentum":
-        return conjugation_velocity(x.space.slots, ham.grad(x.momentum()))
-    raise ShapeError(f"unknown double slot {slot!r}")
+    return moduli.moduli_velocity(x, _block_hamiltonian(ham, slot))
 
 
 def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
                         datum: RootDatum) -> FusionPoint:
-    a, b = x.pair(1)
-    if slot == "first":
-        t = x.form(("a1",), decomp.alcove_diagonalize, a).transport(
-            coroot_torus_element(-np.asarray(tau, dtype=float), datum))
-        return x.with_slots({(0, 1): b @ t})
-    if slot == "second":
-        t = x.form(("b1",), decomp.alcove_diagonalize, b).transport(
-            coroot_torus_element(tau, datum))
-        return x.with_slots({(0, 0): a @ t})
-    raise ShapeError(f"unknown double torus slot {slot!r}")
+    """The moduli torus action of the block of a double slot, one angle row per point."""
+    return moduli.moduli_torus_action(x, np.asarray(tau)[..., np.newaxis, :],
+                                      [_block_hamiltonian(None, slot)], datum)
 
 
 def s_transform(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,14 +218,13 @@ def flow(x, ham, tau: float, slot: str | None = None):
     ``slot`` selects the Hamiltonian family on the fused double ('first',
     'second' or 'momentum'); word Hamiltonians carry their block themselves.
     """
-    from .moduli import WordHamiltonian, moduli_flow
     if isinstance(x, CotangentPoint):
         return cotangent_flow(x, ham, tau)
     if isinstance(x, HeisenbergPoint):
         return heisenberg_flow(x, ham, tau)
     if isinstance(x, FusionPoint):
-        if isinstance(ham, WordHamiltonian):
-            return moduli_flow(x, ham, tau)
+        if isinstance(ham, moduli.WordHamiltonian):
+            return moduli.moduli_flow(x, ham, tau)
         return double_flow(x, ham, tau, slot or "first")
     raise UnsupportedBracket(f"no flow on points of type {type(x).__name__}")
 
@@ -250,8 +233,8 @@ def torus_action(x, tau, datum: RootDatum, kind: str):
     """Joint torus/line action maps by kind name.
 
     Kinds: cotangent 'chamber'/'translate', Heisenberg 'dress'/'translate',
-    double 'first'/'second'.  Word-Hamiltonian families use the moduli-space
-    action directly.
+    double the slots of ``DOUBLE_BLOCKS``.  Word-Hamiltonian families use the
+    moduli-space action directly.
     """
     if isinstance(x, CotangentPoint):
         return cotangent_torus_action(x, tau, kind, datum)

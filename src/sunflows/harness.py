@@ -150,9 +150,9 @@ class BuiltHarness(Harness):
         return (x, *map(np.array, zip(*rows))) if draws else x
 
 
-def _word_generators(fns, letters, flow, velocity, suffix: str = "") -> list[Generator]:
+def _word_generators(fns, letters, flow, velocity) -> list[Generator]:
     """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
-    return [Generator(fn.name + suffix, WordFunction(fn, letters),
+    return [Generator(fn.name, WordFunction(fn, letters),
                       lambda p, t, fn=fn: flow(p, fn, t), lambda p, fn=fn: velocity(p, fn))
             for fn in fns]
 
@@ -369,8 +369,7 @@ class FusionHarness(Harness):
     def sample(self, rng):
         """The first of 128 draws whose ``regular_values`` all clear the sampling margin."""
         def check(x):
-            for value in self.regular_values(x):
-                decomp.alcove_diagonalize(value, SAMPLING_MARGIN)
+            decomp.alcove_diagonalize(np.stack(self.regular_values(x)), SAMPLING_MARGIN)
         return sample_regular(self.kind, 128, lambda: self.space.random_point(rng), check)
 
     def regular_values(self, x) -> list:
@@ -443,21 +442,22 @@ class DoubleHarness(FusionHarness):
         self.label = "h" if which == "h" else "htilde"
         self.slot = "first" if which == "h" else "second"
 
+    def _generators(self, fns, slot: str) -> list[Generator]:
+        """One generator per class function on the block of ``slot`` (``flows.DOUBLE_BLOCKS``),
+        named fn@slot, with the double's flow and velocity."""
+        block = flows.DOUBLE_BLOCKS[slot]
+        return [Generator(f"{fn.name}@{slot}", moduli.WordHamiltonian(block, fn),
+                          lambda p, t, fn=fn: flows.double_flow(p, fn, t, slot),
+                          lambda p, fn=fn: flows.double_velocity(p, fn, slot)) for fn in fns]
+
     def families(self):
-        letter = "a1" if self.which == "h" else "b1"
-        flow = lambda p, fn, t: flows.double_flow(p, fn, t, self.slot)
-        velocity = lambda p, fn: flows.double_velocity(p, fn, self.slot)
-        return {self.label: _word_generators(
+        return {self.label: self._generators(
             [PowerTrace(k) for k in _power_indices(self.n)]
-            + [AlcoveCoroot(j, self.datum) for j in range(self.datum.rank)],
-            (letter,), flow, velocity, suffix=f"@{self.slot}")}
+            + [AlcoveCoroot(j, self.datum) for j in range(self.datum.rank)], self.slot)}
 
     def extra_generators(self):
         """The momentum family H = chi([A, B])."""
-        flow = lambda p, fn, t: flows.double_flow(p, fn, t, "momentum")
-        velocity = lambda p, fn: flows.double_velocity(p, fn, "momentum")
-        return _word_generators([PowerTrace(k) for k in _power_indices(self.n)],
-                                ("a1", "b1", "a1~", "b1~"), flow, velocity, suffix="@momentum")
+        return self._generators([PowerTrace(k) for k in _power_indices(self.n)], "momentum")
 
     def regular_values(self, x) -> list:
         """A, B and the momentum [A, B]."""

@@ -432,10 +432,12 @@ def conjugated_spectrum(n: int, rng: np.random.Generator, fn, floor: float,
     return (v * d[..., np.newaxis, :]) @ adjoint(v)
 
 
-def random_algebra_element(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian anti-Hermitian traceless matrix."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return skew_traceless(a)
+def random_algebra_element(n: int, rng: np.random.Generator,
+                           count: int | None = None) -> np.ndarray:
+    """Gaussian anti-Hermitian traceless matrix; with a ``count``, a (count, n, n) stack of them
+    from one draw, which reads the generator as ``count`` single draws do."""
+    z = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    return skew_traceless(z[..., 0, :, :] + 1j * z[..., 1, :, :])
 
 
 def haar_unitary(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
@@ -449,9 +451,11 @@ def haar_unitary(n: int, rng: np.random.Generator, count: int | None = None) -> 
     return q * (np.linalg.det(q) ** (-1.0 / n))[..., np.newaxis, np.newaxis]
 
 
-def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
-    """exp of a Gaussian algebra element, which covers the group well."""
-    return expm_normal(random_algebra_element(n, rng))
+def random_group_element(n: int, rng: np.random.Generator,
+                         count: int | None = None) -> np.ndarray:
+    """exp of a Gaussian algebra element, which covers the group well; with a ``count``, a
+    (count, n, n) stack of them from one draw."""
+    return expm_normal(random_algebra_element(n, rng, count))
 
 
 def random_sl_element(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brackets, decomp, liecore
+from . import brackets, decomp, flows, liecore
 from .errors import AssumptionViolation, InvalidPlan, InvalidShape, UnsupportedWord
-from .flows import conjugation_velocity, coroot_torus_element, coweight_torus_element
 from .liecore import RootDatum, adjoint, scaled
 from .observables import (
     AlcoveCoroot,
@@ -30,7 +29,7 @@ from .observables import (
     substitute,
     word_observable,
 )
-from .spaces import FusionPoint, FusionSpace
+from .spaces import FusionPoint, FusionSpace, conjugation_velocity
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +136,11 @@ def validate_family(space: FusionSpace, fam: IntervalFamily) -> None:
 # word Hamiltonians
 # ---------------------------------------------------------------------------
 
+# the blocks of one letter of a handle: (component read, component moved, sign of the move).
+# 'partner' is the fused double's chi(B) (``flows.DOUBLE_BLOCKS``), not a family block kind.
+LETTER_MOVES = {"single": (0, 1, np.negative), "partner": (1, 0, np.positive)}
+
+
 def block_positions(space: FusionSpace, block: tuple) -> list[int]:
     """Consecutive factor positions whose momenta multiply to the block value.
 
@@ -174,9 +178,14 @@ class WordHamiltonian:
     def name(self) -> str:
         return f"{self.classfn.name}@{'-'.join(str(p) for p in self.block)}"
 
+    @property
+    def move(self):
+        """A letter block's (component read, component moved, sign), ``LETTER_MOVES``; else None."""
+        return LETTER_MOVES.get(self.block[0])
+
     def block_value(self, x: FusionPoint) -> np.ndarray:
-        if self.block[0] == "single":
-            return x.pair(self.block[1])[0]
+        if self.move:
+            return x.pair(self.block[1])[self.move[0]]
         return x.momentum(block_positions(x.space, self.block))
 
     def __call__(self, x: FusionPoint) -> np.ndarray:
@@ -189,8 +198,8 @@ class WordHamiltonian:
 
     def word(self, space: FusionSpace) -> tuple[str, ...]:
         """Letter names whose product is the block value, e.g. ('a1', 'b1', 'a1~', 'b1~', 'c1')."""
-        if self.block[0] == "single":
-            return (f"a{self.block[1]}",)
+        if self.move:
+            return ("ab"[self.move[0]] + str(self.block[1]),)
         return tuple(name for f in block_positions(space, self.block)
                      for name in space.momentum_word(f))
 
@@ -199,9 +208,10 @@ class WordHamiltonian:
         return brackets.class_word_table(x, self.word(x.space), self.block_grad(x))
 
     def letters(self, x: FusionPoint):
-        """Slots (factor, component) moved by this block's flow (single: the partner letter)."""
-        if self.block[0] == "single":
-            return [(x.space.position("D", self.block[1]), 1)]
+        """Slots (factor, component) moved by this block's flow (a letter block: the other
+        letter of its handle)."""
+        if self.move:
+            return [(x.space.position("D", self.block[1]), self.move[1])]
         return [s for f in block_positions(x.space, self.block) for s in x.space.factor_slots[f]]
 
 
@@ -239,10 +249,11 @@ def hamiltonian_family(space: FusionSpace, fam: IntervalFamily,
 # ---------------------------------------------------------------------------
 
 def _move_letters(x: FusionPoint, ham: "WordHamiltonian", u: np.ndarray) -> FusionPoint:
-    """Right-translate the partner letter of a single block by u, or conjugate
-    every letter of a momentum block by u."""
-    if ham.block[0] == "single":
-        return x.with_slots({s: x.slot(*s) @ u for s in ham.letters(x)})
+    """Right-translate the moved letter of a letter block by u, re-projected if it drifts, or
+    conjugate every letter of a momentum block by u."""
+    if ham.move:
+        return x.with_slots({s: flows.maybe_reproject(x.slot(*s) @ u, f"fusion slot {s}")
+                             for s in ham.letters(x)})
     ui = adjoint(u)
     return x.with_slots({s: u @ x.slot(*s) @ ui for s in ham.letters(x)})
 
@@ -250,19 +261,20 @@ def _move_letters(x: FusionPoint, ham: "WordHamiltonian", u: np.ndarray) -> Fusi
 def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint:
     """Exact integral curve of a word Hamiltonian.
 
-    Single-factor blocks right-translate the partner letter; all
-    momentum-type blocks conjugate every letter of the block by
-    exp(tau * grad of the class function at the block value).
+    Letter blocks right-translate the other letter of their handle by
+    exp(-/+ tau * grad) (``LETTER_MOVES``); all momentum-type blocks conjugate
+    every letter of the block by exp(tau * grad of the class function at the
+    block value).
     """
-    sign = -1 if ham.block[0] == "single" else 1
-    return _move_letters(x, ham, liecore.expm_normal(scaled(sign * tau, ham.block_grad(x))))
+    t = ham.move[2](tau) if ham.move else tau
+    return _move_letters(x, ham, liecore.expm_normal(scaled(t, ham.block_grad(x))))
 
 
 def moduli_velocity(x: FusionPoint, ham: WordHamiltonian) -> dict:
     """d/dtau of ``moduli_flow`` at tau = 0."""
     z = ham.block_grad(x)
-    if ham.block[0] == "single":
-        return {(*s, "rmul"): -z for s in ham.letters(x)}
+    if ham.move:
+        return {(*s, "rmul"): ham.move[2](z) for s in ham.letters(x)}
     return conjugation_velocity(ham.letters(x), z)
 
 
@@ -272,9 +284,10 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
 
     ``taus`` maps each distinct block (in family order) to a rank-length
     angle vector, (..., blocks, rank) with one set per point of a stack.
-    Single blocks translate by the coroot torus element in the alcove frame
-    of their argument; momentum blocks conjugate by the coweight torus
-    element in the alcove frame of the block value, which the point keeps.
+    Letter blocks translate by the coroot torus element (at -/+ the angles) in
+    the alcove frame of their argument; momentum blocks conjugate by the
+    coweight torus element in the alcove frame of the block value, which the
+    point keeps.
     """
     blocks = list(dict.fromkeys(h.block for h in hams))
     taus = np.asarray(taus, dtype=float)
@@ -283,8 +296,8 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
     out = x
     for block, tau in zip(blocks, np.moveaxis(taus, -2, 0)):
         rep = WordHamiltonian(block, PowerTrace(1))
-        t = (coroot_torus_element(-tau, datum) if block[0] == "single"
-             else coweight_torus_element(tau, datum))
+        t = (flows.coroot_torus_element(rep.move[2](tau), datum) if rep.move
+             else flows.coweight_torus_element(tau, datum))
         alcove = out.form(block, decomp.alcove_diagonalize, rep.block_value(out))
         out = _move_letters(out, rep, alcove.transport(t))
     return out
@@ -369,25 +382,3 @@ def pullback_hamiltonian(h, plan: list[int]):
 def sphere_family() -> IntervalFamily:
     """The commuting family of the four-holed sphere model: one interval [1,2]."""
     return IntervalFamily(intervals=((1, 2),))
-
-
-def sphere_constants_of_motion(x: FusionPoint) -> dict[str, float]:
-    """Invariant probes constant along the sphere family flows.
-
-    Word traces of (C1, C2) and of (C1 C2, C3) are conserved because the
-    flows conjugate C1, C2 simultaneously and fix C3.
-    """
-    if x.space.types != ("K", "K", "K"):
-        raise InvalidShape("expected a three-factor conjugation space")
-    c1, c2, c3 = x.factors
-    c12 = c1 @ c2
-    words = {
-        "tr-c1": c1,
-        "tr-c2": c2,
-        "tr-c12": c12,
-        "tr-c123": c12 @ c3,
-        "tr-c3": c3,
-        "tr-c12-c3-c12": c12 @ c3 @ c12,
-        "tr-c1-c2sq": c1 @ c2 @ c2,
-    }
-    return {k: float(np.trace(m).real) for k, m in words.items()}

@@ -277,17 +277,6 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
 # rank checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RankReport:
-    generator_rank: int
-    generator_expected: int
-    differential_rank: int
-    differential_expected: int
-    symmetry_orbit_rank: int
-    invariant_probe_rank: int
-    singular_values: dict = field(default_factory=dict)
-
-
 def differential_matrix(x, functions) -> np.ndarray:
     """Rows are the differentials of scalar functions along a tangent basis."""
     return brackets.differentials(functions, x)
@@ -298,29 +287,3 @@ def rank_of(mat: np.ndarray):
     svals = np.linalg.svd(mat, compute_uv=False)
     ranks = np.sum(svals > SVD_KERNEL_TOL, axis=-1)
     return (int(ranks) if ranks.ndim == 0 else ranks), svals
-
-
-def ieq_rank_check(pp: PrincipalPoint, n: int, invariant_probes=None) -> RankReport:
-    """Freeness and independence ranks at a crafted principal point."""
-    g2_rank, g2_sv = rank_of(generator_matrix(pp.point, pp.action[n * n - 1:]))
-    sym_rank, sym_sv = rank_of(generator_matrix(pp.point, pp.action[: n * n - 1]))
-    if pp.family:
-        d_rank, d_sv = rank_of(differential_matrix(pp.point, list(pp.family)))
-        d_expected = pp.torus_dim
-    else:
-        d_rank, d_sv = 0, np.array([])
-        d_expected = 0
-    if invariant_probes:
-        p_rank, p_sv = rank_of(differential_matrix(pp.point, invariant_probes))
-    else:
-        p_rank, p_sv = 0, np.array([])
-    return RankReport(
-        generator_rank=g2_rank,
-        generator_expected=pp.torus_dim,
-        differential_rank=d_rank,
-        differential_expected=d_expected,
-        symmetry_orbit_rank=sym_rank,
-        invariant_probe_rank=p_rank,
-        singular_values={"torus": g2_sv, "symmetry": sym_sv, "differentials": d_sv,
-                         "probes": p_sv},
-    )

@@ -231,9 +231,9 @@ class FusionSpace:
         return len(self.kind_positions["K"])
 
     def random_point(self, rng: np.random.Generator) -> "FusionPoint":
-        def draw():
-            return liecore.random_group_element(self.n, rng)
-        return FusionPoint(self, tuple((draw(), draw()) if t == "D" else draw()
+        """Random group elements in every slot, in slot order, from one stacked draw."""
+        draws = iter(liecore.random_group_element(self.n, rng, len(self.slots)))
+        return FusionPoint(self, tuple((next(draws), next(draws)) if t == "D" else next(draws)
                                        for t in self.types))
 
 

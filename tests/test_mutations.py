@@ -25,7 +25,7 @@ _cotangent_velocity = flows.cotangent_velocity
 _heisenberg_velocity = flows.heisenberg_velocity
 _double_velocity = flows.double_velocity
 _moduli_velocity = moduli.moduli_velocity
-_conjugation_velocity = flows.conjugation_velocity
+_conjugation_velocity = spaces.conjugation_velocity
 _swap_letters = moduli._swap_letters
 
 # the (2, 2) moduli space with the family of the desk-sweep benchmark

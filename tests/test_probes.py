@@ -191,26 +191,34 @@ def test_rank_report_at_crafted_points():
     n = 2
     datum = liecore.build_root_datum(n)
     rng = np.random.default_rng(5)
+    def ranks(pp, n):
+        """Ranks of the torus generators, of the symmetry orbit and of the family differentials."""
+        symmetry, torus = pp.action[: n * n - 1], pp.action[n * n - 1:]
+        return (probes.rank_of(probes.generator_matrix(pp.point, torus))[0],
+                probes.rank_of(probes.generator_matrix(pp.point, symmetry))[0],
+                probes.rank_of(probes.differential_matrix(pp.point, pp.family))[0]
+                if pp.family else 0)
+
     pp = probes.principal_test_point("double-first-family", n, datum, rng)
-    rep = probes.ieq_rank_check(pp, n)
-    assert rep.generator_rank == rep.generator_expected == datum.rank
+    torus_rank, symmetry_rank, _ = ranks(pp, n)
+    assert torus_rank == pp.torus_dim == datum.rank
     # symmetry orbit rank at a principal point: dim K minus center (= dim K here)
-    assert rep.symmetry_orbit_rank == n * n - 1
+    assert symmetry_rank == n * n - 1
 
     pp = probes.principal_test_point("cotangent-compact-torus", 3,
                                      liecore.build_root_datum(3),
                                      np.random.default_rng(6))
-    rep = probes.ieq_rank_check(pp, 3)
-    assert rep.generator_rank == 2
+    assert ranks(pp, 3)[0] == 2
 
     pp = probes.principal_test_point("sphere-adjoint-torus", n, datum, rng)
-    rep = probes.ieq_rank_check(pp, n, invariant_probes=[
+    torus_rank, _, differential_rank = ranks(pp, n)
+    probe_rank, _ = probes.rank_of(probes.differential_matrix(pp.point, [
         fd_observable(lambda p: float(np.trace(p.letter("c1")).real)),
         fd_observable(lambda p: float(np.trace(p.letter("c1") @ p.letter("c2")).real)),
-    ])
-    assert rep.generator_rank == rep.generator_expected == datum.rank
-    assert rep.differential_rank == datum.rank
-    assert rep.invariant_probe_rank >= 1
+    ]))
+    assert torus_rank == pp.torus_dim == datum.rank
+    assert differential_rank == datum.rank
+    assert probe_rank >= 1
 
 
 def test_irregular_argument_raises():
