@@ -74,9 +74,10 @@ def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
     """
     if isinstance(ham, AlgebraFunction):
         g = liecore.expm_normal(scaled(tau, grad_on(ham, x, ("j",), x.j))) @ x.g
-        return CotangentPoint(maybe_reproject(g, "cotangent group part"), x.j)
+        return CotangentPoint(maybe_reproject(g, "cotangent group part"), x.j).keeping(x, ("j",))
     if isinstance(ham, ClassFunction):
-        return CotangentPoint(x.g, x.j - scaled(tau, grad_on(ham, x, ("g",), x.g)))
+        shift = scaled(tau, grad_on(ham, x, ("g",), x.g))
+        return CotangentPoint(x.g, x.j - shift).keeping(x, ("g",))
     raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
 
 
@@ -100,11 +101,11 @@ def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
     if family == "chamber":
         chamber = x.form(("j",), decomp.chamber_diagonalize, x.j)
         t = chamber.transport(coroot_torus_element(tau, datum))
-        return CotangentPoint(maybe_reproject(t @ x.g, "cotangent torus"), x.j)
+        return CotangentPoint(maybe_reproject(t @ x.g, "cotangent torus"), x.j).keeping(x, ("j",))
     if family == "translate":
         alcove = x.form(("g",), decomp.alcove_diagonalize, x.g)
         shift = alcove.transport(-1j * _weighted(tau, datum.coroots))
-        return CotangentPoint(x.g, x.j - shift)
+        return CotangentPoint(x.g, x.j - shift).keeping(x, ("g",))
     raise ShapeError(f"unknown cotangent torus family {family!r}")
 
 

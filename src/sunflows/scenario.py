@@ -413,48 +413,48 @@ def check_dressing(ctx: CheckContext):
 
 
 # wall and gap floor of the gradient-oracles spectra, at least twice the 0.05 margin that the
-# normal forms assert.  The stencils' truncation error grows like (step / gap)^4; 0.12 is the
-# smallest floor (in steps of 0.01) whose seed-42 residuals at n = 2, 3 and 5 leave the
-# benchmark workloads' mean margins no lower than rejection-sampled points did
+# normal forms assert: kept from the full FD tables, it leaves residuals <= 2.1e-9 at n = 2..8
 ORACLE_FLOOR = 0.12
 
 
-@check("gradient-oracles", "closed-form gradients match fourth-order central differences",
-       1e-6, shared="space")
+@check("gradient-oracles", "closed-form gradients match central differences along random "
+       "directions", 1e-6, shared="space")
 def check_gradient_oracles(ctx: CheckContext):
-    """Closed-form gradients against finite differences at points that are regular by
-    construction: a Haar frame Q conjugates spectra that clear every wall by ORACLE_FLOOR
-    (``liecore.conjugated_spectrum``).  The normal forms still assert the 0.05 margin; no
-    point is ever drawn again."""
-    n = ctx.cfg.n
-    datum = ctx.datum
-    rng = ctx.rng("gradient-oracles")
+    """Closed-form gradients against central differences along two random unit directions at
+    each of 30 points per kind, built regular (``liecore.conjugated_spectrum``): the normal
+    forms that the exact gradients read assert the 0.05 margin on each kind's stack."""
+    n, datum, rng = ctx.cfg.n, ctx.datum, ctx.rng("gradient-oracles")
+    conjugate = lambda fn: liecore.conjugated_spectrum(n, rng, fn, ORACLE_FLOOR, count=30)
+    gs = conjugate(lambda xi: np.exp(1j * xi))
+    js = liecore.skew_traceless(conjugate(lambda xi: 1j * xi))
+    bs = decomp.borel_of_posdef(conjugate(np.exp))
+    basis = liecore.borel_basis(n).reshape(-1, n * n)
+    su = liecore.random_algebra_element(n, rng, 60).reshape(60, -1)
+    # the Borel directions take one product per point: one (60, dim) product goes to a
+    # threaded zgemm at n = 8, 15 ms on a 2-core host against 0.2 ms
+    su, borel = ((z / np.linalg.norm(z, axis=-1, keepdims=True)).reshape(30, 2, n, n)
+                 for z in (su, rng.standard_normal((30, 2, len(basis))) @ basis))
+    tz = lambda t, z: liecore.scaled(t[:, np.newaxis], z)  # (times, directions, n, n)
+    # exp(0.3 t Z) by its degree-6 Taylor series, exact to roundoff at |0.3 t Z| <= 6e-4: the
+    # factor 0.3 keeps the Borel step at 3e-4, for the log-composed chamber function
+    taylor = lambda a: functools.reduce(lambda e, k: np.eye(n) + a @ e / k, range(6, 0, -1),
+                                        np.eye(n))
+    blocks = (([PowerTrace(1), PowerTrace(2), AlcoveCoroot(0, datum),
+                AlcoveCoweight(datum.rank - 1, datum)], gs, decomp.alcove_diagonalize, su,
+               liecore.TRACE_FORM, lambda g, z: lambda t: liecore.expm_normal(tz(t, z)) @ g, 1),
+              ([AlgebraPower(2), ChamberCoroot(0, datum)], js, decomp.chamber_diagonalize, su,
+               liecore.TRACE_FORM, lambda j, z: lambda t: j + tz(t, z), 1),
+              ([BorelPower(1), BorelChamberCoroot(0, datum)], bs, decomp.borel_chamber_diagonalize,
+               borel, liecore.IM_FORM, lambda b, z: lambda t: taylor(0.3 * tz(t, z)) @ b, 0.3))
     worst = 0.0
-    conjugate = lambda fn: liecore.conjugated_spectrum(n, rng, fn, ORACLE_FLOOR)
-    group_fns = [PowerTrace(1), PowerTrace(2), AlcoveCoroot(0, datum),
-                 AlcoveCoweight(datum.rank - 1, datum)]
-    algebra_fns = [AlgebraPower(2), ChamberCoroot(0, datum)]
-    borel_fns = [BorelPower(1), BorelChamberCoroot(0, datum)]
-    built = []
-    for _ in range(30):
-        g = conjugate(lambda xi: np.exp(1j * xi))
-        j_alg = liecore.skew_traceless(conjugate(lambda xi: 1j * xi))
-        built.append((g, j_alg, decomp.borel_of_posdef(conjugate(np.exp))))
-    gs, js, bs = (np.array(column) for column in zip(*built))
-    exacts = []  # the spectral gradients read the normal forms of the margin assertion
-    for fns, m, form in ((group_fns, gs, decomp.alcove_diagonalize(gs, 0.05)),
-                         (algebra_fns, js, decomp.chamber_diagonalize(js, 0.05)),
-                         (borel_fns, bs, decomp.borel_chamber_diagonalize(bs, 0.05))):
-        exacts += [fn.at(form) if hasattr(fn, "at") else fn.grad(m) for fn in fns]
-    # the stencils stay one point per call: a stack of every stencil would hold 30 times
-    # the finite-difference tables at once
-    for k, (g, j_alg, b) in enumerate(built):
-        fds = (brackets.group_gradient_fd(group_fns, g)
-               + brackets.algebra_gradient_fd(algebra_fns, j_alg)
-               + brackets.borel_gradient_fd(borel_fns, b))
-        for exact, fd in zip(exacts, fds):
-            worst = _worst(worst, float(np.linalg.norm(exact[k] - fd)
-                                        / (1 + np.linalg.norm(exact[k]))))
+    for fns, ms, normal_form, zs, pairing, curve, scale in blocks:
+        form = normal_form(ms, 0.05)
+        exact = liecore.gram(np.stack([fn.at(form) if hasattr(fn, "at") else fn.grad(ms)
+                                       for fn in fns], 1), zs, pairing)  # (points, fns, dirs)
+        values = lambda m: np.swapaxes(brackets.stack_values(fns, m), 0, 1)
+        for k, (m, z) in enumerate(zip(ms, zs)):  # a point at a time: stacks raise the peak RSS
+            fd = brackets.directional_derivative(values, curve(m, z)) / scale
+            worst = _worst(worst, float(np.max(np.abs(exact[k] - fd) / (1 + np.abs(exact[k])))))
     return worst
 
 

@@ -66,6 +66,12 @@ class Point:
             forms[key] = kernel(m)
         return forms[key]
 
+    def keeping(self, x: "Point", key) -> "Point":
+        """This point, with the form x keeps for ``key``: the two share the matrix it names."""
+        if key in x.__dict__.get("_forms", {}):
+            self.__dict__.setdefault("_forms", {})[key] = x._forms[key]
+        return self
+
 
 # ---------------------------------------------------------------------------
 # cotangent bundle

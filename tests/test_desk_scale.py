@@ -29,6 +29,16 @@ def test_upper_desk_scale(cfg):
     assert not failed, failed
 
 
+@pytest.mark.parametrize("seed", [42, 1, 2])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gradient_oracles_keep_a_hundredfold_margin(n, seed):
+    """gradient-oracles passes at every admitted n with tol / residual >= 100: along random
+    directions its worst residual here, 2.1e-9 at n=2 and seed 2, is 476 times below 1e-6."""
+    check, = run_scenario(ScenarioConfig(space="cotangent", n=n, seed=seed,
+                                         checks=["gradient-oracles"])).checks
+    assert check.passed and check.tol >= 100 * check.residual, check.residual
+
+
 def _workloads():
     """The benchmark's workload definitions, ``benchmarks/workloads.py``."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"

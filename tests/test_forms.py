@@ -5,7 +5,8 @@ A point keeps the normal forms and Iwasawa halves of its own matrices
 gradient tables and torus actions at the point read them.  These tests count
 the ``decomp`` kernel calls made at one point, hold every kept form to a
 fresh kernel call bit for bit, and check that a failed normal form is never
-kept and that a new point starts with no forms.
+kept and that a new point starts with no forms, but for the one a cotangent flow
+or torus action keeps of the matrix it passes through.
 """
 
 from collections import Counter
@@ -141,7 +142,8 @@ def test_a_point_at_a_wall_raises_on_every_read():
 
 def test_new_points_start_with_no_forms():
     """Points made by flows, torus actions, conjugate, stack and with_slots keep nothing of
-    the point they came from."""
+    the point they came from, except that a cotangent flow or torus action keeps the form of
+    the one matrix it passes through unchanged: the very form of that very array."""
     rng = np.random.default_rng(704)
     eta = liecore.random_group_element(3, rng)
     for space in sorted(SPACES):
@@ -149,12 +151,21 @@ def test_new_points_start_with_no_forms():
         x = h.sample_stack(rng, 2)
         _read_everything(h, x, rng)
         assert vars(x)["_forms"]
-        made = [gen.flow(x, 0.2) for gens in h.families().values() for gen in gens]
-        made += [spec.act(x, rng.uniform(-1, 1, (2, spec.dim))) for spec in h.torus_specs()]
-        made += [x.conjugate(eta), spaces.stack([x, x])]
+        moved = [gen.flow(x, 0.2) for gens in h.families().values() for gen in gens]
+        moved += [spec.act(x, rng.uniform(-1, 1, (2, spec.dim))) for spec in h.torus_specs()]
+        made = [x.conjugate(eta), spaces.stack([x, x])]
         if isinstance(x, spaces.FusionPoint):
             made += [x.with_slots({(0, 0): x.slot(0, 0)}), x.map(np.copy)]
             if space == "moduli":
                 made.append(moduli.swap_adjacent(x, 0))
+        if space == "cotangent":
+            kept = [(y, key) for y in moved for key in vars(y).get("_forms", {})]
+            assert {key for _, key in kept} == {("g",), ("j",)}
+            for y, key in kept:
+                assert vars(y)["_forms"].keys() == {key}
+                assert y.letter(key[0]) is x.letter(key[0]) and key in vars(x)["_forms"]
+                assert y.form(key, None, None) is vars(x)["_forms"][key]
+        else:
+            made += moved
         for y in made:
             assert "_forms" not in vars(y), (space, type(y).__name__)

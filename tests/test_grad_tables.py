@@ -13,16 +13,14 @@ match its opaque composition, and no check of a suite builds a
 finite-difference table.
 """
 
-import functools
-
 import numpy as np
 import pytest
 import scipy.linalg
 from curve_stencils import fd_observable, per_time
 
-from sunflows import brackets, flows, harness, liecore, moduli, observables as ob, scenario
+from sunflows import brackets, flows, harness, liecore, moduli, observables as ob
 from sunflows.errors import UnsupportedBracket, UnsupportedWord
-from sunflows.scenario import CHECKS, ScenarioConfig, all_generators, run_scenario
+from sunflows.scenario import ScenarioConfig, all_generators, run_scenario
 from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, Point, double_space,
                              moduli_space, sphere_space)
 
@@ -283,32 +281,19 @@ def test_momentum_pullbacks_match_their_compositions(space, n):
 
 
 def test_the_suites_build_no_finite_difference_table(monkeypatch):
-    """The full double, sphere4 and moduli suites at n=3 pass with the finite-difference
-    table engine switched off, and only gradient-oracles reaches group_gradient_fd."""
-    def refuse(*args):
+    """The full suites of all six spaces at n=3 pass with the finite-difference table engine
+    and the three gradient oracles switched off: gradient-oracles differences along random
+    directions instead."""
+    def refuse(*args, **kwargs):
         raise AssertionError("a suite check built a finite-difference table")
 
-    group_fd, oracles, inside = brackets.group_gradient_fd, CHECKS["gradient-oracles"], []
-
-    @functools.wraps(oracles)  # keeps its spaces and sharing
-    def check_oracles(ctx):
-        inside.append(True)
-        try:
-            return oracles(ctx)
-        finally:
-            inside.pop()
-
-    def group_gradient_fd(*args, **kwargs):
-        assert inside, "group_gradient_fd outside gradient-oracles"
-        return group_fd(*args, **kwargs)
-
-    monkeypatch.setattr(brackets, "_fd_tables", refuse)
-    monkeypatch.setattr(brackets, "group_gradient_fd", group_gradient_fd)
-    monkeypatch.setitem(CHECKS, "gradient-oracles", check_oracles)
-    monkeypatch.setattr(scenario, "SPACE_FREE_RESULTS", {})
-    for fields in (dict(space="double"), dict(space="sphere4"),
+    for name in ("_fd_tables", "group_gradient_fd", "algebra_gradient_fd", "borel_gradient_fd"):
+        monkeypatch.setattr(brackets, name, refuse)
+    for fields in (dict(space="cotangent"), dict(space="heisenberg"), dict(space="double"),
+                   dict(space="double", family="htilde"), dict(space="sphere4"),
                    dict(space="moduli", m=2, holes=2, family=MODULI_FAMILY)):
         report = run_scenario(ScenarioConfig(n=3, seed=42, **fields))
         failed = [(c.name, c.residual, c.detail.get("error")) for c in report.checks
                   if not c.passed]
         assert report.passed and not failed, failed
+        assert "gradient-oracles" in [c.name for c in report.checks]

@@ -111,15 +111,18 @@ def test_built_heisenberg_point_has_the_drawn_right_factors(n, count, monkeypatc
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gradient_oracles_build_thirty_regular_points_of_each_kind(n, monkeypatch):
     """The oracle points are regular by construction at every admitted n: 30 group, 30
-    algebra and 30 Borel points, each from one Haar frame and one spectrum, none redrawn,
-    and each passing its 0.05-margin normal form, asserted on one stack per kind."""
+    algebra and 30 Borel points, each kind one stacked draw of 30 Haar frames and 30
+    spectra, none redrawn, and each passing its 0.05-margin normal form, asserted on one
+    stack per kind."""
     from sunflows import decomp, scenario
     built, asserted = Counter(), Counter()
 
     def counted(name, fn):
         def wrapper(*args):
+            out = fn(*args)
             built[name] += 1
-            return fn(*args)
+            built[f"{name} points"] += len(out)
+            return out
         return wrapper
 
     def asserting(name, fn):
@@ -138,7 +141,7 @@ def test_gradient_oracles_build_thirty_regular_points_of_each_kind(n, monkeypatc
         space="cotangent", n=n, seed=42, checks=["gradient-oracles"]))
     check, = report.checks
     assert check.passed, check.detail
-    assert built == {"frame": 90, "spectrum": 90}
+    assert built == {"frame": 3, "spectrum": 3, "frame points": 90, "spectrum points": 90}
     kinds = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize")
     assert asserted == {**{name: 1 for name in kinds},
                         **{f"{name} matrices": 30 for name in kinds}}

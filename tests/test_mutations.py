@@ -14,7 +14,9 @@ import pytest
 
 from sunflows import brackets, flows, liecore, moduli, scenario, spaces
 from sunflows.liecore import IM_FORM, TRACE_FORM, project_borel, project_compact
-from sunflows.observables import AlgebraFunction, BorelFunction, ClassFunction, inverse_word
+from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, AlgebraFunction,
+                                  BorelChamberCoroot, BorelFunction, BorelPower, ChamberCoroot,
+                                  ClassFunction, inverse_word)
 from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, run_scenario
 
 _half_difference = brackets._half_difference
@@ -203,6 +205,35 @@ def _one_sided_momentum_gradient(mp):
     mp.setattr(ClassFunction, "two_sided_grad", lambda self, g: self.grad(g))
 
 
+# defects of the closed-form gradients of the action variables, each one rescaled or
+# transposed gradient
+
+def _alcove_coroot_gradient_scaled(mp):
+    mp.setattr(AlcoveCoroot, "at", lambda self, form, at=AlcoveCoroot.at: 1.001 * at(self, form))
+
+
+def _chamber_coroot_gradient_negated(mp):
+    mp.setattr(ChamberCoroot, "at", lambda self, form, at=ChamberCoroot.at: -at(self, form))
+
+
+def _borel_power_gradient_scaled(mp):
+    mp.setattr(BorelPower, "grad", lambda self, b, grad=BorelPower.grad: 1.01 * grad(self, b))
+
+
+def _transposed(cls):
+    def defect(mp):
+        mp.setattr(cls, "at", lambda self, form, at=cls.at: np.swapaxes(at(self, form), -1, -2))
+    return defect
+
+
+GRADIENT_DEFECTS = {
+    "alcove-coroot-gradient-scaled": _alcove_coroot_gradient_scaled,
+    "chamber-coroot-gradient-negated": _chamber_coroot_gradient_negated,
+    "borel-power-gradient-scaled": _borel_power_gradient_scaled,
+    "alcove-coweight-gradient-transposed": _transposed(AlcoveCoweight),
+    "borel-chamber-coroot-gradient-transposed": _transposed(BorelChamberCoroot),
+}
+
 # name -> (defect, config fields, checks that must not all pass)
 MUTATIONS = {
     "heisenberg-half-difference-sign": (_flip_half_difference, dict(space="heisenberg", n=2),
@@ -260,6 +291,12 @@ MUTATIONS = {
                                               dict(space="double", n=2),
                                               ["momentum-condition"]),
 }
+
+
+# gradient-oracles differences along two random directions per point: each defect must show
+# at the small, the middle and the benchmark's n
+MUTATIONS.update({f"{name}-n{n}": (defect, dict(space="cotangent", n=n), ["gradient-oracles"])
+                  for name, defect in GRADIENT_DEFECTS.items() for n in (2, 3, 5)})
 
 
 def _run(fields, checks):

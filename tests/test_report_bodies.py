@@ -18,21 +18,21 @@ DESK_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 
 BODIES = [
     (dict(space="heisenberg", n=3),
-     "b249b9405f456e63c8c50ed0da7fe5fdcaabe7dbca5e37c2436139e52571b83f"),
+     "fcfea516c968efb3986fc34dacf51f3522f86d58d8a24e63fc847306507edd4d"),
     (dict(space="cotangent", n=3),
-     "1c7a5414b3fbaa79c18ba944a4b7c8d69bb432d7c94af456f50ef478d25a84b5"),
+     "5765ea88bd9e99d6a009bcf50b8b789a399693bee0a9a586e537db8e4cd3a2fc"),
     (dict(space="double", n=3),
-     "96d4dc6db3aec2d1af2258e2ef793eb5aae06ab447a428e1e1f0a8f5d1cfbdc1"),
+     "bd979c0fd68bafc79fc47e63eda9fee9eb85ea6f0719771a83d7b97f9dd05cef"),
     (dict(space="sphere4", n=3),
-     "e1626b188e0bc33f3c79c6bd51bbcd9d6a86e209be3fb8a47543f24d4a2e3c26"),
+     "47cd7994915e7ca301f89d935a4c93e54ca0119e7fd2884aeec3a9df59289536"),
     (dict(space="moduli", n=2, m=2, holes=2, family=DESK_FAMILY),
-     "ca39343c758642a81db27bbca305ad18c987f7255ec1294ff78f259152737c54"),
+     "fbffac26b546196afc6bff76ee635486f054ff9889d0883eb14e413e8d739b53"),
     (dict(space="cotangent", n=5),
-     "7c763b3ccdaebed56c6bbc8636bb4468a8844bcaeb52204fad0712636686e4db"),
+     "f9e4ffa257b407a007e3837de9408a9c56f1bcafa59e3db92b3c8d0facfd6ce2"),
     (dict(space="double", n=3, family="htilde"),
-     "6f8dec13e05575f1032b640de4f76791426db3fadd24a500a8dca6e826f5411d"),
+     "2c6eeff473bd638dc6aa12507d23adf76704c831744e8ad1af281c90f0a62b3a"),
     (dict(space="moduli", n=3, m=1, holes=3, family={"single": [1], "intervals": [[1, 2]]}),
-     "8b66ad62263e7b5ff91a271787ddbf44a736797e27d4996c1ffaf804cba5c9ac"),
+     "044e8c08392595d787924ce38f7fb776bafa426301806d96919d4fa311100718"),
 ]
 
 # the first generator of each fusion family at n = 3

@@ -271,11 +271,12 @@ _ORACLES = ("group_gradient_fd", "algebra_gradient_fd", "borel_gradient_fd")
 
 
 def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
-    """With checks=["gradient-oracles"] at n=3: no value() call on one matrix and no
-    one-matrix normal form inside an oracle, one eigenvalue solve per stencil block, and
-    every normal form outside the oracles is the regularity assertion of a stack
-    of built points, whose normal form gives the exact gradients on it."""
-    calls, inside, draws, solves = Counter(), Counter(), Counter(), Counter()
+    """With checks=["gradient-oracles"] at n=3: no value() call on one matrix and no normal
+    form inside a directional difference, one eigenvalue solve per kernel on each point's
+    curve of a block, no full finite-difference table, and every normal form outside the
+    differences is the regularity assertion of a stack of 30 built points, whose normal
+    form gives the exact gradients on it."""
+    calls, inside, draws, solves, stacks = Counter(), Counter(), Counter(), Counter(), {}
     depth, kernel_depth = [0], [0]
 
     def counted(name, fn):
@@ -289,10 +290,11 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     def kernel(name, fn):
         inner = counted(name, fn)
 
-        def wrapper(*args, **kwargs):
+        def wrapper(m, *args, **kwargs):
+            stacks.setdefault(name, []).append(np.shape(m)[:-2])
             kernel_depth[0] += 1
             try:
-                return inner(*args, **kwargs)
+                return inner(m, *args, **kwargs)
             finally:
                 kernel_depth[0] -= 1
         return wrapper
@@ -304,7 +306,7 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def oracle(fn):
+    def stencil(fn):
         def wrapper(*args, **kwargs):
             calls[fn.__name__] += 1
             depth[0] += 1
@@ -335,8 +337,8 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
         monkeypatch.setattr(cls, "value", counted_value(cls.value))
     for name in _KERNELS:
         monkeypatch.setattr(decomp, name, kernel(name, getattr(decomp, name)))
-    for name in _ORACLES:
-        monkeypatch.setattr(brackets, name, oracle(getattr(brackets, name)))
+    for name in _ORACLES + ("directional_derivative",):
+        monkeypatch.setattr(brackets, name, stencil(getattr(brackets, name)))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eig", solver("eig", np.linalg.eig))
@@ -345,23 +347,23 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
 
     report = run_scenario(ScenarioConfig(space="cotangent", n=3, checks=["gradient-oracles"]))
     assert report.checks[0].passed
-    points = calls["group_gradient_fd"]
-    assert points == calls["algebra_gradient_fd"] == calls["borel_gradient_fd"] > 0
+    # one directional difference per point of each of the three blocks, and no table
+    points = 30
+    assert calls["directional_derivative"] == 3 * points
+    assert not any(calls[name] for name in _ORACLES)
     assert calls["one-matrix value"] == 0
     assert calls["stacked value"] == inside["stacked value"] > 0
     assert not any(inside[name] for name in _KERNELS)
-    # one eigensolve per stencil block: the coroot and the coweight share it
+    # one eigensolve per point's curve of a block: the coroot and the coweight share it
     assert inside["eigvals"] == calls["eigvals"] == points
     assert inside["eigvalsh"] == calls["eigvalsh"] == 2 * points
     # the points are built regular: no sampling draw, and no Iwasawa factor
     assert not draws
     assert calls["iwasawa_left"] == 0
-    # the built points are stacked, one stack per kind: one regularity assertion per
+    # the built points are stacked, one stack of 30 per kind: one regularity assertion per
     # stack, whose normal form the exact gradients on it read: two alcove functions, one
     # chamber function and one Borel chamber function
-    assert calls["alcove_diagonalize"] == 1
-    assert calls["chamber_diagonalize"] == 1
-    assert calls["borel_chamber_diagonalize"] == 1
+    assert stacks == {name: [(points,)] for name in _KERNELS[:3]}
     # so the 0.05-margin assertion and the exact gradients of a stack share one eigensolve:
     # one eig for the group stack and one eigh for the algebra and for the Borel stack
     assert solves["eig"] == 1

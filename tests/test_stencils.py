@@ -6,7 +6,8 @@ flow derivatives of the flow-bracket oracle (``flow_derivatives``) and
 ``momentum_condition_matrix`` must give exactly (bit for bit) what one call
 per observable, built from that table, gives, so report bodies do not move.
 The closed-form flow velocities are held to those flow derivatives, and a
-full suite reaches ``directional_derivative`` from those flow derivatives only.
+full suite reaches ``directional_derivative`` from those flow derivatives and from
+the gradient oracles' differences along random directions only.
 Those derivatives flow all of their stencil times in one call, on a stack of
 copies of the point: each time slice of a flow must hold the bytes of its
 one-time call.
@@ -296,9 +297,10 @@ def _caller(frame) -> str:
 
 @pytest.mark.parametrize("label", sorted(_SPACES))
 def test_finite_differences_run_only_in_the_flow_bracket_oracle(label, monkeypatch):
-    """In a full suite at n=2, directional derivatives come only from ``flow_derivatives``,
-    and a generator matrix calls no flow and no torus action: the rank and isotropy
-    probes read closed-form velocities."""
+    """In a full suite at n=2, directional derivatives come only from ``flow_derivatives``
+    and from gradient-oracles' differences along random directions, and a generator matrix
+    calls no flow and no torus action: the rank and isotropy probes read closed-form
+    velocities."""
     callers, in_generator_matrix, moved = set(), [0], []
     derivative = brackets.directional_derivative
 
@@ -331,5 +333,6 @@ def test_finite_differences_run_only_in_the_flow_bracket_oracle(label, monkeypat
     space = label.split("-")[0]
     report = run_scenario(ScenarioConfig(space=space, n=2, **_SPACES[label]))
     assert all(c.passed for c in report.checks)
-    assert callers == {"sunflows.scenario.flow_derivatives"}
+    assert callers == {"sunflows.scenario.flow_derivatives",
+                       "sunflows.scenario.check_gradient_oracles"}
     assert not moved
