@@ -32,12 +32,11 @@ print("group momentum drift:",
       f"{np.linalg.norm(heisenberg_momentum(y) - heisenberg_momentum(x)):.2e}")
 
 print("\n=== class-family flow moves the unitary factor by conjugation ===")
-from sunflows.flows import heisenberg_flow_unitary_part
+from sunflows.flows import heisenberg_class_flow
 
 ham2 = PowerTrace(2)
 tau = 0.9
-y2 = sf.heisenberg_flow(x, ham2, tau)
-gamma = heisenberg_flow_unitary_part(x, ham2, tau)
+y2, gamma = heisenberg_class_flow(x, ham2, tau)
 law = np.linalg.norm(y2.factor("u_right") - gamma @ u0 @ gamma.conj().T)
 print("conjugation law residual:", f"{law:.2e}")
 

@@ -421,13 +421,19 @@ def right_factor_table(x, factor: str, grad):
     part, form = _RIGHT_FACTOR[factor]
     m = x.factor(factor)
     moved = (np.linalg.inv(m) @ grad(m) @ m)[..., np.newaxis, :, :]
-    directions = _basis("sl", x.n)[0]
+    cofactors = np.stack([x.factor("u_left" if factor == "b_right" else "b_left"), m])
+    bases = x.form(f"{factor} bases", lambda cs: _right_factor_bases(cs, part), cofactors)
+    return {side: _dual_sum("sl", x.n, -gram(basis, moved, form)[..., 0])
+            for side, basis in zip(("lmul", "rmul"), bases)}
+
+
+def _right_factor_bases(cofactors, part) -> tuple:
+    """part(c^-1 Z c) over the sl directions Z, (..., directions, n, n), for each cofactor c
+    of the (2, ..., n, n) stack: the same at a point for every function of its factor."""
+    directions = _basis("sl", cofactors.shape[-1])[0]
     # each cofactor c gets a directions axis, so that c^-1 Z c runs over the directions Z
-    cofactors = [c[..., np.newaxis, :, :]
-                 for c in (x.factor("u_left" if factor == "b_right" else "b_left"), m)]
-    return {side: _dual_sum("sl", x.n, -gram(part(np.linalg.inv(c) @ directions @ c),
-                                             moved, form)[..., 0])
-            for side, c in zip(("lmul", "rmul"), cofactors)}
+    return tuple(read_only(part(np.linalg.inv(c) @ directions @ c))
+                 for c in cofactors[..., np.newaxis, :, :])
 
 
 def _gradients(obs_list, x) -> list:

@@ -125,8 +125,7 @@ def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
         return HeisenbergPoint(x.x @ liecore.expm_normal(
             scaled(-tau, grad_on(ham, x, "b_right", x.factor("b_right")))))
     if isinstance(ham, ClassFunction):
-        pos = liecore.expm_normal(scaled(1j * tau, grad_on(ham, x, "u_right", x.factor("u_right"))))
-        return HeisenbergPoint(x.x @ decomp.iwasawa_right(pos)[0])
+        return heisenberg_class_flow(x, ham, tau)[0]
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
 
@@ -139,10 +138,13 @@ def heisenberg_velocity(x: HeisenbergPoint, ham) -> dict:
     raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
 
 
-def heisenberg_flow_unitary_part(x: HeisenbergPoint, ham: ClassFunction, tau: float) -> np.ndarray:
-    """The unitary cofactor of the class-function flow (conjugator of u_right)."""
+def heisenberg_class_flow(x: HeisenbergPoint, ham: ClassFunction,
+                          tau: float) -> tuple[HeisenbergPoint, np.ndarray]:
+    """The flow of a class-function Hamiltonian and its unitary cofactor (the conjugator of
+    u_right), from one Iwasawa split of exp(i tau grad)."""
     pos = liecore.expm_normal(scaled(1j * tau, grad_on(ham, x, "u_right", x.factor("u_right"))))
-    return adjoint(decomp.iwasawa_right(pos)[1])
+    b_left, u_right = decomp.iwasawa_right(pos)
+    return HeisenbergPoint(x.x @ b_left), adjoint(u_right)
 
 
 def positive_factorization(tau: np.ndarray, alcove, datum: RootDatum) -> np.ndarray:

@@ -259,9 +259,15 @@ def project_borel(z: np.ndarray) -> np.ndarray:
     the strict lower triangle, and the real part of the diagonal; forced by
     the uniqueness of the anti-Hermitian / upper-real-diagonal decomposition.
     """
-    upper = np.triu(z, 1)
-    lower = np.tril(z, -1)
-    return upper + np.swapaxes(lower, -1, -2).conj() + np.triu(np.tril(np.real(z)))
+    upper, diagonal = _triangles(z.shape[-1])
+    # adding 0.0 turns a -0.0 into 0.0, as the sum of the three triangles it replaces did
+    return np.where(upper, z + adjoint(z), np.where(diagonal, z.real, 0.0)) + 0.0
+
+
+@lru_cache(maxsize=None)
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strict upper triangle and the diagonal of an n x n matrix, as boolean masks."""
+    return read_only(np.triu(np.ones((n, n), bool), 1)), read_only(np.eye(n, dtype=bool))
 
 
 def project_compact(z: np.ndarray) -> np.ndarray:
@@ -432,12 +438,17 @@ def conjugated_spectrum(n: int, rng: np.random.Generator, fn, floor: float,
     return (v * d[..., np.newaxis, :]) @ adjoint(v)
 
 
+def algebra_of_normals(z: np.ndarray) -> np.ndarray:
+    """The anti-Hermitian traceless matrix of (..., 2, n, n) standard normals, real parts first."""
+    return skew_traceless(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+
+
 def random_algebra_element(n: int, rng: np.random.Generator,
                            count: int | None = None) -> np.ndarray:
     """Gaussian anti-Hermitian traceless matrix; with a ``count``, a (count, n, n) stack of them
     from one draw, which reads the generator as ``count`` single draws do."""
-    z = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
-    return skew_traceless(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    shape = (2, n, n) if count is None else (count, 2, n, n)
+    return algebra_of_normals(rng.standard_normal(shape))
 
 
 def haar_unitary(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
@@ -458,9 +469,19 @@ def random_group_element(n: int, rng: np.random.Generator,
     return expm_normal(random_algebra_element(n, rng, count))
 
 
-def random_sl_element(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Well-conditioned random element of SL(n, C) in polar form: unitary times exp of a
-    traceless Hermitian matrix, the Hermitian part of a Gaussian Borel element."""
+def sl_of_normals(z: np.ndarray, n: int) -> np.ndarray:
+    """The SL(n, C) element of (..., 3n^2 - 1) standard normals (``random_sl_element``): n^2 - 1
+    Borel coefficients, then the 2n^2 normals of the unitary factor."""
     basis = borel_basis(n)
-    z = ordered_sum(rng.standard_normal(len(basis)), basis)
-    return random_group_element(n, rng) @ expm_normal(0.35 / (n * n) * (z + adjoint(z)))
+    b = ordered_sum(z[..., :len(basis)], basis)
+    u = z[..., len(basis):].reshape(z.shape[:-1] + (2, n, n))
+    return expm_normal(algebra_of_normals(u)) @ expm_normal(0.35 / (n * n) * (b + adjoint(b)))
+
+
+def random_sl_element(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Well-conditioned random element of SL(n, C) in polar form: unitary times exp of a
+    traceless Hermitian matrix, the Hermitian part of a Gaussian Borel element; with a
+    ``count``, a (count, n, n) stack of them from one draw, which reads the generator as
+    ``count`` single draws do."""
+    size = 3 * n * n - 1
+    return sl_of_normals(rng.standard_normal(size if count is None else (count, size)), n)

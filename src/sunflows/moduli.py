@@ -287,19 +287,26 @@ def moduli_torus_action(x: FusionPoint, taus, hams: list[WordHamiltonian],
     Letter blocks translate by the coroot torus element (at -/+ the angles) in
     the alcove frame of their argument; momentum blocks conjugate by the
     coweight torus element in the alcove frame of the block value, which the
-    point keeps.
+    point keeps.  A block whose letters no earlier block moved reads the form x keeps, and the
+    result keeps the forms of the blocks whose letters no block moved.
     """
-    blocks = list(dict.fromkeys(h.block for h in hams))
+    blocks = dict.fromkeys(h.block for h in hams)
+    reps = [WordHamiltonian(block, PowerTrace(1)) for block in blocks]
     taus = np.asarray(taus, dtype=float)
-    if taus.shape[-2:] != (len(blocks), datum.rank):
-        raise InvalidShape(f"need {(len(blocks), datum.rank)} angles, got {taus.shape}")
-    out = x
-    for block, tau in zip(blocks, np.moveaxis(taus, -2, 0)):
-        rep = WordHamiltonian(block, PowerTrace(1))
+    if taus.shape[-2:] != (len(reps), datum.rank):
+        raise InvalidShape(f"need {(len(reps), datum.rank)} angles, got {taus.shape}")
+    reads = [{x.letter_slot(name)[0] for name in rep.word(x.space)} for rep in reps]
+    out, moved = x, set()
+    for rep, slots, tau in zip(reps, reads, np.moveaxis(taus, -2, 0)):
         t = (flows.coroot_torus_element(rep.move[2](tau), datum) if rep.move
              else flows.coweight_torus_element(tau, datum))
-        alcove = out.form(block, decomp.alcove_diagonalize, rep.block_value(out))
+        at = out if slots & moved else x  # an unmoved block value has the bytes of x's
+        alcove = at.form(rep.block, decomp.alcove_diagonalize, rep.block_value(at))
         out = _move_letters(out, rep, alcove.transport(t))
+        moved |= set(rep.letters(x))
+    for rep, slots in zip(reps, reads):
+        if not slots & moved:
+            out.keeping(x, rep.block)
     return out
 
 

@@ -380,7 +380,7 @@ def check_commutator_solve(ctx: CheckContext):
 def check_iwasawa(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("iwasawa")
-    x = np.array([liecore.random_sl_element(n, rng) for _ in range(20)])
+    x = liecore.random_sl_element(n, rng, 20)
     f = decomp.iwasawa_decompose(x)
     f2 = decomp.iwasawa_decompose(f.u_left @ np.linalg.inv(f.b_right))
     worst = _worst(0.0, *liecore.norms(x - f.u_left @ np.linalg.inv(f.b_right), 2),
@@ -396,7 +396,7 @@ def check_iwasawa(ctx: CheckContext):
 def check_posdef(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("posdef")
-    b = decomp.iwasawa_left(np.array([liecore.random_sl_element(n, rng) for _ in range(20)]))[1]
+    b = decomp.iwasawa_left(liecore.random_sl_element(n, rng, 20))[1]
     return _worst(0.0, *liecore.norms(decomp.borel_of_posdef(decomp.posdef_of_borel(b)) - b, 2))
 
 
@@ -405,8 +405,10 @@ def check_posdef(ctx: CheckContext):
 def check_dressing(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("dressing")
-    b, eta = map(np.array, zip(*[(decomp.iwasawa_left(liecore.random_sl_element(n, rng))[1],
-                                  liecore.random_group_element(n, rng)) for _ in range(20)]))
+    k = 3 * n * n - 1  # the normals of one sl draw
+    z = rng.standard_normal((20, k + 2 * n * n))  # per point an sl draw, then a group draw
+    b = decomp.iwasawa_left(liecore.sl_of_normals(z[:, :k], n))[1]
+    eta = liecore.expm_normal(liecore.algebra_of_normals(z[:, k:].reshape(20, 2, n, n)))
     lhs = decomp.posdef_of_borel(decomp.dress(eta, b))
     rhs = eta @ decomp.posdef_of_borel(b) @ adjoint(eta)
     return _worst(0.0, *liecore.norms(lhs - rhs, 2))
@@ -415,6 +417,10 @@ def check_dressing(ctx: CheckContext):
 # wall and gap floor of the gradient-oracles spectra, at least twice the 0.05 margin that the
 # normal forms assert: kept from the full FD tables, it leaves residuals <= 2.1e-9 at n = 2..8
 ORACLE_FLOOR = 0.12
+# points per directional difference: on a 2-core host, the median peak RSS of a cotangent n=5
+# benchmark pass was 41.55 MB a point at a time, 41.57-41.58 MB in slices of 5 or 10 and
+# 41.97 MB in one 30-point stack; slices of 10 ran its suite faster than slices of 5
+ORACLE_SLICE = 10
 
 
 @check("gradient-oracles", "closed-form gradients match central differences along random "
@@ -422,7 +428,8 @@ ORACLE_FLOOR = 0.12
 def check_gradient_oracles(ctx: CheckContext):
     """Closed-form gradients against central differences along two random unit directions at
     each of 30 points per kind, built regular (``liecore.conjugated_spectrum``): the normal
-    forms that the exact gradients read assert the 0.05 margin on each kind's stack."""
+    forms that the exact gradients read assert the 0.05 margin on each kind's stack, and each
+    difference takes a slice of ORACLE_SLICE points."""
     n, datum, rng = ctx.cfg.n, ctx.datum, ctx.rng("gradient-oracles")
     conjugate = lambda fn: liecore.conjugated_spectrum(n, rng, fn, ORACLE_FLOOR, count=30)
     gs = conjugate(lambda xi: np.exp(1j * xi))
@@ -434,7 +441,8 @@ def check_gradient_oracles(ctx: CheckContext):
     # threaded zgemm at n = 8, 15 ms on a 2-core host against 0.2 ms
     su, borel = ((z / np.linalg.norm(z, axis=-1, keepdims=True)).reshape(30, 2, n, n)
                  for z in (su, rng.standard_normal((30, 2, len(basis))) @ basis))
-    tz = lambda t, z: liecore.scaled(t[:, np.newaxis], z)  # (times, directions, n, n)
+    # (times, points, directions, n, n)
+    tz = lambda t, z: liecore.scaled(t[:, np.newaxis, np.newaxis], z)
     # exp(0.3 t Z) by its degree-6 Taylor series, exact to roundoff at |0.3 t Z| <= 6e-4: the
     # factor 0.3 keeps the Borel step at 3e-4, for the log-composed chamber function
     taylor = lambda a: functools.reduce(lambda e, k: np.eye(n) + a @ e / k, range(6, 0, -1),
@@ -451,10 +459,11 @@ def check_gradient_oracles(ctx: CheckContext):
         form = normal_form(ms, 0.05)
         exact = liecore.gram(np.stack([fn.at(form) if hasattr(fn, "at") else fn.grad(ms)
                                        for fn in fns], 1), zs, pairing)  # (points, fns, dirs)
-        values = lambda m: np.swapaxes(brackets.stack_values(fns, m), 0, 1)
-        for k, (m, z) in enumerate(zip(ms, zs)):  # a point at a time: stacks raise the peak RSS
-            fd = brackets.directional_derivative(values, curve(m, z)) / scale
-            worst = _worst(worst, float(np.max(np.abs(exact[k] - fd) / (1 + np.abs(exact[k])))))
+        # (times, points, functions, directions)
+        values = lambda m: np.moveaxis(brackets.stack_values(fns, m), 0, -2)
+        for sl in (slice(k, k + ORACLE_SLICE) for k in range(0, len(ms), ORACLE_SLICE)):
+            fd = brackets.directional_derivative(values, curve(ms[sl, np.newaxis], zs[sl])) / scale
+            worst = _worst(worst, float(np.max(np.abs(exact[sl] - fd) / (1 + np.abs(exact[sl])))))
     return worst
 
 
@@ -545,16 +554,17 @@ def check_flow_commutation(ctx: CheckContext):
     h = ctx.harness
     rng = ctx.rng("flow-commutation")
     worst = 0.0
+    taus = np.array([0.3, 0.7])[:, np.newaxis]
     for fam_name, gens in h.families().items():
-        x = h.sample_stack(rng, 2)
-        early, late = ([g.flow(x, t) for g in gens] for t in (0.3, 0.7))
-        # one second step per generator, on the stack of its partners' first steps: j at 0.7
-        # after each earlier i at 0.3, and i at 0.3 after each later j at 0.7
-        after = [gens[j].flow(stack(early[:j]), 0.7).flat() for j in range(1, len(gens))]
-        before = [gens[i].flow(stack(late[i + 1:]), 0.3).flat() for i in range(len(gens) - 1)]
+        xs = stack([h.sample_stack(rng, 2)] * 2)
+        # each generator's first steps, at 0.3 and 0.7, stacked (generators, times, points),
+        # then each generator's second step on that one stack: at 0.7 after every step at 0.3
+        # and at 0.3 after every step at 0.7, so each stack is diagonalized once for all
+        first = stack([g.flow(xs, taus) for g in gens])
+        second = [g.flow(first, taus[::-1]).flat() for g in gens]
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                worst = _worst(worst, *liecore.norms(after[j - 1][i] - before[i][j - i - 1]))
+                worst = _worst(worst, *liecore.norms(second[j][i, 0] - second[i][j, 1]))
     return worst
 
 
@@ -591,8 +601,7 @@ def check_heisenberg_conjugation_law(ctx: CheckContext):
     u0 = x.factor("u_right")
     taus, xs = np.array([0.3, 1.1])[:, np.newaxis], stack([x] * 2)
     for gen in h.families()["unitary-class"]:
-        moved = gen.flow(xs, taus)
-        gamma = flows.heisenberg_flow_unitary_part(xs, gen.obs.fn, taus)
+        moved, gamma = flows.heisenberg_class_flow(xs, gen.obs.fn, taus)
         resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
         worst = _worst(worst, *np.ravel(resid))
     return worst

@@ -59,8 +59,9 @@ class Point:
         return liecore.norms(self.flat() - other.flat())
 
     def form(self, key, kernel, m):
-        """kernel(m) for the point's matrix m that ``key`` names (a letter word, a block or a
-        factor name), kept for as long as the point lives; a kernel that raises keeps nothing."""
+        """kernel(m) for the point's matrix m that ``key`` names (a letter word, a block, a
+        factor name, or a right factor's bases, whose m stacks the factor's two cofactors),
+        kept for as long as the point lives; a kernel that raises keeps nothing."""
         forms = self.__dict__.setdefault("_forms", {})
         if key not in forms:
             forms[key] = kernel(m)

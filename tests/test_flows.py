@@ -96,7 +96,7 @@ def test_heisenberg_unitary_factor_conjugation_law():
     for tau in (0.4, 1.5):
         ham = ob.AlcoveCoroot(0, datum)
         y = flows.heisenberg_flow(x, ham, tau)
-        gamma = flows.heisenberg_flow_unitary_part(x, ham, tau)
+        gamma = flows.heisenberg_class_flow(x, ham, tau)[1]
         assert np.linalg.norm(y.factor("u_right") - gamma @ u0 @ gamma.conj().T) <= 1e-9
 
 

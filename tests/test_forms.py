@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sunflows import decomp, flows, harness, liecore, moduli, spaces
+from sunflows import brackets, decomp, flows, harness, liecore, moduli, spaces
 from sunflows.errors import RegularityViolation
 from sunflows.observables import AlcoveCoroot, ChamberCoroot, grad_on
 
@@ -88,6 +88,30 @@ def test_a_heisenberg_point_splits_x_once(monkeypatch):
                             alcove_diagonalize=1)
 
 
+def test_a_heisenberg_point_builds_each_right_factor_basis_once(monkeypatch):
+    """The conjugated sl bases of the right-factor tables depend on the point and the factor
+    only: every table of every family, read twice, builds them once per factor, and the
+    tables keep the bytes of tables read off a fresh point."""
+    rng = np.random.default_rng(705)
+    h = _harness("heisenberg", 3)
+    x = h.sample_stack(rng, 3)
+    fresh = spaces.HeisenbergPoint(x.x.copy())
+    want = [gen.obs.grad_table(fresh) for gens in h.families().values() for gen in gens]
+    calls, bases = Counter(), brackets._right_factor_bases
+
+    def counted(cofactors, part):
+        calls[part.__name__] += 1
+        return bases(cofactors, part)
+
+    monkeypatch.setattr(brackets, "_right_factor_bases", counted)
+    for _ in range(2):
+        got = [gen.obs.grad_table(x) for gens in h.families().values() for gen in gens]
+        for table, ref in zip(got, want, strict=True):
+            assert {k: v.tobytes() for k, v in table.items()} == \
+                {k: v.tobytes() for k, v in ref.items()}
+    assert calls == Counter(project_borel=1, project_compact=1)
+
+
 def _arrays(form):
     if isinstance(form, tuple):
         return list(form)
@@ -143,16 +167,26 @@ def test_a_point_at_a_wall_raises_on_every_read():
 def test_new_points_start_with_no_forms():
     """Points made by flows, torus actions, conjugate, stack and with_slots keep nothing of
     the point they came from, except that a cotangent flow or torus action keeps the form of
-    the one matrix it passes through unchanged: the very form of that very array."""
+    the one matrix it passes through unchanged, the very form of that very array, and a fusion
+    torus action keeps the very forms of the blocks whose letters it leaves alone."""
     rng = np.random.default_rng(704)
     eta = liecore.random_group_element(3, rng)
+    kept_blocks = set()
     for space in sorted(SPACES):
         h = _harness(space, 3)
         x = h.sample_stack(rng, 2)
         _read_everything(h, x, rng)
         assert vars(x)["_forms"]
         moved = [gen.flow(x, 0.2) for gens in h.families().values() for gen in gens]
-        moved += [spec.act(x, rng.uniform(-1, 1, (2, spec.dim))) for spec in h.torus_specs()]
+        acted = [spec.act(x, rng.uniform(-1, 1, (2, spec.dim))) for spec in h.torus_specs()]
+        if isinstance(x, spaces.FusionPoint):
+            for y in acted:
+                for block, form in vars(y).pop("_forms", {}).items():
+                    value = moduli.WordHamiltonian(block, None).block_value
+                    assert value(y).tobytes() == value(x).tobytes(), (space, block)
+                    assert form is vars(x)["_forms"][block]
+                    kept_blocks.add((space, block))
+        moved += acted
         made = [x.conjugate(eta), spaces.stack([x, x])]
         if isinstance(x, spaces.FusionPoint):
             made += [x.with_slots({(0, 0): x.slot(0, 0)}), x.map(np.copy)]
@@ -169,3 +203,5 @@ def test_new_points_start_with_no_forms():
             made += moved
         for y in made:
             assert "_forms" not in vars(y), (space, type(y).__name__)
+    # the letter blocks read one letter and move the other
+    assert {("double", ("single", 1)), ("moduli", ("single", 1))} <= kept_blocks

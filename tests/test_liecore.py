@@ -319,6 +319,33 @@ def test_random_sl_element_keeps_its_bits_and_the_rng_state(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
+def test_a_counted_random_sl_element_is_that_many_single_draws(n):
+    """One (count, 3n^2 - 1) draw reads the generator as ``count`` single draws do."""
+    stacked, single = np.random.default_rng(190 + n), np.random.default_rng(190 + n)
+    x = liecore.random_sl_element(n, stacked, 7)
+    assert x.shape == (7, n, n)
+    assert x.tobytes() == np.array([_random_sl_element_loop(n, single) for _ in range(7)]).tobytes()
+    assert stacked.bit_generator.state == single.bit_generator.state
+
+
+def _project_borel_triangles(z):
+    """``project_borel`` as the sum of the strict upper triangle, the adjoint of the strict
+    lower triangle and the real diagonal."""
+    upper, lower = np.triu(z, 1), np.tril(z, -1)
+    return upper + np.swapaxes(lower, -1, -2).conj() + np.triu(np.tril(np.real(z)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (30, 5, 5), (4, 2, 8, 8)])
+def test_project_borel_is_the_sum_of_its_triangles_bit_for_bit(shape):
+    """Signed zeros included: a -0.0 entry comes out as 0.0, as from the triangle sum."""
+    rng = np.random.default_rng(sum(shape))
+    parts = rng.standard_normal((2,) + shape)
+    parts[rng.random(parts.shape) < 0.3] = -0.0
+    for z in (parts[0] + 1j * parts[1], np.full(shape, -0.0 - 0.0j)):
+        assert liecore.project_borel(z).tobytes() == _project_borel_triangles(z).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_per_n_constants_are_built_once_and_read_only(n):
     datum = liecore.build_root_datum(n)
     assert liecore.build_root_datum(n) is datum

@@ -272,20 +272,13 @@ _KERNELS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonal
 
 # the one-matrix kernel calls that a converted check still makes outside the sampler, on
 # purpose: the one-point negative control of torus-periodicity on the double, the
-# conditioning detail of torus-additivity on the Heisenberg double, the regular point that
-# the second half of permutation-brackets draws and the per-point draws of
-# dressing-equivariance (flow-bracket's one-point Richardson oracle is not listed: every
-# kernel sees it)
+# conditioning detail of torus-additivity on the Heisenberg double and the regular point
+# that the second half of permutation-brackets draws (flow-bracket's one-point Richardson
+# oracle is not listed: every kernel sees it)
 ONE_POINT = {("torus-periodicity", "double"): Counter(alcove_diagonalize=1),
              ("torus-additivity", "heisenberg"): Counter(alcove_diagonalize=1, iwasawa_right=2),
              ("permutation-brackets", "moduli"): Counter(alcove_diagonalize=2,
                                                          velocity_pairings=1)}
-
-
-def _one_point(check, space) -> Counter:
-    if check == "dressing-equivariance":
-        return Counter(iwasawa_left=20)
-    return ONE_POINT.get((check, space), Counter())
 
 
 def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
@@ -349,22 +342,32 @@ def test_converted_checks_call_the_kernels_once_per_stack(space, check, monkeypa
     assert many == few
     assert many_single == few_single
     if check != "flow-bracket":
-        assert +few_single == _one_point(check, space), few_single
+        assert +few_single == ONE_POINT.get((check, space), Counter()), few_single
 
 
 def _flow_calls(monkeypatch, cfg: ScenarioConfig) -> int:
-    """The ``Generator.flow`` calls of one run of ``cfg``."""
-    calls = [0]
+    """The ``Generator.flow`` calls of one run of ``cfg``, and the class flows of the
+    Heisenberg double that a check calls outside them (``flows.heisenberg_class_flow``)."""
+    calls, depth = [0], [0]
 
     class Counted(harness.Generator):
         def __init__(self, name, obs, flow, velocity):
             def counted(*args):
                 calls[0] += 1
-                return flow(*args)
+                depth[0] += 1
+                try:
+                    return flow(*args)
+                finally:
+                    depth[0] -= 1
             super().__init__(name, obs, counted, velocity)
+
+    def class_flow(*args, fn=flows.heisenberg_class_flow):
+        calls[0] += not depth[0]
+        return fn(*args)
 
     with monkeypatch.context() as mp:
         mp.setattr(harness, "Generator", Counted)
+        mp.setattr(flows, "heisenberg_class_flow", class_flow)
         SPACE_FREE_RESULTS.clear()
         report = run_scenario(cfg)
     assert all(c.passed for c in report.checks), [(c.name, c.detail) for c in report.checks]
@@ -374,9 +377,9 @@ def _flow_calls(monkeypatch, cfg: ScenarioConfig) -> int:
 def _expected_flow_calls(check, space, n) -> int:
     """One flow call per generator and all of its times: per generator in flow-bracket (its
     Richardson stencil), per generator and conserved quantity in conservation, per
-    generator in unitary-conjugation-law and flow-equivariance; each generator's two first
-    steps and then, on the stack of its partners' first steps, one second step after the
-    earlier generators and one after the later ones in flow-commutation; one per torus
+    generator in unitary-conjugation-law (a class flow with its cofactor) and
+    flow-equivariance; per generator, its first steps at both times and then its second
+    steps on the stack of every generator's first steps in flow-commutation; one per torus
     angle in torus-vs-flows (the composed flows)."""
     h = _harness(space, n)
     fams = h.families()
@@ -385,7 +388,7 @@ def _expected_flow_calls(check, space, n) -> int:
             "conservation": sum(len(fams.get(s.family, [])) for s in h.conserved()),
             "unitary-conjugation-law": len(fams.get("unitary-class", [])),
             "flow-equivariance": sum(sizes),
-            "flow-commutation": sum(2 * g + 2 * (g - 1) for g in sizes),
+            "flow-commutation": 2 * sum(sizes),
             "torus-vs-flows": sum(spec.dim for spec in h.torus_specs())}.get(check, 0)
 
 

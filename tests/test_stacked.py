@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from sunflows import brackets, decomp, harness, liecore, observables as ob
 from sunflows.errors import NotPositiveDefinite, RegularityViolation
-from sunflows.scenario import ScenarioConfig, run_scenario
+from sunflows.scenario import ORACLE_SLICE, ScenarioConfig, run_scenario
 
 TWO_PI = 2 * np.pi
 
@@ -272,11 +272,13 @@ _ORACLES = ("group_gradient_fd", "algebra_gradient_fd", "borel_gradient_fd")
 
 def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
     """With checks=["gradient-oracles"] at n=3: no value() call on one matrix and no normal
-    form inside a directional difference, one eigenvalue solve per kernel on each point's
-    curve of a block, no full finite-difference table, and every normal form outside the
-    differences is the regularity assertion of a stack of 30 built points, whose normal
-    form gives the exact gradients on it."""
+    form inside a directional difference, one eigenvalue solve per kernel on the curves of
+    each slice of ORACLE_SLICE points of a block, (times, points, directions) stacked, no
+    full finite-difference table, and every normal form outside the differences is the
+    regularity assertion of a stack of 30 built points, whose normal form gives the exact
+    gradients on it."""
     calls, inside, draws, solves, stacks = Counter(), Counter(), Counter(), Counter(), {}
+    curves = set()
     depth, kernel_depth = [0], [0]
 
     def counted(name, fn):
@@ -322,6 +324,7 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
             calls[name] += 1
             if depth[0]:
                 inside[name] += 1
+                curves.add(np.shape(m)[:-2])
             return fn(self, m)
         return wrapper
 
@@ -347,16 +350,19 @@ def test_gradient_oracles_evaluate_one_stack_per_stencil_block(monkeypatch):
 
     report = run_scenario(ScenarioConfig(space="cotangent", n=3, checks=["gradient-oracles"]))
     assert report.checks[0].passed
-    # one directional difference per point of each of the three blocks, and no table
+    # one directional difference per slice of points of each of the three blocks, no table
     points = 30
-    assert calls["directional_derivative"] == 3 * points
+    slices = points // ORACLE_SLICE
+    assert 1 < ORACLE_SLICE < points and points % ORACLE_SLICE == 0
+    assert calls["directional_derivative"] == 3 * slices
     assert not any(calls[name] for name in _ORACLES)
     assert calls["one-matrix value"] == 0
     assert calls["stacked value"] == inside["stacked value"] > 0
+    assert curves == {(4, ORACLE_SLICE, 2)}
     assert not any(inside[name] for name in _KERNELS)
-    # one eigensolve per point's curve of a block: the coroot and the coweight share it
-    assert inside["eigvals"] == calls["eigvals"] == points
-    assert inside["eigvalsh"] == calls["eigvalsh"] == 2 * points
+    # one eigensolve per slice's curves of a block: the coroot and the coweight share it
+    assert inside["eigvals"] == calls["eigvals"] == slices
+    assert inside["eigvalsh"] == calls["eigvalsh"] == 2 * slices
     # the points are built regular: no sampling draw, and no Iwasawa factor
     assert not draws
     assert calls["iwasawa_left"] == 0
