@@ -218,12 +218,12 @@ def alcove_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xi, perm
 
 
-def _alcove_walls(xi: np.ndarray) -> np.ndarray:
+def alcove_walls(xi: np.ndarray) -> np.ndarray:
     """Distances of each alcove vector on the last axis to the alcove walls."""
     return np.concatenate([coroot_values(xi), 2 * np.pi - (xi[..., :1] - xi[..., -1:])], axis=-1)
 
 
-@_regular(_alcove_walls, _ALCOVE_WALL)
+@_regular(alcove_walls, _ALCOVE_WALL)
 def alcove_diagonalize(g: np.ndarray) -> AlcoveData:
     """Alcove normal form of a special unitary matrix.
 
@@ -249,7 +249,7 @@ def alcove_spectra(gs: np.ndarray) -> np.ndarray:
     regularity margin of an alcove wall.
     """
     xi, _ = alcove_phases(np.angle(np.linalg.eigvals(gs)))
-    _require_gaps(_alcove_walls(xi), DEFAULT_REGULARITY_MARGIN, _ALCOVE_WALL)
+    _require_gaps(alcove_walls(xi), DEFAULT_REGULARITY_MARGIN, _ALCOVE_WALL)
     return read_only(xi)
 
 

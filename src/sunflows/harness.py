@@ -39,7 +39,6 @@ from .spaces import (
     heisenberg_momentum,
     moduli_space,
     sphere_space,
-    stack,
 )
 
 SAMPLING_MARGIN = 0.08
@@ -83,17 +82,21 @@ class Harness:
         self.n = n
         self.datum = datum
 
-    def sample(self, rng) -> object:
-        """One regular point."""
+    def points(self, rng, count=None):
+        """``count`` regular points as one stacked point; one point without a count."""
         raise NotImplementedError
 
+    def sample(self, rng) -> object:
+        """One regular point: the one-point form of ``points``."""
+        return self.points(rng)
+
     def sample_stack(self, rng, count: int, *draws):
-        """``count`` points as one stacked point (``spaces.stack``), each drawn just before its
-        own ``draws`` (functions of rng, such as angles or group elements); with draws, also
-        each draw's values on a leading point axis."""
-        rows = [(self.sample(rng), *(draw(rng) for draw in draws)) for _ in range(count)]
-        points, *values = zip(*rows)
-        return (stack(points), *map(np.array, values)) if draws else stack(points)
+        """``count`` points from one stacked draw (``points``), then the ``draws`` (functions of
+        rng, such as angles or group elements) of each point in turn; with draws, also each
+        draw's values on a leading point axis."""
+        x = self.points(rng, count)
+        rows = [tuple(draw(rng) for draw in draws) for _ in range(count)]
+        return (x, *map(np.array, zip(*rows))) if draws else x
 
     def probes(self) -> list:
         raise NotImplementedError
@@ -116,13 +119,10 @@ class Harness:
 
 
 def sample_regular(kind: str, draws: int, draw, check):
-    """The first of ``draws`` calls of ``draw()`` that ``check`` does not reject.
-
-    ``check`` rejects a candidate by raising ``RegularityViolation``,
-    ``NotPositiveDefinite`` or ``SingularMatrix``, and any other error
-    propagates; when every draw is rejected, ``SamplingFailure``
-    names the draw count and the last rejection.
-    """
+    """The first of ``draws`` calls of ``draw()`` that ``check`` does not reject by raising
+    ``RegularityViolation``, ``NotPositiveDefinite`` or ``SingularMatrix`` (any other error
+    propagates); when every draw is rejected, ``SamplingFailure`` names the draw count and the
+    last rejection."""
     last = None
     for _ in range(draws):
         x = draw()
@@ -133,21 +133,6 @@ def sample_regular(kind: str, draws: int, draw, check):
             last = exc
     raise SamplingFailure(f"could not sample a regular {kind} point in {draws} draws; "
                           f"last: {last}")
-
-
-class BuiltHarness(Harness):
-    """Points regular by construction: ``build(rng, count)`` conjugates spectra that clear
-    every wall by twice SAMPLING_MARGIN by Haar frames (``liecore.conjugated_spectrum``), a
-    stack from one stacked draw, or one point without a count; no point is drawn again."""
-
-    def sample(self, rng):
-        return self.build(rng)
-
-    def sample_stack(self, rng, count: int, *draws):
-        """``count`` points from one stacked build, then the ``draws`` of each point in turn."""
-        x = self.build(rng, count)
-        rows = [tuple(draw(rng) for draw in draws) for _ in range(count)]
-        return (x, *map(np.array, zip(*rows))) if draws else x
 
 
 def _word_generators(fns, letters, flow, velocity) -> list[Generator]:
@@ -177,8 +162,8 @@ def _power_indices(n: int) -> list[int]:
 # cotangent bundle
 # ---------------------------------------------------------------------------
 
-class CotangentHarness(BuiltHarness):
-    def build(self, rng, count=None):
+class CotangentHarness(Harness):
+    def points(self, rng, count=None):
         """g = V exp(i diag(xi)) V^H with xi an alcove vector; J = W i diag(eta) W^H with eta a
         chamber vector of spread below n."""
         n, floor = self.n, 2 * SAMPLING_MARGIN
@@ -240,8 +225,8 @@ def _right_factor_generators(fns, factor: str) -> list[Generator]:
             for fn in fns]
 
 
-class HeisenbergHarness(BuiltHarness):
-    def build(self, rng, count=None):
+class HeisenbergHarness(Harness):
+    def points(self, rng, count=None):
         """X with Iwasawa factors u_right = U and b_right = B: U = V exp(i diag(xi)) V^H with xi
         an alcove vector, and B = ``borel_of_posdef``(Q exp(diag(lam)) Q^H) with lam a chamber
         vector whose gaps beyond the floor share 0.6.  With the positive QR B^-1 U = Q_m R,
@@ -366,11 +351,26 @@ class FusionHarness(Harness):
         self.hams = moduli.hamiltonian_family(space, family, datum)
         self.blocks = moduli.family_blocks(family)
 
-    def sample(self, rng):
-        """The first of 128 draws whose ``regular_values`` all clear the sampling margin."""
-        def check(x):
-            decomp.alcove_diagonalize(np.stack(self.regular_values(x)), SAMPLING_MARGIN)
-        return sample_regular(self.kind, 128, lambda: self.space.random_point(rng), check)
+    def points(self, rng, count=None):
+        """The first ``count`` candidates whose ``regular_values`` clear every alcove wall by
+        SAMPLING_MARGIN, as one stacked point (one point without a count).  Each round draws
+        as many stacked candidates as the stack lacks and tests them by one eigenvalue solve,
+        so no round draws past the last point and the points are those of a one-point loop;
+        the budget is 128 candidates per point."""
+        want, kept, accepted, closest = count or 1, [], 0, np.inf
+        while accepted < want:
+            if (drawn := sum(ok.size for _, ok in kept)) == 128 * want:
+                raise SamplingFailure(f"could not sample {want} regular {self.kind} points in "
+                                      f"{drawn} draws: {accepted} accepted, smallest wall "
+                                      f"margin {closest:.3e}")
+            x = self.space.random_point(rng, min(want - accepted, 128 * want - drawn))
+            spectra = np.linalg.eigvals(np.stack(self.regular_values(x), axis=-3))
+            margins = decomp.alcove_walls(decomp.alcove_phases(np.angle(spectra))[0]).min((-2, -1))
+            kept.append((x, margins >= SAMPLING_MARGIN))
+            accepted, closest = accepted + kept[-1][1].sum(), min(closest, margins.min())
+        rows = slice(None) if count else 0
+        return x.with_slots({s: np.concatenate([y.slot(*s)[ok] for y, ok in kept])[rows]
+                             for s in self.space.slots})
 
     def regular_values(self, x) -> list:
         """Each block value once: a block has rank generators."""
@@ -388,13 +388,10 @@ class FusionHarness(Harness):
         words.append(tuple(letters))
         obs = [word_observable(w) for w in words]
         obs += [word_observable(w, part="im") for w in words[:3]]
-        seen = set()
-        out = []
+        unique = {}
         for o in obs:
-            if o.__name__ not in seen:
-                seen.add(o.__name__)
-                out.append(o)
-        return out[:12]
+            unique.setdefault(o.__name__, o)
+        return list(unique.values())[:12]
 
     def families(self):
         return {self.label: _moduli_generators(self.hams)}
@@ -409,13 +406,10 @@ class FusionHarness(Harness):
         return [family_torus(self.hams, self.datum)]
 
     def conserved(self):
-        specs = [ConservedSpec("product-momentum", self.label, lambda p: p.momentum())]
-        for bi, block in enumerate(self.blocks):
-            rep = moduli.WordHamiltonian(block, PowerTrace(1))
-            specs.append(ConservedSpec(
-                f"block-value-{'-'.join(str(s) for s in block)}", self.label,
-                lambda p, rep=rep: rep(p)[..., np.newaxis]))
-        return specs
+        return [ConservedSpec("product-momentum", self.label, lambda p: p.momentum())] + [
+            ConservedSpec(f"block-value-{'-'.join(str(s) for s in block)}", self.label,
+                          lambda p, rep=moduli.WordHamiltonian(block, PowerTrace(1)):
+                          rep(p)[..., np.newaxis]) for block in self.blocks]
 
     def crafted_keys(self):
         table = {

@@ -477,7 +477,7 @@ def check_shifting_trick(ctx: CheckContext):
             ("one-handle", (1, 2), [("a1", "b1"), ("a1", "c1"), ("b1", "c1", "a1")])):
         rng = ctx.rng(f"shifting-{label}")
         small = moduli_space(m, holes - 1, n)
-        u = stack([small.random_point(rng) for _ in range(3)])
+        u = small.random_point(rng, 3)
         big_point = embed_shift(u)
         lifted = [word_observable(w) for w in words]
         worst = _worst(worst, _above_diagonal(brackets.bracket_matrix(lifted, lifted, u)
@@ -615,7 +615,7 @@ def check_quasi_adjoint_law(ctx: CheckContext):
     rng = ctx.rng("quasi-adjoint-law")
     x, eta = ctx.harness.sample_stack(rng, 6, lambda r: liecore.random_group_element(n, r))
     moved = x.conjugate(eta)
-    twist = adjoint(decomp.iwasawa_right(eta @ x.factor("b_left"))[1])
+    twist = adjoint(moved.form("twist", decomp.iwasawa_right, eta @ x.factor("b_left"))[1])
     u_defect = moved.factor("u_right") - twist @ x.factor("u_right") @ adjoint(twist)
     b_defect = moved.factor("b_right") - decomp.dress(twist, x.factor("b_right"))
     return _worst(0.0, *liecore.norms(u_defect, 2), *liecore.norms(b_defect, 2))
@@ -813,7 +813,7 @@ def check_permutations(ctx: CheckContext):
     h_t = word_observable(("c1", "b2", "c2"))
     f_s = moduli.pullback_hamiltonian(f_t, plan)
     h_s = moduli.pullback_hamiltonian(h_t, plan)
-    x = stack([space.random_point(rng) for _ in range(2)])
+    x = space.random_point(rng, 2)
     v_target = brackets.bracket_matrix([f_t], [h_t], moduli.permutation_pushforward(x, plan))
     worst = _worst(worst, *np.abs(v_target - brackets.bracket_matrix([f_s], [h_s], x))[:, 0, 0])
     # the pulled-back two-block family stays Abelian on the source space

@@ -60,8 +60,9 @@ class Point:
 
     def form(self, key, kernel, m):
         """kernel(m) for the point's matrix m that ``key`` names (a letter word, a block, a
-        factor name, or a right factor's bases, whose m stacks the factor's two cofactors),
-        kept for as long as the point lives; a kernel that raises keeps nothing."""
+        factor name, a right factor's bases, whose m stacks the factor's two cofactors, or
+        the "twist" split that made a conjugated Heisenberg point), kept for as long as the
+        point lives; a kernel that raises keeps nothing."""
         forms = self.__dict__.setdefault("_forms", {})
         if key not in forms:
             forms[key] = kernel(m)
@@ -156,9 +157,12 @@ class HeisenbergPoint(Point):
         return self.form(half, getattr(decomp, half), self.x)[int(name.endswith("right"))]
 
     def conjugate(self, eta: np.ndarray) -> "HeisenbergPoint":
-        """Quasi-adjoint action: eta X u_right(eta b_left(X))."""
-        twist = decomp.iwasawa_right(eta @ self.factor("b_left"))[1]
-        return HeisenbergPoint(eta @ self.x @ twist)
+        """Quasi-adjoint action: eta X u_right(eta b_left(X)); the moved point keeps the split
+        (b_left, u_right) of eta b_left(X) as its form "twist"."""
+        split = decomp.iwasawa_right(eta @ self.factor("b_left"))
+        moved = HeisenbergPoint(eta @ self.x @ split[1])
+        moved.form("twist", lambda _: split, None)
+        return moved
 
     def conjugation_velocity(self, z: np.ndarray) -> dict:
         """Velocity of conjugate(exp(tz)) at t = 0: z X - X k, k the compact part of
@@ -237,9 +241,11 @@ class FusionSpace:
     def num_conj(self) -> int:
         return len(self.kind_positions["K"])
 
-    def random_point(self, rng: np.random.Generator) -> "FusionPoint":
-        """Random group elements in every slot, in slot order, from one stacked draw."""
-        draws = iter(liecore.random_group_element(self.n, rng, len(self.slots)))
+    def random_point(self, rng: np.random.Generator, count: int | None = None) -> "FusionPoint":
+        """Random group elements in every slot, in slot order, from one stacked draw; with a
+        ``count``, a stack of count points, read from the generator as count one-point draws."""
+        g = liecore.random_group_element(self.n, rng, len(self.slots) * (count or 1))
+        draws = iter(g if count is None else np.swapaxes(g.reshape(count, -1, *g.shape[1:]), 0, 1))
         return FusionPoint(self, tuple((next(draws), next(draws)) if t == "D" else next(draws)
                                        for t in self.types))
 

@@ -112,6 +112,21 @@ def test_a_heisenberg_point_builds_each_right_factor_basis_once(monkeypatch):
     assert calls == Counter(project_borel=1, project_compact=1)
 
 
+def test_quasi_adjoint_law_splits_no_matrix_twice(monkeypatch):
+    """``quasi-adjoint-law`` reads the twist split that ``HeisenbergPoint.conjugate`` keeps on
+    the moved point: no Iwasawa half of the check sees the same matrix twice."""
+    from sunflows.scenario import ScenarioConfig, run_scenario
+    inputs = Counter()
+    for name in HALVES:
+        def wrapper(x, name=name, kernel=getattr(decomp, name)):
+            inputs[name, x.shape, x.tobytes()] += 1
+            return kernel(x)
+        monkeypatch.setattr(decomp, name, wrapper)
+    report = run_scenario(ScenarioConfig(space="heisenberg", n=3, checks=["quasi-adjoint-law"]))
+    assert all(c.passed for c in report.checks)
+    assert inputs and max(inputs.values()) == 1, [k[:2] for k, v in inputs.items() if v > 1]
+
+
 def _arrays(form):
     if isinstance(form, tuple):
         return list(form)
@@ -167,8 +182,10 @@ def test_a_point_at_a_wall_raises_on_every_read():
 def test_new_points_start_with_no_forms():
     """Points made by flows, torus actions, conjugate, stack and with_slots keep nothing of
     the point they came from, except that a cotangent flow or torus action keeps the form of
-    the one matrix it passes through unchanged, the very form of that very array, and a fusion
-    torus action keeps the very forms of the blocks whose letters it leaves alone."""
+    the one matrix it passes through unchanged, the very form of that very array, a fusion
+    torus action keeps the very forms of the blocks whose letters it leaves alone, and a
+    conjugated Heisenberg point keeps only its "twist", the split of eta b_left(X) that made
+    it, with the bytes of a fresh ``iwasawa_right``."""
     rng = np.random.default_rng(704)
     eta = liecore.random_group_element(3, rng)
     kept_blocks = set()
@@ -188,6 +205,11 @@ def test_new_points_start_with_no_forms():
                     kept_blocks.add((space, block))
         moved += acted
         made = [x.conjugate(eta), spaces.stack([x, x])]
+        if space == "heisenberg":
+            kept = vars(made[0]).pop("_forms")
+            assert kept.keys() == {"twist"}
+            fresh = decomp.iwasawa_right(eta @ x.factor("b_left").copy())
+            assert [m.tobytes() for m in kept["twist"]] == [m.tobytes() for m in fresh]
         if isinstance(x, spaces.FusionPoint):
             made += [x.with_slots({(0, 0): x.slot(0, 0)}), x.map(np.copy)]
             if space == "moduli":

@@ -1,6 +1,7 @@
-"""Samplers give up with a message that says how many draws failed and why;
-each torus spec carries the flow of every angle; every generator's velocity is
-the derivative of its flow."""
+"""Samplers give up with a message that says how many draws failed and why,
+and a fusion stack holds the points of the one-point loop; each torus spec
+carries the flow of every angle; every generator's velocity is the derivative
+of its flow."""
 
 from collections import Counter
 
@@ -12,7 +13,7 @@ from sunflows.errors import (NotPositiveDefinite, RegularityViolation, SamplingF
                              ShapeError, SingularMatrix, SunflowsError, UnsupportedWord)
 from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, BorelChamberCoroot,
                                   ChamberCoroot)
-from sunflows.spaces import stack
+from sunflows.spaces import FusionSpace, stack
 
 
 def test_sample_regular_returns_first_accepted_draw():
@@ -101,11 +102,116 @@ def test_built_heisenberg_point_has_the_drawn_right_factors(n, count, monkeypatc
     conjugated = liecore.conjugated_spectrum
     monkeypatch.setattr(liecore, "conjugated_spectrum",
                         lambda *args, **kw: drawn.append(conjugated(*args, **kw)) or drawn[-1])
-    x = h.build(np.random.default_rng(70 + n), count)
+    x = h.points(np.random.default_rng(70 + n), count)
     u, pos = drawn
     factors = decomp.iwasawa_decompose(x.x)
     assert np.max(liecore.norms(factors.u_right - u, 2)) <= 1e-12
     assert np.max(liecore.norms(factors.b_right - decomp.borel_of_posdef(pos), 2)) <= 1e-12
+
+
+FUSION = {"double": {}, "double-htilde": {"family": "htilde"}, "sphere4": {},
+          "moduli-2-2": {"m": 2, "holes": 2,
+                         "family": {"single": [1], "commutators": [2], "intervals": [[1, 2]]}},
+          "moduli-1-3": {"m": 1, "holes": 3, "family": {"single": [1], "intervals": [[1, 2]]}}}
+
+
+def _harness(space, n):
+    return harness.build_harness(space.split("-")[0], n, liecore.build_root_datum(n),
+                                 **FUSION.get(space, {}))
+
+
+def _loop(h, rng, count):
+    """The one-point loop: draw a candidate, keep it when one ``alcove_diagonalize`` of its
+    ``regular_values`` clears SAMPLING_MARGIN, until ``count`` are kept; also the number of
+    candidates drawn."""
+    from sunflows import decomp
+    kept, drawn = [], 0
+    while len(kept) < count:
+        x, drawn = h.space.random_point(rng), drawn + 1
+        try:
+            decomp.alcove_diagonalize(np.stack(h.regular_values(x)), harness.SAMPLING_MARGIN)
+        except RegularityViolation:
+            continue
+        kept.append(x)
+    return kept, drawn
+
+
+def _bytes(x):
+    return [m.tobytes() for _, m in x.matrices()]
+
+
+def _rounds(monkeypatch) -> list:
+    """The candidate count of each stacked round of ``FusionSpace.random_point`` from here on."""
+    rounds, draw = [], FusionSpace.random_point
+
+    def counted(space, rng, count=None):
+        if count is not None:
+            rounds.append(count)
+        return draw(space, rng, count)
+
+    monkeypatch.setattr(FusionSpace, "random_point", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("space", sorted(FUSION))
+def test_a_fusion_stack_keeps_the_points_of_the_one_point_loop(space, n):
+    """A fusion stack with no per-point draws holds the bytes of the points the one-point loop
+    keeps, and leaves the generator where the loop leaves it; so does the one-point sample."""
+    h = _harness(space, n)
+    stacked, looped = np.random.default_rng(900 + n), np.random.default_rng(900 + n)
+    assert _bytes(h.sample_stack(stacked, 12)) == _bytes(stack(_loop(h, looped, 12)[0]))
+    assert _bytes(h.sample(stacked)) == _bytes(_loop(h, looped, 1)[0][0])
+    assert stacked.bit_generator.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("space", ["double", "moduli-2-2"])
+def test_a_fusion_stack_keeps_the_loops_points_through_many_rejections(space, monkeypatch):
+    """At margin 0.3 about half the n=5 candidates are rejected: the stack takes several
+    rounds, each of as many candidates as the stack lacks, draws exactly the candidates the
+    loop draws and keeps the same points."""
+    monkeypatch.setattr(harness, "SAMPLING_MARGIN", 0.3)
+    h = _harness(space, 5)
+    rounds = _rounds(monkeypatch)
+    x = h.sample_stack(np.random.default_rng(950), 20)
+    kept, drawn = _loop(h, np.random.default_rng(950), 20)
+    assert _bytes(x) == _bytes(stack(kept))
+    assert len(rounds) >= 3 and rounds[0] == 20 and sum(rounds) == drawn > 20
+
+
+@pytest.mark.parametrize("count", [None, 4])
+@pytest.mark.parametrize("space", sorted(FUSION))
+def test_a_fusion_stack_gives_up_within_its_budget(space, count, monkeypatch):
+    """No point of SU(3) clears every alcove wall by 2 pi: the sampler stops after 128
+    candidates per point and names the kind, the draws, the points accepted and the smallest
+    wall margin it saw."""
+    monkeypatch.setattr(harness, "SAMPLING_MARGIN", 2 * np.pi)
+    h = _harness(space, 3)
+    rounds = _rounds(monkeypatch)
+    with pytest.raises(SamplingFailure) as err:
+        h.points(np.random.default_rng(960), count)
+    draws = 128 * (count or 1)
+    assert sum(rounds) == draws
+    message = str(err.value)
+    assert f"regular {h.kind} points in {draws} draws: 0 accepted" in message
+    assert 0 <= float(message.rsplit("smallest wall margin ", 1)[1]) < 2 * np.pi / 3
+
+
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", *sorted(FUSION)])
+def test_a_stack_draws_its_points_then_each_points_draws(space):
+    """``sample_stack(rng, k, draw)`` is ``sample_stack(rng, k)`` and then k draws, on twin
+    generators, for every harness."""
+    h = _harness(space, 3)
+    with_draws, after = np.random.default_rng(970), np.random.default_rng(970)
+
+    def draw(rng):
+        return liecore.random_group_element(3, rng)
+
+    x, eta = h.sample_stack(with_draws, 5, draw)
+    y = h.sample_stack(after, 5)
+    etas = np.array([draw(after) for _ in range(5)])
+    assert _bytes(x) == _bytes(y) and eta.tobytes() == etas.tobytes()
+    assert with_draws.bit_generator.state == after.bit_generator.state
 
 
 @pytest.mark.parametrize("n", range(2, 9))

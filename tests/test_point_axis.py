@@ -179,7 +179,7 @@ def _harness(space, n):
 def _points(h, rng):
     """DRAWS points of the harness's space: one at a time from the cotangent and Heisenberg
     harnesses, which build them regular, and unfiltered draws on the fusion spaces."""
-    if isinstance(h, harness.BuiltHarness):
+    if not isinstance(h, harness.FusionHarness):
         return [h.sample(rng) for _ in range(DRAWS)]
     return [h.space.random_point(rng) for _ in range(DRAWS)]
 
@@ -284,7 +284,8 @@ ONE_POINT = {("torus-periodicity", "double"): Counter(alcove_diagonalize=1),
 def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
     """(calls, one-matrix calls) of the normal-form and Iwasawa kernels and of the bracket
     pairing ``velocity_pairings`` (one-point calls) made outside the samplers (the rejection
-    loop ``sample_regular`` and the built harnesses' stacked draw ``build``) and outside
+    loop ``sample_regular`` and each harness's stacked draw ``points``: the cotangent and
+    Heisenberg builds and the fusion rounds of stacked candidates) and outside
     another of these kernels (so that a call of ``iwasawa_decompose`` counts once, not
     again for each of its halves), by kernel, in one run of ``cfg``."""
     calls, single, depth = Counter(), Counter(), [0]
@@ -318,8 +319,8 @@ def _kernel_calls(monkeypatch, cfg: ScenarioConfig) -> tuple[Counter, Counter]:
                    counted("velocity_pairings", brackets.velocity_pairings,
                            lambda rows, velocities, x: x.matrices()[0][1]))
         mp.setattr(harness, "sample_regular", sampling(harness.sample_regular))
-        for built in (harness.CotangentHarness, harness.HeisenbergHarness):
-            mp.setattr(built, "build", sampling(built.build))
+        for drawn in (harness.CotangentHarness, harness.HeisenbergHarness, harness.FusionHarness):
+            mp.setattr(drawn, "points", sampling(drawn.points))
         SPACE_FREE_RESULTS.clear()
         report = run_scenario(cfg)
     assert all(c.passed for c in report.checks), [(c.name, c.detail) for c in report.checks]

@@ -22,17 +22,17 @@ BODIES = [
     (dict(space="cotangent", n=3),
      "5765ea88bd9e99d6a009bcf50b8b789a399693bee0a9a586e537db8e4cd3a2fc"),
     (dict(space="double", n=3),
-     "bd979c0fd68bafc79fc47e63eda9fee9eb85ea6f0719771a83d7b97f9dd05cef"),
+     "55bce4a38e7667661fbc435757d5910f4acbae456278fce6aed2693ad333be82"),
     (dict(space="sphere4", n=3),
-     "47cd7994915e7ca301f89d935a4c93e54ca0119e7fd2884aeec3a9df59289536"),
+     "79bd757f42e23c0fa9e831b1f2ce89b7cce37baaad3c348a03d3fdea4bc7ba62"),
     (dict(space="moduli", n=2, m=2, holes=2, family=DESK_FAMILY),
-     "fbffac26b546196afc6bff76ee635486f054ff9889d0883eb14e413e8d739b53"),
+     "6f025a0b57496bc31cef98c02c7d7daf13aa30fb1ac0d782bc573b52836879f8"),
     (dict(space="cotangent", n=5),
      "f9e4ffa257b407a007e3837de9408a9c56f1bcafa59e3db92b3c8d0facfd6ce2"),
     (dict(space="double", n=3, family="htilde"),
-     "2c6eeff473bd638dc6aa12507d23adf76704c831744e8ad1af281c90f0a62b3a"),
+     "9f0febe7cca36fe0a079c3578e5035cf5d0d279d1cf3ca362d16d4b2af2db9a3"),
     (dict(space="moduli", n=3, m=1, holes=3, family={"single": [1], "intervals": [[1, 2]]}),
-     "044e8c08392595d787924ce38f7fb776bafa426301806d96919d4fa311100718"),
+     "991ae223453a3439473497d26d57d58fc0139bc11c4b05abd17ba8b0469f767d"),
 ]
 
 # the first generator of each fusion family at n = 3
