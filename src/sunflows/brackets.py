@@ -36,23 +36,19 @@ tables, ``gradient_stack``, ``sharp``, ``velocity_pairings``,
 ``bracket_matrix``, ``momentum_condition_matrix`` and ``differentials``
 take a leading point axis: tables are (..., observables, n, n) and
 brackets (..., rows, columns), each point with the bytes of its one-point
-call.  The stencils below are built one point at a time.
+call.  The finite-difference tables are built one point at a time.
 
-Directional derivatives are fourth-order central differences with one step
-per basis (``STEP``).  This module builds every finite-difference stencil,
-one basis block at a time, as one (directions, offsets, n, n) stack:
-translations multiply one cached array of the powers of exp(hZ) per basis
-(``_steps``), and the additive directions are shifts m + k h Z.  The
-gradient engines and the finite-difference oracles use them.  Gradients are
-assembled against cached dual bases, so no linear solve happens per call.
-
-The engines wrap each stencil matrix into a point and evaluate every
-observable there, each point built once for all of them.  The oracles
-(``group_gradient_fd``, ``algebra_gradient_fd``, ``borel_gradient_fd``) hand
-the whole stack to ``stack_values`` when a function has a stacked ``value``
-(the closed-form families), so a block costs one eigenvalue solve; opaque
-callables see one matrix at a time.  No suite check calls the oracles: the
-tests hold the exact gradients to them, and the benchmark's tracer spans them.
+Every finite-difference value is a ``directional_derivative``, a fourth-order
+central difference with step H.  The tables (``_fd_tables``) and the oracles
+(``group_gradient_fd``, ``algebra_gradient_fd``, ``borel_gradient_fd``) take
+one per basis block (``_fd_gradients``), along the translations by exp(tZ)
+over every direction Z at once (``_exp_along``; the Borel curves at
+``BOREL_SPEED``) or the shifts m + tZ, and sum it against a cached dual basis,
+so no linear solve happens per call.  A table builds each stencil point once
+for all observables; a closed-form function reads the whole stack in one
+call (``stack_values``), an opaque callable one matrix at a time.  No suite
+check calls them: the tests hold the exact gradients to them, and the
+benchmark's tracer spans them.
 """
 
 from __future__ import annotations
@@ -67,6 +63,7 @@ from .liecore import (
     TRACE_FORM,
     adjoint,
     borel_basis,
+    diagonal_matrix,
     dual_basis,
     expm_diagonal,
     expm_normal,
@@ -75,6 +72,7 @@ from .liecore import (
     project_borel,
     project_compact,
     read_only,
+    scaled,
     skew_traceless,
     sl_real_basis,
     su_basis,
@@ -82,14 +80,13 @@ from .liecore import (
 )
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
-# stencil offsets, in units of the step h, and as an array (offsets, 1, 1)
+# stencil offsets, in units of the step H
 _STEPS = (-2, -1, 1, 2)
-_OFFSETS = np.array(_STEPS)[:, np.newaxis, np.newaxis]
 
-# the finite-difference step of each basis; the log-composed dressing
-# invariants on the Borel group carry more curvature, so their step is finer
+# the finite-difference step; the log-composed dressing invariants on the Borel group carry
+# more curvature, so their curves run at BOREL_SPEED, a step of 3e-4
 H = 1e-3
-STEP = {"su": H, "sl": H, "borel": 3e-4}
+BOREL_SPEED = 0.3
 # the form each translation basis is dual under, and that pairs its directions with gradients
 FORM = {"su": TRACE_FORM, "sl": IM_FORM}
 
@@ -117,7 +114,7 @@ def directional_derivative(f, curve, richardson: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# stencils: the one place a finite-difference point is built
+# the curves that finite-difference tables and oracles difference along
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -125,12 +122,12 @@ def _basis(kind: str, n: int):
     """(directions, dual) of the "su", "sl" or "borel" basis, as read-only arrays.
 
     su and sl are dual under their forms (``FORM``).  A Borel derivative is
-    solved into su, so the "borel" dual is the inverse of the matrix
-    im-pair(borel_r, su_s).
+    solved into su, so the "borel" dual is su-valued: im-pair(borel_r,
+    dual_s) = delta_rs, each dual summed over su in basis order.
     """
     if kind == "borel":
         basis, su = borel_basis(n), _basis("su", n)[0]
-        dual = np.linalg.inv(np.array([gram(z, su, IM_FORM) for z in basis]))
+        dual = ordered_sum(np.linalg.inv(np.array([gram(z, su, IM_FORM) for z in basis])).T, su)
     else:
         basis = np.array(su_basis(n) if kind == "su" else sl_real_basis(n))
         dual = dual_basis(basis, FORM[kind])
@@ -143,65 +140,48 @@ def _dual_sum(kind: str, n: int, derivs) -> np.ndarray:
     return ordered_sum(derivs, _basis(kind, n)[1])
 
 
-@lru_cache(maxsize=None)
-def _steps(kind: str, n: int) -> np.ndarray:
-    """exp(k h Z) for each direction Z of the basis and each offset k, h = STEP[kind].
-
-    One read-only (directions, offsets, n, n) array.  The powers are products
-    of exp(hZ) and its inverse, the adjoint on su.  Every sl and Borel
-    direction is diagonal or square-zero, so exp(hZ) is exactly the entrywise
-    exponential of its diagonal plus its off-diagonal part.
-    """
-    table = []
-    for z in _basis(kind, n)[0]:
-        a = STEP[kind] * z
-        if kind == "su":
-            e = expm_normal(a)
-            ei = e.conj().T
-        else:
-            e = expm_diagonal(a) + (a - np.diag(np.diagonal(a)))
-            ei = np.linalg.inv(e)
-        powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
-        table.append([powers[k] for k in _STEPS])
-    return read_only(np.array(table))
+def _exp_along(kind: str, n: int, t: np.ndarray) -> np.ndarray:
+    """exp(tZ) for each time of t and each direction Z of the basis, (times, directions, n, n).
+    Every sl and Borel direction is diagonal or square-zero, so there exp(tZ) is exactly the
+    entrywise exponential of its diagonal plus its off-diagonal part."""
+    a = scaled(t[:, np.newaxis], _basis(kind, n)[0])
+    if kind == "su":
+        return expm_normal(a)
+    return expm_diagonal(a) + (a - diagonal_matrix(np.diagonal(a, axis1=-2, axis2=-1)))
 
 
-def _translations(kind: str, m: np.ndarray, left: bool) -> np.ndarray:
-    """The stencil stack (directions, offsets, n, n) of the translations u m (``left``)
-    or m u of m by the table's powers u."""
-    steps = _steps(kind, m.shape[0])
-    return steps @ m if left else m @ steps
-
-
-def _shifts(kind: str, m: np.ndarray) -> np.ndarray:
-    """The stencil stack (directions, offsets, n, n) of the shifts m + k h Z."""
-    directions = _basis(kind, m.shape[0])[0][:, np.newaxis]
-    return m + (_OFFSETS * STEP[kind]) * directions
+def _curve(kind: str, m: np.ndarray, side: str):
+    """t -> the (times, directions, n, n) stack through m along every direction Z of the
+    basis: the translations exp(tZ) m ('lmul') or m exp(tZ) ('rmul'), or the shifts m + tZ
+    ('shift')."""
+    n = m.shape[-1]
+    if side == "shift":
+        return lambda t: m + scaled(t[:, np.newaxis], _basis(kind, n)[0])
+    if side == "lmul":
+        return lambda t: _exp_along(kind, n, t) @ m
+    return lambda t: m @ _exp_along(kind, n, t)
 
 
 def _tangent_blocks(x, sides=("lmul", "rmul")):
-    """(key, kind, stencil) of each block of directions spanning the tangent space at x.
+    """(key, kind, curve, wrap) of each block of directions spanning the tangent space at x.
 
-    Every group slot is translated on each of ``sides`` ('lmul': u m, 'rmul':
-    m u), by su on fusion and cotangent points and by sl on the Heisenberg
-    double; a cotangent point has one left-translation block 'group' and the
-    fiber shifts 'fiber'.  ``stencil()`` builds the block's (stack, wrap) only
-    when called: wrap turns a matrix of the stack into the point the
-    observables read.
+    Every group slot is translated on each of ``sides`` by su on fusion and
+    cotangent points and by sl on the Heisenberg double; a cotangent point
+    has one left-translation block 'group' and the fiber shifts 'fiber'.  The
+    ``curve`` builds its stack only when called; wrap turns a matrix of the
+    stack into the point the observables read.
     """
     if isinstance(x, CotangentPoint):
-        yield "group", "su", lambda: (_translations("su", x.g, True),
-                                      lambda g: CotangentPoint(g, x.j))
-        yield "fiber", "su", lambda: (_shifts("su", x.j), lambda j: CotangentPoint(x.g, j))
+        yield "group", "su", _curve("su", x.g, "lmul"), lambda g: CotangentPoint(g, x.j)
+        yield "fiber", "su", _curve("su", x.j, "shift"), lambda j: CotangentPoint(x.g, j)
     elif isinstance(x, HeisenbergPoint):
         for side in sides:
-            yield side, "sl", lambda s=side: (_translations("sl", x.x, s == "lmul"),
-                                              HeisenbergPoint)
+            yield side, "sl", _curve("sl", x.x, side), HeisenbergPoint
     elif isinstance(x, FusionPoint):
         for slot in x.space.slots:
             for side in sides:
-                yield (*slot, side), "su", lambda s=slot, left=side == "lmul": (
-                    _translations("su", x.slot(*s), left), lambda m: x.with_slots({s: m}))
+                yield ((*slot, side), "su", _curve("su", x.slot(*slot), side),
+                       lambda m, s=slot: x.with_slots({s: m}))
     else:
         raise UnsupportedBracket(f"no tangent stencils on points of type {type(x).__name__}")
 
@@ -215,37 +195,30 @@ def stack_values(fns, stack) -> np.ndarray:
                      else fn.value(stack) for fn in fns])
 
 
-def _stencil_derivatives(fns, block) -> np.ndarray:
-    """Central differences of each function along each stencil, (directions, functions).
+def _fd_gradients(fns, kind: str, n: int, curve, wrap=None, speed: float = 1.0) -> list:
+    """Gradient of each function along one basis block: one ``directional_derivative`` on
+    ``curve`` run at ``speed``, summed against the dual basis.
 
-    ``block`` is (kind, stack, wrap): stack[d, i] is the matrix at offset
-    _STEPS[i] * h along basis direction d.  With a ``wrap`` the functions are
-    observables of the points wrap(stack[d, i]), each point built once for
-    all of them.  Without one they read the matrices themselves: a function
-    with ``value`` (a closed-form family) evaluates the whole stack in one
-    call, the spectral functions of one kernel share its spectra of the
-    stack, and any other callable is called on one matrix at a time.
+    With a ``wrap`` the functions are observables of the points wrap(m), each
+    point built once for all of them.  Without one, the closed-form families
+    (``value``) read the whole stack in one call (``stack_values``) and any
+    other callable one matrix at a time.
     """
-    kind, stack, wrap = block
-    values = np.empty((len(fns),) + stack.shape[:2])
     closed = [i for i, fn in enumerate(fns) if wrap is None and hasattr(fn, "value")]
-    if closed:
-        values[closed] = stack_values([fns[i] for i in closed], stack)
     pointwise = [i for i in range(len(fns)) if i not in closed]
-    if pointwise:
-        for d, row in enumerate(stack):
-            for k, m in enumerate(row):
-                p = m if wrap is None else wrap(m)
-                for i in pointwise:
-                    values[i, d, k] = fns[i](p)
-    return _central(np.moveaxis(values, -1, 0), STEP[kind]).T
 
+    def values(stack):  # (times, directions, n, n) -> (times, directions, functions)
+        out = np.empty(stack.shape[:2] + (len(fns),))
+        if closed:
+            out[..., closed] = np.moveaxis(stack_values([fns[i] for i in closed], stack), 0, -1)
+        if pointwise:
+            for index in np.ndindex(stack.shape[:2]):
+                p = stack[index] if wrap is None else wrap(stack[index])
+                out[index + (pointwise,)] = [fns[i](p) for i in pointwise]
+        return out
 
-def _stencil_gradients(fns, block) -> list[np.ndarray]:
-    """Gradient of each function from its values on a stencil block."""
-    kind, stack, _ = block
-    return [_dual_sum(kind, stack.shape[-1], column)
-            for column in _stencil_derivatives(fns, block).T]
+    derivs = directional_derivative(values, lambda t: curve(speed * t)) / speed
+    return [_dual_sum(kind, n, column) for column in derivs.T]
 
 
 def differentials(fns, x) -> np.ndarray:
@@ -256,7 +229,7 @@ def differentials(fns, x) -> np.ndarray:
     """
     stack = gradient_stack(fns, x)
     return np.concatenate([gram(stack[key], _basis(kind, x.n)[0], FORM[kind])
-                           for key, kind, _ in _tangent_blocks(x, ("lmul",))], axis=-1)
+                           for key, kind, *_ in _tangent_blocks(x, ("lmul",))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +239,8 @@ def differentials(fns, x) -> np.ndarray:
 def _fd_tables(obs_list, x) -> list[dict]:
     """Per observable, the gradient on every block of ``_tangent_blocks(x)``, by key."""
     tables = [dict() for _ in obs_list]
-    for key, kind, stencil in _tangent_blocks(x):
-        for tab, grad in zip(tables, _stencil_gradients(obs_list, (kind, *stencil()))):
+    for key, kind, curve, wrap in _tangent_blocks(x):
+        for tab, grad in zip(tables, _fd_gradients(obs_list, kind, x.n, curve, wrap)):
             tab[key] = grad
     return tables
 
@@ -576,7 +549,7 @@ def group_gradient_fd(fns, g: np.ndarray) -> list[np.ndarray]:
     A function is a ClassFunction, whose ``value`` reads the whole stencil
     stack, or any callable of one matrix.
     """
-    return _stencil_gradients(fns, ("su", _translations("su", g, True), None))
+    return _fd_gradients(fns, "su", len(g), _curve("su", g, "lmul"))
 
 
 def algebra_gradient_fd(fns, j_alg: np.ndarray) -> list[np.ndarray]:
@@ -584,21 +557,14 @@ def algebra_gradient_fd(fns, j_alg: np.ndarray) -> list[np.ndarray]:
 
     A function is an AlgebraFunction or any callable of one matrix.
     """
-    return _stencil_gradients(fns, ("su", _shifts("su", j_alg), None))
+    return _fd_gradients(fns, "su", len(j_alg), _curve("su", j_alg, "shift"))
 
 
 def borel_gradient_fd(fns, b: np.ndarray) -> list[np.ndarray]:
-    """Algebra-valued dressing gradient of each function in ``fns`` on the Borel group.
-
-    Solves im-pair(Z_r, W) = d/dt fn(exp(t Z_r) b) over a Borel basis.  A
-    function is a BorelFunction or any callable of one matrix.  Each
-    function gets its own matrix-vector product, so its gradient does not
-    depend on which other functions share the call.
-    """
-    n = b.shape[0]
-    kb, inverse = _basis("su", n)[0], _basis("borel", n)[1]
-    derivs = _stencil_derivatives(fns, ("borel", _translations("borel", b, True), None))
-    return [ordered_sum(inverse @ np.ascontiguousarray(column), kb) for column in derivs.T]
+    """Algebra-valued dressing gradient of each function in ``fns`` on the Borel group: the
+    su element W with im-pair(Z_r, W) = d/dt fn(exp(t Z_r) b) over a Borel basis, the curves
+    at ``BOREL_SPEED``.  A function is a BorelFunction or any callable of one matrix."""
+    return _fd_gradients(fns, "borel", len(b), _curve("borel", b, "lmul"), speed=BOREL_SPEED)
 
 
 def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray:

@@ -443,8 +443,9 @@ def check_gradient_oracles(ctx: CheckContext):
                  for z in (su, rng.standard_normal((30, 2, len(basis))) @ basis))
     # (times, points, directions, n, n)
     tz = lambda t, z: liecore.scaled(t[:, np.newaxis, np.newaxis], z)
-    # exp(0.3 t Z) by its degree-6 Taylor series, exact to roundoff at |0.3 t Z| <= 6e-4: the
-    # factor 0.3 keeps the Borel step at 3e-4, for the log-composed chamber function
+    # exp(speed t Z) by its degree-6 Taylor series, exact to roundoff at |speed t Z| <= 6e-4: the
+    # Borel curves run at the Borel oracle's speed, for the log-composed chamber function
+    speed = brackets.BOREL_SPEED
     taylor = lambda a: functools.reduce(lambda e, k: np.eye(n) + a @ e / k, range(6, 0, -1),
                                         np.eye(n))
     blocks = (([PowerTrace(1), PowerTrace(2), AlcoveCoroot(0, datum),
@@ -453,7 +454,7 @@ def check_gradient_oracles(ctx: CheckContext):
               ([AlgebraPower(2), ChamberCoroot(0, datum)], js, decomp.chamber_diagonalize, su,
                liecore.TRACE_FORM, lambda j, z: lambda t: j + tz(t, z), 1),
               ([BorelPower(1), BorelChamberCoroot(0, datum)], bs, decomp.borel_chamber_diagonalize,
-               borel, liecore.IM_FORM, lambda b, z: lambda t: taylor(0.3 * tz(t, z)) @ b, 0.3))
+               borel, liecore.IM_FORM, lambda b, z: lambda t: taylor(speed * tz(t, z)) @ b, speed))
     worst = 0.0
     for fns, ms, normal_form, zs, pairing, curve, scale in blocks:
         form = normal_form(ms, 0.05)
@@ -892,14 +893,17 @@ def run_scenario(cfg: ScenarioConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _check_flow_request(request) -> int:
-    """Clause flow-exports: a dict whose name is a plain file stem, whose family
-    is a name, whose generator is an integer and whose times are a
+    """Clause flow-exports: a dict of no keys but these: a name that is a plain
+    file stem, a family name, an integer generator and times that are a
     {start, stop, num} dict or a list of numbers.  Returns the number of times."""
     name = request.get("name", "flow") if isinstance(request, dict) else None
     if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
             or os.path.basename(name) != name):
         raise InvalidShape(f"clause flow-exports: {request!r} is not a flow request dict "
                            "whose name is a plain file stem")
+    if set(request) - {"name", "family", "generator", "times"}:
+        raise InvalidShape(f"clause flow-exports: {request!r} has a key other than name, "
+                           "family, generator and times")
     family, gen = request.get("family") or "", request.get("generator", 0)
     if not isinstance(family, str) or not _integer(gen):
         raise InvalidShape(f"clause flow-exports: {request!r} needs a family name and an "

@@ -190,8 +190,9 @@ def test_brackets_refuse_an_observable_without_a_table():
 
 @pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "moduli"])
 def test_differentials_build_no_stencil(space, monkeypatch):
-    """Differential rows read only the keys and kinds of the tangent blocks: with every
-    stencil constructor refusing, the rows are the same."""
+    """Differential rows read only the keys and kinds of the tangent blocks: with the
+    exponentials along the basis (``_exp_along``) and the shifts' scaling refusing, the rows
+    are the same."""
     n = 3
     h = _harness(space, n)
     x = h.sample(np.random.default_rng(54))
@@ -201,8 +202,8 @@ def test_differentials_build_no_stencil(space, monkeypatch):
     def refuse(*args):
         raise AssertionError("differentials built a stencil")
 
-    monkeypatch.setattr(brackets, "_translations", refuse)
-    monkeypatch.setattr(brackets, "_shifts", refuse)
+    monkeypatch.setattr(brackets, "_exp_along", refuse)
+    monkeypatch.setattr(brackets, "scaled", refuse)
     assert np.array_equal(brackets.differentials(fns, x), rows)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sunflows import brackets, decomp, flows, liecore
+from sunflows import decomp, flows, liecore
 from sunflows.errors import RegularityViolation
 
 NORMS = [1e-3, 1e-2, 0.1, 1.0, 5.0]
@@ -102,14 +102,15 @@ def test_expm_diagonal_is_bit_equal_to_scipy_on_diagonal_stacks():
 
 
 def _exact_exponentials(n):
-    """Every exponential the package takes of a diagonal or square-zero matrix at n: the sl
-    and Borel step tables, the coroot and coweight torus elements (one by one and stacked),
-    positive factorizations at Haar frames and the principal element."""
+    """Every exponential the package takes of a diagonal matrix at n: the coroot and coweight
+    torus elements (one by one and stacked), positive factorizations at Haar frames and the
+    principal element.  The sl and Borel stencil exponentials are held to scipy's expm in
+    ``tests/test_stencils.py``."""
     datum = liecore.build_root_datum(n)
     rng = np.random.default_rng(500 + n)
     taus = rng.uniform(-3, 3, (4, n - 1))
     gs = [liecore.haar_unitary(n, rng) for _ in range(3)]
-    out = [brackets._steps(kind, n) for kind in ("sl", "borel")]
+    out = []
     for torus in (flows.coroot_torus_element, flows.coweight_torus_element):
         out += [torus(t, datum) for t in taus] + [torus(taus, datum)]
     out += [flows.positive_factorization(t, decomp.alcove_diagonalize(g), datum)
@@ -119,20 +120,20 @@ def _exact_exponentials(n):
 
 # sha256 of _exact_exponentials(n) as the scaling-and-squaring Pade kernel built them
 _PADE_DIGESTS = {
-    2: "125bff5d54856bad5f8d99d412b38afb5f1ac866832b31e1d07294f1cc1bdf0f",
-    3: "de498f265d0eb06aa129dc831ccaee06ff91e289f8d3f23044afc1dd93873f5d",
-    4: "fd9fa3be5ff30325d81eb2540c9cae317c2504217bc6920e4f9eed6721bf43fb",
-    5: "80abe09003d265210e98d10586f42e85d164a97a48139abec89165f32d9262c8",
-    6: "f9553ea88352b002bc5432e3acf6f7706825251ae66cb4e91bd6f6532875ae25",
-    7: "d78b29016ab8fbf77ee2d254a58ac6e49f5fdf0ef9a6fb0b03a6b05f47027374",
-    8: "f7894ae66f66e5e9829bd7370f4a09ec403fa7ac989f316cea03d92a4a306a12",
+    2: "f76db7a45c1d77d027e409990599c9c5034a44aa41ba5b772afe6c6833dd27dc",
+    3: "164c0a09eaa845921cbbc8938ee178d3ae4e26a1086020333b30ccc28e03b409",
+    4: "d866a93aa2e4c1c07b12964453de044d9853d4192ac9d7289ea59c5aa5cb079e",
+    5: "8fce06dca081e31cd16941ae6ae70695bc1b30a198ba2d27ec2405dc1ef98e74",
+    6: "3fd4e52e57758b3deb2d8d0fc92d5706109f09ceeb449d594a256aa1e4f50853",
+    7: "05532bdfb174ecf6859da1e518949aa3b5be51ec1ab2c7df707ff112e914ac2f",
+    8: "d9223949506f113c592563ffefc67f35bab27d12f29d85af26c1096bb4cb23fa",
 }
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exact_exponentials_keep_the_bytes_of_the_pade_kernel(n):
-    """The step tables, torus elements, positive factorizations and principal element
-    are exact, so the entrywise and I + hZ forms give the Pade kernel's bytes."""
+    """The torus elements, positive factorizations and principal element are exact, so the
+    entrywise form gives the Pade kernel's bytes."""
     digest = hashlib.sha256()
     for a in _exact_exponentials(n):
         digest.update(np.ascontiguousarray(a).tobytes())

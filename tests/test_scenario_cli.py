@@ -267,8 +267,9 @@ def test_cli_verify_flow_report(tmp_path, capsys):
     [{"name": "../../escape"}],
     [{"name": "a", "generator": 0}, {"name": "a", "generator": 2}],
     [{"name": "flow-1"}, {}],
+    [{"name": "x", "tims": [0, 1], "generatr": 3}],
 ], ids=["times-missing-keys", "generator-not-integer", "not-a-list", "name-escapes-out",
-        "repeated-name", "name-repeats-a-default-stem"])
+        "repeated-name", "name-repeats-a-default-stem", "unknown-key"])
 def test_cli_flow_rejects_malformed_flow_exports(tmp_path, capsys, flow_exports):
     """Malformed requests end in the flow-exports clause and exit 2, before any file is written."""
     work = tmp_path / "a" / "b"

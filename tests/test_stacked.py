@@ -1,6 +1,6 @@
 """Stacked stencil evaluation: one eigenvalue solve per stencil block.
 
-The finite-difference oracles hand every stencil block, a (directions, 4,
+The finite-difference oracles hand every stencil block, a (4, directions,
 n, n) stack, to the closed-form families' ``value`` in one call.  These
 tests hold the stacked kernels to the one-matrix ones: the vectorised alcove
 phase rule against its loop form, ``value`` of a stack against ``value`` of
@@ -92,6 +92,17 @@ def test_phase_rows_cover_every_wrap_count(n):
 # value(stack) against value() of every slice
 # ---------------------------------------------------------------------------
 
+# the stencil times of one block
+_TIMES = np.array(brackets._STEPS) * brackets.H
+
+
+def _block(kind, m, side):
+    """The oracles' stencil block through m: (4, directions, n, n), the Borel curves at
+    ``BOREL_SPEED``."""
+    return brackets._curve(kind, m, side)((brackets.BOREL_SPEED if kind == "borel" else 1.0)
+                                          * _TIMES)
+
+
 def _cases(n, rng):
     """(functions, regular point, stencils(m, left)) for the group, algebra and
     Borel families."""
@@ -107,13 +118,13 @@ def _cases(n, rng):
         ([ob.PowerTrace(1), ob.PowerTrace(2), ob.PowerTrace(3)]
          + [ob.AlcoveCoroot(j, datum) for j in range(datum.rank)]
          + [ob.AlcoveCoweight(j, datum) for j in range(datum.rank)],
-         g, lambda m, left: brackets._translations("su", m, left)),
+         g, lambda m, left: _block("su", m, "lmul" if left else "rmul")),
         ([ob.AlgebraPower(2), ob.AlgebraPower(3)]
          + [ob.ChamberCoroot(j, datum) for j in range(datum.rank)],
-         j_alg, lambda m, left: brackets._shifts("su", m)),
+         j_alg, lambda m, left: _block("su", m, "shift")),
         ([ob.BorelPower(1), ob.BorelPower(2)]
          + [ob.BorelChamberCoroot(j, datum) for j in range(datum.rank)],
-         b, lambda m, left: brackets._translations("borel", m, left)),
+         b, lambda m, left: _block("borel", m, "lmul" if left else "rmul")),
     ]
 
 
@@ -229,9 +240,9 @@ def test_families_reject_a_stencil_block_that_reaches_inside_the_margin():
     g, j_alg = _near_wall("alcove", gap), _near_wall("chamber", gap)
     coroot.value(g), chamber.value(j_alg)
     with pytest.raises(RegularityViolation):
-        coroot.value(brackets._translations("su", g, True))
+        coroot.value(_block("su", g, "lmul"))
     with pytest.raises(RegularityViolation):
-        chamber.value(brackets._shifts("su", j_alg))
+        chamber.value(_block("su", j_alg, "shift"))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -1,10 +1,11 @@
-"""Shared finite-difference stencils: one table, every point built and evaluated once.
+"""Shared finite-difference stencils: one engine, every point built and evaluated once.
 
-Every stencil point comes from ``brackets._steps`` (powers of exp(hZ)) or an
-additive shift.  The list forms of the gradient oracles, the per-generator
+Every stencil comes from ``brackets.directional_derivative``, on curves along
+the basis (``brackets._exp_along``, exp(tZ) for each time and direction) or
+additive shifts.  The list forms of the gradient oracles, the per-generator
 flow derivatives of the flow-bracket oracle (``flow_derivatives``) and
 ``momentum_condition_matrix`` must give exactly (bit for bit) what one call
-per observable, built from that table, gives, so report bodies do not move.
+per observable gives, so report bodies do not move.
 The closed-form flow velocities are held to those flow derivatives, and a
 full suite reaches ``directional_derivative`` from those flow derivatives and from
 the gradient oracles' differences along random directions only.
@@ -51,12 +52,26 @@ def _borel_case(n, rng):
     return b, [ob.BorelPower(1), ob.BorelPower(2), ob.BorelChamberCoroot(0, datum)]
 
 
+def _exact_exp(kind, z, t):
+    """exp(tZ) at each time of t, (times, n, n), one direction at a time: expm_normal on su,
+    and on sl and Borel directions, which are diagonal or square-zero, the closed forms
+    diag(exp(t diag Z)) and I + tZ."""
+    a = liecore.scaled(t, z)
+    if kind == "su":
+        return liecore.expm_normal(a)
+    if np.count_nonzero(z - np.diag(np.diag(z))):
+        assert not np.any(z @ z)
+        return np.eye(len(z)) + a
+    return liecore.expm_diagonal(a)
+
+
 def _reference(fn, m, kind):
-    """One function's left-translation derivatives along every direction, from the rows of
-    ``_steps``."""
-    return np.array([brackets._central([fn(u @ m) for u in row],
-                                       brackets.STEP[kind])
-                     for row in brackets._steps(kind, m.shape[0])])
+    """One function's left-translation derivatives along every direction, each from its own
+    ``directional_derivative`` along exp(tZ) m (the Borel curves at ``BOREL_SPEED``)."""
+    speed = brackets.BOREL_SPEED if kind == "borel" else 1.0
+    return np.array([brackets.directional_derivative(
+        fn, lambda t, z=z: _exact_exp(kind, z, speed * t) @ m) / speed
+        for z in brackets._basis(kind, m.shape[0])[0]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -92,48 +107,51 @@ def test_algebra_oracle_list_equals_single_calls(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_borel_oracle_list_equals_single_calls(n):
+    """The Borel dual is su-valued and im-dual to the Borel basis, so the oracle's gradient
+    is the derivatives summed against it."""
     b, fns = _borel_case(n, np.random.default_rng(300 + n))
+    basis, dual = brackets._basis("borel", n)
+    assert np.allclose(liecore.gram(basis, dual, liecore.IM_FORM), np.eye(len(basis)),
+                       rtol=0, atol=1e-13)
+    assert np.allclose(dual, -liecore.adjoint(dual), rtol=0, atol=1e-15)
+    assert np.allclose(liecore.trace(dual), 0, rtol=0, atol=1e-15)
     values = [fn.value for fn in fns]
     together = brackets.borel_gradient_fd(values, b)
-    kb = liecore.su_basis(n)
     for value, grad in zip(values, together):
         single, = brackets.borel_gradient_fd([value], b)
-        coeffs = brackets._basis("borel", n)[1] @ _reference(value, b, "borel")
-        reference = sum(coeffs[s] * kb[s] for s in range(len(kb)))
+        reference = sum(d * e for d, e in zip(_reference(value, b, "borel"), dual))
         assert np.array_equal(grad, single)
         assert np.array_equal(grad, reference)
 
 
 @pytest.mark.parametrize("kind", ["su", "sl", "borel"])
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_step_table_entries_are_powers_of_expm(kind, n):
-    """su steps come from expm_normal; every sl and Borel direction is diagonal or
-    square-zero, so its step is the closed form diag(exp(h diag Z)) or I + hZ, bit for bit."""
+def test_exp_along_is_expm_of_each_time_and_direction(kind, n):
+    """exp(tZ) along the basis is, at each stencil time and direction, expm_normal of tZ bit
+    for bit on su, and on sl and the Borel algebra exactly scipy's expm by value (the signed
+    zeros may differ): every sl and Borel direction is diagonal or square-zero."""
     directions = {"su": liecore.su_basis, "sl": liecore.sl_real_basis,
                   "borel": liecore.borel_basis}[kind](n)
-    table = brackets._steps(kind, n)
-    h = brackets.STEP[kind]
-    assert len(table) == len(directions)
-    for z, row in zip(directions, table):
-        if kind == "su":
-            e = liecore.expm_normal(h * z)
-        elif np.count_nonzero(z - np.diag(np.diag(z))):
-            assert not np.any(z @ z)
-            e = np.eye(n) + h * z
-        else:
-            e = np.diag(np.exp(h * np.diag(z)))
-        ei = e.conj().T if kind == "su" else np.linalg.inv(e)
-        powers = {1: e, -1: ei, 2: e @ e, -2: ei @ ei}
-        for k, u in zip(brackets._STEPS, row):
-            assert u.tobytes() == powers[k].tobytes()
-            assert np.allclose(u, scipy.linalg.expm((k * h) * z), rtol=0, atol=1e-14)
+    speed = brackets.BOREL_SPEED if kind == "borel" else 1.0
+    times = speed * (np.array(brackets._STEPS) * brackets.H)
+    table = brackets._exp_along(kind, n, times)
+    assert table.shape == (len(times), len(directions), n, n)
+    for row, t in zip(table, times):
+        for z, u in zip(directions, row):
+            want = scipy.linalg.expm(t * z)
+            if kind == "su":
+                assert u.tobytes() == liecore.expm_normal(t * z).tobytes()
+                assert np.allclose(u, want, rtol=0, atol=1e-17)
+            else:
+                assert np.array_equal(u, want)
 
 
 def test_engines_oracles_and_differentials_share_the_table():
-    """The cotangent engine's group gradient is the group oracle's, bit for bit, and the
-    differential row of an opaque observable holds the same central differences along the
-    same stencils.  The last equality is bitwise only at some points (the pairing of the
-    table with the basis rounds), so the point is a fixed draw of the cotangent constructor."""
+    """The cotangent engine's group and fiber gradients are the group and algebra oracles',
+    bit for bit, and the differential row of an opaque observable holds the same central
+    differences along the same curves.  The last equality is bitwise only at some points (the
+    pairing of the table with the basis rounds), so the point is a fixed draw of the
+    cotangent constructor."""
     n = 3
     x = random_cotangent_point(n, np.random.default_rng(19))
     obs = ob.word_observable(("g", "j", "j"))
@@ -144,7 +162,8 @@ def test_engines_oracles_and_differentials_share_the_table():
     assert np.array_equal(table["fiber"], brackets.algebra_gradient_fd(
         [lambda j: obs(CotangentPoint(x.g, j))], x.j)[0])
     row, = brackets.differentials([opaque], x)
-    assert np.array_equal(row[:n * n - 1], _reference(on_group, x.g, "su"))
+    on_stack = lambda gs: np.array([on_group(g) for g in gs])
+    assert np.array_equal(row[:n * n - 1], _reference(on_stack, x.g, "su"))
 
 
 @pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double"])
