@@ -291,23 +291,27 @@ def check(name: str, claim: str, base_tol: float, spaces=SPACES, shared=None):
 @check("root-datum-exact", "coweight expansion inverts the transposed Cartan matrix exactly",
        0.0, shared="all")
 def check_root_datum(ctx: CheckContext):
+    """In integers: nQ (Q = ``q_exact``) satisfies (nQ)C = nI, and each n w_j (w_j the j-th
+    exact coweight) steps by n delta_jk and sums to 0; an entry that n does not make an
+    integer is a violation too."""
     violations = 0
     for n in range(2, 9):
         datum = build_root_datum(n)
-        r = datum.rank
-        for j in range(r):
-            for l in range(r):
-                s = sum(datum.q_exact[j][k] * int(datum.cartan[k][l]) for k in range(r))
-                if s != (1 if j == l else 0):
-                    violations += 1
-        for j in range(r):
-            w = datum.coweights_exact[j]
-            for k in range(r):
-                if w[k] - w[k + 1] != (1 if k == j else 0):
-                    violations += 1
-            if sum(w) != 0:
-                violations += 1
+        eye = n * np.eye(datum.rank, dtype=int)
+        nq, bad_q = _times_n(datum.q_exact, n)
+        nw, bad_w = _times_n(datum.coweights_exact, n)
+        violations += bad_q + bad_w + int(np.count_nonzero(nq @ datum.cartan != eye))
+        violations += int(np.count_nonzero(nw[:, :-1] - nw[:, 1:] != eye))
+        violations += int(np.count_nonzero(nw.sum(axis=1)))
     return violations
+
+
+def _times_n(rows, n: int):
+    """The integer matrix n * rows of Fractions (each entry truncated), and how many of its
+    entries are not integers."""
+    scaled = [[n * v for v in row] for row in rows]
+    return (np.array([[int(v) for v in row] for row in scaled], dtype=int),
+            sum(v.denominator != 1 for row in scaled for v in row))
 
 
 @check("dual-basis", "dual bases satisfy the defining pairing identity", 1e-12, shared="space")
@@ -492,12 +496,13 @@ def check_shifting_trick(ctx: CheckContext):
 
 def flow_derivatives(x, gens, obs) -> np.ndarray:
     """d/dt of each probe along each generator's flow at x, (probes, generators): one
-    Richardson difference per generator, from one flow call on its 8 stencil times (a plain
-    difference's h^4 error along cotangent flows at n >= 5 reaches the check's tolerance)."""
-    values = lambda p: np.array([o(p) for o in obs]).T
+    Richardson difference for all generators, on one flow call per generator on its 8 stencil
+    times (a plain difference's h^4 error along cotangent flows at n >= 5 reaches the check's
+    tolerance), the flowed points stacked (generators, times)."""
     xs = stack([x] * 8)  # the 8 times of a Richardson stencil, one point for every generator
-    return np.array([brackets.directional_derivative(
-        values, lambda t, g=g: g.flow(xs, t), richardson=True) for g in gens]).T
+    return brackets.directional_derivative(
+        lambda p: np.array([o(p) for o in obs]).T,
+        lambda t: stack([g.flow(xs, t) for g in gens]), richardson=True).T
 
 
 def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
@@ -507,16 +512,16 @@ def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
     brackets against the flows' finite-difference derivatives (``flow_derivatives``)."""
     rows = brackets.gradient_stack(obs, x)
     hamiltonian = brackets.sharp(brackets.gradient_stack([g.obs for g in gens], x), x)
-    velocities = [g.velocity(x) for g in gens]
+    velocities = brackets.stack_tables([g.velocity(x) for g in gens])
     mat = brackets.velocity_pairings(rows, hamiltonian, x)
-    derivs = [brackets.velocity_pairings(rows, brackets.stack_tables(velocities), x)]
+    derivs = [brackets.velocity_pairings(rows, velocities, x)]
     if oracle:
         derivs.append(flow_derivatives(x, gens, obs))
     defects = [float(np.max(np.abs(d - mat) / (1.0 + np.abs(mat)))) for d in derivs]
-    for j, v in enumerate(velocities):
-        ref = x.tangent({key: s[..., j, :, :] for key, s in hamiltonian.items()})
-        defects.append(float(np.max(liecore.norms(x.tangent(v) - ref)
-                                    / (1.0 + liecore.norms(ref)))))
+    # both velocities as tangent vectors, (generators, ..., dim): the generator axis first
+    moved, ref = (x.tangent({key: np.moveaxis(s, -3, 0) for key, s in v.items()})
+                  for v in (velocities, hamiltonian))
+    defects.append(float(np.max(liecore.norms(moved - ref) / (1.0 + liecore.norms(ref)))))
     return _worst(*defects)
 
 
@@ -572,23 +577,23 @@ def check_flow_commutation(ctx: CheckContext):
 @check("conservation",
        "momentum maps and companion invariants are constant along family flows", 1e-10)
 def check_conservation(ctx: CheckContext):
+    """Each family flows one stack of points once per generator, and every conserved
+    quantity of that family reads its deviation off the flowed stack."""
     h = ctx.harness
     rng = ctx.rng("conservation")
-    worst = 0.0
     fams = h.families()
     taus = np.array([0.35, 0.9, 1.8])[:, np.newaxis]
-    detail = {}
-    for spec in h.conserved():
-        gens = fams.get(spec.family, [])
-        local = 0.0
+    specs = {f"{spec.name}({spec.family})": spec for spec in h.conserved()}
+    detail = dict.fromkeys(specs, 0.0)
+    for family in dict.fromkeys(spec.family for spec in specs.values()):
         x = h.sample_stack(rng, 3)
-        base, xs = np.asarray(spec.fn(x)), stack([x] * len(taus))
-        for gen in gens:
-            moved = np.asarray(spec.fn(gen.flow(xs, taus)))
-            local = _worst(local, float(np.max(np.abs(moved - base))))
-        detail[f"{spec.name}({spec.family})"] = local
-        worst = _worst(worst, local)
-    return worst, detail
+        xs = stack([x] * len(taus))
+        base = {key: np.asarray(spec.fn(x)) for key, spec in specs.items() if spec.family == family}
+        for gen in fams.get(family, []):
+            moved = gen.flow(xs, taus)  # one flowed (times, points) stack at a time
+            for key, b in base.items():
+                detail[key] = _worst(detail[key], float(np.max(np.abs(specs[key].fn(moved) - b))))
+    return _worst(0.0, *detail.values()), detail
 
 
 @check("unitary-conjugation-law",

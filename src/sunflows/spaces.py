@@ -19,8 +19,9 @@ Points are stacks.  Every matrix of a point may carry leading point axes,
 draws.  ``flat``, ``distance``, ``tangent``, ``conjugation_velocity``,
 ``conjugate`` (by one eta or one per point), ``letter``, ``factor`` and the
 momentum maps act on each point of a stack; a single point is the case with
-no leading axis.  ``distance`` takes one norm per point, because a norm over
-stacked axes is not bit-equal to the one-point norm.
+no leading axis.  ``distance`` is bit-equal to the one-point distance on each
+point (``liecore.norms``), and ``tangent`` also takes velocities with more
+leading axes than the point, such as a generator axis before the point axes.
 """
 
 from __future__ import annotations
@@ -35,12 +36,26 @@ from .errors import InvalidShape, ShapeError
 from .liecore import adjoint
 
 
+def _flatten(matrices) -> np.ndarray:
+    """Real, then imaginary entries of each matrix, matrix by matrix, on the last axis, over
+    the matrices' common leading axes; a None is a zero matrix there."""
+    shape = np.broadcast_shapes(*(m.shape for m in matrices if m is not None))
+    parts = []
+    for m in matrices:
+        if m is None or m.shape != shape:
+            m = np.zeros(shape) if m is None else np.broadcast_to(m, shape)
+        parts += [m.real.reshape(shape[:-2] + (-1,)), m.imag.reshape(shape[:-2] + (-1,))]
+    return np.concatenate(parts, axis=-1)
+
+
 class Point:
     """The flattener and the metric shared by every point type.
 
     Every point type also has ``tangent(velocity)``, the ``flat()``-ordered vector of a
     velocity keyed like the gradient tables (as in ``flows``): a translation Z moves its
-    matrix m by Z m ('lmul') or m Z ('rmul'), and a missing key does not move it.
+    matrix m by Z m ('lmul') or m Z ('rmul'), and a missing key does not move it.  The
+    velocity's matrices may carry leading axes before the point's, such as a generator
+    axis, and the vector carries them too.
     """
 
     def matrices(self) -> tuple[tuple[str, np.ndarray], ...]:
@@ -49,10 +64,7 @@ class Point:
 
     def flat(self) -> np.ndarray:
         """Real, then imaginary entries of each matrix, matrix by matrix, on the last axis."""
-        parts = []
-        for _, m in self.matrices():
-            parts += [m.real.reshape(m.shape[:-2] + (-1,)), m.imag.reshape(m.shape[:-2] + (-1,))]
-        return np.concatenate(parts, axis=-1)
+        return _flatten([m for _, m in self.matrices()])
 
     def distance(self, other: "Point"):
         """Euclidean norm of the flattened difference, per point of a stack."""
@@ -110,9 +122,8 @@ class CotangentPoint(Point):
 
     def tangent(self, velocity: dict) -> np.ndarray:
         """'group' Z moves g by Z g, 'fiber' V moves j by V."""
-        zero = np.zeros_like(self.j)
-        return CotangentPoint(velocity["group"] @ self.g if "group" in velocity else zero,
-                              velocity.get("fiber", zero)).flat()
+        return _flatten([velocity["group"] @ self.g if "group" in velocity else None,
+                        velocity.get("fiber")])
 
 
 def cotangent_momentum(x: CotangentPoint) -> np.ndarray:
@@ -171,8 +182,8 @@ class HeisenbergPoint(Point):
         return {"lmul": z, "rmul": -liecore.project_compact(np.linalg.inv(b_left) @ z @ b_left)}
 
     def tangent(self, velocity: dict) -> np.ndarray:
-        return HeisenbergPoint(sum(z @ self.x if side == "lmul" else self.x @ z
-                                   for side, z in velocity.items())).flat()
+        return _flatten([sum(z @ self.x if side == "lmul" else self.x @ z
+                            for side, z in velocity.items())])
 
 
 def heisenberg_momentum(x: HeisenbergPoint) -> np.ndarray:
@@ -351,11 +362,11 @@ class FusionPoint(Point):
         return conjugation_velocity(self.space.slots, z)
 
     def tangent(self, velocity: dict) -> np.ndarray:
-        moved = {slot: np.zeros_like(self.slot(*slot)) for slot in self.space.slots}
+        moved = {}
         for (f, comp, side), z in velocity.items():
             m = self.slot(f, comp)
-            moved[f, comp] = moved[f, comp] + (z @ m if side == "lmul" else m @ z)
-        return self.with_slots(moved).flat()
+            moved[f, comp] = moved.get((f, comp), 0) + (z @ m if side == "lmul" else m @ z)
+        return _flatten([moved.get(slot) for slot in self.space.slots])
 
 
 def stack(points) -> Point:

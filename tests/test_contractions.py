@@ -172,7 +172,7 @@ def test_momentum_condition_matrix_is_the_per_pair_formula(space, words):
 
 @pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "sphere4"])
 def test_flow_bracket_differentiates_the_flows_at_one_point(space, monkeypatch):
-    """The oracle's share: one Richardson derivative per generator in the whole suite."""
+    """The oracle's share: one Richardson derivative for all generators in the whole suite."""
     calls = []
     derivative = brackets.directional_derivative
 
@@ -184,5 +184,5 @@ def test_flow_bracket_differentiates_the_flows_at_one_point(space, monkeypatch):
     cfg = ScenarioConfig(space=space, n=2, checks=["flow-bracket"])
     check, = run_scenario(cfg).checks
     gens = all_generators(harness.build_harness(space, 2, liecore.build_root_datum(2)))
-    assert check.passed and cfg.points > 1
-    assert len(calls) == len(gens)
+    assert check.passed and cfg.points > 1 and len(gens) > 1
+    assert len(calls) == 1

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -353,3 +356,71 @@ def test_per_n_constants_are_built_once_and_read_only(n):
     for a in (*datum.coroots, *datum.coweights, datum.cartan, datum.q_matrix,
               liecore.borel_basis(n)):
         assert not a.flags.writeable
+
+
+def _norms_per_block(a, block):
+    """The per-block np.linalg.norm loop that ``liecore.norms`` replaced."""
+    flat = a.reshape((-1,) + a.shape[a.ndim - block:])
+    return np.array([np.linalg.norm(m) for m in flat]).reshape(a.shape[:a.ndim - block])
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("layout", ["C", "adjoint"])
+@pytest.mark.parametrize("shape", [(0, 3, 3), (5, 3, 3), (2, 4, 7, 7), (3, 0, 2, 2)])
+def test_norms_is_bit_equal_to_the_per_block_norm_loop(block, complex_entries, layout, shape):
+    rng = np.random.default_rng(sum(shape) + block)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    if complex_entries:
+        a = a + 1j * rng.standard_normal(shape)
+    if layout == "adjoint":
+        a = liecore.adjoint(a)  # a swapaxes view: each block in transposed memory order
+    got, want = liecore.norms(a, block), _norms_per_block(a, block)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_norms_of_one_block_is_the_float_norm():
+    a = np.arange(9.0).reshape(3, 3) + 1j
+    assert liecore.norms(a, 2) == float(np.linalg.norm(a))
+    assert liecore.norms(a[0]) == float(np.linalg.norm(a[0]))
+
+
+def _edited(field, n, edit):
+    """build_root_datum, with ``edit`` applied to the rows of ``field`` at rank n."""
+    build = liecore.build_root_datum
+
+    def edited(m):
+        datum = build(m)
+        if m != n:
+            return datum
+        rows = [list(row) for row in getattr(datum, field)]
+        edit(rows)
+        return replace(datum, **{field: tuple(map(tuple, rows))})
+    return edited
+
+
+@pytest.mark.parametrize("field, n, j, k, delta", [
+    ("q_exact", 4, 1, 2, Fraction(1, 4)),    # n q stays an integer, (n Q) C does not
+    ("q_exact", 5, 0, 0, Fraction(1, 10)),   # n q is no integer
+    ("q_exact", 8, 6, 6, Fraction(-1)),
+    ("coweights_exact", 3, 0, 1, Fraction(1, 3)),
+    ("coweights_exact", 7, 5, 6, Fraction(1, 14)),
+    ("coweights_exact", 2, 0, 0, Fraction(-1, 2)),
+])
+def test_root_datum_exact_counts_a_perturbed_entry(monkeypatch, field, n, j, k, delta):
+    run = scenario.check_root_datum.__wrapped__
+    assert run(None) == 0
+
+    def perturb(rows):
+        rows[j][k] += delta
+    monkeypatch.setattr(scenario, "build_root_datum", _edited(field, n, perturb))
+    assert run(None) > 0
+
+
+def test_root_datum_exact_counts_a_shifted_coweight(monkeypatch):
+    """Shifting every entry of one coweight keeps its steps and breaks only its zero sum."""
+    def shift(rows):
+        rows[0] = [v + 1 for v in rows[0]]
+    monkeypatch.setattr(scenario, "build_root_datum", _edited("coweights_exact", 3, shift))
+    assert scenario.check_root_datum.__wrapped__(None) == 1

@@ -377,8 +377,9 @@ def _flow_calls(monkeypatch, cfg: ScenarioConfig) -> int:
 
 def _expected_flow_calls(check, space, n) -> int:
     """One flow call per generator and all of its times: per generator in flow-bracket (its
-    Richardson stencil), per generator and conserved quantity in conservation, per
-    generator in unitary-conjugation-law (a class flow with its cofactor) and
+    Richardson stencil), per generator of each distinct family of the conserved quantities
+    in conservation (the family's quantities share its flowed stack), per generator in
+    unitary-conjugation-law (a class flow with its cofactor) and
     flow-equivariance; per generator, its first steps at both times and then its second
     steps on the stack of every generator's first steps in flow-commutation; one per torus
     angle in torus-vs-flows (the composed flows)."""
@@ -386,7 +387,8 @@ def _expected_flow_calls(check, space, n) -> int:
     fams = h.families()
     sizes = [len(gens) for gens in fams.values()]
     return {"flow-bracket": sum(sizes) + len(h.extra_generators()),
-            "conservation": sum(len(fams.get(s.family, [])) for s in h.conserved()),
+            "conservation": sum(len(fams.get(family, []))
+                                for family in {s.family for s in h.conserved()}),
             "unitary-conjugation-law": len(fams.get("unitary-class", [])),
             "flow-equivariance": sum(sizes),
             "flow-commutation": 2 * sum(sizes),

@@ -18,21 +18,21 @@ DESK_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 
 BODIES = [
     (dict(space="heisenberg", n=3),
-     "fcfea516c968efb3986fc34dacf51f3522f86d58d8a24e63fc847306507edd4d"),
+     "d3de7e90ca12fd4fdc0f291f472df9be5a9e251420b018d2490b34d9cad19236"),
     (dict(space="cotangent", n=3),
-     "5765ea88bd9e99d6a009bcf50b8b789a399693bee0a9a586e537db8e4cd3a2fc"),
+     "342a410f4f0f0e97b3d0c46ea18823bbb0efe3d5d1c3c7c0d68215abab6d588b"),
     (dict(space="double", n=3),
-     "55bce4a38e7667661fbc435757d5910f4acbae456278fce6aed2693ad333be82"),
+     "e805e849e5536f2ac807f202350f69a52469dcb7bfc5c55dab028258d82cafed"),
     (dict(space="sphere4", n=3),
-     "79bd757f42e23c0fa9e831b1f2ce89b7cce37baaad3c348a03d3fdea4bc7ba62"),
+     "a9308c206d032f3c37dbfba688dfd15391ae37b596294a98b09487d69ffc7221"),
     (dict(space="moduli", n=2, m=2, holes=2, family=DESK_FAMILY),
-     "6f025a0b57496bc31cef98c02c7d7daf13aa30fb1ac0d782bc573b52836879f8"),
+     "06b4f681a7767c31ff8670e41584b72ce00fe1f6bf7e47e90dfa2fd06ee948ee"),
     (dict(space="cotangent", n=5),
-     "f9e4ffa257b407a007e3837de9408a9c56f1bcafa59e3db92b3c8d0facfd6ce2"),
+     "1a07b04bae223d5de449d5468c060b704c6a56f75d1cfadad73800bed043e8d6"),
     (dict(space="double", n=3, family="htilde"),
-     "9f0febe7cca36fe0a079c3578e5035cf5d0d279d1cf3ca362d16d4b2af2db9a3"),
+     "65f6a4f6598bf854c10937496139c3ee1fe12b3675ece060a561247b40d7228e"),
     (dict(space="moduli", n=3, m=1, holes=3, family={"single": [1], "intervals": [[1, 2]]}),
-     "991ae223453a3439473497d26d57d58fc0139bc11c4b05abd17ba8b0469f767d"),
+     "7f1b25a2bf7a4d1e80098fdd65c972f26eda0deaf0ebb83c4d1b9020f0213fe7"),
 ]
 
 # the first generator of each fusion family at n = 3

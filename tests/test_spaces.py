@@ -16,6 +16,7 @@ from sunflows.spaces import (
     Point,
     random_cotangent_point,
     random_heisenberg_point,
+    stack,
 )
 
 MIXED = ("D", "K", "D", "K", "K")
@@ -137,3 +138,31 @@ def test_heisenberg_conjugate_is_the_quasi_adjoint_action(n):
         twist = decomp.iwasawa_decompose(eta @ x.factor("b_left")).u_right
         expected = HeisenbergPoint(eta @ x.x @ twist)
         assert np.array_equal(x.conjugate(eta).flat(), expected.flat())
+
+
+def _velocity_keys(kind):
+    """Key sets of velocities on each point type, most of them missing a key."""
+    if kind == "cotangent":
+        return [("group",), ("fiber",), ("group", "fiber")]
+    if kind == "heisenberg":
+        return [("lmul",), ("rmul",), ("lmul", "rmul")]
+    return [((0, 0, "lmul"),), ((0, 0, "lmul"), (0, 0, "rmul"), (2, 1, "rmul"), (4, 0, "lmul"))]
+
+
+@pytest.mark.parametrize("kind", ["cotangent", "heisenberg", "fusion"])
+@pytest.mark.parametrize("points", [None, 2])
+def test_tangent_over_a_generator_axis_is_bit_equal_to_each_generator(kind, points):
+    """A velocity whose matrices carry a generator axis before the point axes gives each
+    generator's tangent vector bit for bit, a missing key included (a zero there)."""
+    x = _points(0)[kind] if points is None else stack(
+        [_points(seed)[kind] for seed in range(points)])
+    rng = np.random.default_rng(5)
+    lead = (4,) + x.flat().shape[:-1]
+    for keys in _velocity_keys(kind):
+        velocity = {key: rng.standard_normal(lead + (3, 3)) + 1j * rng.standard_normal(
+            lead + (3, 3)) for key in keys}
+        moved = x.tangent(velocity)
+        assert moved.shape == lead + x.flat().shape[-1:]
+        for j in range(4):
+            one = x.tangent({key: v[j] for key, v in velocity.items()})
+            assert moved[j].tobytes() == one.tobytes()
