@@ -7,7 +7,8 @@ left/right gradient tables on fusion spaces), and each geometry states its
 bivector P once, as its sharp map (``sharp``), from stacked gradient tables
 to stacked Hamiltonian velocities keyed like the flows' velocities: the
 canonical cotangent bivector, the Heisenberg-double bivector built from the
-two isotropic projections, and the quasi-Poisson bivector of fusion spaces.
+two isotropic projections, and the quasi-Poisson bivector of fusion spaces,
+which couples the factors through running sums of their conjugation gradients.
 {F, H} is F's table paired with P-sharp of H's (``velocity_pairings``, the
 one pairing kernel, which also pairs the flows' closed-form velocities).
 
@@ -15,11 +16,15 @@ Gradients are exact tables, and only exact tables.  An observable carries
 ``grad_table(point)``, returning the dict the geometry's finite-difference
 engine would build, keyed like ``_tangent_blocks``: 'group' and 'fiber' on cotangent
 points, the complexified derivatives 'lmul' (D) and 'rmul' (D') on the Heisenberg
-double and (factor, component, side) on fusion points.  Word traces
-(``word_observable``) carry it on all three, from Goldman's cyclic
-derivative; class functions of words (``moduli.WordHamiltonian``,
-``observables.WordFunction``) carry it on cotangent and fusion points, by
-conjugating the class-function gradient along the word; functions of the
+double and (factor, component, side) on fusion points.  Every word table
+comes from one chain rule (``word_table``): a letter of kind plain, adjoint,
+inverse or inverse adjoint (``_LETTER_KINDS``) adds a signed cut of the word,
+adjoint where flagged, to the keys it moves, which each geometry names
+(``_letter_rule``).  Word traces (``word_observable``) carry it on all three,
+from Goldman's cyclic derivative; class functions of words
+(``moduli.WordHamiltonian``, ``observables.WordFunction``) carry it on
+cotangent and fusion points, by conjugating the class-function gradient
+along the word; functions of the
 right Iwasawa factors (``observables.RightFactorFunction``, the Heisenberg
 generators) carry it through the first-order Iwasawa splitting, the
 dressing linearization.  Chart pullbacks are letter substitutions
@@ -54,10 +59,11 @@ benchmark's tracer spans them.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import UnsupportedBracket, UnsupportedWord
+from .errors import ShapeError, UnsupportedBracket, UnsupportedWord
 from .liecore import (
     IM_FORM,
     TRACE_FORM,
@@ -270,66 +276,55 @@ def heisenberg_derivatives_multi(obs_list, point: HeisenbergPoint):
 # exact gradient tables of word observables
 # ---------------------------------------------------------------------------
 
-def word_table(x, letters, cuts, gaps=None):
-    """Gradient table of an observable of the word W_0 ... W_(k-1) at x.
+# Goldman's letter kinds, (sign, adjoint, offset): translating a letter by exp(tZ) inserts Z
+# at the cut just before it (left) or just after it (right); an inverse letter takes -Z, an
+# adjoint letter Z^H, each at the opposite cut.  So letter i adds sign * C_(i+offset) to its
+# left key and sign * C_(i+1-offset) to its right key, conjugate-transposed when ``adjoint``.
+# The additive fiber 'j' is a "gap" letter: it adds its linear gradient gaps[i] instead.
+_LETTER_KINDS = {"plain": (1, False, 0), "adjoint": (1, True, 1), "inverse": (-1, False, 1),
+                 "inverse adjoint": (-1, True, 0), "gap": (1, False, 0)}
 
-    ``cuts[i]`` is the observable's gradient under inserting exp(tZ) just
-    before letter i (``cuts[k]``: after the last letter), ``gaps[i]`` its
-    linear gradient in letter i when that letter is the additive cotangent
-    fiber 'j'.  A letter W contributes cuts[i] to its left-multiplication
-    and cuts[i+1] to its right-multiplication gradient; an inverted letter
-    W^-1 contributes -cuts[i+1] and -cuts[i].  Returns the table that
-    ``fusion_gradient_tables`` or ``cotangent_gradients`` builds for the
-    observable.
+# each cotangent and Heisenberg letter: its kind and the keys it moves, left then right
+_LETTER_RULES = {
+    CotangentPoint: {"g": ("plain", "group"), "g~": ("inverse", "group"), "j": ("gap", "fiber")},
+    HeisenbergPoint: {name: (kind, "lmul", "rmul") for name, kind in (
+        ("x", "plain"), ("xh", "adjoint"), ("x~", "inverse"), ("xh~", "inverse adjoint"))},
+}
+
+
+def _letter_rule(x, name: str) -> tuple:
+    """(kind, keys...) of the letter ``name`` at x: its kind and the table keys it moves.  A
+    fusion letter is plain, or inverse when it ends in '~', on its slot's 'lmul' and 'rmul'."""
+    if isinstance(x, FusionPoint):
+        slot, inverse = x.letter_slot(name)
+        return "inverse" if inverse else "plain", (*slot, "lmul"), (*slot, "rmul")
+    if name not in _LETTER_RULES.get(type(x), {}):
+        raise ShapeError(f"no letter {name!r} on points of type {type(x).__name__}")
+    return _LETTER_RULES[type(x)][name]
+
+
+def word_table(x, letters, cuts, gaps=None):
+    """Gradient table of an observable of the word W_0 ... W_(k-1) at x, by the chain rule.
+
+    ``cuts[i]`` is the observable's gradient under inserting exp(tZ) just before letter i
+    (``cuts[k]``: after the last letter), ``gaps[i]`` its linear gradient in a cotangent fiber
+    letter 'j'.  Each letter adds its cuts to the keys it moves, by its kind (``_letter_rule``);
+    a key of ``_tangent_blocks`` that no letter moves stays zero.  The cuts are su-valued on
+    cotangent and fusion points, and the complex rotations of ``trace_word_table`` on the
+    Heisenberg double, whose sums that maps to D and D'.
     """
     zero = np.zeros_like(x.matrices()[0][1], dtype=complex)
-    if isinstance(x, CotangentPoint):
-        group = fiber = zero
-        for i, name in enumerate(letters):
-            if name == "j":
-                if gaps is None:
-                    raise UnsupportedWord("the fiber letter 'j' needs a linear gradient")
-                fiber = fiber + gaps[i]
-            elif name == "g":
-                group = group + cuts[i]
-            elif name == "g~":
-                group = group - cuts[i + 1]
-        return {"group": group, "fiber": fiber}
-    if not isinstance(x, FusionPoint):
-        raise UnsupportedBracket(f"no exact gradient table on {type(x).__name__}")
-    table = {(f, comp, side): zero for f, comp in x.space.slots for side in ("lmul", "rmul")}
+    table = {key: zero for key, *_ in _tangent_blocks(x)}
     for i, name in enumerate(letters):
-        (f, comp), inverse = x.letter_slot(name)
-        left, right = (-cuts[i + 1], -cuts[i]) if inverse else (cuts[i], cuts[i + 1])
-        table[f, comp, "lmul"] = table[f, comp, "lmul"] + left
-        table[f, comp, "rmul"] = table[f, comp, "rmul"] + right
+        kind, *keys = _letter_rule(x, name)
+        sign, conjugate, offset = _LETTER_KINDS[kind]
+        source = gaps if kind == "gap" else cuts
+        if source is None:
+            raise UnsupportedWord("the fiber letter 'j' needs a linear gradient")
+        for key, cut in zip(keys, (i + offset, i + 1 - offset)):
+            c = adjoint(source[cut]) if conjugate else source[cut]
+            table[key] = table[key] + c if sign > 0 else table[key] - c
     return table
-
-
-# per Heisenberg letter (X, X^H, X^-1, X^-H): (sign, adjoint, offset).  Translating X inserts
-# +-Z or +-Z^H at the cut before or after the letter, so letter i adds sign * C_(i+offset) to
-# the left and sign * C_(i+1-offset) to the right matrix of _heisenberg_word_table, each
-# conjugate-transposed when ``adjoint``.
-_HEISENBERG_LETTERS = {"x": (1, False, 0), "xh": (1, True, 1), "x~": (-1, False, 1),
-                       "xh~": (-1, True, 0)}
-
-
-def _heisenberg_word_table(letters, rotations):
-    """'lmul' (D) and 'rmul' (D') of Re tr(coeff W_0 ... W_(k-1)) on the Heisenberg double.
-
-    ``rotations[i]`` is C_i = coeff (W_i ... W_(k-1)) (W_0 ... W_(i-1)), with
-    C_k = C_0: inserting Z at cut i moves the trace by Re tr(Z C_i).  Summing
-    the letters' cuts gives M with d/dt F(exp(tZ) X) = Re tr(M Z) (M' on the
-    right), and D is the traceless part of i M, since im-pair(Z, i M) =
-    Re tr(M Z).
-    """
-    sides = {"lmul": 0, "rmul": 0}
-    for i, name in enumerate(letters):
-        sign, conjugate, offset = _HEISENBERG_LETTERS[name]
-        for side, cut in zip(sides, (i + offset, i + 1 - offset)):
-            c = rotations[cut]
-            sides[side] = sides[side] + sign * (adjoint(c) if conjugate else c)
-    return {side: traceless(1j * m) for side, m in sides.items()}
 
 
 def trace_word_table(x, letters, coeff: complex):
@@ -337,19 +332,21 @@ def trace_word_table(x, letters, coeff: complex):
 
     Goldman's cyclic derivative: the word read from just after letter i
     round to just before it is the linear gradient in letter i, and the
-    cyclic rotation starting at letter i is the gradient at cut i.
+    cyclic rotation C_i = coeff (W_i ... W_(k-1)) (W_0 ... W_(i-1)) is the
+    gradient at cut i, skew-projected on su.  On the Heisenberg double
+    inserting Z at cut i moves the trace by Re tr(Z C_i), so the cuts are the
+    C_i themselves, and the letters' sums M (M' on the right) give D = the
+    traceless part of i M, since im-pair(Z, i M) = Re tr(M Z).
     """
     mats = [x.letter(name) for name in letters]
     eye = np.eye(x.n, dtype=complex)
-    prefix, suffix = [eye], [eye]
-    for m, m_back in zip(mats, reversed(mats)):
-        prefix.append(prefix[-1] @ m)
-        suffix.append(m_back @ suffix[-1])
-    suffix.reverse()  # suffix[i] = W_i ... W_(k-1)
+    prefix = list(accumulate(mats, np.matmul, initial=eye))  # W_0 ... W_(i-1)
+    suffix = list(accumulate(mats[::-1], lambda s, m: m @ s, initial=eye))[::-1]  # W_i ... W_(k-1)
     rest = [suffix[i + 1] @ prefix[i] for i in range(len(mats))]
     rotations = [coeff * (m @ r) for m, r in zip(mats, rest)]
     if isinstance(x, HeisenbergPoint):
-        return _heisenberg_word_table(letters, rotations + rotations[:1])
+        sums = word_table(x, letters, rotations + rotations[:1])
+        return {side: traceless(1j * m) for side, m in sums.items()}
     cuts = [skew_traceless(c) for c in rotations]
     gaps = [skew_traceless(coeff * r) for r in rest]
     return word_table(x, letters, cuts + cuts[:1], gaps)
@@ -360,14 +357,13 @@ def class_word_table(x, letters, grad: np.ndarray):
 
     ``grad`` is f's gradient at the word's value P.  Inserting exp(tZ) after
     the prefix A moves P to exp(t A Z A^-1) P, so the gradient at that cut
-    is A^-1 grad A.
+    is A^-1 grad A.  There is none on the Heisenberg double, whose letters are not unitary.
     """
-    cuts = [grad]
-    prefix = np.eye(x.n, dtype=complex)
-    for name in letters:
-        prefix = prefix @ x.letter(name)
-        cuts.append(adjoint(prefix) @ grad @ prefix)
-    return word_table(x, letters, cuts)
+    if isinstance(x, HeisenbergPoint):
+        raise UnsupportedBracket("no class-function word table on the Heisenberg double")
+    prefixes = accumulate(map(x.letter, letters), np.matmul, initial=np.eye(x.n, dtype=complex))
+    next(prefixes)  # the cut before the first letter is grad itself
+    return word_table(x, letters, [grad] + [adjoint(a) @ grad @ a for a in prefixes])
 
 
 # per right Iwasawa factor: the part of the splitting W = k + beta (k in su(n), beta Borel)
@@ -410,12 +406,8 @@ def _right_factor_bases(cofactors, part) -> tuple:
 
 
 def _gradients(obs_list, x) -> list:
-    """Each observable's own ``grad_table`` at x, in the form the geometry's sharp map reads.
-
-    There is no fallback: an observable without a table raises
-    ``UnsupportedBracket`` naming it.  Finite-difference tables are the
-    tests' oracle, not a bracket path.
-    """
+    """Each observable's own ``grad_table`` at x, in the form the geometry's sharp map reads;
+    an observable without one raises ``UnsupportedBracket`` naming it (no fallback)."""
     if type(x) not in _SHARP:
         raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
     for o in obs_list:
@@ -487,11 +479,13 @@ _FACTOR_SHARP = {
 def _fusion_sharp(th, x: FusionPoint) -> dict:
     """The quasi-Poisson bivector of the fusion product: each factor's own (``_FACTOR_SHARP``)
     plus, on the letters of factor g, the conjugation by sum_(f<g) C_f - sum_(f>g) C_f, where
-    C_f is factor f's ``conjugation_gradient``; all halved."""
+    C_f is factor f's ``conjugation_gradient``; all halved.  One pass over the factors: the
+    prefix sums run forward, and the suffix sums (the one factor-long list) run back."""
     conj = [conjugation_gradient(th, slots) for slots in x.space.factor_slots]
+    after = list(accumulate(conj[:0:-1], lambda total, c: c + total, initial=0))
     v = {}
-    for f, t in enumerate(x.space.types):
-        w = sum(conj[:f]) - sum(conj[f + 1:])
+    for f, (t, before) in enumerate(zip(x.space.types, accumulate(conj, initial=0))):
+        w = before - after.pop()  # sum_(f' > f) C_f', freed once read
         for (comp, side), terms in _FACTOR_SHARP[t].items():
             local = sum(sign * th[f, c, s] for sign, c, s in terms)
             v[f, comp, side] = 0.5 * (local + w if side == "lmul" else local - w)

@@ -242,7 +242,8 @@ class HeisenbergHarness(Harness):
                  ("x~", "xh"), ("x", "xh", "x", "xh")]
         obs = [word_observable(w) for w in words]
         obs += [word_observable(w, part="im") for w in (("x",), ("x", "x", "xh"))]
-        return obs
+        # the one probe with an inverse adjoint letter
+        return obs + [word_observable(("x", "xh~"))]
 
     def families(self):
         datum = self.datum

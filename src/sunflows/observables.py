@@ -18,12 +18,14 @@ and functions of a right Iwasawa factor are the Heisenberg generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import brackets, decomp
-from .errors import UnsupportedWord
+from .errors import UnsupportedBracket, UnsupportedWord
 from .liecore import RootDatum, skew_traceless, trace, traceless
+from .spaces import HeisenbergPoint
 
 
 # the coefficient c of Re tr(c P) for each part: Im tr(P) = Re tr(-i P)
@@ -240,10 +242,7 @@ def grad_on(fn, x, key, m: np.ndarray) -> np.ndarray:
 
 def word_product(x, letters) -> np.ndarray:
     """The product of the named letters of x, left to right."""
-    m = x.letter(letters[0])
-    for name in letters[1:]:
-        m = m @ x.letter(name)
-    return m
+    return reduce(np.matmul, map(x.letter, letters))
 
 
 def word_observable(letters: tuple[str, ...], part: str = "re"):
@@ -275,8 +274,13 @@ def entry_observable(c: np.ndarray, letter: str):
         t = trace(c @ x.letter(letter)).real
         return float(t) if t.ndim == 0 else t
 
-    obs.grad_table = lambda x: brackets.word_table(
-        x, (letter,), [skew_traceless(x.letter(letter) @ c), skew_traceless(c @ x.letter(letter))])
+    def grad_table(x):
+        if isinstance(x, HeisenbergPoint):
+            raise UnsupportedBracket("a letter entry has no table on the Heisenberg double")
+        m = x.letter(letter)
+        return brackets.word_table(x, (letter,), [skew_traceless(m @ c), skew_traceless(c @ m)])
+
+    obs.grad_table = grad_table
     return obs
 
 

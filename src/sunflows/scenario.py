@@ -316,7 +316,8 @@ def _times_n(rows, n: int):
 
 @check("dual-basis", "dual bases satisfy the defining pairing identity", 1e-12, shared="space")
 def check_dual_basis(ctx: CheckContext):
-    """The cached dual bases that the finite-difference engine sums gradients against."""
+    """The cached su and sl dual bases: the finite-difference engine sums gradients against
+    them, and the right-factor tables against the sl duals (``brackets._dual_sum``)."""
     n = ctx.cfg.n
     rng = ctx.rng("dual-basis")
     basis, dual = brackets._basis("su", n)

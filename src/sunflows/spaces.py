@@ -341,12 +341,11 @@ class FusionPoint(Point):
         """The (factor, component) a letter reads, and whether it is inverted."""
         inverse = name.endswith("~")
         core = name[:-1] if inverse else name
-        kind, idx = core[0], int(core[1:])
-        if kind in ("a", "b"):
-            return (self.space.position("D", idx), "ab".index(kind)), inverse
-        if kind == "c":
-            return (self.space.position("K", idx), 0), inverse
-        raise ShapeError(f"unknown fusion letter {name!r}")
+        if core[:1] not in ("a", "b", "c") or not core[1:].isdecimal():
+            raise ShapeError(f"unknown fusion letter {name!r}")
+        if core[0] == "c":
+            return (self.space.position("K", int(core[1:])), 0), inverse
+        return (self.space.position("D", int(core[1:])), "ab".index(core[0])), inverse
 
     def letter(self, name: str) -> np.ndarray:
         slot, inverse = self.letter_slot(name)

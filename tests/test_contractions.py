@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from curve_stencils import fd_observable
 
-from sunflows import brackets, harness, liecore
+from sunflows import brackets, harness, liecore, probes
 from sunflows import observables as ob
 from sunflows.liecore import IM_FORM, pair
 from sunflows.scenario import ScenarioConfig, all_generators, run_scenario
@@ -78,17 +78,47 @@ def _heisenberg_pair(tf, th, point):
             + pair(tf["rmul"], half(th["rmul"]), IM_FORM))
 
 
+def _quadratic_fusion_sharp(th, point):
+    """The fusion sharp map with each factor's coupling summed afresh over the other factors,
+    sum(conj[:f]) - sum(conj[f + 1:]), quadratic in the factor count."""
+    conj = [brackets.conjugation_gradient(th, slots) for slots in point.space.factor_slots]
+    v = {}
+    for f, t in enumerate(point.space.types):
+        w = sum(conj[:f]) - sum(conj[f + 1:])
+        for (comp, side), terms in brackets._FACTOR_SHARP[t].items():
+            local = sum(sign * th[f, c, s] for sign, c, s in terms)
+            v[f, comp, side] = 0.5 * (local + w if side == "lmul" else local - w)
+    return v
+
+
 _REFERENCE = {"cotangent": _cotangent_pair, "heisenberg": _heisenberg_pair,
-              "double": _fusion_pair, "sphere4": _fusion_pair, "moduli": _fusion_pair}
+              "double": _fusion_pair, "sphere4": _fusion_pair, "moduli": _fusion_pair,
+              "moduli-16": _fusion_pair, "alternating-blocks": _fusion_pair}
+# the fusion spaces whose running coupling sums reassociate the quadratic ones: 16 factors,
+# and the interleaved ("D", "K", "D", "K") space of a crafted point
+_WIDE = ("moduli-16", "alternating-blocks")
 _FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 
 
 def _case(space, n, seed):
-    kw = dict(m=2, holes=2, family=_FAMILY) if space == "moduli" else {}
-    h = harness.build_harness(space, n, liecore.build_root_datum(n), **kw)
-    x = h.sample(np.random.default_rng(seed))
+    datum = liecore.build_root_datum(n)
+    if space == "alternating-blocks":
+        crafted = probes.principal_test_point(space, n, datum, np.random.default_rng(seed))
+        x = crafted.point
+        letters = [x.space.momentum_word(f)[comp] for f, comp in x.space.slots]
+        words = [(l,) for l in letters] + [(l, m + "~") for l, m in zip(letters, letters[1:])]
+        obs = [ob.word_observable(w) for w in words] + crafted.family
+    else:
+        kw = {"moduli": dict(m=2, holes=2, family=_FAMILY),
+              "moduli-16": dict(m=8, holes=8, family=_FAMILY)}.get(space, {})
+        h = harness.build_harness(space.split("-")[0], n, datum, **kw)
+        x = h.sample(np.random.default_rng(seed))
+        obs = h.probes() + [g.obs for g in all_generators(h)]
+    if space in _WIDE:
+        # a word through every slot, so that the coupling sums add many nonzero terms
+        obs.append(ob.word_observable(tuple(x.space.momentum_word(f)[c]
+                                            for f, c in x.space.slots)))
     # probes, generators and one opaque observable, which carries its FD table
-    obs = h.probes() + [g.obs for g in all_generators(h)]
     probe = obs[1]
     obs.append(fd_observable(lambda p: probe(p)))
     return x, obs
@@ -101,8 +131,9 @@ def test_sharp_pairing_is_the_per_pair_formula(space, n):
     tables = brackets._gradients(obs, x)
     stack = brackets.gradient_stack(obs, x)
     rows, cols = obs[:7], obs[3:]
-    mat = brackets.velocity_pairings({k: s[:7] for k, s in stack.items()},
-                                     brackets.sharp({k: s[3:] for k, s in stack.items()}, x), x)
+    column_stack = {k: s[3:] for k, s in stack.items()}
+    velocities = brackets.sharp(column_stack, x)
+    mat = brackets.velocity_pairings({k: s[:7] for k, s in stack.items()}, velocities, x)
     reference = np.array([[_REFERENCE[space](tables[i], tables[3 + j], x)
                            for j in range(len(cols))] for i in range(len(rows))])
     assert np.array_equal(mat, brackets.bracket_matrix(rows, cols, x))
@@ -110,6 +141,17 @@ def test_sharp_pairing_is_the_per_pair_formula(space, n):
         assert np.array_equal(mat, reference)
     else:
         assert _close(mat, reference)
+    if _REFERENCE[space] is _fusion_pair:
+        # the one-pass coupling: the quadratic sums' bits while no suffix adds three nonzero
+        # conjugation gradients (no column here moves more than two factors of (2, 2)), and
+        # their value to rounding on the wide spaces
+        quadratic = _quadratic_fusion_sharp(column_stack, x)
+        assert velocities.keys() == quadratic.keys()
+        for key, v in velocities.items():
+            if space in _WIDE:
+                assert _close(v, quadratic[key]), key
+            else:
+                assert np.array_equal(v, quadratic[key]), key
 
 
 # every space of the workbench, the double with both of its families

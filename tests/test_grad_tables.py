@@ -19,7 +19,7 @@ import scipy.linalg
 from curve_stencils import fd_observable, per_time
 
 from sunflows import brackets, flows, harness, liecore, moduli, observables as ob
-from sunflows.errors import UnsupportedBracket, UnsupportedWord
+from sunflows.errors import ShapeError, SunflowsError, UnsupportedBracket, UnsupportedWord
 from sunflows.scenario import ScenarioConfig, all_generators, run_scenario
 from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, Point, double_space,
                              moduli_space, sphere_space)
@@ -158,9 +158,14 @@ def test_tables_refuse_unsupported_points_and_words():
     with pytest.raises(UnsupportedBracket):
         brackets.bracket_matrix([probe], [probe], _PlainPoint())
     x = harness.build_harness("heisenberg", 2, liecore.build_root_datum(2)).sample(rng)
-    # a class function of a unitary word has no table on the Heisenberg double ...
+    # a class function of a unitary word and a letter entry have no table on the Heisenberg
+    # double, and the fiber word 'j' no letter there ...
     with pytest.raises(UnsupportedBracket):
         ob.WordFunction(ob.PowerTrace(2), ("x",)).grad_table(x)
+    with pytest.raises(UnsupportedBracket):
+        ob.entry_observable(np.eye(2), "x").grad_table(x)
+    with pytest.raises(ShapeError):
+        ob.WordFunction(ob.AlgebraPower(2), ("j",)).grad_table(x)
     # ... and a right Iwasawa factor exists only there
     y = harness.build_harness("cotangent", 2, liecore.build_root_datum(2)).sample(rng)
     with pytest.raises(UnsupportedBracket):
@@ -169,6 +174,33 @@ def test_tables_refuse_unsupported_points_and_words():
         ob.WordFunction(ob.AlgebraPower(2), ("g",))
     with pytest.raises(UnsupportedWord):
         ob.RightFactorFunction(ob.PowerTrace(2), "b_right")
+
+
+# well-formed and malformed letter names of every geometry
+LETTER_NAMES = ("g", "g~", "j", "j~", "x", "xh", "x~", "xh~", "x~~", "a1", "a1~", "b1", "b1~",
+                "b2~", "c1", "c2~", "c3", "a", "c", "q1", "zz", "", "~")
+
+
+@pytest.mark.parametrize("space", ["cotangent", "heisenberg", "double", "sphere4", "moduli"])
+def test_letters_and_their_rules_agree(space):
+    """A letter the point reads has a rule in the chain rule, and a letter it refuses has none:
+    ``_letter_rule`` raises what ``letter`` raises, and a word table with an unknown letter
+    raises ShapeError too."""
+    x = _harness(space, 2).sample(np.random.default_rng(55))
+
+    def refusal(call, name):
+        try:
+            call(x, name)
+        except SunflowsError as err:
+            return type(err)
+        return None
+
+    for name in LETTER_NAMES:
+        assert refusal(type(x).letter, name) == refusal(brackets._letter_rule, name), name
+    for name in brackets._LETTER_RULES.get(type(x), {}):
+        x.letter(name)
+    with pytest.raises(ShapeError):
+        brackets.word_table(x, ("q1",), [np.zeros((2, 2), complex)] * 2)
 
 
 def test_brackets_refuse_an_observable_without_a_table():

@@ -46,7 +46,20 @@ def _swap_right_factor_parts(mp):
 
 def _xh_cut_on_the_wrong_side(mp):
     # 'xh' adds C_(i+1)^H on the left and C_i^H on the right; offset 0 swaps them
-    mp.setitem(brackets._HEISENBERG_LETTERS, "xh", (1, True, 0))
+    mp.setitem(brackets._LETTER_KINDS, "adjoint", (1, True, 0))
+
+
+# 'xh~' adds -C_i^H on the left and -C_(i+1)^H on the right: one defect per entry of its kind
+def _xh_inverse_sign_flipped(mp):
+    mp.setitem(brackets._LETTER_KINDS, "inverse adjoint", (1, True, 0))
+
+
+def _xh_inverse_not_adjoint(mp):
+    mp.setitem(brackets._LETTER_KINDS, "inverse adjoint", (-1, False, 0))
+
+
+def _xh_inverse_cut_on_the_wrong_side(mp):
+    mp.setitem(brackets._LETTER_KINDS, "inverse adjoint", (-1, True, 1))
 
 
 # The fusion bivector's terms, as entries of the factor sharp maps: the velocity of slot key
@@ -242,6 +255,12 @@ MUTATIONS = {
                                          dict(space="heisenberg", n=2), ["flow-bracket"]),
     "xh-cut-on-the-wrong-side": (_xh_cut_on_the_wrong_side, dict(space="heisenberg", n=3),
                                  ["flow-bracket"]),
+    "xh-inverse-sign-flipped": (_xh_inverse_sign_flipped, dict(space="heisenberg", n=2),
+                                ["flow-bracket"]),
+    "xh-inverse-not-adjoint": (_xh_inverse_not_adjoint, dict(space="heisenberg", n=2),
+                               ["flow-bracket"]),
+    "xh-inverse-cut-on-the-wrong-side": (_xh_inverse_cut_on_the_wrong_side,
+                                         dict(space="heisenberg", n=2), ["flow-bracket"]),
     # at n=2 the probe pairings of flow-bracket miss these three terms; its tangent comparison
     # catches them
     "double-cross-term-dropped": (_drop_double_cross_term, dict(space="double", n=2),

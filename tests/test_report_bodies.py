@@ -18,7 +18,7 @@ DESK_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 
 BODIES = [
     (dict(space="heisenberg", n=3),
-     "d3de7e90ca12fd4fdc0f291f472df9be5a9e251420b018d2490b34d9cad19236"),
+     "cb710d25147f72343175d364e8794dd9342a357c4463070d4f3e42d83f728dc1"),
     (dict(space="cotangent", n=3),
      "342a410f4f0f0e97b3d0c46ea18823bbb0efe3d5d1c3c7c0d68215abab6d588b"),
     (dict(space="double", n=3),
