@@ -10,7 +10,8 @@ canonical cotangent bivector, the Heisenberg-double bivector built from the
 two isotropic projections, and the quasi-Poisson bivector of fusion spaces,
 which couples the factors through running sums of their conjugation gradients.
 {F, H} is F's table paired with P-sharp of H's (``velocity_pairings``, the
-one pairing kernel, which also pairs the flows' closed-form velocities).
+one pairing kernel, which also pairs the flows' closed-form velocities; one
+``liecore.gram`` per key, with no product stack).
 
 Gradients are exact tables, and only exact tables.  An observable carries
 ``grad_table(point)``, returning the dict the geometry's finite-difference
@@ -133,7 +134,7 @@ def _basis(kind: str, n: int):
     """
     if kind == "borel":
         basis, su = borel_basis(n), _basis("su", n)[0]
-        dual = ordered_sum(np.linalg.inv(np.array([gram(z, su, IM_FORM) for z in basis])).T, su)
+        dual = ordered_sum(np.linalg.inv(gram(basis, su, IM_FORM)).T, su)
     else:
         basis = np.array(su_basis(n) if kind == "su" else sl_real_basis(n))
         dual = dual_basis(basis, FORM[kind])
@@ -508,9 +509,9 @@ def sharp(th: dict, x) -> dict:
 # ---------------------------------------------------------------------------
 
 def velocity_pairings(tf: dict, velocities: dict, x) -> np.ndarray:
-    """d/dt of each row observable along each velocity, (rows, velocities), from stacked dicts
-    (``stack_tables``): the sum over the velocities' keys of form(table[key], velocity[key]),
-    the trace form on su and the im form on sl."""
+    """d/dt of each row observable along each velocity, (..., rows, velocities), from stacked
+    dicts (``stack_tables``): the sum over the velocities' keys of form(table[key],
+    velocity[key]), the trace form on su and the im form on sl, one ``liecore.gram`` per key."""
     form = IM_FORM if isinstance(x, HeisenbergPoint) else TRACE_FORM
     return sum(gram(tf[key], v, form) for key, v in velocities.items())
 

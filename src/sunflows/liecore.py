@@ -149,20 +149,19 @@ IM_FORM = "im"
 def pair(x: np.ndarray, y: np.ndarray, pairing: str = TRACE_FORM) -> float:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ShapeError(f"incompatible shapes {x.shape} and {y.shape}")
-    t = np.trace(x @ y)
-    return float(t.imag if pairing == IM_FORM else t.real)
+    return float(gram(x, y[np.newaxis], pairing)[0])
 
 
 def gram(left: np.ndarray, right: np.ndarray, pairing: str = TRACE_FORM) -> np.ndarray:
-    """pair(left[..., i], right[..., j], pairing) for every i and j, bit for bit (einsum
-    reorders the sum): stacks (..., rows, n, n) and (..., cols, n, n) give (..., rows, cols).
-
-    A single matrix as ``left`` gives one row: the per-n constants are built row
-    by row, so that no (rows, columns, n, n) temporary is allocated.
-    """
+    """pair(left[..., i], right[..., j], pairing) for every i and j, bit for bit: stacks
+    (..., rows, n, n) and (..., cols, n, n), leading axes broadcast, give (..., rows, cols); a
+    single matrix as ``left`` gives one row.  tr(AB) = vec(A) . vec(B^T), one ``np.vecdot``
+    (which conjugates its first operand) over the n^2 entries per entry: no product stack."""
     if left.ndim == 2:
         return gram(left[np.newaxis], right, pairing)[0]
-    t = trace(left[..., :, np.newaxis, :, :] @ right[..., np.newaxis, :, :, :])
+    flat = lambda m: m.reshape(m.shape[:-2] + (-1,))
+    t = np.vecdot(flat(left.conj())[..., :, np.newaxis, :],
+                  flat(np.swapaxes(right, -1, -2))[..., np.newaxis, :, :])
     return t.imag if pairing == IM_FORM else t.real
 
 
@@ -173,7 +172,7 @@ def dual_basis(basis, pairing: str = TRACE_FORM) -> np.ndarray:
     each sum taken in basis order.
     """
     basis = np.asarray(basis)
-    g = np.array([gram(b, basis, pairing) for b in basis])
+    g = gram(basis, basis, pairing)
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateBasis(f"Gram matrix is singular (cond={cond:.3e})")

@@ -34,11 +34,11 @@ SCHEMA_VERSION = "1"
 
 SPACES = ("cotangent", "heisenberg", "double", "sphere4", "moduli")
 
-# the most points a check may stack.  At n = 8 the largest stacked array per configured point
-# is the pairing temporary (points, probes, generators, n, n) of flow-bracket on the
-# desk-sweep moduli space (2, 2): 12 x 24 x 64 complex entries, 288 KiB a point; with the
-# other stacked tables a point holds about 1 MiB (tracemalloc), so 256 points keep a check
-# under 256 MiB
+# the most points a check may stack.  At n = 8 the largest stacked arrays per configured point
+# are those of flow-bracket on the desk-sweep moduli space (2, 2): its 24 generators' tables
+# and their P-sharp, 12 keys x 24 x 64 complex entries, 288 KiB a point each; with the
+# probes' tables and the sharp map's temporaries its peak is 0.92 MiB a point (tracemalloc,
+# 64 points), so 256 points keep a check under 256 MiB
 MAX_POINTS = 256
 # the most factors m + holes of a moduli space: at n = 8 the suite of the family {"single": [1]}
 # takes 0.34 s at 2 factors, 1.7 s at 128 and 3.2 s at 256, against a 3 s budget per suite
@@ -321,10 +321,10 @@ def check_dual_basis(ctx: CheckContext):
     n = ctx.cfg.n
     rng = ctx.rng("dual-basis")
     basis, dual = brackets._basis("su", n)
-    worst = float(np.max(np.abs([liecore.gram(b, dual) for b in basis] - np.eye(len(basis)))))
+    worst = float(np.max(np.abs(liecore.gram(basis, dual) - np.eye(len(basis)))))
     rbasis, rdual = (stack[::3] for stack in brackets._basis("sl", n))
-    worst = _worst(worst, float(np.max(np.abs(
-        [liecore.gram(b, rdual, liecore.IM_FORM) for b in rbasis] - np.eye(len(rbasis))))))
+    worst = _worst(worst, float(np.max(np.abs(liecore.gram(rbasis, rdual, liecore.IM_FORM)
+                                              - np.eye(len(rbasis))))))
     z = liecore.random_algebra_element(n, rng)
     recon = liecore.ordered_sum(liecore.gram(z, dual), basis)
     return _worst(worst, float(np.linalg.norm(recon - z)))
@@ -508,21 +508,27 @@ def flow_derivatives(x, gens, obs) -> np.ndarray:
 
 def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
     """Largest relative defect at x, a point or a stack, between each generator's closed-form
-    velocity and its Hamiltonian velocity (P-sharp of its table): as ambient tangent vectors
-    and paired with the probes' stacked tables, and, with ``oracle`` (one point only), the
-    brackets against the flows' finite-difference derivatives (``flow_derivatives``)."""
+    velocity and its Hamiltonian velocity (P-sharp of its table): paired with the probes'
+    stacked tables, and as ambient tangent vectors.  With ``oracle``, also the brackets at x's
+    first point against the flows' finite-difference derivatives there (``flow_derivatives``),
+    taken before the stacked tables exist."""
+    first = lambda a: a.reshape((-1,) + a.shape[-2:])[0]  # of a stack, or a one-point array
+    derivs = [flow_derivatives(x.map(first), gens, obs)] if oracle else []
     rows = brackets.gradient_stack(obs, x)
     hamiltonian = brackets.sharp(brackets.gradient_stack([g.obs for g in gens], x), x)
     velocities = brackets.stack_tables([g.velocity(x) for g in gens])
     mat = brackets.velocity_pairings(rows, hamiltonian, x)
-    derivs = [brackets.velocity_pairings(rows, velocities, x)]
-    if oracle:
-        derivs.append(flow_derivatives(x, gens, obs))
-    defects = [float(np.max(np.abs(d - mat) / (1.0 + np.abs(mat)))) for d in derivs]
-    # both velocities as tangent vectors, (generators, ..., dim): the generator axis first
-    moved, ref = (x.tangent({key: np.moveaxis(s, -3, 0) for key, s in v.items()})
-                  for v in (velocities, hamiltonian))
-    defects.append(float(np.max(liecore.norms(moved - ref) / (1.0 + liecore.norms(ref)))))
+    pairs = [(brackets.velocity_pairings(rows, velocities, x), mat), *zip(derivs, [first(mat)])]
+    defects = [float(np.max(np.abs(d - m) / (1.0 + np.abs(m)))) for d, m in pairs]
+    del rows  # the probes' tables, freed before the tangent maps
+    # as tangent vectors (generators, ..., dim), the generator axis first: P-sharp's norm,
+    # then velocity - P-sharp, taken in the velocities' arrays, in one map (tangent is linear)
+    tangent = lambda v: x.tangent({key: np.moveaxis(s, -3, 0) for key, s in v.items()})
+    scale = 1.0 + liecore.norms(tangent(hamiltonian))
+    for key, s in hamiltonian.items():
+        np.subtract(velocities.setdefault(key, np.zeros_like(s)), s, out=velocities[key])
+    del hamiltonian
+    defects.append(float(np.max(liecore.norms(tangent(velocities)) / scale)))
     return _worst(*defects)
 
 
@@ -538,9 +544,8 @@ def check_flow_bracket(ctx: CheckContext):
     obs = h.probes()
     gens = all_generators(h)
     first = h.sample(rng)
-    rest = h.sample_stack(rng, ctx.cfg.points - 1)
-    return (_worst(flow_bracket_worst(first, gens, obs),
-                   flow_bracket_worst(rest, gens, obs, oracle=False)),
+    x = stack([stack([first]), h.sample_stack(rng, ctx.cfg.points - 1)], np.concatenate)
+    return (flow_bracket_worst(x, gens, obs),
             {"points": ctx.cfg.points, "observables": len(obs), "generators": len(gens)})
 
 
@@ -708,8 +713,8 @@ def check_bracket_invariance(ctx: CheckContext):
     rng = ctx.rng("bracket-invariance")
     obs = [g.obs for fam in h.families().values() for g in fam][:3]
     x, eta = h.sample_stack(rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
-    return _worst(0.0, _above_diagonal(brackets.bracket_matrix(obs, obs, x)
-                                      - brackets.bracket_matrix(obs, obs, x.conjugate(eta))))
+    mat = brackets.bracket_matrix(obs, obs, stack([x, x.conjugate(eta)]))
+    return _worst(0.0, _above_diagonal(mat[0] - mat[1]))
 
 
 @check("isotropy-crafted", "crafted points have trivial combined infinitesimal stabilizer "

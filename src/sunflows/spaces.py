@@ -14,9 +14,9 @@ a fusion space the list is the space's ``slots``: two per 'D' factor, one per
 of the symmetry group SU(n): conjugation of every matrix on cotangent and
 fusion points, the quasi-adjoint action on the Heisenberg double.
 
-Points are stacks.  Every matrix of a point may carry leading point axes,
-(..., n, n), and ``stack(points)`` builds one such point from per-point
-draws.  ``flat``, ``distance``, ``tangent``, ``conjugation_velocity``,
+Points are stacks.  Every matrix of a point may carry leading point axes, (..., n, n);
+``stack(points)`` builds one such point from per-point draws (or joins stacks), and ``map``
+applies a function to every matrix.  ``flat``, ``distance``, ``tangent``, ``conjugation_velocity``,
 ``conjugate`` (by one eta or one per point), ``letter``, ``factor`` and the
 momentum maps act on each point of a stack; a single point is the case with
 no leading axis.  ``distance`` is bit-equal to the one-point distance on each
@@ -65,6 +65,10 @@ class Point:
     def flat(self) -> np.ndarray:
         """Real, then imaginary entries of each matrix, matrix by matrix, on the last axis."""
         return _flatten([m for _, m in self.matrices()])
+
+    def map(self, fn) -> "Point":
+        """The point with fn applied to every matrix."""
+        return type(self)(*(fn(getattr(self, f.name)) for f in fields(self)))
 
     def distance(self, other: "Point"):
         """Euclidean norm of the flattened difference, per point of a stack."""
@@ -368,14 +372,13 @@ class FusionPoint(Point):
         return _flatten([moved.get(slot) for slot in self.space.slots])
 
 
-def stack(points) -> Point:
+def stack(points, join=np.stack) -> Point:
     """One point of the type of ``points[0]`` whose matrices stack those of the points on a
-    new leading axis."""
+    new leading axis; with ``join=np.concatenate``, stacks joined on their leading axis."""
     first = points[0]
     if isinstance(first, FusionPoint):
-        return first.with_slots({s: np.stack([p.slot(*s) for p in points])
-                                 for s in first.space.slots})
-    return type(first)(*(np.stack([getattr(p, f.name) for p in points]) for f in fields(first)))
+        return first.with_slots({s: join([p.slot(*s) for p in points]) for s in first.space.slots})
+    return type(first)(*(join([getattr(p, f.name) for p in points]) for f in fields(first)))
 
 
 def moduli_point(space: FusionSpace, pairs, holes) -> FusionPoint:

@@ -8,9 +8,13 @@ match the per-pair bivector formula, written here term by term with
 order).  Every column of P-sharp must be, as an ambient tangent vector, the
 closed-form velocity of the generator's flow.  The flow-bracket check pairs
 those velocities with the probes' tables and differentiates the flows
-themselves at one point only: one ``directional_derivative`` call per
-generator per suite.
+themselves at one point only: one ``directional_derivative`` call per check,
+for all of its generators.  ``liecore.gram``, the pairing under every
+bracket, is ``liecore.pair`` entry by entry on any operands, and forms no
+product stack.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,12 +184,42 @@ def test_sharp_of_each_generator_is_its_flow_velocity(label, n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gram_is_pair_entry_by_entry(n):
+    """On leading point axes, broadcast operands and non-contiguous views (conjugate
+    transposes, the row picks of ``brackets._pick``), under both forms, every entry of ``gram``
+    is ``pair`` of its two matrices, bit for bit."""
     rng = np.random.default_rng(50 + n)
-    left = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
-    right = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
-    for form in (liecore.TRACE_FORM, IM_FORM):
-        gram = liecore.gram(left, right, form)
-        assert np.array_equal(gram, [[pair(a, b, form) for b in right] for a in left])
+    draw = lambda *shape: rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    left, right = draw(3, 5), draw(3, 4)
+    cases = [(left, right), (left[0], right[0]), (left[1, 2], right[2]),
+             (left, right[:1]), (left[:1], right),
+             (liecore.adjoint(left), right[:, ::-1]), (left[:, ::2], liecore.adjoint(right)),
+             (brackets._pick({0: left}, [4, 1, 1])[0], brackets._pick({0: right}, [3])[0]),
+             (brackets._pick({0: left}, 2)[0], right),
+             (np.broadcast_to(left[0], (2, 5, n, n)), right[:2]), (left.real, right)]
+    for a, b in cases:
+        for form in (liecore.TRACE_FORM, IM_FORM):
+            got = liecore.gram(a, b, form)
+            if a.ndim == 2:  # one matrix gives one row
+                a, got = a[np.newaxis], got[..., np.newaxis, :]
+            shape = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+            a_, b_ = (np.broadcast_to(m, shape + m.shape[-3:]) for m in (a, b))
+            for index in np.ndindex(shape):
+                want = [[pair(u, v, form) for v in b_[index]] for u in a_[index]]
+                assert np.array_equal(got[index], want), (a.shape, b.shape, form, index)
+
+
+def test_gram_forms_no_product_stack():
+    """At n = 8 a 40 x 40 gram allocates far less than one rows x cols x n^2 complex stack."""
+    rng = np.random.default_rng(8)
+    left, right = (rng.normal(size=(40, 8, 8)) + 1j * rng.normal(size=(40, 8, 8))
+                   for _ in range(2))
+    tracemalloc.start()
+    try:
+        liecore.gram(left, right)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 40 * 64 * 16 / 4, peak
 
 
 @pytest.mark.parametrize("space, words", [

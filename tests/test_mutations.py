@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from sunflows import brackets, flows, liecore, moduli, scenario, spaces
+from sunflows import brackets, flows, liecore, moduli, spaces
 from sunflows.liecore import IM_FORM, TRACE_FORM, project_borel, project_compact
 from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, AlgebraFunction,
                                   BorelChamberCoroot, BorelFunction, BorelPower, ChamberCoroot,
@@ -352,8 +352,15 @@ def _nan_at_second_call(fn, spoil):
 
 
 def _flow_bracket_nan_at_a_point(mp):
-    mp.setattr(scenario, "flow_bracket_worst",
-               _nan_at_second_call(scenario.flow_bracket_worst, lambda worst: math.nan))
+    """A NaN at the second point of the stacked pairing of the closed-form velocities (the
+    second ``velocity_pairings`` call of flow-bracket's one stacked pass)."""
+    def spoil(mat):
+        mat = np.array(mat)
+        assert mat.ndim == 3 and len(mat) > 1
+        mat[1, 0, 0] = math.nan
+        return mat
+    mp.setattr(brackets, "velocity_pairings", _nan_at_second_call(brackets.velocity_pairings,
+                                                                  spoil))
 
 
 def _bracket_matrix_nan_above_the_diagonal(mp):

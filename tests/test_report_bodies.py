@@ -18,21 +18,21 @@ DESK_FAMILY = {"single": [1], "commutators": [2], "intervals": [[1, 2]]}
 
 BODIES = [
     (dict(space="heisenberg", n=3),
-     "cb710d25147f72343175d364e8794dd9342a357c4463070d4f3e42d83f728dc1"),
+     "9b3e2fa57e9f9a5e3c49aa0be38fe3d97af7406fd65d694a1a010f5005a44c92"),
     (dict(space="cotangent", n=3),
-     "342a410f4f0f0e97b3d0c46ea18823bbb0efe3d5d1c3c7c0d68215abab6d588b"),
+     "3f142f5712d6215876f5e783496e18abe6f5d9c9d66e03859db0522a4f40ff41"),
     (dict(space="double", n=3),
-     "e805e849e5536f2ac807f202350f69a52469dcb7bfc5c55dab028258d82cafed"),
+     "13c119ff55012faabcc6b045d6d23d1d68b7e8a6ee08f6582b409824f5f671dc"),
     (dict(space="sphere4", n=3),
-     "a9308c206d032f3c37dbfba688dfd15391ae37b596294a98b09487d69ffc7221"),
+     "ad88d855103fd2a8a8a668ea7d6fd9e286bd0c61018cd9682407dff865617962"),
     (dict(space="moduli", n=2, m=2, holes=2, family=DESK_FAMILY),
-     "06b4f681a7767c31ff8670e41584b72ce00fe1f6bf7e47e90dfa2fd06ee948ee"),
+     "563121f15a1a391bebe9e3d8e4ce990882da707f3d3aec1282b670e028d9db3b"),
     (dict(space="cotangent", n=5),
-     "1a07b04bae223d5de449d5468c060b704c6a56f75d1cfadad73800bed043e8d6"),
+     "7477c062d7cadd8dc3bb05a49bbe39c4a647c255848cf8706a6057cb2746cbd5"),
     (dict(space="double", n=3, family="htilde"),
-     "65f6a4f6598bf854c10937496139c3ee1fe12b3675ece060a561247b40d7228e"),
+     "9da07f6683b72c5bdbda843fa9556b5f14aa6196ff6b071e29e2058864a0ae52"),
     (dict(space="moduli", n=3, m=1, holes=3, family={"single": [1], "intervals": [[1, 2]]}),
-     "7f1b25a2bf7a4d1e80098fdd65c972f26eda0deaf0ebb83c4d1b9020f0213fe7"),
+     "d8fbfbff3b794f6fdd589df7b227ada016483df594ffe8b3cd1b11a7f844c7f8"),
 ]
 
 # the first generator of each fusion family at n = 3

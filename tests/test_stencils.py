@@ -274,6 +274,26 @@ def test_oracle_defect_equals_per_probe_loop(space):
         flow_bracket_worst(x, gens, obs, oracle=False), oracle)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("label", sorted(_SPACES))
+def test_stacked_flow_bracket_is_the_worst_of_its_points(label, n):
+    """The one stacked pass of flow-bracket, on the first point joined to a stack as the check
+    draws them, is bit for bit the largest of the one-point residuals of its points, with
+    the oracle at the first point only."""
+    h = _build(label, n)
+    rng = np.random.default_rng(60 + n)
+    gens, obs = all_generators(h), h.probes()
+    first = h.sample(rng)
+    x = stack([stack([first]), h.sample_stack(rng, 3)], np.concatenate)
+    points = [x.map(lambda m, i=i: m[i]) for i in range(4)]
+    for p, q in zip(points[0].matrices(), first.matrices()):
+        assert p[1].tobytes() == q[1].tobytes()
+    one_point = [flow_bracket_worst(p, gens, obs, oracle=i == 0) for i, p in enumerate(points)]
+    assert flow_bracket_worst(x, gens, obs) == max(one_point)
+    assert flow_bracket_worst(x, gens, obs, oracle=False) == max(
+        flow_bracket_worst(points[0], gens, obs, oracle=False), *one_point[1:])
+
+
 @pytest.mark.parametrize("space, words", [
     (double_space(2), [("a1", "b1"), ("a1",), ("b1", "a1", "b1")]),
     (moduli_space(1, 1, 2), [("a1", "c1"), ("c1",), ("b1", "c1", "a1"), ("a1", "b1")]),
