@@ -18,10 +18,12 @@ inside its margin.
 
 Every kernel is a pure function that checks its own call's margin and returns read-only
 arrays; the points keep the normal forms and Iwasawa halves of their matrices
-(``spaces.Point.form``).  The spectra kernels (``alcove_spectra``, ``chamber_spectra``,
-``borel_chamber_spectra``) serve the observables' ``value``: one eigenvalue solve per stack
-without frames, with the phase normalization and the regularity and positivity checks of
-the normal forms, applied to every matrix, but not bit-equal to them.
+(``spaces.Point.form``).  Each normal form is one eigensolve rule (``_alcove``, ``_chamber``,
+``_borel_chamber``) from which ``_normal_form`` builds its framed kernel (``*_diagonalize``)
+and its spectra kernel (``alcove_spectra``, ``chamber_spectra``, ``borel_chamber_spectra``),
+with one wall check and message.  The spectra kernels serve the observables' ``value``: one
+eigenvalue solve per stack without frames, with the phase normalization and the regularity
+and positivity checks of the normal forms, applied to every matrix, but not bit-equal to them.
 """
 
 from __future__ import annotations
@@ -39,20 +41,6 @@ from .errors import (
 from .liecore import RootDatum, adjoint, norms, read_only
 
 DEFAULT_REGULARITY_MARGIN = 1e-8
-
-
-def _regular(walls, message: str):
-    """A margin-free normal form that checks walls(spectrum) against each call's margin."""
-    def decorate(kernel):
-        @functools.wraps(kernel)
-        def wrapper(x, margin: float = DEFAULT_REGULARITY_MARGIN):
-            out = kernel(x)
-            _require_gaps(walls(out.spectrum), margin, message)
-            return out
-
-        return wrapper
-
-    return decorate
 
 
 @dataclass(frozen=True)
@@ -79,10 +67,6 @@ class NormalForm:
         stack; one d serves every frame)."""
         frame = self.frame
         return adjoint(frame) @ d @ frame
-
-
-class ChamberData(NormalForm):
-    """Decreasing real spectrum and frame of an algebra element."""
 
 
 class AlcoveData(NormalForm):
@@ -166,36 +150,6 @@ def _log_spectrum(vals: np.ndarray) -> np.ndarray:
     return np.log(vals.reshape(-1)[::-1])[::-1].reshape(vals.shape)[..., ::-1]
 
 
-def _chamber_data(vals: np.ndarray, vecs: np.ndarray) -> ChamberData:
-    """Chamber data from a decreasing spectrum and its eigenvector columns."""
-    return ChamberData(spectrum=read_only(vals.astype(float)), columns=read_only(vecs))
-
-
-@_regular(coroot_values, _CHAMBER_GAP)
-def chamber_diagonalize(j: np.ndarray) -> ChamberData:
-    """Chamber normal form of an anti-Hermitian traceless matrix.
-
-    Returns (xi, Q) with Q j Q^-1 = i diag(xi) and xi strictly decreasing.
-    Raises RegularityViolation when eigenvalue gaps fall below the margin.
-    """
-    vals, vecs = np.linalg.eigh(-1j * j)
-    return _chamber_data(vals[..., ::-1], vecs[..., ::-1])
-
-
-@_regular(coroot_values, _CHAMBER_GAP)
-def borel_chamber_diagonalize(b: np.ndarray) -> ChamberData:
-    """Chamber normal form of i log(b b^H) from one eigensolve of b b^H.
-
-    b b^H is Hermitian positive definite, so its matrix log has the same
-    eigenvectors and the log of its eigenvalues as spectrum: the result is
-    the chamber form of i log(b b^H) without forming the log.  Raises
-    NotPositiveDefinite when b b^H has a non-finite entry or an eigenvalue
-    that is not positive, and RegularityViolation as chamber_diagonalize.
-    """
-    vals, vecs = np.linalg.eigh(_finite_posdef(b))
-    return _chamber_data(_log_spectrum(vals), vecs[..., ::-1])
-
-
 def alcove_phases(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unique alcove representative of each set of eigenphases on the last axis.
 
@@ -223,57 +177,66 @@ def alcove_walls(xi: np.ndarray) -> np.ndarray:
     return np.concatenate([coroot_values(xi), 2 * np.pi - (xi[..., :1] - xi[..., -1:])], axis=-1)
 
 
-@_regular(alcove_walls, _ALCOVE_WALL)
-def alcove_diagonalize(g: np.ndarray) -> AlcoveData:
-    """Alcove normal form of a special unitary matrix.
-
-    Returns (xi, Q) with Q g Q^-1 = exp(i diag(xi)), xi strictly decreasing,
-    summing to zero, with xi_1 - xi_n < 2*pi.  Raises RegularityViolation
-    when the point is within ``margin`` of an alcove wall.
-    """
-    vals, vecs = np.linalg.eig(g)
+def _alcove(g: np.ndarray, vectors: bool):
+    """Alcove form of a special unitary matrix: xi decreasing, summing to zero, with
+    xi_1 - xi_n < 2*pi and Q g Q^-1 = exp(i diag(xi)); RegularityViolation within the margin
+    of an alcove wall."""
+    vals, vecs = np.linalg.eig(g) if vectors else (np.linalg.eigvals(g), None)
     xi, perm = alcove_phases(np.angle(vals))
-    return AlcoveData(spectrum=read_only(xi),
-                      columns=read_only(np.take_along_axis(vecs, perm[..., np.newaxis, :], -1)))
+    return xi, vecs if vecs is None else np.take_along_axis(vecs, perm[..., np.newaxis, :], -1)
 
 
-# ---------------------------------------------------------------------------
-# spectra of stacks: one eigenvalue solve for a whole (..., n, n) stack
-# ---------------------------------------------------------------------------
+def _chamber(j: np.ndarray, vectors: bool):
+    """Chamber form of an anti-Hermitian traceless matrix: xi strictly decreasing with
+    Q j Q^-1 = i diag(xi); RegularityViolation when an eigenvalue gap is below the margin."""
+    h = -1j * j
+    vals, vecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    return vals[..., ::-1], vecs if vecs is None else vecs[..., ::-1]
 
-def alcove_spectra(gs: np.ndarray) -> np.ndarray:
-    """Alcove phase vectors (..., n) of a special unitary matrix or a stack of them.
 
-    The spectra of alcove_diagonalize, without frames.  Raises
-    RegularityViolation when any matrix of the stack is within the default
-    regularity margin of an alcove wall.
+def _borel_chamber(b: np.ndarray, vectors: bool):
+    """Chamber form of i log(b b^H) from one eigensolve of b b^H.
+
+    b b^H is Hermitian positive definite, so its matrix log has the same eigenvectors and the
+    log of its eigenvalues as spectrum: the chamber form of i log(b b^H) without forming the
+    log.  Raises NotPositiveDefinite when b b^H has a non-finite entry or an eigenvalue that
+    is not positive, and RegularityViolation as the chamber form.
     """
-    xi, _ = alcove_phases(np.angle(np.linalg.eigvals(gs)))
-    _require_gaps(alcove_walls(xi), DEFAULT_REGULARITY_MARGIN, _ALCOVE_WALL)
-    return read_only(xi)
+    p = _finite_posdef(b)
+    vals, vecs = np.linalg.eigh(p) if vectors else (np.linalg.eigvalsh(p), None)
+    return _log_spectrum(vals), vecs if vecs is None else vecs[..., ::-1]
 
 
-def chamber_spectra(js: np.ndarray) -> np.ndarray:
-    """Decreasing chamber spectra (..., n) of an anti-Hermitian traceless matrix or a stack.
+def _normal_form(data, solve, walls, message: str):
+    """The framed kernel diagonalize(m, margin) and the frame-free spectra(m) of the normal form
+    that solve(m, vectors) computes: (spectrum, eigenvector columns in spectrum order, or None
+    without vectors).  Both raise RegularityViolation when walls(spectrum) of any matrix of the
+    stack falls below the margin (the default one for spectra) and return read-only arrays."""
+    def diagonalize(m: np.ndarray, margin: float = DEFAULT_REGULARITY_MARGIN) -> NormalForm:
+        spectrum, columns = solve(m, True)
+        _require_gaps(walls(spectrum), margin, message)
+        return data(spectrum=read_only(spectrum), columns=read_only(columns))
 
-    The spectra of chamber_diagonalize.  Raises RegularityViolation when a
-    gap of any matrix of the stack falls below the default regularity margin.
-    """
-    xi = np.linalg.eigvalsh(-1j * js)[..., ::-1]
-    _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
-    return read_only(xi)
+    def spectra(m: np.ndarray) -> np.ndarray:
+        spectrum = solve(m, False)[0]
+        _require_gaps(walls(spectrum), DEFAULT_REGULARITY_MARGIN, message)
+        return read_only(spectrum)
+
+    for kernel in (diagonalize, spectra):
+        kernel.__name__ = kernel.__qualname__ = f"{solve.__name__[1:]}_{kernel.__name__}"
+        kernel.__doc__ = solve.__doc__
+    return diagonalize, spectra
 
 
-def borel_chamber_spectra(bs: np.ndarray) -> np.ndarray:
-    """Decreasing chamber spectra (..., n) of i log(b b^H) for a Borel element or a stack.
-
-    The spectra of borel_chamber_diagonalize, with its finiteness check
-    (``_finite_posdef``), its positivity check and log (``_log_spectrum``) and its gap check
-    applied to every matrix of the stack.
-    """
-    xi = _log_spectrum(np.linalg.eigvalsh(_finite_posdef(bs)))
-    _require_gaps(coroot_values(xi), DEFAULT_REGULARITY_MARGIN, _CHAMBER_GAP)
-    return read_only(xi)
+# The three normal forms, each as (diagonalize, spectra) on a matrix or a stack (..., n, n):
+# the spectra kernel reads the same spectrum (one eigenvalue solve, no frames, not bit-equal)
+# and checks it against the default margin.
+alcove_diagonalize, alcove_spectra = _normal_form(AlcoveData, _alcove, alcove_walls,
+                                                  _ALCOVE_WALL)
+chamber_diagonalize, chamber_spectra = _normal_form(NormalForm, _chamber, coroot_values,
+                                                    _CHAMBER_GAP)
+borel_chamber_diagonalize, borel_chamber_spectra = _normal_form(NormalForm, _borel_chamber,
+                                                                coroot_values, _CHAMBER_GAP)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ IM_FORM = "im"
 
 
 def pair(x: np.ndarray, y: np.ndarray, pairing: str = TRACE_FORM) -> float:
-    if x.shape != y.shape or x.shape[0] != x.shape[1]:
+    if x.ndim != 2 or x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ShapeError(f"incompatible shapes {x.shape} and {y.shape}")
     return float(gram(x, y[np.newaxis], pairing)[0])
 

@@ -455,6 +455,24 @@ def test_kernels_return_a_fresh_result_per_call(name):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", SPECTRA)
+def test_the_two_kernels_of_each_form_agree(name, n):
+    """spectra(m) reads the spectrum of diagonalize(m) to roundoff on a regular stack, and both
+    refuse a matrix next to a wall with the same message."""
+    form, spectra = getattr(decomp, SPECTRA[name]), getattr(decomp, name)
+    rng = np.random.default_rng(306 + n)
+    stack = np.stack([_kernel_args(SPECTRA[name], rng, n)[0] for _ in range(3)])
+    assert np.allclose(spectra(stack), form(stack).spectrum, rtol=0, atol=1e-12)
+    x = _near_wall(SPECTRA[name], 1e-9)
+    messages = []
+    for kernel in (form, spectra):
+        with pytest.raises(RegularityViolation) as raised:
+            kernel(x)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("name", NORMAL_FORMS)
 def test_lazy_frame_keeps_the_frame_convention(name):
     rng = np.random.default_rng(303)
@@ -483,7 +501,7 @@ def test_lazy_alcove_frame_is_bit_equal_to_the_eager_one(n):
     rng = np.random.default_rng(305 + n)
     for _ in range(10):
         g = liecore.random_group_element(n, rng)
-        data = decomp.alcove_diagonalize.__wrapped__(g)
+        data = decomp.alcove_diagonalize(g, 0.0)  # walls are never negative
         assert "vectors" not in vars(data)
         # the former eager frame: the QR of the eigenvectors in alcove order
         vals, vecs = np.linalg.eig(g)

@@ -82,8 +82,10 @@ def test_pairing_symmetry_and_shape_error():
     x = liecore.random_algebra_element(3, rng)
     y = liecore.random_algebra_element(3, rng)
     assert liecore.pair(x, y) == pytest.approx(liecore.pair(y, x), abs=1e-14)
-    with pytest.raises(ShapeError):
-        liecore.pair(x, np.eye(2, dtype=complex))
+    for left, right in ((x, np.eye(2, dtype=complex)), (x[0], y[0]),
+                        (np.stack([x[:2, :2]] * 2), np.stack([y[:2, :2]] * 2))):
+        with pytest.raises(ShapeError):
+            liecore.pair(left, right)
 
 
 def test_im_pairing_vanishes_on_real_trace():
