@@ -195,10 +195,10 @@ def _tangent_blocks(x, sides=("lmul", "rmul")):
 
 def stack_values(fns, stack) -> np.ndarray:
     """(functions, ...): each closed-form function's ``value`` on a stack (..., n, n), one call
-    each, except that the spectral functions of one kernel share its call on the stack."""
-    kernels = {type(fn).spectra: fn for fn in fns if hasattr(fn, "of_spectra")}
-    spectra = {kernel: fn.spectra(stack) for kernel, fn in kernels.items()}
-    return np.array([fn.of_spectra(spectra[type(fn).spectra]) if hasattr(fn, "of_spectra")
+    each, except that the spectral functions of one normal form share its spectra call."""
+    forms = {fn.form: fn for fn in fns if hasattr(fn, "of_spectra")}
+    spectra = {form: fn.spectra(stack) for form, fn in forms.items()}
+    return np.array([fn.of_spectra(spectra[fn.form]) if hasattr(fn, "of_spectra")
                      else fn.value(stack) for fn in fns])
 
 

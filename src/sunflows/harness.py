@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class Generator:
     """One commuting-family generator: observable, exact flow and the flow's velocity."""
 
     name: str
-    obs: object                      # callable point -> float
+    obs: object                      # callable point -> value, one per point of a stack
     flow: object                     # callable (point, tau) -> point
     velocity: object                 # callable point -> d/dtau flow at tau = 0, as in flows
 
@@ -135,17 +136,12 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
-def _word_generators(fns, letters, flow, velocity) -> list[Generator]:
-    """One generator per invariant function of the word ``letters``; flow(p, fn, t)."""
-    return [Generator(fn.name, WordFunction(fn, letters),
-                      lambda p, t, fn=fn: flow(p, fn, t), lambda p, fn=fn: velocity(p, fn))
-            for fn in fns]
-
-
-def _moduli_generators(hams) -> list[Generator]:
-    """One generator per word Hamiltonian, with its moduli flow."""
-    return [Generator(h.name, h, lambda p, t, h=h: moduli.moduli_flow(p, h, t),
-                      lambda p, h=h: moduli.moduli_velocity(p, h)) for h in hams]
+def _generators(fns, flow, velocity, obs=lambda fn: fn,
+                name=lambda fn: fn.name) -> list[Generator]:
+    """One Generator per function fn, in order: named name(fn), observing obs(fn), with the
+    flow flow(p, fn, t) and its velocity velocity(p, fn)."""
+    return [Generator(name(fn), obs(fn), lambda p, t, fn=fn: flow(p, fn, t),
+                      lambda p, fn=fn: velocity(p, fn)) for fn in fns]
 
 
 def _action_variables(gens, rank: int) -> tuple:
@@ -179,14 +175,13 @@ class CotangentHarness(Harness):
         return obs
 
     def families(self):
-        datum, flow, velocity = self.datum, flows.cotangent_flow, flows.cotangent_velocity
-        fiber = _word_generators([AlgebraPower(k) for k in _power_indices(self.n)]
-                                 + [ChamberCoroot(j, datum) for j in range(datum.rank)],
-                                 ("j",), flow, velocity)
-        base = _word_generators([PowerTrace(k) for k in _power_indices(self.n)]
-                                + [AlcoveCoroot(j, datum) for j in range(datum.rank)],
-                                ("g",), flow, velocity)
-        return {"fiber-invariants": fiber, "base-class": base}
+        datum, powers, coroots = self.datum, _power_indices(self.n), range(self.datum.rank)
+        fiber = [AlgebraPower(k) for k in powers] + [ChamberCoroot(j, datum) for j in coroots]
+        base = [PowerTrace(k) for k in powers] + [AlcoveCoroot(j, datum) for j in coroots]
+        return {name: _generators(fns, flows.cotangent_flow, flows.cotangent_velocity,
+                                  partial(WordFunction, letters=letters))
+                for name, fns, letters in (("fiber-invariants", fiber, ("j",)),
+                                           ("base-class", base, ("g",)))}
 
     def torus_specs(self):
         datum, fams = self.datum, self.families()
@@ -217,14 +212,6 @@ class CotangentHarness(Harness):
 # Heisenberg double
 # ---------------------------------------------------------------------------
 
-def _right_factor_generators(fns, factor: str) -> list[Generator]:
-    """One generator per function of the right Iwasawa factor ('b_right' or 'u_right')."""
-    return [Generator(fn.name, RightFactorFunction(fn, factor),
-                      lambda p, t, fn=fn: flows.heisenberg_flow(p, fn, t),
-                      lambda p, fn=fn: flows.heisenberg_velocity(p, fn))
-            for fn in fns]
-
-
 class HeisenbergHarness(Harness):
     def points(self, rng, count=None):
         """X with Iwasawa factors u_right = U and b_right = B: U = V exp(i diag(xi)) V^H with xi
@@ -246,13 +233,14 @@ class HeisenbergHarness(Harness):
         return obs + [word_observable(("x", "xh~"))]
 
     def families(self):
-        datum = self.datum
-        borel = _right_factor_generators([BorelPower(k) for k in (1, 2)] + [
-            BorelChamberCoroot(j, datum) for j in range(datum.rank)], "b_right")
-        unitary = _right_factor_generators([PowerTrace(k) for k in _power_indices(self.n)]
-                                           + [AlcoveCoroot(j, datum) for j in range(datum.rank)],
-                                           "u_right")
-        return {"borel-invariants": borel, "unitary-class": unitary}
+        datum, coroots = self.datum, range(self.datum.rank)
+        borel = [BorelPower(k) for k in (1, 2)] + [BorelChamberCoroot(j, datum) for j in coroots]
+        unitary = ([PowerTrace(k) for k in _power_indices(self.n)]
+                   + [AlcoveCoroot(j, datum) for j in coroots])
+        return {name: _generators(fns, flows.heisenberg_flow, flows.heisenberg_velocity,
+                                  partial(RightFactorFunction, factor=factor))
+                for name, fns, factor in (("borel-invariants", borel, "b_right"),
+                                          ("unitary-class", unitary, "u_right"))}
 
     def torus_specs(self):
         datum, fams = self.datum, self.families()
@@ -318,7 +306,8 @@ def _family_from_config(space: FusionSpace, family) -> moduli.IntervalFamily:
     if isinstance(family, moduli.IntervalFamily):
         return family
     if not isinstance(family, dict):
-        raise InvalidShape(f"clause family: cannot interpret family spec {family!r}")
+        raise InvalidShape("clause family: a moduli config needs a family object with keys "
+                           f"among {', '.join(_FAMILY_SHAPES)}")
     unknown = set(family) - set(_FAMILY_SHAPES)
     if unknown:
         raise InvalidShape(f"clause family: unknown family keys {sorted(unknown)}")
@@ -337,8 +326,8 @@ def family_torus(hams, datum: RootDatum) -> TorusSpec:
         return moduli.moduli_torus_action(p, tau.reshape(tau.shape[:-1] + (-1, datum.rank)),
                                           hams, datum)
 
-    return TorusSpec("family-torus", act,
-                     tuple(_moduli_generators(hams)), True)
+    gens = _generators(hams, moduli.moduli_flow, moduli.moduli_velocity)
+    return TorusSpec("family-torus", act, tuple(gens), True)
 
 
 class FusionHarness(Harness):
@@ -395,13 +384,13 @@ class FusionHarness(Harness):
         return list(unique.values())[:12]
 
     def families(self):
-        return {self.label: _moduli_generators(self.hams)}
+        return {self.label: _generators(self.hams, moduli.moduli_flow, moduli.moduli_velocity)}
 
     def extra_generators(self):
         """Polynomial class functions on the same blocks, for flow checks."""
-        return _moduli_generators([moduli.WordHamiltonian(block, PowerTrace(k))
-                                   for block in self.blocks
-                                   for k in _power_indices(self.n)[:1]])
+        return _generators([moduli.WordHamiltonian(block, PowerTrace(k)) for block in self.blocks
+                            for k in _power_indices(self.n)[:1]],
+                           moduli.moduli_flow, moduli.moduli_velocity)
 
     def torus_specs(self):
         return [family_torus(self.hams, self.datum)]
@@ -440,10 +429,10 @@ class DoubleHarness(FusionHarness):
     def _generators(self, fns, slot: str) -> list[Generator]:
         """One generator per class function on the block of ``slot`` (``flows.DOUBLE_BLOCKS``),
         named fn@slot, with the double's flow and velocity."""
-        block = flows.DOUBLE_BLOCKS[slot]
-        return [Generator(f"{fn.name}@{slot}", moduli.WordHamiltonian(block, fn),
-                          lambda p, t, fn=fn: flows.double_flow(p, fn, t, slot),
-                          lambda p, fn=fn: flows.double_velocity(p, fn, slot)) for fn in fns]
+        return _generators(fns, partial(flows.double_flow, slot=slot),
+                           partial(flows.double_velocity, slot=slot),
+                           partial(moduli.WordHamiltonian, flows.DOUBLE_BLOCKS[slot]),
+                           lambda fn: f"{fn.name}@{slot}")
 
     def families(self):
         return {self.label: self._generators(

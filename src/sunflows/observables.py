@@ -7,7 +7,9 @@ left-translation derivative against the trace form, the algebra gradient
 represents the linear derivative, and the Borel gradient represents the
 left-translation derivative against the imaginary trace form.  ``value``
 and ``grad`` take a matrix or a stack (..., n, n), one value or gradient
-per matrix.  A spectral function reads ``value`` off a frame-free spectra kernel
+per matrix.  The four action variables (coroot and coweight pairings of the alcove, chamber
+and Borel-chamber spectra) are one rule, ``_Variable``, each stating its row of it and its
+domain base.  Such a spectral function reads ``value`` off a frame-free spectra kernel
 (``of_spectra(spectra(m))``), one eigenvalue solve per stencil block, and ``grad`` off a
 normal form (``at(normal_form(m))``), which a point keeps for all of them (``grad_on``).
 The word, class and right-factor observables take a point or a stacked
@@ -70,50 +72,51 @@ class PowerTrace(ClassFunction):
         return self.k * skew_traceless(_PART[self.part] * np.linalg.matrix_power(g, self.k))
 
 
-class AlcoveFunction(ClassFunction):
-    """A function of the alcove phase vector, read off its spectra or its normal form."""
-
-    def spectra(self, g):
-        return decomp.alcove_spectra(g)
-
-    def normal_form(self, g):
-        return decomp.alcove_diagonalize(g)
-
-
 @dataclass(frozen=True)
-class AlcoveCoroot(AlcoveFunction):
+class _Variable:
+    """The j-th action variable of a decomp normal form, stated once: each public class gives
+    its row (``label``, ``form``, ``weights``, ``scale``, ``negate``) and its domain base.
+
+    The name is label + j.  The value (``of_spectra``) is ``scale`` times the j-th pairing of
+    the form's spectrum with the datum's ``weights``, coroots or coweights; the gradient
+    (``at``) is the form's transport of -(i weight_j), or of +(i weight_j) without ``negate``.
+    ``spectra`` and ``normal_form`` look the form's two kernels up in decomp at each call.
+    """
+
+    j: int
+    datum: RootDatum
+    weights, scale, negate = "coroots", 1.0, True
+
+    @property
+    def name(self):
+        return f"{self.label}{self.j}"
+
+    def spectra(self, m):
+        return getattr(decomp, f"{self.form}_spectra")(m)
+
+    def normal_form(self, m):
+        return getattr(decomp, f"{self.form}_diagonalize")(m)
+
+    def of_spectra(self, xi):
+        pairings = (decomp.coroot_values(xi) if self.weights == "coroots"
+                    else decomp.coweight_values(xi, self.datum))
+        return self.scale * pairings[..., self.j]
+
+    def at(self, form):
+        d = 1j * getattr(self.datum, self.weights)[self.j]
+        return form.transport(-d if self.negate else d)
+
+
+class AlcoveCoroot(_Variable, ClassFunction):
     """Pairing of the alcove phase vector with the j-th simple coroot."""
 
-    j: int
-    datum: RootDatum
-
-    @property
-    def name(self):
-        return f"coroot{self.j}"
-
-    def of_spectra(self, xi):
-        return decomp.coroot_values(xi)[..., self.j]
-
-    def at(self, form):
-        return form.transport(-(1j * self.datum.coroots[self.j]))
+    label, form = "coroot", "alcove"
 
 
-@dataclass(frozen=True)
-class AlcoveCoweight(AlcoveFunction):
+class AlcoveCoweight(_Variable, ClassFunction):
     """Pairing of the alcove phase vector with the j-th fundamental coweight."""
 
-    j: int
-    datum: RootDatum
-
-    @property
-    def name(self):
-        return f"coweight{self.j}"
-
-    def of_spectra(self, xi):
-        return decomp.coweight_values(xi, self.datum)[..., self.j]
-
-    def at(self, form):
-        return form.transport(-(1j * self.datum.coweights[self.j]))
+    label, form, weights = "coweight", "alcove", "coweights"
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +152,10 @@ class AlgebraPower(AlgebraFunction):
         return traceless(self.k * 1j * np.linalg.matrix_power(1j * j_alg, self.k - 1))
 
 
-@dataclass(frozen=True)
-class ChamberCoroot(AlgebraFunction):
+class ChamberCoroot(_Variable, AlgebraFunction):
     """Pairing of the chamber spectrum with the j-th simple coroot."""
 
-    j: int
-    datum: RootDatum
-
-    @property
-    def name(self):
-        return f"chamber{self.j}"
-
-    def spectra(self, j_alg):
-        return decomp.chamber_spectra(j_alg)
-
-    def of_spectra(self, xi):
-        return decomp.coroot_values(xi)[..., self.j]
-
-    def normal_form(self, j_alg):
-        return decomp.chamber_diagonalize(j_alg)
-
-    def at(self, form):
-        return form.transport(-(1j * self.datum.coroots[self.j]))
+    label, form = "chamber", "chamber"
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +174,10 @@ class BorelFunction:
         return self.at(self.normal_form(b))
 
 
-@dataclass(frozen=True)
-class BorelChamberCoroot(BorelFunction):
+class BorelChamberCoroot(_Variable, BorelFunction):
     """Half the j-th chamber coroot variable of i log(b b^H)."""
 
-    j: int
-    datum: RootDatum
-
-    @property
-    def name(self):
-        return f"borelchamber{self.j}"
-
-    def spectra(self, b):
-        return decomp.borel_chamber_spectra(b)
-
-    def of_spectra(self, xi):
-        return 0.5 * decomp.coroot_values(xi)[..., self.j]
-
-    def normal_form(self, b):
-        return decomp.borel_chamber_diagonalize(b)
-
-    def at(self, form):
-        return form.transport(1j * self.datum.coroots[self.j])
+    label, form, scale, negate = "borelchamber", "borel_chamber", 0.5, False
 
 
 @dataclass(frozen=True)

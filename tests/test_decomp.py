@@ -571,3 +571,20 @@ def test_normal_form_gradients_are_bit_equal_to_their_old_formulas(n, seed):
                               -chamber.conj().T @ (1j * datum.coroots[j]) @ chamber)
         assert np.array_equal(BorelChamberCoroot(j, datum).grad(b),
                               borel.conj().T @ (1j * datum.coroots[j]) @ borel)
+        # the values, on one matrix and on a stack, against their old read-offs
+        for m in (g, np.stack([g, g])):
+            xi = decomp.alcove_spectra(m)
+            assert np.array_equal(AlcoveCoroot(j, datum).value(m),
+                                  decomp.coroot_values(xi)[..., j])
+            assert np.array_equal(AlcoveCoweight(j, datum).value(m),
+                                  decomp.coweight_values(xi, datum)[..., j])
+        for m in (j_alg, np.stack([j_alg, j_alg])):
+            assert np.array_equal(ChamberCoroot(j, datum).value(m),
+                                  decomp.coroot_values(decomp.chamber_spectra(m))[..., j])
+        for m in (b, np.stack([b, b])):
+            xi = decomp.borel_chamber_spectra(m)
+            assert np.array_equal(BorelChamberCoroot(j, datum).value(m),
+                                  0.5 * decomp.coroot_values(xi)[..., j])
+    assert [fn(0, datum).name for fn in (AlcoveCoroot, AlcoveCoweight, ChamberCoroot,
+                                         BorelChamberCoroot)] == [
+        "coroot0", "coweight0", "chamber0", "borelchamber0"]

@@ -142,6 +142,23 @@ def test_cli_rejects_malformed_family_specs(tmp_path, capsys, family):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", [None, "h", [1]], ids=["omitted", "default", "list"])
+def test_cli_asks_a_moduli_config_for_a_family_object(tmp_path, capsys, family):
+    """Without a family object the error names what a moduli config needs, not the double's
+    default family that the config never wrote."""
+    fields = {"space": "moduli", "n": 2, "m": 2, "holes": 2, "checks": ["root-datum-exact"]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(fields if family is None else {**fields, "family": family}))
+    out = tmp_path / "out"
+    assert cli.main(["verify", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: clause family: a moduli config needs a family object")
+    assert all(key in err for key in harness._FAMILY_SHAPES)
+    assert "'h'" not in err and not out.exists()
+    with pytest.raises(InvalidShape, match="needs a family object"):
+        ScenarioConfig(space="moduli", m=2, holes=2, n=2).validate()
+
+
 @pytest.mark.parametrize("checks", [["dual-basis", "dual-basis"],
                                     ["dual-basis", "no-such-check"]],
                          ids=["repeated", "unknown-after-a-known-one"])
