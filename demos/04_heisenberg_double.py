@@ -14,6 +14,13 @@ from sunflows import brackets
 from sunflows.observables import BorelPower, PowerTrace, RightFactorFunction, word_observable
 from sunflows.spaces import heisenberg_momentum, random_heisenberg_point, stack
 
+
+def first(point):
+    """The flowed point of a one-Hamiltonian run: flows take a run of Hamiltonians of one kind
+    and put one flowed point per Hamiltonian on a leading axis."""
+    return point.map(lambda m: m[0])
+
+
 rng = np.random.default_rng(23)
 n = 2
 datum = sf.build_root_datum(n)
@@ -26,7 +33,7 @@ print("right Borel factor:\n", np.round(b0, 4))
 
 print("\n=== Borel-family flow conserves the whole right Borel factor ===")
 ham = BorelPower(1)
-y = sf.heisenberg_flow(x, ham, 1.2)
+y = first(sf.heisenberg_flow(x, [ham], 1.2))
 print("b_right drift:", f"{np.linalg.norm(y.factor('b_right') - b0):.2e}")
 print("group momentum drift:",
       f"{np.linalg.norm(heisenberg_momentum(y) - heisenberg_momentum(x)):.2e}")
@@ -34,9 +41,11 @@ print("group momentum drift:",
 print("\n=== class-family flow moves the unitary factor by conjugation ===")
 from sunflows.flows import heisenberg_class_flow
 
+
 ham2 = PowerTrace(2)
 tau = 0.9
-y2, gamma = heisenberg_class_flow(x, ham2, tau)
+y2, gamma = heisenberg_class_flow(x, [ham2], tau)
+y2, gamma = first(y2), gamma[0]
 law = np.linalg.norm(y2.factor("u_right") - gamma @ u0 @ gamma.conj().T)
 print("conjugation law residual:", f"{law:.2e}")
 
@@ -55,7 +64,7 @@ probe = word_observable(("x", "x", "xh"))
 for ham, obs in ((BorelPower(1), RightFactorFunction(BorelPower(1), "b_right")),
                  (PowerTrace(2), RightFactorFunction(PowerTrace(2), "u_right"))):
     d_flow = brackets.directional_derivative(
-        probe, lambda t: sf.heisenberg_flow(stack([x] * len(t)), ham, t))
+        probe, lambda t: first(sf.heisenberg_flow(stack([x] * len(t)), [ham], t)))
     bk = brackets.bracket_matrix([probe], [obs], x)[0, 0]
     print(f"  d/dt probe = {d_flow:+.8f}   bracket = {bk:+.8f}   diff = {abs(d_flow - bk):.1e}")
 

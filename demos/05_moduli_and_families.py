@@ -15,6 +15,13 @@ import sunflows as sf
 from sunflows import brackets, moduli
 from sunflows.observables import PowerTrace, word_observable
 
+
+def first(point):
+    """The flowed point of a one-Hamiltonian run: flows take a run of Hamiltonians of one kind
+    and put one flowed point per Hamiltonian on a leading axis."""
+    return point.map(lambda m: m[0])
+
+
 rng = np.random.default_rng(3)
 n = 2
 datum = sf.build_root_datum(n)
@@ -27,7 +34,7 @@ hams = sf.hamiltonian_family(space, fam, datum)
 print("generators:", [h.name for h in hams])
 
 h = moduli.WordHamiltonian(("interval", 1, 2), PowerTrace(2))
-y = moduli.moduli_flow(x, h, 0.7)
+y = first(moduli.moduli_flow(x, [h], 0.7))
 print("third hole is fixed by the flow:", f"{np.linalg.norm(y.factors[2] - x.factors[2]):.1e}")
 print("momentum drift:", f"{np.linalg.norm(y.momentum() - x.momentum()):.2e}")
 # word traces of (C1, C2), of (C1 C2, C3) and of C3: the flow conjugates C1, C2 together

@@ -39,7 +39,8 @@ momentum_word = tuple(name for f in range(len(pp.point.factors))
                       for name in pp.point.space.momentum_word(f))
 invariant_probes = [word_observable(("a1",)), word_observable(momentum_word),
                     word_observable(("c1", "c2"))]
-symmetry, torus = pp.action[: n * n - 1], pp.action[n * n - 1:]
+# the symmetry's one velocity (the su(n) basis stacked), then the torus's
+symmetry, torus = pp.action[:1], pp.action[1:]
 
 
 def rank(mat):

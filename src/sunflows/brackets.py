@@ -60,7 +60,7 @@ benchmark's tracer spans them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -312,9 +312,9 @@ def word_table(x, letters, cuts, gaps=None):
     letter 'j'.  Each letter adds its cuts to the keys it moves, by its kind (``_letter_rule``);
     a key of ``_tangent_blocks`` that no letter moves stays zero.  The cuts are su-valued on
     cotangent and fusion points, and the complex rotations of ``trace_word_table`` on the
-    Heisenberg double, whose sums that maps to D and D'.
+    Heisenberg double, whose sums that maps to D and D'; cuts stacked at axis -3, a stacked table.
     """
-    zero = np.zeros_like(x.matrices()[0][1], dtype=complex)
+    zero = np.zeros_like((gaps if cuts is None else cuts)[0], dtype=complex)
     table = {key: zero for key, *_ in _tangent_blocks(x)}
     for i, name in enumerate(letters):
         kind, *keys = _letter_rule(x, name)
@@ -354,17 +354,18 @@ def trace_word_table(x, letters, coeff: complex):
 
 
 def class_word_table(x, letters, grad: np.ndarray):
-    """Gradient table of f(W_0 ... W_(k-1)) for a class function f of unitary letters.
+    """Gradient tables of f(W_0 ... W_(k-1)) for class functions f of unitary letters.
 
-    ``grad`` is f's gradient at the word's value P.  Inserting exp(tZ) after
-    the prefix A moves P to exp(t A Z A^-1) P, so the gradient at that cut
-    is A^-1 grad A.  There is none on the Heisenberg double, whose letters are not unitary.
+    ``grad`` is each f's gradient at the word's value P, stacked at axis -3 as the tables are.
+    Inserting exp(tZ) after the prefix A moves P to exp(t A Z A^-1) P, so the gradient at that
+    cut is A^-1 grad A.  There is none on the Heisenberg double, whose letters are not unitary.
     """
     if isinstance(x, HeisenbergPoint):
         raise UnsupportedBracket("no class-function word table on the Heisenberg double")
     prefixes = accumulate(map(x.letter, letters), np.matmul, initial=np.eye(x.n, dtype=complex))
     next(prefixes)  # the cut before the first letter is grad itself
-    return word_table(x, letters, [grad] + [adjoint(a) @ grad @ a for a in prefixes])
+    return word_table(x, letters, [grad] + [adjoint(a) @ grad @ a
+                                            for a in (p[..., np.newaxis, :, :] for p in prefixes)])
 
 
 # per right Iwasawa factor: the part of the splitting W = k + beta (k in su(n), beta Borel)
@@ -377,7 +378,8 @@ def right_factor_table(x, factor: str, grad):
 
     ``factor`` is 'b_right' (f a Borel function, whose gradient pairs in the
     im form) or 'u_right' (f a class function, the trace form); ``grad(m)``
-    is f's gradient, form(V, grad(m)) = d/dt f(exp(tV) m).  First-order Iwasawa
+    is a run of f's gradients at axis -3, form(V, grad(m)) = d/dt f(exp(tV) m), each summed
+    against the duals on its own.  First-order Iwasawa
     splitting, the dressing linearization: in X = u_left b_right^-1 =
     b_left u_right^-1, translating X by exp(tZ) inserts exp(tW), W = c^-1 Z c,
     before the factor's inverse, where c is u_left (left translation) or
@@ -390,11 +392,12 @@ def right_factor_table(x, factor: str, grad):
         raise UnsupportedBracket(f"no right Iwasawa factor on {type(x).__name__}")
     part, form = _RIGHT_FACTOR[factor]
     m = x.factor(factor)
-    moved = (np.linalg.inv(m) @ grad(m) @ m)[..., np.newaxis, :, :]
+    moved = np.linalg.inv(m)[..., np.newaxis, :, :] @ grad(m) @ m[..., np.newaxis, :, :]
     cofactors = np.stack([x.factor("u_left" if factor == "b_right" else "b_left"), m])
     bases = x.form(f"{factor} bases", lambda cs: _right_factor_bases(cs, part), cofactors)
-    return {side: _dual_sum("sl", x.n, -gram(basis, moved, form)[..., 0])
-            for side, basis in zip(("lmul", "rmul"), bases)}
+    derivs = [-gram(basis, moved, form) for basis in bases]  # (..., directions, functions)
+    return {side: np.stack([_dual_sum("sl", x.n, d[..., k]) for k in range(d.shape[-1])], -3)
+            for side, d in zip(("lmul", "rmul"), derivs)}
 
 
 def _right_factor_bases(cofactors, part) -> tuple:
@@ -409,8 +412,6 @@ def _right_factor_bases(cofactors, part) -> tuple:
 def _gradients(obs_list, x) -> list:
     """Each observable's own ``grad_table`` at x, in the form the geometry's sharp map reads;
     an observable without one raises ``UnsupportedBracket`` naming it (no fallback)."""
-    if type(x) not in _SHARP:
-        raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
     for o in obs_list:
         if not hasattr(o, "grad_table"):
             raise UnsupportedBracket(f"{getattr(o, '__name__', o)!r} has no exact gradient table")
@@ -422,21 +423,28 @@ def _gradients(obs_list, x) -> list:
 # ---------------------------------------------------------------------------
 
 def _pick(stack: dict, index) -> dict:
+    """Entry ``index`` of the observable axis (-3) of each key of a stacked table."""
     return {key: s[..., index, :, :] for key, s in stack.items()}
 
 
-def stack_tables(tables) -> dict:
+def stack_tables(tables, join=np.stack) -> dict:
     """Each key's matrices stacked over ``tables`` into one (..., tables, n, n) array, after
-    the point axes; a table without the key holds zero there (a velocity that does not move
-    that matrix)."""
+    the point axes (``join=np.concatenate`` joins stacked tables), keys in order of first
+    appearance; a table without the key holds zero there (a velocity that does not move it)."""
     keys = dict.fromkeys(key for t in tables for key in t)
-    zero = np.zeros_like(next(iter(tables[0].values())))
-    return {key: np.stack([t.get(key, zero) for t in tables], axis=-3) for key in keys}
+    zeros = [np.zeros_like(next(iter(t.values()))) for t in tables]
+    return {key: join([t.get(key, z) for t, z in zip(tables, zeros)], axis=-3) for key in keys}
 
 
 def gradient_stack(obs_list, x) -> dict:
-    """The gradient tables of ``obs_list`` at x, each key's table stacked over the observables."""
-    return stack_tables(_gradients(obs_list, x))
+    """The gradient tables of ``obs_list`` at x, each key's table stacked over the observables,
+    in one call per run of one class and ``run_key`` (``observables.RunTable``)."""
+    if type(x) not in _SHARP:
+        raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
+    key = lambda o: hasattr(o, "run_table") and (type(o), getattr(o, o.run_key))
+    parts = [type(run[0]).run_table(run, x) if k else stack_tables(_gradients(run, x))
+             for k, run in ((k, list(run)) for k, run in groupby(obs_list, key))]
+    return parts[0] if len(parts) == 1 else stack_tables(parts, np.concatenate)
 
 
 def conjugation_gradient(table: dict, slots) -> np.ndarray:
@@ -574,7 +582,7 @@ def momentum_condition_matrix(obs_list, k_fns, point: FusionPoint) -> np.ndarray
     """
     phi = point.momentum()
     word = [name for f in range(len(point.factors)) for name in point.space.momentum_word(f)]
-    th = stack_tables([class_word_table(point, word, k_fn.grad(phi)) for k_fn in k_fns])
+    th = class_word_table(point, word, np.stack([k_fn.grad(phi) for k_fn in k_fns], axis=-3))
     conj = point.conjugation_velocity(np.stack([k_fn.two_sided_grad(phi) for k_fn in k_fns],
                                                axis=-3))
     defect = {key: v - 0.5 * conj[key] for key, v in sharp(th, point).items()}

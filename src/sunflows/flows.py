@@ -10,6 +10,10 @@ Flows, velocities and torus actions act on stacked points (``spaces``), with
 one flow time or one row of torus angles per point, or one for all of them.
 They read the normal forms and Iwasawa halves the point keeps (``spaces.Point.form``), so
 every generator and torus action at one point shares one per matrix.
+
+Generators are a stack axis too: a flow or velocity takes a run of Hamiltonians of one
+``rule`` and gives their flows on a leading axis (unmoved matrices as views), their velocities
+at axis -3, each matrix with the bytes of its one-generator call (the one-element run).
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 from . import brackets, decomp, liecore, moduli
 from .errors import ShapeError, UnsupportedBracket
 from .liecore import RootDatum, adjoint, scaled
-from .observables import AlgebraFunction, BorelFunction, ClassFunction, entry_observable, grad_on
+from .observables import (AlgebraFunction, BorelFunction, ClassFunction, entry_observable,
+                          grads_on)
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
 logger = logging.getLogger(__name__)
@@ -40,6 +45,31 @@ def maybe_reproject(u: np.ndarray, label: str) -> np.ndarray:
     u = u.copy()
     u[bad] = liecore.project_special_unitary(u[bad])
     return u
+
+
+def rule(ham):
+    """The rule of a Hamiltonian's flow: a word Hamiltonian's block, else its domain base."""
+    kinds = (AlgebraFunction, BorelFunction, ClassFunction)
+    return next((kind for kind in kinds if isinstance(ham, kind)), getattr(ham, "block", None))
+
+
+# the matrix that each kind of Hamiltonian reads on the cotangent bundle and Heisenberg double
+_READS = {CotangentPoint: {AlgebraFunction: ("j",), ClassFunction: ("g",)},
+          HeisenbergPoint: {BorelFunction: "b_right", ClassFunction: "u_right"}}
+
+
+def run_gradients(x, hams, axis: int = 0) -> tuple:
+    """(rule, gradients) of a run of Hamiltonians of one rule, each at the matrix it reads
+    (``_READS``; a word Hamiltonian's block value), on a new axis (``grads_on``)."""
+    if len(kinds := {rule(h) for h in hams}) != 1:
+        raise UnsupportedBracket(f"a run of Hamiltonians shares one rule, not {kinds}")
+    kind = kinds.pop()
+    if isinstance(x, FusionPoint):
+        return kind, grads_on([h.classfn for h in hams], x, kind, hams[0].block_value(x), axis)
+    if (key := _READS[type(x)].get(kind)) is None:
+        raise UnsupportedBracket(f"unsupported {type(x).__name__} Hamiltonians {hams!r}")
+    m = x.factor(key) if isinstance(x, HeisenbergPoint) else getattr(x, key[0])
+    return kind, grads_on(hams, x, key, m, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -66,28 +96,24 @@ def coweight_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
 # cotangent flows
 # ---------------------------------------------------------------------------
 
-def cotangent_flow(x: CotangentPoint, ham, tau: float) -> CotangentPoint:
-    """Exact flow of an invariant Hamiltonian on the cotangent bundle.
+def cotangent_flow(x: CotangentPoint, hams, tau) -> CotangentPoint:
+    """Exact flows of a run of invariant Hamiltonians on the cotangent bundle.
 
     Fiber-invariant Hamiltonians translate the group component by
     exp(tau * grad); base class functions translate the fiber by -tau * grad.
     """
-    if isinstance(ham, AlgebraFunction):
-        g = liecore.expm_normal(scaled(tau, grad_on(ham, x, ("j",), x.j))) @ x.g
-        return CotangentPoint(maybe_reproject(g, "cotangent group part"), x.j).keeping(x, ("j",))
-    if isinstance(ham, ClassFunction):
-        shift = scaled(tau, grad_on(ham, x, ("g",), x.g))
-        return CotangentPoint(x.g, x.j - shift).keeping(x, ("g",))
-    raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
+    kind, z = run_gradients(x, hams)
+    if kind is AlgebraFunction:
+        g = maybe_reproject(liecore.expm_normal(scaled(tau, z)) @ x.g, "cotangent group part")
+        return CotangentPoint(g, np.broadcast_to(x.j, g.shape)).keeping(x, ("j",))
+    j = x.j - scaled(tau, z)
+    return CotangentPoint(np.broadcast_to(x.g, j.shape), j).keeping(x, ("g",))
 
 
-def cotangent_velocity(x: CotangentPoint, ham) -> dict:
+def cotangent_velocity(x: CotangentPoint, hams) -> dict:
     """d/dtau of ``cotangent_flow`` at tau = 0."""
-    if isinstance(ham, AlgebraFunction):
-        return {"group": grad_on(ham, x, ("j",), x.j)}
-    if isinstance(ham, ClassFunction):
-        return {"fiber": -grad_on(ham, x, ("g",), x.g)}
-    raise UnsupportedBracket(f"unsupported cotangent Hamiltonian {ham!r}")
+    kind, z = run_gradients(x, hams, -3)
+    return {"group": z} if kind is AlgebraFunction else {"fiber": -z}
 
 
 def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
@@ -113,36 +139,29 @@ def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
 # Heisenberg flows
 # ---------------------------------------------------------------------------
 
-def heisenberg_flow(x: HeisenbergPoint, ham, tau: float) -> HeisenbergPoint:
-    """Exact flow on the Heisenberg double.
+def heisenberg_flow(x: HeisenbergPoint, hams, tau) -> HeisenbergPoint:
+    """Exact flows of a run of Hamiltonians on the Heisenberg double.
 
     Borel-family Hamiltonians right-translate by exp(-tau * dressing
     gradient of the right Borel factor).  Class-function Hamiltonians
     right-multiply by the Borel factor of exp(i tau * grad at the right
     unitary factor), which is positive definite because i*grad is Hermitian.
     """
-    if isinstance(ham, BorelFunction):
-        return HeisenbergPoint(x.x @ liecore.expm_normal(
-            scaled(-tau, grad_on(ham, x, "b_right", x.factor("b_right")))))
-    if isinstance(ham, ClassFunction):
-        return heisenberg_class_flow(x, ham, tau)[0]
-    raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
+    if rule(hams[0]) is ClassFunction:
+        return heisenberg_class_flow(x, hams, tau)[0]
+    return HeisenbergPoint(x.x @ liecore.expm_normal(scaled(-tau, run_gradients(x, hams)[1])))
 
 
-def heisenberg_velocity(x: HeisenbergPoint, ham) -> dict:
+def heisenberg_velocity(x: HeisenbergPoint, hams) -> dict:
     """d/dtau of ``heisenberg_flow`` at tau = 0; a class function's is the first-order b_left."""
-    if isinstance(ham, BorelFunction):
-        return {"rmul": -grad_on(ham, x, "b_right", x.factor("b_right"))}
-    if isinstance(ham, ClassFunction):
-        return {"rmul": liecore.project_borel(1j * grad_on(ham, x, "u_right", x.factor("u_right")))}
-    raise UnsupportedBracket(f"unsupported Heisenberg Hamiltonian {ham!r}")
+    kind, z = run_gradients(x, hams, -3)
+    return {"rmul": -z if kind is BorelFunction else liecore.project_borel(1j * z)}
 
 
-def heisenberg_class_flow(x: HeisenbergPoint, ham: ClassFunction,
-                          tau: float) -> tuple[HeisenbergPoint, np.ndarray]:
-    """The flow of a class-function Hamiltonian and its unitary cofactor (the conjugator of
-    u_right), from one Iwasawa split of exp(i tau grad)."""
-    pos = liecore.expm_normal(scaled(1j * tau, grad_on(ham, x, "u_right", x.factor("u_right"))))
+def heisenberg_class_flow(x: HeisenbergPoint, hams, tau) -> tuple[HeisenbergPoint, np.ndarray]:
+    """The flows of a run of class-function Hamiltonians and their unitary cofactors (the
+    conjugators of u_right), from one Iwasawa split of exp(i tau grad) each."""
+    pos = liecore.expm_normal(scaled(1j * tau, run_gradients(x, hams)[1]))
     b_left, u_right = decomp.iwasawa_right(pos)
     return HeisenbergPoint(x.x @ b_left), adjoint(u_right)
 
@@ -183,14 +202,15 @@ def _block_hamiltonian(ham: ClassFunction | None, slot: str):
     return moduli.WordHamiltonian(DOUBLE_BLOCKS[slot], ham)
 
 
-def double_flow(x: FusionPoint, ham: ClassFunction, tau: float, slot: str) -> FusionPoint:
-    """The moduli flow of a class function on the block of a double slot (``DOUBLE_BLOCKS``)."""
-    return moduli.moduli_flow(x, _block_hamiltonian(ham, slot), tau)
+def double_flow(x: FusionPoint, hams, tau, slot: str) -> FusionPoint:
+    """The moduli flows of a run of class functions on the block of a double slot
+    (``DOUBLE_BLOCKS``)."""
+    return moduli.moduli_flow(x, [_block_hamiltonian(h, slot) for h in hams], tau)
 
 
-def double_velocity(x: FusionPoint, ham: ClassFunction, slot: str) -> dict:
+def double_velocity(x: FusionPoint, hams, slot: str) -> dict:
     """d/dtau of ``double_flow`` at tau = 0."""
-    return moduli.moduli_velocity(x, _block_hamiltonian(ham, slot))
+    return moduli.moduli_velocity(x, [_block_hamiltonian(h, slot) for h in hams])
 
 
 def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
@@ -215,20 +235,17 @@ S_LETTERS = {"a1": ("b1~",), "b1": ("b1~", "a1", "b1")}
 # dispatchers
 # ---------------------------------------------------------------------------
 
-def flow(x, ham, tau: float, slot: str | None = None):
-    """Exact flow on any supported phase point.
-
-    ``slot`` selects the Hamiltonian family on the fused double ('first',
-    'second' or 'momentum'); word Hamiltonians carry their block themselves.
-    """
+def flow(x, hams, tau, slot: str | None = None):
+    """Exact flows of a run of Hamiltonians on any supported phase point; ``slot`` selects the
+    fused double's family ('first', 'second' or 'momentum'), word Hamiltonians carry a block."""
     if isinstance(x, CotangentPoint):
-        return cotangent_flow(x, ham, tau)
+        return cotangent_flow(x, hams, tau)
     if isinstance(x, HeisenbergPoint):
-        return heisenberg_flow(x, ham, tau)
+        return heisenberg_flow(x, hams, tau)
     if isinstance(x, FusionPoint):
-        if isinstance(ham, moduli.WordHamiltonian):
-            return moduli.moduli_flow(x, ham, tau)
-        return double_flow(x, ham, tau, slot or "first")
+        if isinstance(hams[0], moduli.WordHamiltonian):
+            return moduli.moduli_flow(x, hams, tau)
+        return double_flow(x, hams, tau, slot or "first")
     raise UnsupportedBracket(f"no flow on points of type {type(x).__name__}")
 
 

@@ -6,6 +6,7 @@ exact flows and bracket-side observables, the torus actions with their
 periodicity type (the angle flows are the family's action-variable flows),
 and the conserved quantities per family.  The symmetry action is the
 points' own ``conjugate``.  The checks are written once against it.
+A run of generators of one rule flows and differentiates in one call (``runs``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -49,12 +51,39 @@ _REJECTIONS = (RegularityViolation, NotPositiveDefinite, SingularMatrix)
 
 @dataclass(frozen=True)
 class Generator:
-    """One commuting-family generator: observable, exact flow and the flow's velocity."""
+    """One commuting-family generator: its observable and the Hamiltonian of its exact flow,
+    which a run of generators flows and differentiates in one call (``flows``)."""
 
     name: str
     obs: object                      # callable point -> value, one per point of a stack
-    flow: object                     # callable (point, tau) -> point
-    velocity: object                 # callable point -> d/dtau flow at tau = 0, as in flows
+    ham: object
+    flows: object                    # (point, hams, tau) -> points, generator axis first
+    velocities: object               # (point, hams) -> d/dtau flows at tau = 0, axis -3
+
+    def flow(self, p, tau):
+        """The one-element run's flow, its generator axis dropped."""
+        out = self.flows(p, [self.ham], tau)
+        return out.map(lambda m: m[0]).keeping(out)
+
+    def velocity(self, p) -> dict:
+        """The one-element run's velocity, its generator axis dropped."""
+        return {key: v[..., 0, :, :] for key, v in Run([self]).velocity(p).items()}
+
+
+class Run(tuple):
+    """Consecutive generators of one rule (``runs``): one flow and one velocity call each."""
+
+    def flow(self, p, tau):
+        return self[0].flows(p, [g.ham for g in self], tau)
+
+    def velocity(self, p) -> dict:
+        return self[0].velocities(p, [g.ham for g in self])
+
+
+def runs(gens) -> list[Run]:
+    """``gens`` in order, split into runs of one flow, velocity and rule (``flows.rule``)."""
+    return [Run(run) for _, run in groupby(gens, lambda g: (g.flows, g.velocities,
+                                                             flows.rule(g.ham)))]
 
 
 @dataclass(frozen=True)
@@ -139,9 +168,8 @@ def sample_regular(kind: str, draws: int, draw, check):
 def _generators(fns, flow, velocity, obs=lambda fn: fn,
                 name=lambda fn: fn.name) -> list[Generator]:
     """One Generator per function fn, in order: named name(fn), observing obs(fn), with the
-    flow flow(p, fn, t) and its velocity velocity(p, fn)."""
-    return [Generator(name(fn), obs(fn), lambda p, t, fn=fn: flow(p, fn, t),
-                      lambda p, fn=fn: velocity(p, fn)) for fn in fns]
+    stacked flow flow(p, hams, t) and velocity velocity(p, hams) of Hamiltonians fn."""
+    return [Generator(name(fn), obs(fn), fn, flow, velocity) for fn in fns]
 
 
 def _action_variables(gens, rank: int) -> tuple:

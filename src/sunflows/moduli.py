@@ -23,8 +23,8 @@ from .observables import (
     AlcoveCoweight,
     ClassFunction,
     PowerTrace,
+    RunTable,
     WordFunction,
-    grad_on,
     inverse_word,
     substitute,
     word_observable,
@@ -168,7 +168,7 @@ def block_positions(space: FusionSpace, block: tuple) -> list[int]:
 
 
 @dataclass(frozen=True)
-class WordHamiltonian:
+class WordHamiltonian(RunTable):
     """A class function applied to one admissible block of a fusion point."""
 
     block: tuple
@@ -192,9 +192,7 @@ class WordHamiltonian:
         """The class function at the block value of x, one value per point of a stack."""
         return self.classfn.value(self.block_value(x))
 
-    def block_grad(self, x: FusionPoint) -> np.ndarray:
-        """The class function's gradient at the block value, off the form x keeps for the block."""
-        return grad_on(self.classfn, x, self.block, self.block_value(x))
+    run_key = "block"
 
     def word(self, space: FusionSpace) -> tuple[str, ...]:
         """Letter names whose product is the block value, e.g. ('a1', 'b1', 'a1~', 'b1~', 'c1')."""
@@ -203,9 +201,11 @@ class WordHamiltonian:
         return tuple(name for f in block_positions(space, self.block)
                      for name in space.momentum_word(f))
 
-    def grad_table(self, x: FusionPoint) -> dict:
-        """Exact gradient table keyed (factor, component, side), as fusion_gradient_tables."""
-        return brackets.class_word_table(x, self.word(x.space), self.block_grad(x))
+    @staticmethod
+    def run_table(run, x: FusionPoint) -> dict:
+        """Exact gradient tables keyed (factor, component, side), stacked over the run."""
+        return brackets.class_word_table(x, run[0].word(x.space),
+                                         flows.run_gradients(x, run, -3)[1])
 
     def letters(self, x: FusionPoint):
         """Slots (factor, component) moved by this block's flow (a letter block: the other
@@ -250,29 +250,36 @@ def hamiltonian_family(space: FusionSpace, fam: IntervalFamily,
 
 def _move_letters(x: FusionPoint, ham: "WordHamiltonian", u: np.ndarray) -> FusionPoint:
     """Right-translate the moved letter of a letter block by u, re-projected if it drifts, or
-    conjugate every letter of a momentum block by u."""
+    conjugate every letter of a momentum block by u; the others take u's axes as views."""
     if ham.move:
-        return x.with_slots({s: flows.maybe_reproject(x.slot(*s) @ u, f"fusion slot {s}")
-                             for s in ham.letters(x)})
-    ui = adjoint(u)
-    return x.with_slots({s: u @ x.slot(*s) @ ui for s in ham.letters(x)})
+        moved = {s: flows.maybe_reproject(x.slot(*s) @ u, f"fusion slot {s}")
+                 for s in ham.letters(x)}
+    else:
+        ui = adjoint(u)
+        moved = {s: u @ x.slot(*s) @ ui for s in ham.letters(x)}
+    if (shape := next(iter(moved.values())).shape) != x.slot(*x.space.slots[0]).shape:
+        # one generator's view is m[np.newaxis], at a small part of np.broadcast_to's cost
+        x = x.map(lambda m: m[np.newaxis] if shape[0] == 1 else np.broadcast_to(m, shape))
+    return x.with_slots(moved)
 
 
-def moduli_flow(x: FusionPoint, ham: WordHamiltonian, tau: float) -> FusionPoint:
-    """Exact integral curve of a word Hamiltonian.
+def moduli_flow(x: FusionPoint, hams: list[WordHamiltonian], tau) -> FusionPoint:
+    """Exact integral curves of a run of word Hamiltonians of one block.
 
     Letter blocks right-translate the other letter of their handle by
-    exp(-/+ tau * grad) (``LETTER_MOVES``); all momentum-type blocks conjugate
-    every letter of the block by exp(tau * grad of the class function at the
-    block value).
+    exp(-/+ tau * grad) (``LETTER_MOVES``) and keep the form of the letter they read;
+    all momentum-type blocks conjugate every letter of the block by exp(tau * grad of the
+    class function at the block value).
     """
+    ham = hams[0]
     t = ham.move[2](tau) if ham.move else tau
-    return _move_letters(x, ham, liecore.expm_normal(scaled(t, ham.block_grad(x))))
+    out = _move_letters(x, ham, liecore.expm_normal(scaled(t, flows.run_gradients(x, hams)[1])))
+    return out.keeping(x, ham.block) if ham.move else out
 
 
-def moduli_velocity(x: FusionPoint, ham: WordHamiltonian) -> dict:
-    """d/dtau of ``moduli_flow`` at tau = 0."""
-    z = ham.block_grad(x)
+def moduli_velocity(x: FusionPoint, hams: list[WordHamiltonian]) -> dict:
+    """d/dtau of ``moduli_flow`` at tau = 0, the generator axis at -3."""
+    ham, z = hams[0], flows.run_gradients(x, hams, -3)[1]
     if ham.move:
         return {(*s, "rmul"): ham.move[2](z) for s in ham.letters(x)}
     return conjugation_velocity(ham.letters(x), z)

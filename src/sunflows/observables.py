@@ -11,7 +11,7 @@ per matrix.  The four action variables (coroot and coweight pairings of the alco
 and Borel-chamber spectra) are one rule, ``_Variable``, each stating its row of it and its
 domain base.  Such a spectral function reads ``value`` off a frame-free spectra kernel
 (``of_spectra(spectra(m))``), one eigenvalue solve per stencil block, and ``grad`` off a
-normal form (``at(normal_form(m))``), which a point keeps for all of them (``grad_on``).
+normal form (``at(normal_form(m))``), which a point keeps for all of them (``grads_on``).
 The word, class and right-factor observables take a point or a stacked
 point.  Word traces supply generic probe observables on every phase space,
 and functions of a right Iwasawa factor are the Heisenberg generators.
@@ -198,9 +198,22 @@ class BorelPower(BorelFunction):
         return 2 * self.k * 1j * traceless(pk)
 
 
-def grad_on(fn, x, key, m: np.ndarray) -> np.ndarray:
-    """fn.grad(m), m the matrix of x named ``key``: off x's kept normal form if fn is spectral."""
-    return fn.at(x.form(key, fn.normal_form, m)) if hasattr(fn, "at") else fn.grad(m)
+def grads_on(fns, x, key, m: np.ndarray, axis: int = -3) -> np.ndarray:
+    """fn.grad(m) of each function of a run, m the matrix of x named ``key`` (off x's kept
+    normal form if fn is spectral, which may have fewer axes than m), over m's axes, on one
+    new axis: -3 (a table's or a velocity's observable axis) or 0 (a flow's generator axis)."""
+    grads = [fn.at(x.form(key, fn.normal_form, m)) if hasattr(fn, "at") else fn.grad(m)
+             for fn in fns]
+    return np.stack([g if g.shape == m.shape else np.broadcast_to(g, m.shape) for g in grads],
+                    axis)
+
+
+class RunTable:
+    """An observable whose class builds one stacked table for a run of its observables with one
+    value of their field ``run_key`` (``run_table``); its own is the one-element run's."""
+
+    def grad_table(self, x) -> dict:
+        return brackets._pick(type(self).run_table([self], x), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +281,7 @@ def substitute(letters, words: dict) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class WordFunction:
+class WordFunction(RunTable):
     """An invariant function of the product of named letters of a point.
 
     ``fn`` is a ClassFunction of a word of unitary letters (e.g. ('a1',) or
@@ -288,15 +301,19 @@ class WordFunction:
     def __call__(self, x) -> np.ndarray:
         return self.fn.value(word_product(x, self.letters))
 
-    def grad_table(self, x):
-        grad = grad_on(self.fn, x, self.letters, word_product(x, self.letters))
-        if isinstance(self.fn, AlgebraFunction):
-            return brackets.word_table(x, self.letters, None, [grad])
-        return brackets.class_word_table(x, self.letters, grad)
+    run_key = "letters"
+
+    @staticmethod
+    def run_table(run, x) -> dict:
+        letters = run[0].letters
+        grads = grads_on([w.fn for w in run], x, letters, word_product(x, letters))
+        if isinstance(run[0].fn, AlgebraFunction):
+            return brackets.word_table(x, letters, None, [grads])
+        return brackets.class_word_table(x, letters, grads)
 
 
 @dataclass(frozen=True)
-class RightFactorFunction:
+class RightFactorFunction(RunTable):
     """A function of one right Iwasawa factor of a Heisenberg point.
 
     ``fn`` is a BorelFunction of ``factor`` 'b_right' or a ClassFunction of
@@ -316,7 +333,10 @@ class RightFactorFunction:
     def __call__(self, x) -> np.ndarray:
         return self.fn.value(x.factor(self.factor))
 
-    def grad_table(self, x):
-        return brackets.right_factor_table(
-            x, self.factor, lambda m: grad_on(self.fn, x, self.factor, m))
+    run_key = "factor"
 
+    @staticmethod
+    def run_table(run, x) -> dict:
+        factor = run[0].factor
+        return brackets.right_factor_table(
+            x, factor, lambda m: grads_on([r.fn for r in run], x, factor, m))

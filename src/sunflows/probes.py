@@ -1,7 +1,8 @@
 """Numerical probes for the reduction structure.
 
 Infinitesimal stabilizers are measured as kernels of the generator matrix of
-an action at a point, crafted points realize the principal-isotropy
+an action at a point (the su(n) basis, each run of torus generators and the center each
+stacked in one call), crafted points realize the principal-isotropy
 constructions (torus pairs in apposition, Coxeter representatives, torus
 commutator solutions), and rank checks compare generator spans against the
 differentials of the action variables.  The alcove and chamber vectors of the
@@ -36,14 +37,17 @@ ALCOVE_MARGIN = 0.2
 
 
 def conjugation_action(n: int) -> tuple:
-    """The symmetry-group action as the velocity (point -> dict) of each su(n) generator."""
-    return tuple(lambda p, z=z: p.conjugation_velocity(z) for z in su_basis(n))
+    """The symmetry-group action as one velocity (point -> dict): the su(n) basis on a
+    generator axis at -3, after the point's axes."""
+    basis = np.array(su_basis(n))
+    return (lambda p: p.map(lambda m: m[..., np.newaxis, :, :]).conjugation_velocity(basis),)
 
 
 def generator_matrix(x, velocities) -> np.ndarray:
-    """Columns are the tangent vectors of the action's ``velocities`` (point -> dict) at x,
-    in ``flat()`` order; one matrix per point of a stack."""
-    return np.stack([x.tangent(v(x)) for v in velocities], axis=-1)
+    """Columns are the tangent vectors of the action's ``velocities`` (point -> dict, a column
+    per entry of its generator axis at -3) at x, in ``flat()`` order, per point of a stack."""
+    at = x.map(lambda m: m[..., np.newaxis, :, :])  # x with a generator axis
+    return np.concatenate([np.swapaxes(at.tangent(v(x)), -1, -2) for v in velocities], axis=-1)
 
 
 @dataclass
@@ -55,12 +59,12 @@ class StabilizerReport:
 
 
 def stabilizer_dimension(x, action, n: int, point_id: str = "") -> StabilizerReport:
-    """Kernel dimension of the infinitesimal action (its velocities) at x, plus center check."""
-    rank, svals = rank_of(generator_matrix(x, action))
-    dim = len(action) - rank
-    center_ok = not any(x.distance(x.conjugate(zeta)) > 1e-8
-                        for zeta in special_elements(n).center)
-    return StabilizerReport(point_id, dim, center_ok, svals)
+    """Kernel dimension of the infinitesimal action (its velocities) at a point x, plus the
+    center check."""
+    mat = generator_matrix(x, action)
+    rank, svals = rank_of(mat)
+    moved = x.distance(x.conjugate(np.array(special_elements(n).center)))
+    return StabilizerReport(point_id, mat.shape[-1] - rank, not np.any(moved > 1e-8), svals)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
         hams = moduli.hamiltonian_family(x.space, fam, datum)
     if hams is not None:
         torus = harness.family_torus(hams, datum)
-    action = conjugation_action(n) + tuple(g.velocity for g in torus.generators)
+    action = conjugation_action(n) + tuple(run.velocity for run in harness.runs(torus.generators))
     return PrincipalPoint(key, x, action, torus.dim, hams or [])
 
 

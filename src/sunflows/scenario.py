@@ -497,13 +497,14 @@ def check_shifting_trick(ctx: CheckContext):
 
 def flow_derivatives(x, gens, obs) -> np.ndarray:
     """d/dt of each probe along each generator's flow at x, (probes, generators): one
-    Richardson difference for all generators, on one flow call per generator on its 8 stencil
-    times (a plain difference's h^4 error along cotangent flows at n >= 5 reaches the check's
-    tolerance), the flowed points stacked (generators, times)."""
+    Richardson difference for all generators, on one flow call per run (``harness.runs``) on
+    its 8 stencil times (a plain difference's h^4 error along cotangent flows at n >= 5
+    reaches the check's tolerance), the flowed points stacked (generators, times)."""
     xs = stack([x] * 8)  # the 8 times of a Richardson stencil, one point for every generator
     return brackets.directional_derivative(
         lambda p: np.array([o(p) for o in obs]).T,
-        lambda t: stack([g.flow(xs, t) for g in gens]), richardson=True).T
+        lambda t: stack([run.flow(xs, t) for run in harness_mod.runs(gens)], np.concatenate),
+        richardson=True).T
 
 
 def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
@@ -516,14 +517,15 @@ def flow_bracket_worst(x, gens, obs, oracle: bool = True) -> float:
     derivs = [flow_derivatives(x.map(first), gens, obs)] if oracle else []
     rows = brackets.gradient_stack(obs, x)
     hamiltonian = brackets.sharp(brackets.gradient_stack([g.obs for g in gens], x), x)
-    velocities = brackets.stack_tables([g.velocity(x) for g in gens])
+    velocities = brackets.stack_tables([run.velocity(x) for run in harness_mod.runs(gens)],
+                                       np.concatenate)
     mat = brackets.velocity_pairings(rows, hamiltonian, x)
     pairs = [(brackets.velocity_pairings(rows, velocities, x), mat), *zip(derivs, [first(mat)])]
     defects = [float(np.max(np.abs(d - m) / (1.0 + np.abs(m)))) for d, m in pairs]
     del rows  # the probes' tables, freed before the tangent maps
-    # as tangent vectors (generators, ..., dim), the generator axis first: P-sharp's norm,
+    # as tangent vectors (..., generators, dim), at x with a generator axis: P-sharp's norm,
     # then velocity - P-sharp, taken in the velocities' arrays, in one map (tangent is linear)
-    tangent = lambda v: x.tangent({key: np.moveaxis(s, -3, 0) for key, s in v.items()})
+    tangent = x.map(lambda m: m[..., np.newaxis, :, :]).tangent
     scale = 1.0 + liecore.norms(tangent(hamiltonian))
     for key, s in hamiltonian.items():
         np.subtract(velocities.setdefault(key, np.zeros_like(s)), s, out=velocities[key])
@@ -569,22 +571,33 @@ def check_flow_commutation(ctx: CheckContext):
     taus = np.array([0.3, 0.7])[:, np.newaxis]
     for fam_name, gens in h.families().items():
         xs = stack([h.sample_stack(rng, 2)] * 2)
-        # each generator's first steps, at 0.3 and 0.7, stacked (generators, times, points),
-        # then each generator's second step on that one stack: at 0.7 after every step at 0.3
-        # and at 0.3 after every step at 0.7, so each stack is diagonalized once for all
-        first = stack([g.flow(xs, taus) for g in gens])
-        second = [g.flow(first, taus[::-1]).flat() for g in gens]
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                worst = _worst(worst, *liecore.norms(second[j][i, 0] - second[i][j, 1]))
+        runs = harness_mod.runs(gens)
+        # each run's first steps at 0.3 and 0.7, (generators, times, points); the pair of
+        # generators i < j compares j at 0.7 after i at 0.3 with i at 0.3 after j at 0.7
+        first = [run.flow(xs, taus) for run in runs]
+        early = stack([f.map(lambda m: m[:, 0]) for f in first], np.concatenate)
+        starts = np.cumsum([0] + [len(run) for run in runs])
+        for b, (run, steps) in enumerate(zip(runs, first)):
+            if (last := starts[b + 1] - 1) == 0:
+                continue  # no generator before the first
+            # run B at 0.7 after the steps at 0.3 of the generators before B's last, (B, i, points)
+            after = run.flow(early.map(lambda m: m[:last]), 0.7).flat()
+            late = steps.map(lambda m: m[:, 1])
+            for r, other in enumerate(runs[:b + 1]):
+                # each run up to B at 0.3 after B's steps at 0.7, (i, B, points)
+                if len(i := np.arange(starts[r], min(starts[r + 1], last))):
+                    d = liecore.norms(other.flow(late, 0.3).flat()[:len(i)]
+                                      - np.swapaxes(after[:, i], 0, 1))
+                    pairs = np.less.outer(i, np.arange(starts[b], last + 1))
+                    worst = _worst(worst, *np.ravel(d[pairs]))
     return worst
 
 
 @check("conservation",
        "momentum maps and companion invariants are constant along family flows", 1e-10)
 def check_conservation(ctx: CheckContext):
-    """Each family flows one stack of points once per generator, and every conserved
-    quantity of that family reads its deviation off the flowed stack."""
+    """Each family flows one stack of points once per run of generators (``harness.runs``),
+    and every conserved quantity of that family reads its deviation off each flowed stack."""
     h = ctx.harness
     rng = ctx.rng("conservation")
     fams = h.families()
@@ -595,8 +608,8 @@ def check_conservation(ctx: CheckContext):
         x = h.sample_stack(rng, 3)
         xs = stack([x] * len(taus))
         base = {key: np.asarray(spec.fn(x)) for key, spec in specs.items() if spec.family == family}
-        for gen in fams.get(family, []):
-            moved = gen.flow(xs, taus)  # one flowed (times, points) stack at a time
+        for run in harness_mod.runs(fams.get(family, [])):
+            moved = run.flow(xs, taus)  # one flowed (generators, times, points) stack at a time
             for key, b in base.items():
                 detail[key] = _worst(detail[key], float(np.max(np.abs(specs[key].fn(moved) - b))))
     return _worst(0.0, *detail.values()), detail
@@ -612,8 +625,8 @@ def check_heisenberg_conjugation_law(ctx: CheckContext):
     x = h.sample_stack(rng, 4)
     u0 = x.factor("u_right")
     taus, xs = np.array([0.3, 1.1])[:, np.newaxis], stack([x] * 2)
-    for gen in h.families()["unitary-class"]:
-        moved, gamma = flows.heisenberg_class_flow(xs, gen.obs.fn, taus)
+    for run in harness_mod.runs(h.families()["unitary-class"]):
+        moved, gamma = flows.heisenberg_class_flow(xs, [g.ham for g in run], taus)
         resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
         worst = _worst(worst, *np.ravel(resid))
     return worst
@@ -651,7 +664,7 @@ def check_torus_periodicity(ctx: CheckContext):
     if ctx.cfg.space == "double":
         x = h.sample(rng)
         ham = moduli.WordHamiltonian(("single", 1), AlcoveCoweight(0, ctx.datum))
-        resid = moduli.moduli_flow(x, ham, 2 * np.pi).distance(x)
+        resid = float(moduli.moduli_flow(x, [ham], 2 * np.pi).distance(x)[0])
         detail["coweight-translation-control"] = resid
         if resid < 0.1:
             worst = _worst(worst, 1.0)
@@ -700,10 +713,11 @@ def check_flow_equivariance(ctx: CheckContext):
     worst = 0.0
     gens = [g for fam in h.families().values() for g in fam]
     x, eta = h.sample_stack(rng, 2, lambda r: liecore.random_group_element(ctx.cfg.n, r))
-    both = stack([x.conjugate(eta), x])  # flowed in one call per generator
-    for gen in gens:
-        moved = gen.flow(both, 0.45)
-        worst = _worst(worst, *liecore.norms(moved.flat()[0] - moved.conjugate(eta).flat()[1]))
+    both = stack([x.conjugate(eta), x])  # flowed in one call per run of generators
+    for run in harness_mod.runs(gens):
+        moved = run.flow(both, 0.45)  # (generators, 2, points)
+        d = liecore.norms(moved.flat()[:, 0] - moved.conjugate(eta).flat()[:, 1])
+        worst = _worst(worst, *np.ravel(d))
     return worst
 
 
@@ -751,7 +765,8 @@ def check_freeness_rank(ctx: CheckContext):
     failures = 0
     min_disp = np.inf
     for spec, tau in zip(specs, taus):
-        ranks, _ = probes.rank_of(probes.generator_matrix(x, [g.velocity for g in spec.generators]))
+        ranks, _ = probes.rank_of(probes.generator_matrix(
+            x, [run.velocity for run in harness_mod.runs(spec.generators)]))
         failures += int(np.count_nonzero(ranks != spec.dim))
         min_disp = _worst(min_disp, *np.ravel(spec.act(x, tau).distance(x)), pick=min)
     return failures + _worst(0.0, 1e-4 - min_disp), {"min_displacement": float(min_disp)}

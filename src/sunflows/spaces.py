@@ -84,10 +84,12 @@ class Point:
             forms[key] = kernel(m)
         return forms[key]
 
-    def keeping(self, x: "Point", key) -> "Point":
-        """This point, with the form x keeps for ``key``: the two share the matrix it names."""
-        if key in x.__dict__.get("_forms", {}):
-            self.__dict__.setdefault("_forms", {})[key] = x._forms[key]
+    def keeping(self, x: "Point", *keys) -> "Point":
+        """This point, with the forms x keeps for ``keys`` (all without keys): the matrices they
+        name are shared."""
+        forms = x.__dict__.get("_forms", {})
+        for key in [k for k in keys or forms if k in forms]:
+            self.__dict__.setdefault("_forms", {})[key] = forms[key]
         return self
 
 
@@ -281,8 +283,8 @@ def sphere_space(n: int) -> FusionSpace:
 
 
 def conjugation_velocity(slots, z: np.ndarray) -> dict:
-    """Velocity of conjugating the letters of ``slots`` by exp(tau Z)."""
-    return {(*slot, side): v for slot in slots for side, v in (("lmul", z), ("rmul", -z))}
+    """Velocity of conjugating the letters of ``slots`` by exp(tau Z), each key its own array."""
+    return {(*slot, side): v for slot in slots for side, v in (("lmul", +z), ("rmul", -z))}
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

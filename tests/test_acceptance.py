@@ -160,7 +160,7 @@ def test_criterion_5_isotropy():
             x = h.sample(rng)
             for spec in h.torus_specs():
                 # the velocities the probes read, and the torus action maps by stencils
-                velocities = [g.velocity for g in spec.generators]
+                velocities = [run.velocity for run in harness_mod.runs(spec.generators)]
                 for mat in (probes.generator_matrix(x, velocities),
                             stencil_generator_matrix(x, torus_curves(spec))):
                     if probes.rank_of(mat)[0] != spec.dim:

@@ -234,8 +234,9 @@ def test_momentum_condition_matrix_is_the_per_pair_formula(space, words):
     word = [name for f in range(len(x.factors)) for name in x.space.momentum_word(f)]
     # k(mu) is a class function of the whole momentum word, and its left and right
     # gradients agree
-    tables = brackets._gradients(obs, x) + [brackets.class_word_table(x, word, k.grad(phi))
-                                            for k in kfns]
+    tables = brackets._gradients(obs, x) + [
+        brackets._pick(brackets.class_word_table(x, word, k.grad(phi)[np.newaxis]), 0)
+        for k in kfns]
     two_sided = [k.grad(phi) + k.grad(phi) for k in kfns]
     reference = np.empty((len(obs), len(kfns)))
     for i in range(len(obs)):

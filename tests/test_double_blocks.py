@@ -72,9 +72,9 @@ def test_double_flows_and_velocities_keep_the_closed_forms(n):
         for slot in SLOTS:
             for ham in (PowerTrace(2), AlcoveCoroot(0, datum)):
                 for tau in taus:
-                    assert _bytes(flows.double_flow(x, ham, tau, slot)) == \
+                    assert _bytes(flows.double_flow(x, [ham], tau, slot)) == \
                         _bytes(_old_flow(fresh, ham, tau, slot)), (slot, ham, tau)
-                new, old = flows.double_velocity(x, ham, slot), _old_velocity(fresh, ham, slot)
+                new, old = flows.double_velocity(x, [ham], slot), _old_velocity(fresh, ham, slot)
                 assert list(new) == list(old)
                 assert [v.tobytes() for v in new.values()] == [v.tobytes() for v in old.values()]
 
@@ -93,7 +93,7 @@ def test_double_torus_actions_keep_the_closed_forms(n):
 def test_unknown_double_slot_is_rejected():
     x = double_space(2).random_point(np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        flows.double_flow(x, PowerTrace(2), 0.1, "third")
+        flows.double_flow(x, [PowerTrace(2)], 0.1, "third")
 
 
 def _per_slot_point(space, rng):

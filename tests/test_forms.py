@@ -16,7 +16,7 @@ import pytest
 
 from sunflows import brackets, decomp, flows, harness, liecore, moduli, spaces
 from sunflows.errors import RegularityViolation
-from sunflows.observables import AlcoveCoroot, ChamberCoroot, grad_on
+from sunflows.observables import AlcoveCoroot, ChamberCoroot, grads_on
 
 NORMAL_FORMS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize")
 HALVES = ("iwasawa_left", "iwasawa_right")
@@ -169,21 +169,22 @@ def test_a_point_at_a_wall_raises_on_every_read():
     x = spaces.CotangentPoint(at_wall, 1j * np.diag([1.0, 1.0, -2.0]))
     for _ in range(3):
         with pytest.raises(RegularityViolation):
-            flows.cotangent_velocity(x, AlcoveCoroot(0, datum))
+            flows.cotangent_velocity(x, [AlcoveCoroot(0, datum)])
         with pytest.raises(RegularityViolation):
             flows.cotangent_torus_action(x, rng.uniform(-1, 1, 2), "translate", datum)
         with pytest.raises(RegularityViolation):
-            grad_on(ChamberCoroot(1, datum), x, ("j",), x.j)
+            grads_on([ChamberCoroot(1, datum)], x, ("j",), x.j)
         with pytest.raises(RegularityViolation):
-            flows.cotangent_flow(x, ChamberCoroot(0, datum), 0.4)
+            flows.cotangent_flow(x, [ChamberCoroot(0, datum)], 0.4)
     assert not vars(x).get("_forms")
 
 
 def test_new_points_start_with_no_forms():
     """Points made by flows, torus actions, conjugate, stack and with_slots keep nothing of
     the point they came from, except that a cotangent flow or torus action keeps the form of
-    the one matrix it passes through unchanged, the very form of that very array, a fusion
-    torus action keeps the very forms of the blocks whose letters it leaves alone, and a
+    the one matrix it passes through unchanged, the very form of a view of that very array, a
+    fusion torus action or letter-block flow keeps the very forms of the blocks whose letters
+    it leaves alone, and a
     conjugated Heisenberg point keeps only its "twist", the split of eta b_left(X) that made
     it, with the bytes of a fresh ``iwasawa_right``."""
     rng = np.random.default_rng(704)
@@ -197,7 +198,7 @@ def test_new_points_start_with_no_forms():
         moved = [gen.flow(x, 0.2) for gens in h.families().values() for gen in gens]
         acted = [spec.act(x, rng.uniform(-1, 1, (2, spec.dim))) for spec in h.torus_specs()]
         if isinstance(x, spaces.FusionPoint):
-            for y in acted:
+            for y in moved + acted:
                 for block, form in vars(y).pop("_forms", {}).items():
                     value = moduli.WordHamiltonian(block, None).block_value
                     assert value(y).tobytes() == value(x).tobytes(), (space, block)
@@ -219,7 +220,9 @@ def test_new_points_start_with_no_forms():
             assert {key for _, key in kept} == {("g",), ("j",)}
             for y, key in kept:
                 assert vars(y)["_forms"].keys() == {key}
-                assert y.letter(key[0]) is x.letter(key[0]) and key in vars(x)["_forms"]
+                assert np.shares_memory(y.letter(key[0]), x.letter(key[0]))
+                assert y.letter(key[0]).tobytes() == x.letter(key[0]).tobytes()
+                assert key in vars(x)["_forms"]
                 assert y.form(key, None, None) is vars(x)["_forms"][key]
         else:
             made += moved

@@ -102,8 +102,8 @@ def _drop_fusion_cross_factor_terms(mp):
 
 
 def _fiber_invariant_flow_backwards(mp):
-    def flow(x, ham, tau):
-        return _cotangent_flow(x, ham, -tau if isinstance(ham, AlgebraFunction) else tau)
+    def flow(x, hams, tau):
+        return _cotangent_flow(x, hams, -tau if isinstance(hams[0], AlgebraFunction) else tau)
     mp.setattr(flows, "cotangent_flow", flow)
 
 
@@ -118,73 +118,75 @@ def _expm_normal_of_minus_a(mp):
     mp.setattr(liecore, "expm_normal", lambda a: _expm_normal(-a))
 
 
-# defects of the closed-form velocities, one per velocity kind the suites reach
+# defects of the closed-form velocities, one per velocity kind the suites reach; each takes a
+# run of Hamiltonians of one rule and stacks its velocities at axis -3, as the flows do
 
 def _algebra_velocity_on_the_fiber(mp):
-    def velocity(x, ham):
-        if isinstance(ham, AlgebraFunction):
-            return {"fiber": ham.grad(x.j)}
-        return _cotangent_velocity(x, ham)
+    def velocity(x, hams):
+        if isinstance(hams[0], AlgebraFunction):
+            return {"fiber": np.stack([ham.grad(x.j) for ham in hams], axis=-3)}
+        return _cotangent_velocity(x, hams)
     mp.setattr(flows, "cotangent_velocity", velocity)
 
 
 def _class_velocity_sign_flipped(mp):
-    def velocity(x, ham):
-        v = _cotangent_velocity(x, ham)
-        return {"fiber": -v["fiber"]} if isinstance(ham, ClassFunction) else v
+    def velocity(x, hams):
+        v = _cotangent_velocity(x, hams)
+        return {"fiber": -v["fiber"]} if isinstance(hams[0], ClassFunction) else v
     mp.setattr(flows, "cotangent_velocity", velocity)
 
 
 def _borel_velocity_sign_flipped(mp):
-    def velocity(x, ham):
-        v = _heisenberg_velocity(x, ham)
-        return {"rmul": -v["rmul"]} if isinstance(ham, BorelFunction) else v
+    def velocity(x, hams):
+        v = _heisenberg_velocity(x, hams)
+        return {"rmul": -v["rmul"]} if isinstance(hams[0], BorelFunction) else v
     mp.setattr(flows, "heisenberg_velocity", velocity)
 
 
 def _borel_velocity_on_the_left(mp):
     # the velocity is unitary and every probe is invariant under unitary conjugation, so only
     # the comparison of ambient tangent vectors with P-sharp of the table sees this
-    def velocity(x, ham):
-        v = _heisenberg_velocity(x, ham)
-        return {"lmul": v["rmul"]} if isinstance(ham, BorelFunction) else v
+    def velocity(x, hams):
+        v = _heisenberg_velocity(x, hams)
+        return {"lmul": v["rmul"]} if isinstance(hams[0], BorelFunction) else v
     mp.setattr(flows, "heisenberg_velocity", velocity)
 
 
 def _class_velocity_compact_part(mp):
     # the first-order b_left of exp(i tau grad) is the Borel part of i grad, not the compact one
-    def velocity(x, ham):
-        if isinstance(ham, ClassFunction):
-            return {"rmul": project_compact(1j * ham.grad(x.factor("u_right")))}
-        return _heisenberg_velocity(x, ham)
+    def velocity(x, hams):
+        if isinstance(hams[0], ClassFunction):
+            grads = np.stack([ham.grad(x.factor("u_right")) for ham in hams], axis=-3)
+            return {"rmul": project_compact(1j * grads)}
+        return _heisenberg_velocity(x, hams)
     mp.setattr(flows, "heisenberg_velocity", velocity)
 
 
 def _first_slot_velocity_on_a(mp):
-    def velocity(x, ham, slot):
-        v = _double_velocity(x, ham, slot)
+    def velocity(x, hams, slot):
+        v = _double_velocity(x, hams, slot)
         return {(0, 0, "rmul"): v[(0, 1, "rmul")]} if slot == "first" else v
     mp.setattr(flows, "double_velocity", velocity)
 
 
 def _second_slot_velocity_sign_flipped(mp):
-    def velocity(x, ham, slot):
-        v = _double_velocity(x, ham, slot)
+    def velocity(x, hams, slot):
+        v = _double_velocity(x, hams, slot)
         return {key: -z for key, z in v.items()} if slot == "second" else v
     mp.setattr(flows, "double_velocity", velocity)
 
 
 def _momentum_velocity_without_rmul(mp):
-    def velocity(x, ham, slot):
-        v = _double_velocity(x, ham, slot)
+    def velocity(x, hams, slot):
+        v = _double_velocity(x, hams, slot)
         return {key: z for key, z in v.items() if key[-1] != "rmul"} if slot == "momentum" else v
     mp.setattr(flows, "double_velocity", velocity)
 
 
 def _single_block_velocity_sign_flipped(mp):
-    def velocity(x, ham):
-        v = _moduli_velocity(x, ham)
-        return {key: -z for key, z in v.items()} if ham.block[0] == "single" else v
+    def velocity(x, hams):
+        v = _moduli_velocity(x, hams)
+        return {key: -z for key, z in v.items()} if hams[0].block[0] == "single" else v
     mp.setattr(moduli, "moduli_velocity", velocity)
 
 

@@ -7,7 +7,7 @@ of one as well; run every converted check at n = 8 on every space; and
 count the normal-form, Iwasawa and bracket-pairing calls of each converted
 check, which must not grow with the number of points it evaluates, and of
 which none but the listed ones may see a single point; and count its
-generator flow calls, one per generator for all of a check's times.
+generator flow calls, one per run of generators of one rule for all of a check's times.
 """
 
 from collections import Counter
@@ -17,7 +17,8 @@ import pytest
 
 from sunflows import brackets, decomp, flows, harness, liecore, observables as ob, probes, spaces
 from sunflows.decomp import NormalForm
-from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, checks_for, run_scenario
+from sunflows.scenario import (SPACE_FREE_RESULTS, ScenarioConfig, all_generators, checks_for,
+                               run_scenario)
 
 NS = (2, 3, 5, 8)
 DRAWS = 40
@@ -232,8 +233,9 @@ def test_each_geometry_acts_on_each_point_of_a_stack(space, n):
     for spec in h.torus_specs():
         angles = [rng.uniform(-1, 1, spec.dim) for _ in range(DRAWS)]
         _check(spec.act, [(p, tau) for (p,), tau in zip(pts, angles)], spec.name)
-        _check(lambda p: probes.generator_matrix(p, [g.velocity for g in spec.generators]),
-               pts, f"{spec.name} generator matrix")
+        _check(lambda p: probes.generator_matrix(
+            p, [run.velocity for run in harness.runs(spec.generators)]), pts,
+            f"{spec.name} generator matrix")
     obs = h.probes()
     for o in obs:
         assert type(o(first)) is float
@@ -347,20 +349,25 @@ def test_converted_checks_call_the_kernels_once_per_stack(space, check, monkeypa
 
 
 def _flow_calls(monkeypatch, cfg: ScenarioConfig) -> int:
-    """The ``Generator.flow`` calls of one run of ``cfg``, and the class flows of the
-    Heisenberg double that a check calls outside them (``flows.heisenberg_class_flow``)."""
-    calls, depth = [0], [0]
+    """The calls of the generators' stacked flows (``Generator.flows``: a ``Generator.flow``
+    or a ``harness.Run.flow``) in one run of ``cfg``, and the class flows of the Heisenberg
+    double that a check calls outside them (``flows.heisenberg_class_flow``)."""
+    calls, depth, counted = [0], [0], {}
+
+    def counting(flow):
+        def wrapper(*args):
+            calls[0] += 1
+            depth[0] += 1
+            try:
+                return flow(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
 
     class Counted(harness.Generator):
-        def __init__(self, name, obs, flow, velocity):
-            def counted(*args):
-                calls[0] += 1
-                depth[0] += 1
-                try:
-                    return flow(*args)
-                finally:
-                    depth[0] -= 1
-            super().__init__(name, obs, counted, velocity)
+        # one wrapper per stacked flow, so that the generators of a run still share it
+        def __init__(self, name, obs, ham, flow, velocity):
+            super().__init__(name, obs, ham, counted.setdefault(flow, counting(flow)), velocity)
 
     def class_flow(*args, fn=flows.heisenberg_class_flow):
         calls[0] += not depth[0]
@@ -376,22 +383,30 @@ def _flow_calls(monkeypatch, cfg: ScenarioConfig) -> int:
 
 
 def _expected_flow_calls(check, space, n) -> int:
-    """One flow call per generator and all of its times: per generator in flow-bracket (its
-    Richardson stencil), per generator of each distinct family of the conserved quantities
-    in conservation (the family's quantities share its flowed stack), per generator in
-    unitary-conjugation-law (a class flow with its cofactor) and
-    flow-equivariance; per generator, its first steps at both times and then its second
-    steps on the stack of every generator's first steps in flow-commutation; one per torus
-    angle in torus-vs-flows (the composed flows)."""
+    """One flow call per run of generators of one rule (``harness.runs``) and all of its
+    times: per run in flow-bracket (its Richardson stencil), per run of each distinct family
+    of the conserved quantities in conservation (the family's quantities share its flowed
+    stacks), per run in unitary-conjugation-law (class flows with their cofactors) and
+    flow-equivariance; in flow-commutation, per family, each run's first steps at both times,
+    then for each run B with a generator before its last one flow of B on the steps at 0.3 of
+    the generators before its last, and one flow of each run up to B that holds such a
+    generator on B's steps at 0.7 (every run before B, and B if it has two generators or
+    more); one per torus angle in torus-vs-flows (the composed flows of single generators)."""
     h = _harness(space, n)
     fams = h.families()
-    sizes = [len(gens) for gens in fams.values()]
-    return {"flow-bracket": sum(sizes) + len(h.extra_generators()),
-            "conservation": sum(len(fams.get(family, []))
+    runs = lambda gens: len(harness.runs(gens))
+
+    def commutation(gens):
+        sizes = [len(run) for run in harness.runs(gens)]
+        return len(sizes) + sum(0 if b == 0 and size == 1 else 1 + b + (size > 1)
+                                for b, size in enumerate(sizes))
+
+    return {"flow-bracket": runs(all_generators(h)),
+            "conservation": sum(runs(fams.get(family, []))
                                 for family in {s.family for s in h.conserved()}),
-            "unitary-conjugation-law": len(fams.get("unitary-class", [])),
-            "flow-equivariance": sum(sizes),
-            "flow-commutation": 2 * sum(sizes),
+            "unitary-conjugation-law": runs(fams.get("unitary-class", [])),
+            "flow-equivariance": runs([g for gens in fams.values() for g in gens]),
+            "flow-commutation": sum(commutation(gens) for gens in fams.values()),
             "torus-vs-flows": sum(spec.dim for spec in h.torus_specs())}.get(check, 0)
 
 
@@ -399,9 +414,10 @@ def _expected_flow_calls(check, space, n) -> int:
     (space, check) for space in ("cotangent", "heisenberg", "double", "sphere4", "moduli")
     for check in _converted(space)])
 def test_converted_checks_call_each_flow_once_for_all_times(space, check, monkeypatch):
-    """Time is a stack axis: a check calls a generator's flow once per point stack for all
-    of its times, so its flow calls do not grow with its points (the same at points = 2 and
-    14) and are the counts of ``_expected_flow_calls``."""
+    """Time and generators are stack axes: a check calls the stacked flow of a run of
+    generators once per point stack for all of its times, so its flow calls do not grow with
+    its points (the same at points = 2 and 14) and are the counts of
+    ``_expected_flow_calls``."""
     n = 2 if space == "moduli" else 3
     few = _flow_calls(monkeypatch, _config(space, n=n, points=2, checks=[check]))
     assert _flow_calls(monkeypatch, _config(space, n=n, points=14, checks=[check])) == few

@@ -25,10 +25,14 @@ def test_conjugation_stabilizer_of_regular_torus_point():
 
 
 class _FlatPoint:
-    """A stand-in point whose velocities are already tangent vectors, fixed by conjugation."""
+    """A stand-in point whose velocities are already tangent vectors (key "columns", one row
+    per generator), fixed by conjugation and by adding a generator axis."""
+
+    def map(self, fn):
+        return self
 
     def tangent(self, v):
-        return v
+        return v["columns"]
 
     def conjugate(self, eta):
         return self
@@ -42,12 +46,13 @@ def test_a_singular_value_at_the_kernel_tolerance_is_counted_once():
     columns even when a singular value equals SVD_KERNEL_TOL."""
     tol = probes.SVD_KERNEL_TOL
     columns = np.diag([1.0, tol, 0.0])
-    action = [lambda p, c=c: c for c in columns.T]
+    action = [lambda p: {"columns": columns.T}]  # three generators
     mat = probes.generator_matrix(_FlatPoint(), action)
+    assert np.array_equal(mat, columns)
     rank, svals = probes.rank_of(mat)
     assert tol in svals
     rep = probes.stabilizer_dimension(_FlatPoint(), action, 2)
-    assert rep.infinitesimal_dim + rank == len(action)
+    assert rep.infinitesimal_dim + rank == len(columns)
     assert rep.infinitesimal_dim == 2
     assert np.array_equal(rep.singular_values, svals)
 
@@ -135,7 +140,7 @@ def test_harness_generator_matrices_match_stencils_of_the_actions(kw, n):
     assert_columns_close(probes.generator_matrix(x, sym),
                          stencil_generator_matrix(x, conjugation_curves(n)))
     for spec in h.torus_specs():
-        action = [g.velocity for g in spec.generators]
+        action = [run.velocity for run in harness.runs(spec.generators)]
         assert_columns_close(probes.generator_matrix(x, action),
                              stencil_generator_matrix(x, torus_curves(spec)))
 
@@ -193,7 +198,7 @@ def test_rank_report_at_crafted_points():
     rng = np.random.default_rng(5)
     def ranks(pp, n):
         """Ranks of the torus generators, of the symmetry orbit and of the family differentials."""
-        symmetry, torus = pp.action[: n * n - 1], pp.action[n * n - 1:]
+        symmetry, torus = pp.action[:1], pp.action[1:]  # the su(n) basis in one velocity
         return (probes.rank_of(probes.generator_matrix(pp.point, torus))[0],
                 probes.rank_of(probes.generator_matrix(pp.point, symmetry))[0],
                 probes.rank_of(probes.differential_matrix(pp.point, pp.family))[0]

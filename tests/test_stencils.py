@@ -235,9 +235,9 @@ def test_a_flow_on_a_time_stack_keeps_the_bytes_of_each_time(label, n):
                     assert many[j].tobytes() == m.tobytes(), (gen.name, t)
     for gen in h.families().get("unitary-class", []):
         for x, times in cases:
-            gamma = flows.heisenberg_class_flow(stack([x] * k), gen.obs.fn, times)[1]
+            gamma = flows.heisenberg_class_flow(stack([x] * k), [gen.obs.fn], times)[1][0]
             for slice_, t in zip(gamma, _TIMES):
-                one = flows.heisenberg_class_flow(x, gen.obs.fn, float(t))[1]
+                one = flows.heisenberg_class_flow(x, [gen.obs.fn], float(t))[1][0]
                 assert slice_.tobytes() == one.tobytes(), (gen.name, t)
 
 
