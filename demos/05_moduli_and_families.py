@@ -17,8 +17,8 @@ from sunflows.observables import PowerTrace, word_observable
 
 
 def first(point):
-    """The flowed point of a one-Hamiltonian run: flows take a run of Hamiltonians of one kind
-    and put one flowed point per Hamiltonian on a leading axis."""
+    """The flowed point of a one-Hamiltonian run: flows take a run of word Hamiltonians of one
+    block and put one flowed point per Hamiltonian on a leading axis."""
     return point.map(lambda m: m[0])
 
 

@@ -57,6 +57,6 @@ print("invariant probe rank:", rank(probes.differential_matrix(pp.point, invaria
 
 print("\n=== displacement under nontrivial torus angles ===")
 pp = probes.principal_test_point("sphere-adjoint-torus", n, datum, np.random.default_rng(9))
-torus = harness.family_torus(pp.family, datum)
+torus = harness.family_torus(pp.family)
 moved = torus.act(pp.point, 0.5 * np.eye(torus.dim)[0])
 print("distance after a half-radian turn:", f"{moved.distance(pp.point):.3f}")

@@ -10,10 +10,8 @@ from .decomp import (
 )
 from .errors import AssumptionViolation
 from .flows import (
-    cotangent_flow,
-    cotangent_torus_action,
-    heisenberg_flow,
-    heisenberg_torus_action,
+    flow,
+    torus_action,
 )
 from .liecore import (
     build_root_datum,

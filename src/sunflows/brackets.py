@@ -373,12 +373,12 @@ def class_word_table(x, letters, grad: np.ndarray):
 _RIGHT_FACTOR = {"b_right": (project_borel, IM_FORM), "u_right": (project_compact, TRACE_FORM)}
 
 
-def right_factor_table(x, factor: str, grad):
+def right_factor_table(x, factor: str, grad: np.ndarray):
     """'lmul' (D) and 'rmul' (D') of F(X) = f(m), m the right Iwasawa factor ``factor`` of X.
 
     ``factor`` is 'b_right' (f a Borel function, whose gradient pairs in the
-    im form) or 'u_right' (f a class function, the trace form); ``grad(m)``
-    is a run of f's gradients at axis -3, form(V, grad(m)) = d/dt f(exp(tV) m), each summed
+    im form) or 'u_right' (f a class function, the trace form); ``grad``
+    is a run of f's gradients at m, at axis -3, form(V, grad) = d/dt f(exp(tV) m), each summed
     against the duals on its own.  First-order Iwasawa
     splitting, the dressing linearization: in X = u_left b_right^-1 =
     b_left u_right^-1, translating X by exp(tZ) inserts exp(tW), W = c^-1 Z c,
@@ -388,11 +388,9 @@ def right_factor_table(x, factor: str, grad):
     goes to the cofactor.  So the derivative along Z is -form(P(W), m^-1
     grad(m) m), summed against the sl duals.
     """
-    if not isinstance(x, HeisenbergPoint):
-        raise UnsupportedBracket(f"no right Iwasawa factor on {type(x).__name__}")
     part, form = _RIGHT_FACTOR[factor]
     m = x.factor(factor)
-    moved = np.linalg.inv(m)[..., np.newaxis, :, :] @ grad(m) @ m[..., np.newaxis, :, :]
+    moved = np.linalg.inv(m)[..., np.newaxis, :, :] @ grad @ m[..., np.newaxis, :, :]
     cofactors = np.stack([x.factor("u_left" if factor == "b_right" else "b_left"), m])
     bases = x.form(f"{factor} bases", lambda cs: _right_factor_bases(cs, part), cofactors)
     derivs = [-gram(basis, moved, form) for basis in bases]  # (..., directions, functions)
@@ -436,14 +434,19 @@ def stack_tables(tables, join=np.stack) -> dict:
     return {key: join([t.get(key, z) for t, z in zip(tables, zeros)], axis=-3) for key in keys}
 
 
+def run_of(o):
+    """The rule of an observable's run: its class and ``run_key`` value
+    (``observables.RunTable``), or False for an observable with a table of its own."""
+    return hasattr(o, "run_table") and (type(o), getattr(o, o.run_key))
+
+
 def gradient_stack(obs_list, x) -> dict:
     """The gradient tables of ``obs_list`` at x, each key's table stacked over the observables,
-    in one call per run of one class and ``run_key`` (``observables.RunTable``)."""
+    in one call per run of one ``run_of``."""
     if type(x) not in _SHARP:
         raise UnsupportedBracket(f"no bracket on points of type {type(x).__name__}")
-    key = lambda o: hasattr(o, "run_table") and (type(o), getattr(o, o.run_key))
     parts = [type(run[0]).run_table(run, x) if k else stack_tables(_gradients(run, x))
-             for k, run in ((k, list(run)) for k, run in groupby(obs_list, key))]
+             for k, run in ((k, list(run)) for k, run in groupby(obs_list, run_of))]
     return parts[0] if len(parts) == 1 else stack_tables(parts, np.concatenate)
 
 

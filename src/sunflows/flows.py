@@ -11,9 +11,14 @@ one flow time or one row of torus angles per point, or one for all of them.
 They read the normal forms and Iwasawa halves the point keeps (``spaces.Point.form``), so
 every generator and torus action at one point shares one per matrix.
 
-Generators are a stack axis too: a flow or velocity takes a run of Hamiltonians of one
-``rule`` and gives their flows on a leading axis (unmoved matrices as views), their velocities
-at axis -3, each matrix with the bytes of its one-generator call (the one-element run).
+An observable is the Hamiltonian of its flow: a word function of J or of g on the cotangent
+bundle, a right-factor function of b_right or of u_right on the Heisenberg double, a word
+Hamiltonian (``moduli.WordHamiltonian``) on a fusion space.  ``flow``, ``velocity`` and
+``torus_action`` pick the geometry by point type, and each geometry branches on what the
+observables read.  Generators are a stack axis too: a flow or velocity takes a run of
+observables of one ``brackets.run_of`` and gives their flows on a leading axis (unmoved
+matrices as views), their velocities at axis -3, each matrix with the bytes of its
+one-generator call (the one-element run).
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ import numpy as np
 from . import brackets, decomp, liecore, moduli
 from .errors import ShapeError, UnsupportedBracket
 from .liecore import RootDatum, adjoint, scaled
-from .observables import (AlgebraFunction, BorelFunction, ClassFunction, entry_observable,
-                          grads_on)
+from .observables import ClassFunction, entry_observable, run_gradients
 from .spaces import CotangentPoint, FusionPoint, HeisenbergPoint
 
 logger = logging.getLogger(__name__)
@@ -47,29 +51,12 @@ def maybe_reproject(u: np.ndarray, label: str) -> np.ndarray:
     return u
 
 
-def rule(ham):
-    """The rule of a Hamiltonian's flow: a word Hamiltonian's block, else its domain base."""
-    kinds = (AlgebraFunction, BorelFunction, ClassFunction)
-    return next((kind for kind in kinds if isinstance(ham, kind)), getattr(ham, "block", None))
-
-
-# the matrix that each kind of Hamiltonian reads on the cotangent bundle and Heisenberg double
-_READS = {CotangentPoint: {AlgebraFunction: ("j",), ClassFunction: ("g",)},
-          HeisenbergPoint: {BorelFunction: "b_right", ClassFunction: "u_right"}}
-
-
-def run_gradients(x, hams, axis: int = 0) -> tuple:
-    """(rule, gradients) of a run of Hamiltonians of one rule, each at the matrix it reads
-    (``_READS``; a word Hamiltonian's block value), on a new axis (``grads_on``)."""
-    if len(kinds := {rule(h) for h in hams}) != 1:
-        raise UnsupportedBracket(f"a run of Hamiltonians shares one rule, not {kinds}")
-    kind = kinds.pop()
-    if isinstance(x, FusionPoint):
-        return kind, grads_on([h.classfn for h in hams], x, kind, hams[0].block_value(x), axis)
-    if (key := _READS[type(x)].get(kind)) is None:
-        raise UnsupportedBracket(f"unsupported {type(x).__name__} Hamiltonians {hams!r}")
-    m = x.factor(key) if isinstance(x, HeisenbergPoint) else getattr(x, key[0])
-    return kind, grads_on(hams, x, key, m, axis)
+def _reading(x, run, *keys):
+    """What a run of observables reads (``brackets.run_of``), one of ``keys``; anything else
+    has no flow on x's geometry and raises ``UnsupportedBracket``."""
+    if (kind := brackets.run_of(run[0])) and kind[1] in keys:
+        return kind[1]
+    raise UnsupportedBracket(f"unsupported {type(x).__name__} Hamiltonians {run!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,50 +83,50 @@ def coweight_torus_element(tau: np.ndarray, datum: RootDatum) -> np.ndarray:
 # cotangent flows
 # ---------------------------------------------------------------------------
 
-def cotangent_flow(x: CotangentPoint, hams, tau) -> CotangentPoint:
+def cotangent_flow(x: CotangentPoint, run, tau) -> CotangentPoint:
     """Exact flows of a run of invariant Hamiltonians on the cotangent bundle.
 
-    Fiber-invariant Hamiltonians translate the group component by
-    exp(tau * grad); base class functions translate the fiber by -tau * grad.
+    Functions of the fiber J translate the group component by exp(tau * grad); class
+    functions of g translate the fiber by -tau * grad.
     """
-    kind, z = run_gradients(x, hams)
-    if kind is AlgebraFunction:
+    fiber = _reading(x, run, ("j",), ("g",)) == ("j",)
+    z = run_gradients(run, x, 0)
+    if fiber:
         g = maybe_reproject(liecore.expm_normal(scaled(tau, z)) @ x.g, "cotangent group part")
         return CotangentPoint(g, np.broadcast_to(x.j, g.shape)).keeping(x, ("j",))
     j = x.j - scaled(tau, z)
     return CotangentPoint(np.broadcast_to(x.g, j.shape), j).keeping(x, ("g",))
 
 
-def cotangent_velocity(x: CotangentPoint, hams) -> dict:
+def cotangent_velocity(x: CotangentPoint, run) -> dict:
     """d/dtau of ``cotangent_flow`` at tau = 0."""
-    kind, z = run_gradients(x, hams, -3)
-    return {"group": z} if kind is AlgebraFunction else {"fiber": -z}
+    fiber = _reading(x, run, ("j",), ("g",)) == ("j",)
+    z = run_gradients(run, x)
+    return {"group": z} if fiber else {"fiber": -z}
 
 
-def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, family: str,
-                           datum: RootDatum) -> CotangentPoint:
-    """Joint flows of the two commuting families.
+def cotangent_torus_action(x: CotangentPoint, tau: np.ndarray, gens) -> CotangentPoint:
+    """Joint flows of the coroot action variables ``gens`` of one of the two families.
 
-    'chamber': compact-torus action twisting the group part through the
-    chamber frame of the fiber; 'translate': additive action on the fiber
+    Those of J: compact-torus action twisting the group part through the
+    chamber frame of the fiber; those of g: additive action on the fiber
     through the alcove frame of the group part.
     """
-    if family == "chamber":
+    datum = gens[0].fn.datum
+    if _reading(x, gens, ("j",), ("g",)) == ("j",):
         chamber = x.form(("j",), decomp.chamber_diagonalize, x.j)
         t = chamber.transport(coroot_torus_element(tau, datum))
         return CotangentPoint(maybe_reproject(t @ x.g, "cotangent torus"), x.j).keeping(x, ("j",))
-    if family == "translate":
-        alcove = x.form(("g",), decomp.alcove_diagonalize, x.g)
-        shift = alcove.transport(-1j * _weighted(tau, datum.coroots))
-        return CotangentPoint(x.g, x.j - shift).keeping(x, ("g",))
-    raise ShapeError(f"unknown cotangent torus family {family!r}")
+    alcove = x.form(("g",), decomp.alcove_diagonalize, x.g)
+    shift = alcove.transport(-1j * _weighted(tau, datum.coroots))
+    return CotangentPoint(x.g, x.j - shift).keeping(x, ("g",))
 
 
 # ---------------------------------------------------------------------------
 # Heisenberg flows
 # ---------------------------------------------------------------------------
 
-def heisenberg_flow(x: HeisenbergPoint, hams, tau) -> HeisenbergPoint:
+def heisenberg_flow(x: HeisenbergPoint, run, tau) -> HeisenbergPoint:
     """Exact flows of a run of Hamiltonians on the Heisenberg double.
 
     Borel-family Hamiltonians right-translate by exp(-tau * dressing
@@ -147,21 +134,22 @@ def heisenberg_flow(x: HeisenbergPoint, hams, tau) -> HeisenbergPoint:
     right-multiply by the Borel factor of exp(i tau * grad at the right
     unitary factor), which is positive definite because i*grad is Hermitian.
     """
-    if rule(hams[0]) is ClassFunction:
-        return heisenberg_class_flow(x, hams, tau)[0]
-    return HeisenbergPoint(x.x @ liecore.expm_normal(scaled(-tau, run_gradients(x, hams)[1])))
+    if _reading(x, run, "b_right", "u_right") == "u_right":
+        return heisenberg_class_flow(x, run, tau)[0]
+    return HeisenbergPoint(x.x @ liecore.expm_normal(scaled(-tau, run_gradients(run, x, 0))))
 
 
-def heisenberg_velocity(x: HeisenbergPoint, hams) -> dict:
+def heisenberg_velocity(x: HeisenbergPoint, run) -> dict:
     """d/dtau of ``heisenberg_flow`` at tau = 0; a class function's is the first-order b_left."""
-    kind, z = run_gradients(x, hams, -3)
-    return {"rmul": -z if kind is BorelFunction else liecore.project_borel(1j * z)}
+    borel = _reading(x, run, "b_right", "u_right") == "b_right"
+    z = run_gradients(run, x)
+    return {"rmul": -z if borel else liecore.project_borel(1j * z)}
 
 
-def heisenberg_class_flow(x: HeisenbergPoint, hams, tau) -> tuple[HeisenbergPoint, np.ndarray]:
-    """The flows of a run of class-function Hamiltonians and their unitary cofactors (the
+def heisenberg_class_flow(x: HeisenbergPoint, run, tau) -> tuple[HeisenbergPoint, np.ndarray]:
+    """The flows of a run of class functions of u_right and their unitary cofactors (the
     conjugators of u_right), from one Iwasawa split of exp(i tau grad) each."""
-    pos = liecore.expm_normal(scaled(1j * tau, run_gradients(x, hams)[1]))
+    pos = liecore.expm_normal(scaled(1j * tau, run_gradients(run, x, 0)))
     b_left, u_right = decomp.iwasawa_right(pos)
     return HeisenbergPoint(x.x @ b_left), adjoint(u_right)
 
@@ -172,18 +160,17 @@ def positive_factorization(tau: np.ndarray, alcove, datum: RootDatum) -> np.ndar
     return decomp.iwasawa_right(pos)[0]
 
 
-def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, family: str,
-                            datum: RootDatum) -> HeisenbergPoint:
-    """'dress': compact-torus action through the chamber frame of the
-    positive part of the right Borel factor; 'translate': the proper
-    noncompact action through the positive factorization at u_right."""
-    if family == "dress":
+def heisenberg_torus_action(x: HeisenbergPoint, tau: np.ndarray, gens) -> HeisenbergPoint:
+    """Joint flows of the coroot action variables ``gens`` of one of the two families.  Those of
+    b_right: compact-torus action through the chamber frame of the positive part of the right
+    Borel factor; those of u_right: the proper noncompact action through the positive
+    factorization at u_right."""
+    datum = gens[0].fn.datum
+    if _reading(x, gens, "b_right", "u_right") == "b_right":
         chamber = x.form("b_right", decomp.borel_chamber_diagonalize, x.factor("b_right"))
         return HeisenbergPoint(x.x @ chamber.transport(coroot_torus_element(tau, datum)))
-    if family == "translate":
-        alcove = x.form("u_right", decomp.alcove_diagonalize, x.factor("u_right"))
-        return HeisenbergPoint(x.x @ positive_factorization(tau, alcove, datum))
-    raise ShapeError(f"unknown Heisenberg torus family {family!r}")
+    alcove = x.form("u_right", decomp.alcove_diagonalize, x.factor("u_right"))
+    return HeisenbergPoint(x.x @ positive_factorization(tau, alcove, datum))
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +195,6 @@ def double_flow(x: FusionPoint, hams, tau, slot: str) -> FusionPoint:
     return moduli.moduli_flow(x, [_block_hamiltonian(h, slot) for h in hams], tau)
 
 
-def double_velocity(x: FusionPoint, hams, slot: str) -> dict:
-    """d/dtau of ``double_flow`` at tau = 0."""
-    return moduli.moduli_velocity(x, [_block_hamiltonian(h, slot) for h in hams])
-
-
 def double_torus_action(x: FusionPoint, tau: np.ndarray, slot: str,
                         datum: RootDatum) -> FusionPoint:
     """The moduli torus action of the block of a double slot, one angle row per point."""
@@ -235,34 +217,40 @@ S_LETTERS = {"a1": ("b1~",), "b1": ("b1~", "a1", "b1")}
 # dispatchers
 # ---------------------------------------------------------------------------
 
-def flow(x, hams, tau, slot: str | None = None):
-    """Exact flows of a run of Hamiltonians on any supported phase point; ``slot`` selects the
-    fused double's family ('first', 'second' or 'momentum'), word Hamiltonians carry a block."""
-    if isinstance(x, CotangentPoint):
-        return cotangent_flow(x, hams, tau)
-    if isinstance(x, HeisenbergPoint):
-        return heisenberg_flow(x, hams, tau)
-    if isinstance(x, FusionPoint):
-        if isinstance(hams[0], moduli.WordHamiltonian):
-            return moduli.moduli_flow(x, hams, tau)
-        return double_flow(x, hams, tau, slot or "first")
-    raise UnsupportedBracket(f"no flow on points of type {type(x).__name__}")
+def _dispatch(x, what: str, cotangent, heisenberg, fusion):
+    """The dispatcher's function for x's geometry.  Each dispatcher names its functions at each
+    call, so that a function set on a module later (a wrapper) is the one called."""
+    for kind, fn in ((CotangentPoint, cotangent), (HeisenbergPoint, heisenberg),
+                     (FusionPoint, fusion)):
+        if isinstance(x, kind):
+            return fn
+    raise UnsupportedBracket(f"no {what} on points of type {type(x).__name__}")
 
 
-def torus_action(x, tau, datum: RootDatum, kind: str):
-    """Joint torus/line action maps by kind name.
+def flow(x, run, tau):
+    """Exact flows of a run of observables of one ``brackets.run_of`` on any supported phase
+    point, one flowed point per observable on a leading axis."""
+    return _dispatch(x, "flow", cotangent_flow, heisenberg_flow, moduli.moduli_flow)(x, run, tau)
 
-    Kinds: cotangent 'chamber'/'translate', Heisenberg 'dress'/'translate',
-    double the slots of ``DOUBLE_BLOCKS``.  Word-Hamiltonian families use the
-    moduli-space action directly.
-    """
-    if isinstance(x, CotangentPoint):
-        return cotangent_torus_action(x, tau, kind, datum)
-    if isinstance(x, HeisenbergPoint):
-        return heisenberg_torus_action(x, tau, kind, datum)
-    if isinstance(x, FusionPoint):
-        return double_torus_action(x, tau, kind, datum)
-    raise UnsupportedBracket(f"no torus action on {type(x).__name__}")
+
+def velocity(x, run) -> dict:
+    """d/dtau of ``flow`` at tau = 0, the observable axis at -3."""
+    return _dispatch(x, "velocity", cotangent_velocity, heisenberg_velocity,
+                     moduli.moduli_velocity)(x, run)
+
+
+def _family_torus_action(x: FusionPoint, tau, gens) -> FusionPoint:
+    """The moduli torus action of word Hamiltonians, read as one row of rank angles per block."""
+    tau, datum = np.asarray(tau), gens[0].fn.datum
+    return moduli.moduli_torus_action(x, tau.reshape(tau.shape[:-1] + (-1, datum.rank)), gens,
+                                      datum)
+
+
+def torus_action(x, tau, gens):
+    """The joint flows of the action variables ``gens`` (observables) by the angles tau, one per
+    variable on the last axis (a row per point of a stack)."""
+    return _dispatch(x, "torus action", cotangent_torus_action, heisenberg_torus_action,
+                     _family_torus_action)(x, tau, gens)
 
 
 # ---------------------------------------------------------------------------

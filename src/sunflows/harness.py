@@ -1,12 +1,12 @@
 """Uniform per-space harnesses used by the scenario runner and test suites.
 
 A harness bundles, for one phase space: regular point sampling, a probe
-family of word observables, the commuting Hamiltonian families with their
-exact flows and bracket-side observables, the torus actions with their
-periodicity type (the angle flows are the family's action-variable flows),
-and the conserved quantities per family.  The symmetry action is the
-points' own ``conjugate``.  The checks are written once against it.
-A run of generators of one rule flows and differentiates in one call (``runs``).
+family of word observables, the commuting families of generators (each an observable that
+is the Hamiltonian of its exact flow), the torus actions with their periodicity type (the
+joint flows of the family's action variables) and the conserved quantities per family.  The
+symmetry action is the points' own ``conjugate``.  The checks are written once against it.
+A run of generators of one rule (``brackets.run_of``) flows and differentiates in one call
+(``runs``); flows, velocities and torus actions are those of ``flows``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import groupby
 
 import numpy as np
 
-from . import decomp, flows, liecore, moduli
+from . import brackets, decomp, flows, liecore, moduli
 from .errors import (InvalidShape, NotPositiveDefinite, RegularityViolation, SamplingFailure,
                      SingularMatrix)
 from .liecore import RootDatum, adjoint
@@ -51,18 +51,15 @@ _REJECTIONS = (RegularityViolation, NotPositiveDefinite, SingularMatrix)
 
 @dataclass(frozen=True)
 class Generator:
-    """One commuting-family generator: its observable and the Hamiltonian of its exact flow,
-    which a run of generators flows and differentiates in one call (``flows``)."""
+    """One commuting-family generator: its observable, which is the Hamiltonian of its exact
+    flow (``flows.flow``); a run of generators flows and differentiates in one call."""
 
     name: str
-    obs: object                      # callable point -> value, one per point of a stack
-    ham: object
-    flows: object                    # (point, hams, tau) -> points, generator axis first
-    velocities: object               # (point, hams) -> d/dtau flows at tau = 0, axis -3
+    obs: object  # a WordFunction, RightFactorFunction or moduli.WordHamiltonian
 
     def flow(self, p, tau):
         """The one-element run's flow, its generator axis dropped."""
-        out = self.flows(p, [self.ham], tau)
+        out = Run([self]).flow(p, tau)
         return out.map(lambda m: m[0]).keeping(out)
 
     def velocity(self, p) -> dict:
@@ -74,30 +71,33 @@ class Run(tuple):
     """Consecutive generators of one rule (``runs``): one flow and one velocity call each."""
 
     def flow(self, p, tau):
-        return self[0].flows(p, [g.ham for g in self], tau)
+        return flows.flow(p, [g.obs for g in self], tau)
 
     def velocity(self, p) -> dict:
-        return self[0].velocities(p, [g.ham for g in self])
+        return flows.velocity(p, [g.obs for g in self])
 
 
 def runs(gens) -> list[Run]:
-    """``gens`` in order, split into runs of one flow, velocity and rule (``flows.rule``)."""
-    return [Run(run) for _, run in groupby(gens, lambda g: (g.flows, g.velocities,
-                                                             flows.rule(g.ham)))]
+    """``gens`` in order, split into runs of one rule (``brackets.run_of``)."""
+    return [Run(run) for _, run in groupby(gens, lambda g: brackets.run_of(g.obs))]
 
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """A torus/line action (point, angles) -> point and the action variable of each angle."""
+    """A torus/line action: the joint flow of the action variable of each angle."""
 
     name: str
-    act: object
-    generators: tuple                # the Generator of each angle: its flow and velocity
+    generators: tuple                # the Generator of each angle
     periodic: bool
 
     @property
     def dim(self) -> int:
         return len(self.generators)
+
+    def act(self, p, tau):
+        """p moved by the angles tau, one per generator on the last axis
+        (``flows.torus_action``)."""
+        return flows.torus_action(p, tau, [g.obs for g in self.generators])
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,10 @@ def sample_regular(kind: str, draws: int, draw, check):
                           f"last: {last}")
 
 
-def _generators(fns, flow, velocity, obs=lambda fn: fn,
-                name=lambda fn: fn.name) -> list[Generator]:
-    """One Generator per function fn, in order: named name(fn), observing obs(fn), with the
-    stacked flow flow(p, hams, t) and velocity velocity(p, hams) of Hamiltonians fn."""
-    return [Generator(name(fn), obs(fn), fn, flow, velocity) for fn in fns]
+def _generators(fns, obs=lambda fn: fn, name="{}") -> list[Generator]:
+    """One Generator per function fn, in order: the observable obs(fn), named fn's name in the
+    pattern ``name``."""
+    return [Generator(name.format(fn.name), obs(fn)) for fn in fns]
 
 
 def _action_variables(gens, rank: int) -> tuple:
@@ -206,21 +205,14 @@ class CotangentHarness(Harness):
         datum, powers, coroots = self.datum, _power_indices(self.n), range(self.datum.rank)
         fiber = [AlgebraPower(k) for k in powers] + [ChamberCoroot(j, datum) for j in coroots]
         base = [PowerTrace(k) for k in powers] + [AlcoveCoroot(j, datum) for j in coroots]
-        return {name: _generators(fns, flows.cotangent_flow, flows.cotangent_velocity,
-                                  partial(WordFunction, letters=letters))
+        return {name: _generators(fns, partial(WordFunction, letters=letters))
                 for name, fns, letters in (("fiber-invariants", fiber, ("j",)),
                                            ("base-class", base, ("g",)))}
 
     def torus_specs(self):
-        datum, fams = self.datum, self.families()
-        return [
-            TorusSpec("chamber-torus",
-                      lambda p, tau: flows.cotangent_torus_action(p, tau, "chamber", datum),
-                      _action_variables(fams["fiber-invariants"], datum.rank), True),
-            TorusSpec("fiber-translation",
-                      lambda p, tau: flows.cotangent_torus_action(p, tau, "translate", datum),
-                      _action_variables(fams["base-class"], datum.rank), False),
-        ]
+        fams, rank = self.families(), self.datum.rank
+        return [TorusSpec("chamber-torus", _action_variables(fams["fiber-invariants"], rank), True),
+                TorusSpec("fiber-translation", _action_variables(fams["base-class"], rank), False)]
 
     def conserved(self):
         return [
@@ -265,21 +257,16 @@ class HeisenbergHarness(Harness):
         borel = [BorelPower(k) for k in (1, 2)] + [BorelChamberCoroot(j, datum) for j in coroots]
         unitary = ([PowerTrace(k) for k in _power_indices(self.n)]
                    + [AlcoveCoroot(j, datum) for j in coroots])
-        return {name: _generators(fns, flows.heisenberg_flow, flows.heisenberg_velocity,
-                                  partial(RightFactorFunction, factor=factor))
+        return {name: _generators(fns, partial(RightFactorFunction, factor=factor))
                 for name, fns, factor in (("borel-invariants", borel, "b_right"),
                                           ("unitary-class", unitary, "u_right"))}
 
     def torus_specs(self):
-        datum, fams = self.datum, self.families()
-        return [
-            TorusSpec("dressing-torus",
-                      lambda p, tau: flows.heisenberg_torus_action(p, tau, "dress", datum),
-                      _action_variables(fams["borel-invariants"], datum.rank), True),
-            TorusSpec("borel-translation",
-                      lambda p, tau: flows.heisenberg_torus_action(p, tau, "translate", datum),
-                      _action_variables(fams["unitary-class"], datum.rank), False),
-        ]
+        fams, rank = self.families(), self.datum.rank
+        return [TorusSpec("dressing-torus", _action_variables(fams["borel-invariants"], rank),
+                          True),
+                TorusSpec("borel-translation", _action_variables(fams["unitary-class"], rank),
+                          False)]
 
     def conserved(self):
         def right_borel(p):
@@ -343,19 +330,10 @@ def _family_from_config(space: FusionSpace, family) -> moduli.IntervalFamily:
                                     for key, value in family.items()})
 
 
-def family_torus(hams, datum: RootDatum) -> TorusSpec:
-    """The joint torus of a word-Hamiltonian family, one angle per generator.
-
-    The generators come block by block, rank many each, so the angles read
-    as one row per block (per point of a stack).
-    """
-    def act(p, tau):
-        tau = np.asarray(tau)
-        return moduli.moduli_torus_action(p, tau.reshape(tau.shape[:-1] + (-1, datum.rank)),
-                                          hams, datum)
-
-    gens = _generators(hams, moduli.moduli_flow, moduli.moduli_velocity)
-    return TorusSpec("family-torus", act, tuple(gens), True)
+def family_torus(hams) -> TorusSpec:
+    """The joint torus of a word-Hamiltonian family, one angle per generator: the generators
+    come block by block, rank many each (``flows.torus_action``)."""
+    return TorusSpec("family-torus", tuple(_generators(hams)), True)
 
 
 class FusionHarness(Harness):
@@ -412,16 +390,15 @@ class FusionHarness(Harness):
         return list(unique.values())[:12]
 
     def families(self):
-        return {self.label: _generators(self.hams, moduli.moduli_flow, moduli.moduli_velocity)}
+        return {self.label: _generators(self.hams)}
 
     def extra_generators(self):
         """Polynomial class functions on the same blocks, for flow checks."""
         return _generators([moduli.WordHamiltonian(block, PowerTrace(k)) for block in self.blocks
-                            for k in _power_indices(self.n)[:1]],
-                           moduli.moduli_flow, moduli.moduli_velocity)
+                            for k in _power_indices(self.n)[:1]])
 
     def torus_specs(self):
-        return [family_torus(self.hams, self.datum)]
+        return [family_torus(self.hams)]
 
     def conserved(self):
         return [ConservedSpec("product-momentum", self.label, lambda p: p.momentum())] + [
@@ -456,11 +433,9 @@ class DoubleHarness(FusionHarness):
 
     def _generators(self, fns, slot: str) -> list[Generator]:
         """One generator per class function on the block of ``slot`` (``flows.DOUBLE_BLOCKS``),
-        named fn@slot, with the double's flow and velocity."""
-        return _generators(fns, partial(flows.double_flow, slot=slot),
-                           partial(flows.double_velocity, slot=slot),
-                           partial(moduli.WordHamiltonian, flows.DOUBLE_BLOCKS[slot]),
-                           lambda fn: f"{fn.name}@{slot}")
+        named fn@slot."""
+        return _generators(fns, partial(moduli.WordHamiltonian, flows.DOUBLE_BLOCKS[slot]),
+                           "{}@" + slot)
 
     def families(self):
         return {self.label: self._generators(
@@ -476,11 +451,8 @@ class DoubleHarness(FusionHarness):
         return [*x.pair(1), x.momentum()]
 
     def torus_specs(self):
-        datum, slot = self.datum, self.slot
-        return [TorusSpec(
-            f"{slot}-slot-torus",
-            lambda p, tau: flows.double_torus_action(p, np.asarray(tau), slot, datum),
-            _action_variables(self.families()[self.label], datum.rank), True)]
+        return [TorusSpec(f"{self.slot}-slot-torus",
+                          _action_variables(self.families()[self.label], self.datum.rank), True)]
 
     def conserved(self):
         def first_pair(p):

@@ -26,6 +26,7 @@ from .observables import (
     RunTable,
     WordFunction,
     inverse_word,
+    run_gradients,
     substitute,
     word_observable,
 )
@@ -82,14 +83,14 @@ def validate_family(space: FusionSpace, fam: IntervalFamily) -> None:
     _check_interval_list(fam.intervals, n_holes, "interval")
     if m == 0:
         if n_holes < 3:
-            raise AssumptionViolation("clause m0-size: with no double factors, need n >= 3")
+            raise AssumptionViolation(f"clause m0-size: with no double factors (m = 0), need "
+                                      f"holes >= 3, got holes = {n_holes}")
         covered = set()
         for lo, hi in fam.intervals:
             covered |= set(range(lo, hi + 1))
         if covered >= set(range(1, n_holes + 1)):
-            raise AssumptionViolation(
-                "clause m0-proper: the interval union must be a proper subset of {1..n}"
-            )
+            raise AssumptionViolation(f"clause m0-proper: the interval union {sorted(covered)} "
+                                      f"must be a proper subset of the holes 1..{n_holes}")
     if m == 1 and n_holes == 0 and fam.commutators:
         raise AssumptionViolation(
             "clause m1n0-commutator: the torus-with-one-hole family excludes the commutator block"
@@ -169,14 +170,15 @@ def block_positions(space: FusionSpace, block: tuple) -> list[int]:
 
 @dataclass(frozen=True)
 class WordHamiltonian(RunTable):
-    """A class function applied to one admissible block of a fusion point."""
+    """A class function ``fn`` of one admissible block of a fusion point: the value of fn at
+    the block value, one value per point of a stack."""
 
     block: tuple
-    classfn: ClassFunction
+    fn: ClassFunction
 
     @property
     def name(self) -> str:
-        return f"{self.classfn.name}@{'-'.join(str(p) for p in self.block)}"
+        return f"{self.fn.name}@{'-'.join(str(p) for p in self.block)}"
 
     @property
     def move(self):
@@ -188,9 +190,8 @@ class WordHamiltonian(RunTable):
             return x.pair(self.block[1])[self.move[0]]
         return x.momentum(block_positions(x.space, self.block))
 
-    def __call__(self, x: FusionPoint) -> np.ndarray:
-        """The class function at the block value of x, one value per point of a stack."""
-        return self.classfn.value(self.block_value(x))
+    def reads(self, x: FusionPoint) -> tuple:
+        return self.block, self.block_value(x)
 
     run_key = "block"
 
@@ -204,8 +205,7 @@ class WordHamiltonian(RunTable):
     @staticmethod
     def run_table(run, x: FusionPoint) -> dict:
         """Exact gradient tables keyed (factor, component, side), stacked over the run."""
-        return brackets.class_word_table(x, run[0].word(x.space),
-                                         flows.run_gradients(x, run, -3)[1])
+        return brackets.class_word_table(x, run[0].word(x.space), run_gradients(run, x))
 
     def letters(self, x: FusionPoint):
         """Slots (factor, component) moved by this block's flow (a letter block: the other
@@ -273,13 +273,13 @@ def moduli_flow(x: FusionPoint, hams: list[WordHamiltonian], tau) -> FusionPoint
     """
     ham = hams[0]
     t = ham.move[2](tau) if ham.move else tau
-    out = _move_letters(x, ham, liecore.expm_normal(scaled(t, flows.run_gradients(x, hams)[1])))
+    out = _move_letters(x, ham, liecore.expm_normal(scaled(t, run_gradients(hams, x, 0))))
     return out.keeping(x, ham.block) if ham.move else out
 
 
 def moduli_velocity(x: FusionPoint, hams: list[WordHamiltonian]) -> dict:
     """d/dtau of ``moduli_flow`` at tau = 0, the generator axis at -3."""
-    ham, z = hams[0], flows.run_gradients(x, hams, -3)[1]
+    ham, z = hams[0], run_gradients(hams, x)
     if ham.move:
         return {(*s, "rmul"): ham.move[2](z) for s in ham.letters(x)}
     return conjugation_velocity(ham.letters(x), z)
@@ -378,7 +378,7 @@ def pullback_hamiltonian(h, plan: list[int]):
             space, step = _swap_letters(space, j)
             words = {name: substitute(word, words) for name, word in step.items()}
         if isinstance(h, WordHamiltonian):
-            return WordFunction(h.classfn, substitute(h.word(space), words))
+            return WordFunction(h.fn, substitute(h.word(space), words))
         return word_observable(substitute(h.letters, words), h.part)
 
     def obs(x: FusionPoint):

@@ -11,10 +11,13 @@ per matrix.  The four action variables (coroot and coweight pairings of the alco
 and Borel-chamber spectra) are one rule, ``_Variable``, each stating its row of it and its
 domain base.  Such a spectral function reads ``value`` off a frame-free spectra kernel
 (``of_spectra(spectra(m))``), one eigenvalue solve per stencil block, and ``grad`` off a
-normal form (``at(normal_form(m))``), which a point keeps for all of them (``grads_on``).
-The word, class and right-factor observables take a point or a stacked
-point.  Word traces supply generic probe observables on every phase space,
-and functions of a right Iwasawa factor are the Heisenberg generators.
+normal form (``at(normal_form(m))``), which a point keeps for all of them
+(``run_gradients``).  The word and right-factor observables take a point or a stacked
+point.  Word traces supply generic probe observables on every phase space.  A word
+function, a right-factor function and a word Hamiltonian (``moduli``) each state once what
+they read off a point (``reads``: a form key and a matrix) and their function ``fn`` of it:
+that gives their value, their gradient table and, as each is its own Hamiltonian, their
+flow (``flows``).
 """
 
 from __future__ import annotations
@@ -198,19 +201,29 @@ class BorelPower(BorelFunction):
         return 2 * self.k * 1j * traceless(pk)
 
 
-def grads_on(fns, x, key, m: np.ndarray, axis: int = -3) -> np.ndarray:
-    """fn.grad(m) of each function of a run, m the matrix of x named ``key`` (off x's kept
-    normal form if fn is spectral, which may have fewer axes than m), over m's axes, on one
-    new axis: -3 (a table's or a velocity's observable axis) or 0 (a flow's generator axis)."""
-    grads = [fn.at(x.form(key, fn.normal_form, m)) if hasattr(fn, "at") else fn.grad(m)
-             for fn in fns]
+def run_gradients(run, x, axis: int = -3) -> np.ndarray:
+    """fn.grad(m) of each observable of a run of one ``brackets.run_of``, m the matrix of x that
+    the run ``reads`` (off x's kept normal form if fn is spectral, which may have fewer axes
+    than m), over m's axes, on one new axis: -3 (a table's or a velocity's observable axis) or 0
+    (a flow's generator axis).  A run that mixes rules raises ``UnsupportedBracket``."""
+    kind = brackets.run_of(run[0])
+    if any(brackets.run_of(o) != kind for o in run):
+        raise UnsupportedBracket(f"a run of observables shares one rule, not {run!r}")
+    key, m = run[0].reads(x)
+    grads = [o.fn.at(x.form(key, o.fn.normal_form, m)) if hasattr(o.fn, "at") else o.fn.grad(m)
+             for o in run]
     return np.stack([g if g.shape == m.shape else np.broadcast_to(g, m.shape) for g in grads],
                     axis)
 
 
 class RunTable:
-    """An observable whose class builds one stacked table for a run of its observables with one
-    value of their field ``run_key`` (``run_table``); its own is the one-element run's."""
+    """A function ``fn`` of the matrix that it ``reads`` off a point, (form key, matrix): one
+    value per point of a stack.  Its class builds one stacked table for a run of its observables
+    with one value of their field ``run_key`` (``run_table``); its own is the one-element run's.
+    The run's flows are those of ``flows``."""
+
+    def __call__(self, x) -> np.ndarray:
+        return self.fn.value(self.reads(x)[1])
 
     def grad_table(self, x) -> dict:
         return brackets._pick(type(self).run_table([self], x), 0)
@@ -294,22 +307,21 @@ class WordFunction(RunTable):
     letters: tuple[str, ...]
 
     def __post_init__(self):
-        if isinstance(self.fn, AlgebraFunction) and self.letters != ("j",):
-            raise UnsupportedWord(f"an algebra function reads the word ('j',), "
-                                  f"not {self.letters}")
+        if isinstance(self.fn, AlgebraFunction) != (self.letters == ("j",)):
+            raise UnsupportedWord(f"an algebra function reads the word ('j',), and only one "
+                                  f"does: not {self.fn!r} of {self.letters}")
 
-    def __call__(self, x) -> np.ndarray:
-        return self.fn.value(word_product(x, self.letters))
+    def reads(self, x) -> tuple:
+        return self.letters, word_product(x, self.letters)
 
     run_key = "letters"
 
     @staticmethod
     def run_table(run, x) -> dict:
-        letters = run[0].letters
-        grads = grads_on([w.fn for w in run], x, letters, word_product(x, letters))
+        grads = run_gradients(run, x)
         if isinstance(run[0].fn, AlgebraFunction):
-            return brackets.word_table(x, letters, None, [grads])
-        return brackets.class_word_table(x, letters, grads)
+            return brackets.word_table(x, run[0].letters, None, [grads])
+        return brackets.class_word_table(x, run[0].letters, grads)
 
 
 @dataclass(frozen=True)
@@ -330,13 +342,13 @@ class RightFactorFunction(RunTable):
                 or (self.factor == "u_right" and isinstance(self.fn, ClassFunction))):
             raise UnsupportedWord(f"{self.fn!r} is not a function of the factor {self.factor!r}")
 
-    def __call__(self, x) -> np.ndarray:
-        return self.fn.value(x.factor(self.factor))
+    def reads(self, x) -> tuple:
+        if not isinstance(x, HeisenbergPoint):
+            raise UnsupportedBracket(f"no right Iwasawa factor on {type(x).__name__}")
+        return self.factor, x.factor(self.factor)
 
     run_key = "factor"
 
     @staticmethod
     def run_table(run, x) -> dict:
-        factor = run[0].factor
-        return brackets.right_factor_table(
-            x, factor, lambda m: grads_on([r.fn for r in run], x, factor, m))
+        return brackets.right_factor_table(x, run[0].factor, run_gradients(run, x))

@@ -272,7 +272,7 @@ def principal_test_point(key: str, n: int, datum: RootDatum,
     if fam is not None:
         hams = moduli.hamiltonian_family(x.space, fam, datum)
     if hams is not None:
-        torus = harness.family_torus(hams, datum)
+        torus = harness.family_torus(hams)
     action = conjugation_action(n) + tuple(run.velocity for run in harness.runs(torus.generators))
     return PrincipalPoint(key, x, action, torus.dim, hams or [])
 

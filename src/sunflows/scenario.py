@@ -626,7 +626,7 @@ def check_heisenberg_conjugation_law(ctx: CheckContext):
     u0 = x.factor("u_right")
     taus, xs = np.array([0.3, 1.1])[:, np.newaxis], stack([x] * 2)
     for run in harness_mod.runs(h.families()["unitary-class"]):
-        moved, gamma = flows.heisenberg_class_flow(xs, [g.ham for g in run], taus)
+        moved, gamma = flows.heisenberg_class_flow(xs, [g.obs for g in run], taus)
         resid = liecore.norms(moved.factor("u_right") - gamma @ u0 @ adjoint(gamma), 2)
         worst = _worst(worst, *np.ravel(resid))
     return worst

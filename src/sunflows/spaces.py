@@ -270,7 +270,7 @@ class FusionSpace:
 def moduli_space(m: int, n_holes: int, n: int) -> FusionSpace:
     """The canonical fusion space with m double factors and n_holes conjugation factors."""
     if m < 0 or n_holes < 0 or (m == 0 and n_holes == 0):
-        raise InvalidShape("need m, n >= 0 and not both zero")
+        raise InvalidShape(f"need m, holes >= 0 and not both zero, got m = {m}, holes = {n_holes}")
     return FusionSpace(n=n, types=("D",) * m + ("K",) * n_holes)
 
 

@@ -293,10 +293,10 @@ def test_richardson_extrapolation_refines_derivative():
     rng = np.random.default_rng(16)
     x = random_cotangent_point(2, rng)
     obs = ob.word_observable(("g", "j"))
-    ham = ob.AlgebraPower(2)
+    ham = ob.WordFunction(ob.AlgebraPower(2), ("j",))
     from sunflows import flows
     curve = lambda t: _one(flows.cotangent_flow(stack([x] * len(t)), [ham], t))
     plain = brackets.directional_derivative(obs, curve)
     refined = brackets.directional_derivative(obs, curve, richardson=True)
-    exact = _bracket(obs, ob.WordFunction(ham, ("j",)), x)
+    exact = _bracket(obs, ham, x)
     assert abs(refined - exact) <= abs(plain - exact) + 1e-12

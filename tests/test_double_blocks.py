@@ -1,7 +1,9 @@
 """The fused double flows through the blocks of its one handle, bit for bit.
 
-``flows.double_flow``, ``double_velocity`` and ``double_torus_action`` delegate to the
-moduli flow, velocity and torus action on ``flows.DOUBLE_BLOCKS``.  The oracle below writes
+The double's generators are word Hamiltonians on the blocks of ``flows.DOUBLE_BLOCKS``, so
+``flows.flow``, ``velocity`` and ``torus_action`` reach the moduli flow, velocity and torus
+action; ``flows.double_flow`` and ``double_torus_action`` take a class function and a slot
+name to the same.  The oracle below writes
 out the double's closed forms: chi(A) right-translates B by exp(-tau grad), chi(B)
 right-translates A by exp(+tau grad), chi([A, B]) conjugates both, and the coroot tori of
 the two letters.  Fusion points draw every slot in one stacked draw; a per-slot loop of
@@ -11,7 +13,7 @@ single draws is the oracle for that.
 import numpy as np
 import pytest
 
-from sunflows import decomp, flows, harness, liecore
+from sunflows import decomp, flows, harness, liecore, moduli
 from sunflows.errors import ShapeError
 from sunflows.liecore import adjoint, scaled
 from sunflows.observables import AlcoveCoroot, PowerTrace
@@ -71,10 +73,12 @@ def test_double_flows_and_velocities_keep_the_closed_forms(n):
         taus = [0.7] + ([np.array([0.7, -1.3])] if x.factors[0][0].ndim == 3 else [])
         for slot in SLOTS:
             for ham in (PowerTrace(2), AlcoveCoroot(0, datum)):
+                obs = moduli.WordHamiltonian(flows.DOUBLE_BLOCKS[slot], ham)
                 for tau in taus:
-                    assert _bytes(flows.double_flow(x, [ham], tau, slot)) == \
-                        _bytes(_old_flow(fresh, ham, tau, slot)), (slot, ham, tau)
-                new, old = flows.double_velocity(x, [ham], slot), _old_velocity(fresh, ham, slot)
+                    old = _bytes(_old_flow(fresh, ham, tau, slot))
+                    assert _bytes(flows.double_flow(x, [ham], tau, slot)) == old, (slot, ham, tau)
+                    assert _bytes(flows.flow(x, [obs], tau)) == old, (slot, ham, tau)
+                new, old = flows.velocity(x, [obs]), _old_velocity(fresh, ham, slot)
                 assert list(new) == list(old)
                 assert [v.tobytes() for v in new.values()] == [v.tobytes() for v in old.values()]
 
@@ -86,8 +90,11 @@ def test_double_torus_actions_keep_the_closed_forms(n):
     for x, fresh in _points(n, datum):
         tau = rng.uniform(-3, 3, x.factors[0][0].shape[:-2] + (datum.rank,))
         for slot in ("first", "second"):
-            assert _bytes(flows.double_torus_action(x, tau, slot, datum)) == \
-                _bytes(_old_torus_action(fresh, tau, slot, datum)), slot
+            old = _bytes(_old_torus_action(fresh, tau, slot, datum))
+            assert _bytes(flows.double_torus_action(x, tau, slot, datum)) == old, slot
+            gens = [moduli.WordHamiltonian(flows.DOUBLE_BLOCKS[slot], AlcoveCoroot(j, datum))
+                    for j in range(datum.rank)]
+            assert _bytes(flows.torus_action(x, tau, gens)) == old, slot
 
 
 def test_unknown_double_slot_is_rejected():

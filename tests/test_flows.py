@@ -17,6 +17,28 @@ def _one(point):
     return point.map(lambda m: m[0])
 
 
+def _fiber(fn):
+    """fn as the observable of the cotangent fiber J that it is a function of."""
+    return ob.WordFunction(fn, ("j",))
+
+
+def _base(fn):
+    return ob.WordFunction(fn, ("g",))
+
+
+def _b_right(fn):
+    return ob.RightFactorFunction(fn, "b_right")
+
+
+def _u_right(fn):
+    return ob.RightFactorFunction(fn, "u_right")
+
+
+def _coroots(wrap, fn, datum):
+    """The coroot action variables fn(j, datum), j < rank, as observables wrap(fn(j, datum))."""
+    return [wrap(fn(j, datum)) for j in range(datum.rank)]
+
+
 def _regular_cotangent(rng, n=3):
     while True:
         x = random_cotangent_point(n, rng)
@@ -32,11 +54,12 @@ def test_zero_time_is_identity():
     rng = np.random.default_rng(0)
     x = _regular_cotangent(rng)
     datum = liecore.build_root_datum(3)
-    for ham in (ob.AlgebraPower(2), ob.PowerTrace(2), ob.ChamberCoroot(0, datum)):
+    for ham in (_fiber(ob.AlgebraPower(2)), _base(ob.PowerTrace(2)),
+                _fiber(ob.ChamberCoroot(0, datum))):
         y = _one(flows.cotangent_flow(x, [ham], 0.0))
         assert x.distance(y) < 1e-13
     xh = random_heisenberg_point(3, rng)
-    assert xh.distance(_one(flows.heisenberg_flow(xh, [ob.BorelPower(1)], 0.0))) < 1e-13
+    assert xh.distance(_one(flows.heisenberg_flow(xh, [_b_right(ob.BorelPower(1))], 0.0))) < 1e-13
 
 
 def test_cotangent_chamber_flow_matches_torus_translation():
@@ -45,14 +68,14 @@ def test_cotangent_chamber_flow_matches_torus_translation():
     datum = liecore.build_root_datum(3)
     x = _regular_cotangent(rng)
     tau = 0.7
-    ham = ob.ChamberCoroot(1, datum)
+    ham = _fiber(ob.ChamberCoroot(1, datum))
     moved = _one(flows.cotangent_flow(x, [ham], tau))
     frame = decomp.chamber_diagonalize(x.j).frame
     t = frame.conj().T @ scipy.linalg.expm(-1j * tau * datum.coroots[1]) @ frame
     assert np.linalg.norm(moved.g - t @ x.g) < 1e-12
     e = np.zeros(datum.rank)
     e[1] = tau
-    via_action = flows.cotangent_torus_action(x, e, "chamber", datum)
+    via_action = flows.cotangent_torus_action(x, e, _coroots(_fiber, ob.ChamberCoroot, datum))
     assert moved.distance(via_action) < 1e-12
 
 
@@ -61,14 +84,14 @@ def test_cotangent_momentum_and_remark_pairs_conserved():
     datum = liecore.build_root_datum(3)
     x = _regular_cotangent(rng)
     phi0 = cotangent_momentum(x)
-    for ham in (ob.AlgebraPower(2), ob.ChamberCoroot(0, datum)):
+    for ham in (_fiber(ob.AlgebraPower(2)), _fiber(ob.ChamberCoroot(0, datum))):
         y = _one(flows.cotangent_flow(x, [ham], 1.3))
         assert np.linalg.norm(cotangent_momentum(y) - phi0) <= 1e-10
         pair0 = x.g.conj().T @ x.j @ x.g
         pair1 = y.g.conj().T @ y.j @ y.g
         assert np.linalg.norm(pair1 - pair0) <= 1e-10
         assert np.linalg.norm(y.j - x.j) <= 1e-12
-    for ham in (ob.PowerTrace(2), ob.AlcoveCoroot(0, datum)):
+    for ham in (_base(ob.PowerTrace(2)), _base(ob.AlcoveCoroot(0, datum))):
         y = _one(flows.cotangent_flow(x, [ham], 1.3))
         assert np.linalg.norm(cotangent_momentum(y) - phi0) <= 1e-10
         assert np.linalg.norm(y.g - x.g) <= 1e-12
@@ -80,7 +103,7 @@ def test_heisenberg_conserved_quantities():
     x = random_heisenberg_point(2, rng)
     f0 = decomp.iwasawa_decompose(x.x)
     lam0 = heisenberg_momentum(x)
-    for ham in (ob.BorelPower(1), ob.BorelChamberCoroot(0, datum)):
+    for ham in (_b_right(ob.BorelPower(1)), _b_right(ob.BorelChamberCoroot(0, datum))):
         y = _one(flows.heisenberg_flow(x, [ham], 0.9))
         f1 = decomp.iwasawa_decompose(y.x)
         assert np.linalg.norm(f1.b_right - f0.b_right) <= 1e-10
@@ -99,7 +122,7 @@ def test_heisenberg_unitary_factor_conjugation_law():
     x = random_heisenberg_point(2, rng)
     u0 = x.factor("u_right")
     for tau in (0.4, 1.5):
-        ham = ob.AlcoveCoroot(0, datum)
+        ham = _u_right(ob.AlcoveCoroot(0, datum))
         y = _one(flows.heisenberg_flow(x, [ham], tau))
         gamma = flows.heisenberg_class_flow(x, [ham], tau)[1][0]
         assert np.linalg.norm(y.factor("u_right") - gamma @ u0 @ gamma.conj().T) <= 1e-9
@@ -110,16 +133,18 @@ def test_heisenberg_torus_matches_flows_and_periodicity():
     datum = liecore.build_root_datum(2)
     x = random_heisenberg_point(2, rng)
     tau = np.array([0.8])
-    via_action = flows.heisenberg_torus_action(x, tau, "dress", datum)
-    via_flow = _one(flows.heisenberg_flow(x, [ob.BorelChamberCoroot(0, datum)], 0.8))
+    dress = _coroots(_b_right, ob.BorelChamberCoroot, datum)
+    translate = _coroots(_u_right, ob.AlcoveCoroot, datum)
+    via_action = flows.heisenberg_torus_action(x, tau, dress)
+    via_flow = _one(flows.heisenberg_flow(x, dress[:1], 0.8))
     assert via_action.distance(via_flow) <= 1e-8
-    full = flows.heisenberg_torus_action(x, np.array([2 * np.pi]), "dress", datum)
+    full = flows.heisenberg_torus_action(x, np.array([2 * np.pi]), dress)
     assert full.distance(x) <= 1e-8
     # the Borel translation direction is proper but not periodic
-    trans = flows.heisenberg_torus_action(x, np.array([2 * np.pi]), "translate", datum)
+    trans = flows.heisenberg_torus_action(x, np.array([2 * np.pi]), translate)
     assert trans.distance(x) > 1e-2
-    via_flow = _one(flows.heisenberg_flow(x, [ob.AlcoveCoroot(0, datum)], -0.6))
-    via_action = flows.heisenberg_torus_action(x, np.array([-0.6]), "translate", datum)
+    via_flow = _one(flows.heisenberg_flow(x, translate[:1], -0.6))
+    via_action = flows.heisenberg_torus_action(x, np.array([-0.6]), translate)
     assert via_action.distance(via_flow) <= 1e-8
 
 
@@ -158,12 +183,12 @@ def test_flow_equivariance_under_symmetry():
     datum = liecore.build_root_datum(2)
     eta = liecore.random_group_element(2, rng)
     x = _regular_cotangent(rng, 2)
-    for ham in (ob.AlgebraPower(2), ob.PowerTrace(2)):
+    for ham in (_fiber(ob.AlgebraPower(2)), _base(ob.PowerTrace(2))):
         a = _one(flows.cotangent_flow(x.conjugate(eta), [ham], 0.6))
         b = _one(flows.cotangent_flow(x, [ham], 0.6)).conjugate(eta)
         assert a.distance(b) <= 1e-9
     xh = random_heisenberg_point(2, rng)
-    for ham in (ob.BorelPower(1), ob.PowerTrace(2)):
+    for ham in (_b_right(ob.BorelPower(1)), _u_right(ob.PowerTrace(2))):
         a = _one(flows.heisenberg_flow(xh.conjugate(eta), [ham], 0.6))
         b = _one(flows.heisenberg_flow(xh, [ham], 0.6)).conjugate(eta)
         assert a.distance(b) <= 1e-9
@@ -192,9 +217,10 @@ def test_cotangent_translation_action_additivity():
     x = _regular_cotangent(rng)
     t1 = np.array([0.3, -0.4])
     t2 = np.array([0.9, 0.2])
+    translate = _coroots(_base, ob.AlcoveCoroot, datum)
     a = flows.cotangent_torus_action(
-        flows.cotangent_torus_action(x, t1, "translate", datum), t2, "translate", datum)
-    b = flows.cotangent_torus_action(x, t1 + t2, "translate", datum)
+        flows.cotangent_torus_action(x, t1, translate), t2, translate)
+    b = flows.cotangent_torus_action(x, t1 + t2, translate)
     assert a.distance(b) <= 1e-9
 
 
@@ -229,6 +255,6 @@ def test_unitarity_drift_triggers_logged_reprojection(caplog):
     x = _regular_cotangent(rng, 2)
     drifted = CotangentPoint(x.g * (1.0 + 1e-6), x.j)
     with caplog.at_level(logging.WARNING, logger="sunflows.flows"):
-        moved = _one(flows.cotangent_flow(drifted, [ob.AlgebraPower(2)], 0.3))
+        moved = _one(flows.cotangent_flow(drifted, [_fiber(ob.AlgebraPower(2))], 0.3))
     assert any("re-projecting" in rec.message for rec in caplog.records)
     assert liecore.unitarity_defect(moved.g) <= 1e-10

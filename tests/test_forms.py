@@ -16,7 +16,7 @@ import pytest
 
 from sunflows import brackets, decomp, flows, harness, liecore, moduli, spaces
 from sunflows.errors import RegularityViolation
-from sunflows.observables import AlcoveCoroot, ChamberCoroot, grads_on
+from sunflows.observables import AlcoveCoroot, ChamberCoroot, WordFunction, run_gradients
 
 NORMAL_FORMS = ("alcove_diagonalize", "chamber_diagonalize", "borel_chamber_diagonalize")
 HALVES = ("iwasawa_left", "iwasawa_right")
@@ -83,7 +83,7 @@ def test_a_heisenberg_point_splits_x_once(monkeypatch):
             for gen in gens:
                 gen.velocity(x)
                 gen.obs.grad_table(x)
-        flows.heisenberg_torus_action(x, rng.uniform(-1, 1, (3, 2)), "dress", h.datum)
+        h.torus_specs()[0].act(x, rng.uniform(-1, 1, (3, 2)))  # the dressing torus
     assert calls == Counter(iwasawa_left=1, iwasawa_right=1, borel_chamber_diagonalize=1,
                             alcove_diagonalize=1)
 
@@ -167,15 +167,17 @@ def test_a_point_at_a_wall_raises_on_every_read():
     rng = np.random.default_rng(703)
     at_wall = np.diag(np.exp(1j * np.array([1.0, 1.0, -2.0])))
     x = spaces.CotangentPoint(at_wall, 1j * np.diag([1.0, 1.0, -2.0]))
+    base = [WordFunction(AlcoveCoroot(j, datum), ("g",)) for j in range(2)]
+    fiber = [WordFunction(ChamberCoroot(j, datum), ("j",)) for j in range(2)]
     for _ in range(3):
         with pytest.raises(RegularityViolation):
-            flows.cotangent_velocity(x, [AlcoveCoroot(0, datum)])
+            flows.cotangent_velocity(x, base[:1])
         with pytest.raises(RegularityViolation):
-            flows.cotangent_torus_action(x, rng.uniform(-1, 1, 2), "translate", datum)
+            flows.cotangent_torus_action(x, rng.uniform(-1, 1, 2), base)
         with pytest.raises(RegularityViolation):
-            grads_on([ChamberCoroot(1, datum)], x, ("j",), x.j)
+            run_gradients(fiber[1:], x)
         with pytest.raises(RegularityViolation):
-            flows.cotangent_flow(x, [ChamberCoroot(0, datum)], 0.4)
+            flows.cotangent_flow(x, fiber[:1], 0.4)
     assert not vars(x).get("_forms")
 
 

@@ -125,7 +125,7 @@ def test_generator_matrices_stack_the_basis_and_each_run(label, n):
 def test_heisenberg_class_flows_stack_their_cofactors(n):
     h, x, _ = _case("heisenberg", n)
     [run] = harness.runs(h.families()["unitary-class"])
-    hams = [g.ham for g in run]
+    hams = [g.obs for g in run]
     moved, gamma = flows.heisenberg_class_flow(x, hams, 0.6)
     for k, ham in enumerate(hams):
         one, cofactor = flows.heisenberg_class_flow(_fresh(x), [ham], 0.6)
@@ -134,22 +134,24 @@ def test_heisenberg_class_flows_stack_their_cofactors(n):
 
 
 def test_a_run_is_one_rule():
-    """Runs split at every change of flow, velocity or rule (kind or block), and a flow refuses
-    a list that mixes rules."""
+    """Runs split at every change of rule (``brackets.run_of``: the observable's class and what
+    it reads, a block, a word or a right factor), and a flow refuses a list that mixes rules."""
     h = _harness("moduli", 2)
     gens = all_generators(h)
     runs = harness.runs(gens)
     assert [len(run) for run in runs] == [1] * 6
-    assert [flows.rule(run[0].ham) for run in runs] == [g.ham.block for g in gens]
+    assert [brackets.run_of(run[0].obs) for run in runs] == [
+        (type(g.obs), g.obs.block) for g in gens]
     x = h.sample_stack(np.random.default_rng(3), 2)
     with pytest.raises(UnsupportedBracket):
-        gens[0].flows(x, [gens[0].ham, gens[1].ham], 0.3)
+        flows.flow(x, [gens[0].obs, gens[1].obs], 0.3)
     h = _harness("cotangent", 3)
     fams = h.families()
     assert [len(run) for run in harness.runs(all_generators(h))] == [4, 4]
-    with pytest.raises(UnsupportedBracket):
-        flows.cotangent_flow(h.sample(np.random.default_rng(4)),
-                             [fams["fiber-invariants"][0].ham, fams["base-class"][0].ham], 0.3)
+    for flow in (flows.flow, flows.cotangent_flow):
+        with pytest.raises(UnsupportedBracket):
+            flow(h.sample(np.random.default_rng(4)),
+                 [fams["fiber-invariants"][0].obs, fams["base-class"][0].obs], 0.3)
 
 
 def _flow_commutation_peak(single) -> int:

@@ -176,6 +176,15 @@ def test_tables_refuse_unsupported_points_and_words():
         ob.RightFactorFunction(ob.PowerTrace(2), "b_right")
 
 
+def test_the_fiber_word_takes_only_algebra_functions():
+    """A class function of J is refused where it is built: its group gradient is no linear
+    gradient, so it has neither a table nor a flow."""
+    with pytest.raises(UnsupportedWord):
+        ob.WordFunction(ob.PowerTrace(2), ("j",))
+    with pytest.raises(UnsupportedWord):
+        ob.WordFunction(ob.AlcoveCoroot(0, liecore.build_root_datum(2)), ("j",))
+
+
 # well-formed and malformed letter names of every geometry
 LETTER_NAMES = ("g", "g~", "j", "j~", "x", "xh", "x~", "xh~", "x~~", "a1", "a1~", "b1", "b1~",
                 "b2~", "c1", "c2~", "c3", "a", "c", "q1", "zz", "", "~")

@@ -12,7 +12,7 @@ from sunflows import brackets, flows, harness, liecore, moduli
 from sunflows.errors import (NotPositiveDefinite, RegularityViolation, SamplingFailure,
                              ShapeError, SingularMatrix, SunflowsError, UnsupportedWord)
 from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, BorelChamberCoroot,
-                                  ChamberCoroot)
+                                  ChamberCoroot, RightFactorFunction, WordFunction)
 from sunflows.spaces import FusionSpace, stack
 
 
@@ -327,13 +327,17 @@ def _old_generator_flow(h, spec, j):
     """The former ``torus_generator_flow(spec.name, j)`` of each harness."""
     datum = h.datum
     if spec.name == "chamber-torus":
-        return lambda p, t: _one(flows.cotangent_flow(p, [ChamberCoroot(j, datum)], t))
+        ham = WordFunction(ChamberCoroot(j, datum), ("j",))
+        return lambda p, t: _one(flows.cotangent_flow(p, [ham], t))
     if spec.name == "fiber-translation":
-        return lambda p, t: _one(flows.cotangent_flow(p, [AlcoveCoroot(j, datum)], t))
+        ham = WordFunction(AlcoveCoroot(j, datum), ("g",))
+        return lambda p, t: _one(flows.cotangent_flow(p, [ham], t))
     if spec.name == "dressing-torus":
-        return lambda p, t: _one(flows.heisenberg_flow(p, [BorelChamberCoroot(j, datum)], t))
+        ham = RightFactorFunction(BorelChamberCoroot(j, datum), "b_right")
+        return lambda p, t: _one(flows.heisenberg_flow(p, [ham], t))
     if spec.name == "borel-translation":
-        return lambda p, t: _one(flows.heisenberg_flow(p, [AlcoveCoroot(j, datum)], t))
+        ham = RightFactorFunction(AlcoveCoroot(j, datum), "u_right")
+        return lambda p, t: _one(flows.heisenberg_flow(p, [ham], t))
     if spec.name in ("first-slot-torus", "second-slot-torus"):
         slot = spec.name.split("-")[0]
         return lambda p, t: _one(flows.double_flow(p, [AlcoveCoroot(j, datum)], t, slot))

@@ -97,7 +97,7 @@ def test_sphere_family_generates_product_class_functions():
     x = space.random_point(rng)
     c1, c2, _ = x.factors
     for h in hams:
-        assert h(x) == pytest.approx(h.classfn.value(c1 @ c2))
+        assert h(x) == pytest.approx(h.fn.value(c1 @ c2))
 
 
 def test_genus2_family_blocks():

@@ -14,9 +14,8 @@ import pytest
 
 from sunflows import brackets, flows, liecore, moduli, spaces
 from sunflows.liecore import IM_FORM, TRACE_FORM, project_borel, project_compact
-from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, AlgebraFunction,
-                                  BorelChamberCoroot, BorelFunction, BorelPower, ChamberCoroot,
-                                  ClassFunction, inverse_word)
+from sunflows.observables import (AlcoveCoroot, AlcoveCoweight, BorelChamberCoroot, BorelPower,
+                                  ChamberCoroot, ClassFunction, inverse_word)
 from sunflows.scenario import SPACE_FREE_RESULTS, ScenarioConfig, run_scenario
 
 _half_difference = brackets._half_difference
@@ -25,7 +24,6 @@ _coroot_torus_element = flows.coroot_torus_element
 _expm_normal = liecore.expm_normal
 _cotangent_velocity = flows.cotangent_velocity
 _heisenberg_velocity = flows.heisenberg_velocity
-_double_velocity = flows.double_velocity
 _moduli_velocity = moduli.moduli_velocity
 _conjugation_velocity = spaces.conjugation_velocity
 _swap_letters = moduli._swap_letters
@@ -102,8 +100,8 @@ def _drop_fusion_cross_factor_terms(mp):
 
 
 def _fiber_invariant_flow_backwards(mp):
-    def flow(x, hams, tau):
-        return _cotangent_flow(x, hams, -tau if isinstance(hams[0], AlgebraFunction) else tau)
+    def flow(x, run, tau):
+        return _cotangent_flow(x, run, -tau if run[0].letters == ("j",) else tau)
     mp.setattr(flows, "cotangent_flow", flow)
 
 
@@ -119,68 +117,74 @@ def _expm_normal_of_minus_a(mp):
 
 
 # defects of the closed-form velocities, one per velocity kind the suites reach; each takes a
-# run of Hamiltonians of one rule and stacks its velocities at axis -3, as the flows do
+# run of observables of one rule (what they read: letters, a factor or a block) and stacks
+# its velocities at axis -3, as the flows do
 
 def _algebra_velocity_on_the_fiber(mp):
-    def velocity(x, hams):
-        if isinstance(hams[0], AlgebraFunction):
-            return {"fiber": np.stack([ham.grad(x.j) for ham in hams], axis=-3)}
-        return _cotangent_velocity(x, hams)
+    def velocity(x, run):
+        if run[0].letters == ("j",):
+            return {"fiber": np.stack([o.fn.grad(x.j) for o in run], axis=-3)}
+        return _cotangent_velocity(x, run)
     mp.setattr(flows, "cotangent_velocity", velocity)
 
 
 def _class_velocity_sign_flipped(mp):
-    def velocity(x, hams):
-        v = _cotangent_velocity(x, hams)
-        return {"fiber": -v["fiber"]} if isinstance(hams[0], ClassFunction) else v
+    def velocity(x, run):
+        v = _cotangent_velocity(x, run)
+        return {"fiber": -v["fiber"]} if run[0].letters == ("g",) else v
     mp.setattr(flows, "cotangent_velocity", velocity)
 
 
 def _borel_velocity_sign_flipped(mp):
-    def velocity(x, hams):
-        v = _heisenberg_velocity(x, hams)
-        return {"rmul": -v["rmul"]} if isinstance(hams[0], BorelFunction) else v
+    def velocity(x, run):
+        v = _heisenberg_velocity(x, run)
+        return {"rmul": -v["rmul"]} if run[0].factor == "b_right" else v
     mp.setattr(flows, "heisenberg_velocity", velocity)
 
 
 def _borel_velocity_on_the_left(mp):
     # the velocity is unitary and every probe is invariant under unitary conjugation, so only
     # the comparison of ambient tangent vectors with P-sharp of the table sees this
-    def velocity(x, hams):
-        v = _heisenberg_velocity(x, hams)
-        return {"lmul": v["rmul"]} if isinstance(hams[0], BorelFunction) else v
+    def velocity(x, run):
+        v = _heisenberg_velocity(x, run)
+        return {"lmul": v["rmul"]} if run[0].factor == "b_right" else v
     mp.setattr(flows, "heisenberg_velocity", velocity)
 
 
 def _class_velocity_compact_part(mp):
     # the first-order b_left of exp(i tau grad) is the Borel part of i grad, not the compact one
-    def velocity(x, hams):
-        if isinstance(hams[0], ClassFunction):
-            grads = np.stack([ham.grad(x.factor("u_right")) for ham in hams], axis=-3)
+    def velocity(x, run):
+        if run[0].factor == "u_right":
+            grads = np.stack([o.fn.grad(x.factor("u_right")) for o in run], axis=-3)
             return {"rmul": project_compact(1j * grads)}
-        return _heisenberg_velocity(x, hams)
+        return _heisenberg_velocity(x, run)
     mp.setattr(flows, "heisenberg_velocity", velocity)
 
 
+# the double's slots are blocks of its one handle (``flows.DOUBLE_BLOCKS``)
+
 def _first_slot_velocity_on_a(mp):
-    def velocity(x, hams, slot):
-        v = _double_velocity(x, hams, slot)
-        return {(0, 0, "rmul"): v[(0, 1, "rmul")]} if slot == "first" else v
-    mp.setattr(flows, "double_velocity", velocity)
+    def velocity(x, run):
+        v = _moduli_velocity(x, run)
+        first = run[0].block == flows.DOUBLE_BLOCKS["first"]
+        return {(0, 0, "rmul"): v[(0, 1, "rmul")]} if first else v
+    mp.setattr(moduli, "moduli_velocity", velocity)
 
 
 def _second_slot_velocity_sign_flipped(mp):
-    def velocity(x, hams, slot):
-        v = _double_velocity(x, hams, slot)
-        return {key: -z for key, z in v.items()} if slot == "second" else v
-    mp.setattr(flows, "double_velocity", velocity)
+    def velocity(x, run):
+        v = _moduli_velocity(x, run)
+        second = run[0].block == flows.DOUBLE_BLOCKS["second"]
+        return {key: -z for key, z in v.items()} if second else v
+    mp.setattr(moduli, "moduli_velocity", velocity)
 
 
 def _momentum_velocity_without_rmul(mp):
-    def velocity(x, hams, slot):
-        v = _double_velocity(x, hams, slot)
-        return {key: z for key, z in v.items() if key[-1] != "rmul"} if slot == "momentum" else v
-    mp.setattr(flows, "double_velocity", velocity)
+    def velocity(x, run):
+        v = _moduli_velocity(x, run)
+        momentum = run[0].block == flows.DOUBLE_BLOCKS["momentum"]
+        return {key: z for key, z in v.items() if key[-1] != "rmul"} if momentum else v
+    mp.setattr(moduli, "moduli_velocity", velocity)
 
 
 def _single_block_velocity_sign_flipped(mp):

@@ -349,32 +349,25 @@ def test_converted_checks_call_the_kernels_once_per_stack(space, check, monkeypa
 
 
 def _flow_calls(monkeypatch, cfg: ScenarioConfig) -> int:
-    """The calls of the generators' stacked flows (``Generator.flows``: a ``Generator.flow``
-    or a ``harness.Run.flow``) in one run of ``cfg``, and the class flows of the Heisenberg
-    double that a check calls outside them (``flows.heisenberg_class_flow``)."""
-    calls, depth, counted = [0], [0], {}
+    """The calls of the generators' stacked flows (``flows.flow``: a ``Generator.flow`` or a
+    ``harness.Run.flow``) in one run of ``cfg``, and the class flows of the Heisenberg double
+    that a check calls outside them (``flows.heisenberg_class_flow``)."""
+    calls, depth = [0], [0]
 
-    def counting(flow):
-        def wrapper(*args):
-            calls[0] += 1
-            depth[0] += 1
-            try:
-                return flow(*args)
-            finally:
-                depth[0] -= 1
-        return wrapper
-
-    class Counted(harness.Generator):
-        # one wrapper per stacked flow, so that the generators of a run still share it
-        def __init__(self, name, obs, ham, flow, velocity):
-            super().__init__(name, obs, ham, counted.setdefault(flow, counting(flow)), velocity)
+    def flow(*args, fn=flows.flow):
+        calls[0] += 1
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
 
     def class_flow(*args, fn=flows.heisenberg_class_flow):
         calls[0] += not depth[0]
         return fn(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(harness, "Generator", Counted)
+        mp.setattr(flows, "flow", flow)
         mp.setattr(flows, "heisenberg_class_flow", class_flow)
         SPACE_FREE_RESULTS.clear()
         report = run_scenario(cfg)

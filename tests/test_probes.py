@@ -6,7 +6,8 @@ from curve_stencils import (assert_columns_close, conjugation_curves, fd_observa
                             stencil_generator_matrix, torus_curves)
 from sunflows import brackets, flows, harness, liecore, moduli, probes
 from sunflows.errors import RegularityViolation, ShapeError, Unsupported
-from sunflows.observables import AlcoveCoroot
+from sunflows.observables import (AlcoveCoroot, BorelChamberCoroot, ChamberCoroot,
+                                  RightFactorFunction, WordFunction)
 from sunflows.spaces import (CotangentPoint, FusionPoint, HeisenbergPoint, double_space,
                              moduli_point)
 
@@ -69,12 +70,15 @@ def test_crafted_points_have_trivial_combined_stabilizer(key, n):
     assert rep.singular_values.min() > 1e-3
 
 
-def _old_torus_curves(act, mode, datum):
-    """The former ``probes._torus_curves``: one curve per rank direction."""
+def _old_torus_curves(act, variable, observable, datum):
+    """The former ``probes._torus_curves``: one curve per rank direction, of the torus action
+    of the action variables observable(variable(j, datum))."""
+    gens = [observable(variable(j, datum)) for j in range(datum.rank)]
+
     def make(j):
         e = np.zeros(datum.rank)
         e[j] = 1.0
-        return lambda p, t: act(p, t * e, mode, datum)
+        return lambda p, t: act(p, t * e, gens)
     return [make(j) for j in range(datum.rank)]
 
 
@@ -95,11 +99,16 @@ def _old_family_curves(datum, hams):
 
 
 OLD_TORUS = {
-    "cotangent-compact-torus": (flows.cotangent_torus_action, "chamber"),
-    "cotangent-line-action": (flows.cotangent_torus_action, "translate"),
-    "heisenberg-compact-torus": (flows.heisenberg_torus_action, "dress"),
-    "heisenberg-line-action": (flows.heisenberg_torus_action, "translate"),
-    "double-first-family": (flows.double_torus_action, "first"),
+    "cotangent-compact-torus": (flows.cotangent_torus_action, ChamberCoroot,
+                                lambda fn: WordFunction(fn, ("j",))),
+    "cotangent-line-action": (flows.cotangent_torus_action, AlcoveCoroot,
+                              lambda fn: WordFunction(fn, ("g",))),
+    "heisenberg-compact-torus": (flows.heisenberg_torus_action, BorelChamberCoroot,
+                                 lambda fn: RightFactorFunction(fn, "b_right")),
+    "heisenberg-line-action": (flows.heisenberg_torus_action, AlcoveCoroot,
+                               lambda fn: RightFactorFunction(fn, "u_right")),
+    "double-first-family": (flows.torus_action, AlcoveCoroot,
+                            lambda fn: moduli.WordHamiltonian(flows.DOUBLE_BLOCKS["first"], fn)),
 }
 
 
@@ -239,8 +248,7 @@ def test_torus_displacement_at_crafted_points():
         rng = np.random.default_rng(seed)
         pp = probes.principal_test_point("sphere-adjoint-torus", n, datum, rng)
         tau = rng.uniform(0.1, 2 * np.pi - 0.1, pp.torus_dim)
-        moved = harness.family_torus(pp.family, datum).act(pp.point,
-                                                           tau[0] * np.eye(pp.torus_dim)[0])
+        moved = harness.family_torus(pp.family).act(pp.point, tau[0] * np.eye(pp.torus_dim)[0])
         assert moved.distance(pp.point) >= 1e-4
 
 

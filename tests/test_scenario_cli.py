@@ -399,6 +399,22 @@ def test_cli_rejects_invalid_family(tmp_path, capsys):
     assert "m0-proper" in err
 
 
+@pytest.mark.parametrize("holes, intervals, message", [
+    (2, [[1, 2]], "clause m0-size: with no double factors (m = 0), need holes >= 3, "
+                  "got holes = 2"),
+    (3, [[1, 3]], "clause m0-proper: the interval union [1, 2, 3] must be a proper subset of "
+                  "the holes 1..3"),
+], ids=["m0-size", "m0-proper"])
+def test_cli_moduli_clauses_name_the_holes(tmp_path, capsys, holes, intervals, message):
+    """The clauses on the holes count name it ``holes`` and show the values that broke them,
+    whatever the config's n."""
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"space": "moduli", "n": 3, "m": 0, "holes": holes,
+                                    "family": {"intervals": intervals}}))
+    assert cli.main(["verify", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_seed_override_changes_report(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({

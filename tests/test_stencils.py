@@ -235,9 +235,9 @@ def test_a_flow_on_a_time_stack_keeps_the_bytes_of_each_time(label, n):
                     assert many[j].tobytes() == m.tobytes(), (gen.name, t)
     for gen in h.families().get("unitary-class", []):
         for x, times in cases:
-            gamma = flows.heisenberg_class_flow(stack([x] * k), [gen.obs.fn], times)[1][0]
+            gamma = flows.heisenberg_class_flow(stack([x] * k), [gen.obs], times)[1][0]
             for slice_, t in zip(gamma, _TIMES):
-                one = flows.heisenberg_class_flow(x, [gen.obs.fn], float(t))[1][0]
+                one = flows.heisenberg_class_flow(x, [gen.obs], float(t))[1][0]
                 assert slice_.tobytes() == one.tobytes(), (gen.name, t)
 
 
@@ -320,8 +320,10 @@ def test_dual_sum_is_bit_equal_to_the_sequential_sum(kind, n):
         assert brackets._dual_sum(kind, n, derivs).tobytes() == want.tobytes()
 
 
-# the flows and torus action maps that a harness generator or TorusSpec calls
-_FLOW_MAPS = [(flows, name) for name in ("cotangent_flow", "heisenberg_flow", "double_flow",
+# the flows and torus action maps that a harness generator or TorusSpec calls (the dispatchers
+# and each geometry's), and the double's slot forms of them
+_FLOW_MAPS = [(flows, name) for name in ("flow", "torus_action", "cotangent_flow",
+                                         "heisenberg_flow", "double_flow",
                                          "cotangent_torus_action", "heisenberg_torus_action",
                                          "double_torus_action")]
 _FLOW_MAPS += [(moduli, "moduli_flow"), (moduli, "moduli_torus_action")]
